@@ -538,38 +538,39 @@ func BenchmarkCrashImageMaterialisation(b *testing.B) {
 	}
 }
 
-// BenchmarkInjectionCampaignCached measures the verdict cache on the
-// fixture built for it: an imagedup target whose scan phase makes most
-// failure points materialise byte-identical crash images. The cached
-// and uncached campaigns produce identical reports; the metrics carry
-// the injection time and the measured hit rate.
+// BenchmarkInjectionCampaignCached measures verdict reuse on the fixture
+// built for it: an imagedup target whose scan phase makes most failure
+// points materialise byte-identical crash images. The classed campaign
+// (Classing on) and the campaign without any reuse produce identical
+// reports; the metrics carry the injection time and the share of
+// injections that inherited their class's verdict instead of replaying.
 func BenchmarkInjectionCampaignCached(b *testing.B) {
 	w := workload.Generate(workload.Config{N: 100, Seed: 42})
 	mk := func() harness.Application {
 		return imagedup.Custom("imagedup-bench", imagedup.Clean, 6, 40, 1<<20)
 	}
 	for _, mode := range []struct {
-		name      string
-		cacheSize int
-	}{{"cached", 0}, {"uncached", -1}} {
+		name     string
+		classing bool
+	}{{"classed", true}, {"unclassed", false}} {
 		b.Run(mode.name, func(b *testing.B) {
 			var inject time.Duration
-			var hits, lookups int
+			var inherited, injections int
 			for i := 0; i < b.N; i++ {
 				res, err := core.Analyze(mk(), w, core.Config{
 					DisableTraceAnalysis: true,
-					ImageCacheSize:       mode.cacheSize,
+					Classing:             mode.classing,
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
 				inject += res.InjectTime
-				hits += res.ImageCacheHits
-				lookups += res.ImageCacheHits + res.ImageCacheMisses
+				inherited += res.InheritedVerdicts
+				injections += res.Injections
 			}
 			b.ReportMetric(inject.Seconds()/float64(b.N), "inject_sec")
-			if lookups > 0 {
-				b.ReportMetric(100*float64(hits)/float64(lookups), "hit_pct")
+			if injections > 0 {
+				b.ReportMetric(100*float64(inherited)/float64(injections), "inherited_pct")
 			}
 		})
 	}

@@ -17,6 +17,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"syscall"
 	"time"
@@ -68,12 +69,11 @@ func main() {
 		printTree  = flag.Bool("print-tree", false, "render the failure point tree (the Fig 2 view)")
 		hangBudget = flag.Uint64("hang-budget", 0, "PM events one execution may emit before the hang watchdog kills it (0 = default)")
 		recTimeout = flag.Duration("recovery-timeout", 0, "wall-clock watchdog per recovery-oracle invocation (0 = default)")
-		imageCache = flag.Int("image-cache", core.DefaultImageCacheSize, "crash-image verdict cache capacity: identical crash images reuse one recovery verdict (0 disables)")
 		ckptEvery  = flag.Int("checkpoint-interval", core.DefaultCheckpointInterval, "engine events between full-state checkpoints of the instrumented run; counter-mode replays restore from the nearest checkpoint instead of re-executing the prefix (0 disables)")
 		exitZero   = flag.Bool("exit-zero", false, "exit 0 even when bugs were found (smoke tests that assert findings without failing the step)")
 		journalDir = flag.String("journal", "", "directory for a durable campaign journal: every verdict is fsync'd, so a killed campaign resumes with -resume")
 		resume     = flag.Bool("resume", false, "resume the journaled campaign in -journal instead of starting fresh")
-		classing   = flag.Bool("classing", true, "group failure points by phase-1 crash-image hash and replay one representative per class; the rest inherit its verdict (reports are byte-identical)")
+		classing   = flag.Bool("classing", true, "reuse verdicts: replay one failure point per phase-1 crash-image class and let the rest inherit its verdict (reports are byte-identical); turn off for targets whose execution or recovery is not deterministic")
 		vcFile     = flag.String("verdict-cache-file", "", "persistent cross-run verdict cache file: re-runs of the identical campaign replay only crash images never judged before")
 	)
 	flag.Parse()
@@ -88,10 +88,9 @@ func main() {
 	}
 	if err := validateFlags(flagValues{
 		ops: *ops, workers: *workers, poolMB: *poolMB,
-		imageCache: *imageCache, ckptInterval: *ckptEvery,
-		budget: *budget, artifacts: *artifacts,
+		ckptInterval: *ckptEvery, budget: *budget, artifacts: *artifacts,
 		journal: *journalDir, resume: *resume,
-		verdictCache: *vcFile,
+		verdictCache: *vcFile, classing: *classing,
 	}); err != nil {
 		fatal(err)
 	}
@@ -109,7 +108,7 @@ func main() {
 			set[bid] = true
 		}
 	}
-	cfg := apps.Config{
+	appCfg := apps.Config{
 		Ver: ver, SPT: *spt, Bugs: set,
 		WithRecovery: *recovery, MontageBuggy: *montageBug,
 		PoolSize: *poolMB << 20,
@@ -120,31 +119,38 @@ func main() {
 	} else if fixture, ok := imagedup.New(*target); ok {
 		app = fixture
 	} else {
-		app, err = apps.New(*target, cfg)
+		app, err = apps.New(*target, appCfg)
 		if err != nil {
 			fatal(err)
 		}
 	}
-	w := workload.Generate(workload.Config{N: *ops, Seed: *seed})
+	wlCfg := workload.Config{N: *ops, Seed: *seed}
+	w := workload.Generate(wlCfg)
 	gran := fpt.GranPersistency
 	if *storeGran {
 		gran = fpt.GranStore
-	}
-	cacheSize := *imageCache
-	if cacheSize <= 0 {
-		cacheSize = -1 // flag 0 means "off"; Config 0 means "default"
 	}
 	ckptInterval := *ckptEvery
 	if ckptInterval <= 0 {
 		ckptInterval = -1 // flag 0 means "off"; Config 0 means "default"
 	}
+	coreCfg := core.Config{
+		Granularity:        gran,
+		Budget:             *budget,
+		StackMode:          *stackMode,
+		Workers:            *workers,
+		KeepWarnings:       *warnings,
+		EADR:               *eadr,
+		HangBudget:         *hangBudget,
+		RecoveryTimeout:    *recTimeout,
+		CheckpointInterval: ckptInterval,
+		Classing:           *classing,
+		PersistVerdicts:    *vcFile != "",
+	}
 
 	// Campaign journal: identity is pinned at creation and re-checked on
 	// resume, so a journal can never be folded into a different campaign.
-	meta := campaign.Meta{
-		Target: *target, Ops: *ops, Seed: *seed,
-		StackMode: *stackMode, StoreGranularity: *storeGran, EADR: *eadr,
-	}
+	meta := campaignMeta(*target, wlCfg, appCfg, coreCfg)
 	var (
 		journal     *campaign.Journal
 		resumeState *campaign.State
@@ -177,9 +183,8 @@ func main() {
 	// missing file is a cold start; a corrupt or foreign one is fatal —
 	// silently ignoring it would hide the warm start the user asked for)
 	// and save the campaign's final verdicts after it.
-	var warmVerdicts []campaign.CacheEntry
 	if *vcFile != "" {
-		warmVerdicts, err = campaign.LoadVerdictCache(*vcFile, meta)
+		coreCfg.WarmVerdicts, err = campaign.LoadVerdictCache(*vcFile, meta)
 		if err != nil {
 			fatal(err)
 		}
@@ -200,24 +205,10 @@ func main() {
 		os.Exit(130)
 	}()
 
-	res, err := core.Analyze(app, w, core.Config{
-		Granularity:        gran,
-		Budget:             *budget,
-		StackMode:          *stackMode,
-		Workers:            *workers,
-		KeepWarnings:       *warnings,
-		EADR:               *eadr,
-		HangBudget:         *hangBudget,
-		RecoveryTimeout:    *recTimeout,
-		ImageCacheSize:     cacheSize,
-		CheckpointInterval: ckptInterval,
-		Classing:           *classing,
-		WarmVerdicts:       warmVerdicts,
-		PersistVerdicts:    *vcFile != "",
-		Interrupt:          interrupt,
-		Journal:            journal,
-		Resume:             resumeState,
-	})
+	coreCfg.Interrupt = interrupt
+	coreCfg.Journal = journal
+	coreCfg.Resume = resumeState
+	res, err := core.Analyze(app, w, coreCfg)
 	if journal != nil {
 		if cerr := journal.Close(); cerr != nil {
 			fmt.Fprintln(os.Stderr, "mumak: journal:", cerr)
@@ -281,18 +272,13 @@ func main() {
 		fmt.Printf("sandbox interventions: %d target panic(s), %d hang-budget kill(s), %d recovery hang(s)\n",
 			res.TargetPanics, res.TargetHangs, res.RecoveryHangs)
 	}
-	if lookups := res.ImageCacheHits + res.ImageCacheMisses; lookups > 0 {
-		fmt.Printf("image cache: %d hit(s), %d miss(es) (%.1f%% hit rate, %d image(s) cached)\n",
-			res.ImageCacheHits, res.ImageCacheMisses,
-			100*float64(res.ImageCacheHits)/float64(lookups), res.ImageCacheEntries)
-	}
 	if res.EquivClasses > 0 {
-		fmt.Printf("classing: %d equivalence class(es) over %d failure point(s), %d inherited verdict(s), %d replay(s) avoided\n",
-			res.EquivClasses, res.Tree.Len(), res.InheritedVerdicts, res.ReplaysAvoided)
+		fmt.Printf("classing: %d equivalence class(es) over %d failure point(s), %d inherited verdict(s)\n",
+			res.EquivClasses, res.Tree.Len(), res.InheritedVerdicts)
 	}
-	if lookups := res.PersistentCacheHits + res.PersistentCacheMisses; lookups > 0 {
-		fmt.Printf("verdict cache file: %d persistent hit(s), %d miss(es)\n",
-			res.PersistentCacheHits, res.PersistentCacheMisses)
+	if *vcFile != "" {
+		fmt.Printf("verdict cache file: %d persistent hit(s), %d verdict(s) saved\n",
+			res.PersistentCacheHits, len(res.VerdictCache))
 	}
 	if res.Checkpoints > 0 || res.CheckpointRestores > 0 {
 		fmt.Printf("checkpoints: %d snapshot(s), ~%d KiB resident, %d replay(s) served by restore\n",
@@ -320,6 +306,26 @@ func main() {
 		fmt.Printf("campaign interrupted before completion%s\n", hint)
 	}
 	os.Exit(exitCode(res, *exitZero))
+}
+
+// campaignMeta is the identity a journal or verdict-cache file is
+// pinned to, derived from the effective configurations: every setting
+// that changes the failure point tree or a verdict.
+func campaignMeta(target string, w workload.Config, app apps.Config, cfg core.Config) campaign.Meta {
+	var seeded []string
+	for id, on := range app.Bugs {
+		if on {
+			seeded = append(seeded, string(id))
+		}
+	}
+	sort.Strings(seeded)
+	return campaign.Meta{
+		Target: target, Ops: w.N, Seed: w.Seed,
+		StackMode: cfg.StackMode, StoreGranularity: cfg.Granularity == fpt.GranStore, EADR: cfg.EADR,
+		WithRecovery: app.WithRecovery, PMDK: app.Ver.String(), SPT: app.SPT, SeedBugs: seeded,
+		MontageBuggy: app.MontageBuggy, PoolMB: app.PoolSize >> 20,
+		HangBudget: cfg.HangBudget, RecoveryTimeout: cfg.RecoveryTimeout,
+	}
 }
 
 // exitCode maps the campaign outcome onto CI-friendly process status:

@@ -18,13 +18,13 @@ type flagValues struct {
 	ops          int
 	workers      int
 	poolMB       int
-	imageCache   int
 	ckptInterval int
 	budget       time.Duration
 	artifacts    string
 	journal      string
 	resume       bool
 	verdictCache string
+	classing     bool
 }
 
 // validateFlags rejects flag combinations that cannot produce a useful
@@ -37,16 +37,14 @@ func validateFlags(v flagValues) error {
 		return fmt.Errorf("-workers %d: the campaign needs at least one worker (1 = serial)", v.workers)
 	case v.poolMB < 1:
 		return fmt.Errorf("-pool-mb %d: the simulated PM pool needs at least 1 MiB", v.poolMB)
-	case v.imageCache < 0:
-		return fmt.Errorf("-image-cache %d: capacity cannot be negative (0 disables the cache)", v.imageCache)
 	case v.ckptInterval < 0:
 		return fmt.Errorf("-checkpoint-interval %d: interval cannot be negative (0 disables checkpoints)", v.ckptInterval)
 	case v.budget < 0:
 		return fmt.Errorf("-budget %s: the analysis budget cannot be negative", v.budget)
 	case v.resume && v.journal == "":
 		return fmt.Errorf("-resume needs -journal DIR: there is no journal to resume from")
-	case v.verdictCache != "" && v.imageCache == 0:
-		return fmt.Errorf("-verdict-cache-file needs the image cache: verdicts persist through it (-image-cache 0 disables it)")
+	case v.verdictCache != "" && !v.classing:
+		return fmt.Errorf("-verdict-cache-file needs -classing: verdicts are only reused, and saved, with it on")
 	}
 	if v.artifacts != "" {
 		if err := probeWritableDir(v.artifacts); err != nil {

@@ -11,7 +11,7 @@ import (
 func validValues() flagValues {
 	return flagValues{
 		ops: 1000, workers: 4, poolMB: 64,
-		imageCache: 4096, ckptInterval: 2000, budget: time.Minute,
+		ckptInterval: 2000, budget: time.Minute, classing: true,
 	}
 }
 
@@ -19,11 +19,11 @@ func TestValidateFlagsAcceptsDefaults(t *testing.T) {
 	if err := validateFlags(validValues()); err != nil {
 		t.Fatalf("default-shaped flags rejected: %v", err)
 	}
-	// Zero disables the caches rather than erroring.
+	// Zero disables checkpoints rather than erroring.
 	v := validValues()
-	v.imageCache, v.ckptInterval, v.budget = 0, 0, 0
+	v.ckptInterval, v.budget = 0, 0
 	if err := validateFlags(v); err != nil {
-		t.Fatalf("zero cache/interval/budget rejected: %v", err)
+		t.Fatalf("zero interval/budget rejected: %v", err)
 	}
 }
 
@@ -37,13 +37,12 @@ func TestValidateFlagsRejections(t *testing.T) {
 		{"workers", func(v *flagValues) { v.workers = 0 }, "-workers"},
 		{"workers-negative", func(v *flagValues) { v.workers = -3 }, "-workers"},
 		{"pool", func(v *flagValues) { v.poolMB = 0 }, "-pool-mb"},
-		{"image-cache", func(v *flagValues) { v.imageCache = -1 }, "-image-cache"},
 		{"checkpoint-interval", func(v *flagValues) { v.ckptInterval = -9 }, "-checkpoint-interval"},
 		{"budget", func(v *flagValues) { v.budget = -time.Second }, "-budget"},
 		{"resume-without-journal", func(v *flagValues) { v.resume = true }, "-journal"},
-		{"verdict-cache-without-image-cache", func(v *flagValues) {
+		{"verdict-cache-without-classing", func(v *flagValues) {
 			v.verdictCache = "verdicts.bin"
-			v.imageCache = 0
+			v.classing = false
 		}, "-verdict-cache-file"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -49,7 +49,7 @@ func main() {
 			failed++
 			continue
 		}
-		res, err := core.Analyze(app, w, core.Config{Budget: time.Minute})
+		res, err := core.Analyze(app, w, core.Config{Budget: time.Minute, Classing: true})
 		if err != nil {
 			fmt.Printf("FAIL  %-12s %v\n", j.target, err)
 			failed++

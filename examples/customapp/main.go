@@ -134,7 +134,7 @@ func main() {
 	w := workload.Generate(workload.Config{N: 400, Seed: 7, PutFrac: 2, GetFrac: 0, DeleteFrac: 1})
 
 	for _, buggy := range []bool{false, true} {
-		res, err := core.Analyze(&queue{buggy: buggy}, w, core.Config{})
+		res, err := core.Analyze(&queue{buggy: buggy}, w, core.Config{Classing: true})
 		if err != nil {
 			log.Fatal(err)
 		}

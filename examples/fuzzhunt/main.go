@@ -32,7 +32,7 @@ func main() {
 	seed := workload.Generate(workload.Config{N: 40, Seed: 3, Keyspace: 6})
 
 	analyse := func(label string, w workload.Workload) int {
-		res, err := core.Analyze(mk(), w, core.Config{Budget: time.Minute})
+		res, err := core.Analyze(mk(), w, core.Config{Budget: time.Minute, Classing: true})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -28,7 +28,7 @@ func main() {
 	}
 	w := workload.Generate(workload.Config{N: 3000, Seed: 11})
 	for _, app := range targets {
-		res, err := core.Analyze(app, w, core.Config{Budget: 2 * time.Minute})
+		res, err := core.Analyze(app, w, core.Config{Budget: 2 * time.Minute, Classing: true})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -35,7 +35,7 @@ func main() {
 
 	// The analysis: fault injection at every unique failure point plus
 	// single-pass trace analysis.
-	res, err := core.Analyze(app, w, core.Config{})
+	res, err := core.Analyze(app, w, core.Config{Classing: true})
 	if err != nil {
 		log.Fatal(err)
 	}

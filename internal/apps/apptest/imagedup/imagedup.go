@@ -1,12 +1,13 @@
 // Package imagedup provides fixture targets whose fault-injection
 // campaigns produce many byte-identical graceful-crash images — the
-// workload shape the crash-image verdict cache exists for.
+// workload shape verdict reuse (core.Config.Classing) exists for.
 //
-// The insight the fixtures exploit is the one behind the cache: the
+// The insight the fixtures exploit is the one behind verdict reuse: the
 // program-order-prefix image changes only when the prefix gains a store
 // with new content. Each target runs two phases. The fill phase
 // persists distinct values at increasing recursion depths, so every
-// fill failure point materialises a distinct image (all misses). The
+// fill failure point materialises a distinct image (a class of its
+// own). The
 // scan phase then re-persists values that are already durable, again at
 // distinct recursion depths: each round is a genuine failure point (a
 // store precedes its flush) with its own call stack and instruction
@@ -42,22 +43,23 @@ const (
 	// BrokenRecovery rejects every state, so each failure point yields
 	// an Unrecoverable finding. Scan-phase leaves share one image but
 	// crash at distinct instruction counters: the fixture proves a
-	// cached verdict still produces one finding per failure point, each
+	// reused verdict still produces one finding per failure point, each
 	// with its own ICount.
 	BrokenRecovery
 )
 
 // Default fixture dimensions (Custom overrides them).
 const (
-	// DefaultDepth is the fill recursion depth: distinct images, all
-	// cache misses.
+	// DefaultDepth is the fill recursion depth: distinct images, one
+	// class each.
 	DefaultDepth = 4
 	// DefaultScanRounds is the scan recursion depth: identical images,
-	// all cache hits after the first.
+	// one class whose every round inherits the deepest fill leaf's
+	// verdict.
 	DefaultScanRounds = 12
 	// DefaultPoolSize keeps the default fixture cheap; benches pass a
-	// larger pool through Custom to amplify the per-image copy cost the
-	// cache avoids.
+	// larger pool through Custom to amplify the per-image cost verdict
+	// reuse avoids.
 	DefaultPoolSize = 1 << 16
 
 	// magic marks a set-up pool; Recover rejects a pool without it.

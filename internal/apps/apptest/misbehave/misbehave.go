@@ -1,8 +1,9 @@
 // Package misbehave provides deliberately broken fixture targets for
 // exercising the campaign sandbox and replay robustness: a target whose
 // Run panics, one whose Run never terminates, one whose recovery
-// procedure loops forever, and two whose replays fail — permanently
-// (quarantine path) or transiently (retry path).
+// procedure loops forever, one whose recovery procedure panics, and two
+// whose replays fail — permanently (quarantine path) or transiently
+// (retry path).
 //
 // The fixtures live in their own registry rather than the main
 // internal/apps one on purpose: the apps registry is the paper's §6
@@ -51,6 +52,10 @@ const (
 	// per-leaf retry must absorb it (one retried failure point, zero
 	// quarantined).
 	ReplayFlaky
+	// RecoveryPanic makes Recover panic with a foreign value once it
+	// has found the pool magic, so every crash image gets the Crashed
+	// verdict and a recovery trace.
+	RecoveryPanic
 )
 
 const (
@@ -125,10 +130,13 @@ func (a *App) Recover(e *pmem.Engine) error {
 	if e.Load64(0) != magic {
 		return errors.New("misbehave: pool magic missing")
 	}
-	if a.mode == HangRecovery {
+	switch a.mode {
+	case HangRecovery:
 		for {
 			e.Load64(8)
 		}
+	case RecoveryPanic:
+		panic("misbehave: seeded recovery panic")
 	}
 	return nil
 }
@@ -145,12 +153,13 @@ func NewMode(mode Mode) *App {
 }
 
 var registry = map[string]Mode{
-	"misbehave-clean":         Clean,
-	"misbehave-run-panic":     PanicRun,
-	"misbehave-run-hang":      HangRun,
-	"misbehave-recovery-hang": HangRecovery,
-	"misbehave-replay-broken": ReplayBroken,
-	"misbehave-replay-flaky":  ReplayFlaky,
+	"misbehave-clean":          Clean,
+	"misbehave-run-panic":      PanicRun,
+	"misbehave-run-hang":       HangRun,
+	"misbehave-recovery-hang":  HangRecovery,
+	"misbehave-replay-broken":  ReplayBroken,
+	"misbehave-replay-flaky":   ReplayFlaky,
+	"misbehave-recovery-panic": RecoveryPanic,
 }
 
 // New resolves a fixture by registry name, reporting whether it exists.

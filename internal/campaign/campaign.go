@@ -11,14 +11,15 @@
 //     merge loop moves on. A crash mid-append leaves a torn tail that
 //     the loader detects and discards — everything before it is intact,
 //     and a lost tail record only costs re-replaying that one leaf.
-//   - Snapshots (frozen failure-point tree with claim marks, image-
-//     cache verdict entries, the partial report, counters) are written
+//   - Snapshots (frozen failure-point tree with claim marks, the
+//     partial report, counters) are written
 //     to a temp file, fsync'd, and renamed over the previous snapshot;
 //     the directory is fsync'd after the rename. A crash leaves either
 //     the old complete snapshot or the new complete one, never a blend.
-//   - Campaign identity (target, workload, injection mode) is written
-//     once at creation, atomically; resume refuses a journal recorded
-//     under different parameters with a one-line diagnostic.
+//   - Campaign identity (Meta: every setting that changes the failure
+//     point tree or a verdict) is written once at creation, atomically;
+//     resume refuses a journal recorded under different parameters with
+//     a one-line diagnostic naming the first differing field.
 //
 // Correctness of resume rests on the determinism the rest of the
 // pipeline already guarantees: the campaign merge loop consumes leaves
@@ -32,16 +33,20 @@ package campaign
 
 import (
 	"fmt"
+	"reflect"
 	"time"
+
+	"mumak/internal/oracle"
 )
 
 // Version is the on-disk format version stamped into snapshots.
-const Version = 1
+const Version = 2
 
-// Meta identifies the campaign a journal belongs to. Resume validates
-// it field by field: a journal records verdicts for one (target,
-// workload, injection-mode) tuple, and folding it into a different
-// campaign would silently corrupt the report.
+// Meta identifies the campaign a journal or verdict-cache file belongs
+// to: every setting that changes the failure point tree or the verdict
+// the recovery oracle reaches on a crash image. Folding verdicts into a
+// campaign with a different identity would silently corrupt its report,
+// so Check compares every field.
 type Meta struct {
 	// Target is the application-under-test registry name.
 	Target string
@@ -53,26 +58,66 @@ type Meta struct {
 	StackMode        bool
 	StoreGranularity bool
 	EADR             bool
+	// WithRecovery, PMDK, SPT, SeedBugs (sorted), MontageBuggy and
+	// PoolMB pin the target build: its recovery procedure, its
+	// transaction shape, its planted bugs and its pool.
+	WithRecovery bool
+	PMDK         string
+	SPT          bool
+	SeedBugs     []string
+	MontageBuggy bool
+	PoolMB       int
+	// HangBudget and RecoveryTimeout are the watchdog bounds as
+	// configured (0 = the default); Hung verdicts render them.
+	HangBudget      uint64
+	RecoveryTimeout time.Duration
 }
 
-// Check reports a one-line diagnostic when the journal's identity does
-// not match the campaign about to resume it.
+// Check reports a one-line diagnostic naming the first field in which
+// the recorded identity m differs from the campaign about to use it.
+// The fields are walked by reflection, so a field added to Meta is
+// checked without touching Check; nil and empty slices compare equal,
+// as gob does not tell them apart.
 func (m Meta) Check(run Meta) error {
-	switch {
-	case m.Target != run.Target:
-		return fmt.Errorf("journal was recorded for target %q, not %q", m.Target, run.Target)
-	case m.Ops != run.Ops:
-		return fmt.Errorf("journal was recorded with -ops %d, not %d", m.Ops, run.Ops)
-	case m.Seed != run.Seed:
-		return fmt.Errorf("journal was recorded with -seed %d, not %d", m.Seed, run.Seed)
-	case m.StackMode != run.StackMode:
-		return fmt.Errorf("journal was recorded with stack-mode=%v, not %v", m.StackMode, run.StackMode)
-	case m.StoreGranularity != run.StoreGranularity:
-		return fmt.Errorf("journal was recorded with store-granularity=%v, not %v", m.StoreGranularity, run.StoreGranularity)
-	case m.EADR != run.EADR:
-		return fmt.Errorf("journal was recorded with eadr=%v, not %v", m.EADR, run.EADR)
+	rec, cur := reflect.ValueOf(m), reflect.ValueOf(run)
+	for i := 0; i < rec.NumField(); i++ {
+		a, b := rec.Field(i), cur.Field(i)
+		if a.Kind() == reflect.Slice && a.Len() == 0 && b.Len() == 0 {
+			continue
+		}
+		if !reflect.DeepEqual(a.Interface(), b.Interface()) {
+			return fmt.Errorf("campaign identity differs: recorded with %s=%v, this run has %s=%v",
+				rec.Type().Field(i).Name, a, rec.Type().Field(i).Name, b)
+		}
 	}
 	return nil
+}
+
+// Source records how a consumed failure point's verdict was obtained.
+type Source uint8
+
+// Verdict sources.
+const (
+	// Replayed: the failure point was replayed and its crash image
+	// judged by the recovery oracle.
+	Replayed Source = iota
+	// Inherited: a crash-image class member took the verdict its class
+	// already has, without replaying.
+	Inherited
+	// Cached: a class representative took the verdict a verdict-cache
+	// file already held for its crash image, without replaying.
+	Cached
+)
+
+// Judgement is one crash image's recovery verdict in the form every
+// verdict-reuse path shares — the campaign's in-memory verdict memo,
+// journal records and verdict-cache files: the oracle verdict plus the
+// finding detail rendered from it (empty when recovery accepted the
+// image). A finding rebuilt from it renders byte-identically to the
+// one the live check produced.
+type Judgement struct {
+	Verdict oracle.Verdict
+	Detail  string
 }
 
 // Record is one durable per-leaf verdict: everything the deterministic
@@ -91,65 +136,37 @@ type Record struct {
 	// skips.
 	Events  uint64
 	Retries int
-	// Injected/Restored/Recovered/RecoveryHung mirror the replay
-	// outcome flags the campaign counters are built from.
-	Injected     bool
-	Restored     bool
-	Recovered    bool
-	RecoveryHung bool
+	// Source is how the verdict was obtained.
+	Source Source
+	// Injected marks a failure point whose crash image was judged
+	// (replayed, inherited or cached); Restored marks a replay served by
+	// a checkpoint restore.
+	Injected bool
+	Restored bool
 	// TargetPanic/TargetHang mark replays the sandbox stopped.
 	TargetPanic bool
 	TargetHang  bool
-	// CacheHit/CacheMiss record the verdict-cache consultation.
-	CacheHit  bool
-	CacheMiss bool
-	// Inherited marks a failure point that never replayed: it inherited
-	// the memoised verdict of its crash-image equivalence class's
-	// representative (phase-1 classing). ReplayElided marks a class
-	// representative whose replay was skipped because its stamped image
-	// key was already in the verdict cache; PersistentHit narrows that
-	// to keys seeded from a cross-run verdict-cache file.
-	Inherited     bool
-	ReplayElided  bool
-	PersistentHit bool
 	// SkipReason is non-empty when the leaf was consumed without an
 	// injection and quarantined after bounded retries.
 	SkipReason string
-	// ImageHash is the crash image's content hash when one was
-	// produced (diagnostic; dedup across shards).
-	ImageHash uint64
-	// HasFinding marks a resulting finding; the finding's call stack is
+	// Judgement is an injected leaf's verdict; a resumed campaign
+	// re-seeds its verdict memo from it.
+	Judgement
+	// FindingICount is the instruction counter the leaf's finding is
+	// keyed by, and CrashDetail the detail of the target-crash finding
+	// of a replay the sandbox stopped. The finding's call stack is
 	// re-derived from the matched leaf on resume (program counters are
 	// process-local, the leaf's stack is not).
-	HasFinding    bool
-	FindingKind   uint8
 	FindingICount uint64
-	FindingAddr   uint64
-	FindingDetail string
+	CrashDetail   string
 }
 
-// CacheEntry is one exported crash-image verdict-cache entry: the image
-// identity plus a flattened oracle outcome that renders byte-identically
-// to the live one (Describe and the panic-trace tail are string-for-
-// string what the original produced).
+// CacheEntry is one verdict-cache entry: a crash image's identity (its
+// content hash and size) and its judgement.
 type CacheEntry struct {
 	Hash uint64
 	Size int
-
-	Verdict    uint8
-	ErrMsg     string
-	HasErr     bool
-	PanicValue string
-	HasPanic   bool
-	PanicTrace string
-
-	HasHang      bool
-	HangICount   uint64
-	HangBudget   uint64
-	HangDeadline bool
-
-	BoundsMaxEvents uint64
-	BoundsTimeout   time.Duration
+	Judgement
 }
 
 // Counters is the snapshot of campaign progress counters, a diagnostic
@@ -164,9 +181,10 @@ type Counters struct {
 }
 
 // Snapshot is the periodically persisted campaign state: the frozen
-// failure point tree with journal-replay claim marks, the verdict
-// cache, the partial report and the progress counters, all covering the
-// first Consumed journal records.
+// failure point tree with journal-replay claim marks, the partial report
+// and the progress counters, all covering the first Consumed journal
+// records. It carries no verdicts: the journal records do, and a resumed
+// campaign re-seeds its verdict memo from them.
 type Snapshot struct {
 	Version  int
 	Meta     Meta
@@ -174,10 +192,6 @@ type Snapshot struct {
 	// Tree is the fpt.Encode serialisation of the frozen tree with the
 	// consumed leaves claimed.
 	Tree []byte
-	// Cache holds the verdict-cache entries in least-recently-used
-	// order (oldest first), so seeding a fresh cache preserves recency
-	// and therefore eviction behaviour.
-	Cache []CacheEntry
 	// Report is the report.EncodeWire serialisation of the partial
 	// report at snapshot time (phase-2 findings and quarantined leaves).
 	Report   []byte

@@ -137,9 +137,6 @@ type State struct {
 	// Records is the loadable prefix of journaled verdicts, in the
 	// deterministic merge order they were appended in.
 	Records []Record
-	// Cache holds the verdict-cache entries of the latest loadable
-	// snapshot (oldest first), empty when no snapshot was usable.
-	Cache []CacheEntry
 	// SnapshotConsumed and Report echo the latest loadable snapshot's
 	// progress mark and partial-report bytes (diagnostic; resume
 	// correctness rests on Records alone).
@@ -197,7 +194,7 @@ func Load(dir string) (*State, error) {
 // loadSnapshot folds the latest snapshot into the state when it is
 // intact and belongs to this campaign; any damage becomes a diagnostic,
 // never an error — resume correctness rests on the journal records, the
-// snapshot only seeds the verdict cache and documents progress.
+// snapshot only documents progress.
 func (s *State) loadSnapshot() {
 	data, err := os.ReadFile(filepath.Join(s.Dir, SnapshotFile))
 	if os.IsNotExist(err) {
@@ -221,15 +218,12 @@ func (s *State) loadSnapshot() {
 		return
 	}
 	if snap.Consumed > len(s.Records) {
-		// The snapshot is ahead of the (possibly torn) journal. Its
-		// verdict-cache entries are still valid — verdicts are keyed by
-		// image content and the target is deterministic — but its
-		// progress mark is not.
+		// The snapshot is ahead of the (possibly torn) journal: its
+		// progress mark is not trusted.
 		s.Diagnostics = append(s.Diagnostics, fmt.Sprintf(
 			"snapshot covers %d verdicts but the journal holds %d; trusting the journal", snap.Consumed, len(s.Records)))
 	}
 	s.SnapshotConsumed = snap.Consumed
-	s.Cache = snap.Cache
 	s.Report = snap.Report
 }
 

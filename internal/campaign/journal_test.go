@@ -4,13 +4,22 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"mumak/internal/oracle"
 )
 
+// testMeta sets every identity field, so round trips and the mismatch
+// table exercise all of them.
 func testMeta() Meta {
-	return Meta{Target: "btree", Ops: 300, Seed: 42, StackMode: false}
+	return Meta{
+		Target: "btree", Ops: 300, Seed: 42, StackMode: true, StoreGranularity: true, EADR: true,
+		WithRecovery: true, PMDK: "1.6", SPT: true, SeedBugs: []string{"btree/a", "btree/b"},
+		MontageBuggy: true, PoolMB: 64, HangBudget: 30000, RecoveryTimeout: 2 * time.Second,
+	}
 }
 
 func testRecords(n int) []Record {
@@ -18,9 +27,11 @@ func testRecords(n int) []Record {
 	for i := range recs {
 		recs[i] = Record{
 			LeafID: i, LeafICount: uint64(10 * (i + 1)), Events: uint64(100 + i),
-			Injected: true, Recovered: true, CacheMiss: true,
-			HasFinding: i%3 == 0, FindingKind: 1, FindingICount: uint64(10 * (i + 1)),
-			FindingAddr: 0x40, FindingDetail: "unflushed line",
+			Source: Source(i % 3), Injected: true, Restored: true,
+			FindingICount: uint64(10 * (i + 1)),
+		}
+		if i%3 == 0 {
+			recs[i].Judgement = Judgement{Verdict: oracle.Unrecoverable, Detail: "unflushed line"}
 		}
 	}
 	return recs
@@ -184,28 +195,48 @@ func TestCreateRefusesExistingJournal(t *testing.T) {
 	}
 }
 
+// TestMetaCheckMismatches flips each identity field in turn — walked by
+// reflection, so a field added to Meta is covered without editing the
+// test — and requires Check to name exactly that field.
 func TestMetaCheckMismatches(t *testing.T) {
 	base := testMeta()
-	for _, tc := range []struct {
-		mutate func(*Meta)
-		want   string
-	}{
-		{func(m *Meta) { m.Target = "rbtree" }, "target"},
-		{func(m *Meta) { m.Ops = 1 }, "-ops"},
-		{func(m *Meta) { m.Seed = 7 }, "-seed"},
-		{func(m *Meta) { m.StackMode = true }, "stack-mode"},
-		{func(m *Meta) { m.StoreGranularity = true }, "store-granularity"},
-		{func(m *Meta) { m.EADR = true }, "eadr"},
-	} {
-		run := base
-		tc.mutate(&run)
-		err := base.Check(run)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("Check(%+v) = %v, want mention of %q", run, err, tc.want)
-		}
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		t.Run(name, func(t *testing.T) {
+			run := testMeta()
+			f := reflect.ValueOf(&run).Elem().Field(i)
+			switch f.Kind() {
+			case reflect.String:
+				f.SetString(f.String() + "-other")
+			case reflect.Int, reflect.Int64:
+				f.SetInt(f.Int() + 1)
+			case reflect.Uint64:
+				f.SetUint(f.Uint() + 1)
+			case reflect.Bool:
+				f.SetBool(!f.Bool())
+			case reflect.Slice:
+				f.Set(reflect.Append(f, reflect.ValueOf("other")))
+			default:
+				t.Fatalf("field %s has kind %s, which this test cannot flip; extend it", name, f.Kind())
+			}
+			err := base.Check(run)
+			if err == nil || !strings.Contains(err.Error(), name+"=") {
+				t.Errorf("Check with %s flipped = %v, want a diagnostic naming %s", name, err, name)
+			}
+			if err != nil && strings.ContainsRune(err.Error(), '\n') {
+				t.Errorf("diagnostic is not a single line: %q", err)
+			}
+		})
 	}
-	if err := base.Check(base); err != nil {
+	if err := base.Check(testMeta()); err != nil {
 		t.Errorf("Check rejected an identical campaign: %v", err)
+	}
+	// gob does not distinguish a nil slice from an empty one.
+	noBugs, empty := testMeta(), testMeta()
+	noBugs.SeedBugs, empty.SeedBugs = nil, []string{}
+	if err := noBugs.Check(empty); err != nil {
+		t.Errorf("Check told a nil SeedBugs from an empty one: %v", err)
 	}
 }
 
@@ -267,10 +298,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	snap := Snapshot{
 		Consumed: 3,
 		Tree:     []byte("tree-bytes"),
-		Cache: []CacheEntry{
-			{Hash: 1, Size: 64, Verdict: 2, HasErr: true, ErrMsg: "boom",
-				BoundsMaxEvents: 10, BoundsTimeout: time.Second},
-		},
 		Report:   []byte("report-bytes"),
 		Counters: Counters{Injections: 3, Recoveries: 3},
 	}
@@ -285,9 +312,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The snapshot is ahead of the (empty) journal: its progress mark is
-	// distrusted with a diagnostic, but the cache entries survive.
-	if len(st.Cache) != 1 || st.Cache[0].ErrMsg != "boom" {
-		t.Fatalf("cache entries did not round-trip: %+v", st.Cache)
+	// distrusted with a diagnostic, but its report survives.
+	if string(st.Report) != "report-bytes" || st.SnapshotConsumed != 3 {
+		t.Fatalf("snapshot did not round-trip: consumed=%d report=%q", st.SnapshotConsumed, st.Report)
 	}
 	if len(st.Diagnostics) == 0 {
 		t.Fatal("snapshot ahead of the journal produced no diagnostic")
@@ -337,9 +364,9 @@ func TestSnapshotDamageTolerated(t *testing.T) {
 			if len(st.Diagnostics) == 0 {
 				t.Fatal("damaged snapshot produced no diagnostic")
 			}
-			if st.SnapshotConsumed != 0 || len(st.Cache) != 0 {
-				t.Fatalf("damaged snapshot leaked state: consumed=%d cache=%d",
-					st.SnapshotConsumed, len(st.Cache))
+			if st.SnapshotConsumed != 0 || st.Report != nil {
+				t.Fatalf("damaged snapshot leaked state: consumed=%d report=%q",
+					st.SnapshotConsumed, st.Report)
 			}
 		})
 	}

@@ -14,10 +14,10 @@ import (
 //
 // Recovery verdicts are keyed by crash-image content, and the targets
 // are deterministic: a verdict computed by one campaign is exactly as
-// valid in the next run of the same campaign. Persisting the verdict
-// cache therefore makes re-runs incremental — the warm campaign elides
-// every replay whose stamped image key was already judged and pays only
-// for classes whose hash was never seen.
+// valid in the next run of the same campaign. Persisting the campaign's
+// verdict memo therefore makes re-runs incremental — the warm campaign
+// skips the replay of every class whose stamped image key was already
+// judged and pays only for classes whose hash was never seen.
 //
 // The file uses the same durability idioms as the rest of the package:
 // a fixed header (magic, version, payload length, payload CRC) wraps a
@@ -33,7 +33,7 @@ var verdictMagic = [8]byte{'M', 'U', 'M', 'A', 'K', 'V', 'D', 'C'}
 
 const (
 	// VerdictCacheVersion is the cache-file format version.
-	VerdictCacheVersion = 1
+	VerdictCacheVersion = 2
 	// verdictHeaderLen is magic(8) + version(4) + payload length(8) +
 	// payload CRC(4).
 	verdictHeaderLen = 24
@@ -43,9 +43,9 @@ const (
 )
 
 // verdictCacheFile is the serialised payload: the campaign identity the
-// verdicts were recorded under plus the exported cache entries
-// (least-recently-used first, so seeding preserves recency and
-// therefore eviction behaviour, exactly like snapshot seeding).
+// verdicts were recorded under plus the exported entries, in the order
+// the caller gave them (core exports them sorted by key, so identical
+// campaigns write identical files).
 type verdictCacheFile struct {
 	Meta    Meta
 	Entries []CacheEntry

@@ -4,14 +4,18 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"mumak/internal/oracle"
 )
 
 func verdictFixture() (Meta, []CacheEntry) {
-	meta := Meta{Target: "btree", Ops: 500, Seed: 42, StackMode: false}
+	meta := testMeta()
 	entries := []CacheEntry{
-		{Hash: 0x1111, Size: 4096, Verdict: 0},
-		{Hash: 0x2222, Size: 4096, Verdict: 2, ErrMsg: "recovery: torn count", HasErr: true},
-		{Hash: 0x3333, Size: 4096, Verdict: 3, PanicValue: "index out of range", HasPanic: true, PanicTrace: "goroutine 1 [running]"},
+		{Hash: 0x1111, Size: 4096, Judgement: Judgement{Verdict: oracle.Consistent}},
+		{Hash: 0x2222, Size: 4096, Judgement: Judgement{Verdict: oracle.Unrecoverable,
+			Detail: "recovery flagged the state unrecoverable: torn count"}},
+		{Hash: 0x3333, Size: 4096, Judgement: Judgement{Verdict: oracle.Crashed,
+			Detail: "recovery crashed abruptly: index out of range\nrecovery trace:\n  main.f at f.go:1"}},
 	}
 	return meta, entries
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"mumak/internal/metrics"
 	"mumak/internal/pmem"
 	"mumak/internal/report"
 	"mumak/internal/stack"
@@ -96,7 +95,7 @@ type Analyzer struct {
 	finalized bool
 
 	// State-size gauges: live refs across all lines plus ntPending, and
-	// the peaks the metrics counters report.
+	// the peaks Result.AnalyzerPeakLines/AnalyzerPeakStateBytes report.
 	liveRefs       int
 	peakLines      int
 	peakStateBytes uint64
@@ -295,9 +294,8 @@ func lineMask(off, n uint64) uint64 {
 }
 
 // Finalize runs the end-of-trace patterns — stores that were never
-// persisted — and returns the findings. It publishes the analyzer's peak
-// state to the metrics counters; further events are not expected, and
-// repeated calls return the same findings.
+// persisted — and returns the findings. Further events are not
+// expected, and repeated calls return the same findings.
 func (a *Analyzer) Finalize() []*report.Finding {
 	if a.finalized {
 		return a.findings
@@ -344,7 +342,6 @@ func (a *Analyzer) Finalize() []*report.Finding {
 			}
 		}
 	}
-	metrics.RecordAnalyzer(a.peakLines, a.peakStateBytes)
 	return a.findings
 }
 

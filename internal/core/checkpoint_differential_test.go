@@ -104,7 +104,7 @@ func TestCheckpointRestoreMatchesFromScratchAcrossRegistry(t *testing.T) {
 // a non-checkpointed serial run, coverage counters agree, and every
 // injection is served by a restore.
 func TestCheckpointedCampaignReportsIdentical(t *testing.T) {
-	for _, tc := range cacheCases() {
+	for _, tc := range differentialCases() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			base, err := core.Analyze(tc.mk(), tc.w, core.Config{KeepWarnings: true, CheckpointInterval: -1})

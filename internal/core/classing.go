@@ -1,224 +1,190 @@
-// Phase-1 crash-image equivalence classing.
+// Phase-1 crash-image equivalence classing and the campaign's verdict
+// memo.
 //
 // During the instrumented run the engine maintains a rolling hash of
 // the graceful-crash prefix image (pmem.Options.TrackPrefixHash), and
 // the failure-point-tree builder stamps every new leaf with its
-// prospective (imageHash, size) key — the exact key the replay's
-// verdict cache would compute after crashing at that leaf. The
-// injection campaign can therefore group leaves into equivalence
-// classes BEFORE any replay runs: leaves whose stamps match would
-// materialise byte-identical crash images, and the deterministic
-// recovery oracle necessarily returns the same verdict for all of
-// them.
+// prospective (imageHash, size) key — the content hash a replay crashed
+// at that leaf would compute. The injection campaign can therefore
+// group leaves into equivalence classes BEFORE any replay runs: leaves
+// whose stamps match would materialise byte-identical crash images, and
+// the deterministic recovery oracle necessarily returns the same
+// verdict for all of them.
 //
-// The scheduler replays exactly one representative per class (restore
-// + gap replay + recovery as before) and lets the remaining members
-// inherit the representative's memoised verdict without touching the
-// engine at all — the replay itself is avoided, not just the recovery
-// run the image cache already skipped. Inherited findings are re-keyed
-// to the member's own FirstICount and call stack, exactly as a cache
-// hit re-keys them, so the merged report stays byte-identical to an
-// unclassed campaign, serial and parallel, counter and stack mode.
+// One map holds every verdict the campaign reuses: the memo, keyed by
+// stamp. It is seeded before any worker starts — from a cross-run
+// verdict-cache file (Config.WarmVerdicts) and from folded journal
+// records — so the class plan can mark each pending leaf up front as
+// either replayed by a worker or resolved at merge. The first leaf of
+// each class without a verdict replays; its judgement fills the memo
+// when the merge loop consumes it, and the class's later members
+// inherit it there. A representative whose key was seeded takes the
+// cached verdict without replaying. Only the merge goroutine touches
+// the memo, in FirstICount order, so its contents — and the exported
+// verdict-cache file — are the same for any worker count. Inherited
+// findings are re-keyed to the member's own FirstICount and call stack,
+// so the merged report stays byte-identical to a campaign that replays
+// every leaf, serial and parallel, counter and stack mode.
 //
-// Classing is sound exactly where the image cache is sound: identical
-// persisted prefix image implies identical recovery verdict, which
-// holds whenever the recovery procedure is a deterministic function of
-// the image (DESIGN.md item 14 discusses when it is not).
+// The reuse is sound exactly when identical persisted prefix images
+// imply identical recovery verdicts, which holds whenever the recovery
+// procedure is a deterministic function of the image (DESIGN.md item 14
+// discusses when it is not). Config.Classing off turns all of it off.
 package core
 
 import (
+	"cmp"
+	"slices"
+
+	"mumak/internal/campaign"
 	"mumak/internal/fpt"
 	"mumak/internal/oracle"
 	"mumak/internal/report"
 	"mumak/internal/stack"
 )
 
-// classPlan is the immutable grouping of the frozen tree's leaves into
-// crash-image equivalence classes, built once before the campaign
-// starts and shared read-only across workers.
+// imageKey identifies a crash image by content: the engine's
+// incrementally maintained content hash plus the image size. Distinct
+// images colliding on both is vanishingly unlikely (64-bit mixed hash)
+// and at worst reuses a wrong verdict for one class.
+type imageKey struct {
+	hash uint64
+	size int
+}
+
+// stampOf returns the leaf's phase-1 image stamp.
+func stampOf(leaf *fpt.Leaf) imageKey {
+	return imageKey{hash: leaf.ImageHash, size: leaf.ImageSize}
+}
+
+// classPlan is the immutable schedule of a classed campaign, built once
+// the memo is seeded and shared read-only across workers.
 type classPlan struct {
-	// keys maps leaf ID to its stamped image key.
-	keys map[int]imageKey
 	// reps maps each class key to the ID of its representative: the
 	// class member with the lowest FirstICount, i.e. the first one the
 	// deterministic merge order consumes.
 	reps map[imageKey]int
-	// classes is the number of distinct classes.
-	classes int
+	// atMerge marks the pending leaves resolved from the memo on the
+	// merge goroutine instead of replayed by a worker.
+	atMerge map[int]bool
 }
 
-// buildClassPlan groups the frozen tree's leaves by their phase-1 image
-// stamps. It returns nil — classing off — when the tree is empty or any
-// leaf is unstamped (an artifact predating stamping, or a phase 1 run
-// without TrackPrefixHash): a partial plan would replay some members
-// live and inherit others depending on which happened to be stamped,
-// and all-or-nothing keeps the schedule deterministic.
-func buildClassPlan(tree *fpt.Tree) *classPlan {
-	ordered := tree.LeavesByICount()
-	if len(ordered) == 0 {
-		return nil
-	}
-	p := &classPlan{
-		keys: make(map[int]imageKey, len(ordered)),
-		reps: make(map[imageKey]int, len(ordered)),
-	}
-	for _, leaf := range ordered {
-		if leaf.ImageSize == 0 {
-			return nil
+// buildClassPlan groups the frozen tree's leaves by their phase-1
+// stamps and marks every pending leaf except the first of each class
+// whose key the memo does not hold yet for resolution at merge.
+func buildClassPlan(tree *fpt.Tree, pending []*fpt.Leaf, memo map[imageKey]campaign.Judgement) *classPlan {
+	p := &classPlan{reps: make(map[imageKey]int), atMerge: make(map[int]bool)}
+	for _, leaf := range tree.LeavesByICount() {
+		if _, ok := p.reps[stampOf(leaf)]; !ok {
+			p.reps[stampOf(leaf)] = leaf.ID
 		}
-		k := imageKey{hash: leaf.ImageHash, size: leaf.ImageSize}
-		p.keys[leaf.ID] = k
-		if _, ok := p.reps[k]; !ok {
-			p.reps[k] = leaf.ID
-			p.classes++
+	}
+	replayed := make(map[imageKey]bool)
+	for _, leaf := range pending {
+		k := stampOf(leaf)
+		if _, judged := memo[k]; judged || replayed[k] {
+			p.atMerge[leaf.ID] = true
+		} else {
+			replayed[k] = true
 		}
 	}
 	return p
 }
 
-// key returns the leaf's stamped image key.
-func (p *classPlan) key(leaf *fpt.Leaf) imageKey {
-	return p.keys[leaf.ID]
-}
-
-// isRep reports whether the leaf is its class's representative.
-func (p *classPlan) isRep(leaf *fpt.Leaf) bool {
-	return p.reps[p.keys[leaf.ID]] == leaf.ID
-}
-
-// classVerdict is the per-class outcome template members inherit: the
-// representative's finding (nil when its image recovered clean) and
-// whether recovery hung. Captured by the merge loop from the first
-// injected-and-recovered outcome of each class, so it exists by the
-// time any member of that class is merged.
-type classVerdict struct {
-	finding      *report.Finding
-	recoveryHung bool
-}
-
-// inheritOutcome materialises a class member's outcome from its class
-// verdict without replaying anything: no engine runs (zero events), no
-// recovery runs (not recovered, so Recoveries counts one oracle
-// consultation per class), and the finding — when the class has one —
-// is re-keyed to the member's own FirstICount and call stack, exactly
-// how a cache hit re-keys the memoised verdict today. Members still
-// count as injected: the class representative proved the failure point
-// reachable and judged its crash image.
-func inheritOutcome(leaf *fpt.Leaf, v *classVerdict) replayOutcome {
-	out := replayOutcome{
-		executed:     true,
-		injected:     true,
-		inherited:    true,
-		recoveryHung: v.recoveryHung,
-		imageHash:    leaf.ImageHash,
-	}
-	if v.finding != nil {
-		f := *v.finding
-		f.ICount = leaf.FirstICount
-		f.Stack = leaf.Stack
-		out.finding = &f
-	}
-	return out
-}
-
-// elideOutcome materialises a class representative's outcome from a
-// verdict-cache hit on its phase-1 stamp, skipping the replay entirely
-// (checkpoint restore, gap replay and image materialisation included).
-// The hit plays out exactly like the post-replay cache hit it
-// replaces — recovered, cacheHit, same finding re-keying — plus the
-// replayElided marker; seeded attributes the hit to a cross-run
-// verdict-cache file.
-func elideOutcome(leaf *fpt.Leaf, check oracle.Outcome, seeded bool) replayOutcome {
-	out := replayOutcome{
-		executed:      true,
-		injected:      true,
-		recovered:     true,
-		cacheHit:      true,
-		replayElided:  true,
-		persistentHit: seeded,
-		imageHash:     leaf.ImageHash,
-	}
-	applyVerdict(check, leaf.FirstICount, leaf.Stack, &out)
-	return out
-}
-
-// replayClassed is the worker-side classing fast path shared by the
-// serial and parallel drivers. With no plan it falls through to the
-// live replay. A class member never replays on a worker: its verdict is
-// resolved at merge time (mergeState.dispatch), when its
-// representative's outcome has necessarily been merged — the
-// placeholder pendingInherit outcome defers it there. A representative
-// whose stamped key is already in the verdict cache (warm persistent
-// cache, resumed snapshot) elides its replay outright; the pre-check is
-// scheduling-independent because live replays only ever store keys of
-// their own class, and a class's first consultation is always its
-// representative.
-func replayClassed(plan *classPlan, cache *imageCache, leaf *fpt.Leaf,
-	live func() replayOutcome) replayOutcome {
-
-	if plan == nil {
-		return live()
-	}
-	if !plan.isRep(leaf) {
-		return replayOutcome{executed: true, pendingInherit: true}
-	}
-	if cache != nil {
-		if check, seeded, ok := cache.lookup(plan.key(leaf)); ok {
-			return elideOutcome(leaf, check, seeded)
-		}
-	}
-	return live()
+// deferred reports whether the leaf is resolved at merge; always false
+// without a plan (classing off: every leaf replays).
+func (p *classPlan) deferred(leaf *fpt.Leaf) bool {
+	return p != nil && p.atMerge[leaf.ID]
 }
 
 // dispatch resolves one claimed leaf into an outcome on the merge
 // goroutine: the serial driver's only path, and the parallel merge
-// loop's resolution of pendingInherit placeholders. A member whose
-// class verdict was captured inherits it; a member whose representative
-// produced no verdict (quarantined, deadline-released, panicked) falls
-// back to a live replay, which then behaves exactly like the unclassed
-// campaign would — including hitting the verdict cache if a fallback
-// sibling already populated the class key.
+// loop's resolution of the leaves the plan deferred to it.
 func (m *mergeState) dispatch(leaf *fpt.Leaf) replayOutcome {
-	if m.plan == nil {
-		return m.replayer(leaf)
-	}
-	if !m.plan.isRep(leaf) {
-		if v := m.classes[m.plan.key(leaf)]; v != nil {
-			return inheritOutcome(leaf, v)
-		}
-		return m.replayer(leaf)
-	}
-	if m.cache != nil {
-		if check, seeded, ok := m.cache.lookup(m.plan.key(leaf)); ok {
-			return elideOutcome(leaf, check, seeded)
-		}
+	if m.plan.deferred(leaf) {
+		return m.resolve(leaf)
 	}
 	return m.replayer(leaf)
 }
 
-// applyVerdict folds one recovery-oracle outcome into a replay outcome:
-// the shared verdict tail of live replays, elided representatives and
-// (indirectly, via the captured finding) inherited members. The finding
-// is keyed by the consuming leaf's own first-occurrence counter and
-// call stack.
-func applyVerdict(check oracle.Outcome, icount uint64, stk stack.ID, out *replayOutcome) {
-	if check.Consistent() {
+// resolve settles a deferred leaf from the memo without touching an
+// engine: no replay (zero events) and no recovery run. Members still
+// count as injected — an earlier leaf of their class proved the crash
+// image reachable and judged it. A leaf whose class has no verdict yet
+// (its representative was quarantined or crashed the target) replays
+// live instead, exactly as a campaign without reuse would, and its
+// judgement then fills the memo for the rest of the class.
+func (m *mergeState) resolve(leaf *fpt.Leaf) replayOutcome {
+	k := stampOf(leaf)
+	j, ok := m.memo[k]
+	if !ok {
+		return m.replayer(leaf)
+	}
+	out := replayOutcome{
+		executed:  true,
+		injected:  true,
+		source:    campaign.Inherited,
+		judgement: j,
+		finding:   findingFor(j, leaf.FirstICount, leaf.Stack),
+	}
+	if m.plan.reps[k] == leaf.ID {
+		out.source = campaign.Cached
+	}
+	return out
+}
+
+// remember fills the memo from a consumed outcome: the first judgement
+// of each class wins, and later ones — inherited or cached reads of
+// that same entry — change nothing. A deadline-cut check is never
+// consumed, so it never gets here.
+func (m *mergeState) remember(leaf *fpt.Leaf, out replayOutcome) {
+	if m.memo == nil || !out.injected {
 		return
 	}
-	kind := report.CrashConsistency
-	if check.Verdict == oracle.Hung {
-		kind = report.RecoveryHang
-		out.recoveryHung = true
+	k := stampOf(leaf)
+	if _, ok := m.memo[k]; !ok {
+		m.memo[k] = out.judgement
 	}
-	detail := check.Describe()
+}
+
+// exportMemo flattens the memo for a verdict-cache file, sorted by key
+// so that identical campaigns write identical files.
+func exportMemo(memo map[imageKey]campaign.Judgement) []campaign.CacheEntry {
+	out := make([]campaign.CacheEntry, 0, len(memo))
+	for k, j := range memo {
+		out = append(out, campaign.CacheEntry{Hash: k.hash, Size: k.size, Judgement: j})
+	}
+	slices.SortFunc(out, func(a, b campaign.CacheEntry) int {
+		return cmp.Or(cmp.Compare(a.Hash, b.Hash), cmp.Compare(a.Size, b.Size))
+	})
+	return out
+}
+
+// judge renders one recovery-oracle outcome into the judgement the
+// memo, journal records and verdict-cache files share.
+func judge(check oracle.Outcome) campaign.Judgement {
+	j := campaign.Judgement{Verdict: check.Verdict}
+	if check.Consistent() {
+		return j
+	}
+	j.Detail = check.Describe()
 	if check.Verdict == oracle.Crashed && check.PanicTrace != "" {
 		// Provide the recovery call trace for abrupt failures.
-		detail += "\nrecovery trace:\n" + truncate(check.PanicTrace, 800)
+		j.Detail += "\nrecovery trace:\n" + truncate(check.PanicTrace, 800)
 	}
-	out.finding = &report.Finding{
-		Kind:   kind,
-		ICount: icount,
-		Stack:  stk,
-		Detail: detail,
+	return j
+}
+
+// findingFor renders a judged crash image's finding for the leaf
+// consuming it, keyed by that leaf's own instruction counter and call
+// stack; nil when recovery accepted the image.
+func findingFor(j campaign.Judgement, icount uint64, stk stack.ID) *report.Finding {
+	if j.Verdict == oracle.Consistent {
+		return nil
 	}
+	kind := report.CrashConsistency
+	if j.Verdict == oracle.Hung {
+		kind = report.RecoveryHang
+	}
+	return &report.Finding{Kind: kind, ICount: icount, Stack: stk, Detail: j.Detail}
 }

@@ -25,7 +25,6 @@ import (
 	"mumak/internal/campaign"
 	"mumak/internal/fpt"
 	"mumak/internal/harness"
-	"mumak/internal/metrics"
 	"mumak/internal/pmem"
 	"mumak/internal/report"
 	"mumak/internal/stack"
@@ -58,6 +57,12 @@ const (
 // interval it changed in). See results/checkpointed_replay.txt for the
 // tuning sweep.
 const DefaultCheckpointInterval = 65536
+
+// DefaultImageCacheSize is unused.
+//
+// Deprecated: verdict reuse is Config.Classing alone; the constant is
+// kept only for callers that still reference it.
+const DefaultImageCacheSize = 4096
 
 // Config tunes the analysis.
 type Config struct {
@@ -101,35 +106,35 @@ type Config struct {
 	// watchdog on each recovery-oracle invocation (0 = default). The
 	// campaign deadline caps it further when less budget remains.
 	RecoveryTimeout time.Duration
-	// ImageCacheSize bounds the crash-image verdict cache: recovery
-	// verdicts are memoised by image content hash, so leaves whose
-	// graceful-crash images are byte-identical (common when failure
-	// points are separated only by flushes and fences) run the recovery
-	// oracle once. Zero selects DefaultImageCacheSize; a negative value
-	// disables caching. Reports are identical either way — only the
-	// redundant recovery runs are skipped.
+	// ImageCacheSize is ignored.
+	//
+	// Deprecated: verdict reuse is Classing alone; the field is kept
+	// only for callers that still set it.
 	ImageCacheSize int
-	// Classing enables phase-1 crash-image equivalence classing: the
-	// instrumented run stamps every failure point with the content hash
-	// of its prospective graceful-crash image (a rolling hash maintained
+	// Classing is the one verdict-reuse switch. On, the instrumented run
+	// stamps every failure point with the content hash of its
+	// prospective graceful-crash image (a rolling hash maintained
 	// alongside execution, O(changed bytes)), the campaign groups leaves
-	// whose stamps match, replays exactly one representative per class,
-	// and the remaining members inherit the memoised verdict without
-	// replaying at all. Reports are byte-identical to an unclassed
-	// campaign (serial and parallel, counter and stack mode) — only the
-	// redundant replays and recoveries are skipped. The zero value is
-	// off so ablation and differential comparisons start unclassed; the
-	// CLI enables it by default.
+	// whose stamps match into equivalence classes, replays one leaf per
+	// class, and the other members inherit its verdict from the
+	// campaign's verdict memo without replaying at all; WarmVerdicts
+	// seed that memo. Reports are byte-identical either way (serial and
+	// parallel, counter and stack mode) — only the redundant replays and
+	// recoveries are skipped. Off, nothing is reused: every failure
+	// point is replayed and judged on its own image, which is the
+	// reference the differential tests compare against and the mode for
+	// targets whose execution or recovery is not deterministic. The
+	// zero value is off; the CLI enables it by default.
 	Classing bool
-	// WarmVerdicts seeds the campaign's verdict cache from a persistent
-	// cross-run cache file (campaign.LoadVerdictCache) before any replay
-	// runs, so re-runs of an identical campaign only replay classes
-	// whose image hash was never judged. Ignored when the image cache is
-	// disabled.
+	// WarmVerdicts seeds the verdict memo from a persistent cross-run
+	// cache file (campaign.LoadVerdictCache) before any replay runs, so
+	// re-runs of an identical campaign only replay classes whose image
+	// hash was never judged. Ignored without Classing.
 	WarmVerdicts []campaign.CacheEntry
-	// PersistVerdicts exports the campaign's final verdict-cache
-	// contents into Result.VerdictCache so the caller can persist them
-	// (campaign.SaveVerdictCache) for the next run.
+	// PersistVerdicts exports the final verdict memo, sorted by key,
+	// into Result.VerdictCache so the caller can persist it
+	// (campaign.SaveVerdictCache) for the next run. Without Classing
+	// there is no memo and nothing is exported.
 	PersistVerdicts bool
 	// Interrupt, when non-nil, requests graceful interruption once
 	// closed: campaign workers stop claiming failure points, in-flight
@@ -159,7 +164,7 @@ type Config struct {
 	// campaign snapshots. Zero selects DefaultSnapshotEvery; a negative
 	// value disables periodic snapshots (a final snapshot is still
 	// written). Resume correctness never depends on snapshots — they
-	// only seed the verdict cache and document progress.
+	// only document progress.
 	SnapshotEvery int
 	// CheckpointInterval is the spacing, in engine events, of the
 	// full-state checkpoints the instrumented run records so that
@@ -221,7 +226,9 @@ type Result struct {
 	TraceLen int
 	// Injections is the number of faults injected.
 	Injections int
-	// Recoveries is the number of recovery-oracle invocations.
+	// Recoveries is the number of recovery-oracle invocations: one per
+	// replayed injection. Inherited and cached verdicts are delivered
+	// without one.
 	Recoveries int
 	// SkippedFailurePoints counts failure points consumed without an
 	// injection: the replay errored, never reached the recorded
@@ -259,42 +266,21 @@ type Result struct {
 	// classified as non-terminating; each produced a RecoveryHang
 	// finding.
 	RecoveryHangs int
-	// ImageCacheHits and ImageCacheMisses count verdict-cache
-	// consultations during fault injection: a hit delivered a memoised
-	// verdict without running recovery (the hit is still counted in
-	// Recoveries — a verdict was delivered), a miss ran the oracle and
-	// populated the cache. Their sum equals Recoveries when caching is
-	// enabled; the split between them is scheduling-dependent under
-	// Workers>1 (whichever worker reaches a fresh image first takes the
-	// miss). Both are zero when caching is disabled.
-	ImageCacheHits   int
-	ImageCacheMisses int
-	// ImageCacheEntries is the number of distinct crash images resident
-	// in the verdict cache when the campaign ended (bounded by
-	// ImageCacheSize).
-	ImageCacheEntries int
 	// EquivClasses is the number of distinct crash-image equivalence
 	// classes the phase-1 stamps partitioned the failure points into
-	// (zero when classing was off or the tree was unstamped).
-	// InheritedVerdicts counts class members that never replayed —
-	// they inherited their representative's verdict — and
-	// ReplaysAvoided counts every elided replay (inherited members plus
-	// representatives whose stamped key was already in the verdict
-	// cache). These counters are deliberately kept out of the JSON
-	// report so classed and unclassed reports stay byte-identical.
-	EquivClasses      int
-	InheritedVerdicts int
-	ReplaysAvoided    int
-	// PersistentCacheHits and PersistentCacheMisses count verdict-cache
-	// consultations against entries seeded from a cross-run verdict
-	// cache file: a hit delivered a previous run's verdict, a miss ran
-	// the oracle for an image the file had never seen. Both stay zero
-	// without Config.WarmVerdicts/PersistVerdicts.
-	PersistentCacheHits   int
-	PersistentCacheMisses int
-	// VerdictCache is the campaign's final exported verdict-cache
-	// contents (least recently used first), filled only when
-	// Config.PersistVerdicts asked for it; pass it to
+	// (zero when classing was off). InheritedVerdicts counts class
+	// members that took their class's verdict without replaying, and
+	// PersistentCacheHits counts class representatives that took the
+	// verdict of a cross-run verdict-cache file (Config.WarmVerdicts)
+	// without replaying. Recoveries + InheritedVerdicts +
+	// PersistentCacheHits is the recovery count of the same campaign
+	// without reuse. These counters are deliberately kept out of the
+	// JSON report so classed and unclassed reports stay byte-identical.
+	EquivClasses        int
+	InheritedVerdicts   int
+	PersistentCacheHits int
+	// VerdictCache is the campaign's final verdict memo, sorted by key,
+	// filled only when Config.PersistVerdicts asked for it; pass it to
 	// campaign.SaveVerdictCache to warm the next run.
 	VerdictCache []campaign.CacheEntry
 	// Checkpoints is the number of full-state checkpoints the
@@ -448,7 +434,7 @@ func Analyze(app harness.Application, w workload.Workload, cfg Config) (*Result,
 	// Phase 2: fault injection with the recovery oracle. The checkpoint
 	// store recorded by the instrumented run (nil when disabled) is
 	// frozen here — read-only from now on — and shared across campaign
-	// workers like the tree and the verdict cache.
+	// workers like the tree.
 	if !cfg.DisableFaultInjection {
 		ckpts := eng.Checkpoints()
 		if ckpts != nil {
@@ -487,12 +473,6 @@ func Analyze(app harness.Application, w workload.Workload, cfg Config) (*Result,
 	rep.Interrupted = res.Interrupted
 	rep.BudgetExhausted = res.TimedOut
 
-	metrics.RecordSandbox(res.TargetPanics, res.TargetHangs, res.RecoveryHangs)
-	metrics.RecordImageCache(res.ImageCacheHits, res.ImageCacheMisses)
-	metrics.RecordClassing(res.EquivClasses, res.InheritedVerdicts, res.ReplaysAvoided,
-		res.PersistentCacheHits, res.PersistentCacheMisses)
-	metrics.RecordCheckpoints(res.Checkpoints, res.CheckpointBytes, res.CheckpointRestores)
-	metrics.RecordJournal(res.JournalAppends, res.JournalSnapshots, res.ResumedFailurePoints)
 	res.Elapsed = time.Since(start)
 	return res, nil
 }

@@ -10,7 +10,6 @@ import (
 	"mumak/internal/campaign"
 	"mumak/internal/fpt"
 	"mumak/internal/harness"
-	"mumak/internal/metrics"
 	"mumak/internal/oracle"
 	"mumak/internal/pmem"
 	"mumak/internal/report"
@@ -203,7 +202,10 @@ const replayDuring = "a fault-injection replay"
 // (each constructs a private engine and a private injector over the
 // immutable tree), so both campaigns fan out across cfg.Workers
 // goroutines when asked to; traversal state lives in the ClaimSet that
-// hands leaves out, published as Result.Claims.
+// hands leaves out, published as Result.Claims. With cfg.Classing only
+// the first leaf of each crash-image class without a verdict replays;
+// the rest resolve from the campaign's verdict memo at merge
+// (classing.go).
 //
 // Every replay and recovery runs inside the sandbox: a foreign panic or
 // a watchdog kill becomes a TargetCrash or RecoveryHang finding instead
@@ -222,75 +224,51 @@ func injectAll(app harness.Application, w workload.Workload, tree *fpt.Tree,
 	ckpts *pmem.CheckpointStore) (timedOut bool, err error) {
 
 	sb := cfg.sandbox(deadline)
-	// One verdict cache per campaign: application, workload and recovery
-	// configuration are fixed here, so entries are keyed by image
-	// identity alone. The cache is shared across parallel workers in
-	// both modes.
-	cache := newImageCache(cfg.imageCacheCapacity())
-	if cache != nil && len(cfg.WarmVerdicts) > 0 {
-		// Warm the cache from the cross-run verdict-cache file before
-		// anything consults it; the entries are marked so hits on them
-		// are attributed to the persistent cache.
-		cache.seedPersistent(cfg.WarmVerdicts)
-	}
-	defer func() {
-		if cache != nil {
-			res.ImageCacheEntries = cache.Len()
-			if cfg.PersistVerdicts {
-				res.VerdictCache = cache.export()
-			}
-		}
-	}()
-
 	tree.Freeze()
 	cs := fpt.NewClaimSet(tree)
 	res.Claims = cs
 	mode := cfg.campaignMode()
 	m := &mergeState{
 		mode: mode, cfg: cfg, rep: rep, res: res,
-		tree: tree, cs: cs, cache: cache,
+		tree: tree, cs: cs,
 		journal: cfg.Journal, snapEvery: cfg.snapshotEvery(),
 	}
 	m.replayer = func(leaf *fpt.Leaf) replayOutcome {
-		return replayLeafWithRetry(app, w, leaf, tree.Stacks(), mode, sb, cache, ckpts)
+		return replayLeafWithRetry(app, w, leaf, tree.Stacks(), mode, sb, ckpts)
 	}
-	m.persistent = len(cfg.WarmVerdicts) > 0 || cfg.PersistVerdicts
 	if cfg.Classing {
-		// The plan is built from the frozen tree's phase-1 stamps and is
-		// nil — classing silently off — when any leaf is unstamped (e.g.
-		// a tree artifact recorded before stamping existed).
-		if m.plan = buildClassPlan(tree); m.plan != nil {
-			m.classes = make(map[imageKey]*classVerdict, m.plan.classes)
-			res.EquivClasses = m.plan.classes
+		// One memo per campaign: application, workload and recovery
+		// configuration are fixed here (and pinned by the verdict-cache
+		// file's identity), so entries are keyed by image identity alone.
+		m.memo = make(map[imageKey]campaign.Judgement, len(cfg.WarmVerdicts))
+		for _, e := range cfg.WarmVerdicts {
+			m.memo[imageKey{hash: e.Hash, size: e.Size}] = e.Judgement
 		}
 	}
-	start := time.Now()
 	defer func() {
 		res.ClaimContention = cs.Contention()
-		metrics.RecordCampaign(mode.stack, res.CampaignWorkers, res.Injections,
-			cs.Contention(), res.WorkerBusy, time.Since(start))
+		if cfg.PersistVerdicts && m.memo != nil {
+			res.VerdictCache = exportMemo(m.memo)
+		}
 	}()
 	// Persist the end state however the campaign ends: completion,
 	// budget expiry, interruption, cap, abort, fold-only.
 	defer m.finalSnapshot()
 
+	aborted := false
 	if cfg.Resume != nil {
-		// Seed the verdict cache from the snapshot (oldest first, so
-		// recency — and therefore eviction — carries over), then fold
-		// the journaled verdicts. Claims must be marked before the
-		// ClaimSet builds its pending snapshot below.
-		if cache != nil {
-			cache.seed(cfg.Resume.Cache)
-		}
-		aborted, err := m.fold(cfg.Resume)
-		if err != nil {
+		// Fold the journaled verdicts, which also seeds the memo. Claims
+		// must be marked before the ClaimSet builds its pending snapshot
+		// below.
+		if aborted, err = m.fold(cfg.Resume); err != nil {
 			return false, err
 		}
-		if aborted {
-			return false, nil
-		}
 	}
-	if m.capped() {
+	if m.memo != nil {
+		m.plan = buildClassPlan(tree, cs.Pending(), m.memo)
+		res.EquivClasses = len(m.plan.reps)
+	}
+	if aborted || m.capped() {
 		return false, nil
 	}
 	if sb.interrupted() {
@@ -304,9 +282,9 @@ func injectAll(app harness.Application, w workload.Workload, tree *fpt.Tree,
 	}
 	res.CampaignWorkers = workers
 	if workers > 1 {
-		return injectParallel(app, w, cs, tree.Stacks(), mode, m, sb, cache, ckpts, workers), nil
+		return injectParallel(cs, m, sb, workers), nil
 	}
-	return injectSerial(app, w, cs, tree.Stacks(), mode, m, sb, cache, ckpts), nil
+	return injectSerial(cs, m, sb), nil
 }
 
 // replayOutcome is the result of replaying one leaf on a private engine.
@@ -333,8 +311,6 @@ type replayOutcome struct {
 	// restore plus a mutation-log gap replay, not a from-scratch
 	// re-execution of the workload.
 	restored bool
-	// recovered reports that the recovery oracle ran.
-	recovered bool
 	// skipReason is non-empty when the leaf was consumed without an
 	// injection: the replay errored, never reached the counter, or never
 	// re-encountered the call stack.
@@ -345,33 +321,12 @@ type replayOutcome struct {
 	// behaviour.
 	targetPanic bool
 	targetHang  bool
-	// recoveryHung marks an injected replay whose recovery the
-	// watchdog classified as non-terminating.
-	recoveryHung bool
-	// cacheHit and cacheMiss record the verdict-cache consultation of a
-	// recovered replay: a hit delivered a memoised verdict without
-	// running recovery, a miss ran the oracle and populated the cache.
-	// Both are false when caching is disabled.
-	cacheHit  bool
-	cacheMiss bool
-	// inherited marks a class member that never replayed: it inherited
-	// its crash-image equivalence class's verdict (classing.go).
-	// replayElided marks a class representative whose replay was skipped
-	// because its stamped image key was already in the verdict cache;
-	// persistentHit narrows a cache hit to entries seeded from a
-	// cross-run verdict-cache file.
-	inherited     bool
-	replayElided  bool
-	persistentHit bool
-	// pendingInherit is the parallel workers' placeholder for a class
-	// member: the merge loop resolves it (mergeState.dispatch) once the
-	// member's representative has been merged. Never consumed or
-	// journaled.
-	pendingInherit bool
-	// imageHash is the crash image's content hash when one was produced
-	// (diagnostic; journaled for cross-shard dedup and for warming the
-	// persistent verdict cache).
-	imageHash uint64
+	// source is how an injected leaf's verdict was obtained: replayed
+	// and judged, inherited from its class, or cached from a
+	// verdict-cache file (classing.go).
+	source campaign.Source
+	// judgement is an injected leaf's crash-image verdict.
+	judgement campaign.Judgement
 	// finding is the resulting finding, if any: a crash-consistency
 	// bug, a target crash, or a recovery hang.
 	finding *report.Finding
@@ -405,14 +360,13 @@ func replayFuel(budget, firstICount uint64) uint64 {
 // injector crashes the run at the first event whose call stack matches
 // the leaf's. It is safe to call concurrently for different leaves: the
 // engine, the injector, the crash image and the oracle's recovery engine
-// are all private to the call, the tree is frozen, and the shared
-// verdict cache is concurrency-safe.
+// are all private to the call, and the tree is frozen.
 func replayLeaf(app harness.Application, w workload.Workload, leaf *fpt.Leaf,
-	stacks *stack.Table, mode campaignMode, sb sandboxCfg, cache *imageCache,
+	stacks *stack.Table, mode campaignMode, sb sandboxCfg,
 	ckpts *pmem.CheckpointStore) replayOutcome {
 
 	if !mode.stack && ckpts != nil {
-		return replayCheckpointed(app, leaf, sb, cache, ckpts)
+		return replayCheckpointed(app, leaf, sb, ckpts)
 	}
 	out := replayOutcome{executed: true}
 	opts := pmem.Options{Capture: mode.capture, Stacks: stacks}
@@ -471,7 +425,7 @@ func replayLeaf(app harness.Application, w workload.Workload, leaf *fpt.Leaf,
 		return out
 	}
 	out.injected = true
-	finishInjected(app, eng, leaf, sres.Sig.ICount, sb, cache, &out)
+	finishInjected(app, eng, leaf, sres.Sig.ICount, sb, &out)
 	return out
 }
 
@@ -481,11 +435,10 @@ func replayLeaf(app harness.Application, w workload.Workload, leaf *fpt.Leaf,
 // counter and applies only the mutation-log gap — O(gap since
 // checkpoint) instead of O(prefix), with no application code at all.
 // The restored engine is byte-identical to a from-scratch replay
-// crashed at the same counter (checkpoint.go), so the crash image, the
-// verdict-cache key and the resulting findings are exactly those of the
-// legacy path.
+// crashed at the same counter (checkpoint.go), so the crash image and
+// the resulting findings are exactly those of the legacy path.
 func replayCheckpointed(app harness.Application, leaf *fpt.Leaf,
-	sb sandboxCfg, cache *imageCache, ckpts *pmem.CheckpointStore) replayOutcome {
+	sb sandboxCfg, ckpts *pmem.CheckpointStore) replayOutcome {
 
 	out := replayOutcome{executed: true}
 	deadline := sb.deadline
@@ -512,34 +465,25 @@ func replayCheckpointed(app harness.Application, leaf *fpt.Leaf,
 	out.events = gap
 	out.restored = true
 	out.injected = true
-	finishInjected(app, eng, leaf, leaf.FirstICount, sb, cache, &out)
+	finishInjected(app, eng, leaf, leaf.FirstICount, sb, &out)
 	return out
 }
 
 // finishInjected runs the oracle tail shared by every injected replay:
 // the vanilla, uninstrumented recovery procedure over the
-// graceful-crash image (§4.1), bounded by the hang watchdog. The
-// verdict cache is consulted first: when an identical image was already
-// checked, the memoised verdict stands in for the recovery run and the
-// image is never even materialised.
+// graceful-crash image (§4.1), bounded by the hang watchdog. A check
+// the campaign deadline cut short reflects the remaining budget, not
+// the image: the outcome is marked and never consumed.
 func finishInjected(app harness.Application, eng *pmem.Engine, leaf *fpt.Leaf,
-	icount uint64, sb sandboxCfg, cache *imageCache, out *replayOutcome) {
+	icount uint64, sb sandboxCfg, out *replayOutcome) {
 
-	check, ddl, hit, seeded := cachedCheck(app, eng, sb, cache)
+	check, ddl := boundedCheck(app, eng.PrefixImage(), sb)
 	if ddl {
 		out.deadlineHit = true
 		return
 	}
-	out.recovered = true
-	out.cacheHit = hit
-	out.cacheMiss = cache != nil && !hit
-	out.persistentHit = seeded
-	// Record the hash whether or not the in-memory cache is enabled: the
-	// journaled hash also feeds cross-shard dedup and the persistent
-	// verdict cache, neither of which should depend on the local cache
-	// flag. The incremental hash is O(changed lines) — no image walk.
-	out.imageHash = eng.PrefixImageHash()
-	applyVerdict(check, icount, leaf.Stack, out)
+	out.judgement = judge(check)
+	out.finding = findingFor(out.judgement, icount, leaf.Stack)
 }
 
 // replayLeafWithRetry replays a leaf, retrying a bounded number of times
@@ -549,16 +493,16 @@ func finishInjected(app harness.Application, eng *pmem.Engine, leaf *fpt.Leaf,
 // The retry policy is mode-agnostic: both campaigns share it, so a
 // flaky replay costs the same bounded tolerance either way.
 func replayLeafWithRetry(app harness.Application, w workload.Workload, leaf *fpt.Leaf,
-	stacks *stack.Table, mode campaignMode, sb sandboxCfg, cache *imageCache,
+	stacks *stack.Table, mode campaignMode, sb sandboxCfg,
 	ckpts *pmem.CheckpointStore) replayOutcome {
 
-	out := replayLeaf(app, w, leaf, stacks, mode, sb, cache, ckpts)
+	out := replayLeaf(app, w, leaf, stacks, mode, sb, ckpts)
 	for attempt := 1; attempt <= maxLeafRetries && out.skipReason != ""; attempt++ {
 		if !sb.deadline.IsZero() && !time.Now().Before(sb.deadline) {
 			break
 		}
 		time.Sleep(time.Duration(attempt) * retryBackoff)
-		next := replayLeaf(app, w, leaf, stacks, mode, sb, cache, ckpts)
+		next := replayLeaf(app, w, leaf, stacks, mode, sb, ckpts)
 		next.events += out.events
 		next.retries = out.retries + 1
 		out = next
@@ -610,26 +554,15 @@ func consumeOutcome(leaf *fpt.Leaf, out replayOutcome, rep *report.Report, res *
 	if out.restored {
 		res.CheckpointRestores++
 	}
-	if out.recovered {
+	switch out.source {
+	case campaign.Replayed:
 		res.Recoveries++
-	}
-	if out.cacheHit {
-		res.ImageCacheHits++
-	}
-	if out.cacheMiss {
-		res.ImageCacheMisses++
-	}
-	if out.inherited {
+	case campaign.Inherited:
 		res.InheritedVerdicts++
-		res.ReplaysAvoided++
-	}
-	if out.replayElided {
-		res.ReplaysAvoided++
-	}
-	if out.persistentHit {
+	case campaign.Cached:
 		res.PersistentCacheHits++
 	}
-	if out.recoveryHung {
+	if out.judgement.Verdict == oracle.Hung {
 		res.RecoveryHangs++
 	}
 	if out.finding != nil {
@@ -651,9 +584,8 @@ type mergeState struct {
 	rep  *report.Report
 	res  *Result
 
-	tree  *fpt.Tree
-	cs    *fpt.ClaimSet
-	cache *imageCache
+	tree *fpt.Tree
+	cs   *fpt.ClaimSet
 
 	// journal receives one record per consumed leaf; nil when
 	// journaling is off (or degraded after a write error). snapEvery
@@ -667,17 +599,13 @@ type mergeState struct {
 	consumed  int
 	folding   bool
 
-	// plan groups leaves into crash-image equivalence classes (nil when
-	// classing is off or the tree is unstamped); classes accumulates the
-	// per-class verdict templates as representatives are merged, and is
-	// only ever touched by the merge goroutine. replayer runs one live
-	// replay (the campaign's replayLeafWithRetry closed over its shared
-	// state); persistent marks that a cross-run verdict-cache file is in
-	// play, so misses are worth counting against it.
-	plan       *classPlan
-	classes    map[imageKey]*classVerdict
-	replayer   func(*fpt.Leaf) replayOutcome
-	persistent bool
+	// memo is the campaign's verdict memo and plan its class schedule
+	// (classing.go); both nil when classing is off. Only the merge
+	// goroutine touches memo. replayer runs one live replay (the
+	// campaign's replayLeafWithRetry closed over its shared state).
+	memo     map[imageKey]campaign.Judgement
+	plan     *classPlan
+	replayer func(*fpt.Leaf) replayOutcome
 
 	injected   int
 	noProgress int
@@ -697,19 +625,9 @@ func (m *mergeState) capped() bool {
 // replays that cannot fire.
 func (m *mergeState) consume(leaf *fpt.Leaf, out replayOutcome) (abort bool) {
 	consumeOutcome(leaf, out, m.rep, m.res)
-	if m.persistent && out.cacheMiss {
-		m.res.PersistentCacheMisses++
-	}
-	if m.plan != nil && out.injected && out.recovered {
-		// Capture the class verdict template from the first judged
-		// outcome of each class — normally the representative, or a
-		// fallen-back member when the representative was quarantined.
-		// Folded journal records qualify too, so a resumed campaign
-		// inherits across the resume boundary.
-		if k := m.plan.key(leaf); m.classes[k] == nil {
-			m.classes[k] = &classVerdict{finding: out.finding, recoveryHung: out.recoveryHung}
-		}
-	}
+	// Folded journal records fill the memo too, so a resumed campaign
+	// inherits across the resume boundary.
+	m.remember(leaf, out)
 	m.consumed++
 	if !m.folding {
 		m.publish(leaf, out)
@@ -739,10 +657,7 @@ func (m *mergeState) consume(leaf *fpt.Leaf, out replayOutcome) (abort bool) {
 // leaves: the in-flight replay drains, its outcome is consumed and
 // journaled, and the campaign stops with the remaining failure points
 // unexplored (and unclaimed, so a resume picks them up).
-func injectSerial(app harness.Application, w workload.Workload, cs *fpt.ClaimSet,
-	stacks *stack.Table, mode campaignMode, m *mergeState,
-	sb sandboxCfg, cache *imageCache, ckpts *pmem.CheckpointStore) (timedOut bool) {
-
+func injectSerial(cs *fpt.ClaimSet, m *mergeState, sb sandboxCfg) (timedOut bool) {
 	res := m.res
 	for {
 		if sb.interrupted() {

@@ -8,8 +8,11 @@
 // image to a private recovery engine. Nothing but the read-only
 // workload, the stateless application value, the immutable tree, the
 // (concurrency-safe) stack table, the read-only checkpoint store and
-// the verdict cache is shared, so the campaign — the hot path of the
-// whole analysis — fans out across a bounded worker pool.
+// the read-only class plan is shared, so the campaign — the hot path of
+// the whole analysis — fans out across a bounded worker pool. Leaves
+// the plan defers to the merge goroutine are not replayed by workers at
+// all: the merge loop resolves them from the verdict memo, which only
+// it touches.
 //
 // Determinism is preserved by separating claiming and execution from
 // merging: workers take leaves from the ClaimSet in any interleaving,
@@ -29,10 +32,6 @@ import (
 	"time"
 
 	"mumak/internal/fpt"
-	"mumak/internal/harness"
-	"mumak/internal/pmem"
-	"mumak/internal/stack"
-	"mumak/internal/workload"
 )
 
 // injectParallel fans the pending leaves out across `workers` goroutines
@@ -42,10 +41,7 @@ import (
 // like the deadline — workers stop claiming, in-flight replays drain,
 // and the merge loop stops at the first unexecuted slot in leaf order —
 // but is attributed to Result.Interrupted instead of TimedOut.
-func injectParallel(app harness.Application, w workload.Workload, cs *fpt.ClaimSet,
-	stacks *stack.Table, mode campaignMode, m *mergeState,
-	sb sandboxCfg, cache *imageCache, ckpts *pmem.CheckpointStore, workers int) (timedOut bool) {
-
+func injectParallel(cs *fpt.ClaimSet, m *mergeState, sb sandboxCfg, workers int) (timedOut bool) {
 	res := m.res
 	pending := cs.Pending()
 	n := len(pending)
@@ -87,11 +83,14 @@ func injectParallel(app harness.Application, w workload.Workload, cs *fpt.ClaimS
 					close(done[i])
 					return
 				}
-				t0 := time.Now()
-				outcomes[i] = replayClassed(m.plan, cache, leaf, func() replayOutcome {
-					return replayLeafWithRetry(app, w, leaf, stacks, mode, sb, cache, ckpts)
-				})
-				busy.Add(int64(time.Since(t0)))
+				if m.plan.deferred(leaf) {
+					// Resolved by the merge loop.
+					outcomes[i] = replayOutcome{executed: true}
+				} else {
+					t0 := time.Now()
+					outcomes[i] = m.replayer(leaf)
+					busy.Add(int64(time.Since(t0)))
+				}
 				close(done[i])
 			}
 		}()
@@ -104,17 +103,16 @@ func injectParallel(app harness.Application, w workload.Workload, cs *fpt.ClaimS
 		}
 		<-done[i]
 		out := outcomes[i]
-		if out.pendingInherit {
-			// The worker saw a class member and deferred it here: by now
-			// every earlier leaf — the member's representative included —
-			// has been merged, so the member inherits its class verdict,
-			// or falls back to a live replay on this goroutine when the
-			// representative produced none (exactly the serial dispatch).
+		if out.executed && m.plan.deferred(pending[i]) {
+			// By now every earlier leaf — the class's first leaf included
+			// — has been merged, so the memo holds the class verdict, or
+			// the leaf falls back to a live replay on this goroutine when
+			// no earlier leaf produced one (exactly the serial dispatch).
 			// A fallback that trips the mid-replay deadline watchdog is
 			// handled by the deadlineHit branch below, and the release
-			// sweep hands the member's claim back.
+			// sweep hands the leaf's claim back.
 			t0 := time.Now()
-			out = m.dispatch(pending[i])
+			out = m.resolve(pending[i])
 			res.WorkerBusy += time.Since(t0)
 		}
 		if !out.executed || out.deadlineHit {

@@ -15,13 +15,10 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 
 	"mumak/internal/campaign"
 	"mumak/internal/fpt"
-	"mumak/internal/oracle"
-	"mumak/internal/pmem"
 	"mumak/internal/report"
 )
 
@@ -29,7 +26,7 @@ import (
 // between campaign snapshots (Config.SnapshotEvery overrides it).
 // Correctness never depends on snapshot frequency — resume folds the
 // journal records — so the cadence only trades snapshot I/O against how
-// much verdict-cache warmth a crash loses.
+// fresh the progress mark a crash leaves behind is.
 const DefaultSnapshotEvery = 128
 
 // snapshotEvery resolves Config.SnapshotEvery: the default when zero,
@@ -49,30 +46,23 @@ func (cfg Config) snapshotEvery() int {
 // durable journal record.
 func recordOutcome(leaf *fpt.Leaf, out replayOutcome) campaign.Record {
 	rec := campaign.Record{
-		LeafID:        leaf.ID,
-		LeafICount:    leaf.FirstICount,
-		Events:        out.events,
-		Retries:       out.retries,
-		Injected:      out.injected,
-		Restored:      out.restored,
-		Recovered:     out.recovered,
-		RecoveryHung:  out.recoveryHung,
-		TargetPanic:   out.targetPanic,
-		TargetHang:    out.targetHang,
-		CacheHit:      out.cacheHit,
-		CacheMiss:     out.cacheMiss,
-		Inherited:     out.inherited,
-		ReplayElided:  out.replayElided,
-		PersistentHit: out.persistentHit,
-		SkipReason:    out.skipReason,
-		ImageHash:     out.imageHash,
+		LeafID:      leaf.ID,
+		LeafICount:  leaf.FirstICount,
+		Events:      out.events,
+		Retries:     out.retries,
+		Source:      out.source,
+		Injected:    out.injected,
+		Restored:    out.restored,
+		TargetPanic: out.targetPanic,
+		TargetHang:  out.targetHang,
+		SkipReason:  out.skipReason,
+		Judgement:   out.judgement,
 	}
 	if out.finding != nil {
-		rec.HasFinding = true
-		rec.FindingKind = uint8(out.finding.Kind)
 		rec.FindingICount = out.finding.ICount
-		rec.FindingAddr = out.finding.Addr
-		rec.FindingDetail = out.finding.Detail
+		if !out.injected {
+			rec.CrashDetail = out.finding.Detail
+		}
 	}
 	return rec
 }
@@ -84,83 +74,29 @@ func recordOutcome(leaf *fpt.Leaf, out replayOutcome) campaign.Record {
 // the reconstruction renders byte-identically.
 func outcomeFromRecord(rec campaign.Record, leaf *fpt.Leaf) replayOutcome {
 	out := replayOutcome{
-		executed:      true,
-		events:        rec.Events,
-		retries:       rec.Retries,
-		injected:      rec.Injected,
-		restored:      rec.Restored,
-		recovered:     rec.Recovered,
-		recoveryHung:  rec.RecoveryHung,
-		targetPanic:   rec.TargetPanic,
-		targetHang:    rec.TargetHang,
-		cacheHit:      rec.CacheHit,
-		cacheMiss:     rec.CacheMiss,
-		inherited:     rec.Inherited,
-		replayElided:  rec.ReplayElided,
-		persistentHit: rec.PersistentHit,
-		skipReason:    rec.SkipReason,
-		imageHash:     rec.ImageHash,
+		executed:    true,
+		events:      rec.Events,
+		retries:     rec.Retries,
+		source:      rec.Source,
+		injected:    rec.Injected,
+		restored:    rec.Restored,
+		targetPanic: rec.TargetPanic,
+		targetHang:  rec.TargetHang,
+		skipReason:  rec.SkipReason,
+		judgement:   rec.Judgement,
 	}
-	if rec.HasFinding {
+	switch {
+	case rec.Injected:
+		out.finding = findingFor(rec.Judgement, rec.FindingICount, leaf.Stack)
+	case rec.TargetPanic || rec.TargetHang:
 		out.finding = &report.Finding{
-			Kind:   report.Kind(rec.FindingKind),
+			Kind:   report.TargetCrash,
 			ICount: rec.FindingICount,
-			Addr:   rec.FindingAddr,
 			Stack:  leaf.Stack,
-			Detail: rec.FindingDetail,
+			Detail: rec.CrashDetail,
 		}
 	}
 	return out
-}
-
-// encodeCacheEntry flattens one verdict-cache entry for a snapshot. The
-// oracle outcome's error and panic value become their rendered strings,
-// which is exactly what Describe interpolates — a decoded entry renders
-// byte-for-byte like the live one.
-func encodeCacheEntry(k imageKey, out oracle.Outcome) campaign.CacheEntry {
-	e := campaign.CacheEntry{
-		Hash:            k.hash,
-		Size:            k.size,
-		Verdict:         uint8(out.Verdict),
-		PanicTrace:      out.PanicTrace,
-		BoundsMaxEvents: out.Bounds.MaxEvents,
-		BoundsTimeout:   out.Bounds.Timeout,
-	}
-	if out.Err != nil {
-		e.HasErr = true
-		e.ErrMsg = out.Err.Error()
-	}
-	if out.PanicValue != nil {
-		e.HasPanic = true
-		e.PanicValue = fmt.Sprint(out.PanicValue)
-	}
-	if out.Hang != nil {
-		e.HasHang = true
-		e.HangICount = out.Hang.ICount
-		e.HangBudget = out.Hang.Budget
-		e.HangDeadline = out.Hang.Deadline
-	}
-	return e
-}
-
-// decodeCacheEntry reconstructs the detached oracle outcome of a
-// snapshot cache entry.
-func decodeCacheEntry(e campaign.CacheEntry) (imageKey, oracle.Outcome) {
-	out := oracle.Outcome{
-		Verdict:    oracle.Verdict(e.Verdict),
-		PanicTrace: e.PanicTrace,
-		Bounds:     oracle.Watchdog{MaxEvents: e.BoundsMaxEvents, Timeout: e.BoundsTimeout},
-	}
-	if e.HasErr {
-		out.Err = errors.New(e.ErrMsg)
-	}
-	if e.HasPanic {
-		out.PanicValue = e.PanicValue
-	}
-	if e.HasHang {
-		out.Hang = &pmem.HangSignal{ICount: e.HangICount, Budget: e.HangBudget, Deadline: e.HangDeadline}
-	}
-	return imageKey{hash: e.Hash, size: e.Size}, out
 }
 
 // fold replays the journaled prefix through the merge state without
@@ -276,9 +212,6 @@ func (m *mergeState) buildSnapshot() (campaign.Snapshot, error) {
 			Retried:      m.res.RetriedFailurePoints,
 			EngineEvents: m.res.EngineEvents,
 		},
-	}
-	if m.cache != nil {
-		snap.Cache = m.cache.export()
 	}
 	return snap, nil
 }

@@ -150,9 +150,6 @@ func copyTruncated(t *testing.T, src string, n int64, keepSnapshot bool) string 
 // assertResumeMatches checks the crash-safety acceptance contract
 // between an uninterrupted reference run and a resumed one: the report
 // is byte-identical and the deterministic aggregate counters agree.
-// Image-cache hit/miss splits are deliberately not compared — a resumed
-// run seeds its cache from the snapshot, which legitimately converts
-// misses into hits without changing any verdict.
 func assertResumeMatches(t *testing.T, label string, ref, res *core.Result) {
 	t.Helper()
 	if got, want := res.Report.Format(true), ref.Report.Format(true); got != want {

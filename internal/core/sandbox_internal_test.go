@@ -11,7 +11,6 @@ import (
 	"mumak/internal/bugs"
 	"mumak/internal/fpt"
 	"mumak/internal/harness"
-	"mumak/internal/metrics"
 	"mumak/internal/pmem"
 	"mumak/internal/report"
 	"mumak/internal/stack"
@@ -68,7 +67,7 @@ func TestReplayHonoursDeadlineMidReplay(t *testing.T) {
 		deadline: time.Now().Add(100 * time.Millisecond),
 	}
 	start := time.Now()
-	out := replayLeaf(app, w, leaf, stacks, Config{}.campaignMode(), sb, nil, nil)
+	out := replayLeaf(app, w, leaf, stacks, Config{}.campaignMode(), sb, nil)
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("replay ran %s past a 100ms deadline", elapsed)
 	}
@@ -126,7 +125,7 @@ func TestLeafRetryRecoversTransientFailure(t *testing.T) {
 	// actually exercised (early leaves crash during Setup, before Run).
 	leaf := leaves[len(leaves)-1]
 	flaky := &flakyApp{Application: testTarget(), failures: 1}
-	out := replayLeafWithRetry(flaky, w, leaf, stacks, Config{}.campaignMode(), Config{}.sandbox(time.Time{}), nil, nil)
+	out := replayLeafWithRetry(flaky, w, leaf, stacks, Config{}.campaignMode(), Config{}.sandbox(time.Time{}), nil)
 	if out.retries != 1 {
 		t.Errorf("retries = %d, want 1", out.retries)
 	}
@@ -162,51 +161,45 @@ func TestCampaignCountsRetries(t *testing.T) {
 }
 
 // TestAnalyzeRecordsSandboxMetrics: Analyze folds its interventions into
-// the process-wide metrics counters.
+// the run's Result.
 func TestAnalyzeRecordsSandboxMetrics(t *testing.T) {
-	metrics.ResetSandboxCounters()
 	app := misbehave.NewMode(misbehave.PanicRun)
-	if _, err := Analyze(app, testWorkload(), Config{HangBudget: 30000, RecoveryTimeout: 2 * time.Second}); err != nil {
+	res, err := Analyze(app, testWorkload(), Config{HangBudget: 30000, RecoveryTimeout: 2 * time.Second})
+	if err != nil {
 		t.Fatal(err)
 	}
-	panics, _, _ := metrics.SandboxCounters()
-	if panics != 1 {
-		t.Errorf("metrics recorded %d target panics, want 1", panics)
+	if res.TargetPanics != 1 || res.TargetHangs != 0 || res.RecoveryHangs != 0 {
+		t.Errorf("interventions = %d panics, %d hangs, %d recovery hangs; want 1, 0, 0",
+			res.TargetPanics, res.TargetHangs, res.RecoveryHangs)
 	}
-	metrics.ResetSandboxCounters()
 }
 
-// TestAnalyzeRecordsCampaignMetrics: every campaign folds its shape —
-// mode, workers, replays, contention, busy/wall time — into the
-// process-wide per-mode metrics counters.
+// TestAnalyzeRecordsCampaignMetrics: every campaign records its shape —
+// workers, injections, contention, busy time — in its own Result.
 func TestAnalyzeRecordsCampaignMetrics(t *testing.T) {
-	metrics.ResetCampaignCounters()
-	defer metrics.ResetCampaignCounters()
-
-	if _, err := Analyze(testTarget(), testWorkload(), Config{DisableTraceAnalysis: true}); err != nil {
+	counter, err := Analyze(testTarget(), testWorkload(), Config{DisableTraceAnalysis: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	counter := metrics.CampaignCounters(false)
-	if counter.Campaigns != 1 || counter.Workers != 1 || counter.Replays == 0 {
-		t.Errorf("counter-mode stats = %+v, want 1 campaign, 1 worker, >0 replays", counter)
-	}
-	if s := metrics.CampaignCounters(true); s.Campaigns != 0 {
-		t.Errorf("counter-mode run bled into the stack-mode counters: %+v", s)
+	if counter.CampaignWorkers != 1 || counter.Injections == 0 {
+		t.Errorf("counter-mode campaign: %d workers, %d injections; want 1 worker, >0 injections",
+			counter.CampaignWorkers, counter.Injections)
 	}
 
-	if _, err := Analyze(testTarget(), testWorkload(),
-		Config{StackMode: true, Workers: 4, DisableTraceAnalysis: true}); err != nil {
+	st, err := Analyze(testTarget(), testWorkload(),
+		Config{StackMode: true, Workers: 4, DisableTraceAnalysis: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := metrics.CampaignCounters(true)
-	if st.Campaigns != 1 || st.Workers != 4 || st.Replays == 0 {
-		t.Errorf("stack-mode stats = %+v, want 1 campaign, 4 workers, >0 replays", st)
+	if st.CampaignWorkers != 4 || st.Injections == 0 {
+		t.Errorf("stack-mode campaign: %d workers, %d injections; want 4 workers, >0 injections",
+			st.CampaignWorkers, st.Injections)
 	}
 	if st.ClaimContention != 0 {
 		t.Errorf("claim traversal recorded %d contended claims, want 0", st.ClaimContention)
 	}
-	if st.Busy <= 0 || st.Wall <= 0 || st.Utilization() <= 0 {
-		t.Errorf("stack-mode stats missing time accounting: busy=%v wall=%v", st.Busy, st.Wall)
+	if st.WorkerBusy <= 0 || st.InjectTime <= 0 {
+		t.Errorf("stack-mode campaign missing time accounting: busy=%v inject=%v", st.WorkerBusy, st.InjectTime)
 	}
 }
 

@@ -137,3 +137,23 @@ func TestSandboxedCleanFixtureStaysClean(t *testing.T) {
 			res.TargetPanics, res.TargetHangs, res.RecoveryHangs)
 	}
 }
+
+// TestPanicReportsAreDeterministic: a target panic is reported with a
+// trace of frames only — no goroutine IDs, no argument words — so two
+// identical serial campaigns render byte-identical reports.
+func TestPanicReportsAreDeterministic(t *testing.T) {
+	var reports []string
+	for i := 0; i < 2; i++ {
+		res, err := core.Analyze(fixture(t, "misbehave-run-panic"), fixtureWorkload(), sandboxConfig(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports = append(reports, renderReport(t, res.Report))
+	}
+	if !strings.Contains(reports[0], "target trace:") {
+		t.Fatalf("report carries no target trace:\n%s", reports[0])
+	}
+	if reports[0] != reports[1] {
+		t.Errorf("identical campaigns rendered different reports\n--- first ---\n%s\n--- second ---\n%s", reports[0], reports[1])
+	}
+}

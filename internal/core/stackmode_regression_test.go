@@ -60,10 +60,10 @@ func (in *legacyStackInjector) OnEvent(ev *pmem.Event) {
 // legacyStackSerial replicates the pre-refactor injectStackSerial
 // campaign: whole-workload replays, each crashing at the first
 // unvisited failure point encountered, until a replay completes without
-// firing. Findings go through the same recovery oracle and verdict
-// cache as the real campaign.
+// firing. Findings go through the same bounded recovery oracle as the
+// real campaign.
 func legacyStackSerial(t *testing.T, app harness.Application, w workload.Workload,
-	tree *fpt.Tree, rep *report.Report, sb sandboxCfg, cache *imageCache) {
+	tree *fpt.Tree, rep *report.Report, sb sandboxCfg) {
 	t.Helper()
 	stacks := tree.Stacks()
 	visited := make(map[*fpt.Leaf]bool)
@@ -83,7 +83,7 @@ func legacyStackSerial(t *testing.T, app harness.Application, w workload.Workloa
 			// No unvisited failure point was reached; done.
 			return
 		}
-		check, ddl, _, _ := cachedCheck(app, eng, sb, cache)
+		check, ddl := boundedCheck(app, eng.PrefixImage(), sb)
 		if ddl {
 			t.Fatal("legacy replay hit the deadline")
 		}
@@ -120,7 +120,7 @@ func TestStackModeWorkersOneMatchesLegacySerial(t *testing.T) {
 	tree, stacks := buildTree(t, mk(), w)
 	refRep := &report.Report{Target: "test", Tool: "test", Stacks: stacks}
 	sb := Config{}.sandbox(time.Time{})
-	legacyStackSerial(t, mk(), w, tree, refRep, sb, newImageCache(Config{}.imageCacheCapacity()))
+	legacyStackSerial(t, mk(), w, tree, refRep, sb)
 	want := refRep.Format(true)
 	if len(refRep.Bugs()) == 0 {
 		t.Fatal("legacy campaign found no bugs; the comparison is vacuous")

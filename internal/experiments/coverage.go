@@ -95,7 +95,7 @@ func coverOne(b bugs.Bug, sc Scale, withRecovery bool) (bool, string, error) {
 		return false, "", err
 	}
 	w := coverageWorkload(b.App, sc)
-	res, err := core.Analyze(app, w, core.Config{Budget: sc.Budget, KeepWarnings: true})
+	res, err := core.Analyze(app, w, core.Config{Budget: sc.Budget, KeepWarnings: true, Classing: true})
 	if err != nil {
 		return false, "", err
 	}

@@ -47,7 +47,7 @@ func Ergonomics(sc Scale) ([]ErgRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	mres, err := core.Analyze(app, w, core.Config{Budget: sc.Budget})
+	mres, err := core.Analyze(app, w, core.Config{Budget: sc.Budget, Classing: true})
 	if err != nil {
 		return nil, err
 	}

@@ -99,7 +99,7 @@ func runMumak(target, label string, cfg apps.Config, w workload.Workload, sc Sca
 		return ToolRun{Tool: "Mumak", Target: label, Err: err.Error()}
 	}
 	run := metrics.Start()
-	res, err := core.Analyze(app, w, core.Config{Budget: sc.Budget})
+	res, err := core.Analyze(app, w, core.Config{Budget: sc.Budget, Classing: true})
 	run.Stop()
 	tr := ToolRun{Tool: "Mumak", Target: label}
 	if err != nil {

@@ -40,7 +40,7 @@ func Fig5(sc Scale) ([]Fig5Run, error) {
 			return nil, err
 		}
 		w := workload.Generate(workload.Config{N: sc.Ops, Seed: sc.Seed})
-		res, err := core.Analyze(app, w, core.Config{Budget: sc.Budget})
+		res, err := core.Analyze(app, w, core.Config{Budget: sc.Budget, Classing: true})
 		if err != nil {
 			r.Err = err.Error()
 			out = append(out, r)

@@ -32,7 +32,7 @@ func NewBugs(sc Scale) ([]NewBugRun, error) {
 		if err != nil {
 			return err
 		}
-		res, err := core.Analyze(app, w, core.Config{Budget: sc.Budget})
+		res, err := core.Analyze(app, w, core.Config{Budget: sc.Budget, Classing: true})
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}

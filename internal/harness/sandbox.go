@@ -2,9 +2,9 @@ package harness
 
 import (
 	"fmt"
-	"runtime/debug"
 
 	"mumak/internal/pmem"
+	"mumak/internal/stack"
 	"mumak/internal/workload"
 )
 
@@ -14,7 +14,7 @@ import (
 type PanicInfo struct {
 	// Value is the recovered panic value.
 	Value any
-	// Trace is the goroutine stack at the panic.
+	// Trace is the goroutine stack at the panic (stack.PanicTrace).
 	Trace string
 }
 
@@ -72,7 +72,7 @@ func runSandboxed(f func() error) (out Outcome) {
 		case *pmem.HangSignal:
 			out.Hang = v
 		default:
-			out.Panic = &PanicInfo{Value: v, Trace: string(debug.Stack())}
+			out.Panic = &PanicInfo{Value: v, Trace: stack.PanicTrace()}
 		}
 	}()
 	out.Err = f()

@@ -121,299 +121,3 @@ func (u Usage) RAMOverhead(vanillaPeak uint64) float64 {
 	}
 	return float64(u.PeakHeapBytes) / float64(vanillaPeak)
 }
-
-// Online-analyzer state counters. The streaming §4.2 analyzer publishes
-// its peak live-cache-line count and peak resident state bytes here at
-// Finalize; the trace-analysis benches read the process-wide maxima to
-// demonstrate that analyzer state scales with live lines, not trace
-// length.
-var (
-	analyzerPeakLines      atomic.Int64
-	analyzerPeakStateBytes atomic.Uint64
-)
-
-// RecordAnalyzer folds one analyzer's peak state into the process-wide
-// maxima. Safe for concurrent runs.
-func RecordAnalyzer(peakLines int, peakStateBytes uint64) {
-	for {
-		cur := analyzerPeakLines.Load()
-		if int64(peakLines) <= cur || analyzerPeakLines.CompareAndSwap(cur, int64(peakLines)) {
-			break
-		}
-	}
-	for {
-		cur := analyzerPeakStateBytes.Load()
-		if peakStateBytes <= cur || analyzerPeakStateBytes.CompareAndSwap(cur, peakStateBytes) {
-			break
-		}
-	}
-}
-
-// AnalyzerPeaks returns the process-wide analyzer maxima recorded since
-// the last reset: peak live cache lines and peak resident state bytes.
-func AnalyzerPeaks() (lines int, stateBytes uint64) {
-	return int(analyzerPeakLines.Load()), analyzerPeakStateBytes.Load()
-}
-
-// ResetAnalyzerPeaks zeroes the analyzer maxima (benches call it before a
-// measured run).
-func ResetAnalyzerPeaks() {
-	analyzerPeakLines.Store(0)
-	analyzerPeakStateBytes.Store(0)
-}
-
-// Campaign sandbox counters. Every analysis folds its sandbox
-// interventions in here so long-running harnesses (and the robustness
-// benches) can observe process-wide how often targets panicked, ran out
-// of hang-watchdog fuel, or hung in recovery.
-var (
-	sandboxTargetPanics  atomic.Int64
-	sandboxTargetHangs   atomic.Int64
-	sandboxRecoveryHangs atomic.Int64
-)
-
-// RecordSandbox accumulates one analysis run's sandbox interventions.
-// Safe for concurrent runs.
-func RecordSandbox(targetPanics, targetHangs, recoveryHangs int) {
-	sandboxTargetPanics.Add(int64(targetPanics))
-	sandboxTargetHangs.Add(int64(targetHangs))
-	sandboxRecoveryHangs.Add(int64(recoveryHangs))
-}
-
-// SandboxCounters returns the process-wide sandbox totals recorded since
-// the last reset: target panics, fuel-budget kills, and recovery hangs.
-func SandboxCounters() (targetPanics, targetHangs, recoveryHangs int) {
-	return int(sandboxTargetPanics.Load()),
-		int(sandboxTargetHangs.Load()),
-		int(sandboxRecoveryHangs.Load())
-}
-
-// ResetSandboxCounters zeroes the sandbox totals.
-func ResetSandboxCounters() {
-	sandboxTargetPanics.Store(0)
-	sandboxTargetHangs.Store(0)
-	sandboxRecoveryHangs.Store(0)
-}
-
-// Injection-campaign counters, split by mode. Every analysis folds its
-// campaign shape in here — worker count, replays, claim contention, and
-// worker busy time versus campaign wall time — so harnesses and the
-// parallelism benches can observe process-wide how well each mode's
-// fan-out is utilised (busy/wall ≈ workers means full utilisation) and
-// that the lock-free claim traversal stays contention-free.
-type campaignCounters struct {
-	campaigns  atomic.Int64
-	workers    atomic.Int64 // sum over campaigns; average = workers/campaigns
-	replays    atomic.Int64
-	contention atomic.Int64
-	busyNanos  atomic.Int64
-	wallNanos  atomic.Int64
-}
-
-var counterCampaigns, stackCampaigns campaignCounters
-
-func campaignFor(stackMode bool) *campaignCounters {
-	if stackMode {
-		return &stackCampaigns
-	}
-	return &counterCampaigns
-}
-
-// RecordCampaign accumulates one injection campaign's shape: its mode,
-// worker count, consumed replays, observed claim contention, summed
-// worker busy time and campaign wall time. Safe for concurrent runs.
-func RecordCampaign(stackMode bool, workers, replays, contention int, busy, wall time.Duration) {
-	c := campaignFor(stackMode)
-	c.campaigns.Add(1)
-	c.workers.Add(int64(workers))
-	c.replays.Add(int64(replays))
-	c.contention.Add(int64(contention))
-	c.busyNanos.Add(int64(busy))
-	c.wallNanos.Add(int64(wall))
-}
-
-// CampaignStats is the process-wide per-mode campaign aggregate.
-type CampaignStats struct {
-	// Campaigns is the number of campaigns recorded.
-	Campaigns int
-	// Workers sums the worker counts across campaigns.
-	Workers int
-	// Replays is the total number of injection replays consumed.
-	Replays int
-	// ClaimContention is the total number of lost claim races observed
-	// by the failure-point claim sets; zero when traversal partitioning
-	// is sound.
-	ClaimContention int
-	// Busy is the summed worker busy time; Wall the summed campaign
-	// wall time. Busy/Wall is the average worker utilisation (≈ the
-	// average worker count under full fan-out, ≤ 1 for serial runs).
-	Busy, Wall time.Duration
-}
-
-// Utilization returns Busy/Wall, the average number of busy workers
-// over the campaign; 0 when nothing was recorded.
-func (s CampaignStats) Utilization() float64 {
-	if s.Wall <= 0 {
-		return 0
-	}
-	return float64(s.Busy) / float64(s.Wall)
-}
-
-// CampaignCounters returns the per-mode campaign totals recorded since
-// the last reset.
-func CampaignCounters(stackMode bool) CampaignStats {
-	c := campaignFor(stackMode)
-	return CampaignStats{
-		Campaigns:       int(c.campaigns.Load()),
-		Workers:         int(c.workers.Load()),
-		Replays:         int(c.replays.Load()),
-		ClaimContention: int(c.contention.Load()),
-		Busy:            time.Duration(c.busyNanos.Load()),
-		Wall:            time.Duration(c.wallNanos.Load()),
-	}
-}
-
-// ResetCampaignCounters zeroes both modes' campaign totals.
-func ResetCampaignCounters() {
-	for _, c := range []*campaignCounters{&counterCampaigns, &stackCampaigns} {
-		c.campaigns.Store(0)
-		c.workers.Store(0)
-		c.replays.Store(0)
-		c.contention.Store(0)
-		c.busyNanos.Store(0)
-		c.wallNanos.Store(0)
-	}
-}
-
-// Crash-image verdict-cache counters. Every analysis folds its campaign
-// cache traffic in here so harnesses and the dedup benches can observe
-// process-wide how many recovery runs the cache elided.
-var (
-	imageCacheHits   atomic.Int64
-	imageCacheMisses atomic.Int64
-)
-
-// RecordImageCache accumulates one analysis run's verdict-cache
-// traffic. Safe for concurrent runs.
-func RecordImageCache(hits, misses int) {
-	imageCacheHits.Add(int64(hits))
-	imageCacheMisses.Add(int64(misses))
-}
-
-// ImageCacheCounters returns the process-wide verdict-cache totals
-// recorded since the last reset.
-func ImageCacheCounters() (hits, misses int) {
-	return int(imageCacheHits.Load()), int(imageCacheMisses.Load())
-}
-
-// ResetImageCacheCounters zeroes the verdict-cache totals.
-func ResetImageCacheCounters() {
-	imageCacheHits.Store(0)
-	imageCacheMisses.Store(0)
-}
-
-// Crash-image equivalence-classing counters. Every analysis folds its
-// classing activity in here so harnesses can observe process-wide how
-// many replays phase-1 stamping elided and how warm the persistent
-// cross-run verdict cache ran.
-var (
-	classingClasses   atomic.Int64
-	classingInherited atomic.Int64
-	classingAvoided   atomic.Int64
-	persistentHits    atomic.Int64
-	persistentMisses  atomic.Int64
-)
-
-// RecordClassing accumulates one analysis run's classing activity:
-// distinct crash-image classes, members that inherited their class
-// verdict, replays avoided outright, and persistent verdict-cache hits
-// and misses. Safe for concurrent runs.
-func RecordClassing(classes, inherited, avoided, pHits, pMisses int) {
-	classingClasses.Add(int64(classes))
-	classingInherited.Add(int64(inherited))
-	classingAvoided.Add(int64(avoided))
-	persistentHits.Add(int64(pHits))
-	persistentMisses.Add(int64(pMisses))
-}
-
-// ClassingCounters returns the process-wide classing totals recorded
-// since the last reset.
-func ClassingCounters() (classes, inherited, avoided, pHits, pMisses int) {
-	return int(classingClasses.Load()), int(classingInherited.Load()),
-		int(classingAvoided.Load()), int(persistentHits.Load()), int(persistentMisses.Load())
-}
-
-// ResetClassingCounters zeroes the classing totals.
-func ResetClassingCounters() {
-	classingClasses.Store(0)
-	classingInherited.Store(0)
-	classingAvoided.Store(0)
-	persistentHits.Store(0)
-	persistentMisses.Store(0)
-}
-
-// Checkpointed-replay counters. Every analysis folds its checkpoint
-// recording and restore traffic in here so harnesses can observe
-// process-wide how much prefix re-execution the checkpoint store
-// elided.
-var (
-	checkpointSnapshots atomic.Int64
-	checkpointBytes     atomic.Int64
-	checkpointRestores  atomic.Int64
-)
-
-// RecordCheckpoints accumulates one analysis run's checkpoint activity:
-// snapshots recorded, approximate resident bytes, and injections served
-// by a restore instead of a from-scratch replay. Safe for concurrent
-// runs.
-func RecordCheckpoints(snapshots int, bytes uint64, restores int) {
-	checkpointSnapshots.Add(int64(snapshots))
-	checkpointBytes.Add(int64(bytes))
-	checkpointRestores.Add(int64(restores))
-}
-
-// CheckpointCounters returns the process-wide checkpointing totals
-// recorded since the last reset.
-func CheckpointCounters() (snapshots int, bytes uint64, restores int) {
-	return int(checkpointSnapshots.Load()), uint64(checkpointBytes.Load()), int(checkpointRestores.Load())
-}
-
-// ResetCheckpointCounters zeroes the checkpointing totals.
-func ResetCheckpointCounters() {
-	checkpointSnapshots.Store(0)
-	checkpointBytes.Store(0)
-	checkpointRestores.Store(0)
-}
-
-// Campaign-journal counters. Every analysis folds its crash-safety
-// traffic in here — durable verdict records appended, atomic snapshots
-// written, and failure points whose verdicts were folded from a resumed
-// journal instead of replayed — so harnesses can observe process-wide
-// how much work resumability saved.
-var (
-	journalAppends   atomic.Int64
-	journalSnapshots atomic.Int64
-	journalResumed   atomic.Int64
-)
-
-// RecordJournal accumulates one analysis run's journal activity. Safe
-// for concurrent runs.
-func RecordJournal(appends, snapshots, resumed int) {
-	journalAppends.Add(int64(appends))
-	journalSnapshots.Add(int64(snapshots))
-	journalResumed.Add(int64(resumed))
-}
-
-// JournalCounters returns the process-wide journal totals recorded
-// since the last reset: records appended, snapshots written, and
-// failure points restored from resumed journals.
-func JournalCounters() (appends, snapshots, resumed int) {
-	return int(journalAppends.Load()), int(journalSnapshots.Load()), int(journalResumed.Load())
-}
-
-// ResetJournalCounters zeroes the journal totals.
-func ResetJournalCounters() {
-	journalAppends.Store(0)
-	journalSnapshots.Store(0)
-	journalResumed.Store(0)
-}

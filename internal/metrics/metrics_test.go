@@ -61,43 +61,3 @@ func TestRAMOverhead(t *testing.T) {
 		t.Fatalf("RAMOverhead with zero vanilla peak = %v, want 1", got)
 	}
 }
-
-// The analyzer gauges keep process-wide maxima across runs until reset.
-func TestAnalyzerPeaks(t *testing.T) {
-	ResetAnalyzerPeaks()
-	RecordAnalyzer(10, 1000)
-	RecordAnalyzer(5, 2000) // fewer lines but more bytes: both maxima independent
-	lines, stateBytes := AnalyzerPeaks()
-	if lines != 10 || stateBytes != 2000 {
-		t.Fatalf("peaks = (%d, %d), want (10, 2000)", lines, stateBytes)
-	}
-	RecordAnalyzer(3, 500) // below both maxima: no change
-	if lines, stateBytes = AnalyzerPeaks(); lines != 10 || stateBytes != 2000 {
-		t.Fatalf("peaks regressed to (%d, %d)", lines, stateBytes)
-	}
-	ResetAnalyzerPeaks()
-	if lines, stateBytes = AnalyzerPeaks(); lines != 0 || stateBytes != 0 {
-		t.Fatalf("reset left (%d, %d)", lines, stateBytes)
-	}
-}
-
-func TestRecordAnalyzerConcurrent(t *testing.T) {
-	ResetAnalyzerPeaks()
-	done := make(chan struct{})
-	for g := 0; g < 8; g++ {
-		g := g
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for i := 0; i < 1000; i++ {
-				RecordAnalyzer(g*1000+i, uint64(g*1000+i))
-			}
-		}()
-	}
-	for g := 0; g < 8; g++ {
-		<-done
-	}
-	lines, stateBytes := AnalyzerPeaks()
-	if lines != 7999 || stateBytes != 7999 {
-		t.Fatalf("concurrent peaks = (%d, %d), want (7999, 7999)", lines, stateBytes)
-	}
-}

@@ -19,11 +19,11 @@ package oracle
 
 import (
 	"fmt"
-	"runtime/debug"
 	"time"
 
 	"mumak/internal/harness"
 	"mumak/internal/pmem"
+	"mumak/internal/stack"
 )
 
 // Verdict classifies a recovery attempt.
@@ -80,7 +80,8 @@ type Outcome struct {
 	// Err is the recovery error for Unrecoverable outcomes.
 	Err error
 	// PanicValue and PanicTrace describe a Crashed outcome, giving the
-	// developer the recovery call trace that led to the failure.
+	// developer the recovery call trace that led to the failure
+	// (stack.PanicTrace: deterministic across runs).
 	PanicValue any
 	PanicTrace string
 	// Hang describes a Hung outcome stopped inside the engine (fuel
@@ -100,14 +101,6 @@ type Outcome struct {
 
 // Consistent reports whether recovery accepted the state.
 func (o Outcome) Consistent() bool { return o.Verdict == Consistent }
-
-// Detached returns a copy safe to retain indefinitely (e.g. in the
-// crash-image verdict cache): the post-recovery Engine is stripped so a
-// memoised verdict never pins a full pool.
-func (o Outcome) Detached() Outcome {
-	o.Engine = nil
-	return o
-}
 
 // Describe renders the outcome for bug reports. Hung outcomes are
 // described from the configured bounds only, never from measured time,
@@ -184,7 +177,7 @@ func checkOn(app harness.Application, eng *pmem.Engine) (out Outcome) {
 			}
 			out.Verdict = Crashed
 			out.PanicValue = r
-			out.PanicTrace = string(debug.Stack())
+			out.PanicTrace = stack.PanicTrace()
 		}
 	}()
 	if err := app.Recover(eng); err != nil {

@@ -56,8 +56,8 @@ import (
 //
 // After the instrumented run finishes the store is never written again;
 // ReplayTo only reads it, so the campaign's parallel workers share one
-// store without locks (the same read-only sharing the verdict cache and
-// the frozen failure point tree use).
+// store without locks (the same read-only sharing the frozen failure
+// point tree uses).
 
 // Mutation-log entry tags. The tag encodes the operation and, for RMWs,
 // whether the compare succeeded, so replay never has to re-derive a

@@ -170,9 +170,8 @@ func (e *Engine) overlayDurable(dst []byte, base uint64) {
 // PrefixImageHash returns the content hash of the image PrefixImage
 // would build, in O(changed lines) and without materialising anything:
 // the rolling medium hash with the contribution of every
-// durable-overlay line swapped for its graceful-crash content. The
-// fault-injection campaign uses it to consult the crash-image dedup
-// cache before paying for the image or the recovery run.
+// durable-overlay line swapped for its graceful-crash content. A
+// failure point's phase-1 stamp is this hash at the leaf's counter.
 func (e *Engine) PrefixImageHash() uint64 {
 	h := e.mediumHash
 	for _, base := range e.durableOverlayBases() {

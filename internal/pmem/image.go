@@ -50,8 +50,8 @@ func (img *Image) Bytes() []byte {
 	return img.flat
 }
 
-// Hash returns the image's content hash — the dedup identity used by
-// the crash-image verdict cache. Engine-produced images carry it
+// Hash returns the image's content hash — the crash-image identity
+// verdict reuse keys on. Engine-produced images carry it
 // already; for hand-built images it is computed (and memoised) on first
 // use, so call it only once the image is quiescent.
 func (img *Image) Hash() uint64 {

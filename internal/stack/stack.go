@@ -269,3 +269,28 @@ func (t *Table) Format(id ID) string {
 	}
 	return sb.String()
 }
+
+// PanicTrace renders the stack of a panicking goroutine, called from
+// the deferred function that recovered the panic, in the Format layout:
+// one Frame per line, innermost first, starting at the frame that
+// panicked (the runtime's panic machinery is skipped). Unlike
+// runtime/debug.Stack it carries no goroutine ID and no argument words,
+// so the same panic renders identically on every run.
+func PanicTrace() string {
+	pcs := make([]uintptr, maxDepth)
+	// Skip runtime.Callers, PanicTrace and the recovering function.
+	pcs = pcs[:runtime.Callers(3, pcs)]
+	var lines []string
+	it := runtime.CallersFrames(pcs)
+	for {
+		fr, more := it.Next()
+		if len(lines) > 0 || !strings.HasPrefix(fr.Function, "runtime.") {
+			f := Frame{PC: fr.PC, Function: fr.Function, File: fr.File, Line: fr.Line}
+			lines = append(lines, "  "+f.String())
+		}
+		if !more {
+			break
+		}
+	}
+	return strings.Join(lines, "\n")
+}
