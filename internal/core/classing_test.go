@@ -211,32 +211,6 @@ func TestClassingDedupsScanPhase(t *testing.T) {
 	}
 }
 
-// TestInheritedVerdictsKeepDistinctICounts checks that a reused verdict
-// still yields one finding per failure point: imagedup-broken's scan
-// leaves crash at distinct instruction counters but share a single
-// Unrecoverable verdict, and every finding keeps its own ICount.
-func TestInheritedVerdictsKeepDistinctICounts(t *testing.T) {
-	app, _ := imagedup.New("imagedup-broken")
-	res, err := core.Analyze(app, smallWorkload(3), core.Config{DisableTraceAnalysis: true, Classing: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.InheritedVerdicts == 0 {
-		t.Fatal("no inherited verdicts; recurring-image check is vacuous")
-	}
-	bugs := res.Report.Bugs()
-	if len(bugs) != res.Injections {
-		t.Fatalf("broken recovery produced %d findings for %d injections", len(bugs), res.Injections)
-	}
-	icounts := make(map[uint64]bool)
-	for _, f := range bugs {
-		icounts[f.ICount] = true
-	}
-	if len(icounts) != len(bugs) {
-		t.Errorf("findings share instruction counters: %d distinct of %d findings", len(icounts), len(bugs))
-	}
-}
-
 // TestClassingEADRDifferential repeats the differential check under the
 // extended persistence domain, whose instrumented run takes the eADR
 // snapshot paths (and therefore the eADR rolling-hash paths).
