@@ -75,6 +75,9 @@ func main() {
 		resume     = flag.Bool("resume", false, "resume the journaled campaign in -journal instead of starting fresh")
 		classing   = flag.Bool("classing", true, "reuse verdicts: replay one failure point per phase-1 crash-image class and let the rest inherit its verdict (reports are byte-identical); turn off for targets whose execution or recovery is not deterministic")
 		vcFile     = flag.String("verdict-cache-file", "", "persistent cross-run verdict cache file: re-runs of the identical campaign replay only crash images never judged before")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to FILE (read it with go tool pprof; the report is unchanged)")
+		memProfile = flag.String("memprofile", "", "write a heap profile taken at the end of the run to FILE")
+		execTrace  = flag.String("trace", "", "write a Go runtime execution trace of the run to FILE (read it with go tool trace)")
 	)
 	flag.Parse()
 
@@ -91,7 +94,11 @@ func main() {
 		ckptInterval: *ckptEvery, budget: *budget, artifacts: *artifacts,
 		journal: *journalDir, resume: *resume,
 		verdictCache: *vcFile, classing: *classing,
+		cpuProfile: *cpuProfile, memProfile: *memProfile, execTrace: *execTrace,
 	}); err != nil {
+		fatal(err)
+	}
+	if err := startProfiles(*cpuProfile, *memProfile, *execTrace); err != nil {
 		fatal(err)
 	}
 	ver, err := parseVersion(*pmdkVer)
@@ -237,7 +244,7 @@ func main() {
 		if err := res.Report.WriteJSON(os.Stdout, *warnings); err != nil {
 			fatal(err)
 		}
-		os.Exit(exitCode(res, *exitZero))
+		exit(exitCode(res, *exitZero))
 	}
 	if *printTree {
 		fmt.Println("# failure point tree")
@@ -305,7 +312,7 @@ func main() {
 		}
 		fmt.Printf("campaign interrupted before completion%s\n", hint)
 	}
-	os.Exit(exitCode(res, *exitZero))
+	exit(exitCode(res, *exitZero))
 }
 
 // campaignMeta is the identity a journal or verdict-cache file is
@@ -399,5 +406,5 @@ func parseVersion(s string) (pmdk.Version, error) {
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "mumak:", err)
-	os.Exit(2)
+	exit(2)
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -59,5 +60,30 @@ func TestVerdictCacheRefusesOtherRecovery(t *testing.T) {
 	out, code := runCLI(t, bin, append(args, "-with-recovery=true", "-verdict-cache-file", vc)...)
 	if code != 2 || !strings.Contains(out, "WithRecovery") {
 		t.Fatalf("run with recovery reusing the other run's verdicts: exit %d, want 2 naming WithRecovery\n%s", code, out)
+	}
+}
+
+// TestProfilesLeaveReportUnchanged: the profile flags write their files
+// on every exit path, here a run that finds bugs and exits 1, and change
+// neither the report nor the exit code.
+func TestProfilesLeaveReportUnchanged(t *testing.T) {
+	bin := buildCLI(t)
+	args := []string{"-target", "btree", "-spt", "-seed-bugs", "btree/count-outside-tx",
+		"-ops", "300", "-workers", "1", "-json"}
+	plain, plainCode := runCLI(t, bin, args...)
+	dir := t.TempDir()
+	files := []string{filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof"), filepath.Join(dir, "trace.out")}
+	profiled, code := runCLI(t, bin, append(args,
+		"-cpuprofile", files[0], "-memprofile", files[1], "-trace", files[2])...)
+	if plainCode != 1 || code != plainCode {
+		t.Fatalf("exit %d with profiles, %d without; want 1 (bugs found) for both", code, plainCode)
+	}
+	if profiled != plain {
+		t.Fatalf("report changed under the profile flags:\n%s\nwithout:\n%s", profiled, plain)
+	}
+	for _, f := range files {
+		if fi, err := os.Stat(f); err != nil || fi.Size() == 0 {
+			t.Fatalf("profile %s missing or empty: %v", f, err)
+		}
 	}
 }

@@ -25,6 +25,9 @@ type flagValues struct {
 	resume       bool
 	verdictCache string
 	classing     bool
+	cpuProfile   string
+	memProfile   string
+	execTrace    string
 }
 
 // validateFlags rejects flag combinations that cannot produce a useful
@@ -50,6 +53,33 @@ func validateFlags(v flagValues) error {
 		if err := probeWritableDir(v.artifacts); err != nil {
 			return fmt.Errorf("-artifacts %s: %v", v.artifacts, err)
 		}
+	}
+	for _, p := range []struct{ flag, path string }{
+		{"-cpuprofile", v.cpuProfile}, {"-memprofile", v.memProfile}, {"-trace", v.execTrace},
+	} {
+		if p.path == "" {
+			continue
+		}
+		if err := probeWritableFile(p.path); err != nil {
+			return fmt.Errorf("%s %s: %v", p.flag, p.path, err)
+		}
+	}
+	return nil
+}
+
+// probeWritableFile verifies that path can be opened for writing, so a
+// profile that could not be saved fails the run before the analysis,
+// not after it. It leaves an existing file untouched and removes a
+// file it had to create.
+func probeWritableFile(path string) error {
+	_, statErr := os.Stat(path)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
+	if err != nil {
+		return fmt.Errorf("not writable: %v", err)
+	}
+	f.Close()
+	if os.IsNotExist(statErr) {
+		os.Remove(path)
 	}
 	return nil
 }

@@ -87,3 +87,48 @@ func TestValidateFlagsArtifactsProbe(t *testing.T) {
 		t.Fatal("unwritable artifacts dir accepted")
 	}
 }
+
+func TestValidateFlagsProfilePaths(t *testing.T) {
+	dir := t.TempDir()
+	existing := filepath.Join(dir, "existing.prof")
+	if err := os.WriteFile(existing, []byte("keep"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	v := validValues()
+	v.cpuProfile = filepath.Join(dir, "cpu.prof")
+	v.memProfile = existing
+	v.execTrace = filepath.Join(dir, "trace.out")
+	if err := validateFlags(v); err != nil {
+		t.Fatalf("writable profile paths rejected: %v", err)
+	}
+	if _, err := os.Stat(v.cpuProfile); !os.IsNotExist(err) {
+		t.Fatalf("probe left %s behind: %v", v.cpuProfile, err)
+	}
+	if b, err := os.ReadFile(existing); err != nil || string(b) != "keep" {
+		t.Fatalf("probe changed an existing file: %q, %v", b, err)
+	}
+
+	for _, tc := range []struct {
+		name   string
+		mutate func(*flagValues, string)
+		want   string
+	}{
+		{"cpuprofile", func(v *flagValues, p string) { v.cpuProfile = p }, "-cpuprofile"},
+		{"memprofile", func(v *flagValues, p string) { v.memProfile = p }, "-memprofile"},
+		{"trace", func(v *flagValues, p string) { v.execTrace = p }, "-trace"},
+	} {
+		// A directory and a file in a missing directory are unwritable
+		// even for root.
+		for _, path := range []string{dir, filepath.Join(dir, "missing", "out")} {
+			v := validValues()
+			tc.mutate(&v, path)
+			err := validateFlags(v)
+			if err == nil {
+				t.Fatalf("%s %s accepted", tc.want, path)
+			}
+			if !strings.Contains(err.Error(), tc.want) || strings.ContainsRune(err.Error(), '\n') {
+				t.Fatalf("error %q is not one line naming %s", err, tc.want)
+			}
+		}
+	}
+}

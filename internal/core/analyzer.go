@@ -131,6 +131,12 @@ func (a *Analyzer) add(kind report.Kind, ref evRef, detail string) {
 	})
 }
 
+// WantsStack implements pmem.StackDemand: the analyzer never asks for a
+// stack. Analyze's debug-information pass (resolveStacks) sets the stack
+// of every finding it reports, so the analyzer records whatever stacks
+// other hooks requested and nothing more.
+func (a *Analyzer) WantsStack(*pmem.Event) bool { return false }
+
 // OnEvent implements pmem.Hook: one §4.2 pattern step per instruction.
 func (a *Analyzer) OnEvent(ev *pmem.Event) {
 	if ev.Op == pmem.OpLoad {

@@ -353,7 +353,9 @@ func Analyze(app harness.Application, w workload.Workload, cfg Config) (*Result,
 	// Phase 1: instrumented run -> failure point tree + online trace
 	// analysis. The §4.2 analyzer consumes the instruction stream as the
 	// workload executes, so the trace is never materialised: resident
-	// state is proportional to live cache lines, not trace length.
+	// state is proportional to live cache lines, not trace length. Stacks
+	// are walked only where the builder asks (failure-point candidates);
+	// the analyzer's findings get theirs in phase 3.
 	capture := pmem.CapturePersistency
 	if cfg.Granularity == fpt.GranStore {
 		capture = pmem.CaptureStores
@@ -451,15 +453,18 @@ func Analyze(app harness.Application, w workload.Workload, cfg Config) (*Result,
 	}
 
 	// Phase 3: finalise the single-pass trace analysis (the per-event
-	// work already ran inline with phase 1).
+	// work already ran inline with phase 1), drop the warnings the report
+	// leaves out, and resolve stacks for the rest only.
 	if analyzer != nil {
 		t0 = time.Now()
-		findings := analyzer.Finalize()
-		resolveStacks(app, w, capture, stacks, findings, sb)
-		for _, f := range findings {
-			if f.Kind.IsWarning() && !cfg.KeepWarnings {
-				continue
+		var findings []*report.Finding
+		for _, f := range analyzer.Finalize() {
+			if !f.Kind.IsWarning() || cfg.KeepWarnings {
+				findings = append(findings, f)
 			}
+		}
+		resolveStacks(app, w, stacks, findings, sb)
+		for _, f := range findings {
 			rep.Add(*f)
 		}
 		res.AnalyzerPeakLines = analyzer.PeakLiveLines()
@@ -480,6 +485,9 @@ func Analyze(app harness.Application, w workload.Workload, cfg Config) (*Result,
 // eventCounter keeps Result.TraceLen meaningful when trace analysis is
 // disabled, without recording anything.
 type eventCounter struct{ events int }
+
+// WantsStack implements pmem.StackDemand: counting needs no stacks.
+func (c *eventCounter) WantsStack(*pmem.Event) bool { return false }
 
 // OnEvent implements pmem.Hook.
 func (c *eventCounter) OnEvent(ev *pmem.Event) {

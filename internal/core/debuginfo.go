@@ -11,10 +11,11 @@ import (
 // resolveStacks is the §5 debug-information pass: the optimised trace
 // carries only instruction counters, so the target is executed once more
 // with minimal instrumentation that captures call stacks exactly at the
-// flagged counters. The pass relies on the target's determinism, like
-// the counter-mode injector.
+// flagged counters. Analyze passes only the findings its report keeps,
+// so a run without any skips the re-execution. The pass relies on the
+// target's determinism, like the counter-mode injector.
 func resolveStacks(app harness.Application, w workload.Workload,
-	capture pmem.StackCapture, stacks *stack.Table, findings []*report.Finding, sb sandboxCfg) {
+	stacks *stack.Table, findings []*report.Finding, sb sandboxCfg) {
 
 	if len(findings) == 0 {
 		return

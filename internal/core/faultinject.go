@@ -197,8 +197,9 @@ const replayDuring = "a fault-injection replay"
 // recorded first-occurrence instruction counter — the §5 optimisation
 // that works because the target is deterministic. In stack mode each
 // replay targets one leaf and crashes at the first failure-point event
-// whose call stack matches it, which needs stack capture on every replay
-// but tolerates non-determinism. Either way replays are independent
+// whose call stack matches it, which needs a stack walk at every
+// failure-point candidate of every replay but tolerates
+// non-determinism. Either way replays are independent
 // (each constructs a private engine and a private injector over the
 // immutable tree), so both campaigns fan out across cfg.Workers
 // goroutines when asked to; traversal state lives in the ClaimSet that

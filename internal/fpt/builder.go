@@ -21,6 +21,46 @@ const (
 	GranStore
 )
 
+// storeGate is the §4.1 failure-point rule, the one definition of which
+// events become leaves: under GranStore every store is a failure point;
+// under GranPersistency a flush or fence is one only if a PM store
+// happened since the last flush or fence, since otherwise the
+// post-failure state equals the previous one. An RMW is a fence that
+// also writes, so it re-arms the gate. The Builder and the Injector both
+// step one, and both ask it for their stack demand, so a replay
+// recognises exactly the events the builder turned into leaves.
+type storeGate struct {
+	// armed records a store since the last flush or fence.
+	armed bool
+}
+
+// candidate reports whether ev is a failure point under g, given the
+// events the gate has already stepped past. It does not advance the
+// gate, so a StackDemand can ask it before the hook sees ev.
+func (s *storeGate) candidate(g Granularity, ev *pmem.Event) bool {
+	switch ev.Op.Kind() {
+	case pmem.KindStore:
+		return g == GranStore
+	case pmem.KindFlush, pmem.KindFence:
+		return g == GranPersistency && s.armed
+	}
+	return false
+}
+
+// step advances the gate past ev and reports whether ev was a failure
+// point.
+func (s *storeGate) step(g Granularity, ev *pmem.Event) bool {
+	fp := s.candidate(g, ev)
+	switch ev.Op.Kind() {
+	case pmem.KindStore:
+		s.armed = true
+	case pmem.KindFlush, pmem.KindFence:
+		// The RMW writes as well as fences.
+		s.armed = ev.Op == pmem.OpRMW
+	}
+	return fp
+}
+
 // Builder is a pmem.Hook that constructs the failure point tree during
 // the instrumented workload run (steps 4-5 of Fig 1).
 type Builder struct {
@@ -28,18 +68,14 @@ type Builder struct {
 	Tree *Tree
 	// Granularity selects the failure-point definition.
 	Granularity Granularity
-	// storeSinceLast implements the §4.1 optimisation: a persistency
-	// instruction is only a failure point if at least one PM store
-	// happened since the last failure point, since otherwise the
-	// post-failure state is equivalent to the previous one.
-	storeSinceLast bool
 	// NewLeaves counts leaves this builder added.
 	NewLeaves int
 	// eng is the engine this builder is attached to (AttachHook hands it
 	// over via pmem.EngineObserver). When the engine tracks the rolling
 	// prefix-image hash, every new leaf is stamped with its crash-image
 	// identity at insertion time.
-	eng *pmem.Engine
+	eng  *pmem.Engine
+	gate storeGate
 }
 
 // ObserveEngine implements pmem.EngineObserver: it gives the builder
@@ -51,27 +87,16 @@ func NewBuilder(tree *Tree, g Granularity) *Builder {
 	return &Builder{Tree: tree, Granularity: g}
 }
 
+// WantsStack implements pmem.StackDemand: a leaf is keyed by its call
+// stack, so the builder needs one exactly at failure-point candidates.
+func (b *Builder) WantsStack(ev *pmem.Event) bool {
+	return b.gate.candidate(b.Granularity, ev)
+}
+
 // OnEvent implements pmem.Hook.
 func (b *Builder) OnEvent(ev *pmem.Event) {
-	switch ev.Op.Kind() {
-	case pmem.KindStore:
-		if b.Granularity == GranStore {
-			b.insert(ev)
-			return
-		}
-		b.storeSinceLast = true
-	case pmem.KindFlush, pmem.KindFence:
-		if b.Granularity != GranPersistency {
-			return
-		}
-		if b.storeSinceLast {
-			b.insert(ev)
-			b.storeSinceLast = false
-		}
-		if ev.Op == pmem.OpRMW {
-			// The RMW writes as well as fences.
-			b.storeSinceLast = true
-		}
+	if b.gate.step(b.Granularity, ev) {
+		b.insert(ev)
 	}
 }
 
@@ -90,12 +115,11 @@ func (b *Builder) insert(ev *pmem.Event) {
 	}
 }
 
-// Injector is a pmem.Hook that crashes the execution at a chosen
-// failure point. In counter mode (deterministic targets) it crashes when
-// the instruction counter reaches the leaf's recorded first occurrence;
-// in stack mode it crashes at the first failure-point event whose call
-// stack matches the target leaf's, which requires stack capture but no
-// determinism.
+// Injector is a pmem.Hook that crashes a stack-mode replay at a chosen
+// failure point: the first failure-point event whose call stack matches
+// the target leaf's, which requires stack capture but no determinism.
+// (Counter-mode replays need no hook: the engine itself crashes at the
+// leaf's recorded first occurrence, pmem.Options.CrashAt.)
 //
 // The injector carries its own cursor: it never reads or writes shared
 // campaign state, so one replay per worker can run against the same
@@ -103,52 +127,27 @@ func (b *Builder) insert(ev *pmem.Event) {
 // is decided up front (a ClaimSet hands leaves out), not by the
 // injector mutating visited marks as it fires.
 type Injector struct {
-	// TargetICount crashes at this instruction counter when non-zero
-	// (counter mode).
-	TargetICount uint64
-	// Target selects stack mode: the replay crashes at the first
-	// failure-point event whose call stack matches Target.Stack. The
-	// leaf is read-only to the injector.
+	// Target is the leaf the replay crashes at. The leaf is read-only
+	// to the injector.
 	Target *Leaf
 	// Granularity must match the tree's.
 	Granularity Granularity
-	// Fired is set to Target when the stack-mode crash fired.
+	// Fired is set to Target when the crash fired.
 	Fired *Leaf
 
-	storeSinceLast bool
+	gate storeGate
+}
+
+// WantsStack implements pmem.StackDemand: only a failure-point
+// candidate's stack can match the target.
+func (in *Injector) WantsStack(ev *pmem.Event) bool {
+	return in.gate.candidate(in.Granularity, ev)
 }
 
 // OnEvent implements pmem.Hook; it panics with *pmem.CrashSignal at the
-// selected failure point, before the instruction takes effect.
+// target failure point, before the instruction takes effect.
 func (in *Injector) OnEvent(ev *pmem.Event) {
-	if in.Target == nil {
-		if in.TargetICount != 0 && ev.ICount == in.TargetICount {
-			panic(&pmem.CrashSignal{ICount: ev.ICount, Stack: ev.Stack, Reason: "failure point (counter mode)"})
-		}
-		return
-	}
-	// Mirror the Builder's gating exactly, so a replay recognises as
-	// failure points precisely the events the builder turned into
-	// leaves — including the RMW case, whose fence half is a failure
-	// point and whose write half re-arms the store gate.
-	isFP := false
-	switch in.Granularity {
-	case GranStore:
-		isFP = ev.Op.Kind() == pmem.KindStore
-	case GranPersistency:
-		switch ev.Op.Kind() {
-		case pmem.KindStore:
-			in.storeSinceLast = true
-		case pmem.KindFlush, pmem.KindFence:
-			isFP = in.storeSinceLast
-			in.storeSinceLast = false
-			if ev.Op == pmem.OpRMW {
-				// The RMW writes as well as fences.
-				in.storeSinceLast = true
-			}
-		}
-	}
-	if !isFP || ev.Stack == stack.NoID || ev.Stack != in.Target.Stack {
+	if !in.gate.step(in.Granularity, ev) || ev.Stack == stack.NoID || ev.Stack != in.Target.Stack {
 		return
 	}
 	in.Fired = in.Target

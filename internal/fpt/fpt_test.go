@@ -225,14 +225,13 @@ func TestTreeStringRendersFig2Style(t *testing.T) {
 	}
 }
 
+// A counter-mode replay needs no hook: the engine crashes at the
+// recorded leaf's first occurrence by itself (pmem.Options.CrashAt).
 func TestInjectorCounterMode(t *testing.T) {
 	tree, _ := buildTree(t, GranPersistency)
 	target := tree.Leaves()[1].FirstICount
 
-	st := stack.NewTable()
-	e := pmem.NewEngine(pmem.Options{PoolSize: 4096, Capture: pmem.CaptureNone, Stacks: st})
-	inj := &Injector{TargetICount: target}
-	e.AttachHook(inj)
+	e := pmem.NewEngine(pmem.Options{PoolSize: 4096, CrashAt: target})
 	app := &pmApp{e: e}
 	var sig *pmem.CrashSignal
 	func() {

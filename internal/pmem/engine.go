@@ -54,6 +54,11 @@ type Engine struct {
 	icount uint64
 	rng    *rand.Rand
 	stats  Stats
+	// demands are the hooks that choose which events' stacks they need;
+	// eager is set once a hook without a StackDemand is attached, which
+	// takes the stack of every event in the Options.Capture classes.
+	demands []StackDemand
+	eager   bool
 	// evictable caches the keys of lines for seeded eviction.
 	evictKeys []uint64
 
@@ -153,10 +158,16 @@ func (e *Engine) ICount() uint64 { return e.icount }
 func (e *Engine) Stacks() *stack.Table { return e.opts.Stacks }
 
 // AttachHook registers a hook; it also registers the hook as an
-// annotation observer when it implements AnnotationObserver, and hands
-// it the engine when it implements EngineObserver.
+// annotation observer when it implements AnnotationObserver, consults it
+// before capturing a stack when it implements StackDemand, and hands it
+// the engine when it implements EngineObserver.
 func (e *Engine) AttachHook(h Hook) {
 	e.hooks = append(e.hooks, h)
+	if sd, ok := h.(StackDemand); ok {
+		e.demands = append(e.demands, sd)
+	} else {
+		e.eager = true
+	}
 	if ao, ok := h.(AnnotationObserver); ok {
 		e.anns = append(e.anns, ao)
 	}
@@ -171,24 +182,23 @@ func (e *Engine) check(addr uint64, size int) {
 	}
 }
 
-func (e *Engine) captureFor(op Opcode) stack.ID {
-	var want bool
-	switch e.opts.Capture {
-	case CaptureNone:
-		want = false
-	case CapturePersistency:
-		want = op.IsPersistency()
-	case CaptureStores:
-		want = op != OpLoad
-	case CaptureAll:
-		want = true
+// wantsStack reports whether an attached hook needs the call stack of
+// ev: the capture classes must cover its opcode, and then either some
+// hook takes every such stack or some StackDemand asks for this one.
+// It runs before any hook sees ev.
+func (e *Engine) wantsStack(ev *Event) bool {
+	if !e.opts.Capture.covers(ev.Op) {
+		return false
 	}
-	if !want {
-		return stack.NoID
+	if e.eager {
+		return true
 	}
-	// Skip captureFor, emit and the engine entry point; trimming in the
-	// stack table removes any residual instrumentation frames.
-	return e.opts.Stacks.Capture(3)
+	for _, d := range e.demands {
+		if d.WantsStack(ev) {
+			return true
+		}
+	}
+	return false
 }
 
 func (e *Engine) emit(op Opcode, addr uint64, size int, data []byte) {
@@ -202,7 +212,7 @@ func (e *Engine) emit(op Opcode, addr uint64, size int, data []byte) {
 	if e.icount%deadlineEvery == 0 && !e.opts.Deadline.IsZero() && time.Now().After(e.opts.Deadline) {
 		panic(&HangSignal{ICount: e.icount, Deadline: true})
 	}
-	if len(e.hooks) == 0 && e.opts.Capture == CaptureNone {
+	if len(e.hooks) == 0 {
 		return
 	}
 	ev := Event{
@@ -211,7 +221,12 @@ func (e *Engine) emit(op Opcode, addr uint64, size int, data []byte) {
 		Addr:   addr,
 		Size:   size,
 		Data:   data,
-		Stack:  e.captureFor(op),
+		Stack:  stack.NoID,
+	}
+	if e.wantsStack(&ev) {
+		// Skip emit and the engine entry point; trimming in the stack
+		// table removes any residual instrumentation frames.
+		ev.Stack = e.opts.Stacks.Capture(2)
 	}
 	for _, h := range e.hooks {
 		h.OnEvent(&ev)

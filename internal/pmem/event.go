@@ -30,9 +30,9 @@ type Event struct {
 	// aliases engine-internal memory and is only valid for the duration
 	// of the hook call; hooks that retain it must copy.
 	Data []byte
-	// Stack identifies the call stack at the instruction, when the
-	// engine was configured to capture stacks for this opcode class;
-	// stack.NoID otherwise.
+	// Stack identifies the call stack at the instruction when the
+	// engine captured one: Options.Capture covers the opcode and an
+	// attached hook needs it (StackDemand). stack.NoID otherwise.
 	Stack stack.ID
 }
 
@@ -115,6 +115,16 @@ type Hook interface {
 // library annotations (the annotation-dependent baselines).
 type AnnotationObserver interface {
 	OnAnnotation(*Annotation)
+}
+
+// StackDemand is implemented by hooks that need call stacks only at
+// some events. The engine asks every attached StackDemand before any
+// hook sees the event, and captures the stack when one of them answers
+// true; WantsStack must therefore decide from the hook's state before
+// the event. All hooks then see the same Event.Stack. A hook without
+// this interface takes every stack Options.Capture offers.
+type StackDemand interface {
+	WantsStack(*Event) bool
 }
 
 // EngineObserver is implemented by hooks that want a reference to the

@@ -28,22 +28,36 @@ const (
 	EvictSeeded
 )
 
-// StackCapture selects which event classes capture call stacks.
+// StackCapture names the event classes whose call stacks hooks may
+// request.
 type StackCapture uint8
 
-// Stack-capture modes, ordered by cost.
+// Stack-capture classes, each a superset of the one before.
 const (
-	// CaptureNone records no stacks (fault-injection replay runs).
+	// CaptureNone offers no stacks (counter-mode replay runs).
 	CaptureNone StackCapture = iota
-	// CapturePersistency records stacks at flushes and fences only (the
+	// CapturePersistency offers stacks at flushes and fences (the
 	// failure-point granularity of §4.1).
 	CapturePersistency
-	// CaptureStores records stacks at stores as well (the store
+	// CaptureStores offers stacks at stores as well (the store
 	// granularity ablation, Fig 3b).
 	CaptureStores
-	// CaptureAll records stacks for every event including loads.
+	// CaptureAll offers stacks for every event including loads.
 	CaptureAll
 )
+
+// covers reports whether the class offers stacks for op.
+func (c StackCapture) covers(op Opcode) bool {
+	switch c {
+	case CapturePersistency:
+		return op.IsPersistency()
+	case CaptureStores:
+		return op != OpLoad
+	case CaptureAll:
+		return true
+	}
+	return false
+}
 
 // Options configures an Engine.
 type Options struct {
@@ -95,7 +109,11 @@ type Options struct {
 	// candidate failure point with its crash-image equivalence class one
 	// phase before injection. Costs two per-line hash folds per store.
 	TrackPrefixHash bool
-	// Capture selects stack capture.
+	// Capture names the event classes whose call stacks hooks may
+	// request. Within them the engine captures a stack only when an
+	// attached hook needs it: a hook implementing StackDemand is asked
+	// per event, any other hook takes every stack the classes offer, and
+	// an engine without hooks captures none.
 	Capture StackCapture
 	// Stacks is the table stacks are interned into. A shared table lets
 	// several engine incarnations (pre- and post-failure) agree on IDs.

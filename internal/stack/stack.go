@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // ID names an interned call stack within a Table.
@@ -68,6 +69,8 @@ type Table struct {
 	seed   maphash.Seed
 	byHash map[uint64][]ID
 	stacks [][]uintptr
+	// captures counts Capture calls.
+	captures atomic.Uint64
 
 	classMu sync.RWMutex
 	// pcClass caches, per call-site PC, whether the frame belongs to the
@@ -133,6 +136,7 @@ var pcBufPool = sync.Pool{New: func() any { return new([maxDepth]uintptr) }}
 // interned ID. skip has the meaning of runtime.Callers' skip relative to
 // Capture's caller (0 includes the caller itself).
 func (t *Table) Capture(skip int) ID {
+	t.captures.Add(1)
 	buf := pcBufPool.Get().(*[maxDepth]uintptr)
 	n := runtime.Callers(skip+2, buf[:])
 	if n == 0 {
@@ -212,6 +216,10 @@ func pcsEqual(a, b []uintptr) bool {
 	}
 	return true
 }
+
+// Captures returns the number of Capture calls so far, the stack walks
+// the table has paid for.
+func (t *Table) Captures() uint64 { return t.captures.Load() }
 
 // Len returns the number of interned stacks.
 func (t *Table) Len() int {

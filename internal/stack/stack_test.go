@@ -185,10 +185,16 @@ func TestTableConcurrentUse(t *testing.T) {
 					_ = tbl.Format(cid)
 				}
 				_ = tbl.Len()
+				_ = tbl.Captures()
 			}
 		}()
 	}
 	wg.Wait()
+	// Phase 1, stack-mode replays and phase 3 share one table, so the
+	// capture count must not lose concurrent increments.
+	if n := tbl.Captures(); n != 8*200 {
+		t.Fatalf("%d captures counted, want %d", n, 8*200)
+	}
 }
 
 // Steady-state Capture of an already-interned stack must not allocate:
