@@ -65,7 +65,7 @@ func main() {
 		montageBug = flag.Bool("montage-buggy", false, "enable the two historical Montage bugs")
 		recovery   = flag.Bool("with-recovery", true, "use the full recovery procedure for targets that ship without one")
 		poolMB     = flag.Int("pool-mb", 64, "simulated PM pool size in MiB")
-		artifacts  = flag.String("artifacts", "", "directory to store the serialised failure point tree (step 5 of Fig 1; the trace is analysed online and never materialised)")
+		artifacts  = flag.String("artifacts", "", "directory to store the serialised failure point tree, consumed failure points marked visited (step 5 of Fig 1; the trace is analysed online and never materialised)")
 		printTree  = flag.Bool("print-tree", false, "render the failure point tree (the Fig 2 view)")
 		hangBudget = flag.Uint64("hang-budget", 0, "PM events one execution may emit before the hang watchdog kills it (0 = default)")
 		recTimeout = flag.Duration("recovery-timeout", 0, "wall-clock watchdog per recovery-oracle invocation (0 = default)")
@@ -292,12 +292,12 @@ func main() {
 			res.Checkpoints, res.CheckpointBytes>>10, res.CheckpointRestores)
 	}
 	if res.CampaignWorkers > 1 && res.InjectTime > 0 {
-		fmt.Printf("campaign workers: %d (avg %.1f busy, claim contention %d)\n",
-			res.CampaignWorkers, float64(res.WorkerBusy)/float64(res.InjectTime), res.ClaimContention)
+		fmt.Printf("campaign workers: %d (avg %.1f busy)\n",
+			res.CampaignWorkers, float64(res.WorkerBusy)/float64(res.InjectTime))
 	}
-	if res.JournalAppends > 0 || res.JournalSnapshots > 0 || res.ResumedFailurePoints > 0 {
-		fmt.Printf("journal: %d verdict(s) appended, %d snapshot(s), %d verdict(s) restored on resume\n",
-			res.JournalAppends, res.JournalSnapshots, res.ResumedFailurePoints)
+	if res.JournalAppends > 0 || res.ResumedFailurePoints > 0 {
+		fmt.Printf("journal: %d verdict(s) appended, %d verdict(s) restored on resume\n",
+			res.JournalAppends, res.ResumedFailurePoints)
 	}
 	fmt.Printf("time: %s total (instrument %s, inject %s, trace analysis %s)\n",
 		res.Elapsed.Round(time.Millisecond), res.InstrumentTime.Round(time.Millisecond),
@@ -352,10 +352,11 @@ func exitCode(res *core.Result, exitZero bool) int {
 }
 
 // saveArtifacts serialises the pipeline by-products: the failure point
-// tree (step 5 of Fig 1), together with the campaign's claim state so a
-// restored tree knows which failure points were already explored.
-// Program counters are process-local, so the artifacts document one
-// analysis rather than seeding another process.
+// tree (step 5 of Fig 1), with the failure points the campaign consumed
+// — the first Injections + SkippedFailurePoints in first-occurrence
+// order — marked visited. Program counters are process-local, so the
+// artifacts document one analysis rather than seeding another process;
+// campaigns resume from -journal, never from artifacts.
 //
 // The tree is written crash-safely — temp file, fsync, rename, fsync
 // the directory — so a kill mid-save leaves either the previous
@@ -370,7 +371,7 @@ func saveArtifacts(dir string, res *core.Result) error {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if err := res.Tree.Encode(tmp, res.Claims); err != nil {
+	if err := res.Tree.Encode(tmp, res.Injections+res.SkippedFailurePoints); err != nil {
 		tmp.Close()
 		return err
 	}

@@ -1,12 +1,20 @@
 package main
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+
+	"mumak/internal/campaign"
+	"mumak/internal/fpt"
+	"mumak/internal/stack"
 )
 
 // buildCLI compiles this command into a temporary directory, so tests can
@@ -85,5 +93,55 @@ func TestProfilesLeaveReportUnchanged(t *testing.T) {
 		if fi, err := os.Stat(f); err != nil || fi.Size() == 0 {
 			t.Fatalf("profile %s missing or empty: %v", f, err)
 		}
+	}
+}
+
+// TestArtifactsTreeReadsBack: -artifacts saves the failure point tree
+// with the campaign's progress. On a completed run it reads back with
+// every failure point visited, as many as the summary reports.
+func TestArtifactsTreeReadsBack(t *testing.T) {
+	bin := buildCLI(t)
+	dir := t.TempDir()
+	out, code := runCLI(t, bin, "-target", "btree", "-spt", "-ops", "300", "-workers", "1",
+		"-exit-zero", "-artifacts", dir)
+	if code != 0 {
+		t.Fatalf("exit %d, want 0\n%s", code, out)
+	}
+	m := regexp.MustCompile(`(?m)^failure points: (\d+) `).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("summary lacks the failure points line:\n%s", out)
+	}
+	want, _ := strconv.Atoi(m[1])
+	f, err := os.Open(filepath.Join(dir, "failure-point-tree.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	tree, visited, err := fpt.ReadTree(f, stack.NewTable())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tree.Len() != want || visited != want {
+		t.Fatalf("artifact holds %d failure points, %d visited; the summary reports %d, all consumed",
+			tree.Len(), visited, want)
+	}
+}
+
+// TestResumeRefusesOtherJournalVersion: a journal whose meta file holds
+// a bare Meta, as journals did before the format version moved there,
+// is refused before any analysis runs.
+func TestResumeRefusesOtherJournalVersion(t *testing.T) {
+	bin := buildCLI(t)
+	dir := t.TempDir()
+	var meta bytes.Buffer
+	if err := gob.NewEncoder(&meta).Encode(campaign.Meta{Target: "btree", Ops: 300}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, campaign.MetaFile), meta.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, code := runCLI(t, bin, "-target", "btree", "-ops", "300", "-journal", dir, "-resume")
+	if code != 2 || !strings.Contains(out, "format version") {
+		t.Fatalf("resume of an old-format journal: exit %d, want 2 naming the format version\n%s", code, out)
 	}
 }

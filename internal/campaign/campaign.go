@@ -1,8 +1,8 @@
 // Package campaign makes fault-injection campaigns crash-safe: it
 // persists an append-only, checksummed, fsync'd journal of per-leaf
-// replay verdicts plus periodic atomic snapshots of campaign state, so
-// a campaign killed at any byte — SIGKILL, OOM, reboot, budget expiry —
-// resumes from a loadable prefix instead of starting over.
+// replay verdicts, so a campaign killed at any byte — SIGKILL, OOM,
+// reboot, budget expiry — resumes from a loadable prefix instead of
+// starting over.
 //
 // The durability argument mirrors the tool's own subject matter:
 //
@@ -11,24 +11,20 @@
 //     merge loop moves on. A crash mid-append leaves a torn tail that
 //     the loader detects and discards — everything before it is intact,
 //     and a lost tail record only costs re-replaying that one leaf.
-//   - Snapshots (frozen failure-point tree with claim marks, the
-//     partial report, counters) are written
-//     to a temp file, fsync'd, and renamed over the previous snapshot;
-//     the directory is fsync'd after the rename. A crash leaves either
-//     the old complete snapshot or the new complete one, never a blend.
-//   - Campaign identity (Meta: every setting that changes the failure
-//     point tree or a verdict) is written once at creation, atomically;
-//     resume refuses a journal recorded under different parameters with
-//     a one-line diagnostic naming the first differing field.
+//   - The format Version and the campaign identity (Meta: every setting
+//     that changes the failure point tree or a verdict) are written
+//     once at creation, atomically (temp file, fsync, rename, directory
+//     fsync). Resume refuses a journal of another format version, and
+//     one recorded under different parameters with a one-line
+//     diagnostic naming the first differing field.
 //
-// Correctness of resume rests on the determinism the rest of the
-// pipeline already guarantees: the campaign merge loop consumes leaves
-// strictly in first-occurrence order, so the journal is always a
-// prefix of the deterministic campaign. A resumed run re-executes the
+// The journal is the campaign's only progress state. The campaign
+// merge loop consumes leaves strictly in first-occurrence order, so
+// progress is always a prefix of the deterministic campaign and the
+// journal records exactly that prefix. A resumed run re-executes the
 // (deterministic) instrumented phase, folds the journaled verdicts
 // through the same merge step, and replays only the remainder — the
-// final report is byte-identical to an uninterrupted run. This journal
-// is also the substrate the sharded campaign service will merge.
+// final report is byte-identical to an uninterrupted run.
 package campaign
 
 import (
@@ -39,8 +35,10 @@ import (
 	"mumak/internal/oracle"
 )
 
-// Version is the on-disk format version stamped into snapshots.
-const Version = 2
+// Version is the journal format version, written into the meta file
+// beside the Meta. Load refuses any other version: records of another
+// format cannot be folded safely.
+const Version = 3
 
 // Meta identifies the campaign a journal or verdict-cache file belongs
 // to: every setting that changes the failure point tree or the verdict
@@ -167,33 +165,4 @@ type CacheEntry struct {
 	Hash uint64
 	Size int
 	Judgement
-}
-
-// Counters is the snapshot of campaign progress counters, a diagnostic
-// companion to the journaled records.
-type Counters struct {
-	Injections   int
-	Recoveries   int
-	Skipped      int
-	Quarantined  int
-	Retried      int
-	EngineEvents uint64
-}
-
-// Snapshot is the periodically persisted campaign state: the frozen
-// failure point tree with journal-replay claim marks, the partial report
-// and the progress counters, all covering the first Consumed journal
-// records. It carries no verdicts: the journal records do, and a resumed
-// campaign re-seeds its verdict memo from them.
-type Snapshot struct {
-	Version  int
-	Meta     Meta
-	Consumed int
-	// Tree is the fpt.Encode serialisation of the frozen tree with the
-	// consumed leaves claimed.
-	Tree []byte
-	// Report is the report.EncodeWire serialisation of the partial
-	// report at snapshot time (phase-2 findings and quarantined leaves).
-	Report   []byte
-	Counters Counters
 }

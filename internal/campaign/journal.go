@@ -11,37 +11,47 @@ import (
 	"path/filepath"
 )
 
-// Journal directory layout. The names are exported so tests (and the
-// sharded campaign service) can inspect or perturb the files directly.
+// Journal directory layout: these two files are all a journal holds.
+// The names are exported so tests can inspect or perturb the files
+// directly.
 const (
-	// MetaFile holds the gob-encoded campaign Meta, written atomically
-	// once at creation.
+	// MetaFile holds the gob-encoded format Version and campaign Meta,
+	// written atomically once at creation.
 	MetaFile = "meta.gob"
 	// JournalFile is the append-only record log: one length-prefixed,
 	// CRC-checksummed, fsync'd frame per consumed failure point.
 	JournalFile = "journal.log"
-	// SnapshotFile holds the latest atomic Snapshot (temp+rename).
-	SnapshotFile = "snapshot.gob"
 )
+
+// metaFile is the MetaFile payload. The version sits beside the Meta,
+// not in it: Meta is also the identity of verdict-cache files, which
+// carry their own format version.
+type metaFile struct {
+	Version int
+	Meta    Meta
+}
+
+// legacyVersion is the newest format whose meta file held a bare Meta;
+// formats up to it stamped their version only into a snapshot file.
+const legacyVersion = 2
 
 // maxFrame bounds one journal frame; anything larger is treated as a
 // corrupt length prefix rather than a 4 GiB allocation.
 const maxFrame = 16 << 20
 
-// Journal is an open, appendable campaign journal. Append and
-// WriteSnapshot are called only from the campaign's single merge
-// goroutine; the type needs no internal locking.
+// Journal is an open, appendable campaign journal. Append is called
+// only from the campaign's single merge goroutine; the type needs no
+// internal locking.
 type Journal struct {
-	dir  string
-	meta Meta
-	f    *os.File
+	f *os.File
 }
 
 // Create initialises a fresh campaign journal in dir, writing the
-// campaign identity atomically. It refuses a directory that already
-// holds journaled verdicts: appending a different campaign's records
-// after an existing prefix would corrupt both, so the caller must
-// either resume (Load + Reopen) or pick a fresh directory.
+// format version and the campaign identity atomically. It refuses a
+// directory that already holds journaled verdicts: appending a
+// different campaign's records after an existing prefix would corrupt
+// both, so the caller must either resume (Load + Reopen) or pick a
+// fresh directory.
 func Create(dir string, meta Meta) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("campaign: creating journal directory: %w", err)
@@ -50,7 +60,7 @@ func Create(dir string, meta Meta) (*Journal, error) {
 		return nil, fmt.Errorf("campaign: %s already holds a campaign journal; resume it with -resume or choose a fresh directory", dir)
 	}
 	var mb bytes.Buffer
-	if err := gob.NewEncoder(&mb).Encode(&meta); err != nil {
+	if err := gob.NewEncoder(&mb).Encode(&metaFile{Version: Version, Meta: meta}); err != nil {
 		return nil, fmt.Errorf("campaign: encoding journal meta: %w", err)
 	}
 	if err := writeAtomic(dir, MetaFile, mb.Bytes()); err != nil {
@@ -65,14 +75,8 @@ func Create(dir string, meta Meta) (*Journal, error) {
 		f.Close()
 		return nil, err
 	}
-	return &Journal{dir: dir, meta: meta, f: f}, nil
+	return &Journal{f: f}, nil
 }
-
-// Meta returns the campaign identity the journal was created with.
-func (j *Journal) Meta() Meta { return j.meta }
-
-// Dir returns the journal directory.
-func (j *Journal) Dir() string { return j.dir }
 
 // Append durably appends one verdict record: the frame (length, CRC,
 // gob payload) is written in a single write and fsync'd before Append
@@ -95,21 +99,6 @@ func (j *Journal) Append(rec Record) error {
 		return fmt.Errorf("campaign: syncing journal: %w", err)
 	}
 	return nil
-}
-
-// WriteSnapshot atomically replaces the campaign snapshot: the new one
-// is written to a temp file, fsync'd, renamed over the old one, and the
-// directory is fsync'd. A crash at any byte leaves either the previous
-// complete snapshot or the new complete one. The journal stamps the
-// format version and the campaign identity itself.
-func (j *Journal) WriteSnapshot(snap Snapshot) error {
-	snap.Version = Version
-	snap.Meta = j.meta
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(&snap); err != nil {
-		return fmt.Errorf("campaign: encoding snapshot: %w", err)
-	}
-	return writeAtomic(j.dir, SnapshotFile, b.Bytes())
 }
 
 // Close syncs and closes the journal file. The records are already
@@ -137,14 +126,9 @@ type State struct {
 	// Records is the loadable prefix of journaled verdicts, in the
 	// deterministic merge order they were appended in.
 	Records []Record
-	// SnapshotConsumed and Report echo the latest loadable snapshot's
-	// progress mark and partial-report bytes (diagnostic; resume
-	// correctness rests on Records alone).
-	SnapshotConsumed int
-	Report           []byte
-	// Diagnostics lists recoverable damage found while loading (torn
-	// journal tail, unreadable snapshot); each cost at most re-replaying
-	// the affected leaves.
+	// Diagnostics lists recoverable damage found while loading (a torn
+	// or corrupt journal tail); each cost at most re-replaying the
+	// affected leaves.
 	Diagnostics []string
 
 	// validLen is the byte offset past the last intact record; Reopen
@@ -153,19 +137,27 @@ type State struct {
 }
 
 // Load reads the durable campaign state from dir. Torn or corrupt
-// journal tails and unreadable snapshots are tolerated — the loadable
-// prefix is returned and the damage reported in Diagnostics — but a
-// missing or undecodable meta file is an error: without the campaign
-// identity the records cannot be safely folded into anything.
+// journal tails are tolerated — the loadable prefix is returned and the
+// damage reported in Diagnostics — but a missing or undecodable meta
+// file is an error, and so is any format version but Version: without
+// the campaign identity, or in another record format, the records
+// cannot be safely folded into anything.
 func Load(dir string) (*State, error) {
 	mb, err := os.ReadFile(filepath.Join(dir, MetaFile))
 	if err != nil {
 		return nil, fmt.Errorf("campaign: no campaign journal in %s (%v)", dir, err)
 	}
-	st := &State{Dir: dir}
-	if err := gobDecode(mb, &st.Meta); err != nil {
+	var mf metaFile
+	if err := gobDecode(mb, &mf); err != nil {
+		if gobDecode(mb, &Meta{}) == nil {
+			return nil, versionError(dir, fmt.Sprintf("%d or earlier", legacyVersion))
+		}
 		return nil, fmt.Errorf("campaign: corrupt journal meta in %s: %v", dir, err)
 	}
+	if mf.Version != Version {
+		return nil, versionError(dir, fmt.Sprint(mf.Version))
+	}
+	st := &State{Dir: dir, Meta: mf.Meta}
 	data, err := os.ReadFile(filepath.Join(dir, JournalFile))
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("campaign: reading journal: %w", err)
@@ -187,44 +179,13 @@ func Load(dir string) (*State, error) {
 		st.Records = append(st.Records, rec)
 		st.validLen = int64(ends[i])
 	}
-	st.loadSnapshot()
 	return st, nil
 }
 
-// loadSnapshot folds the latest snapshot into the state when it is
-// intact and belongs to this campaign; any damage becomes a diagnostic,
-// never an error — resume correctness rests on the journal records, the
-// snapshot only documents progress.
-func (s *State) loadSnapshot() {
-	data, err := os.ReadFile(filepath.Join(s.Dir, SnapshotFile))
-	if os.IsNotExist(err) {
-		return
-	}
-	if err != nil {
-		s.Diagnostics = append(s.Diagnostics, fmt.Sprintf("snapshot unreadable (%v); resuming from the journal alone", err))
-		return
-	}
-	var snap Snapshot
-	if err := gobDecode(data, &snap); err != nil {
-		s.Diagnostics = append(s.Diagnostics, fmt.Sprintf("snapshot corrupt (%v); resuming from the journal alone", err))
-		return
-	}
-	if snap.Version != Version {
-		s.Diagnostics = append(s.Diagnostics, fmt.Sprintf("snapshot format version %d (want %d); resuming from the journal alone", snap.Version, Version))
-		return
-	}
-	if err := snap.Meta.Check(s.Meta); err != nil {
-		s.Diagnostics = append(s.Diagnostics, fmt.Sprintf("snapshot belongs to a different campaign (%v); resuming from the journal alone", err))
-		return
-	}
-	if snap.Consumed > len(s.Records) {
-		// The snapshot is ahead of the (possibly torn) journal: its
-		// progress mark is not trusted.
-		s.Diagnostics = append(s.Diagnostics, fmt.Sprintf(
-			"snapshot covers %d verdicts but the journal holds %d; trusting the journal", snap.Consumed, len(s.Records)))
-	}
-	s.SnapshotConsumed = snap.Consumed
-	s.Report = snap.Report
+// versionError refuses a journal written in another format version.
+func versionError(dir, got string) error {
+	return fmt.Errorf("campaign: journal in %s has format version %s, this build reads only version %d; start a fresh journal",
+		dir, got, Version)
 }
 
 // Reopen opens the journal for appending the resumed campaign's
@@ -248,7 +209,7 @@ func (s *State) Reopen() (*Journal, error) {
 		f.Close()
 		return nil, fmt.Errorf("campaign: syncing reopened journal: %w", err)
 	}
-	return &Journal{dir: s.Dir, meta: s.Meta, f: f}, nil
+	return &Journal{f: f}, nil
 }
 
 // readFrames walks the framed journal bytes, returning every intact

@@ -1,7 +1,10 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/gob"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -70,6 +73,18 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err := st.Meta.Check(testMeta()); err != nil {
 		t.Fatalf("meta did not round-trip: %v", err)
 	}
+	// The journal is the campaign's only progress state: two files.
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if want := []string{JournalFile, MetaFile}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("journal directory holds %v, want %v", names, want)
+	}
 	if len(st.Records) != len(recs) {
 		t.Fatalf("loaded %d records, want %d", len(st.Records), len(recs))
 	}
@@ -121,22 +136,10 @@ func TestJournalTornTail(t *testing.T) {
 		if torn && len(st.Diagnostics) == 0 {
 			t.Fatalf("cut=%d: torn tail produced no diagnostic", cut)
 		}
-		if !torn && hasJournalDiag(st.Diagnostics) {
+		if !torn && len(st.Diagnostics) != 0 {
 			t.Fatalf("cut=%d: clean prefix produced a journal diagnostic: %v", cut, st.Diagnostics)
 		}
 	}
-}
-
-// hasJournalDiag reports whether any diagnostic concerns the journal
-// (as opposed to the snapshot, which torn-journal prefixes legitimately
-// outrun).
-func hasJournalDiag(diags []string) bool {
-	for _, d := range diags {
-		if strings.Contains(d, "journal") && !strings.Contains(d, "resuming from the journal") {
-			return true
-		}
-	}
-	return false
 }
 
 func TestJournalCorruptChecksum(t *testing.T) {
@@ -160,7 +163,7 @@ func TestJournalCorruptChecksum(t *testing.T) {
 	if len(st.Records) != 1 {
 		t.Fatalf("loaded %d records past a corrupt frame, want 1", len(st.Records))
 	}
-	if !hasJournalDiag(st.Diagnostics) {
+	if len(st.Diagnostics) == 0 {
 		t.Fatalf("corrupt checksum produced no diagnostic: %v", st.Diagnostics)
 	}
 }
@@ -181,7 +184,7 @@ func TestJournalImplausibleLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Records) != 2 || !hasJournalDiag(st.Diagnostics) {
+	if len(st.Records) != 2 || len(st.Diagnostics) == 0 {
 		t.Fatalf("garbage tail: %d records, diags %v", len(st.Records), st.Diagnostics)
 	}
 }
@@ -289,84 +292,35 @@ func TestReopenAppendsAfterTornTail(t *testing.T) {
 	}
 }
 
-func TestSnapshotRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	j, err := Create(dir, testMeta())
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := Snapshot{
-		Consumed: 3,
-		Tree:     []byte("tree-bytes"),
-		Report:   []byte("report-bytes"),
-		Counters: Counters{Injections: 3, Recoveries: 3},
-	}
-	if err := j.WriteSnapshot(snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The snapshot is ahead of the (empty) journal: its progress mark is
-	// distrusted with a diagnostic, but its report survives.
-	if string(st.Report) != "report-bytes" || st.SnapshotConsumed != 3 {
-		t.Fatalf("snapshot did not round-trip: consumed=%d report=%q", st.SnapshotConsumed, st.Report)
-	}
-	if len(st.Diagnostics) == 0 {
-		t.Fatal("snapshot ahead of the journal produced no diagnostic")
-	}
-}
-
-// TestSnapshotDamageTolerated: a torn or corrupt snapshot never blocks
-// resume — the journal alone is authoritative.
-func TestSnapshotDamageTolerated(t *testing.T) {
-	for name, corrupt := range map[string]func(path string) error{
-		"truncated": func(path string) error {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				return err
-			}
-			return os.WriteFile(path, data[:len(data)/2], 0o644)
-		},
-		"garbage": func(path string) error {
-			return os.WriteFile(path, []byte("\x00\xff not a gob stream"), 0o644)
-		},
+// TestLoadRefusesOtherVersion: a journal of any other format version —
+// including a meta file from before the version moved into it, which
+// holds a bare Meta — is refused with an error naming both versions,
+// never folded.
+func TestLoadRefusesOtherVersion(t *testing.T) {
+	for name, tc := range map[string]struct {
+		meta any
+		want string
+	}{
+		"legacy": {testMeta(), fmt.Sprintf("version %d or earlier", legacyVersion)},
+		"older":  {metaFile{Version: Version - 1, Meta: testMeta()}, fmt.Sprintf("version %d,", Version-1)},
+		"newer":  {metaFile{Version: Version + 1, Meta: testMeta()}, fmt.Sprintf("version %d,", Version+1)},
 	} {
 		t.Run(name, func(t *testing.T) {
-			recs := testRecords(2)
-			dir := writeJournal(t, recs)
-			st0, err := Load(dir)
-			if err != nil {
+			dir := writeJournal(t, testRecords(2))
+			var b bytes.Buffer
+			if err := gob.NewEncoder(&b).Encode(tc.meta); err != nil {
 				t.Fatal(err)
 			}
-			j, err := st0.Reopen()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := j.WriteSnapshot(Snapshot{Consumed: 2}); err != nil {
-				t.Fatal(err)
-			}
-			j.Close()
-			if err := corrupt(filepath.Join(dir, SnapshotFile)); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, MetaFile), b.Bytes(), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			st, err := Load(dir)
-			if err != nil {
-				t.Fatalf("damaged snapshot made Load fail: %v", err)
+			if err == nil {
+				t.Fatalf("Load accepted a journal of another format version: %d records", len(st.Records))
 			}
-			if len(st.Records) != len(recs) {
-				t.Fatalf("loaded %d records, want %d", len(st.Records), len(recs))
-			}
-			if len(st.Diagnostics) == 0 {
-				t.Fatal("damaged snapshot produced no diagnostic")
-			}
-			if st.SnapshotConsumed != 0 || st.Report != nil {
-				t.Fatalf("damaged snapshot leaked state: consumed=%d report=%q",
-					st.SnapshotConsumed, st.Report)
+			ours := fmt.Sprintf("reads only version %d", Version)
+			if !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), ours) {
+				t.Fatalf("refusal %q names neither %q nor %q", err, tc.want, ours)
 			}
 		})
 	}

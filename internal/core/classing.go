@@ -69,12 +69,13 @@ type classPlan struct {
 	atMerge map[int]bool
 }
 
-// buildClassPlan groups the frozen tree's leaves by their phase-1
-// stamps and marks every pending leaf except the first of each class
-// whose key the memo does not hold yet for resolution at merge.
-func buildClassPlan(tree *fpt.Tree, pending []*fpt.Leaf, memo map[imageKey]campaign.Judgement) *classPlan {
+// buildClassPlan groups the frozen tree's leaves, given in
+// LeavesByICount order, by their phase-1 stamps and marks every pending
+// leaf except the first of each class whose key the memo does not hold
+// yet for resolution at merge.
+func buildClassPlan(order, pending []*fpt.Leaf, memo map[imageKey]campaign.Judgement) *classPlan {
 	p := &classPlan{reps: make(map[imageKey]int), atMerge: make(map[int]bool)}
-	for _, leaf := range tree.LeavesByICount() {
+	for _, leaf := range order {
 		if _, ok := p.reps[stampOf(leaf)]; !ok {
 			p.reps[stampOf(leaf)] = leaf.ID
 		}
@@ -97,7 +98,7 @@ func (p *classPlan) deferred(leaf *fpt.Leaf) bool {
 	return p != nil && p.atMerge[leaf.ID]
 }
 
-// dispatch resolves one claimed leaf into an outcome on the merge
+// dispatch resolves one pending leaf into an outcome on the merge
 // goroutine: the serial driver's only path, and the parallel merge
 // loop's resolution of the leaves the plan deferred to it.
 func (m *mergeState) dispatch(leaf *fpt.Leaf) replayOutcome {

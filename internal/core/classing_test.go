@@ -348,7 +348,7 @@ func TestClassingResumeByteIdentical(t *testing.T) {
 	analyzeJournaled(t, mk, w, cfg, full)
 	logLen := fileSize(t, filepath.Join(full, campaign.JournalFile))
 	for _, cut := range []int64{1, logLen / 3, logLen / 2, logLen - 3} {
-		dir := copyTruncated(t, full, cut, cut%2 == 0)
+		dir := copyTruncated(t, full, cut)
 		res := analyzeResumed(t, mk, w, cfg, dir)
 		label := fmt.Sprintf("cut=%d", cut)
 		if got, want := renderReport(t, res.Report), renderReport(t, ref.Report); got != want {
@@ -363,7 +363,7 @@ func TestClassingResumeByteIdentical(t *testing.T) {
 	// A classed journal folds into an unclassed resume (and vice versa):
 	// the records carry complete outcomes, so classing is not part of
 	// the campaign identity.
-	dir := copyTruncated(t, full, logLen/2, true)
+	dir := copyTruncated(t, full, logLen/2)
 	plain := journaledConfig(false, 1)
 	res := analyzeResumed(t, mk, w, plain, dir)
 	if got, want := res.Report.Format(true), ref.Report.Format(true); got != want {

@@ -85,9 +85,9 @@ type Config struct {
 	// Workers bounds the number of concurrent replays in the
 	// fault-injection campaign, in both counter and stack mode; 0 or 1
 	// runs serially. Replays are independent (the failure point tree is
-	// frozen before the campaign and traversal state lives in a
-	// ClaimSet), and findings are merged in leaf first-occurrence
-	// order, so the report is byte-identical for any worker count.
+	// frozen before the campaign and shared read-only), and findings are
+	// merged in leaf first-occurrence order, so the report is
+	// byte-identical for any worker count.
 	Workers int
 	// KeepWarnings retains §4.2 warnings in the report (they are
 	// always excluded from bug counts).
@@ -137,7 +137,7 @@ type Config struct {
 	// there is no memo and nothing is exported.
 	PersistVerdicts bool
 	// Interrupt, when non-nil, requests graceful interruption once
-	// closed: campaign workers stop claiming failure points, in-flight
+	// closed: campaign workers stop taking failure points, in-flight
 	// replays drain (and are consumed and journaled), and the analysis
 	// returns a partial report marked Interrupted. The channel is
 	// polled between leaves, so every consumed outcome is exactly what
@@ -145,11 +145,10 @@ type Config struct {
 	// resumed campaign's final report byte-identical.
 	Interrupt <-chan struct{}
 	// Journal, when non-nil, durably records every consumed failure
-	// point's verdict (append-only, fsync'd, checksummed) plus periodic
-	// atomic snapshots of campaign state, making the campaign
-	// crash-safe: a run killed at any byte resumes from the journal's
-	// loadable prefix. Journal write failures degrade the run to
-	// unjournaled (Result.JournalError) instead of aborting it.
+	// point's verdict (append-only, fsync'd, checksummed), making the
+	// campaign crash-safe: a run killed at any byte resumes from the
+	// journal's loadable prefix. Journal write failures degrade the run
+	// to unjournaled (Result.JournalError) instead of aborting it.
 	Journal *campaign.Journal
 	// Resume, when non-nil, folds a previously journaled campaign
 	// prefix into this run before any replay executes: phase 1 rebuilds
@@ -160,12 +159,6 @@ type Config struct {
 	// target, workload or flags). Usually combined with Journal
 	// (campaign.State.Reopen) so the continuation is journaled too.
 	Resume *campaign.State
-	// SnapshotEvery is the number of consumed failure points between
-	// campaign snapshots. Zero selects DefaultSnapshotEvery; a negative
-	// value disables periodic snapshots (a final snapshot is still
-	// written). Resume correctness never depends on snapshots — they
-	// only document progress.
-	SnapshotEvery int
 	// CheckpointInterval is the spacing, in engine events, of the
 	// full-state checkpoints the instrumented run records so that
 	// counter-mode replays restore from the nearest checkpoint and
@@ -202,14 +195,11 @@ type Result struct {
 	// Report holds the merged findings.
 	Report *report.Report
 	// Tree is the failure point tree of the run, frozen once the
-	// injection campaign started.
+	// injection campaign started. The campaign consumes its leaves in
+	// LeavesByICount order, so its progress is the first
+	// Injections + SkippedFailurePoints of them, however it stopped;
+	// Tree.Encode records that prefix.
 	Tree *fpt.Tree
-	// Claims is the injection campaign's traversal state over Tree:
-	// consumed failure points are claimed, unexplored ones (budget
-	// expiry, caps, aborts) are not. Nil when fault injection was
-	// disabled. Serialising the tree with these claims makes the
-	// campaign resumable.
-	Claims *fpt.ClaimSet
 	// CampaignWorkers is the worker count the injection campaign
 	// actually ran with (1 for a serial campaign; zero when fault
 	// injection was disabled).
@@ -218,10 +208,6 @@ type Result struct {
 	// WorkerBusy/InjectTime is the campaign's average worker
 	// utilisation.
 	WorkerBusy time.Duration
-	// ClaimContention counts lost claim races observed by the
-	// campaign's claim set; zero means the lock-free traversal
-	// partitioned the leaves cleanly.
-	ClaimContention int
 	// TraceLen is the number of trace records analysed.
 	TraceLen int
 	// Injections is the number of faults injected.
@@ -239,8 +225,9 @@ type Result struct {
 	// QuarantinedFailurePoints counts the skipped failure points whose
 	// bounded retries were exhausted and that were set aside into the
 	// report's QuarantinedLeaves section — reported coverage gaps, never
-	// silent drops. Always ≤ SkippedFailurePoints (currently equal:
-	// every exhausted skip is quarantined).
+	// silent drops. Always ≤ SkippedFailurePoints: replays the sandbox
+	// stopped (TargetPanics, TargetHangs) count as skipped too, but
+	// they are reported as findings, not quarantined.
 	QuarantinedFailurePoints int
 	// InjectionAborted reports that the stack-mode campaign gave up
 	// after too many consecutive failure points were consumed without
@@ -318,13 +305,12 @@ type Result struct {
 	// ResumedFailurePoints counts failure points whose verdicts were
 	// folded from a resumed campaign journal instead of replayed.
 	ResumedFailurePoints int
-	// JournalAppends and JournalSnapshots count the durable journal
-	// records and atomic snapshots this run wrote; JournalError is the
-	// first journal write failure (after which the run degraded to
-	// unjournaled), empty when journaling worked or was off.
-	JournalAppends   int
-	JournalSnapshots int
-	JournalError     string
+	// JournalAppends counts the durable journal records this run wrote;
+	// JournalError is the first journal write failure (after which the
+	// run degraded to unjournaled), empty when journaling worked or was
+	// off.
+	JournalAppends int
+	JournalError   string
 	// EngineEvents counts simulated PM instructions across all runs.
 	EngineEvents uint64
 }

@@ -188,10 +188,10 @@ func hangDetail(during string, h *pmem.HangSignal) string {
 // produced the finding.
 const replayDuring = "a fault-injection replay"
 
-// injectAll claims every pending leaf of the (frozen) failure point
-// tree, injecting one fault per unique failure point (steps 7-9 of
-// Fig 1), and reports every crash state the recovery oracle rejects. It
-// returns whether the deadline expired first.
+// injectAll walks the (frozen) failure point tree's leaves in
+// first-occurrence order, injecting one fault per unique failure point
+// (steps 7-9 of Fig 1), and reports every crash state the recovery
+// oracle rejects. It returns whether the deadline expired first.
 //
 // In the default counter mode the injector crashes at the leaf's
 // recorded first-occurrence instruction counter — the §5 optimisation
@@ -199,41 +199,39 @@ const replayDuring = "a fault-injection replay"
 // replay targets one leaf and crashes at the first failure-point event
 // whose call stack matches it, which needs a stack walk at every
 // failure-point candidate of every replay but tolerates
-// non-determinism. Either way replays are independent
-// (each constructs a private engine and a private injector over the
-// immutable tree), so both campaigns fan out across cfg.Workers
-// goroutines when asked to; traversal state lives in the ClaimSet that
-// hands leaves out, published as Result.Claims. With cfg.Classing only
-// the first leaf of each crash-image class without a verdict replays;
-// the rest resolve from the campaign's verdict memo at merge
-// (classing.go).
+// non-determinism. Either way replays are independent (each constructs
+// a private engine and a private injector over the immutable tree), so
+// both campaigns fan out across cfg.Workers goroutines when asked to.
+// With cfg.Classing only the first leaf of each crash-image class
+// without a verdict replays; the rest resolve from the campaign's
+// verdict memo at merge (classing.go).
+//
+// Leaves are consumed strictly in tree.LeavesByICount() order, so
+// however the campaign stops — completion, cap, budget, interruption,
+// abort — its progress is a prefix of that order, of length
+// Injections + SkippedFailurePoints. That length is the only progress
+// state: the work list is the order past any folded journal prefix.
 //
 // Every replay and recovery runs inside the sandbox: a foreign panic or
 // a watchdog kill becomes a TargetCrash or RecoveryHang finding instead
 // of crashing or stalling the tool.
 //
 // With a journal configured (cfg.Journal) every consumed leaf is
-// durably recorded before the next is folded, and the campaign state is
-// snapshotted periodically plus once at the end, however the campaign
-// ends. With a resume state (cfg.Resume) the journaled prefix is folded
-// through the merge step first — no replay re-executes — and the
-// campaign continues from the first unexplored leaf. The only returned
-// error is a resume mismatch: a journal recorded under a different
-// target, workload or injection mode.
+// durably recorded before the next is folded. With a resume state
+// (cfg.Resume) the journaled prefix is folded through the merge step
+// first — no replay re-executes — and the campaign continues from the
+// first unexplored leaf. The only returned error is a resume mismatch:
+// a journal recorded under a different target, workload or injection
+// mode.
 func injectAll(app harness.Application, w workload.Workload, tree *fpt.Tree,
 	cfg Config, rep *report.Report, res *Result, deadline time.Time,
 	ckpts *pmem.CheckpointStore) (timedOut bool, err error) {
 
 	sb := cfg.sandbox(deadline)
 	tree.Freeze()
-	cs := fpt.NewClaimSet(tree)
-	res.Claims = cs
+	order := tree.LeavesByICount()
 	mode := cfg.campaignMode()
-	m := &mergeState{
-		mode: mode, cfg: cfg, rep: rep, res: res,
-		tree: tree, cs: cs,
-		journal: cfg.Journal, snapEvery: cfg.snapshotEvery(),
-	}
+	m := &mergeState{mode: mode, cfg: cfg, rep: rep, res: res, journal: cfg.Journal}
 	m.replayer = func(leaf *fpt.Leaf) replayOutcome {
 		return replayLeafWithRetry(app, w, leaf, tree.Stacks(), mode, sb, ckpts)
 	}
@@ -247,26 +245,21 @@ func injectAll(app harness.Application, w workload.Workload, tree *fpt.Tree,
 		}
 	}
 	defer func() {
-		res.ClaimContention = cs.Contention()
 		if cfg.PersistVerdicts && m.memo != nil {
 			res.VerdictCache = exportMemo(m.memo)
 		}
 	}()
-	// Persist the end state however the campaign ends: completion,
-	// budget expiry, interruption, cap, abort, fold-only.
-	defer m.finalSnapshot()
 
 	aborted := false
 	if cfg.Resume != nil {
-		// Fold the journaled verdicts, which also seeds the memo. Claims
-		// must be marked before the ClaimSet builds its pending snapshot
-		// below.
-		if aborted, err = m.fold(cfg.Resume); err != nil {
+		// Fold the journaled verdicts, which also seeds the memo.
+		if aborted, err = m.fold(cfg.Resume, order); err != nil {
 			return false, err
 		}
 	}
+	pending := order[m.consumed:]
 	if m.memo != nil {
-		m.plan = buildClassPlan(tree, cs.Pending(), m.memo)
+		m.plan = buildClassPlan(order, pending, m.memo)
 		res.EquivClasses = len(m.plan.reps)
 	}
 	if aborted || m.capped() {
@@ -278,14 +271,14 @@ func injectAll(app harness.Application, w workload.Workload, tree *fpt.Tree,
 	}
 
 	workers := cfg.Workers
-	if workers < 1 || len(cs.Pending()) <= 1 {
+	if workers < 1 || len(pending) <= 1 {
 		workers = 1
 	}
 	res.CampaignWorkers = workers
 	if workers > 1 {
-		return injectParallel(cs, m, sb, workers), nil
+		return injectParallel(pending, m, sb, workers), nil
 	}
-	return injectSerial(cs, m, sb), nil
+	return injectSerial(pending, m, sb), nil
 }
 
 // replayOutcome is the result of replaying one leaf on a private engine.
@@ -296,7 +289,7 @@ type replayOutcome struct {
 	// executed is false when the replay never ran (deadline expired).
 	executed bool
 	// deadlineHit reports that the campaign deadline cut the replay or
-	// its recovery mid-flight; the leaf is released unconsumed and the
+	// its recovery mid-flight; the leaf stays unconsumed and the
 	// campaign stops, exactly as if the deadline had expired between
 	// replays.
 	deadlineHit bool
@@ -512,9 +505,9 @@ func replayLeafWithRetry(app harness.Application, w workload.Workload, leaf *fpt
 }
 
 // consumeOutcome folds one leaf's replay outcome into the shared result
-// and report. The leaf was already claimed when it was handed out; both
-// the serial and the parallel campaign call this in FirstICount order,
-// so the merged report is byte-identical regardless of scheduling.
+// and report. Both the serial and the parallel campaign call this in
+// FirstICount order, so the merged report is byte-identical regardless
+// of scheduling.
 func consumeOutcome(leaf *fpt.Leaf, out replayOutcome, rep *report.Report, res *Result) {
 	res.EngineEvents += out.events
 	res.RetriedFailurePoints += out.retries
@@ -576,29 +569,23 @@ func consumeOutcome(leaf *fpt.Leaf, out replayOutcome, rep *report.Report, res *
 // order and decides, in that same order, when the campaign stops — the
 // MaxFailurePoints cap, and stack mode's no-progress abort. It also
 // owns the campaign journal: every consumed outcome is durably appended
-// (and periodically snapshotted) before the next leaf is folded, and a
-// resumed campaign folds its journaled prefix back through the same
-// consume step (journal.go).
+// before the next leaf is folded, and a resumed campaign folds its
+// journaled prefix back through the same consume step (journal.go).
 type mergeState struct {
 	mode campaignMode
 	cfg  Config
 	rep  *report.Report
 	res  *Result
 
-	tree *fpt.Tree
-	cs   *fpt.ClaimSet
-
 	// journal receives one record per consumed leaf; nil when
-	// journaling is off (or degraded after a write error). snapEvery
-	// spaces the periodic snapshots; sinceSnap counts records since the
-	// last one. consumed counts every consumed leaf, folded or live.
-	// folding suppresses re-publishing while a resumed journal prefix
-	// is replayed through consume.
-	journal   *campaign.Journal
-	snapEvery int
-	sinceSnap int
-	consumed  int
-	folding   bool
+	// journaling is off (or degraded after a write error). consumed
+	// counts every consumed leaf, folded or live: the length of the
+	// campaign's prefix of LeavesByICount. folding suppresses
+	// re-publishing while a resumed journal prefix is replayed through
+	// consume.
+	journal  *campaign.Journal
+	consumed int
+	folding  bool
 
 	// memo is the campaign's verdict memo and plan its class schedule
 	// (classing.go); both nil when classing is off. Only the merge
@@ -657,10 +644,10 @@ func (m *mergeState) consume(leaf *fpt.Leaf, out replayOutcome) (abort bool) {
 // arbitrarily. A graceful-interruption request is honoured between
 // leaves: the in-flight replay drains, its outcome is consumed and
 // journaled, and the campaign stops with the remaining failure points
-// unexplored (and unclaimed, so a resume picks them up).
-func injectSerial(cs *fpt.ClaimSet, m *mergeState, sb sandboxCfg) (timedOut bool) {
+// unexplored, for a resume to pick up.
+func injectSerial(pending []*fpt.Leaf, m *mergeState, sb sandboxCfg) (timedOut bool) {
 	res := m.res
-	for {
+	for i := 0; ; i++ {
 		if sb.interrupted() {
 			res.Interrupted = true
 			return false
@@ -668,20 +655,16 @@ func injectSerial(cs *fpt.ClaimSet, m *mergeState, sb sandboxCfg) (timedOut bool
 		if !sb.deadline.IsZero() && time.Now().After(sb.deadline) {
 			return true
 		}
-		if m.capped() {
+		if m.capped() || i == len(pending) {
 			return false
 		}
-		_, leaf := cs.Next()
-		if leaf == nil {
-			return false
-		}
+		leaf := pending[i]
 		t0 := time.Now()
 		out := m.dispatch(leaf)
 		res.WorkerBusy += time.Since(t0)
 		if out.deadlineHit {
 			// The mid-replay watchdog cut the replay short: the failure
-			// point stays unexplored, so hand its claim back.
-			cs.Release(leaf)
+			// point stays unexplored.
 			return true
 		}
 		if m.consume(leaf, out) {

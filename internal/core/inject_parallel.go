@@ -4,8 +4,8 @@
 // restored from the recorded run's nearest checkpoint (counter mode) or
 // by re-running the deterministic workload with a private
 // stack-matching injector over the frozen tree (stack mode) — crashes
-// it at the claimed leaf's failure point and hands the graceful-crash
-// image to a private recovery engine. Nothing but the read-only
+// it at its leaf's failure point and hands the graceful-crash image to
+// a private recovery engine. Nothing but the read-only
 // workload, the stateless application value, the immutable tree, the
 // (concurrency-safe) stack table, the read-only checkpoint store and
 // the read-only class plan is shared, so the campaign — the hot path of
@@ -14,16 +14,17 @@
 // all: the merge loop resolves them from the verdict memo, which only
 // it touches.
 //
-// Determinism is preserved by separating claiming and execution from
-// merging: workers take leaves from the ClaimSet in any interleaving,
-// but a single merge loop folds the outcomes into the Result and Report
-// strictly in leaf FirstICount order — the same order the serial
-// campaign uses — so the final report is byte-identical for any worker
-// count. Budget expiry, the MaxFailurePoints cap and stack mode's
-// no-progress abort are likewise decided only at merge time, in leaf
-// order; speculative replays beyond the stop point are discarded and
-// their claims released, keeping even the aggregate counters and the
-// final claim state identical to a serial run.
+// Determinism is preserved by separating execution from merging:
+// workers take the next index of the FirstICount-ordered work list from
+// one atomic cursor and replay in any interleaving, but a single merge
+// loop folds the outcomes into the Result and Report strictly in list
+// order — the same order the serial campaign uses — so the final report
+// is byte-identical for any worker count. Budget expiry, the
+// MaxFailurePoints cap and stack mode's no-progress abort are likewise
+// decided only at merge time, in list order; speculative replays beyond
+// the stop point are discarded, so the campaign's progress is the same
+// prefix of the work list, and the aggregate counters the same, as in
+// a serial run.
 package core
 
 import (
@@ -35,34 +36,28 @@ import (
 )
 
 // injectParallel fans the pending leaves out across `workers` goroutines
-// pulling from the shared ClaimSet and merges the outcomes
+// pulling indices from one atomic cursor and merges the outcomes
 // deterministically. It returns whether the deadline expired before
 // every leaf was consumed. A graceful-interruption request is honoured
-// like the deadline — workers stop claiming, in-flight replays drain,
-// and the merge loop stops at the first unexecuted slot in leaf order —
-// but is attributed to Result.Interrupted instead of TimedOut.
-func injectParallel(cs *fpt.ClaimSet, m *mergeState, sb sandboxCfg, workers int) (timedOut bool) {
+// like the deadline — workers stop taking leaves, in-flight replays
+// drain, and the merge loop stops at the first unexecuted slot in leaf
+// order — but is attributed to Result.Interrupted instead of TimedOut.
+func injectParallel(pending []*fpt.Leaf, m *mergeState, sb sandboxCfg, workers int) (timedOut bool) {
 	res := m.res
-	pending := cs.Pending()
 	n := len(pending)
 	if workers > n {
 		workers = n
 	}
 	outcomes := make([]replayOutcome, n)
-	// taken[i] records that some worker claimed pending[i] via Next;
-	// workers write it before closing done[i] and the merge loop reads
-	// it only after wg.Wait, so the release sweep sees a settled view.
-	taken := make([]bool, n)
 	done := make([]chan struct{}, n)
 	for i := range done {
 		done[i] = make(chan struct{})
 	}
 
-	// The ClaimSet cursor hands out contiguous pending indices (nothing
-	// else claims during the campaign); every index taken is guaranteed
-	// to have its done channel closed, so the merge loop can wait on
-	// slots in order without risking a stall.
-	var busy atomic.Int64
+	// The cursor hands out contiguous indices, and every index taken has
+	// its done channel closed, so the merge loop can wait on slots in
+	// order without risking a stall.
+	var cursor, busy atomic.Int64
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	for k := 0; k < workers; k++ {
@@ -70,16 +65,15 @@ func injectParallel(cs *fpt.ClaimSet, m *mergeState, sb sandboxCfg, workers int)
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				i, leaf := cs.Next()
-				if leaf == nil {
+				i := int(cursor.Add(1)) - 1
+				if i >= n {
 					return
 				}
-				taken[i] = true
+				leaf := pending[i]
 				if sb.interrupted() || (!sb.deadline.IsZero() && time.Now().After(sb.deadline)) {
 					// Leave the slot marked not-executed; the merge
 					// loop turns the first such slot into Interrupted
-					// or TimedOut and the sweep below releases the
-					// claim.
+					// or TimedOut.
 					close(done[i])
 					return
 				}
@@ -96,7 +90,6 @@ func injectParallel(cs *fpt.ClaimSet, m *mergeState, sb sandboxCfg, workers int)
 		}()
 	}
 
-	consumed := 0
 	for i := 0; i < n; i++ {
 		if m.capped() {
 			break
@@ -109,8 +102,7 @@ func injectParallel(cs *fpt.ClaimSet, m *mergeState, sb sandboxCfg, workers int)
 			// the leaf falls back to a live replay on this goroutine when
 			// no earlier leaf produced one (exactly the serial dispatch).
 			// A fallback that trips the mid-replay deadline watchdog is
-			// handled by the deadlineHit branch below, and the release
-			// sweep hands the leaf's claim back.
+			// handled by the deadlineHit branch below.
 			t0 := time.Now()
 			out = m.resolve(pending[i])
 			res.WorkerBusy += time.Since(t0)
@@ -130,7 +122,6 @@ func injectParallel(cs *fpt.ClaimSet, m *mergeState, sb sandboxCfg, workers int)
 			}
 			break
 		}
-		consumed = i + 1
 		if m.consume(pending[i], out) {
 			break
 		}
@@ -138,14 +129,5 @@ func injectParallel(cs *fpt.ClaimSet, m *mergeState, sb sandboxCfg, workers int)
 	stop.Store(true)
 	wg.Wait()
 	res.WorkerBusy += time.Duration(busy.Load())
-	// Release the claims of leaves that were taken speculatively but
-	// never consumed (deadline, cap, abort): those failure points are
-	// still unexplored, and the final claim state must match what a
-	// serial campaign stopping at the same leaf would leave behind.
-	for i := consumed; i < n; i++ {
-		if taken[i] {
-			cs.Release(pending[i])
-		}
-	}
 	return timedOut
 }

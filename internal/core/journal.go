@@ -1,7 +1,7 @@
 // Campaign journal plumbing: the deterministic merge loop publishes one
-// durable record per consumed failure point and periodically snapshots
-// campaign state; a resumed run folds the journaled prefix back through
-// the same merge step without re-executing a single replay.
+// durable record per consumed failure point; a resumed run folds the
+// journaled prefix back through the same merge step without
+// re-executing a single replay.
 //
 // Why this yields byte-identical reports: the merge loop (serial and
 // parallel alike) consumes leaves strictly in FirstICount order, so the
@@ -14,33 +14,12 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 
 	"mumak/internal/campaign"
 	"mumak/internal/fpt"
 	"mumak/internal/report"
 )
-
-// DefaultSnapshotEvery is the default number of consumed failure points
-// between campaign snapshots (Config.SnapshotEvery overrides it).
-// Correctness never depends on snapshot frequency — resume folds the
-// journal records — so the cadence only trades snapshot I/O against how
-// fresh the progress mark a crash leaves behind is.
-const DefaultSnapshotEvery = 128
-
-// snapshotEvery resolves Config.SnapshotEvery: the default when zero,
-// disabled (0, final snapshot only) when negative.
-func (cfg Config) snapshotEvery() int {
-	switch {
-	case cfg.SnapshotEvery < 0:
-		return 0
-	case cfg.SnapshotEvery == 0:
-		return DefaultSnapshotEvery
-	default:
-		return cfg.SnapshotEvery
-	}
-}
 
 // recordOutcome flattens one consumed leaf's replay outcome into a
 // durable journal record.
@@ -100,18 +79,14 @@ func outcomeFromRecord(rec campaign.Record, leaf *fpt.Leaf) replayOutcome {
 }
 
 // fold replays the journaled prefix through the merge state without
-// executing anything: each record is matched to the rebuilt tree's next
-// unexplored leaf in FirstICount order (the cross-process leaf key),
-// claimed, and consumed exactly as the original merge did. It reports
-// whether the folded prefix already ended the campaign (stack-mode
-// no-progress abort), and errors when the journal does not match this
-// run's tree — resuming under a different target, workload or injection
-// mode would silently corrupt the report.
-func (m *mergeState) fold(st *campaign.State) (aborted bool, err error) {
-	if len(st.Records) == 0 {
-		return false, nil
-	}
-	ordered := m.tree.LeavesByICount()
+// executing anything: record i is matched to leaf i of order, the
+// rebuilt tree's LeavesByICount (the first-occurrence counter is the
+// cross-process leaf key), and consumed exactly as the original merge
+// did. It reports whether the folded prefix already ended the campaign
+// (stack-mode no-progress abort), and errors when the journal does not
+// match this run's tree — resuming under a different target, workload
+// or injection mode would silently corrupt the report.
+func (m *mergeState) fold(st *campaign.State, ordered []*fpt.Leaf) (aborted bool, err error) {
 	if len(st.Records) > len(ordered) {
 		return false, fmt.Errorf("campaign journal holds %d verdicts but this run found only %d failure points (target, workload or flags changed since the journal was recorded)",
 			len(st.Records), len(ordered))
@@ -124,7 +99,6 @@ func (m *mergeState) fold(st *campaign.State) (aborted bool, err error) {
 			return false, fmt.Errorf("campaign journal diverges at verdict %d: the journal's failure point first occurs at instruction %d, this run's at %d (target, workload or flags changed since the journal was recorded)",
 				i, rec.LeafICount, leaf.FirstICount)
 		}
-		m.cs.Claim(leaf)
 		m.res.ResumedFailurePoints++
 		if m.consume(leaf, outcomeFromRecord(rec, leaf)) {
 			return true, nil
@@ -133,10 +107,10 @@ func (m *mergeState) fold(st *campaign.State) (aborted bool, err error) {
 	return false, nil
 }
 
-// publish durably appends one consumed leaf's record and, every
-// snapEvery records, refreshes the snapshot. A journal write failure
-// degrades the campaign to unjournaled (recorded in Result.JournalError)
-// instead of aborting it: losing resumability must not lose the run.
+// publish durably appends one consumed leaf's record. A journal write
+// failure degrades the campaign to unjournaled (recorded in
+// Result.JournalError) instead of aborting it: losing resumability must
+// not lose the run.
 func (m *mergeState) publish(leaf *fpt.Leaf, out replayOutcome) {
 	if m.journal == nil {
 		return
@@ -147,71 +121,4 @@ func (m *mergeState) publish(leaf *fpt.Leaf, out replayOutcome) {
 		return
 	}
 	m.res.JournalAppends++
-	m.sinceSnap++
-	if m.snapEvery > 0 && m.sinceSnap >= m.snapEvery {
-		m.writeSnapshot()
-		m.sinceSnap = 0
-	}
-}
-
-// writeSnapshot atomically persists the campaign state covering the
-// consumed prefix. A snapshot failure only disables further snapshots —
-// the journal alone is sufficient for resume.
-func (m *mergeState) writeSnapshot() {
-	if m.journal == nil {
-		return
-	}
-	snap, err := m.buildSnapshot()
-	if err == nil {
-		err = m.journal.WriteSnapshot(snap)
-	}
-	if err != nil {
-		if m.res.JournalError == "" {
-			m.res.JournalError = err.Error()
-		}
-		m.snapEvery = 0
-		return
-	}
-	m.res.JournalSnapshots++
-}
-
-// finalSnapshot persists the campaign's end state however the campaign
-// ended — completion, budget expiry, interruption, cap, abort. Deferred
-// from injectAll.
-func (m *mergeState) finalSnapshot() {
-	m.writeSnapshot()
-}
-
-// buildSnapshot assembles the snapshot for the consumed prefix. The
-// tree is encoded with a fresh claim view over exactly the consumed
-// leaves: the live ClaimSet also carries speculative worker claims
-// whose outcomes were never merged, and marking those visited would
-// skip unexplored failure points on a restore.
-func (m *mergeState) buildSnapshot() (campaign.Snapshot, error) {
-	view := fpt.NewClaimSet(m.tree)
-	for _, l := range m.tree.LeavesByICount()[:m.consumed] {
-		view.Claim(l)
-	}
-	var tb bytes.Buffer
-	if err := m.tree.Encode(&tb, view); err != nil {
-		return campaign.Snapshot{}, err
-	}
-	var rb bytes.Buffer
-	if err := m.rep.EncodeWire(&rb); err != nil {
-		return campaign.Snapshot{}, err
-	}
-	snap := campaign.Snapshot{
-		Consumed: m.consumed,
-		Tree:     tb.Bytes(),
-		Report:   rb.Bytes(),
-		Counters: campaign.Counters{
-			Injections:   m.res.Injections,
-			Recoveries:   m.res.Recoveries,
-			Skipped:      m.res.SkippedFailurePoints,
-			Quarantined:  m.res.QuarantinedFailurePoints,
-			Retried:      m.res.RetriedFailurePoints,
-			EngineEvents: m.res.EngineEvents,
-		},
-	}
-	return snap, nil
 }

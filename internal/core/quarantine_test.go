@@ -89,7 +89,7 @@ func TestQuarantineSurvivesJournalResume(t *testing.T) {
 	dir := t.TempDir()
 	analyzeJournaled(t, mk, fixtureWorkload(), cfg, dir)
 	logLen := fileSize(t, filepath.Join(dir, campaign.JournalFile))
-	cut := copyTruncated(t, dir, logLen/2, true)
+	cut := copyTruncated(t, dir, logLen/2)
 	res := analyzeResumed(t, mk, fixtureWorkload(), cfg, cut)
 	assertResumeMatches(t, "quarantine-resume", ref, res)
 	if res.QuarantinedFailurePoints != ref.QuarantinedFailurePoints {

@@ -58,13 +58,7 @@ func resumeCases() []struct {
 }
 
 func journaledConfig(stackMode bool, workers int) core.Config {
-	return core.Config{
-		StackMode: stackMode,
-		Workers:   workers,
-		// A small cadence exercises periodic snapshots on these small
-		// fixtures, not just the final one.
-		SnapshotEvery: 4,
-	}
+	return core.Config{StackMode: stackMode, Workers: workers}
 }
 
 // analyzeJournaled runs a campaign writing a journal into dir.
@@ -115,9 +109,8 @@ func analyzeResumed(t *testing.T, mk func() harness.Application, w workload.Work
 }
 
 // copyTruncated clones a journal directory with the log truncated to n
-// bytes, simulating a campaign killed mid-append; keepSnapshot controls
-// whether the (now possibly ahead-of-journal) snapshot survives.
-func copyTruncated(t *testing.T, src string, n int64, keepSnapshot bool) string {
+// bytes, simulating a campaign killed mid-append.
+func copyTruncated(t *testing.T, src string, n int64) string {
 	t.Helper()
 	dst := t.TempDir()
 	meta, err := os.ReadFile(filepath.Join(src, campaign.MetaFile))
@@ -136,13 +129,6 @@ func copyTruncated(t *testing.T, src string, n int64, keepSnapshot bool) string 
 	}
 	if err := os.WriteFile(filepath.Join(dst, campaign.JournalFile), log[:n], 0o644); err != nil {
 		t.Fatal(err)
-	}
-	if keepSnapshot {
-		if snap, err := os.ReadFile(filepath.Join(src, campaign.SnapshotFile)); err == nil {
-			if err := os.WriteFile(filepath.Join(dst, campaign.SnapshotFile), snap, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
 	}
 	return dst
 }
@@ -198,9 +184,9 @@ func TestJournaledRunMatchesUnjournaled(t *testing.T) {
 
 // TestResumeAfterKill is the acceptance scenario: a campaign killed at
 // an arbitrary byte — simulated by truncating the journal at a spread
-// of offsets, including mid-record, with and without the (then stale or
-// torn) snapshot — must resume to a final report byte-identical to an
-// uninterrupted run. Counter and stack mode, serial and parallel.
+// of offsets, including mid-record — must resume to a final report
+// byte-identical to an uninterrupted run. Counter and stack mode,
+// serial and parallel.
 func TestResumeAfterKill(t *testing.T) {
 	for _, tc := range resumeCases() {
 		tc := tc
@@ -219,11 +205,10 @@ func TestResumeAfterKill(t *testing.T) {
 			logLen := fileSize(t, filepath.Join(full, campaign.JournalFile))
 			// Deterministic spread of kill points: record boundaries are
 			// not special-cased — some offsets land mid-record and
-			// exercise the torn-tail truncation, some leave the snapshot
-			// ahead of the journal.
+			// exercise the torn-tail truncation.
 			cuts := []int64{0, 1, logLen / 7, logLen / 3, logLen / 2, logLen - 3}
-			for i, cut := range cuts {
-				dir := copyTruncated(t, full, cut, i%2 == 0)
+			for _, cut := range cuts {
+				dir := copyTruncated(t, full, cut)
 				res := analyzeResumed(t, tc.mk, tc.w, cfg, dir)
 				label := fmt.Sprintf("cut=%d", cut)
 				assertResumeMatches(t, label, ref, res)

@@ -111,7 +111,7 @@ func legacyStackSerial(t *testing.T, app harness.Application, w workload.Workloa
 // serial and parallel — produces a report byte-identical to the
 // pre-refactor whole-run mutating serial loop. The legacy loop fired
 // leaves in first-encounter order, which for a deterministic target is
-// exactly the FirstICount order the claim set hands out.
+// exactly the FirstICount order the campaign walks.
 func TestStackModeWorkersOneMatchesLegacySerial(t *testing.T) {
 	mk := func() harness.Application { return btree.New(cfgSeeded(btree.BugCountOutsideTx)) }
 	w := testWorkload()
@@ -147,8 +147,8 @@ func TestStackModeWorkersOneMatchesLegacySerial(t *testing.T) {
 			t.Errorf("workers=%d: refactored campaign lost coverage: skipped=%d aborted=%v",
 				workers, res.SkippedFailurePoints, res.InjectionAborted)
 		}
-		if res.Claims.Remaining() != 0 {
-			t.Errorf("workers=%d: %d failure points left unclaimed", workers, res.Claims.Remaining())
+		if res.Injections != tree.Len() {
+			t.Errorf("workers=%d: %d of %d failure points injected", workers, res.Injections, tree.Len())
 		}
 	}
 }

@@ -3,6 +3,7 @@ package fpt_test
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"hash/crc32"
 	"strings"
 	"testing"
@@ -21,7 +22,7 @@ func encodeFixture(t *testing.T) []byte {
 	tree.Insert(st.Intern([]uintptr{11, 20, 30}), 9)
 	tree.Freeze()
 	var buf bytes.Buffer
-	if err := tree.Encode(&buf, nil); err != nil {
+	if err := tree.Encode(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -29,9 +30,10 @@ func encodeFixture(t *testing.T) []byte {
 
 // TestReadTreeRejectsDamagedArtifacts: every way a saved artifact can
 // be damaged on disk — truncated at any byte, bit-flipped payload,
-// wrong magic, wrong version, implausible length — must produce a
-// one-line diagnostic error, never a gob panic or a silently empty
-// tree.
+// wrong magic, wrong version, implausible length, visited marks that
+// are not a first-occurrence prefix — must produce a one-line
+// diagnostic error, never a gob panic, a silently empty tree or a
+// wrong progress count.
 func TestReadTreeRejectsDamagedArtifacts(t *testing.T) {
 	full := encodeFixture(t)
 
@@ -89,6 +91,32 @@ func TestReadTreeRejectsDamagedArtifacts(t *testing.T) {
 		_, _, err := ReadTree(bytes.NewReader(data), stack.NewTable())
 		if err == nil {
 			t.Fatal("well-framed garbage payload accepted")
+		}
+	})
+	t.Run("visited-not-a-prefix", func(t *testing.T) {
+		// The later of the fixture's two leaves marked visited, the
+		// earlier not: a campaign never leaves progress in that shape.
+		// gob matches fields by name, so mirror types frame it.
+		type leaf struct {
+			PCs         []uintptr
+			FirstICount uint64
+			Visited     bool
+		}
+		type tree struct{ Leaves []leaf }
+		var payload bytes.Buffer
+		if err := gob.NewEncoder(&payload).Encode(tree{Leaves: []leaf{
+			{PCs: []uintptr{10, 20, 30}, FirstICount: 5},
+			{PCs: []uintptr{11, 20, 30}, FirstICount: 9, Visited: true},
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		data := append([]byte(nil), full[:24]...)
+		binary.LittleEndian.PutUint64(data[12:20], uint64(payload.Len()))
+		binary.LittleEndian.PutUint32(data[20:24], crc32.ChecksumIEEE(payload.Bytes()))
+		data = append(data, payload.Bytes()...)
+		_, _, err := ReadTree(bytes.NewReader(data), stack.NewTable())
+		if err == nil || !strings.Contains(err.Error(), "first-occurrence order") {
+			t.Fatalf("visited marks off the prefix: err=%v, want a prefix diagnostic", err)
 		}
 	})
 }

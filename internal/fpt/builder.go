@@ -124,8 +124,8 @@ func (b *Builder) insert(ev *pmem.Event) {
 // The injector carries its own cursor: it never reads or writes shared
 // campaign state, so one replay per worker can run against the same
 // frozen tree with a private Injector each. Which leaf a replay targets
-// is decided up front (a ClaimSet hands leaves out), not by the
-// injector mutating visited marks as it fires.
+// is decided up front (the campaign hands out leaves in first-occurrence
+// order), not by the injector mutating visited marks as it fires.
 type Injector struct {
 	// Target is the leaf the replay crashes at. The leaf is read-only
 	// to the injector.

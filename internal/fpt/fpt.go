@@ -11,9 +11,10 @@
 // The tree is immutable by construction once Freeze is called: the
 // builder inserts leaves during the single instrumented run, the
 // campaign freezes the tree, and from then on structure and leaves never
-// change. Traversal state — which failure points an injection campaign
-// has consumed — lives in a separate ClaimSet, so any number of workers
-// can walk one frozen tree concurrently without locks on the hot path.
+// change, so any number of workers can share it without locks. An
+// injection campaign consumes leaves strictly in LeavesByICount order,
+// so its progress is one number: the length of the consumed prefix of
+// that order. The tree itself carries no traversal state.
 package fpt
 
 import (
@@ -25,8 +26,8 @@ import (
 )
 
 // Leaf is one unique failure point. Leaves are immutable once the tree
-// is frozen; campaign progress is tracked in a ClaimSet, never on the
-// leaf itself.
+// is frozen; campaign progress is a prefix of LeavesByICount, never a
+// mark on the leaf itself.
 type Leaf struct {
 	// ID numbers leaves in insertion order.
 	ID int
@@ -83,8 +84,7 @@ func (t *Tree) Stacks() *stack.Table { return t.stacks }
 
 // Freeze ends construction: any later Insert panics. A frozen tree is
 // immutable and therefore safe to share across any number of goroutines
-// without synchronisation; traversal state belongs in a ClaimSet.
-// Freeze is idempotent.
+// without synchronisation. Freeze is idempotent.
 func (t *Tree) Freeze() { t.frozen = true }
 
 // Frozen reports whether construction has ended.

@@ -58,7 +58,7 @@ func TestLookup(t *testing.T) {
 	}
 }
 
-func TestLeavesByICountOrderAndClaims(t *testing.T) {
+func TestLeavesByICountOrder(t *testing.T) {
 	st := stack.NewTable()
 	tree := New(st)
 	la, _ := tree.Insert(st.Intern([]uintptr{1}), 50)
@@ -68,20 +68,6 @@ func TestLeavesByICountOrderAndClaims(t *testing.T) {
 	got := tree.LeavesByICount()
 	if len(got) != 3 || got[0] != lb || got[1] != lc || got[2] != la {
 		t.Fatalf("icount order wrong: %+v", got)
-	}
-	cs := NewClaimSet(tree)
-	if !cs.Claim(lb) {
-		t.Fatal("first claim lost")
-	}
-	if cs.Claim(lb) {
-		t.Fatal("double claim won")
-	}
-	if cs.Remaining() != 2 {
-		t.Fatalf("remaining after claim = %d", cs.Remaining())
-	}
-	// A fresh claim set is a reset: the tree itself carries no state.
-	if n := NewClaimSet(tree).Remaining(); n != 3 {
-		t.Fatalf("fresh claim set remaining = %d", n)
 	}
 }
 

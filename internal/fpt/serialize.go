@@ -28,7 +28,8 @@ const (
 	maxTreePayload = 1 << 31
 )
 
-// wireLeaf is the serialised form of one failure point. ImageHash and
+// wireLeaf is the serialised form of one failure point. Visited marks
+// a leaf of the campaign's consumed prefix. ImageHash and
 // ImageSize carry the crash-image equivalence stamp; gob tolerates
 // their absence, so artifacts written before stamping existed decode
 // with ImageSize == 0, which readers treat as unstamped (the format
@@ -49,17 +50,19 @@ type wireTree struct {
 
 // Encode serialises the tree (step 5 of Fig 1 stores it in a file so a
 // later fault-injection execution can deserialise it), together with the
-// campaign's traversal state: a leaf is written as visited when claims
-// marks it claimed. Pass a nil ClaimSet to serialise a fresh tree. A
-// round-tripped claim state is what makes campaigns resumable — the
-// restored set's pending snapshot contains exactly the unexplored
-// failure points. The payload is framed with a magic, a version, its
-// length and a CRC so ReadTree can reject truncated or corrupt
-// artifacts with a diagnostic. Program counters are only stable within
-// one process image — the same constraint that makes the original
-// pre-allocate Pin's memory and disable address-space randomisation
-// (§5, A.3).
-func (t *Tree) Encode(w io.Writer, claims *ClaimSet) error {
+// campaign's progress: the first consumed leaves of LeavesByICount, the
+// prefix an injection campaign has consumed, are written as visited.
+// Pass 0 to serialise a fresh tree. The payload is framed with a magic,
+// a version, its length and a CRC so ReadTree can reject truncated or
+// corrupt artifacts with a diagnostic. Program counters are only stable
+// within one process image — the same constraint that makes the
+// original pre-allocate Pin's memory and disable address-space
+// randomisation (§5, A.3).
+func (t *Tree) Encode(w io.Writer, consumed int) error {
+	visited := make([]bool, len(t.leaves))
+	for _, l := range t.LeavesByICount()[:consumed] {
+		visited[l.ID] = true
+	}
 	wt := wireTree{Leaves: make([]wireLeaf, 0, len(t.leaves))}
 	for _, l := range t.leaves {
 		pcs := t.stacks.PCs(l.Stack)
@@ -68,7 +71,7 @@ func (t *Tree) Encode(w io.Writer, claims *ClaimSet) error {
 		wt.Leaves = append(wt.Leaves, wireLeaf{
 			PCs:         cp,
 			FirstICount: l.FirstICount,
-			Visited:     claims != nil && claims.Claimed(l),
+			Visited:     visited[l.ID],
 			ImageHash:   l.ImageHash,
 			ImageSize:   l.ImageSize,
 		})
@@ -92,58 +95,62 @@ func (t *Tree) Encode(w io.Writer, claims *ClaimSet) error {
 }
 
 // ReadTree deserialises a tree into the given stack table, rebuilding
-// the trie and re-interning every stack. The returned claim set carries
-// the serialised visited marks: leaves injected before the encode are
-// pre-claimed, so a campaign resumed over the restored tree traverses
-// only the remainder. Truncated or corrupt artifacts — and files that
-// are not tree artifacts at all — are rejected with a diagnostic, never
-// a decode panic.
-func ReadTree(r io.Reader, stacks *stack.Table) (*Tree, *ClaimSet, error) {
+// the trie and re-interning every stack, and returns it frozen together
+// with the number of failure points the artifact marks visited. Those
+// must be a prefix of the restored tree's LeavesByICount — the only
+// shape campaign progress takes — so the count says exactly which
+// leaves were explored. Truncated or corrupt artifacts, visited marks
+// that are not such a prefix, and files that are not tree artifacts at
+// all are rejected with a diagnostic, never a decode panic.
+func ReadTree(r io.Reader, stacks *stack.Table) (*Tree, int, error) {
 	var hdr [treeHeaderLen]byte
 	if n, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, nil, fmt.Errorf("fpt: truncated tree artifact: %d-byte header (want %d): %v", n, treeHeaderLen, err)
+		return nil, 0, fmt.Errorf("fpt: truncated tree artifact: %d-byte header (want %d): %v", n, treeHeaderLen, err)
 	}
 	if !bytes.Equal(hdr[0:8], treeMagic[:]) {
-		return nil, nil, fmt.Errorf("fpt: not a failure point tree artifact (bad magic)")
+		return nil, 0, fmt.Errorf("fpt: not a failure point tree artifact (bad magic)")
 	}
 	if v := binary.LittleEndian.Uint32(hdr[8:12]); v != treeVersion {
-		return nil, nil, fmt.Errorf("fpt: unsupported tree artifact version %d (want %d)", v, treeVersion)
+		return nil, 0, fmt.Errorf("fpt: unsupported tree artifact version %d (want %d)", v, treeVersion)
 	}
 	plen := binary.LittleEndian.Uint64(hdr[12:20])
 	if plen == 0 || plen > maxTreePayload {
-		return nil, nil, fmt.Errorf("fpt: corrupt tree artifact: implausible payload length %d", plen)
+		return nil, 0, fmt.Errorf("fpt: corrupt tree artifact: implausible payload length %d", plen)
 	}
 	payload := make([]byte, plen)
 	if n, err := io.ReadFull(r, payload); err != nil {
-		return nil, nil, fmt.Errorf("fpt: truncated tree artifact: %d of %d payload bytes: %v", n, plen, err)
+		return nil, 0, fmt.Errorf("fpt: truncated tree artifact: %d of %d payload bytes: %v", n, plen, err)
 	}
 	if sum := binary.LittleEndian.Uint32(hdr[20:24]); crc32.ChecksumIEEE(payload) != sum {
-		return nil, nil, fmt.Errorf("fpt: corrupt tree artifact: payload checksum mismatch")
+		return nil, 0, fmt.Errorf("fpt: corrupt tree artifact: payload checksum mismatch")
 	}
 	var wt wireTree
 	if err := decodeTree(payload, &wt); err != nil {
-		return nil, nil, fmt.Errorf("fpt: decoding tree: %w", err)
+		return nil, 0, fmt.Errorf("fpt: decoding tree: %w", err)
 	}
 	t := New(stacks)
-	visited := make([]*Leaf, 0)
-	for _, wl := range wt.Leaves {
+	visited := make([]bool, len(wt.Leaves))
+	consumed := 0
+	for i, wl := range wt.Leaves {
 		id := stacks.Intern(wl.PCs)
 		leaf, added := t.Insert(id, wl.FirstICount)
 		if !added {
-			return nil, nil, fmt.Errorf("fpt: duplicate failure point in serialised tree")
+			return nil, 0, fmt.Errorf("fpt: duplicate failure point in serialised tree")
 		}
 		leaf.ImageHash = wl.ImageHash
 		leaf.ImageSize = wl.ImageSize
 		if wl.Visited {
-			visited = append(visited, leaf)
+			visited[i] = true
+			consumed++
 		}
 	}
 	t.Freeze()
-	claims := NewClaimSet(t)
-	for _, l := range visited {
-		claims.Claim(l)
+	for _, l := range t.LeavesByICount()[:consumed] {
+		if !visited[l.ID] {
+			return nil, 0, fmt.Errorf("fpt: corrupt tree artifact: the %d visited failure points are not the first %d in first-occurrence order", consumed, consumed)
+		}
 	}
-	return t, claims, nil
+	return t, consumed, nil
 }
 
 // decodeTree gob-decodes the checksummed payload, converting decoder

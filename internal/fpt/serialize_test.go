@@ -12,18 +12,16 @@ import (
 func TestSerializeRoundTrip(t *testing.T) {
 	st := stack.NewTable()
 	tree := New(st)
-	a, _ := tree.Insert(st.Intern([]uintptr{10, 20, 30}), 5)
 	tree.Insert(st.Intern([]uintptr{11, 20, 30}), 9)
+	tree.Insert(st.Intern([]uintptr{10, 20, 30}), 5)
 	tree.Freeze()
-	claims := NewClaimSet(tree)
-	claims.Claim(a)
 
 	var buf bytes.Buffer
-	if err := tree.Encode(&buf, claims); err != nil {
+	if err := tree.Encode(&buf, 1); err != nil {
 		t.Fatal(err)
 	}
 	st2 := stack.NewTable()
-	got, restored, err := ReadTree(&buf, st2)
+	got, consumed, err := ReadTree(&buf, st2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,14 +31,13 @@ func TestSerializeRoundTrip(t *testing.T) {
 	if !got.Frozen() {
 		t.Fatal("restored tree not frozen")
 	}
-	// The claim marks survive; a resumed campaign's pending snapshot
-	// contains only the unexplored leaf, in FirstICount order.
-	pending := restored.Pending()
-	if len(pending) != 1 || pending[0].FirstICount != 9 {
-		t.Fatalf("pending after restore: %+v", pending)
+	// The progress survives: the first leaf in FirstICount order (the
+	// second inserted) was consumed, the other is still unexplored.
+	if consumed != 1 {
+		t.Fatalf("restored %d consumed failure points, want 1", consumed)
 	}
-	if restored.Remaining() != 1 || restored.ClaimedCount() != 1 {
-		t.Fatalf("restored claims: remaining=%d claimed=%d", restored.Remaining(), restored.ClaimedCount())
+	if first := got.LeavesByICount()[0]; first.FirstICount != 5 {
+		t.Fatalf("first leaf in FirstICount order: %+v", first)
 	}
 	// Lookup works against re-interned stacks.
 	if got.Lookup(st2.Intern([]uintptr{10, 20, 30})) == nil {
@@ -62,7 +59,7 @@ func TestSerializePreservesImageStamps(t *testing.T) {
 	tree.Freeze()
 
 	var buf bytes.Buffer
-	if err := tree.Encode(&buf, nil); err != nil {
+	if err := tree.Encode(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	got, _, err := ReadTree(&buf, stack.NewTable())
@@ -87,8 +84,10 @@ func TestReadTreeRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestPropertySerializePreservesLeaves: any tree, with any consumed
+// prefix, round-trips its shape and its progress count.
 func TestPropertySerializePreservesLeaves(t *testing.T) {
-	f := func(raw [][]uint16, icounts []uint64) bool {
+	f := func(raw [][]uint16, icounts []uint64, k uint8) bool {
 		st := stack.NewTable()
 		tree := New(st)
 		for i, r := range raw {
@@ -105,16 +104,17 @@ func TestPropertySerializePreservesLeaves(t *testing.T) {
 			}
 			tree.Insert(st.Intern(pcs), ic)
 		}
+		want := int(k) % (tree.Len() + 1)
 		var buf bytes.Buffer
-		if err := tree.Encode(&buf, nil); err != nil {
+		if err := tree.Encode(&buf, want); err != nil {
 			return false
 		}
-		got, claims, err := ReadTree(&buf, stack.NewTable())
+		got, consumed, err := ReadTree(&buf, stack.NewTable())
 		if err != nil {
 			return false
 		}
 		return got.Len() == tree.Len() && got.Nodes() == tree.Nodes() &&
-			claims.Remaining() == got.Len()
+			consumed == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -147,8 +147,8 @@ type QuarantinedLeaf struct {
 	Retries int
 }
 
-// Report is the output of one analysis. Add, Quarantine and Merge are
-// safe to call from concurrent campaign workers; the read accessors
+// Report is the output of one analysis. Add and Quarantine are safe to
+// call from concurrent goroutines; the read accessors
 // (Unique, Bugs, Format, ...) expect the findings to be quiescent, as
 // they are once a campaign has been merged.
 type Report struct {
@@ -183,22 +183,6 @@ func (r *Report) Add(f Finding) {
 func (r *Report) Quarantine(q QuarantinedLeaf) {
 	r.mu.Lock()
 	r.Quarantined = append(r.Quarantined, q)
-	r.mu.Unlock()
-}
-
-// Merge appends every finding of other, preserving its order. It lets a
-// campaign worker accumulate findings into a private report and fold
-// them into the shared one in a single deterministic step.
-func (r *Report) Merge(other *Report) {
-	if other == nil || r == other {
-		return
-	}
-	other.mu.Lock()
-	fs := make([]Finding, len(other.Findings))
-	copy(fs, other.Findings)
-	other.mu.Unlock()
-	r.mu.Lock()
-	r.Findings = append(r.Findings, fs...)
 	r.mu.Unlock()
 }
 

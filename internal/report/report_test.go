@@ -116,10 +116,9 @@ func TestWriteJSON(t *testing.T) {
 	}
 }
 
-func TestConcurrentAddAndMerge(t *testing.T) {
-	// Campaign workers may Add into the shared report or Merge private
-	// reports into it concurrently; under -race this test proves the
-	// accessors are safe and that no finding is lost.
+func TestConcurrentAddAndQuarantine(t *testing.T) {
+	// Add and Quarantine may race on the shared report; under -race this
+	// test proves both are safe and that nothing is lost.
 	r := &Report{Target: "t", Tool: "Mumak"}
 	const workers, per = 8, 200
 	var wg sync.WaitGroup
@@ -128,43 +127,54 @@ func TestConcurrentAddAndMerge(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			priv := &Report{}
 			for i := 0; i < per; i++ {
-				f := Finding{Kind: CrashConsistency, ICount: uint64(g*per + i), Stack: stack.NoID}
+				icount := uint64(g*per + i)
 				if g%2 == 0 {
-					r.Add(f)
+					r.Add(Finding{Kind: CrashConsistency, ICount: icount, Stack: stack.NoID})
 				} else {
-					priv.Add(f)
+					r.Quarantine(QuarantinedLeaf{LeafID: g*per + i, ICount: icount, Stack: stack.NoID})
 				}
 			}
-			r.Merge(priv)
 		}()
 	}
 	wg.Wait()
-	if len(r.Findings) != workers*per {
-		t.Fatalf("lost findings: %d recorded, want %d", len(r.Findings), workers*per)
+	if got, want := len(r.Findings)+len(r.Quarantined), workers*per; got != want {
+		t.Fatalf("lost entries: %d findings and %d quarantined, want %d in all",
+			len(r.Findings), len(r.Quarantined), want)
 	}
 }
 
-func TestMergePreservesOrder(t *testing.T) {
-	src := &Report{}
-	for i := 0; i < 5; i++ {
-		src.Add(Finding{Kind: CrashConsistency, ICount: uint64(i), Stack: stack.NoID})
-	}
-	dst := &Report{}
-	dst.Add(Finding{Kind: Durability, ICount: 99, Stack: stack.NoID})
-	dst.Merge(src)
-	if len(dst.Findings) != 6 {
-		t.Fatalf("merged report has %d findings, want 6", len(dst.Findings))
-	}
-	for i := 1; i < 6; i++ {
-		if dst.Findings[i].ICount != uint64(i-1) {
-			t.Fatalf("merge reordered findings: %v", dst.Findings)
+// TestFormatMarkersAndQuarantine: the human-readable rendering carries
+// the partial-report markers and the quarantine section.
+func TestFormatMarkersAndQuarantine(t *testing.T) {
+	stacks := stack.NewTable()
+	rep := &Report{Target: "btree", Tool: "mumak", Stacks: stacks}
+	rep.Add(Finding{
+		Kind: CrashConsistency, ICount: 42, Addr: 0x40,
+		Stack: stacks.Intern([]uintptr{10, 20, 30}), Detail: "unflushed line",
+	})
+	rep.Quarantine(QuarantinedLeaf{
+		LeafID: 3, ICount: 99, Stack: stacks.Intern([]uintptr{12, 20, 30}),
+		Reason: "replay failed before the failure point", Retries: 2,
+	})
+	rep.Interrupted = true
+	rep.BudgetExhausted = true
+	text := rep.Format(false)
+	for _, want := range []string{
+		"quarantined failure points: 1",
+		"replay failed before the failure point",
+		"campaign interrupted",
+		"analysis budget exhausted",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("Format output lacks %q:\n%s", want, text)
 		}
 	}
-	dst.Merge(nil)
-	dst.Merge(dst) // self-merge must not duplicate or deadlock
-	if len(dst.Findings) != 6 {
-		t.Fatalf("nil/self merge changed the report: %d findings", len(dst.Findings))
+	clean := &Report{Target: "t", Tool: "m"}
+	text = clean.Format(false)
+	for _, absent := range []string{"quarantined", "interrupted", "exhausted"} {
+		if strings.Contains(text, absent) {
+			t.Errorf("clean report mentions %q:\n%s", absent, text)
+		}
 	}
 }
