@@ -575,89 +575,3 @@ func BenchmarkInjectionCampaignCached(b *testing.B) {
 		})
 	}
 }
-
-// --- Checkpointed replay (DESIGN.md item 12).
-
-// BenchmarkCheckpointedInjection measures the counter-mode injection
-// phase with checkpointed replay disabled (every injection re-executes
-// the workload prefix from icount 0 — the O(N²) pre-checkpoint cost)
-// and enabled. The replayed_events metric carries the total engine work
-// of the campaign, which drops from O(N²) to O(N·gap); speedup_x is the
-// wall-clock ratio against the disabled baseline of the same target.
-// The paper-scale target uses the default 150k-op workload with a pool
-// sized to the working set, where prefix re-execution dominates the
-// campaign; the small targets bound the constant overheads at trace
-// lengths below one checkpoint interval.
-func BenchmarkCheckpointedInjection(b *testing.B) {
-	targets := []struct {
-		name  string
-		mk    func() harness.Application
-		w     workload.Workload
-		modes []int // checkpoint intervals; -1 disables, 0 is the default
-	}{
-		{
-			name:  "btree-1500",
-			mk:    func() harness.Application { return btree.New(apps.Config{SPT: true, PoolSize: 4 << 20}) },
-			w:     workload.Generate(workload.Config{N: 1500, Seed: 42}),
-			modes: []int{-1, 16384, 0},
-		},
-		{
-			name:  "levelhash-1500",
-			mk:    func() harness.Application { return levelhash.New(apps.Config{PoolSize: 4 << 20, WithRecovery: true}) },
-			w:     workload.Generate(workload.Config{N: 1500, Seed: 42}),
-			modes: []int{-1, 16384, 0},
-		},
-		{
-			name:  "btree-150k",
-			mk:    func() harness.Application { return btree.New(apps.Config{SPT: true, PoolSize: 8 << 20}) },
-			w:     workload.Generate(workload.Config{N: 150000, Seed: 42}),
-			modes: []int{-1, 0},
-		},
-	}
-	modeName := func(interval int) string {
-		switch {
-		case interval < 0:
-			return "off"
-		case interval == 0:
-			return fmt.Sprintf("interval-default-%d", core.DefaultCheckpointInterval)
-		default:
-			return fmt.Sprintf("interval-%d", interval)
-		}
-	}
-	for _, tgt := range targets {
-		var baseline float64
-		for _, interval := range tgt.modes {
-			b.Run(fmt.Sprintf("%s/%s", tgt.name, modeName(interval)), func(b *testing.B) {
-				var inject time.Duration
-				var events, ckptKiB uint64
-				for i := 0; i < b.N; i++ {
-					res, err := core.Analyze(tgt.mk(), tgt.w, core.Config{
-						DisableTraceAnalysis: true,
-						CheckpointInterval:   interval,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if interval < 0 && res.CheckpointRestores != 0 {
-						b.Fatal("disabled checkpointing still restored")
-					}
-					if interval >= 0 && res.CheckpointRestores != res.Injections {
-						b.Fatalf("only %d of %d injections restored", res.CheckpointRestores, res.Injections)
-					}
-					inject += res.InjectTime
-					events += res.EngineEvents
-					ckptKiB = res.CheckpointBytes >> 10
-				}
-				sec := inject.Seconds() / float64(b.N)
-				b.ReportMetric(sec, "inject_sec")
-				b.ReportMetric(float64(events)/float64(b.N), "replayed_events")
-				b.ReportMetric(float64(ckptKiB), "ckpt_kib")
-				if interval < 0 {
-					baseline = sec
-				} else if baseline > 0 && sec > 0 {
-					b.ReportMetric(baseline/sec, "speedup_x")
-				}
-			})
-		}
-	}
-}

@@ -59,7 +59,7 @@ func main() {
 		eadr       = flag.Bool("eadr", false, "analyse under an eADR persistence domain (§4.3)")
 		storeGran  = flag.Bool("store-granularity", false, "inject at every store instead of persistency instructions (ablation)")
 		stackMode  = flag.Bool("stack-mode", false, "match failure points by call stack instead of instruction counter")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent fault-injection replays, in counter and stack mode (1 = serial)")
+		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent fault injections, in counter and stack mode (1 = serial)")
 		budget     = flag.Duration("budget", 10*time.Minute, "analysis wall-clock budget (the paper uses 12h)")
 		seedBugs   = flag.String("seed-bugs", "", "comma-separated seeded bug IDs to plant (see internal/bugs)")
 		montageBug = flag.Bool("montage-buggy", false, "enable the two historical Montage bugs")
@@ -69,7 +69,6 @@ func main() {
 		printTree  = flag.Bool("print-tree", false, "render the failure point tree (the Fig 2 view)")
 		hangBudget = flag.Uint64("hang-budget", 0, "PM events one execution may emit before the hang watchdog kills it (0 = default)")
 		recTimeout = flag.Duration("recovery-timeout", 0, "wall-clock watchdog per recovery-oracle invocation (0 = default)")
-		ckptEvery  = flag.Int("checkpoint-interval", core.DefaultCheckpointInterval, "engine events between full-state checkpoints of the instrumented run; counter-mode replays restore from the nearest checkpoint instead of re-executing the prefix (0 disables)")
 		exitZero   = flag.Bool("exit-zero", false, "exit 0 even when bugs were found (smoke tests that assert findings without failing the step)")
 		journalDir = flag.String("journal", "", "directory for a durable campaign journal: every verdict is fsync'd, so a killed campaign resumes with -resume")
 		resume     = flag.Bool("resume", false, "resume the journaled campaign in -journal instead of starting fresh")
@@ -91,7 +90,7 @@ func main() {
 	}
 	if err := validateFlags(flagValues{
 		ops: *ops, workers: *workers, poolMB: *poolMB,
-		ckptInterval: *ckptEvery, budget: *budget, artifacts: *artifacts,
+		budget: *budget, artifacts: *artifacts,
 		journal: *journalDir, resume: *resume,
 		verdictCache: *vcFile, classing: *classing,
 		cpuProfile: *cpuProfile, memProfile: *memProfile, execTrace: *execTrace,
@@ -137,22 +136,17 @@ func main() {
 	if *storeGran {
 		gran = fpt.GranStore
 	}
-	ckptInterval := *ckptEvery
-	if ckptInterval <= 0 {
-		ckptInterval = -1 // flag 0 means "off"; Config 0 means "default"
-	}
 	coreCfg := core.Config{
-		Granularity:        gran,
-		Budget:             *budget,
-		StackMode:          *stackMode,
-		Workers:            *workers,
-		KeepWarnings:       *warnings,
-		EADR:               *eadr,
-		HangBudget:         *hangBudget,
-		RecoveryTimeout:    *recTimeout,
-		CheckpointInterval: ckptInterval,
-		Classing:           *classing,
-		PersistVerdicts:    *vcFile != "",
+		Granularity:     gran,
+		Budget:          *budget,
+		StackMode:       *stackMode,
+		Workers:         *workers,
+		KeepWarnings:    *warnings,
+		EADR:            *eadr,
+		HangBudget:      *hangBudget,
+		RecoveryTimeout: *recTimeout,
+		Classing:        *classing,
+		PersistVerdicts: *vcFile != "",
 	}
 
 	// Campaign journal: identity is pinned at creation and re-checked on
@@ -286,10 +280,6 @@ func main() {
 	if *vcFile != "" {
 		fmt.Printf("verdict cache file: %d persistent hit(s), %d verdict(s) saved\n",
 			res.PersistentCacheHits, len(res.VerdictCache))
-	}
-	if res.Checkpoints > 0 || res.CheckpointRestores > 0 {
-		fmt.Printf("checkpoints: %d snapshot(s), ~%d KiB resident, %d replay(s) served by restore\n",
-			res.Checkpoints, res.CheckpointBytes>>10, res.CheckpointRestores)
 	}
 	if res.CampaignWorkers > 1 && res.InjectTime > 0 {
 		fmt.Printf("campaign workers: %d (avg %.1f busy)\n",

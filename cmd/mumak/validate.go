@@ -18,7 +18,6 @@ type flagValues struct {
 	ops          int
 	workers      int
 	poolMB       int
-	ckptInterval int
 	budget       time.Duration
 	artifacts    string
 	journal      string
@@ -40,8 +39,6 @@ func validateFlags(v flagValues) error {
 		return fmt.Errorf("-workers %d: the campaign needs at least one worker (1 = serial)", v.workers)
 	case v.poolMB < 1:
 		return fmt.Errorf("-pool-mb %d: the simulated PM pool needs at least 1 MiB", v.poolMB)
-	case v.ckptInterval < 0:
-		return fmt.Errorf("-checkpoint-interval %d: interval cannot be negative (0 disables checkpoints)", v.ckptInterval)
 	case v.budget < 0:
 		return fmt.Errorf("-budget %s: the analysis budget cannot be negative", v.budget)
 	case v.resume && v.journal == "":

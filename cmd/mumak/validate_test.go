@@ -11,7 +11,7 @@ import (
 func validValues() flagValues {
 	return flagValues{
 		ops: 1000, workers: 4, poolMB: 64,
-		ckptInterval: 2000, budget: time.Minute, classing: true,
+		budget: time.Minute, classing: true,
 	}
 }
 
@@ -19,11 +19,11 @@ func TestValidateFlagsAcceptsDefaults(t *testing.T) {
 	if err := validateFlags(validValues()); err != nil {
 		t.Fatalf("default-shaped flags rejected: %v", err)
 	}
-	// Zero disables checkpoints rather than erroring.
+	// A zero budget means unbounded rather than erroring.
 	v := validValues()
-	v.ckptInterval, v.budget = 0, 0
+	v.budget = 0
 	if err := validateFlags(v); err != nil {
-		t.Fatalf("zero interval/budget rejected: %v", err)
+		t.Fatalf("zero budget rejected: %v", err)
 	}
 }
 
@@ -37,7 +37,6 @@ func TestValidateFlagsRejections(t *testing.T) {
 		{"workers", func(v *flagValues) { v.workers = 0 }, "-workers"},
 		{"workers-negative", func(v *flagValues) { v.workers = -3 }, "-workers"},
 		{"pool", func(v *flagValues) { v.poolMB = 0 }, "-pool-mb"},
-		{"checkpoint-interval", func(v *flagValues) { v.ckptInterval = -9 }, "-checkpoint-interval"},
 		{"budget", func(v *flagValues) { v.budget = -time.Second }, "-budget"},
 		{"resume-without-journal", func(v *flagValues) { v.resume = true }, "-journal"},
 		{"verdict-cache-without-classing", func(v *flagValues) {

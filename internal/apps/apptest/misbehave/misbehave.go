@@ -43,14 +43,14 @@ const (
 	// and deterministically fails every execution after it before any
 	// PM instruction: every replay skips, so every failure point must
 	// end up quarantined rather than silently dropped — and the
-	// campaign must still terminate. Counter-mode campaigns need
-	// checkpoints disabled to exercise it (checkpointed replays run no
-	// application code).
+	// campaign must still terminate. Only stack-mode campaigns exercise
+	// it: counter mode judges phase-1 images and runs no application
+	// code after the instrumented run.
 	ReplayBroken
 	// ReplayFlaky fails exactly the second execution — the first
 	// replay attempt — and succeeds on every other one, so the bounded
 	// per-leaf retry must absorb it (one retried failure point, zero
-	// quarantined).
+	// quarantined). Like ReplayBroken it needs stack mode.
 	ReplayFlaky
 	// RecoveryPanic makes Recover panic with a foreign value once it
 	// has found the pool magic, so every crash image gets the Crashed
@@ -104,7 +104,8 @@ func (a *App) Setup(e *pmem.Engine) error {
 
 // Run implements harness.Application. The workload is ignored: a fixed,
 // deterministic sequence of persisted stores keeps the failure point
-// tree identical across runs, which the counter-mode replays rely on.
+// tree identical across runs, which stack-mode replays and resumed
+// campaigns rely on.
 func (a *App) Run(e *pmem.Engine, _ workload.Workload) error {
 	for i := 1; i <= rounds; i++ {
 		if i == misbehaveRound {

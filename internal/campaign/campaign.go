@@ -137,10 +137,8 @@ type Record struct {
 	// Source is how the verdict was obtained.
 	Source Source
 	// Injected marks a failure point whose crash image was judged
-	// (replayed, inherited or cached); Restored marks a replay served by
-	// a checkpoint restore.
+	// (replayed, inherited or cached).
 	Injected bool
-	Restored bool
 	// TargetPanic/TargetHang mark replays the sandbox stopped.
 	TargetPanic bool
 	TargetHang  bool

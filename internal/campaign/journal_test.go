@@ -30,7 +30,7 @@ func testRecords(n int) []Record {
 	for i := range recs {
 		recs[i] = Record{
 			LeafID: i, LeafICount: uint64(10 * (i + 1)), Events: uint64(100 + i),
-			Source: Source(i % 3), Injected: true, Restored: true,
+			Source: Source(i % 3), Injected: true,
 			FindingICount: uint64(10 * (i + 1)),
 		}
 		if i%3 == 0 {

@@ -205,9 +205,9 @@ func TestClassingDedupsScanPhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.EngineEvents >= ref.EngineEvents {
-		t.Errorf("classing did not reduce replayed engine events: %d vs %d",
-			res.EngineEvents, ref.EngineEvents)
+	if res.Recoveries+res.InheritedVerdicts != ref.Recoveries || res.Recoveries >= ref.Recoveries {
+		t.Errorf("classing judged %d images and inherited %d verdicts; without it %d images were judged",
+			res.Recoveries, res.InheritedVerdicts, ref.Recoveries)
 	}
 }
 
@@ -278,9 +278,8 @@ func TestPersistentVerdictCacheWarmMatchesCold(t *testing.T) {
 		if got := renderReport(t, warm.Report); got != want {
 			t.Errorf("%s: warm report differs from cold\n--- cold ---\n%s\n--- warm ---\n%s", label, want, got)
 		}
-		if warm.Recoveries != 0 || warm.CheckpointRestores != 0 {
-			t.Errorf("%s: warm run replayed %d and judged %d images the file already held",
-				label, warm.CheckpointRestores, warm.Recoveries)
+		if warm.Recoveries != 0 {
+			t.Errorf("%s: warm run judged %d images the file already held", label, warm.Recoveries)
 		}
 		if warm.PersistentCacheHits != warm.EquivClasses ||
 			warm.PersistentCacheHits+warm.InheritedVerdicts != warm.Injections {

@@ -46,16 +46,11 @@ const (
 	DefaultRecoveryTimeout = 30 * time.Second
 )
 
-// DefaultCheckpointInterval is the default spacing, in engine events,
-// of the full-state checkpoints the instrumented run records for
-// counter-mode fault injection (Config.CheckpointInterval overrides
-// it). It balances replay cost, which grows with the gap back to the
-// nearest checkpoint, against recording cost and resident snapshot
-// state: gap replay applies logged mutations at tens of millions of
-// events per second, so wide spacing costs little replay time while
-// shrinking the store (each persisted line is retained at most once per
-// interval it changed in). See results/checkpointed_replay.txt for the
-// tuning sweep.
+// DefaultCheckpointInterval is unused by the analysis.
+//
+// Deprecated: counter-mode injections judge the crash images phase 1
+// hands each failure point and record no checkpoints; the constant is
+// kept only for callers that still reference it.
 const DefaultCheckpointInterval = 65536
 
 // DefaultImageCacheSize is unused.
@@ -82,12 +77,13 @@ type Config struct {
 	// StackMode makes the injector match call stacks instead of
 	// instruction counters, for non-deterministic targets (§5).
 	StackMode bool
-	// Workers bounds the number of concurrent replays in the
-	// fault-injection campaign, in both counter and stack mode; 0 or 1
-	// runs serially. Replays are independent (the failure point tree is
-	// frozen before the campaign and shared read-only), and findings are
-	// merged in leaf first-occurrence order, so the report is
-	// byte-identical for any worker count.
+	// Workers bounds the number of concurrent injections in the
+	// fault-injection campaign — recovery checks of phase-1 images in
+	// counter mode, replays in stack mode; 0 or 1 runs serially.
+	// Injections are independent (the failure point tree is frozen
+	// before the campaign and shared read-only), and findings are merged
+	// in leaf first-occurrence order, so the report is byte-identical
+	// for any worker count.
 	Workers int
 	// KeepWarnings retains §4.2 warnings in the report (they are
 	// always excluded from bug counts).
@@ -115,15 +111,15 @@ type Config struct {
 	// stamps every failure point with the content hash of its
 	// prospective graceful-crash image (a rolling hash maintained
 	// alongside execution, O(changed bytes)), the campaign groups leaves
-	// whose stamps match into equivalence classes, replays one leaf per
+	// whose stamps match into equivalence classes, judges one leaf per
 	// class, and the other members inherit its verdict from the
-	// campaign's verdict memo without replaying at all; WarmVerdicts
-	// seed that memo. Reports are byte-identical either way (serial and
-	// parallel, counter and stack mode) — only the redundant replays and
-	// recoveries are skipped. Off, nothing is reused: every failure
-	// point is replayed and judged on its own image, which is the
-	// reference the differential tests compare against and the mode for
-	// targets whose execution or recovery is not deterministic. The
+	// campaign's verdict memo without a recovery run (or, in stack mode,
+	// a replay); WarmVerdicts seed that memo. Reports are byte-identical
+	// either way (serial and parallel, counter and stack mode) — only the
+	// redundant replays and recoveries are skipped. Off, nothing is
+	// reused: every failure point is judged on its own image, which is
+	// the reference the differential tests compare against and the mode
+	// for targets whose execution or recovery is not deterministic. The
 	// zero value is off; the CLI enables it by default.
 	Classing bool
 	// WarmVerdicts seeds the verdict memo from a persistent cross-run
@@ -159,35 +155,17 @@ type Config struct {
 	// target, workload or flags). Usually combined with Journal
 	// (campaign.State.Reopen) so the continuation is journaled too.
 	Resume *campaign.State
-	// CheckpointInterval is the spacing, in engine events, of the
-	// full-state checkpoints the instrumented run records so that
-	// counter-mode replays restore from the nearest checkpoint and
-	// replay only the gap of logged mutations, instead of re-executing
-	// the workload from scratch per failure point. Zero selects
-	// DefaultCheckpointInterval; a negative value disables
-	// checkpointing (replays re-execute, the pre-checkpoint behaviour).
-	// Reports are byte-identical either way — the restored engine state
-	// is exactly the from-scratch crash state. Stack mode ignores it:
-	// stack-matching needs the application actually executing.
+	// CheckpointInterval is ignored.
+	//
+	// Deprecated: counter-mode injections judge the crash images phase 1
+	// hands each failure point and record no checkpoints; the field is
+	// kept only for callers that still set it.
 	CheckpointInterval int
 	// unsandboxed restores the pre-sandbox execution path — target
 	// panics propagate and no watchdogs run. It exists only so
 	// package-internal differential tests can prove the sandbox leaves
 	// clean-target reports byte-identical.
 	unsandboxed bool
-}
-
-// checkpointEvery resolves CheckpointInterval to the engine option: the
-// default when zero, disabled (0) when negative.
-func (cfg Config) checkpointEvery() uint64 {
-	switch {
-	case cfg.CheckpointInterval < 0:
-		return 0
-	case cfg.CheckpointInterval == 0:
-		return DefaultCheckpointInterval
-	default:
-		return uint64(cfg.CheckpointInterval)
-	}
 }
 
 // Result is the outcome of one analysis.
@@ -217,10 +195,9 @@ type Result struct {
 	// without one.
 	Recoveries int
 	// SkippedFailurePoints counts failure points consumed without an
-	// injection: the replay errored, never reached the recorded
-	// instruction counter (counter mode) or never re-encountered the
-	// target call stack (stack mode). A non-zero value means campaign
-	// coverage is below one fault per unique failure point.
+	// injection: a stack-mode replay errored or never re-encountered the
+	// target call stack. A non-zero value means campaign coverage is
+	// below one fault per unique failure point.
 	SkippedFailurePoints int
 	// QuarantinedFailurePoints counts the skipped failure points whose
 	// bounded retries were exhausted and that were set aside into the
@@ -270,18 +247,6 @@ type Result struct {
 	// filled only when Config.PersistVerdicts asked for it; pass it to
 	// campaign.SaveVerdictCache to warm the next run.
 	VerdictCache []campaign.CacheEntry
-	// Checkpoints is the number of full-state checkpoints the
-	// instrumented run recorded; CheckpointBytes approximates their
-	// resident size (mutation log plus snapshots, shared COW bases
-	// counted once). Both are zero when checkpointing was disabled or
-	// inapplicable (stack mode, fault injection disabled).
-	Checkpoints     int
-	CheckpointBytes uint64
-	// CheckpointRestores counts injections served by a checkpoint
-	// restore plus mutation-log gap replay instead of a from-scratch
-	// re-execution. With checkpointing enabled in counter mode it
-	// equals Injections.
-	CheckpointRestores int
 	// AnalyzerPeakLines is the online analyzer's peak number of
 	// simultaneously tracked cache lines (zero when trace analysis was
 	// disabled).
@@ -365,19 +330,17 @@ func Analyze(app harness.Application, w workload.Workload, cfg Config) (*Result,
 		opts.MaxEvents = sb.budget
 		opts.Deadline = sb.deadline
 	}
-	// Record checkpoints during the instrumented run when the upcoming
-	// campaign can use them: counter-mode replays restore engine state
-	// directly, while stack mode must re-execute the application to
-	// match call stacks, so recording would only cost memory there.
-	if !cfg.DisableFaultInjection && !cfg.StackMode {
-		opts.CheckpointEvery = cfg.checkpointEvery()
-	}
-	// Classing needs phase 1 to stamp every failure point with its
-	// prospective crash-image hash, in both injection modes: the rolling
-	// hash read at leaf-creation time equals the content hash of the
-	// image a replay crashed at that leaf would materialise.
-	if !cfg.DisableFaultInjection && cfg.Classing {
-		opts.TrackPrefixHash = true
+	// A counter-mode campaign judges each failure point's graceful-crash
+	// image, which the builder freezes from the engine's coherent view
+	// as the leaf is created: hooks see an event before its mutation
+	// applies, so that image is exactly the state a replay crashed at the
+	// leaf's counter would reach, and no replay runs at all. Classing
+	// needs the view's rolling hash as every leaf's stamp, in both
+	// injection modes; stack mode keeps no images, since its replays
+	// re-execute the target.
+	if !cfg.DisableFaultInjection {
+		builder.KeepImages = !cfg.StackMode
+		opts.TrackPrefixHash = builder.KeepImages || cfg.Classing
 	}
 	eng, sout := execute(app, w, opts, sb, hooks...)
 	res.EngineEvents += eng.Events()
@@ -419,18 +382,12 @@ func Analyze(app harness.Application, w workload.Workload, cfg Config) (*Result,
 		res.TraceLen = counter.events
 	}
 
-	// Phase 2: fault injection with the recovery oracle. The checkpoint
-	// store recorded by the instrumented run (nil when disabled) is
-	// frozen here — read-only from now on — and shared across campaign
-	// workers like the tree.
+	// Phase 2: fault injection with the recovery oracle, over the tree
+	// and its leaf images, both frozen from here on and shared read-only
+	// across campaign workers.
 	if !cfg.DisableFaultInjection {
-		ckpts := eng.Checkpoints()
-		if ckpts != nil {
-			res.Checkpoints = ckpts.Count()
-			res.CheckpointBytes = ckpts.Bytes()
-		}
 		t0 = time.Now()
-		timedOut, err := injectAll(app, w, tree, cfg, rep, res, deadline, ckpts)
+		timedOut, err := injectAll(app, w, tree, cfg, rep, res, deadline)
 		if err != nil {
 			return nil, fmt.Errorf("fault injection: %w", err)
 		}

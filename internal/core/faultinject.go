@@ -1,9 +1,7 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"math"
 	"time"
 	"unicode/utf8"
 
@@ -25,8 +23,7 @@ import (
 // doomed replays would waste the entire budget. A small bound aborts the
 // campaign instead while still tolerating the occasional
 // non-deterministic hiccup stack mode exists to serve. Counter mode
-// keeps consuming: its replays are cheap (they stop at the recorded
-// counter) and skips there are honest per-leaf coverage accounting.
+// re-executes nothing, so it has nothing to abort.
 const maxNoProgress = 3
 
 // maxInjectionErrors caps the error strings sampled into
@@ -34,8 +31,8 @@ const maxNoProgress = 3
 const maxInjectionErrors = 8
 
 // maxLeafRetries bounds the re-replays of a leaf consumed with a
-// transient skip (an errored replay, a counter never reached, a call
-// stack never re-encountered), instead of giving up on the first hiccup.
+// transient skip (an errored replay, a call stack never
+// re-encountered), instead of giving up on the first hiccup.
 // Deterministic targets converge to the same skip, so the bound costs at
 // most two extra replays per genuinely dead leaf.
 const maxLeafRetries = 2
@@ -44,12 +41,6 @@ const maxLeafRetries = 2
 // k×retryBackoff, giving a transient condition a moment to clear without
 // slowing a deterministic failure down meaningfully.
 const retryBackoff = time.Millisecond
-
-// replayFuelSlack is the extra fuel granted to a counter-mode replay
-// past the leaf's recorded instruction counter. A deterministic replay
-// crashes at exactly FirstICount events, so anything beyond a small
-// slack means the run diverged into unbounded PM activity.
-const replayFuelSlack = 4096
 
 // sandboxCfg carries the per-execution watchdog bounds of one campaign:
 // the deterministic fuel budget, the recovery wall-clock timeout, and
@@ -104,11 +95,12 @@ func (cfg Config) sandbox(deadline time.Time) sandboxCfg {
 	return sb
 }
 
-// campaignMode bundles the per-mode replay parameters so one replay/
+// campaignMode bundles the per-mode injection parameters so one
 // merge/driver implementation serves both injection modes.
 type campaignMode struct {
-	// stack selects call-stack matching (needs capture, tolerates
-	// non-determinism); false selects the §5 instruction-counter replay.
+	// stack selects call-stack matching replays (needs capture,
+	// tolerates non-determinism); false selects the §5
+	// instruction-counter mode, which judges phase-1 images.
 	stack   bool
 	gran    fpt.Granularity
 	capture pmem.StackCapture
@@ -193,17 +185,19 @@ const replayDuring = "a fault-injection replay"
 // (steps 7-9 of Fig 1), and reports every crash state the recovery
 // oracle rejects. It returns whether the deadline expired first.
 //
-// In the default counter mode the injector crashes at the leaf's
-// recorded first-occurrence instruction counter — the §5 optimisation
-// that works because the target is deterministic. In stack mode each
-// replay targets one leaf and crashes at the first failure-point event
-// whose call stack matches it, which needs a stack walk at every
-// failure-point candidate of every replay but tolerates
-// non-determinism. Either way replays are independent (each constructs
-// a private engine and a private injector over the immutable tree), so
-// both campaigns fan out across cfg.Workers goroutines when asked to.
+// In the default counter mode each leaf's crash state is the image
+// phase 1 froze at its recorded first-occurrence instruction counter —
+// the §5 optimisation that works because the target is deterministic —
+// so an injection is one recovery check and no re-execution. In stack
+// mode each replay targets one leaf and crashes at the first
+// failure-point event whose call stack matches it, which needs a stack
+// walk at every failure-point candidate of every replay but tolerates
+// non-determinism. Either way injections are independent (each builds a
+// private recovery engine, and a stack-mode replay a private engine and
+// injector, over the immutable tree), so both campaigns fan out across
+// cfg.Workers goroutines when asked to.
 // With cfg.Classing only the first leaf of each crash-image class
-// without a verdict replays; the rest resolve from the campaign's
+// without a verdict is judged; the rest resolve from the campaign's
 // verdict memo at merge (classing.go).
 //
 // Leaves are consumed strictly in tree.LeavesByICount() order, so
@@ -224,8 +218,7 @@ const replayDuring = "a fault-injection replay"
 // a journal recorded under a different target, workload or injection
 // mode.
 func injectAll(app harness.Application, w workload.Workload, tree *fpt.Tree,
-	cfg Config, rep *report.Report, res *Result, deadline time.Time,
-	ckpts *pmem.CheckpointStore) (timedOut bool, err error) {
+	cfg Config, rep *report.Report, res *Result, deadline time.Time) (timedOut bool, err error) {
 
 	sb := cfg.sandbox(deadline)
 	tree.Freeze()
@@ -233,7 +226,7 @@ func injectAll(app harness.Application, w workload.Workload, tree *fpt.Tree,
 	mode := cfg.campaignMode()
 	m := &mergeState{mode: mode, cfg: cfg, rep: rep, res: res, journal: cfg.Journal}
 	m.replayer = func(leaf *fpt.Leaf) replayOutcome {
-		return replayLeafWithRetry(app, w, leaf, tree.Stacks(), mode, sb, ckpts)
+		return replayLeafWithRetry(app, w, leaf, tree.Stacks(), mode, sb)
 	}
 	if cfg.Classing {
 		// One memo per campaign: application, workload and recovery
@@ -281,12 +274,13 @@ func injectAll(app harness.Application, w workload.Workload, tree *fpt.Tree,
 	return injectSerial(pending, m, sb), nil
 }
 
-// replayOutcome is the result of replaying one leaf on a private engine.
-// It carries everything the merge step needs, so that replays can run on
-// any goroutine while the shared Result and Report are only ever touched
-// in deterministic leaf order.
+// replayOutcome is the result of injecting one leaf. It carries
+// everything the merge step needs, so that injections can run on any
+// goroutine while the shared Result and Report are only ever touched in
+// deterministic leaf order.
 type replayOutcome struct {
-	// executed is false when the replay never ran (deadline expired).
+	// executed is false when the injection never ran (deadline
+	// expired).
 	executed bool
 	// deadlineHit reports that the campaign deadline cut the replay or
 	// its recovery mid-flight; the leaf stays unconsumed and the
@@ -294,20 +288,16 @@ type replayOutcome struct {
 	// replays.
 	deadlineHit bool
 	// events is the number of engine instruction events of the replay
-	// (all attempts).
+	// (all attempts; zero in counter mode, which replays nothing).
 	events uint64
 	// retries counts extra replay attempts after transient skips.
 	retries int
-	// injected reports that the replay reached the failure point and
-	// crashed there.
+	// injected reports that the leaf's crash state was reached and
+	// judged.
 	injected bool
-	// restored reports that the crash state came from a checkpoint
-	// restore plus a mutation-log gap replay, not a from-scratch
-	// re-execution of the workload.
-	restored bool
 	// skipReason is non-empty when the leaf was consumed without an
-	// injection: the replay errored, never reached the counter, or never
-	// re-encountered the call stack.
+	// injection: the stack-mode replay errored or never re-encountered
+	// the call stack.
 	skipReason string
 	// targetPanic and targetHang mark replays the sandbox stopped: the
 	// target's own code panicked, or the fuel budget expired. The leaf
@@ -326,61 +316,34 @@ type replayOutcome struct {
 	finding *report.Finding
 }
 
-// replayFuel bounds one counter-mode replay. The replay crashes at
-// exactly leaf.FirstICount events when the target is deterministic, so
-// the slack-padded counter is a far tighter (and still deterministic)
-// budget than the campaign-wide one. The sum saturates at MaxUint64
-// instead of wrapping: a wrapped (tiny) fuel value would kill a healthy
-// replay long before its failure point and misreport it as a hang. The
-// campaign budget caps the fuel only when it still lets the replay
-// reach its counter — a budget at or below FirstICount can never
-// produce anything but that same phantom hang.
-func replayFuel(budget, firstICount uint64) uint64 {
-	fuel := firstICount + replayFuelSlack
-	if fuel < firstICount { // overflow: saturate
-		fuel = math.MaxUint64
-	}
-	if budget != 0 && budget > firstICount && budget < fuel {
-		return budget
-	}
-	return fuel
-}
-
-// replayLeaf runs one fault injection: a fresh execution crashed at the
-// leaf's failure point, followed by the recovery oracle over the
-// graceful-crash image (§4.1). In counter mode the engine crashes
-// itself at the recorded instruction counter (§5's minimal
-// instrumentation, no hook at all); in stack mode a private targeted
-// injector crashes the run at the first event whose call stack matches
-// the leaf's. It is safe to call concurrently for different leaves: the
-// engine, the injector, the crash image and the oracle's recovery engine
-// are all private to the call, and the tree is frozen.
+// replayLeaf runs one fault injection (§4.1): the recovery oracle over
+// the graceful-crash image at the leaf's failure point. In counter mode
+// that image is the one phase 1 froze at the leaf's first occurrence
+// (fpt.Builder.KeepImages) — exactly the state a replay crashed at
+// FirstICount would reach — so no application code runs before the
+// check. In stack mode a fresh execution with a private targeted
+// injector crashes at the first event whose call stack matches the
+// leaf's. It is safe to call concurrently for different leaves: the
+// engine, the injector, the crash image and the oracle's recovery
+// engine are all private to the call, and the tree and its images are
+// frozen.
 func replayLeaf(app harness.Application, w workload.Workload, leaf *fpt.Leaf,
-	stacks *stack.Table, mode campaignMode, sb sandboxCfg,
-	ckpts *pmem.CheckpointStore) replayOutcome {
+	stacks *stack.Table, mode campaignMode, sb sandboxCfg) replayOutcome {
 
-	if !mode.stack && ckpts != nil {
-		return replayCheckpointed(app, leaf, sb, ckpts)
-	}
 	out := replayOutcome{executed: true}
-	opts := pmem.Options{Capture: mode.capture, Stacks: stacks}
-	var hooks []pmem.Hook
-	if mode.stack {
-		hooks = append(hooks, &fpt.Injector{Target: leaf, Granularity: mode.gran})
-	} else {
-		opts.CrashAt = leaf.FirstICount
+	if !mode.stack {
+		out.injected = true
+		finishInjected(app, leaf.Image, leaf, leaf.FirstICount, sb, &out)
+		return out
 	}
+	opts := pmem.Options{Capture: mode.capture, Stacks: stacks}
 	if !sb.disabled {
-		if mode.stack {
-			// A stack-mode replay has no deterministic crash counter to
-			// bound it by, so it gets the full campaign fuel budget.
-			opts.MaxEvents = sb.budget
-		} else {
-			opts.MaxEvents = replayFuel(sb.budget, leaf.FirstICount)
-		}
+		// A stack-mode replay has no deterministic crash counter to
+		// bound it by, so it gets the full campaign fuel budget.
+		opts.MaxEvents = sb.budget
 		opts.Deadline = sb.deadline
 	}
-	eng, sres := execute(app, w, opts, sb, hooks...)
+	eng, sres := execute(app, w, opts, sb, &fpt.Injector{Target: leaf, Granularity: mode.gran})
 	out.events = eng.Events()
 	switch {
 	case sres.Err != nil:
@@ -411,67 +374,23 @@ func replayLeaf(app harness.Application, w workload.Workload, leaf *fpt.Leaf,
 		}
 		return out
 	case sres.Sig == nil:
-		if mode.stack {
-			out.skipReason = "failure-point call stack never re-encountered on replay"
-		} else {
-			out.skipReason = "target instruction counter never reached on replay"
-		}
+		out.skipReason = "failure-point call stack never re-encountered on replay"
 		return out
 	}
 	out.injected = true
-	finishInjected(app, eng, leaf, sres.Sig.ICount, sb, &out)
+	finishInjected(app, eng.PrefixImage(), leaf, sres.Sig.ICount, sb, &out)
 	return out
 }
 
-// replayCheckpointed is the counter-mode fast path: instead of
-// re-executing the workload up to the failure point, it restores engine
-// state from the recorded run's nearest checkpoint below the leaf's
-// counter and applies only the mutation-log gap — O(gap since
-// checkpoint) instead of O(prefix), with no application code at all.
-// The restored engine is byte-identical to a from-scratch replay
-// crashed at the same counter (checkpoint.go), so the crash image and
-// the resulting findings are exactly those of the legacy path.
-func replayCheckpointed(app harness.Application, leaf *fpt.Leaf,
-	sb sandboxCfg, ckpts *pmem.CheckpointStore) replayOutcome {
-
-	out := replayOutcome{executed: true}
-	deadline := sb.deadline
-	if sb.disabled {
-		deadline = time.Time{}
-	}
-	eng, gap, err := ckpts.ReplayTo(leaf.FirstICount, deadline)
-	switch {
-	case errors.Is(err, pmem.ErrReplayDeadline):
-		out.deadlineHit = true
-		return out
-	case err != nil:
-		// The recorded run's log ends before this counter. It cannot
-		// happen for leaves of the tree that same run built (every
-		// failure point is a logged persistency event), but stays an
-		// honest per-leaf skip, with the same wording as a from-scratch
-		// replay that fell short.
-		out.skipReason = "target instruction counter never reached on replay"
-		return out
-	}
-	// The gap is the deterministic measure of replayed work, mirroring
-	// the instruction events a from-scratch replay would have spent on
-	// the same stretch.
-	out.events = gap
-	out.restored = true
-	out.injected = true
-	finishInjected(app, eng, leaf, leaf.FirstICount, sb, &out)
-	return out
-}
-
-// finishInjected runs the oracle tail shared by every injected replay:
-// the vanilla, uninstrumented recovery procedure over the
-// graceful-crash image (§4.1), bounded by the hang watchdog. A check
-// the campaign deadline cut short reflects the remaining budget, not
-// the image: the outcome is marked and never consumed.
-func finishInjected(app harness.Application, eng *pmem.Engine, leaf *fpt.Leaf,
+// finishInjected runs the oracle tail shared by every injection: the
+// vanilla, uninstrumented recovery procedure over the graceful-crash
+// image (§4.1), bounded by the hang watchdog. A check the campaign
+// deadline cut short reflects the remaining budget, not the image: the
+// outcome is marked and never consumed.
+func finishInjected(app harness.Application, img *pmem.Image, leaf *fpt.Leaf,
 	icount uint64, sb sandboxCfg, out *replayOutcome) {
 
-	check, ddl := boundedCheck(app, eng.PrefixImage(), sb)
+	check, ddl := boundedCheck(app, img, sb)
 	if ddl {
 		out.deadlineHit = true
 		return
@@ -487,16 +406,15 @@ func finishInjected(app harness.Application, eng *pmem.Engine, leaf *fpt.Leaf,
 // The retry policy is mode-agnostic: both campaigns share it, so a
 // flaky replay costs the same bounded tolerance either way.
 func replayLeafWithRetry(app harness.Application, w workload.Workload, leaf *fpt.Leaf,
-	stacks *stack.Table, mode campaignMode, sb sandboxCfg,
-	ckpts *pmem.CheckpointStore) replayOutcome {
+	stacks *stack.Table, mode campaignMode, sb sandboxCfg) replayOutcome {
 
-	out := replayLeaf(app, w, leaf, stacks, mode, sb, ckpts)
+	out := replayLeaf(app, w, leaf, stacks, mode, sb)
 	for attempt := 1; attempt <= maxLeafRetries && out.skipReason != ""; attempt++ {
 		if !sb.deadline.IsZero() && !time.Now().Before(sb.deadline) {
 			break
 		}
 		time.Sleep(time.Duration(attempt) * retryBackoff)
-		next := replayLeaf(app, w, leaf, stacks, mode, sb, ckpts)
+		next := replayLeaf(app, w, leaf, stacks, mode, sb)
 		next.events += out.events
 		next.retries = out.retries + 1
 		out = next
@@ -545,9 +463,6 @@ func consumeOutcome(leaf *fpt.Leaf, out replayOutcome, rep *report.Report, res *
 		return
 	}
 	res.Injections++
-	if out.restored {
-		res.CheckpointRestores++
-	}
 	switch out.source {
 	case campaign.Replayed:
 		res.Recoveries++

@@ -52,41 +52,11 @@ func testWorkload() workload.Workload {
 	return workload.Generate(workload.Config{N: 60, Seed: 7, Keyspace: 20})
 }
 
-// TestCounterModeCountsUnreachedCounter plants a leaf whose recorded
-// instruction counter lies beyond the end of the run: the replay
-// completes without crashing, and the campaign must consume the leaf as
-// skipped instead of silently dropping it.
-func TestCounterModeCountsUnreachedCounter(t *testing.T) {
-	app, w := testTarget(), testWorkload()
-	tree, stacks := buildTree(t, app, w)
-	fake := stacks.Intern([]uintptr{0xdead})
-	if _, added := tree.Insert(fake, 1<<40); !added {
-		t.Fatal("unreachable leaf not inserted")
-	}
-
-	rep := &report.Report{Target: "test", Tool: "test", Stacks: stacks}
-	res := &Result{Report: rep}
-	timedOut, err := injectAll(app, w, tree, Config{}, rep, res, time.Time{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if timedOut {
-		t.Fatal("unexpected timeout")
-	}
-	if res.SkippedFailurePoints != 1 {
-		t.Fatalf("SkippedFailurePoints = %d, want 1", res.SkippedFailurePoints)
-	}
-	if res.Injections != tree.Len()-1 {
-		t.Fatalf("Injections = %d, want %d", res.Injections, tree.Len()-1)
-	}
-	if len(res.InjectionErrors) != 1 || !strings.Contains(res.InjectionErrors[0], "never reached") {
-		t.Fatalf("InjectionErrors = %q, want one never-reached entry", res.InjectionErrors)
-	}
-}
-
 // TestCounterModeCountsFailedReplays drives the campaign with a target
-// whose replays deterministically error: every leaf must be consumed and
-// counted as skipped — serially and in parallel, with identical totals.
+// whose replays deterministically error. Only stack mode replays, so it
+// runs there: every consumed leaf must be counted as skipped until the
+// no-progress abort, serially and in parallel, with identical totals.
+// (Counter mode judges phase-1 images and re-executes nothing.)
 func TestCounterModeCountsFailedReplays(t *testing.T) {
 	app, w := testTarget(), testWorkload()
 	for _, workers := range []int{0, 4} {
@@ -94,7 +64,7 @@ func TestCounterModeCountsFailedReplays(t *testing.T) {
 		rep := &report.Report{Target: "test", Tool: "test", Stacks: stacks}
 		res := &Result{Report: rep}
 		bad := failingApp{app}
-		timedOut, err := injectAll(bad, w, tree, Config{Workers: workers}, rep, res, time.Time{}, nil)
+		timedOut, err := injectAll(bad, w, tree, Config{StackMode: true, Workers: workers}, rep, res, time.Time{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,12 +74,13 @@ func TestCounterModeCountsFailedReplays(t *testing.T) {
 		if res.Injections != 0 || res.Recoveries != 0 {
 			t.Fatalf("workers=%d: Injections=%d Recoveries=%d, want 0/0", workers, res.Injections, res.Recoveries)
 		}
-		if res.SkippedFailurePoints != tree.Len() {
-			t.Fatalf("workers=%d: SkippedFailurePoints = %d, want %d", workers, res.SkippedFailurePoints, tree.Len())
+		if res.SkippedFailurePoints != maxNoProgress || res.QuarantinedFailurePoints != maxNoProgress {
+			t.Fatalf("workers=%d: skipped %d, quarantined %d failure points, want %d each",
+				workers, res.SkippedFailurePoints, res.QuarantinedFailurePoints, maxNoProgress)
 		}
-		if len(res.InjectionErrors) == 0 || len(res.InjectionErrors) > maxInjectionErrors {
-			t.Fatalf("workers=%d: InjectionErrors has %d entries, want 1..%d",
-				workers, len(res.InjectionErrors), maxInjectionErrors)
+		if len(res.InjectionErrors) != maxNoProgress {
+			t.Fatalf("workers=%d: InjectionErrors has %d entries, want %d",
+				workers, len(res.InjectionErrors), maxNoProgress)
 		}
 	}
 }
@@ -128,7 +99,7 @@ func TestStackModeAbortsAfterNoProgress(t *testing.T) {
 	// A short deadline turns a regressed livelock into a test failure
 	// (timedOut=true) instead of a hang.
 	deadline := time.Now().Add(30 * time.Second)
-	timedOut, err := injectAll(bad, w, tree, Config{StackMode: true}, rep, res, deadline, nil)
+	timedOut, err := injectAll(bad, w, tree, Config{StackMode: true}, rep, res, deadline)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,18 +1,17 @@
 // Parallel fault injection, both modes.
 //
-// Every replay is independent: it builds a fresh private pmem.Engine —
-// restored from the recorded run's nearest checkpoint (counter mode) or
-// by re-running the deterministic workload with a private
-// stack-matching injector over the frozen tree (stack mode) — crashes
-// it at its leaf's failure point and hands the graceful-crash image to
-// a private recovery engine. Nothing but the read-only
-// workload, the stateless application value, the immutable tree, the
-// (concurrency-safe) stack table, the read-only checkpoint store and
-// the read-only class plan is shared, so the campaign — the hot path of
-// the whole analysis — fans out across a bounded worker pool. Leaves
-// the plan defers to the merge goroutine are not replayed by workers at
-// all: the merge loop resolves them from the verdict memo, which only
-// it touches.
+// Every injection is independent: it hands a graceful-crash image to a
+// private recovery engine. In counter mode that image is the one phase
+// 1 froze for the leaf; in stack mode a private engine re-runs the
+// deterministic workload with a private stack-matching injector over
+// the frozen tree and crashes at the leaf's failure point. Nothing but
+// the read-only workload, the stateless application value, the
+// immutable tree and its frozen leaf images, the (concurrency-safe)
+// stack table and the read-only class plan is shared, so the campaign —
+// the hot path of the whole analysis — fans out across a bounded worker
+// pool. Leaves the plan defers to the merge goroutine are not injected
+// by workers at all: the merge loop resolves them from the verdict
+// memo, which only it touches.
 //
 // Determinism is preserved by separating execution from merging:
 // workers take the next index of the FirstICount-ordered work list from

@@ -3,7 +3,6 @@ package core_test
 import (
 	"runtime"
 	"testing"
-	"time"
 
 	"mumak/internal/apps"
 	"mumak/internal/core"
@@ -15,14 +14,15 @@ import (
 	"mumak/internal/workload"
 )
 
-// TestInjectionAllocationGrowsOnlyByPageTables pins the copy-on-write
+// TestInjectionAllocationIndependentOfPoolSize pins the copy-on-write
 // pool at the pipeline level: one counter-mode injection of a btree
-// campaign — checkpoint restore and gap replay, the crash image, and the
-// bounded recovery check — allocates at a 64 MiB pool at most four page
-// tables (one 8-byte pointer per 4 KiB page, 1/512 of the pool) more than
-// at an 8 MiB pool. Copying whole pools would cost three pool copies more
-// at the larger size.
-func TestInjectionAllocationGrowsOnlyByPageTables(t *testing.T) {
+// campaign — the bounded recovery check of a leaf's phase-1 image,
+// recovery engine included — allocates at a 64 MiB pool at most 4 KiB
+// more than at an 8 MiB pool. The two-level page table makes a
+// recovery engine copy one top-level pointer per 2 MiB of pool; a
+// one-level table copied one pointer per 4 KiB page (112 KiB more at the
+// larger pool), and copying whole pools would cost 56 MiB more.
+func TestInjectionAllocationIndependentOfPoolSize(t *testing.T) {
 	w := workload.Generate(workload.Config{N: 1000, Seed: 42})
 	perInjection := func(poolMB int) uint64 {
 		app, err := apps.New("btree", apps.Config{PoolSize: poolMB << 20, WithRecovery: true})
@@ -31,14 +31,14 @@ func TestInjectionAllocationGrowsOnlyByPageTables(t *testing.T) {
 		}
 		stacks := stack.NewTable()
 		tree := fpt.New(stacks)
-		eng, sig, err := harness.Execute(app, w, pmem.Options{
-			Capture: pmem.CapturePersistency, Stacks: stacks,
-			CheckpointEvery: core.DefaultCheckpointInterval,
-		}, fpt.NewBuilder(tree, fpt.GranPersistency))
+		builder := fpt.NewBuilder(tree, fpt.GranPersistency)
+		builder.KeepImages = true
+		_, sig, err := harness.Execute(app, w, pmem.Options{
+			Capture: pmem.CapturePersistency, Stacks: stacks, TrackPrefixHash: true,
+		}, builder)
 		if err != nil || sig != nil {
 			t.Fatalf("instrumented run failed: err=%v sig=%v", err, sig)
 		}
-		ckpts := eng.Checkpoints()
 		leaves := tree.LeavesByICount()
 		var picked []*fpt.Leaf
 		for i := 0; i < len(leaves); i += len(leaves)/8 + 1 {
@@ -48,20 +48,16 @@ func TestInjectionAllocationGrowsOnlyByPageTables(t *testing.T) {
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		for _, leaf := range picked {
-			crashed, _, err := ckpts.ReplayTo(leaf.FirstICount, time.Time{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			oracle.CheckBounded(app, crashed.PrefixImage(), oracle.Watchdog{MaxEvents: core.DefaultHangBudget})
+			oracle.CheckBounded(app, leaf.Image, oracle.Watchdog{MaxEvents: core.DefaultHangBudget})
 		}
 		runtime.ReadMemStats(&after)
 		return (after.TotalAlloc - before.TotalAlloc) / uint64(len(picked))
 	}
 	small, large := perInjection(8), perInjection(64)
-	const slack = 4 * ((64 - 8) << 20) / 512
+	const slack = 4 << 10
 	if large > small+slack {
-		t.Fatalf("one injection allocates %d KiB at a 64 MiB pool and %d KiB at 8 MiB; the difference must stay under %d KiB",
-			large>>10, small>>10, slack>>10)
+		t.Fatalf("one injection allocates %d bytes at a 64 MiB pool and %d at 8 MiB; the difference must stay under %d",
+			large, small, slack)
 	}
-	t.Logf("bytes allocated per injection: %d KiB at 8 MiB, %d KiB at 64 MiB", small>>10, large>>10)
+	t.Logf("bytes allocated per injection: %d at 8 MiB, %d at 64 MiB", small, large)
 }

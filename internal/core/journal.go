@@ -31,7 +31,6 @@ func recordOutcome(leaf *fpt.Leaf, out replayOutcome) campaign.Record {
 		Retries:     out.retries,
 		Source:      out.source,
 		Injected:    out.injected,
-		Restored:    out.restored,
 		TargetPanic: out.targetPanic,
 		TargetHang:  out.targetHang,
 		SkipReason:  out.skipReason,
@@ -58,7 +57,6 @@ func outcomeFromRecord(rec campaign.Record, leaf *fpt.Leaf) replayOutcome {
 		retries:     rec.Retries,
 		source:      rec.Source,
 		injected:    rec.Injected,
-		restored:    rec.Restored,
 		targetPanic: rec.TargetPanic,
 		targetHang:  rec.TargetHang,
 		skipReason:  rec.SkipReason,

@@ -10,44 +10,43 @@ import (
 	"mumak/internal/harness"
 )
 
-// quarantineConfig disables checkpoints so counter-mode replays
-// actually re-execute the fixture (a checkpointed replay runs no
-// application code and cannot observe the seeded failure).
-func quarantineConfig(stackMode bool, workers int) core.Config {
-	return core.Config{StackMode: stackMode, Workers: workers, CheckpointInterval: -1}
+// quarantineConfig runs the campaign in stack mode, the only mode that
+// replays: a counter-mode campaign judges phase-1 images, runs no
+// application code after phase 1 and cannot observe the seeded replay
+// failures.
+func quarantineConfig(workers int) core.Config {
+	return core.Config{StackMode: true, Workers: workers}
 }
 
 // TestBrokenReplaysAreQuarantined is the robustness acceptance test: a
 // target whose every replay fails must not abort the campaign or
 // silently drop coverage — every failure point ends up in the report's
-// quarantined section, in counter and stack mode, serial and parallel.
+// quarantined section, serial and parallel.
 func TestBrokenReplaysAreQuarantined(t *testing.T) {
-	for _, stackMode := range []bool{false, true} {
-		for _, workers := range []int{1, 4} {
-			res, err := core.Analyze(fixture(t, "misbehave-replay-broken"), fixtureWorkload(),
-				quarantineConfig(stackMode, workers))
-			if err != nil {
-				t.Fatalf("stack=%v workers=%d: campaign aborted: %v", stackMode, workers, err)
-			}
-			if res.QuarantinedFailurePoints == 0 {
-				t.Fatalf("stack=%v workers=%d: no failure points quarantined", stackMode, workers)
-			}
-			if res.QuarantinedFailurePoints != res.Tree.Len() {
-				t.Errorf("stack=%v workers=%d: quarantined %d of %d failure points",
-					stackMode, workers, res.QuarantinedFailurePoints, res.Tree.Len())
-			}
-			if res.SkippedFailurePoints < res.QuarantinedFailurePoints {
-				t.Errorf("stack=%v workers=%d: skipped %d < quarantined %d; quarantine must stay a subset",
-					stackMode, workers, res.SkippedFailurePoints, res.QuarantinedFailurePoints)
-			}
-			if res.Injections != 0 {
-				t.Errorf("stack=%v workers=%d: broken replays injected %d faults", stackMode, workers, res.Injections)
-			}
-			text := res.Report.Format(false)
-			if !strings.Contains(text, "quarantined failure points:") ||
-				!strings.Contains(text, "seeded replay failure") {
-				t.Errorf("stack=%v workers=%d: report lacks the quarantine section:\n%s", stackMode, workers, text)
-			}
+	for _, workers := range []int{1, 4} {
+		res, err := core.Analyze(fixture(t, "misbehave-replay-broken"), fixtureWorkload(),
+			quarantineConfig(workers))
+		if err != nil {
+			t.Fatalf("workers=%d: campaign aborted: %v", workers, err)
+		}
+		if res.QuarantinedFailurePoints == 0 {
+			t.Fatalf("workers=%d: no failure points quarantined", workers)
+		}
+		if res.QuarantinedFailurePoints != res.Tree.Len() {
+			t.Errorf("workers=%d: quarantined %d of %d failure points",
+				workers, res.QuarantinedFailurePoints, res.Tree.Len())
+		}
+		if res.SkippedFailurePoints < res.QuarantinedFailurePoints {
+			t.Errorf("workers=%d: skipped %d < quarantined %d; quarantine must stay a subset",
+				workers, res.SkippedFailurePoints, res.QuarantinedFailurePoints)
+		}
+		if res.Injections != 0 {
+			t.Errorf("workers=%d: broken replays injected %d faults", workers, res.Injections)
+		}
+		text := res.Report.Format(false)
+		if !strings.Contains(text, "quarantined failure points:") ||
+			!strings.Contains(text, "seeded replay failure") {
+			t.Errorf("workers=%d: report lacks the quarantine section:\n%s", workers, text)
 		}
 	}
 }
@@ -57,7 +56,7 @@ func TestBrokenReplaysAreQuarantined(t *testing.T) {
 // nothing else.
 func TestFlakyReplayIsRetriedNotQuarantined(t *testing.T) {
 	res, err := core.Analyze(fixture(t, "misbehave-replay-flaky"), fixtureWorkload(),
-		quarantineConfig(false, 1))
+		quarantineConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +80,7 @@ func TestFlakyReplayIsRetriedNotQuarantined(t *testing.T) {
 // quarantine section byte-identically without re-running the replays.
 func TestQuarantineSurvivesJournalResume(t *testing.T) {
 	mk := func() harness.Application { return fixture(t, "misbehave-replay-broken") }
-	cfg := quarantineConfig(false, 1)
+	cfg := quarantineConfig(1)
 	ref, err := core.Analyze(mk(), fixtureWorkload(), cfg)
 	if err != nil {
 		t.Fatal(err)

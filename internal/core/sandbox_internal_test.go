@@ -53,9 +53,10 @@ func TestSandboxDifferentialCleanTarget(t *testing.T) {
 
 // TestReplayHonoursDeadlineMidReplay regresses the serial campaign's
 // deadline blind spot: the budget used to be checked only between
-// replays, so a single replay that never reached its counter could
-// overshoot it without bound. The engine now carries the campaign
+// replays, so a single replay that never reached its failure point
+// could overshoot it without bound. The engine now carries the campaign
 // deadline as a wall-clock watchdog, cutting the replay from inside.
+// Stack mode is the mode that replays.
 func TestReplayHonoursDeadlineMidReplay(t *testing.T) {
 	app := misbehave.NewMode(misbehave.HangRun)
 	w := testWorkload()
@@ -67,7 +68,7 @@ func TestReplayHonoursDeadlineMidReplay(t *testing.T) {
 		deadline: time.Now().Add(100 * time.Millisecond),
 	}
 	start := time.Now()
-	out := replayLeaf(app, w, leaf, stacks, Config{}.campaignMode(), sb, nil)
+	out := replayLeaf(app, w, leaf, stacks, Config{StackMode: true}.campaignMode(), sb)
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("replay ran %s past a 100ms deadline", elapsed)
 	}
@@ -116,16 +117,18 @@ func (a *flakyApp) Run(e *pmem.Engine, w workload.Workload) error {
 }
 
 // TestLeafRetryRecoversTransientFailure: one transient replay failure
-// must cost one retry, not a skipped failure point.
+// must cost one retry, not a skipped failure point. Stack mode is the
+// mode that replays.
 func TestLeafRetryRecoversTransientFailure(t *testing.T) {
 	w := testWorkload()
 	tree, stacks := buildTree(t, testTarget(), w)
 	leaves := tree.LeavesByICount()
-	// The last leaf's counter lies inside Run, so the flaky failure is
-	// actually exercised (early leaves crash during Setup, before Run).
+	// The last leaf lies inside Run, so the flaky failure is actually
+	// exercised (early leaves crash during Setup, before Run).
 	leaf := leaves[len(leaves)-1]
 	flaky := &flakyApp{Application: testTarget(), failures: 1}
-	out := replayLeafWithRetry(flaky, w, leaf, stacks, Config{}.campaignMode(), Config{}.sandbox(time.Time{}), nil)
+	cfg := Config{StackMode: true}
+	out := replayLeafWithRetry(flaky, w, leaf, stacks, cfg.campaignMode(), cfg.sandbox(time.Time{}))
 	if out.retries != 1 {
 		t.Errorf("retries = %d, want 1", out.retries)
 	}
@@ -134,15 +137,16 @@ func TestLeafRetryRecoversTransientFailure(t *testing.T) {
 	}
 }
 
-// TestCampaignCountsRetries: the whole campaign folds per-leaf retries
-// into Result.RetriedFailurePoints and keeps full coverage.
+// TestCampaignCountsRetries: the whole stack-mode campaign folds
+// per-leaf retries into Result.RetriedFailurePoints and keeps full
+// coverage.
 func TestCampaignCountsRetries(t *testing.T) {
 	w := testWorkload()
 	tree, stacks := buildTree(t, testTarget(), w)
 	rep := &report.Report{Target: "test", Tool: "test", Stacks: stacks}
 	res := &Result{Report: rep}
 	flaky := &flakyApp{Application: testTarget(), failures: 1}
-	timedOut, err := injectAll(flaky, w, tree, Config{}, rep, res, time.Time{}, nil)
+	timedOut, err := injectAll(flaky, w, tree, Config{StackMode: true}, rep, res, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,8 +136,8 @@ func TestUndemandingHookGetsEveryStack(t *testing.T) {
 }
 
 // Phase 3 re-executes the workload to resolve stacks only for findings
-// the report will contain. Counter-mode replays restore checkpoints and
-// the oracle calls only Recover, so every Run past the first is that
+// the report will contain. Counter-mode injections judge phase-1 images
+// and the oracle calls only Recover, so every Run past the first is that
 // re-execution.
 func TestPhase3RunsOnlyForReportedFindings(t *testing.T) {
 	w := workload.Generate(workload.Config{N: 400, Seed: 3})
@@ -150,8 +150,13 @@ func TestPhase3RunsOnlyForReportedFindings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.CheckpointRestores != res.Recoveries || res.Recoveries == 0 {
-			t.Fatalf("%d of %d replays restored a checkpoint", res.CheckpointRestores, res.Recoveries)
+		if res.Recoveries == 0 {
+			t.Fatal("the campaign judged no crash image")
+		}
+		for _, leaf := range res.Tree.Leaves() {
+			if leaf.Image == nil {
+				t.Fatalf("failure point #%d has no phase-1 image", leaf.ID)
+			}
 		}
 		return res, app.runs
 	}

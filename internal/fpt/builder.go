@@ -68,18 +68,22 @@ type Builder struct {
 	Tree *Tree
 	// Granularity selects the failure-point definition.
 	Granularity Granularity
+	// KeepImages makes the builder freeze every new leaf's
+	// graceful-crash image into Leaf.Image (pmem.Engine.PrefixImage,
+	// O(1) on an engine that keeps the coherent view).
+	KeepImages bool
 	// NewLeaves counts leaves this builder added.
 	NewLeaves int
 	// eng is the engine this builder is attached to (AttachHook hands it
-	// over via pmem.EngineObserver). When the engine tracks the rolling
-	// prefix-image hash, every new leaf is stamped with its crash-image
-	// identity at insertion time.
+	// over via pmem.EngineObserver). When the engine keeps the coherent
+	// view, every new leaf is stamped with its crash-image identity at
+	// insertion time.
 	eng  *pmem.Engine
 	gate storeGate
 }
 
 // ObserveEngine implements pmem.EngineObserver: it gives the builder
-// access to the rolling prefix-image hash for stamping leaves.
+// access to the engine's crash image and its rolling hash.
 func (b *Builder) ObserveEngine(e *pmem.Engine) { b.eng = e }
 
 // NewBuilder returns a builder inserting into tree.
@@ -109,7 +113,13 @@ func (b *Builder) insert(ev *pmem.Event) {
 		return
 	}
 	b.NewLeaves++
-	if b.eng != nil && b.eng.TracksPrefixHash() {
+	if b.eng == nil {
+		return
+	}
+	if b.KeepImages {
+		leaf.Image = b.eng.PrefixImage()
+	}
+	if b.eng.TracksPrefixHash() {
 		leaf.ImageHash = b.eng.RollingPrefixHash()
 		leaf.ImageSize = b.eng.Size()
 	}
@@ -118,8 +128,8 @@ func (b *Builder) insert(ev *pmem.Event) {
 // Injector is a pmem.Hook that crashes a stack-mode replay at a chosen
 // failure point: the first failure-point event whose call stack matches
 // the target leaf's, which requires stack capture but no determinism.
-// (Counter-mode replays need no hook: the engine itself crashes at the
-// leaf's recorded first occurrence, pmem.Options.CrashAt.)
+// (Counter-mode campaigns replay nothing: they judge the image the
+// Builder froze at the leaf's first occurrence.)
 //
 // The injector carries its own cursor: it never reads or writes shared
 // campaign state, so one replay per worker can run against the same

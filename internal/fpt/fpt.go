@@ -22,6 +22,7 @@ import (
 	"sort"
 	"strings"
 
+	"mumak/internal/pmem"
 	"mumak/internal/stack"
 )
 
@@ -52,6 +53,12 @@ type Leaf struct {
 	// bit.
 	ImageHash uint64
 	ImageSize int
+	// Image is that graceful-crash image itself, frozen by the builder
+	// at the same instant when Builder.KeepImages is set (counter
+	// mode): the state a replay crashed at FirstICount would hand to
+	// recovery, so the campaign judges it without re-executing the
+	// target. nil otherwise; it is never serialised.
+	Image *pmem.Image
 }
 
 type node struct {

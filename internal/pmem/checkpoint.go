@@ -10,6 +10,12 @@ import (
 // Engine checkpointing — the Agamotto/Jaaru trick transplanted onto the
 // deterministic engine.
 //
+// The campaign no longer uses it: phase 1 freezes every failure point's
+// crash image from the coherent view (Options.TrackPrefixHash), so
+// counter mode restores nothing. Options.CheckpointEvery,
+// Engine.Checkpoints and ReplayTo remain only for the benchmark's traced
+// pipeline (bench/trace.go), which still times a checkpointed replay.
+//
 // Every counter-mode fault injection needs only one thing from the
 // replay: the engine's durable state at the leaf's instruction counter.
 // The application's volatile state is irrelevant — the run crashes
@@ -96,10 +102,6 @@ type checkpoint struct {
 	// snapshot.
 	delta map[uint64][]byte
 	hash  uint64
-	// prefix is the rolling graceful-crash prefix hash at the snapshot
-	// (zero unless the recording engine tracked it); restore carries it
-	// over so gap replays keep it rolling.
-	prefix uint64
 	// lines and queue are deep copies of the volatile cache and the
 	// write-pending queue.
 	lines []line
@@ -119,7 +121,7 @@ type CheckpointStore struct {
 	// base is the page table of the medium at recording start, frozen
 	// and shared with the image the recording engine started from; nil
 	// means an all-zero pool (the common case).
-	base []*page
+	base []*chunk
 	// dirty accumulates the bases of lines persisted to the medium
 	// since the last snapshot; take drains it into that checkpoint's
 	// delta.
@@ -167,9 +169,14 @@ func (s *CheckpointStore) LastICount() uint64 { return s.last }
 func (s *CheckpointStore) Bytes() uint64 {
 	const lineBytes, pendingBytes = 96, 96 // struct sizes, rounded up
 	total := uint64(len(s.log))
-	for _, pg := range s.base {
-		if pg != nil {
-			total += pageSize
+	for _, c := range s.base {
+		if c == nil {
+			continue
+		}
+		for _, pg := range c.pages {
+			if pg != nil {
+				total += pageSize
+			}
 		}
 	}
 	for i := range s.cps {
@@ -213,7 +220,6 @@ func (s *CheckpointStore) take(e *Engine) {
 		icount: e.icount,
 		offset: len(s.log),
 		hash:   e.mediumHash,
-		prefix: e.prefixHash,
 	}
 	if len(s.dirty) > 0 {
 		cp.delta = make(map[uint64][]byte, len(s.dirty))
@@ -286,7 +292,6 @@ func (s *CheckpointStore) restore(idx int) *Engine {
 		}
 	}
 	e.mediumHash = cp.hash
-	e.prefixHash = cp.prefix
 	for i := range cp.lines {
 		ln := cp.lines[i]
 		e.lines[ln.base] = &ln
@@ -297,6 +302,9 @@ func (s *CheckpointStore) restore(idx int) *Engine {
 		e.relink()
 	}
 	e.icount = cp.icount
+	// A restore of a recording that kept the coherent view rebuilds it
+	// from the restored state, so gap replays keep it current.
+	e.seedView()
 	return e
 }
 
@@ -315,6 +323,9 @@ func (s *CheckpointStore) restore(idx int) *Engine {
 //
 // ReplayTo is read-only on the store and safe to call concurrently once
 // the recording run has finished.
+//
+// Deprecated: the campaign judges phase-1 images and restores nothing;
+// only the benchmark's traced pipeline (bench/trace.go) still calls it.
 func (s *CheckpointStore) ReplayTo(target uint64, deadline time.Time) (*Engine, uint64, error) {
 	if target == 0 || target > s.last {
 		return nil, 0, fmt.Errorf("pmem: replay target %d beyond the recorded run (last mutation at %d)", target, s.last)

@@ -129,7 +129,7 @@ func diffEngines(t *testing.T, want, got *Engine, label string) {
 // mediumBytes materialises an engine's medium.
 func mediumBytes(e *Engine) []byte {
 	b := make([]byte, e.med.size)
-	materialise(b, e.med.pages)
+	materialise(b, e.med.chunks)
 	return b
 }
 

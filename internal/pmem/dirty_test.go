@@ -3,6 +3,7 @@ package pmem
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -262,4 +263,44 @@ func TestContentHashCoversPartialTail(t *testing.T) {
 	if NewImage(data).Hash() != ContentHash(data) {
 		t.Fatal("Image.Hash diverges from ContentHash on unaligned data")
 	}
+}
+
+// TestFrozenViewCostsOnlyWrittenChunks pins the two-level page table:
+// once a tracked engine's view is frozen, its next store copies the
+// top-level table (one pointer per 2 MiB of pool), one chunk and one
+// page, so freezing after every store allocates nearly the same at a
+// 64 MiB pool as at 8 MiB. A one-level table would copy one pointer per
+// 4 KiB page, 112 KiB more at the larger pool.
+func TestFrozenViewCostsOnlyWrittenChunks(t *testing.T) {
+	perStep := func(size int) uint64 {
+		e := NewEngine(Options{PoolSize: size, TrackPrefixHash: true})
+		imgs := make([]*Image, 0, 64)
+		step := func(i int) {
+			e.Store64(uint64(i%8)*(1<<20)+8, uint64(i))
+			imgs = append(imgs, e.PrefixImage())
+		}
+		for i := 0; i < 16; i++ {
+			step(i) // warm the cache lines and the line map
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 16; i < 48; i++ {
+			step(i)
+		}
+		runtime.ReadMemStats(&after)
+		if len(imgs) != 48 {
+			t.Fatal("lost a frozen view")
+		}
+		return (after.TotalAlloc - before.TotalAlloc) / 32
+	}
+	small, large := perStep(8<<20), perStep(64<<20)
+	if large > small+1<<10 {
+		t.Fatalf("a store after a freeze allocates %d bytes at a 64 MiB pool and %d at 8 MiB; the difference must stay under 1 KiB",
+			large, small)
+	}
+	if small > 16<<10 {
+		t.Fatalf("a store after a freeze allocates %d bytes; want about one chunk and one page", small)
+	}
+	t.Logf("bytes allocated per store after a freeze: %d at 8 MiB, %d at 64 MiB", small, large)
 }

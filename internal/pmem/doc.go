@@ -34,6 +34,9 @@
 // durable state (medium only), and the "graceful crash" image used by
 // Mumak's fault injector, in which every store issued before the failure
 // point is persisted (the program-order prefix of §4.1 of the paper).
+// An engine that keeps the coherent view (Options.TrackPrefixHash)
+// freezes the graceful-crash image in O(1), so the instrumented run
+// hands every failure point its image without any replay.
 // Finer-grained images (arbitrary subsets of unfenced flushes, store
 // reorderings) are built from recorded traces by package trace.
 package pmem

@@ -66,27 +66,32 @@ type Engine struct {
 	// over the medium, maintained incrementally at each line write so
 	// image content keys never require a full-pool scan.
 	mediumHash uint64
-	// prefixHash, maintained only under Options.TrackPrefixHash, is the
-	// rolling XOR fold of per-line content hashes over the coherent
-	// (load-visible) state — which is provably also the graceful-crash
-	// PrefixImage state: for an uncached line both are medium plus queued
-	// write-backs in issue order, and a cached line's data is seeded from
-	// that view and kept coherent, so its non-dirty bytes always equal
-	// it. The fold therefore changes only where the coherent view does:
-	// stores, NT stores, and seeded evictions whose dirty bytes are
-	// re-overlaid by an older queued write-back (evictLine).
-	prefixHash uint64
+	// view, kept only under Options.TrackPrefixHash, is a second
+	// copy-on-write medium holding the coherent (load-visible) state,
+	// which is provably also the graceful-crash PrefixImage state: for
+	// an uncached line both are medium plus queued write-backs in issue
+	// order, and a cached line's data is seeded from that view and kept
+	// coherent, so its non-dirty bytes always equal it. The view
+	// therefore changes only where the coherent state does: stores
+	// (RMWs included), NT stores, and seeded evictions whose dirty bytes
+	// are re-overlaid by an older queued write-back (evictLine).
+	// Freezing it is PrefixImage in O(1). viewHash is its rolling
+	// content hash, the failure points' phase-1 stamp.
+	view     medium
+	viewHash uint64
 
 	// ckpt, when non-nil, records every state mutation (and periodic
 	// full-state snapshots) as this engine executes, for O(gap)
-	// counter-mode replays. See checkpoint.go.
+	// replays (ReplayTo). See checkpoint.go.
 	ckpt *CheckpointStore
 }
 
 // NewEngine creates an engine over a zeroed pool.
 func NewEngine(opts Options) *Engine {
 	o := opts.withDefaults()
-	return newEngine(o, newMedium(o.PoolSize))
+	e := newEngine(o, newMedium(o.PoolSize))
+	e.seedView()
+	return e
 }
 
 // newEngine creates an engine over med. o must have defaults applied.
@@ -117,23 +122,47 @@ func NewEngineFromImage(opts Options, img *Image) *Engine {
 	// snapshots stay hash-tracked; engine-produced images carry the
 	// hash already, making this O(1) on the oracle path.
 	e.mediumHash = img.Hash()
-	// Cache and queue are empty at restart, so the prefix state equals
-	// the medium.
-	e.prefixHash = e.mediumHash
+	// Cache and queue are empty at restart, so the view shares the
+	// medium's pages.
+	e.seedView()
 	if e.ckpt != nil {
 		// A recording engine seeded from an image starts its delta
 		// chain here, not at a zeroed pool: the genesis checkpoint must
 		// carry the image as its base state.
 		e.ckpt.base = e.med.freeze()
 		e.ckpt.cps[0].hash = e.mediumHash
-		e.ckpt.cps[0].prefix = e.prefixHash
 	}
 	return e
+}
+
+// seedView builds the coherent view of an engine that keeps one from
+// its current state: the graceful-crash image derived from the medium,
+// whose pages the view then shares. Constructors call it once the
+// medium, cache and queue are in place.
+func (e *Engine) seedView() {
+	if !e.opts.TrackPrefixHash {
+		return
+	}
+	img := e.prefixFromMedium()
+	e.view = sharedMedium(img.size, img.chunks)
+	e.viewHash = img.hash
+}
+
+// writeView copies data into the coherent view of the line at base,
+// starting at line offset off, keeping viewHash current.
+func (e *Engine) writeView(base, off uint64, data []byte) {
+	v := e.view.writable(base)
+	e.viewHash ^= lineContrib(base, v)
+	copy(v[off:], data)
+	e.viewHash ^= lineContrib(base, v)
 }
 
 // Checkpoints returns the checkpoint store recorded by this engine's
 // execution, or nil when Options.CheckpointEvery was zero. The store
 // must be considered read-only once the recorded run has finished.
+//
+// Deprecated: the campaign records no checkpoints; only the benchmark's
+// traced pipeline (bench/trace.go) still reads them.
 func (e *Engine) Checkpoints() *CheckpointStore { return e.ckpt }
 
 // maybeCheckpoint snapshots full engine state once the instruction
@@ -305,12 +334,9 @@ func (e *Engine) applyStore(addr uint64, data []byte) {
 	for len(data) > 0 {
 		ln := e.lineFor(addr)
 		off := addr - ln.base
-		if e.opts.TrackPrefixHash {
-			e.prefixHash ^= lineContrib(ln.base, ln.data[:])
-		}
 		n := copy(ln.data[off:], data)
 		if e.opts.TrackPrefixHash {
-			e.prefixHash ^= lineContrib(ln.base, ln.data[:])
+			e.writeView(ln.base, off, data[:n])
 		}
 		ln.dirty |= storeMask(off, n)
 		addr += uint64(n)
@@ -355,15 +381,7 @@ func (e *Engine) applyNTStore(addr uint64, data []byte) {
 			n = len(data)
 		}
 		if e.opts.TrackPrefixHash {
-			// The coherent view of this line before the chunk applies:
-			// the cached copy when present, else medium plus queue.
-			cur := e.lineView(base)
-			if ln := e.lines[base]; ln != nil {
-				cur = ln.data
-			}
-			e.prefixHash ^= lineContrib(base, cur[:])
-			copy(cur[off:], data[:n])
-			e.prefixHash ^= lineContrib(base, cur[:])
+			e.writeView(base, off, data[:n])
 		}
 		var p pending
 		p.base = base
@@ -685,8 +703,8 @@ func (e *Engine) maybeEvict() {
 // the coherent view: when an older queued write-back overlaps the
 // line's dirty bytes, the queue re-overlays the freshly written-back
 // medium at the next drain, so the post-eviction view reverts those
-// bytes to the queued (older) data. The rolling prefix hash swaps the
-// line's contribution only when that happened.
+// bytes to the queued (older) data. The coherent view is rewritten only
+// when that happened.
 func (e *Engine) evictLine(ln *line) {
 	if !e.opts.TrackPrefixHash {
 		e.writeBack(ln)
@@ -697,21 +715,19 @@ func (e *Engine) evictLine(ln *line) {
 	e.writeBack(ln)
 	delete(e.lines, ln.base)
 	if cur := e.lineView(ln.base); cur != old {
-		e.prefixHash ^= lineContrib(ln.base, old[:])
-		e.prefixHash ^= lineContrib(ln.base, cur[:])
+		e.writeView(ln.base, 0, cur[:])
 	}
 }
 
-// RollingPrefixHash returns the incrementally maintained content hash
-// of the graceful-crash prefix image — the value PrefixImageHash
-// computes on demand — valid only under Options.TrackPrefixHash.
-// Reading it is O(1), so phase 1 can stamp every candidate failure
-// point with its prospective crash-image identity as the instrumented
-// run executes.
-func (e *Engine) RollingPrefixHash() uint64 { return e.prefixHash }
+// RollingPrefixHash returns the content hash of the coherent view —
+// the value PrefixImageHash computes on demand — valid only under
+// Options.TrackPrefixHash. Reading it is O(1), so phase 1 can stamp
+// every candidate failure point with its crash-image identity as the
+// instrumented run executes.
+func (e *Engine) RollingPrefixHash() uint64 { return e.viewHash }
 
-// TracksPrefixHash reports whether the engine maintains the rolling
-// prefix-image hash.
+// TracksPrefixHash reports whether the engine keeps the coherent view
+// and its rolling hash.
 func (e *Engine) TracksPrefixHash() bool { return e.opts.TrackPrefixHash }
 
 // PendingCount returns the number of queued (unfenced) write-backs.

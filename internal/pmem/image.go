@@ -7,9 +7,10 @@ package pmem
 // pages with the engine that took it, with sibling snapshots and with
 // engines later built from it, and none of them ever writes a shared
 // page. Taking one therefore costs O(lines that differ from the engine's
-// medium), never O(pool). Every engine-produced image also carries its
-// content hash, maintained incrementally by the engine (dirty.go), so
-// identity checks never rescan the pool.
+// medium), never O(pool), and O(1) on an engine that keeps the coherent
+// view (Options.TrackPrefixHash). Every engine-produced image also
+// carries its content hash, maintained incrementally by the engine
+// (dirty.go), so identity checks never rescan the pool.
 //
 // Engine-produced images must be treated as read-only. Callers that need
 // a mutable buffer (the trace replay cursor, exhaustive-exploration
@@ -17,11 +18,11 @@ package pmem
 // yield a private flat copy.
 type Image struct {
 	size int
-	// pages is the frozen page table of an engine-produced image. flat
+	// chunks is the frozen page table of an engine-produced image. flat
 	// holds the contents of a hand-built image (Clone, NewImage), or
 	// caches the materialised pages once Bytes has been called.
-	pages []*page
-	flat  []byte
+	chunks []*chunk
+	flat   []byte
 	// hash is the content hash (ContentHash of the materialised
 	// bytes); hashed reports whether the producer computed it.
 	hash   uint64
@@ -45,7 +46,7 @@ func (img *Image) Len() int { return img.size }
 func (img *Image) Bytes() []byte {
 	if img.flat == nil {
 		img.flat = make([]byte, img.size)
-		materialise(img.flat, img.pages)
+		materialise(img.flat, img.chunks)
 	}
 	return img.flat
 }
@@ -68,7 +69,7 @@ func (img *Image) Clone() *Image {
 	if img.flat != nil {
 		copy(cp, img.flat)
 	} else {
-		materialise(cp, img.pages)
+		materialise(cp, img.chunks)
 	}
 	return &Image{size: img.size, flat: cp}
 }
@@ -76,8 +77,8 @@ func (img *Image) Clone() *Image {
 // medium returns a medium of size bytes holding the image contents. It
 // shares an engine-produced image's pages and copies a flat image.
 func (img *Image) medium(size int) medium {
-	if img.pages != nil {
-		return sharedMedium(size, img.pages)
+	if img.chunks != nil {
+		return sharedMedium(size, img.chunks)
 	}
 	return flatMedium(size, img.flat)
 }
@@ -97,29 +98,41 @@ func (e *Engine) MediumSnapshot() *Image {
 // mediumImage snapshots the raw medium, ignoring the persistence
 // domain, by freezing its page table: O(1).
 func (e *Engine) mediumImage() *Image {
-	return &Image{size: e.med.size, pages: e.med.freeze(), hash: e.mediumHash, hashed: true}
+	return &Image{size: e.med.size, chunks: e.med.freeze(), hash: e.mediumHash, hashed: true}
 }
 
 // PrefixImage returns the "graceful crash" image of §4.1: every store
-// issued so far is persisted, respecting program order. It is the
-// frozen medium with the durable view of every line with pending
-// write-backs or dirty cached bytes written over private copies of
-// their pages. This is the deterministic post-failure state Mumak's
-// fault injector hands to the recovery procedure.
+// issued so far is persisted, respecting program order. This is the
+// deterministic post-failure state Mumak's fault injector hands to the
+// recovery procedure. An engine that keeps the coherent view
+// (Options.TrackPrefixHash) freezes it in O(1): phase 1 takes each
+// failure point's image this way. Any other engine builds it from the
+// medium (prefixFromMedium).
 func (e *Engine) PrefixImage() *Image {
+	if e.opts.TrackPrefixHash {
+		return &Image{size: e.view.size, chunks: e.view.freeze(), hash: e.viewHash, hashed: true}
+	}
+	return e.prefixFromMedium()
+}
+
+// prefixFromMedium builds the graceful-crash image from the durable
+// state: the frozen medium with the durable view of every line with
+// pending write-backs or dirty cached bytes written over private copies
+// of their pages, in O(those lines).
+func (e *Engine) prefixFromMedium() *Image {
 	img := e.mediumImage()
 	bases := e.durableOverlayBases()
 	if len(bases) == 0 {
 		return img
 	}
-	m := sharedMedium(img.size, img.pages)
+	m := sharedMedium(img.size, img.chunks)
 	for _, base := range bases {
 		ln := m.writable(base)
 		img.hash ^= lineContrib(base, ln)
 		e.overlayDurable(ln, base)
 		img.hash ^= lineContrib(base, ln)
 	}
-	img.pages = m.pages
+	img.chunks = m.chunks
 	return img
 }
 
@@ -133,7 +146,7 @@ func (e *Engine) FencedImage(keep []bool) *Image {
 		panic("pmem: FencedImage selector length mismatch")
 	}
 	img := e.mediumImage()
-	m := sharedMedium(img.size, img.pages)
+	m := sharedMedium(img.size, img.chunks)
 	touched := make(map[uint64]struct{})
 	for i := range e.queue {
 		if !keep[i] {
@@ -149,6 +162,6 @@ func (e *Engine) FencedImage(keep []bool) *Image {
 	for base := range touched {
 		img.hash ^= lineContrib(base, m.line(base))
 	}
-	img.pages = m.pages
+	img.chunks = m.chunks
 	return img
 }

@@ -350,8 +350,15 @@ func compare(e *Engine, m *refModel, rng *rand.Rand) error {
 	if img.Hash() != h || e.PrefixImageHash() != h {
 		return fmt.Errorf("prefix hashes %#x, %#x; content hash %#x", img.Hash(), e.PrefixImageHash(), h)
 	}
-	if e.TracksPrefixHash() && e.RollingPrefixHash() != h {
-		return fmt.Errorf("RollingPrefixHash %#x, content hash %#x", e.RollingPrefixHash(), h)
+	if e.TracksPrefixHash() {
+		// PrefixImage froze the coherent view; the image derived from
+		// the medium is the second, independent derivation.
+		if e.RollingPrefixHash() != h {
+			return fmt.Errorf("RollingPrefixHash %#x, content hash %#x", e.RollingPrefixHash(), h)
+		}
+		if ref := e.prefixFromMedium(); !bytes.Equal(ref.Bytes(), prefix) || ref.Hash() != h {
+			return errors.New("medium-derived prefix image diverges")
+		}
 	}
 	want := m.mediumSnapshot()
 	med := e.MediumSnapshot()

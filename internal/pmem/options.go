@@ -78,9 +78,11 @@ type Options struct {
 	EADR bool
 	// CrashAt, when non-zero, makes the engine panic with a
 	// *CrashSignal immediately before the instruction with this
-	// counter executes. It is the "minimal instrumentation" fault
-	// injection of §5: no event construction or hook dispatch happens
-	// on the replay's hot path.
+	// counter executes: the from-scratch replay of §5's
+	// instruction-counter mode, with no event construction or hook
+	// dispatch on its hot path. The campaign no longer replays in that
+	// mode (phase 1 freezes each failure point's image instead); the
+	// replay stays as the reference those images are tested against.
 	CrashAt uint64
 	// MaxEvents, when non-zero, is a deterministic fuel budget: the
 	// engine panics with a *HangSignal once the instruction counter
@@ -97,17 +99,21 @@ type Options struct {
 	// CheckpointEvery, when non-zero, makes the engine record a
 	// mutation log and snapshot its full state every CheckpointEvery
 	// events into a CheckpointStore (checkpoint.go), from which
-	// counter-mode replays restore in O(gap) instead of re-executing
-	// the whole prefix. Recording costs memory proportional to the
-	// trace; leave it zero for engines that are themselves replays.
+	// ReplayTo restores in O(gap) instead of re-executing the whole
+	// prefix. Recording costs memory proportional to the trace.
+	//
+	// Deprecated: the campaign records no checkpoints; only the
+	// benchmark's traced pipeline (bench/trace.go) still sets it.
 	CheckpointEvery uint64
-	// TrackPrefixHash makes the engine maintain a rolling content hash of
-	// the graceful-crash (PrefixImage) state alongside execution, so the
-	// prospective crash-image identity at any instruction is readable in
-	// O(1) via RollingPrefixHash instead of O(changed lines) via
-	// PrefixImageHash. Phase 1 of the campaign uses it to stamp every
-	// candidate failure point with its crash-image equivalence class one
-	// phase before injection. Costs two per-line hash folds per store.
+	// TrackPrefixHash makes the engine keep the coherent (graceful-crash)
+	// view as a second copy-on-write medium alongside execution, with its
+	// rolling content hash. The crash image at any instruction is then
+	// PrefixImage in O(1), and its identity RollingPrefixHash in O(1)
+	// instead of PrefixImageHash in O(changed lines). Phase 1 of the
+	// campaign uses it to hand every failure point its crash image and
+	// its equivalence-class stamp. Costs one line write and two
+	// per-line hash folds per store, plus a page copy on the first write
+	// to a page after each freeze.
 	TrackPrefixHash bool
 	// Capture names the event classes whose call stacks hooks may
 	// request. Within them the engine captures a stack only when an

@@ -1,16 +1,28 @@
 package pmem
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 	"time"
 )
 
-// assertRolling checks the tracked invariant: the rolling prefix hash
-// equals the on-demand ground truth at every quiescent point.
+// assertRolling checks the tracked invariant at a quiescent point: the
+// frozen coherent view — PrefixImage on a tracking engine — equals, in
+// bytes and hash, the graceful-crash image derived from the medium, and
+// the rolling hash equals the on-demand ground truth.
 func assertRolling(t *testing.T, e *Engine, label string) {
 	t.Helper()
 	if got, want := e.RollingPrefixHash(), e.PrefixImageHash(); got != want {
 		t.Fatalf("%s: rolling prefix hash %#x != PrefixImageHash %#x", label, got, want)
+	}
+	view, ref := e.PrefixImage(), e.prefixFromMedium()
+	if !bytes.Equal(view.Clone().Bytes(), ref.Bytes()) {
+		t.Fatalf("%s: frozen view bytes diverge from the medium-derived prefix image", label)
+	}
+	if view.Hash() != ref.Hash() || ref.Hash() != ContentHash(ref.Bytes()) {
+		t.Fatalf("%s: frozen view hash %#x, medium-derived %#x, content %#x",
+			label, view.Hash(), ref.Hash(), ContentHash(ref.Bytes()))
 	}
 }
 
@@ -77,17 +89,30 @@ func TestRollingPrefixHashMatchesGroundTruth(t *testing.T) {
 	}
 }
 
+// TestRollingPrefixHashFromImage: an engine restarted from an image
+// seeds its coherent view from it, whether the image is a frozen page
+// table or flat bytes, and the image keeps its bytes while the engine
+// writes over shared pages.
 func TestRollingPrefixHashFromImage(t *testing.T) {
-	src := NewEngine(Options{PoolSize: 1 << 12})
+	src := NewEngine(Options{PoolSize: 1 << 14})
 	src.Store64(64, 0xabcd)
+	src.Store64(3*pageSize+8, 0xef)
 	src.CLWB(64)
 	src.SFence()
-	img := src.PrefixImage()
-
-	e := NewEngineFromImage(Options{TrackPrefixHash: true}, img)
-	assertRolling(t, e, "restarted engine")
-	e.Store64(128, 0x99)
-	assertRolling(t, e, "post-restart store")
+	src.Store64(192, 0x77) // dirty and cached: in the prefix image only
+	tables := src.PrefixImage()
+	want := tables.Clone().Bytes()
+	for _, img := range []*Image{tables, NewImage(want)} {
+		e := NewEngineFromImage(Options{TrackPrefixHash: true}, img)
+		assertRolling(t, e, "restarted engine")
+		if got := e.PrefixImage(); got.Hash() != ContentHash(want) || !bytes.Equal(got.Clone().Bytes(), want) {
+			t.Fatal("restarted engine's view differs from its image")
+		}
+		exerciseEngine(e, func(label string) { assertRolling(t, e, "post-restart "+label) })
+		if !bytes.Equal(img.Clone().Bytes(), want) {
+			t.Fatal("the restarted engine's writes changed its image")
+		}
+	}
 }
 
 // TestRollingPrefixHashCheckpointRoundTrip proves the checkpoint
@@ -132,18 +157,23 @@ func TestRollingPrefixHashCheckpointRoundTrip(t *testing.T) {
 // of the coherent view: a seeded eviction whose dirty bytes are
 // re-overlaid by an older queued write-back of the same line.
 func TestRollingPrefixHashEvictionOverlap(t *testing.T) {
-	// EvictOneIn == 1 forces an eviction attempt after every store.
+	// EvictOneIn == 1 evicts a cached line after every cached store.
 	e := NewEngine(Options{PoolSize: 1 << 12, TrackPrefixHash: true,
 		Eviction: EvictSeeded, EvictOneIn: 1, Seed: 1})
-	e.Store64(0, 0xaaaa)
-	e.CLWB(0) // queue the line with 0xaaaa
+	e.NTStore64(0, 0xaaaa) // queued for line 0; NT stores never evict
+	assertRolling(t, e, "queued nt store")
+	// The store caches line 0 as the only cached line, so the eviction
+	// after it writes 0xbbbb back while 0xaaaa is still queued.
 	e.Store64(0, 0xbbbb)
-	// The store above triggered an eviction sweep; keep storing until
-	// line 0 is certainly evicted while its CLWB entry is still queued.
-	for i := uint64(0); i < 32 && e.LineDirty(0); i++ {
-		e.Store64(0, 0xbbbb+i)
+	if e.LineDirty(0) {
+		t.Fatal("line 0 was not evicted")
 	}
 	assertRolling(t, e, "after eviction with queued overlap")
+	// The older queued write-back lands on top of the written-back line:
+	// the view shows the queued value again.
+	if got := binary.LittleEndian.Uint64(e.PrefixImage().Clone().Bytes()); got != 0xaaaa {
+		t.Fatalf("view reads %#x after the eviction, want the queued 0xaaaa", got)
+	}
 	e.SFence()
 	assertRolling(t, e, "after drain")
 }
