@@ -2,7 +2,7 @@
 // memo.
 //
 // During the instrumented run the engine maintains a rolling hash of
-// the graceful-crash prefix image (pmem.Options.TrackPrefixHash), and
+// the graceful-crash prefix image (pmem.Engine.PrefixImageHash), and
 // the failure-point-tree builder stamps every new leaf with its
 // prospective (imageHash, size) key — the content hash a replay crashed
 // at that leaf would compute. The injection campaign can therefore

@@ -25,7 +25,7 @@ func TestClassingStampMatchesReplayHash(t *testing.T) {
 	tree := fpt.New(stacks)
 	builder := fpt.NewBuilder(tree, fpt.GranPersistency)
 	_, sig, err := harness.Execute(mk(), w, pmem.Options{
-		Capture: pmem.CapturePersistency, Stacks: stacks, TrackPrefixHash: true,
+		Capture: pmem.CapturePersistency, Stacks: stacks,
 	}, builder)
 	if err != nil || sig != nil {
 		t.Fatalf("instrumented run: sig=%v err=%v", sig, err)

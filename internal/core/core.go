@@ -334,13 +334,10 @@ func Analyze(app harness.Application, w workload.Workload, cfg Config) (*Result,
 	// image, which the builder freezes from the engine's coherent view
 	// as the leaf is created: hooks see an event before its mutation
 	// applies, so that image is exactly the state a replay crashed at the
-	// leaf's counter would reach, and no replay runs at all. Classing
-	// needs the view's rolling hash as every leaf's stamp, in both
-	// injection modes; stack mode keeps no images, since its replays
-	// re-execute the target.
+	// leaf's counter would reach, and no replay runs at all. Stack mode
+	// keeps no images, since its replays re-execute the target.
 	if !cfg.DisableFaultInjection {
 		builder.KeepImages = !cfg.StackMode
-		opts.TrackPrefixHash = builder.KeepImages || cfg.Classing
 	}
 	eng, sout := execute(app, w, opts, sb, hooks...)
 	res.EngineEvents += eng.Events()

@@ -45,7 +45,7 @@ func TestCheckpointRestoreMatchesFromScratchAcrossRegistry(t *testing.T) {
 					builder.KeepImages = true
 					_, sig, err := harness.Execute(mk(), w, pmem.Options{
 						Capture: pmem.CapturePersistency, Stacks: stacks,
-						EADR: eadr, TrackPrefixHash: true,
+						EADR: eadr,
 					}, builder)
 					if err != nil || sig != nil {
 						t.Fatalf("instrumented run failed: err=%v sig=%v", err, sig)

@@ -34,7 +34,7 @@ func TestInjectionAllocationIndependentOfPoolSize(t *testing.T) {
 		builder := fpt.NewBuilder(tree, fpt.GranPersistency)
 		builder.KeepImages = true
 		_, sig, err := harness.Execute(app, w, pmem.Options{
-			Capture: pmem.CapturePersistency, Stacks: stacks, TrackPrefixHash: true,
+			Capture: pmem.CapturePersistency, Stacks: stacks,
 		}, builder)
 		if err != nil || sig != nil {
 			t.Fatalf("instrumented run failed: err=%v sig=%v", err, sig)

@@ -70,14 +70,13 @@ type Builder struct {
 	Granularity Granularity
 	// KeepImages makes the builder freeze every new leaf's
 	// graceful-crash image into Leaf.Image (pmem.Engine.PrefixImage,
-	// O(1) on an engine that keeps the coherent view).
+	// O(1)).
 	KeepImages bool
 	// NewLeaves counts leaves this builder added.
 	NewLeaves int
 	// eng is the engine this builder is attached to (AttachHook hands it
-	// over via pmem.EngineObserver). When the engine keeps the coherent
-	// view, every new leaf is stamped with its crash-image identity at
-	// insertion time.
+	// over via pmem.EngineObserver). Every new leaf is stamped with its
+	// crash-image identity at insertion time.
 	eng  *pmem.Engine
 	gate storeGate
 }
@@ -119,10 +118,8 @@ func (b *Builder) insert(ev *pmem.Event) {
 	if b.KeepImages {
 		leaf.Image = b.eng.PrefixImage()
 	}
-	if b.eng.TracksPrefixHash() {
-		leaf.ImageHash = b.eng.RollingPrefixHash()
-		leaf.ImageSize = b.eng.Size()
-	}
+	leaf.ImageHash = b.eng.PrefixImageHash()
+	leaf.ImageSize = b.eng.Size()
 }
 
 // Injector is a pmem.Hook that crashes a stack-mode replay at a chosen

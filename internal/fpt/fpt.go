@@ -48,9 +48,8 @@ type Leaf struct {
 	// the builder hook observed the event — so crashing there
 	// materialises exactly this image, and leaves sharing a stamp form
 	// one crash-image equivalence class. ImageSize == 0 means unstamped
-	// (the builder's engine was not hash-tracked); a zero ImageHash is
-	// legitimate (a still-zeroed pool), so the size carries the validity
-	// bit.
+	// (the builder had no engine); a zero ImageHash is legitimate (a
+	// still-zeroed pool), so the size carries the validity bit.
 	ImageHash uint64
 	ImageSize int
 	// Image is that graceful-crash image itself, frozen by the builder

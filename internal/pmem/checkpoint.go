@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"time"
 )
 
@@ -11,8 +12,8 @@ import (
 // deterministic engine.
 //
 // The campaign no longer uses it: phase 1 freezes every failure point's
-// crash image from the coherent view (Options.TrackPrefixHash), so
-// counter mode restores nothing. Options.CheckpointEvery,
+// crash image from the engine's coherent view, so counter mode restores
+// nothing. Options.CheckpointEvery,
 // Engine.Checkpoints and ReplayTo remain only for the benchmark's traced
 // pipeline (bench/trace.go), which still times a checkpointed replay.
 //
@@ -35,9 +36,9 @@ import (
 //   - periodic checkpoints, every CheckpointEvery events: the full
 //     engine state — the medium as a *delta*: the lines persisted since
 //     the previous checkpoint, copied into a per-checkpoint slab — plus
-//     the incrementally maintained content hash, cache lines, the
-//     write-pending queue, and the log offset of the first entry after
-//     the snapshot.
+//     the incrementally maintained content hash, the frozen view and
+//     its hash, the cache's dirty masks, the write-pending queue, and
+//     the log offset of the first entry after the snapshot.
 //
 // Deltas chain: checkpoint k's medium is the store's genesis pages (none
 // for the usual zeroed pool) with deltas 1..k applied in order. Each
@@ -54,8 +55,8 @@ import (
 // replays the *exact* mutations the recording engine performed —
 // including CAS outcomes and spontaneous seeded evictions — the
 // restored engine is byte-identical to a from-scratch replay crashed at
-// F: same medium, same cache lines and dirty masks, same queue (order
-// and issue counters included), same rolling content hash. The
+// F: same medium, same view, same dirty masks, same queue (in order),
+// same rolling content hashes. The
 // graceful-crash image and its dedup-cache key therefore match the
 // non-checkpointed campaign exactly, which keeps reports byte-identical
 // with checkpointing on or off.
@@ -102,9 +103,14 @@ type checkpoint struct {
 	// snapshot.
 	delta map[uint64][]byte
 	hash  uint64
-	// lines and queue are deep copies of the volatile cache and the
+	// view is the engine's view, frozen at the snapshot, and viewHash
+	// its rolling hash. The genesis checkpoint has none: there the view
+	// is the medium.
+	view     []*chunk
+	viewHash uint64
+	// cache and queue are copies of the dirty masks and the
 	// write-pending queue.
-	lines []line
+	cache map[uint64]uint64
 	queue []pending
 }
 
@@ -164,10 +170,11 @@ func (s *CheckpointStore) Entries() int { return s.entries }
 func (s *CheckpointStore) LastICount() uint64 { return s.last }
 
 // Bytes approximates the store's resident size: the mutation log, the
-// genesis pages (if any), and the per-checkpoint deltas plus cache-line
-// and queue copies.
+// genesis pages (if any), and the per-checkpoint deltas plus dirty-mask
+// and queue copies. The frozen views share their pages with each other
+// and with the recording engine, and are not counted.
 func (s *CheckpointStore) Bytes() uint64 {
-	const lineBytes, pendingBytes = 96, 96 // struct sizes, rounded up
+	const maskBytes, pendingBytes = 16, 80 // map key and value; struct size
 	total := uint64(len(s.log))
 	for _, c := range s.base {
 		if c == nil {
@@ -181,7 +188,7 @@ func (s *CheckpointStore) Bytes() uint64 {
 	}
 	for i := range s.cps {
 		cp := &s.cps[i]
-		total += uint64(len(cp.lines))*lineBytes + uint64(len(cp.queue))*pendingBytes
+		total += uint64(len(cp.cache))*maskBytes + uint64(len(cp.queue))*pendingBytes
 		total += uint64(len(cp.delta)) * (CacheLineSize + 24)
 	}
 	return total
@@ -214,12 +221,15 @@ func (s *CheckpointStore) record(tag byte, icount, addr uint64, data []byte) {
 // take snapshots the recording engine's full state. The medium delta is
 // the lines persisted since the previous snapshot, copied into one slab
 // (O(changed lines), no sharing with the engine's own COW snapshot
-// machinery); cache lines and the queue are small and copied outright.
+// machinery); the view is frozen in O(1), and the dirty masks and the
+// queue are small and copied outright.
 func (s *CheckpointStore) take(e *Engine) {
 	cp := checkpoint{
-		icount: e.icount,
-		offset: len(s.log),
-		hash:   e.mediumHash,
+		icount:   e.icount,
+		offset:   len(s.log),
+		hash:     e.mediumHash,
+		view:     e.view.freeze(),
+		viewHash: e.viewHash,
 	}
 	if len(s.dirty) > 0 {
 		cp.delta = make(map[uint64][]byte, len(s.dirty))
@@ -232,11 +242,8 @@ func (s *CheckpointStore) take(e *Engine) {
 		}
 		clear(s.dirty)
 	}
-	if len(e.lines) > 0 {
-		cp.lines = make([]line, 0, len(e.lines))
-		for _, ln := range e.lines {
-			cp.lines = append(cp.lines, *ln)
-		}
+	if len(e.cache) > 0 {
+		cp.cache = maps.Clone(e.cache)
 	}
 	if len(e.queue) > 0 {
 		cp.queue = append([]pending(nil), e.queue...)
@@ -263,10 +270,10 @@ func (s *CheckpointStore) nearestBelow(target uint64) int {
 
 // restore materialises a private engine from checkpoint idx: the
 // genesis pages (none for the usual zeroed pool) overlaid with deltas
-// 1..idx in order, written into fresh or copied pages. Restoring costs
-// O(lines persisted up to the checkpoint) — line-copy work, far below
-// re-executing the application — plus O(live lines + queue), whatever
-// the pool size.
+// 1..idx in order, written into fresh or copied pages, and the view the
+// checkpoint froze. Restoring costs O(lines persisted up to the
+// checkpoint) — line-copy work, far below re-executing the application —
+// plus O(cached lines + queue), whatever the pool size.
 func (s *CheckpointStore) restore(idx int) *Engine {
 	cp := &s.cps[idx]
 	o := s.opts
@@ -285,26 +292,22 @@ func (s *CheckpointStore) restore(idx int) *Engine {
 	} else {
 		med = newMedium(o.PoolSize)
 	}
-	e := newEngine(o, med)
+	e := newEngine(o, med, cp.hash)
 	for j := 1; j <= idx; j++ {
 		for base, ln := range s.cps[j].delta {
 			copy(e.med.writable(base), ln)
 		}
 	}
-	e.mediumHash = cp.hash
-	for i := range cp.lines {
-		ln := cp.lines[i]
-		e.lines[ln.base] = &ln
-		e.evictKeys = append(e.evictKeys, ln.base)
+	if idx > 0 {
+		e.view = sharedMedium(o.PoolSize, cp.view)
+		e.viewHash = cp.viewHash
 	}
-	if len(cp.queue) > 0 {
-		e.queue = append(e.queue, cp.queue...)
-		e.relink()
+	for base, dirty := range cp.cache {
+		e.cache[base] = dirty
+		e.evictKeys = append(e.evictKeys, base)
 	}
+	e.queue = append(e.queue, cp.queue...)
 	e.icount = cp.icount
-	// A restore of a recording that kept the coherent view rebuilds it
-	// from the restored state, so gap replays keep it current.
-	e.seedView()
 	return e
 }
 
@@ -342,9 +345,6 @@ func (s *CheckpointStore) ReplayTo(target uint64, deadline time.Time) (*Engine, 
 		if icount >= target {
 			break
 		}
-		// pending entries stamp the current counter at issue time, so
-		// the counter must be set before the mutation is applied.
-		e.icount = icount
 		switch tag {
 		case ckStore, ckNTStore:
 			addr, n := binary.Uvarint(s.log[pos:])
@@ -382,9 +382,7 @@ func (s *CheckpointStore) ReplayTo(target uint64, deadline time.Time) (*Engine, 
 		case ckEvict:
 			base, n := binary.Uvarint(s.log[pos:])
 			pos += n
-			if ln := e.lines[base]; ln != nil {
-				e.evictLine(ln)
-			}
+			e.evictLine(base)
 		default:
 			return nil, 0, fmt.Errorf("pmem: corrupt checkpoint log: tag %d at offset %d", tag, pos)
 		}

@@ -3,6 +3,7 @@ package pmem
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -89,9 +90,9 @@ func runToCrash(t *testing.T, opts Options, seed int64, n int, target uint64) *E
 }
 
 // diffEngines compares every piece of state a crash image can observe:
-// instruction counter, medium bytes, rolling medium hash, cache lines
-// (contents and dirty masks), the write-pending queue (order and issue
-// counters included), and the graceful-crash image itself.
+// instruction counter, medium bytes, rolling medium hash, the cache's
+// dirty masks, the write-pending queue (in order), and the view: the
+// graceful-crash image itself and its hash.
 func diffEngines(t *testing.T, want, got *Engine, label string) {
 	t.Helper()
 	if want.icount != got.icount {
@@ -103,17 +104,8 @@ func diffEngines(t *testing.T, want, got *Engine, label string) {
 	if want.mediumHash != got.mediumHash {
 		t.Fatalf("%s: mediumHash %#x, want %#x", label, got.mediumHash, want.mediumHash)
 	}
-	if len(want.lines) != len(got.lines) {
-		t.Fatalf("%s: %d cache lines, want %d", label, len(got.lines), len(want.lines))
-	}
-	for base, w := range want.lines {
-		g := got.lines[base]
-		if g == nil {
-			t.Fatalf("%s: cache line %#x missing", label, base)
-		}
-		if g.data != w.data || g.dirty != w.dirty {
-			t.Fatalf("%s: cache line %#x diverges (dirty %#x vs %#x)", label, base, g.dirty, w.dirty)
-		}
+	if !maps.Equal(want.cache, got.cache) {
+		t.Fatalf("%s: cache diverges: %d lines, want %d", label, len(got.cache), len(want.cache))
 	}
 	if !reflect.DeepEqual(want.queue, got.queue) && (len(want.queue) != 0 || len(got.queue) != 0) {
 		t.Fatalf("%s: write-pending queue diverges: %d entries vs %d", label, len(got.queue), len(want.queue))

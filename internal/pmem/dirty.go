@@ -6,12 +6,12 @@ import "encoding/binary"
 //
 // Crash-image deduplication (Vinter- and Jaaru-style) needs a content
 // identity for an image that never requires hashing the full pool. The
-// medium only ever changes line by line, through writeMedium, so the
-// engine maintains mediumHash, an XOR fold of a per-line hash over the
-// whole medium, updated at each line write by removing the old line's
-// contribution and adding the new one. (Snapshots that cost O(changed
-// lines) rather than O(pool) come from the copy-on-write medium,
-// medium.go.)
+// medium and the view only ever change line by line, through writeMedium
+// and writeView, so the engine maintains mediumHash and viewHash, XOR
+// folds of a per-line hash over each, updated at each line write by
+// removing the old line's contribution and adding the new one.
+// (Snapshots that cost O(1) rather than O(pool) come from the
+// copy-on-write medium, medium.go.)
 //
 // An all-zero line contributes 0 to the fold, so a zeroed pool hashes
 // to 0 and a fresh engine starts hash-tracked without scanning the
@@ -136,59 +136,7 @@ func (e *Engine) writeMedium(base uint64, src []byte, dirty uint64) {
 	}
 }
 
-// durableOverlayBases collects the bases of lines whose durable
-// (graceful-crash) content may diverge from the medium: lines with
-// queued write-backs plus dirty cache lines, each once. The order is
-// irrelevant — the hash fold is commutative.
-func (e *Engine) durableOverlayBases() []uint64 {
-	if len(e.queue) == 0 && len(e.lines) == 0 {
-		return nil
-	}
-	out := make([]uint64, 0, len(e.pend)+len(e.lines))
-	for b := range e.pend {
-		out = append(out, b)
-	}
-	for b, ln := range e.lines {
-		if _, queued := e.pend[b]; !queued && ln.dirty != 0 {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
-// overlayDurable turns dst, a copy of the medium line at base, into the
-// line's graceful-crash content: queued write-backs in issue order, then
-// the line's dirty cached bytes — exactly the per-line effect of
-// PrefixImage.
-func (e *Engine) overlayDurable(dst []byte, base uint64) {
-	e.overlayPending(dst, base)
-	if ln := e.lines[base]; ln != nil && ln.dirty != 0 {
-		applyMasked(dst, ln.data[:], ln.dirty)
-	}
-}
-
 // PrefixImageHash returns the content hash of the image PrefixImage
-// would build, in O(changed lines) and without materialising anything:
-// the rolling medium hash with the contribution of every
-// durable-overlay line swapped for its graceful-crash content. A
-// failure point's phase-1 stamp is this hash at the leaf's counter.
-func (e *Engine) PrefixImageHash() uint64 {
-	h := e.mediumHash
-	for _, base := range e.durableOverlayBases() {
-		med := e.med.line(base)
-		var view [CacheLineSize]byte
-		copy(view[:], med)
-		e.overlayDurable(view[:], base)
-		h ^= lineContrib(base, med) ^ lineContrib(base, view[:])
-	}
-	return h
-}
-
-// MediumSnapshotHash is the content hash of the image MediumSnapshot
-// would build, at the same O(changed lines) cost as PrefixImageHash.
-func (e *Engine) MediumSnapshotHash() uint64 {
-	if e.opts.EADR {
-		return e.PrefixImageHash()
-	}
-	return e.mediumHash
-}
+// would build: the rolling hash of the view, in O(1). A failure point's
+// phase-1 stamp is this hash at the leaf's counter.
+func (e *Engine) PrefixImageHash() uint64 { return e.viewHash }

@@ -57,35 +57,6 @@ func TestIncrementalHashMatchesContentHash(t *testing.T) {
 			if got, want := med.Hash(), ContentHash(med.Bytes()); got != want {
 				t.Fatalf("seed %d step %d: MediumSnapshot hash %#x, content hash %#x", seed, step, got, want)
 			}
-			if got, want := e.MediumSnapshotHash(), med.Hash(); got != want {
-				t.Fatalf("seed %d step %d: MediumSnapshotHash %#x, image hash %#x", seed, step, got, want)
-			}
-		}
-	}
-}
-
-// FencedImage hashes must obey the same invariant for arbitrary keep
-// subsets of the write-pending queue.
-func TestFencedImageHash(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	e := NewEngine(Options{PoolSize: 1 << 14})
-	for i := 0; i < 6; i++ {
-		addr := uint64(i) * 64
-		e.Store64(addr, rng.Uint64())
-		e.CLWB(addr)
-	}
-	n := e.PendingCount()
-	if n == 0 {
-		t.Fatal("no pending write-backs to subset")
-	}
-	for mask := 0; mask < 1<<uint(n); mask++ {
-		keep := make([]bool, n)
-		for i := range keep {
-			keep[i] = mask&(1<<uint(i)) != 0
-		}
-		img := e.FencedImage(keep)
-		if got, want := img.Hash(), ContentHash(img.Bytes()); got != want {
-			t.Fatalf("mask %b: image hash %#x, content hash %#x", mask, got, want)
 		}
 	}
 }
@@ -266,14 +237,14 @@ func TestContentHashCoversPartialTail(t *testing.T) {
 }
 
 // TestFrozenViewCostsOnlyWrittenChunks pins the two-level page table:
-// once a tracked engine's view is frozen, its next store copies the
+// once an engine's view is frozen, its next store copies the
 // top-level table (one pointer per 2 MiB of pool), one chunk and one
 // page, so freezing after every store allocates nearly the same at a
 // 64 MiB pool as at 8 MiB. A one-level table would copy one pointer per
 // 4 KiB page, 112 KiB more at the larger pool.
 func TestFrozenViewCostsOnlyWrittenChunks(t *testing.T) {
 	perStep := func(size int) uint64 {
-		e := NewEngine(Options{PoolSize: size, TrackPrefixHash: true})
+		e := NewEngine(Options{PoolSize: size})
 		imgs := make([]*Image, 0, 64)
 		step := func(i int) {
 			e.Store64(uint64(i%8)*(1<<20)+8, uint64(i))

@@ -30,13 +30,16 @@
 //
 // # Crash images
 //
-// Engine can materialise several kinds of crash image: the strictly
-// durable state (medium only), and the "graceful crash" image used by
-// Mumak's fault injector, in which every store issued before the failure
-// point is persisted (the program-order prefix of §4.1 of the paper).
-// An engine that keeps the coherent view (Options.TrackPrefixHash)
-// freezes the graceful-crash image in O(1), so the instrumented run
-// hands every failure point its image without any replay.
+// Engine materialises two kinds of crash image: the strictly durable
+// state (medium only), and the "graceful crash" image used by Mumak's
+// fault injector, in which every store issued before the failure point
+// is persisted (the program-order prefix of §4.1 of the paper). The
+// engine holds three things: the durable medium, the queued write-backs
+// and one coherent view, a copy-on-write medium that is the only copy of
+// cached bytes (the cache itself is a map from line to dirty mask). The
+// view is exactly the graceful-crash image, so freezing it takes that
+// image in O(1), and the instrumented run hands every failure point its
+// image without any replay.
 // Finer-grained images (arbitrary subsets of unfenced flushes, store
 // reorderings) are built from recorded traces by package trace.
 package pmem

@@ -9,51 +9,47 @@ import (
 	"mumak/internal/stack"
 )
 
-// line is one volatile cache line. data is a full copy of the line
-// contents; dirty has bit i set when byte i diverges from the medium.
-type line struct {
-	base  uint64
-	data  [CacheLineSize]byte
-	dirty uint64
-}
-
 // pending is an asynchronous write-back (clwb, clflushopt or ntstore)
 // that has left the cache but is not yet guaranteed durable: it becomes
 // durable at the next fence, or may be dropped by a power-cut crash.
+// data is a copy of the line's coherent contents at issue; dirty selects
+// the bytes the write-back carries.
 type pending struct {
 	base  uint64
 	data  [CacheLineSize]byte
 	dirty uint64
-	// icount is the instruction that issued the write-back.
-	icount uint64
-	// next is the queue index of the next write-back to the same line,
-	// or -1.
-	next int
 }
-
-// lineQueue is the per-line index of the write-pending queue: the queue
-// indices of the first and the last write-back to one line. Following
-// pending.next from head visits exactly that line's write-backs, in
-// queue order.
-type lineQueue struct{ head, tail int }
 
 // Engine simulates a single hardware thread issuing PM instructions
 // against a pool. It is not safe for concurrent use: the targets under
 // analysis execute deterministically on one goroutine, as required by the
 // instruction-counter optimisation of §5.
 type Engine struct {
-	opts  Options
-	med   medium
-	lines map[uint64]*line
-	// queue is the write-pending queue in issue order; pend indexes it
-	// by line.
+	opts Options
+	// med is the durable medium.
+	med medium
+	// view is the coherent (load-visible) state and the only copy of
+	// cached bytes: stores, RMWs and NT stores write it, loads read it,
+	// and write-backs take their bytes from it. It is also the
+	// graceful-crash PrefixImage state: every line of it is the medium
+	// overlaid with the line's queued write-backs in issue order, then
+	// with its dirty cached bytes. Flushes and fences move bytes between
+	// those layers without changing the result, so the view changes only
+	// where a store, an NT store or a seeded eviction (evictLine)
+	// changes the coherent state, and freezing it is PrefixImage in
+	// O(1). viewHash is its rolling content hash, the failure points'
+	// phase-1 stamp.
+	view     medium
+	viewHash uint64
+	// cache maps the base of every cached line to its dirty mask: bit i
+	// is set when byte i of the view has not been written back.
+	cache map[uint64]uint64
+	// queue is the write-pending queue in issue order.
 	queue  []pending
-	pend   map[uint64]lineQueue
 	hooks  []Hook
 	anns   []AnnotationObserver
 	icount uint64
 	rng    *rand.Rand
-	stats  Stats
 	// demands are the hooks that choose which events' stacks they need;
 	// eager is set once a hook without a StackDemand is attached, which
 	// takes the stack of every event in the Options.Capture classes.
@@ -66,19 +62,6 @@ type Engine struct {
 	// over the medium, maintained incrementally at each line write so
 	// image content keys never require a full-pool scan.
 	mediumHash uint64
-	// view, kept only under Options.TrackPrefixHash, is a second
-	// copy-on-write medium holding the coherent (load-visible) state,
-	// which is provably also the graceful-crash PrefixImage state: for
-	// an uncached line both are medium plus queued write-backs in issue
-	// order, and a cached line's data is seeded from that view and kept
-	// coherent, so its non-dirty bytes always equal it. The view
-	// therefore changes only where the coherent state does: stores
-	// (RMWs included), NT stores, and seeded evictions whose dirty bytes
-	// are re-overlaid by an older queued write-back (evictLine).
-	// Freezing it is PrefixImage in O(1). viewHash is its rolling
-	// content hash, the failure points' phase-1 stamp.
-	view     medium
-	viewHash uint64
 
 	// ckpt, when non-nil, records every state mutation (and periodic
 	// full-state snapshots) as this engine executes, for O(gap)
@@ -89,20 +72,22 @@ type Engine struct {
 // NewEngine creates an engine over a zeroed pool.
 func NewEngine(opts Options) *Engine {
 	o := opts.withDefaults()
-	e := newEngine(o, newMedium(o.PoolSize))
-	e.seedView()
-	return e
+	return newEngine(o, newMedium(o.PoolSize), 0)
 }
 
-// newEngine creates an engine over med. o must have defaults applied.
-func newEngine(o Options, med medium) *Engine {
+// newEngine creates an engine over med, whose content hash is hash. The
+// cache and the queue start empty, so the view shares the medium's
+// pages. o must have defaults applied.
+func newEngine(o Options, med medium, hash uint64) *Engine {
 	e := &Engine{
-		opts:  o,
-		med:   med,
-		lines: make(map[uint64]*line),
-		pend:  make(map[uint64]lineQueue),
-		rng:   rand.New(rand.NewSource(o.Seed)),
+		opts:       o,
+		med:        med,
+		mediumHash: hash,
+		viewHash:   hash,
+		cache:      make(map[uint64]uint64),
+		rng:        rand.New(rand.NewSource(o.Seed)),
 	}
+	e.view = sharedMedium(med.size, e.med.freeze())
 	if o.CheckpointEvery > 0 {
 		e.ckpt = newCheckpointStore(o, o.CheckpointEvery)
 	}
@@ -117,14 +102,9 @@ func NewEngineFromImage(opts Options, img *Image) *Engine {
 	o := opts
 	o.PoolSize = img.Len()
 	o = o.withDefaults()
-	e := newEngine(o, img.medium(o.PoolSize))
-	// Seed the rolling hash from the image so this engine's own
-	// snapshots stay hash-tracked; engine-produced images carry the
-	// hash already, making this O(1) on the oracle path.
-	e.mediumHash = img.Hash()
-	// Cache and queue are empty at restart, so the view shares the
-	// medium's pages.
-	e.seedView()
+	// Seed the rolling hashes from the image; engine-produced images
+	// carry their hash already, making this O(1) on the oracle path.
+	e := newEngine(o, img.medium(o.PoolSize), img.Hash())
 	if e.ckpt != nil {
 		// A recording engine seeded from an image starts its delta
 		// chain here, not at a zeroed pool: the genesis checkpoint must
@@ -135,21 +115,8 @@ func NewEngineFromImage(opts Options, img *Image) *Engine {
 	return e
 }
 
-// seedView builds the coherent view of an engine that keeps one from
-// its current state: the graceful-crash image derived from the medium,
-// whose pages the view then shares. Constructors call it once the
-// medium, cache and queue are in place.
-func (e *Engine) seedView() {
-	if !e.opts.TrackPrefixHash {
-		return
-	}
-	img := e.prefixFromMedium()
-	e.view = sharedMedium(img.size, img.chunks)
-	e.viewHash = img.hash
-}
-
-// writeView copies data into the coherent view of the line at base,
-// starting at line offset off, keeping viewHash current.
+// writeView copies data into the view of the line at base, starting at
+// line offset off, keeping viewHash current.
 func (e *Engine) writeView(base, off uint64, data []byte) {
 	v := e.view.writable(base)
 	e.viewHash ^= lineContrib(base, v)
@@ -182,6 +149,9 @@ func (e *Engine) Size() int { return e.med.size }
 // ICount returns the current instruction counter (the counter of the last
 // delivered event).
 func (e *Engine) ICount() uint64 { return e.icount }
+
+// Events returns the total number of instruction events delivered.
+func (e *Engine) Events() uint64 { return e.icount }
 
 // Stacks returns the stack table used for capture, if any.
 func (e *Engine) Stacks() *stack.Table { return e.opts.Stacks }
@@ -274,54 +244,11 @@ func (e *Engine) Annotate(kind AnnKind, addr uint64, size int) {
 	}
 }
 
-// lineView returns the coherent contents of the line at base as seen by
-// a load when the line is not cached: the medium overlaid with any queued
-// (unfenced) write-backs, applied in issue order.
-func (e *Engine) lineView(base uint64) [CacheLineSize]byte {
-	var buf [CacheLineSize]byte
-	copy(buf[:], e.med.line(base))
-	e.overlayPending(buf[:], base)
-	return buf
-}
-
-// overlayPending applies the queued write-backs to the line at base onto
-// dst, in issue order. It costs O(write-backs pending on that line), and
-// O(1) for a line with none.
-func (e *Engine) overlayPending(dst []byte, base uint64) {
-	if len(e.queue) == 0 {
-		return
-	}
-	lq, ok := e.pend[base]
-	if !ok {
-		return
-	}
-	for i := lq.head; i >= 0; i = e.queue[i].next {
-		applyMasked(dst, e.queue[i].data[:], e.queue[i].dirty)
-	}
-}
-
-func (e *Engine) lineFor(addr uint64) *line {
-	base := addr &^ (CacheLineSize - 1)
-	ln := e.lines[base]
-	if ln == nil {
-		ln = &line{base: base}
-		ln.data = e.lineView(base)
-		e.lines[base] = ln
-		e.evictKeys = append(e.evictKeys, base)
-		if n := len(e.lines); n > e.stats.PeakCacheLines {
-			e.stats.PeakCacheLines = n
-		}
-	}
-	return ln
-}
-
 // Store writes data to PM through the cache. The write is volatile until
 // the affected lines are flushed and fenced (or evicted).
 func (e *Engine) Store(addr uint64, data []byte) {
 	e.check(addr, len(data))
 	e.emit(OpStore, addr, len(data), data)
-	e.stats.Stores++
-	e.stats.BytesStored += uint64(len(data))
 	if e.ckpt != nil {
 		e.ckpt.record(ckStore, e.icount, addr, data)
 	}
@@ -332,13 +259,15 @@ func (e *Engine) Store(addr uint64, data []byte) {
 
 func (e *Engine) applyStore(addr uint64, data []byte) {
 	for len(data) > 0 {
-		ln := e.lineFor(addr)
-		off := addr - ln.base
-		n := copy(ln.data[off:], data)
-		if e.opts.TrackPrefixHash {
-			e.writeView(ln.base, off, data[:n])
+		base := addr &^ (CacheLineSize - 1)
+		off := addr - base
+		n := min(len(data), CacheLineSize-int(off))
+		dirty, cached := e.cache[base]
+		if !cached {
+			e.evictKeys = append(e.evictKeys, base)
 		}
-		ln.dirty |= storeMask(off, n)
+		e.cache[base] = dirty | storeMask(off, n)
+		e.writeView(base, off, data[:n])
 		addr += uint64(n)
 		data = data[n:]
 	}
@@ -358,9 +287,6 @@ func (e *Engine) Store64(addr uint64, v uint64) {
 func (e *Engine) NTStore(addr uint64, data []byte) {
 	e.check(addr, len(data))
 	e.emit(OpNTStore, addr, len(data), data)
-	e.stats.Stores++
-	e.stats.NTStores++
-	e.stats.BytesStored += uint64(len(data))
 	if e.ckpt != nil {
 		e.ckpt.record(ckNTStore, e.icount, addr, data)
 	}
@@ -368,39 +294,16 @@ func (e *Engine) NTStore(addr uint64, data []byte) {
 	e.maybeCheckpoint()
 }
 
-// applyNTStore is the state mutation of NTStore: it materialises the
-// write as pending line images without dirtying the cache. If the line
-// is currently cached, the volatile copy is kept coherent so subsequent
-// loads observe the new data.
+// applyNTStore is the state mutation of NTStore: it writes the view, so
+// loads observe the new data whether or not the line is cached, and
+// queues one write-back per line without dirtying the cache.
 func (e *Engine) applyNTStore(addr uint64, data []byte) {
 	for len(data) > 0 {
 		base := addr &^ (CacheLineSize - 1)
 		off := addr - base
-		n := CacheLineSize - int(off)
-		if n > len(data) {
-			n = len(data)
-		}
-		if e.opts.TrackPrefixHash {
-			e.writeView(base, off, data[:n])
-		}
-		var p pending
-		p.base = base
-		p.icount = e.icount
-		if off != 0 || n != CacheLineSize {
-			// Partial-line NT store: seed with the coherent view. A
-			// full-line write needs no seed, which keeps bulk NT
-			// zeroing (pmem_memset) linear in the region size.
-			p.data = e.lineView(base)
-			if ln := e.lines[base]; ln != nil {
-				p.data = ln.data
-			}
-		}
-		copy(p.data[off:], data[:n])
-		p.dirty |= storeMask(off, n)
-		if ln := e.lines[base]; ln != nil {
-			copy(ln.data[off:], data[:n])
-		}
-		e.enqueue(p)
+		n := min(len(data), CacheLineSize-int(off))
+		e.writeView(base, off, data[:n])
+		e.enqueue(base, storeMask(off, n))
 		addr += uint64(n)
 		data = data[n:]
 	}
@@ -418,27 +321,16 @@ func (e *Engine) NTStore64(addr uint64, v uint64) {
 func (e *Engine) Load(addr uint64, size int) []byte {
 	e.check(addr, size)
 	e.emit(OpLoad, addr, size, nil)
-	e.stats.Loads++
 	out := make([]byte, size)
 	e.readInto(out, addr)
 	return out
 }
 
-// readInto fills out with the current (cache-coherent) view at addr.
+// readInto fills out with the view at addr.
 func (e *Engine) readInto(out []byte, addr uint64) {
 	for len(out) > 0 {
 		base := addr &^ (CacheLineSize - 1)
-		off := addr - base
-		n := CacheLineSize - int(off)
-		if n > len(out) {
-			n = len(out)
-		}
-		if ln := e.lines[base]; ln != nil {
-			copy(out[:n], ln.data[off:])
-		} else {
-			view := e.lineView(base)
-			copy(out[:n], view[off:])
-		}
+		n := copy(out, e.view.line(base)[addr-base:])
 		addr += uint64(n)
 		out = out[n:]
 	}
@@ -449,7 +341,6 @@ func (e *Engine) Load64(addr uint64) uint64 {
 	var b [8]byte
 	e.check(addr, 8)
 	e.emit(OpLoad, addr, 8, nil)
-	e.stats.Loads++
 	e.readInto(b[:], addr)
 	return binary.LittleEndian.Uint64(b[:])
 }
@@ -460,7 +351,6 @@ func (e *Engine) CLFlush(addr uint64) {
 	e.check(addr, 1)
 	base := addr &^ (CacheLineSize - 1)
 	e.emit(OpCLFlush, base, CacheLineSize, nil)
-	e.stats.Flushes++
 	if e.ckpt != nil {
 		e.ckpt.record(ckCLFlush, e.icount, base, nil)
 	}
@@ -473,22 +363,18 @@ func (e *Engine) CLFlush(addr uint64) {
 // this line complete first. It filters the whole queue, which costs
 // O(queue); PM libraries flush with CLWB or CLFlushOpt instead.
 func (e *Engine) applyCLFlush(base uint64) {
-	if _, ok := e.pend[base]; ok {
-		delete(e.pend, base)
-		kept := e.queue[:0]
-		for i := range e.queue {
-			if e.queue[i].base == base {
-				e.applyPending(&e.queue[i])
-			} else {
-				kept = append(kept, e.queue[i])
-			}
+	kept := e.queue[:0]
+	for i := range e.queue {
+		if p := &e.queue[i]; p.base == base {
+			e.writeMedium(base, p.data[:], p.dirty)
+		} else {
+			kept = append(kept, *p)
 		}
-		e.queue = kept
-		e.relink()
 	}
-	if ln := e.lines[base]; ln != nil {
-		e.writeBack(ln)
-		delete(e.lines, base)
+	e.queue = kept
+	if dirty, ok := e.cache[base]; ok {
+		e.writeBack(base, dirty)
+		delete(e.cache, base)
 	}
 }
 
@@ -508,7 +394,6 @@ func (e *Engine) flushAsync(addr uint64, op Opcode, invalidate bool) {
 	e.check(addr, 1)
 	base := addr &^ (CacheLineSize - 1)
 	e.emit(op, base, CacheLineSize, nil)
-	e.stats.Flushes++
 	if e.ckpt != nil {
 		tag := ckCLWB
 		if invalidate {
@@ -523,16 +408,18 @@ func (e *Engine) flushAsync(addr uint64, op Opcode, invalidate bool) {
 // applyFlushAsync is the state mutation of CLFlushOpt (invalidate) and
 // CLWB (keep the cached copy).
 func (e *Engine) applyFlushAsync(base uint64, invalidate bool) {
-	ln := e.lines[base]
-	if ln == nil {
+	dirty, ok := e.cache[base]
+	if !ok {
 		return
 	}
-	if ln.dirty != 0 {
-		e.enqueue(pending{base: base, data: ln.data, dirty: ln.dirty, icount: e.icount})
-		ln.dirty = 0
+	if dirty != 0 {
+		e.enqueue(base, dirty)
 	}
-	if invalidate {
-		delete(e.lines, base)
+	switch {
+	case invalidate:
+		delete(e.cache, base)
+	case dirty != 0:
+		e.cache[base] = 0
 	}
 }
 
@@ -540,7 +427,6 @@ func (e *Engine) applyFlushAsync(base uint64, invalidate bool) {
 // non-temporal store issued before the fence becomes durable.
 func (e *Engine) SFence() {
 	e.emit(OpSFence, 0, 0, nil)
-	e.stats.Fences++
 	if e.ckpt != nil {
 		e.ckpt.record(ckFence, e.icount, 0, nil)
 	}
@@ -551,7 +437,6 @@ func (e *Engine) SFence() {
 // MFence behaves like SFence for persistency purposes.
 func (e *Engine) MFence() {
 	e.emit(OpMFence, 0, 0, nil)
-	e.stats.Fences++
 	if e.ckpt != nil {
 		e.ckpt.record(ckFence, e.icount, 0, nil)
 	}
@@ -568,8 +453,6 @@ func (e *Engine) CAS64(addr uint64, old, new uint64) bool {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], new)
 	e.emit(OpRMW, addr, 8, b[:])
-	e.stats.Fences++
-	e.stats.RMWs++
 	e.drain()
 	var cur [8]byte
 	e.readInto(cur[:], addr)
@@ -601,8 +484,6 @@ func (e *Engine) FAA64(addr uint64, delta uint64) uint64 {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], prev+delta)
 	e.emit(OpRMW, addr, 8, b[:])
-	e.stats.Fences++
-	e.stats.RMWs++
 	if e.ckpt != nil {
 		e.ckpt.record(ckRMW, e.icount, addr, b[:])
 	}
@@ -615,61 +496,31 @@ func (e *Engine) FAA64(addr uint64, delta uint64) uint64 {
 // drain makes every pending write-back durable, preserving issue order.
 func (e *Engine) drain() {
 	for i := range e.queue {
-		e.applyPending(&e.queue[i])
-		delete(e.pend, e.queue[i].base)
+		p := &e.queue[i]
+		e.writeMedium(p.base, p.data[:], p.dirty)
 	}
 	e.queue = e.queue[:0]
 }
 
-// enqueue appends a write-back to the queue and to its line's chain.
-func (e *Engine) enqueue(p pending) {
-	e.queue = append(e.queue, p)
-	e.link(len(e.queue) - 1)
-	if len(e.queue) > e.stats.PeakQueue {
-		e.stats.PeakQueue = len(e.queue)
-	}
+// enqueue queues a write-back of the dirty-selected bytes of the line at
+// base, copying the line from the view.
+func (e *Engine) enqueue(base, dirty uint64) {
+	e.queue = append(e.queue, pending{base: base, dirty: dirty})
+	copy(e.queue[len(e.queue)-1].data[:], e.view.line(base))
 }
 
-// link appends queue entry i to the tail of its line's chain.
-func (e *Engine) link(i int) {
-	p := &e.queue[i]
-	p.next = -1
-	lq, ok := e.pend[p.base]
-	if ok {
-		e.queue[lq.tail].next = i
-		lq.tail = i
-	} else {
-		lq = lineQueue{head: i, tail: i}
+// writeBack writes the dirty bytes of the cached line at base from the
+// view to the medium.
+func (e *Engine) writeBack(base, dirty uint64) {
+	if dirty != 0 {
+		e.writeMedium(base, e.view.line(base), dirty)
 	}
-	e.pend[p.base] = lq
-}
-
-// relink rebuilds the per-line chains over the current queue indices.
-func (e *Engine) relink() {
-	for i := range e.queue {
-		delete(e.pend, e.queue[i].base)
-	}
-	for i := range e.queue {
-		e.link(i)
-	}
-}
-
-func (e *Engine) applyPending(p *pending) {
-	e.writeMedium(p.base, p.data[:], p.dirty)
-}
-
-func (e *Engine) writeBack(ln *line) {
-	if ln.dirty == 0 {
-		return
-	}
-	e.writeMedium(ln.base, ln.data[:], ln.dirty)
-	ln.dirty = 0
 }
 
 // maybeEvict spontaneously writes back a pseudo-random dirty line under
 // the seeded eviction policy.
 func (e *Engine) maybeEvict() {
-	if e.opts.Eviction != EvictSeeded || len(e.lines) == 0 {
+	if e.opts.Eviction != EvictSeeded || len(e.cache) == 0 {
 		return
 	}
 	if e.rng.Intn(e.opts.EvictOneIn) != 0 {
@@ -679,8 +530,7 @@ func (e *Engine) maybeEvict() {
 	for tries := 0; tries < 4 && len(e.evictKeys) > 0; tries++ {
 		i := e.rng.Intn(len(e.evictKeys))
 		base := e.evictKeys[i]
-		ln := e.lines[base]
-		if ln == nil {
+		if _, ok := e.cache[base]; !ok {
 			e.evictKeys[i] = e.evictKeys[len(e.evictKeys)-1]
 			e.evictKeys = e.evictKeys[:len(e.evictKeys)-1]
 			continue
@@ -691,52 +541,38 @@ func (e *Engine) maybeEvict() {
 		if e.ckpt != nil {
 			e.ckpt.record(ckEvict, e.icount, base, nil)
 		}
-		e.evictLine(ln)
-		e.stats.Evictions++
+		e.evictLine(base)
 		return
 	}
 }
 
-// evictLine writes a line back and drops it from the cache (the state
-// mutation of a seeded eviction, live or replayed from the checkpoint
-// log). Eviction is the one operation besides stores that can change
-// the coherent view: when an older queued write-back overlaps the
-// line's dirty bytes, the queue re-overlays the freshly written-back
-// medium at the next drain, so the post-eviction view reverts those
-// bytes to the queued (older) data. The coherent view is rewritten only
-// when that happened.
-func (e *Engine) evictLine(ln *line) {
-	if !e.opts.TrackPrefixHash {
-		e.writeBack(ln)
-		delete(e.lines, ln.base)
+// evictLine writes the line at base back and drops it from the cache
+// (the state mutation of a seeded eviction, live or replayed from the
+// checkpoint log). Eviction is the one operation besides stores that can
+// change the view: an older queued write-back of the line lands on top
+// of the written-back bytes at the next drain, so where one overlaps
+// them the view reverts to the queued (older) data.
+func (e *Engine) evictLine(base uint64) {
+	dirty := e.cache[base]
+	delete(e.cache, base)
+	if dirty == 0 {
 		return
 	}
-	old := ln.data
-	e.writeBack(ln)
-	delete(e.lines, ln.base)
-	if cur := e.lineView(ln.base); cur != old {
-		e.writeView(ln.base, 0, cur[:])
+	e.writeBack(base, dirty)
+	v := [CacheLineSize]byte(e.view.line(base))
+	for i := range e.queue {
+		if p := &e.queue[i]; p.base == base {
+			applyMasked(v[:], p.data[:], p.dirty&dirty)
+		}
+	}
+	if v != [CacheLineSize]byte(e.view.line(base)) {
+		e.writeView(base, 0, v[:])
 	}
 }
-
-// RollingPrefixHash returns the content hash of the coherent view —
-// the value PrefixImageHash computes on demand — valid only under
-// Options.TrackPrefixHash. Reading it is O(1), so phase 1 can stamp
-// every candidate failure point with its crash-image identity as the
-// instrumented run executes.
-func (e *Engine) RollingPrefixHash() uint64 { return e.viewHash }
-
-// TracksPrefixHash reports whether the engine keeps the coherent view
-// and its rolling hash.
-func (e *Engine) TracksPrefixHash() bool { return e.opts.TrackPrefixHash }
-
-// PendingCount returns the number of queued (unfenced) write-backs.
-func (e *Engine) PendingCount() int { return len(e.queue) }
 
 // LineDirty reports whether the cache line containing addr holds
 // unwritten-back store data. PM libraries use it to skip write-backs of
 // clean lines.
 func (e *Engine) LineDirty(addr uint64) bool {
-	ln := e.lines[addr&^(CacheLineSize-1)]
-	return ln != nil && ln.dirty != 0
+	return e.cache[addr&^(CacheLineSize-1)] != 0
 }

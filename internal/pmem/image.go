@@ -6,11 +6,10 @@ package pmem
 // An engine-produced image is a frozen page table (medium.go): it shares
 // pages with the engine that took it, with sibling snapshots and with
 // engines later built from it, and none of them ever writes a shared
-// page. Taking one therefore costs O(lines that differ from the engine's
-// medium), never O(pool), and O(1) on an engine that keeps the coherent
-// view (Options.TrackPrefixHash). Every engine-produced image also
-// carries its content hash, maintained incrementally by the engine
-// (dirty.go), so identity checks never rescan the pool.
+// page. Taking one therefore costs O(1), never O(pool). Every
+// engine-produced image also carries its content hash, maintained
+// incrementally by the engine (dirty.go), so identity checks never
+// rescan the pool.
 //
 // Engine-produced images must be treated as read-only. Callers that need
 // a mutable buffer (the trace replay cursor, exhaustive-exploration
@@ -92,76 +91,14 @@ func (e *Engine) MediumSnapshot() *Image {
 	if e.opts.EADR {
 		return e.PrefixImage()
 	}
-	return e.mediumImage()
-}
-
-// mediumImage snapshots the raw medium, ignoring the persistence
-// domain, by freezing its page table: O(1).
-func (e *Engine) mediumImage() *Image {
 	return &Image{size: e.med.size, chunks: e.med.freeze(), hash: e.mediumHash, hashed: true}
 }
 
 // PrefixImage returns the "graceful crash" image of §4.1: every store
 // issued so far is persisted, respecting program order. This is the
 // deterministic post-failure state Mumak's fault injector hands to the
-// recovery procedure. An engine that keeps the coherent view
-// (Options.TrackPrefixHash) freezes it in O(1): phase 1 takes each
-// failure point's image this way. Any other engine builds it from the
-// medium (prefixFromMedium).
+// recovery procedure. It freezes the engine's view in O(1): phase 1
+// takes each failure point's image this way.
 func (e *Engine) PrefixImage() *Image {
-	if e.opts.TrackPrefixHash {
-		return &Image{size: e.view.size, chunks: e.view.freeze(), hash: e.viewHash, hashed: true}
-	}
-	return e.prefixFromMedium()
-}
-
-// prefixFromMedium builds the graceful-crash image from the durable
-// state: the frozen medium with the durable view of every line with
-// pending write-backs or dirty cached bytes written over private copies
-// of their pages, in O(those lines).
-func (e *Engine) prefixFromMedium() *Image {
-	img := e.mediumImage()
-	bases := e.durableOverlayBases()
-	if len(bases) == 0 {
-		return img
-	}
-	m := sharedMedium(img.size, img.chunks)
-	for _, base := range bases {
-		ln := m.writable(base)
-		img.hash ^= lineContrib(base, ln)
-		e.overlayDurable(ln, base)
-		img.hash ^= lineContrib(base, ln)
-	}
-	img.chunks = m.chunks
-	return img
-}
-
-// FencedImage returns the image in which fenced data plus an arbitrary
-// caller-selected subset of the unfenced write-backs is durable. keep[i]
-// selects the i-th queued write-back. It models the power-cut
-// non-determinism between a flush and its fence. Panics if len(keep)
-// differs from PendingCount.
-func (e *Engine) FencedImage(keep []bool) *Image {
-	if len(keep) != len(e.queue) {
-		panic("pmem: FencedImage selector length mismatch")
-	}
-	img := e.mediumImage()
-	m := sharedMedium(img.size, img.chunks)
-	touched := make(map[uint64]struct{})
-	for i := range e.queue {
-		if !keep[i] {
-			continue
-		}
-		p := &e.queue[i]
-		if _, ok := touched[p.base]; !ok {
-			touched[p.base] = struct{}{}
-			img.hash ^= lineContrib(p.base, m.line(p.base))
-		}
-		applyMasked(m.writable(p.base), p.data[:], p.dirty)
-	}
-	for base := range touched {
-		img.hash ^= lineContrib(base, m.line(base))
-	}
-	img.chunks = m.chunks
-	return img
+	return &Image{size: e.view.size, chunks: e.view.freeze(), hash: e.viewHash, hashed: true}
 }

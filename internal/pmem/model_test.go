@@ -12,10 +12,11 @@ import (
 )
 
 // refModel is a deliberately naive model of the engine's persistency
-// semantics, the reference for its indexed write-pending queue and its
-// copy-on-write medium: a flat medium, cached lines with dirty byte
-// masks, a queue that every lookup scans from the start, and images that
-// are full copies.
+// semantics, the reference for its coherent view, its write-pending
+// queue and its copy-on-write medium: a flat medium, cached lines with
+// their own data and dirty byte masks, a queue that every lookup scans
+// from the start, and crash images derived from those three as full
+// copies.
 type refModel struct {
 	eadr   bool
 	medium []byte
@@ -167,16 +168,6 @@ func (m *refModel) mediumSnapshot() []byte {
 	return bytes.Clone(m.medium)
 }
 
-func (m *refModel) fencedImage(keep []bool) []byte {
-	img := bytes.Clone(m.medium)
-	for i, p := range m.queue {
-		if keep[i] {
-			overlay(img[p.base:], &p.data, p.dirty)
-		}
-	}
-	return img
-}
-
 type refOpKind uint8
 
 const (
@@ -280,11 +271,10 @@ func (m *refModel) run(op refOp) []byte {
 
 // step runs op on the engine and on the model and compares what they
 // return. A seeded eviction the engine makes during a store is found by
-// its effect on the cache and mirrored into the model; step returns the
-// evicted line so that a replayed model can repeat it.
+// the line it leaves missing from the cache and mirrored into the model;
+// step returns the evicted line so that a replayed model can repeat it.
 func step(e *Engine, m *refModel, op refOp) (evicted []uint64, err error) {
 	var got []byte
-	evictions := e.stats.Evictions
 	switch op.kind {
 	case refStore:
 		e.Store(op.addr, op.data)
@@ -317,9 +307,9 @@ func step(e *Engine, m *refModel, op refOp) (evicted []uint64, err error) {
 	if want := m.run(op); !bytes.Equal(got, want) {
 		return nil, fmt.Errorf("op %d at %#x returned %x, model %x", op.kind, op.addr, got, want)
 	}
-	if e.stats.Evictions != evictions {
+	if len(e.cache) != len(m.lines) {
 		for base := range m.lines {
-			if e.lines[base] == nil {
+			if _, ok := e.cache[base]; !ok {
 				evicted = append(evicted, base)
 			}
 		}
@@ -331,15 +321,21 @@ func step(e *Engine, m *refModel, op refOp) (evicted []uint64, err error) {
 	return evicted, nil
 }
 
-// compare checks everything the engine derives from its queue index and
-// its page table against the model: pending count, cache occupancy,
-// loads, and the bytes and hashes of every kind of image.
+// compare checks everything the engine derives from its view, its queue
+// and its page tables against the model: queue length, cached lines and
+// their dirty masks, loads, and the bytes and hashes of both kinds of
+// image.
 func compare(e *Engine, m *refModel, rng *rand.Rand) error {
-	if got, want := e.PendingCount(), len(m.queue); got != want {
-		return fmt.Errorf("PendingCount %d, model %d", got, want)
+	if got, want := len(e.queue), len(m.queue); got != want {
+		return fmt.Errorf("%d queued write-backs, model %d", got, want)
 	}
-	if got, want := len(e.lines), len(m.lines); got != want {
+	if got, want := len(e.cache), len(m.lines); got != want {
 		return fmt.Errorf("%d cached lines, model %d", got, want)
+	}
+	for base, ln := range m.lines {
+		if dirty, ok := e.cache[base]; !ok || dirty != ln.dirty {
+			return fmt.Errorf("line %#x: cached %v with dirty mask %#x, model %#x", base, ok, dirty, ln.dirty)
+		}
 	}
 	prefix := m.prefixImage()
 	h := ContentHash(prefix)
@@ -350,32 +346,13 @@ func compare(e *Engine, m *refModel, rng *rand.Rand) error {
 	if img.Hash() != h || e.PrefixImageHash() != h {
 		return fmt.Errorf("prefix hashes %#x, %#x; content hash %#x", img.Hash(), e.PrefixImageHash(), h)
 	}
-	if e.TracksPrefixHash() {
-		// PrefixImage froze the coherent view; the image derived from
-		// the medium is the second, independent derivation.
-		if e.RollingPrefixHash() != h {
-			return fmt.Errorf("RollingPrefixHash %#x, content hash %#x", e.RollingPrefixHash(), h)
-		}
-		if ref := e.prefixFromMedium(); !bytes.Equal(ref.Bytes(), prefix) || ref.Hash() != h {
-			return errors.New("medium-derived prefix image diverges")
-		}
-	}
 	want := m.mediumSnapshot()
 	med := e.MediumSnapshot()
 	if !bytes.Equal(med.Bytes(), want) {
 		return errors.New("MediumSnapshot bytes diverge")
 	}
-	if h := ContentHash(want); med.Hash() != h || e.MediumSnapshotHash() != h {
-		return fmt.Errorf("medium hashes %#x, %#x; content hash %#x", med.Hash(), e.MediumSnapshotHash(), h)
-	}
-	keep := make([]bool, len(m.queue))
-	for i := range keep {
-		keep[i] = rng.Intn(2) == 0
-	}
-	want = m.fencedImage(keep)
-	fenced := e.FencedImage(keep)
-	if !bytes.Equal(fenced.Bytes(), want) || fenced.Hash() != ContentHash(want) {
-		return errors.New("FencedImage bytes or hash diverge")
+	if h := ContentHash(want); med.Hash() != h {
+		return fmt.Errorf("MediumSnapshot hash %#x, content hash %#x", med.Hash(), h)
 	}
 	for i := 0; i < 8; i++ {
 		addr := uint64(rng.Intn(16 * CacheLineSize))
@@ -391,12 +368,36 @@ func compare(e *Engine, m *refModel, rng *rand.Rand) error {
 	return nil
 }
 
+// lockstep runs ops on the engine and on the model, comparing them every
+// 17 ops and at the end, and returns the lines the engine evicted at
+// each op.
+func lockstep(t *testing.T, e *Engine, m *refModel, ops []refOp, rng *rand.Rand) [][]uint64 {
+	t.Helper()
+	evicted := make([][]uint64, len(ops))
+	for i, op := range ops {
+		var err error
+		evicted[i], err = step(e, m, op)
+		if err == nil && i%17 == 0 {
+			err = compare(e, m, rng)
+		}
+		if err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+	}
+	if err := compare(e, m, rng); err != nil {
+		t.Fatalf("end of run: %v", err)
+	}
+	return evicted
+}
+
 // TestEngineMatchesReferenceModel drives the engine and the naive model
 // with the same random instruction streams — every store and flush
 // flavour, both fences, CAS and FAA, seeded evictions — under ADR and
 // eADR, and compares them throughout. It then restores the recorded
 // checkpoint store at random counters and compares each restored engine
-// with a model replayed to the same point.
+// with a model replayed to the same point. Engines restarted from a
+// crash image, one an engine produced and the same bytes as a flat
+// image, are compared the same way.
 func TestEngineMatchesReferenceModel(t *testing.T) {
 	const size, n = 1 << 16, 1500
 	for _, eadr := range []bool{false, true} {
@@ -405,22 +406,8 @@ func TestEngineMatchesReferenceModel(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				ops := genRefOps(rng, size, n)
 				e := NewEngine(Options{PoolSize: size, EADR: eadr, Seed: seed, Eviction: EvictSeeded,
-					EvictOneIn: 16, TrackPrefixHash: true, CheckpointEvery: 97})
-				m := newRefModel(make([]byte, size), eadr)
-				evicted := make([][]uint64, n)
-				for i, op := range ops {
-					var err error
-					evicted[i], err = step(e, m, op)
-					if err == nil && i%17 == 0 {
-						err = compare(e, m, rng)
-					}
-					if err != nil {
-						t.Fatalf("op %d: %v", i, err)
-					}
-				}
-				if err := compare(e, m, rng); err != nil {
-					t.Fatalf("end of run: %v", err)
-				}
+					EvictOneIn: 16, CheckpointEvery: 97})
+				evicted := lockstep(t, e, newRefModel(make([]byte, size), eadr), ops, rng)
 				s := e.Checkpoints()
 				for k := 0; k < 20; k++ {
 					target := 1 + uint64(rng.Int63n(int64(s.LastICount())))
@@ -439,6 +426,25 @@ func TestEngineMatchesReferenceModel(t *testing.T) {
 						t.Fatalf("ReplayTo(%d): %v", target, err)
 					}
 				}
+			})
+		}
+		src := NewEngine(Options{PoolSize: size})
+		lockstep(t, src, newRefModel(make([]byte, size), false), genRefOps(rand.New(rand.NewSource(31)), size, 600),
+			rand.New(rand.NewSource(32)))
+		img := src.PrefixImage()
+		want := img.Clone().Bytes()
+		for _, restart := range []struct {
+			name string
+			img  *Image
+		}{{"engine", img}, {"flat", NewImage(want)}} {
+			t.Run(fmt.Sprintf("image=%s/eadr=%v", restart.name, eadr), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(4))
+				e := NewEngineFromImage(Options{EADR: eadr, Seed: 4, Eviction: EvictSeeded, EvictOneIn: 16}, restart.img)
+				m := newRefModel(want, eadr)
+				if err := compare(e, m, rng); err != nil {
+					t.Fatalf("restarted engine: %v", err)
+				}
+				lockstep(t, e, m, genRefOps(rng, size, n), rng)
 			})
 		}
 	}

@@ -105,15 +105,11 @@ type Options struct {
 	// Deprecated: the campaign records no checkpoints; only the
 	// benchmark's traced pipeline (bench/trace.go) still sets it.
 	CheckpointEvery uint64
-	// TrackPrefixHash makes the engine keep the coherent (graceful-crash)
-	// view as a second copy-on-write medium alongside execution, with its
-	// rolling content hash. The crash image at any instruction is then
-	// PrefixImage in O(1), and its identity RollingPrefixHash in O(1)
-	// instead of PrefixImageHash in O(changed lines). Phase 1 of the
-	// campaign uses it to hand every failure point its crash image and
-	// its equivalence-class stamp. Costs one line write and two
-	// per-line hash folds per store, plus a page copy on the first write
-	// to a page after each freeze.
+	// TrackPrefixHash is ignored: every engine keeps the coherent view
+	// and its rolling hash, so PrefixImage and PrefixImageHash are O(1).
+	//
+	// Deprecated: kept only because the benchmark's traced pipeline
+	// (bench/trace.go) still sets it.
 	TrackPrefixHash bool
 	// Capture names the event classes whose call stacks hooks may
 	// request. Within them the engine captures a stack only when an

@@ -7,68 +7,77 @@ import (
 	"time"
 )
 
-// assertRolling checks the tracked invariant at a quiescent point: the
-// frozen coherent view — PrefixImage on a tracking engine — equals, in
-// bytes and hash, the graceful-crash image derived from the medium, and
-// the rolling hash equals the on-demand ground truth.
-func assertRolling(t *testing.T, e *Engine, label string) {
+// assertRolling checks the engine's view at a quiescent point against
+// want, the reference model's graceful-crash image at the same point:
+// PrefixImage, the frozen view, must hold its bytes, and the view's
+// rolling hash, both as the image's hash and as PrefixImageHash, must be
+// its content hash.
+func assertRolling(t *testing.T, e *Engine, want []byte, label string) {
 	t.Helper()
-	if got, want := e.RollingPrefixHash(), e.PrefixImageHash(); got != want {
-		t.Fatalf("%s: rolling prefix hash %#x != PrefixImageHash %#x", label, got, want)
+	img := e.PrefixImage()
+	if !bytes.Equal(img.Clone().Bytes(), want) {
+		t.Fatalf("%s: frozen view bytes diverge from the model's prefix image", label)
 	}
-	view, ref := e.PrefixImage(), e.prefixFromMedium()
-	if !bytes.Equal(view.Clone().Bytes(), ref.Bytes()) {
-		t.Fatalf("%s: frozen view bytes diverge from the medium-derived prefix image", label)
-	}
-	if view.Hash() != ref.Hash() || ref.Hash() != ContentHash(ref.Bytes()) {
-		t.Fatalf("%s: frozen view hash %#x, medium-derived %#x, content %#x",
-			label, view.Hash(), ref.Hash(), ContentHash(ref.Bytes()))
+	if h := ContentHash(want); img.Hash() != h || e.PrefixImageHash() != h {
+		t.Fatalf("%s: frozen view hash %#x, PrefixImageHash %#x, model content hash %#x",
+			label, img.Hash(), e.PrefixImageHash(), h)
 	}
 }
 
-// exerciseEngine drives one deterministic mixed workload: cached and NT
-// stores (full and partial lines), flushes of every flavour, fences,
-// RMWs, and enough stores to trigger seeded evictions.
-func exerciseEngine(e *Engine, check func(string)) {
-	e.Store64(0, 0x1111)
-	check("store64")
-	e.Store(100, []byte{1, 2, 3, 4, 5})
-	check("unaligned store")
-	e.CLWB(0)
-	check("clwb")
-	e.Store64(0, 0x2222) // re-dirty a line with a queued write-back
-	check("re-dirty after clwb")
-	e.NTStore64(256, 0x3333)
-	check("partial-line ntstore")
+// exercise runs one deterministic mixed workload on the engine and on
+// the model in lockstep: cached and NT stores (full and partial lines),
+// flushes of every flavour, fences, RMWs, and enough stores to trigger
+// seeded evictions. After each labelled step it hands check the label
+// and the model's prefix image.
+func exercise(t *testing.T, e *Engine, m *refModel, check func(label string, want []byte)) {
+	t.Helper()
+	do := func(op refOp) {
+		t.Helper()
+		if _, err := step(e, m, op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	at := func(label string) { check(label, m.prefixImage()) }
+	u64 := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
+	do(refOp{kind: refStore, addr: 0, data: u64(0x1111)})
+	at("store64")
+	do(refOp{kind: refStore, addr: 100, data: []byte{1, 2, 3, 4, 5}})
+	at("unaligned store")
+	do(refOp{kind: refCLWB, addr: 0})
+	at("clwb")
+	do(refOp{kind: refStore, addr: 0, data: u64(0x2222)}) // re-dirty a line with a queued write-back
+	at("re-dirty after clwb")
+	do(refOp{kind: refNTStore, addr: 256, data: u64(0x3333)})
+	at("partial-line ntstore")
 	buf := make([]byte, 192)
 	for i := range buf {
 		buf[i] = byte(i * 7)
 	}
-	e.NTStore(320, buf) // full-line chunks
-	check("bulk ntstore")
-	e.NTStore(130, buf[:10]) // partial NT overlapping a cached line
-	check("nt over cached")
-	e.SFence()
-	check("sfence")
-	e.CLFlush(100)
-	check("clflush")
-	e.CLFlushOpt(320)
-	check("clflushopt")
-	e.CAS64(512, 0, 0x4444)
-	check("cas success")
-	e.CAS64(512, 0, 0x5555)
-	check("cas failure")
-	e.FAA64(512, 3)
-	check("faa")
+	do(refOp{kind: refNTStore, addr: 320, data: buf}) // full-line chunks
+	at("bulk ntstore")
+	do(refOp{kind: refNTStore, addr: 130, data: buf[:10]}) // partial NT overlapping a cached line
+	at("nt over cached")
+	do(refOp{kind: refSFence})
+	at("sfence")
+	do(refOp{kind: refCLFlush, addr: 100})
+	at("clflush")
+	do(refOp{kind: refCLFlushOpt, addr: 320})
+	at("clflushopt")
+	do(refOp{kind: refCAS, addr: 512, data: u64(0x4444)})
+	at("cas success")
+	do(refOp{kind: refCAS, addr: 512, data: u64(0x5555), fail: true})
+	at("cas failure")
+	do(refOp{kind: refFAA, addr: 512, data: u64(3)})
+	at("faa")
 	for i := uint64(0); i < 400; i++ {
-		e.Store64(1024+8*(i%64), i)
+		do(refOp{kind: refStore, addr: 1024 + 8*(i%64), data: u64(i)})
 		if i%16 == 0 {
-			e.CLWB(1024 + 8*(i%64))
+			do(refOp{kind: refCLWB, addr: 1024 + 8*(i%64)})
 		}
 	}
-	check("store burst")
-	e.SFence()
-	check("final fence")
+	at("store burst")
+	do(refOp{kind: refSFence})
+	at("final fence")
 }
 
 func TestRollingPrefixHashMatchesGroundTruth(t *testing.T) {
@@ -76,23 +85,23 @@ func TestRollingPrefixHashMatchesGroundTruth(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"plain", Options{PoolSize: 1 << 16, TrackPrefixHash: true}},
-		{"evicting", Options{PoolSize: 1 << 16, TrackPrefixHash: true,
-			Eviction: EvictSeeded, EvictOneIn: 4, Seed: 7}},
-		{"eadr", Options{PoolSize: 1 << 16, TrackPrefixHash: true, EADR: true}},
+		{"plain", Options{PoolSize: 1 << 16}},
+		{"evicting", Options{PoolSize: 1 << 16, Eviction: EvictSeeded, EvictOneIn: 4, Seed: 7}},
+		{"eadr", Options{PoolSize: 1 << 16, EADR: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := NewEngine(tc.opts)
-			assertRolling(t, e, "fresh engine")
-			exerciseEngine(e, func(label string) { assertRolling(t, e, label) })
+			m := newRefModel(make([]byte, e.Size()), tc.opts.EADR)
+			assertRolling(t, e, m.prefixImage(), "fresh engine")
+			exercise(t, e, m, func(label string, want []byte) { assertRolling(t, e, want, label) })
 		})
 	}
 }
 
 // TestRollingPrefixHashFromImage: an engine restarted from an image
-// seeds its coherent view from it, whether the image is a frozen page
-// table or flat bytes, and the image keeps its bytes while the engine
-// writes over shared pages.
+// starts with its view equal to the image, whether the image is a frozen
+// page table or flat bytes, and the image keeps its bytes while the
+// engine writes over shared pages.
 func TestRollingPrefixHashFromImage(t *testing.T) {
 	src := NewEngine(Options{PoolSize: 1 << 14})
 	src.Store64(64, 0xabcd)
@@ -103,12 +112,10 @@ func TestRollingPrefixHashFromImage(t *testing.T) {
 	tables := src.PrefixImage()
 	want := tables.Clone().Bytes()
 	for _, img := range []*Image{tables, NewImage(want)} {
-		e := NewEngineFromImage(Options{TrackPrefixHash: true}, img)
-		assertRolling(t, e, "restarted engine")
-		if got := e.PrefixImage(); got.Hash() != ContentHash(want) || !bytes.Equal(got.Clone().Bytes(), want) {
-			t.Fatal("restarted engine's view differs from its image")
-		}
-		exerciseEngine(e, func(label string) { assertRolling(t, e, "post-restart "+label) })
+		e := NewEngineFromImage(Options{}, img)
+		m := newRefModel(want, false)
+		assertRolling(t, e, want, "restarted engine")
+		exercise(t, e, m, func(label string, want []byte) { assertRolling(t, e, want, "post-restart "+label) })
 		if !bytes.Equal(img.Clone().Bytes(), want) {
 			t.Fatal("the restarted engine's writes changed its image")
 		}
@@ -117,20 +124,19 @@ func TestRollingPrefixHashFromImage(t *testing.T) {
 
 // TestRollingPrefixHashCheckpointRoundTrip proves the checkpoint
 // round-trip: an engine restored from any checkpoint and gap-replayed
-// to a target carries the same rolling hash a from-scratch tracked
-// execution has at that instruction — and it still matches the ground
-// truth.
+// to a target carries the view the recorded execution had at that
+// instruction, as the model stepped in lockstep with it saw it.
 func TestRollingPrefixHashCheckpointRoundTrip(t *testing.T) {
-	opts := Options{PoolSize: 1 << 16, TrackPrefixHash: true,
-		Eviction: EvictSeeded, EvictOneIn: 4, Seed: 7, CheckpointEvery: 32}
+	opts := Options{PoolSize: 1 << 16, Eviction: EvictSeeded, EvictOneIn: 4, Seed: 7, CheckpointEvery: 32}
 	rec := NewEngine(opts)
 	type point struct {
 		icount uint64
-		hash   uint64
+		want   []byte
 	}
 	var points []point
-	exerciseEngine(rec, func(string) {
-		points = append(points, point{rec.ICount(), rec.RollingPrefixHash()})
+	exercise(t, rec, newRefModel(make([]byte, rec.Size()), false), func(label string, want []byte) {
+		assertRolling(t, rec, want, label)
+		points = append(points, point{rec.ICount(), want})
 	})
 	ck := rec.Checkpoints()
 	if ck.Count() == 0 {
@@ -146,10 +152,7 @@ func TestRollingPrefixHashCheckpointRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ReplayTo(%d): %v", p.icount+1, err)
 		}
-		if got := e.RollingPrefixHash(); got != p.hash {
-			t.Fatalf("replay to %d: rolling hash %#x, recorded run had %#x", p.icount, got, p.hash)
-		}
-		assertRolling(t, e, "restored engine")
+		assertRolling(t, e, p.want, "restored engine")
 	}
 }
 
@@ -158,35 +161,28 @@ func TestRollingPrefixHashCheckpointRoundTrip(t *testing.T) {
 // re-overlaid by an older queued write-back of the same line.
 func TestRollingPrefixHashEvictionOverlap(t *testing.T) {
 	// EvictOneIn == 1 evicts a cached line after every cached store.
-	e := NewEngine(Options{PoolSize: 1 << 12, TrackPrefixHash: true,
-		Eviction: EvictSeeded, EvictOneIn: 1, Seed: 1})
-	e.NTStore64(0, 0xaaaa) // queued for line 0; NT stores never evict
-	assertRolling(t, e, "queued nt store")
+	e := NewEngine(Options{PoolSize: 1 << 12, Eviction: EvictSeeded, EvictOneIn: 1, Seed: 1})
+	m := newRefModel(make([]byte, e.Size()), false)
+	run := func(op refOp, label string) {
+		t.Helper()
+		if _, err := step(e, m, op); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		assertRolling(t, e, m.prefixImage(), label)
+	}
+	u64 := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
+	// Queued for line 0; NT stores never evict.
+	run(refOp{kind: refNTStore, addr: 0, data: u64(0xaaaa)}, "queued nt store")
 	// The store caches line 0 as the only cached line, so the eviction
 	// after it writes 0xbbbb back while 0xaaaa is still queued.
-	e.Store64(0, 0xbbbb)
+	run(refOp{kind: refStore, addr: 0, data: u64(0xbbbb)}, "after eviction with queued overlap")
 	if e.LineDirty(0) {
 		t.Fatal("line 0 was not evicted")
 	}
-	assertRolling(t, e, "after eviction with queued overlap")
 	// The older queued write-back lands on top of the written-back line:
 	// the view shows the queued value again.
 	if got := binary.LittleEndian.Uint64(e.PrefixImage().Clone().Bytes()); got != 0xaaaa {
 		t.Fatalf("view reads %#x after the eviction, want the queued 0xaaaa", got)
 	}
-	e.SFence()
-	assertRolling(t, e, "after drain")
-}
-
-func TestUntrackedEngineKeepsZeroPrefixHash(t *testing.T) {
-	e := NewEngine(Options{PoolSize: 1 << 12})
-	e.Store64(0, 1)
-	e.CLWB(0)
-	e.SFence()
-	if e.TracksPrefixHash() {
-		t.Fatal("engine reports tracking without TrackPrefixHash")
-	}
-	if e.RollingPrefixHash() != 0 {
-		t.Fatal("untracked engine mutated the rolling prefix hash")
-	}
+	run(refOp{kind: refSFence}, "after drain")
 }
