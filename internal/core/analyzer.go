@@ -355,9 +355,6 @@ func (a *Analyzer) Finalize() []*report.Finding {
 // the streaming equivalent of the recorded-trace length.
 func (a *Analyzer) Events() int { return a.events }
 
-// LiveLines returns the number of cache lines currently tracked.
-func (a *Analyzer) LiveLines() int { return len(a.lines) }
-
 // PeakLiveLines returns the maximum number of simultaneously tracked
 // cache lines.
 func (a *Analyzer) PeakLiveLines() int { return a.peakLines }

@@ -186,7 +186,8 @@ type Result struct {
 	// WorkerBusy/InjectTime is the campaign's average worker
 	// utilisation.
 	WorkerBusy time.Duration
-	// TraceLen is the number of trace records analysed.
+	// TraceLen is the number of trace records analysed (none under
+	// DisableTraceAnalysis).
 	TraceLen int
 	// Injections is the number of faults injected.
 	Injections int
@@ -314,12 +315,11 @@ func Analyze(app harness.Application, w workload.Workload, cfg Config) (*Result,
 	tree := fpt.New(stacks)
 	builder := fpt.NewBuilder(tree, cfg.Granularity)
 	hooks := []pmem.Hook{builder}
+	// Without trace analysis the builder is the only hook: nothing
+	// counts events, so TraceLen stays zero and a fault-injection-only
+	// ablation measures fault injection alone.
 	var analyzer *Analyzer
-	var counter *eventCounter
-	if cfg.DisableTraceAnalysis {
-		counter = &eventCounter{}
-		hooks = append(hooks, counter)
-	} else {
+	if !cfg.DisableTraceAnalysis {
 		analyzer = NewAnalyzer(cfg)
 		hooks = append(hooks, analyzer)
 	}
@@ -375,8 +375,6 @@ func Analyze(app harness.Application, w workload.Workload, cfg Config) (*Result,
 	res.Tree = tree
 	if analyzer != nil {
 		res.TraceLen = analyzer.Events()
-	} else {
-		res.TraceLen = counter.events
 	}
 
 	// Phase 2: fault injection with the recovery oracle, over the tree
@@ -420,18 +418,4 @@ func Analyze(app harness.Application, w workload.Workload, cfg Config) (*Result,
 
 	res.Elapsed = time.Since(start)
 	return res, nil
-}
-
-// eventCounter keeps Result.TraceLen meaningful when trace analysis is
-// disabled, without recording anything.
-type eventCounter struct{ events int }
-
-// WantsStack implements pmem.StackDemand: counting needs no stacks.
-func (c *eventCounter) WantsStack(*pmem.Event) bool { return false }
-
-// OnEvent implements pmem.Hook.
-func (c *eventCounter) OnEvent(ev *pmem.Event) {
-	if ev.Op != pmem.OpLoad {
-		c.events++
-	}
 }

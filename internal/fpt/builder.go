@@ -72,8 +72,6 @@ type Builder struct {
 	// graceful-crash image into Leaf.Image (pmem.Engine.PrefixImage,
 	// O(1)).
 	KeepImages bool
-	// NewLeaves counts leaves this builder added.
-	NewLeaves int
 	// eng is the engine this builder is attached to (AttachHook hands it
 	// over via pmem.EngineObserver). Every new leaf is stamped with its
 	// crash-image identity at insertion time.
@@ -108,11 +106,7 @@ func (b *Builder) insert(ev *pmem.Event) {
 		return
 	}
 	leaf, added := b.Tree.Insert(ev.Stack, ev.ICount)
-	if !added {
-		return
-	}
-	b.NewLeaves++
-	if b.eng == nil {
+	if !added || b.eng == nil {
 		return
 	}
 	if b.KeepImages {

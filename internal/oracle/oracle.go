@@ -124,10 +124,10 @@ func (o Outcome) Describe() string {
 // Check runs the application's recovery procedure, uninstrumented
 // ("vanilla recovery code", §4.1), on a fresh engine initialised from the
 // crash image. It imposes no watchdog: a non-terminating recovery hangs
-// the caller. Campaigns use CheckBounded.
+// the caller. It is CheckBounded with a zero Watchdog, which runs the
+// recovery on the caller's goroutine. Campaigns use CheckBounded.
 func Check(app harness.Application, img *pmem.Image) Outcome {
-	eng := pmem.NewEngineFromImage(pmem.Options{}, img)
-	return checkOn(app, eng)
+	return CheckBounded(app, img, Watchdog{})
 }
 
 // CheckBounded runs the recovery procedure under the watchdog. The fuel

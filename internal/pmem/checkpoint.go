@@ -29,16 +29,16 @@ import (
 //
 //   - a mutation log: a flat, compactly encoded stream of every
 //     state-changing engine operation (stores, NT stores, flushes,
-//     fences, RMWs, seeded evictions) with its instruction counter.
+//     fences, RMWs) with its instruction counter.
 //     Loads are never logged — they do not change engine state — and
 //     the encoding is append-only bytes, so the log costs a few bytes
 //     per persistence event;
 //   - periodic checkpoints, every CheckpointEvery events: the full
 //     engine state — the medium as a *delta*: the lines persisted since
 //     the previous checkpoint, copied into a per-checkpoint slab — plus
-//     the incrementally maintained content hash, the frozen view and
-//     its hash, the cache's dirty masks, the write-pending queue, and
-//     the log offset of the first entry after the snapshot.
+//     the frozen view and its hash, the cache's dirty masks, the
+//     write-pending queue, and the log offset of the first entry after
+//     the snapshot.
 //
 // Deltas chain: checkpoint k's medium is the store's genesis pages (none
 // for the usual zeroed pool) with deltas 1..k applied in order. Each
@@ -53,13 +53,12 @@ import (
 // (checkpoint, F): O(gap) work instead of O(F), with no application
 // code, no hook dispatch and no load traffic at all. Because the log
 // replays the *exact* mutations the recording engine performed —
-// including CAS outcomes and spontaneous seeded evictions — the
-// restored engine is byte-identical to a from-scratch replay crashed at
-// F: same medium, same view, same dirty masks, same queue (in order),
-// same rolling content hashes. The
-// graceful-crash image and its dedup-cache key therefore match the
-// non-checkpointed campaign exactly, which keeps reports byte-identical
-// with checkpointing on or off.
+// including CAS outcomes — the restored engine is byte-identical to a
+// from-scratch replay crashed at F: same medium, same view and view
+// hash, same dirty masks, same queue (in order). The graceful-crash
+// image and its dedup-cache key therefore match the non-checkpointed
+// campaign exactly, which keeps reports byte-identical with
+// checkpointing on or off.
 //
 // After the instrumented run finishes the store is never written again;
 // ReplayTo only reads it, so the campaign's parallel workers share one
@@ -73,12 +72,10 @@ const (
 	ckStore byte = iota + 1
 	ckNTStore
 	ckCLFlush
-	ckCLFlushOpt
-	ckCLWB
+	ckFlushAsync // CLWB or CLFlushOpt: one mutation
 	ckFence
 	ckRMW       // fence semantics + an applied 8-byte store
 	ckRMWFailed // fence semantics only (compare failed)
-	ckEvict     // seeded eviction: write back and drop one line
 )
 
 // ErrReplayDeadline reports that a checkpoint replay was cut short by
@@ -99,13 +96,11 @@ type checkpoint struct {
 	// delta holds the medium lines persisted since the previous
 	// checkpoint (line base → line content in a shared slab); the
 	// medium at this checkpoint is the genesis base with deltas 1..k
-	// applied in order. hash is the rolling medium hash at the
-	// snapshot.
+	// applied in order.
 	delta map[uint64][]byte
-	hash  uint64
 	// view is the engine's view, frozen at the snapshot, and viewHash
-	// its rolling hash. The genesis checkpoint has none: there the view
-	// is the medium.
+	// its rolling hash. The genesis checkpoint has no view: there the
+	// view is the medium, whose hash viewHash holds.
 	view     []*chunk
 	viewHash uint64
 	// cache and queue are copies of the dirty masks and the
@@ -196,7 +191,7 @@ func (s *CheckpointStore) Bytes() uint64 {
 
 // record appends one mutation entry: tag, absolute instruction counter,
 // then per-tag operands. Store-class entries carry their payload; flush
-// and evict entries carry the line base; fences carry nothing.
+// entries carry the line base; fences carry nothing.
 func (s *CheckpointStore) record(tag byte, icount, addr uint64, data []byte) {
 	s.log = append(s.log, tag)
 	s.log = binary.AppendUvarint(s.log, icount)
@@ -205,7 +200,7 @@ func (s *CheckpointStore) record(tag byte, icount, addr uint64, data []byte) {
 		s.log = binary.AppendUvarint(s.log, addr)
 		s.log = binary.AppendUvarint(s.log, uint64(len(data)))
 		s.log = append(s.log, data...)
-	case ckCLFlush, ckCLFlushOpt, ckCLWB, ckEvict:
+	case ckCLFlush, ckFlushAsync:
 		s.log = binary.AppendUvarint(s.log, addr)
 	case ckRMW:
 		s.log = binary.AppendUvarint(s.log, addr)
@@ -227,7 +222,6 @@ func (s *CheckpointStore) take(e *Engine) {
 	cp := checkpoint{
 		icount:   e.icount,
 		offset:   len(s.log),
-		hash:     e.mediumHash,
 		view:     e.view.freeze(),
 		viewHash: e.viewHash,
 	}
@@ -292,7 +286,7 @@ func (s *CheckpointStore) restore(idx int) *Engine {
 	} else {
 		med = newMedium(o.PoolSize)
 	}
-	e := newEngine(o, med, cp.hash)
+	e := newEngine(o, med, cp.viewHash)
 	for j := 1; j <= idx; j++ {
 		for base, ln := range s.cps[j].delta {
 			copy(e.med.writable(base), ln)
@@ -300,12 +294,8 @@ func (s *CheckpointStore) restore(idx int) *Engine {
 	}
 	if idx > 0 {
 		e.view = sharedMedium(o.PoolSize, cp.view)
-		e.viewHash = cp.viewHash
 	}
-	for base, dirty := range cp.cache {
-		e.cache[base] = dirty
-		e.evictKeys = append(e.evictKeys, base)
-	}
+	maps.Copy(e.cache, cp.cache)
 	e.queue = append(e.queue, cp.queue...)
 	e.icount = cp.icount
 	return e
@@ -362,10 +352,10 @@ func (s *CheckpointStore) ReplayTo(target uint64, deadline time.Time) (*Engine, 
 			base, n := binary.Uvarint(s.log[pos:])
 			pos += n
 			e.applyCLFlush(base)
-		case ckCLFlushOpt, ckCLWB:
+		case ckFlushAsync:
 			base, n := binary.Uvarint(s.log[pos:])
 			pos += n
-			e.applyFlushAsync(base, tag == ckCLFlushOpt)
+			e.applyFlushAsync(base)
 		case ckFence:
 			e.drain()
 		case ckRMW:
@@ -379,10 +369,6 @@ func (s *CheckpointStore) ReplayTo(target uint64, deadline time.Time) (*Engine, 
 			_, n := binary.Uvarint(s.log[pos:])
 			pos += n
 			e.drain()
-		case ckEvict:
-			base, n := binary.Uvarint(s.log[pos:])
-			pos += n
-			e.evictLine(base)
 		default:
 			return nil, 0, fmt.Errorf("pmem: corrupt checkpoint log: tag %d at offset %d", tag, pos)
 		}

@@ -5,13 +5,14 @@ import "encoding/binary"
 // Incremental content hashing.
 //
 // Crash-image deduplication (Vinter- and Jaaru-style) needs a content
-// identity for an image that never requires hashing the full pool. The
-// medium and the view only ever change line by line, through writeMedium
-// and writeView, so the engine maintains mediumHash and viewHash, XOR
-// folds of a per-line hash over each, updated at each line write by
-// removing the old line's contribution and adding the new one.
-// (Snapshots that cost O(1) rather than O(pool) come from the
-// copy-on-write medium, medium.go.)
+// identity for an image that never requires hashing the full pool. Only
+// the view, whose frozen copies are the graceful-crash images, is
+// hash-tracked: it changes line by line, through writeView, so the
+// engine maintains viewHash, an XOR fold of a per-line hash over the
+// view, updated at each line write by removing the old line's
+// contribution and adding the new one. Other images, MediumSnapshot's
+// included, hash on first use. (Snapshots that cost O(1) rather than
+// O(pool) come from the copy-on-write medium, medium.go.)
 //
 // An all-zero line contributes 0 to the fold, so a zeroed pool hashes
 // to 0 and a fresh engine starts hash-tracked without scanning the
@@ -123,14 +124,10 @@ func storeMask(off uint64, n int) uint64 {
 }
 
 // writeMedium overlays the dirty-selected bytes of src onto the medium
-// line at base. It is the only way the medium changes: it keeps the
-// rolling medium hash current and records the line for the next
-// checkpoint's delta.
+// line at base. It is the only way the medium changes: it records the
+// line for the next checkpoint's delta.
 func (e *Engine) writeMedium(base uint64, src []byte, dirty uint64) {
-	ln := e.med.writable(base)
-	e.mediumHash ^= lineContrib(base, ln)
-	applyMasked(ln, src, dirty)
-	e.mediumHash ^= lineContrib(base, ln)
+	applyMasked(e.med.writable(base), src, dirty)
 	if e.ckpt != nil {
 		e.ckpt.dirty[base] = struct{}{}
 	}

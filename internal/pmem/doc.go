@@ -21,9 +21,6 @@
 //     read-modify-write, which has fence semantics).
 //   - Non-temporal stores bypass the cache but are buffered like an
 //     asynchronous flush: they too require a fence.
-//   - The cache may spontaneously evict dirty lines (persisting them
-//     without a flush) under a seeded eviction policy, which is exactly
-//     the non-determinism that masks missing-flush bugs in practice.
 //
 // Failure atomicity is provided for aligned 8-byte units: a crash image
 // never exposes a torn 8-byte word, but a larger store may be split.
@@ -33,13 +30,17 @@
 // Engine materialises two kinds of crash image: the strictly durable
 // state (medium only), and the "graceful crash" image used by Mumak's
 // fault injector, in which every store issued before the failure point
-// is persisted (the program-order prefix of §4.1 of the paper). The
-// engine holds three things: the durable medium, the queued write-backs
-// and one coherent view, a copy-on-write medium that is the only copy of
-// cached bytes (the cache itself is a map from line to dirty mask). The
-// view is exactly the graceful-crash image, so freezing it takes that
-// image in O(1), and the instrumented run hands every failure point its
-// image without any replay.
+// is persisted (the program-order prefix of §4.1 of the paper). Neither
+// depends on cache evictions, and the simulated cache never evicts on
+// its own. The engine therefore holds only the durable medium, the dirty
+// masks of the lines not yet written back, the queued write-backs and
+// one coherent view, a copy-on-write medium that is the only copy of
+// cached bytes. The view is exactly the graceful-crash image, so
+// freezing it takes that image in O(1), and the instrumented run hands
+// every failure point its image without any replay.
+//
 // Finer-grained images (arbitrary subsets of unfenced flushes, store
-// reorderings) are built from recorded traces by package trace.
+// reorderings) and the crash states that depend on eviction belong to
+// the baseline tools, which build them from recorded traces through the
+// uncertain units of package trace's Cursor.
 package pmem

@@ -3,7 +3,6 @@ package pmem
 import (
 	"encoding/binary"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"mumak/internal/stack"
@@ -35,33 +34,27 @@ type Engine struct {
 	// overlaid with the line's queued write-backs in issue order, then
 	// with its dirty cached bytes. Flushes and fences move bytes between
 	// those layers without changing the result, so the view changes only
-	// where a store, an NT store or a seeded eviction (evictLine)
-	// changes the coherent state, and freezing it is PrefixImage in
-	// O(1). viewHash is its rolling content hash, the failure points'
-	// phase-1 stamp.
+	// at stores, RMW stores and NT stores, and freezing it is
+	// PrefixImage in O(1). viewHash is its rolling content hash, the
+	// failure points' phase-1 stamp.
 	view     medium
 	viewHash uint64
-	// cache maps the base of every cached line to its dirty mask: bit i
-	// is set when byte i of the view has not been written back.
+	// cache maps the base of every dirty line to its dirty mask: bit i
+	// is set when byte i of the view has not been written back. A line
+	// leaves it when a flush writes it back or queues it; the cache
+	// never evicts on its own, so a clean line is indistinguishable
+	// from an uncached one and is not kept.
 	cache map[uint64]uint64
 	// queue is the write-pending queue in issue order.
 	queue  []pending
 	hooks  []Hook
 	anns   []AnnotationObserver
 	icount uint64
-	rng    *rand.Rand
 	// demands are the hooks that choose which events' stacks they need;
 	// eager is set once a hook without a StackDemand is attached, which
 	// takes the stack of every event in the Options.Capture classes.
 	demands []StackDemand
 	eager   bool
-	// evictable caches the keys of lines for seeded eviction.
-	evictKeys []uint64
-
-	// mediumHash is the rolling XOR fold of per-line content hashes
-	// over the medium, maintained incrementally at each line write so
-	// image content keys never require a full-pool scan.
-	mediumHash uint64
 
 	// ckpt, when non-nil, records every state mutation (and periodic
 	// full-state snapshots) as this engine executes, for O(gap)
@@ -80,12 +73,10 @@ func NewEngine(opts Options) *Engine {
 // pages. o must have defaults applied.
 func newEngine(o Options, med medium, hash uint64) *Engine {
 	e := &Engine{
-		opts:       o,
-		med:        med,
-		mediumHash: hash,
-		viewHash:   hash,
-		cache:      make(map[uint64]uint64),
-		rng:        rand.New(rand.NewSource(o.Seed)),
+		opts:     o,
+		med:      med,
+		viewHash: hash,
+		cache:    make(map[uint64]uint64),
 	}
 	e.view = sharedMedium(med.size, e.med.freeze())
 	if o.CheckpointEvery > 0 {
@@ -102,15 +93,15 @@ func NewEngineFromImage(opts Options, img *Image) *Engine {
 	o := opts
 	o.PoolSize = img.Len()
 	o = o.withDefaults()
-	// Seed the rolling hashes from the image; engine-produced images
-	// carry their hash already, making this O(1) on the oracle path.
+	// Seed the view's rolling hash from the image; frozen views carry
+	// their hash already, making this O(1) on the oracle path.
 	e := newEngine(o, img.medium(o.PoolSize), img.Hash())
 	if e.ckpt != nil {
 		// A recording engine seeded from an image starts its delta
 		// chain here, not at a zeroed pool: the genesis checkpoint must
 		// carry the image as its base state.
 		e.ckpt.base = e.med.freeze()
-		e.ckpt.cps[0].hash = e.mediumHash
+		e.ckpt.cps[0].viewHash = e.viewHash
 	}
 	return e
 }
@@ -134,9 +125,9 @@ func (e *Engine) Checkpoints() *CheckpointStore { return e.ckpt }
 
 // maybeCheckpoint snapshots full engine state once the instruction
 // counter reaches the next checkpoint due point. It must run only after
-// the current instruction's mutations (including seeded evictions) have
-// fully applied, so the snapshot is exactly the state a crash strictly
-// after this counter would observe.
+// the current instruction's mutation has fully applied, so the snapshot
+// is exactly the state a crash strictly after this counter would
+// observe.
 func (e *Engine) maybeCheckpoint() {
 	if e.ckpt != nil && e.icount >= e.ckpt.nextAt {
 		e.ckpt.take(e)
@@ -152,9 +143,6 @@ func (e *Engine) ICount() uint64 { return e.icount }
 
 // Events returns the total number of instruction events delivered.
 func (e *Engine) Events() uint64 { return e.icount }
-
-// Stacks returns the stack table used for capture, if any.
-func (e *Engine) Stacks() *stack.Table { return e.opts.Stacks }
 
 // AttachHook registers a hook; it also registers the hook as an
 // annotation observer when it implements AnnotationObserver, consults it
@@ -245,7 +233,7 @@ func (e *Engine) Annotate(kind AnnKind, addr uint64, size int) {
 }
 
 // Store writes data to PM through the cache. The write is volatile until
-// the affected lines are flushed and fenced (or evicted).
+// the affected lines are flushed and fenced.
 func (e *Engine) Store(addr uint64, data []byte) {
 	e.check(addr, len(data))
 	e.emit(OpStore, addr, len(data), data)
@@ -253,7 +241,6 @@ func (e *Engine) Store(addr uint64, data []byte) {
 		e.ckpt.record(ckStore, e.icount, addr, data)
 	}
 	e.applyStore(addr, data)
-	e.maybeEvict()
 	e.maybeCheckpoint()
 }
 
@@ -262,11 +249,7 @@ func (e *Engine) applyStore(addr uint64, data []byte) {
 		base := addr &^ (CacheLineSize - 1)
 		off := addr - base
 		n := min(len(data), CacheLineSize-int(off))
-		dirty, cached := e.cache[base]
-		if !cached {
-			e.evictKeys = append(e.evictKeys, base)
-		}
-		e.cache[base] = dirty | storeMask(off, n)
+		e.cache[base] |= storeMask(off, n)
 		e.writeView(base, off, data[:n])
 		addr += uint64(n)
 		data = data[n:]
@@ -373,7 +356,7 @@ func (e *Engine) applyCLFlush(base uint64) {
 	}
 	e.queue = kept
 	if dirty, ok := e.cache[base]; ok {
-		e.writeBack(base, dirty)
+		e.writeMedium(base, e.view.line(base), dirty)
 		delete(e.cache, base)
 	}
 }
@@ -381,45 +364,34 @@ func (e *Engine) applyCLFlush(base uint64) {
 // CLFlushOpt asynchronously writes the line containing addr back and
 // invalidates it; the write-back is durable only after the next fence.
 func (e *Engine) CLFlushOpt(addr uint64) {
-	e.flushAsync(addr, OpCLFlushOpt, true)
+	e.flushAsync(addr, OpCLFlushOpt)
 }
 
 // CLWB asynchronously writes the line containing addr back, keeping the
-// cached copy; the write-back is durable only after the next fence.
+// cached copy; the write-back is durable only after the next fence. The
+// kept copy is clean, and a clean line behaves exactly like an uncached
+// one, so CLWB and CLFlushOpt change the engine's state alike.
 func (e *Engine) CLWB(addr uint64) {
-	e.flushAsync(addr, OpCLWB, false)
+	e.flushAsync(addr, OpCLWB)
 }
 
-func (e *Engine) flushAsync(addr uint64, op Opcode, invalidate bool) {
+func (e *Engine) flushAsync(addr uint64, op Opcode) {
 	e.check(addr, 1)
 	base := addr &^ (CacheLineSize - 1)
 	e.emit(op, base, CacheLineSize, nil)
 	if e.ckpt != nil {
-		tag := ckCLWB
-		if invalidate {
-			tag = ckCLFlushOpt
-		}
-		e.ckpt.record(tag, e.icount, base, nil)
+		e.ckpt.record(ckFlushAsync, e.icount, base, nil)
 	}
-	e.applyFlushAsync(base, invalidate)
+	e.applyFlushAsync(base)
 	e.maybeCheckpoint()
 }
 
-// applyFlushAsync is the state mutation of CLFlushOpt (invalidate) and
-// CLWB (keep the cached copy).
-func (e *Engine) applyFlushAsync(base uint64, invalidate bool) {
-	dirty, ok := e.cache[base]
-	if !ok {
-		return
-	}
-	if dirty != 0 {
+// applyFlushAsync is the state mutation of CLFlushOpt and CLWB: it
+// queues the line's dirty bytes and drops the line from the cache.
+func (e *Engine) applyFlushAsync(base uint64) {
+	if dirty, ok := e.cache[base]; ok {
 		e.enqueue(base, dirty)
-	}
-	switch {
-	case invalidate:
 		delete(e.cache, base)
-	case dirty != 0:
-		e.cache[base] = 0
 	}
 }
 
@@ -507,67 +479,6 @@ func (e *Engine) drain() {
 func (e *Engine) enqueue(base, dirty uint64) {
 	e.queue = append(e.queue, pending{base: base, dirty: dirty})
 	copy(e.queue[len(e.queue)-1].data[:], e.view.line(base))
-}
-
-// writeBack writes the dirty bytes of the cached line at base from the
-// view to the medium.
-func (e *Engine) writeBack(base, dirty uint64) {
-	if dirty != 0 {
-		e.writeMedium(base, e.view.line(base), dirty)
-	}
-}
-
-// maybeEvict spontaneously writes back a pseudo-random dirty line under
-// the seeded eviction policy.
-func (e *Engine) maybeEvict() {
-	if e.opts.Eviction != EvictSeeded || len(e.cache) == 0 {
-		return
-	}
-	if e.rng.Intn(e.opts.EvictOneIn) != 0 {
-		return
-	}
-	// Pick a pseudo-random cached line; compact stale keys lazily.
-	for tries := 0; tries < 4 && len(e.evictKeys) > 0; tries++ {
-		i := e.rng.Intn(len(e.evictKeys))
-		base := e.evictKeys[i]
-		if _, ok := e.cache[base]; !ok {
-			e.evictKeys[i] = e.evictKeys[len(e.evictKeys)-1]
-			e.evictKeys = e.evictKeys[:len(e.evictKeys)-1]
-			continue
-		}
-		// Log the eviction explicitly: replays apply it from the log
-		// rather than re-deriving it, so the rng state never needs to
-		// be part of a checkpoint.
-		if e.ckpt != nil {
-			e.ckpt.record(ckEvict, e.icount, base, nil)
-		}
-		e.evictLine(base)
-		return
-	}
-}
-
-// evictLine writes the line at base back and drops it from the cache
-// (the state mutation of a seeded eviction, live or replayed from the
-// checkpoint log). Eviction is the one operation besides stores that can
-// change the view: an older queued write-back of the line lands on top
-// of the written-back bytes at the next drain, so where one overlaps
-// them the view reverts to the queued (older) data.
-func (e *Engine) evictLine(base uint64) {
-	dirty := e.cache[base]
-	delete(e.cache, base)
-	if dirty == 0 {
-		return
-	}
-	e.writeBack(base, dirty)
-	v := [CacheLineSize]byte(e.view.line(base))
-	for i := range e.queue {
-		if p := &e.queue[i]; p.base == base {
-			applyMasked(v[:], p.data[:], p.dirty&dirty)
-		}
-	}
-	if v != [CacheLineSize]byte(e.view.line(base)) {
-		e.writeView(base, 0, v[:])
-	}
 }
 
 // LineDirty reports whether the cache line containing addr holds

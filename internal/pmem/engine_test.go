@@ -2,12 +2,14 @@ package pmem
 
 import (
 	"bytes"
+	"maps"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
 
 func newTestEngine(size int) *Engine {
-	return NewEngine(Options{PoolSize: size, Eviction: EvictNever})
+	return NewEngine(Options{PoolSize: size})
 }
 
 func TestStoreIsVolatileUntilFlushed(t *testing.T) {
@@ -50,30 +52,49 @@ func TestCLWBRequiresFence(t *testing.T) {
 	}
 }
 
-func TestCLFlushOptInvalidatesLine(t *testing.T) {
-	e := newTestEngine(4096)
-	e.Store64(128, 42)
-	e.CLFlushOpt(128)
-	if _, ok := e.cache[128&^uint64(CacheLineSize-1)]; ok {
-		t.Fatal("clflushopt left line cached")
+// TestAsyncFlushesShareOneMutation: CLWB keeps a clean copy of the line
+// and CLFlushOpt invalidates it, but a clean line behaves exactly like
+// an uncached one, so both move the line's dirty bytes from the dirty
+// map to the queue, a fence persists them, and the two engines end in
+// the same state.
+func TestAsyncFlushesShareOneMutation(t *testing.T) {
+	const addr, base = 136, 128
+	var engines []*Engine
+	for _, tc := range []struct {
+		name  string
+		flush func(*Engine, uint64)
+	}{
+		{"clwb", (*Engine).CLWB},
+		{"clflushopt", (*Engine).CLFlushOpt},
+	} {
+		e := newTestEngine(4096)
+		e.Store64(addr, 42)
+		e.Store64(addr+CacheLineSize, 43) // a second dirty line stays put
+		tc.flush(e, addr)
+		if _, ok := e.cache[base]; ok || e.LineDirty(addr) {
+			t.Fatalf("%s: the line is still in the dirty map", tc.name)
+		}
+		if !e.LineDirty(addr + CacheLineSize) {
+			t.Fatalf("%s: the flush dropped another line", tc.name)
+		}
+		if len(e.queue) != 1 || e.queue[0].base != base || e.queue[0].dirty != storeMask(addr-base, 8) ||
+			le64(e.queue[0].data[addr-base:]) != 42 {
+			t.Fatalf("%s: queue %+v, want one write-back of the stored word", tc.name, e.queue)
+		}
+		if got := e.Load64(addr); got != 42 {
+			t.Fatalf("%s: load after the flush reads %d", tc.name, got)
+		}
+		e.SFence()
+		if got := le64(e.MediumSnapshot().Bytes()[addr:]); got != 42 {
+			t.Fatalf("%s: fence did not persist the write-back: %d", tc.name, got)
+		}
+		engines = append(engines, e)
 	}
-	e.SFence()
-	if got := le64(e.MediumSnapshot().Bytes()[128:]); got != 42 {
-		t.Fatalf("clflushopt+sfence did not persist: %d", got)
-	}
-}
-
-func TestCLWBKeepsLineCached(t *testing.T) {
-	e := newTestEngine(4096)
-	e.Store64(128, 42)
-	e.CLWB(128)
-	base := uint64(128) &^ (CacheLineSize - 1)
-	dirty, ok := e.cache[base]
-	if !ok {
-		t.Fatal("clwb dropped the line")
-	}
-	if dirty != 0 {
-		t.Fatal("clwb left line dirty")
+	a, b := engines[0], engines[1]
+	if !maps.Equal(a.cache, b.cache) || len(a.queue) != 0 || len(b.queue) != 0 ||
+		!bytes.Equal(a.MediumSnapshot().Bytes(), b.MediumSnapshot().Bytes()) ||
+		!bytes.Equal(a.PrefixImage().Bytes(), b.PrefixImage().Bytes()) || a.PrefixImageHash() != b.PrefixImageHash() {
+		t.Fatal("CLWB and CLFlushOpt leave the engines in different states")
 	}
 }
 
@@ -162,39 +183,6 @@ func TestPrefixImageAppliesEverything(t *testing.T) {
 	}
 	if le64(strict.Bytes()[512:]) != 4 {
 		t.Error("strict image misses clflushed data")
-	}
-}
-
-func TestSeededEvictionPersistsWithoutFlush(t *testing.T) {
-	e := NewEngine(Options{PoolSize: 1 << 16, Eviction: EvictSeeded, EvictOneIn: 2, Seed: 1})
-	for i := uint64(0); i < 512; i++ {
-		e.Store64(i*64, i+1)
-	}
-	img := e.MediumSnapshot()
-	persisted := 0
-	for i := uint64(0); i < 512; i++ {
-		if le64(img.Bytes()[i*64:]) == i+1 {
-			persisted++
-		}
-	}
-	if persisted == 0 {
-		t.Fatal("no line reached medium via eviction")
-	}
-	if persisted == 512 {
-		t.Fatal("every line persisted; eviction should be partial")
-	}
-}
-
-func TestEvictionIsDeterministicPerSeed(t *testing.T) {
-	run := func() *Image {
-		e := NewEngine(Options{PoolSize: 1 << 16, Eviction: EvictSeeded, EvictOneIn: 3, Seed: 99})
-		for i := uint64(0); i < 256; i++ {
-			e.Store64(i*64, i^0xabc)
-		}
-		return e.MediumSnapshot()
-	}
-	if !bytes.Equal(run().Bytes(), run().Bytes()) {
-		t.Fatal("same seed produced different eviction outcomes")
 	}
 }
 
@@ -338,8 +326,8 @@ func TestPropertyPrefixImageEqualsVolatileView(t *testing.T) {
 }
 
 // Property: the strictly durable medium never contains a value that was
-// stored but neither flushed+fenced, clflushed, nor evicted (eviction is
-// off here).
+// stored but neither flushed+fenced nor clflushed: the cache never
+// evicts on its own.
 func TestPropertyUnflushedStoresNeverDurable(t *testing.T) {
 	f := func(slots []uint16) bool {
 		e := newTestEngine(1 << 14)
@@ -381,6 +369,32 @@ func TestNewEngineFromImage(t *testing.T) {
 	if got := le64(img.Bytes()[64:]); got != 11 {
 		t.Fatalf("engine mutated source image: %d", got)
 	}
+}
+
+// TestEngineFromImageAllocatesOnlyItsState: a recovery engine over a
+// leaf image shares the image's pages and hash, so building one costs
+// the engine itself and its empty dirty map, whatever the pool size.
+func TestEngineFromImageAllocatesOnlyItsState(t *testing.T) {
+	src := NewEngine(Options{PoolSize: 64 << 20})
+	src.Store64(64, 1)
+	img := src.PrefixImage()
+	const runs = 64
+	engines := make([]*Engine, runs)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range engines {
+		engines[i] = NewEngineFromImage(Options{}, img)
+	}
+	runtime.ReadMemStats(&after)
+	if got := engines[runs-1].Load64(64); got != 1 {
+		t.Fatalf("engine reads %d from its image", got)
+	}
+	perEngine := (after.TotalAlloc - before.TotalAlloc) / runs
+	if perEngine >= 1<<10 {
+		t.Fatalf("NewEngineFromImage allocates %d bytes over a 64 MiB leaf image; want under 1 KiB", perEngine)
+	}
+	t.Logf("bytes allocated per engine: %d", perEngine)
 }
 
 func le64(b []byte) uint64 {

@@ -6,9 +6,9 @@ package pmem
 // An engine-produced image is a frozen page table (medium.go): it shares
 // pages with the engine that took it, with sibling snapshots and with
 // engines later built from it, and none of them ever writes a shared
-// page. Taking one therefore costs O(1), never O(pool). Every
-// engine-produced image also carries its content hash, maintained
-// incrementally by the engine (dirty.go), so identity checks never
+// page. Taking one therefore costs O(1), never O(pool). A frozen view
+// (PrefixImage) also carries its content hash, maintained incrementally
+// by the engine (dirty.go), so the identity checks of a campaign never
 // rescan the pool.
 //
 // Engine-produced images must be treated as read-only. Callers that need
@@ -23,7 +23,7 @@ type Image struct {
 	chunks []*chunk
 	flat   []byte
 	// hash is the content hash (ContentHash of the materialised
-	// bytes); hashed reports whether the producer computed it.
+	// bytes); hashed reports whether it is known yet.
 	hash   uint64
 	hashed bool
 }
@@ -51,9 +51,9 @@ func (img *Image) Bytes() []byte {
 }
 
 // Hash returns the image's content hash — the crash-image identity
-// verdict reuse keys on. Engine-produced images carry it
-// already; for hand-built images it is computed (and memoised) on first
-// use, so call it only once the image is quiescent.
+// verdict reuse keys on. Frozen views carry it already; for other
+// images (MediumSnapshot, Clone, NewImage) it is computed (and
+// memoised) on first use, so call it only once the image is quiescent.
 func (img *Image) Hash() uint64 {
 	if !img.hashed {
 		img.hash = ContentHash(img.Bytes())
@@ -86,12 +86,13 @@ func (img *Image) medium(size int) medium {
 // ADR domain that is the medium contents only: dirty cache lines and
 // unfenced write-backs are lost, the worst-case power-cut image. Under
 // eADR the caches are inside the persistence domain, so every store is
-// already durable and the snapshot equals the coherent view.
+// already durable and the snapshot equals the coherent view. The
+// medium is not hash-tracked, so an ADR snapshot hashes on first use.
 func (e *Engine) MediumSnapshot() *Image {
 	if e.opts.EADR {
 		return e.PrefixImage()
 	}
-	return &Image{size: e.med.size, chunks: e.med.freeze(), hash: e.mediumHash, hashed: true}
+	return &Image{size: e.med.size, chunks: e.med.freeze()}
 }
 
 // PrefixImage returns the "graceful crash" image of §4.1: every store

@@ -16,7 +16,8 @@ import (
 // queue and its copy-on-write medium: a flat medium, cached lines with
 // their own data and dirty byte masks, a queue that every lookup scans
 // from the start, and crash images derived from those three as full
-// copies.
+// copies. Like hardware, and unlike the engine, it keeps a line cached
+// after CLWB has cleaned it.
 type refModel struct {
 	eadr   bool
 	medium []byte
@@ -106,14 +107,6 @@ func (m *refModel) ntStore(addr uint64, data []byte) {
 	}
 }
 
-// evict writes a cached line's dirty bytes to the medium and drops it.
-func (m *refModel) evict(base uint64) {
-	if ln := m.lines[base]; ln != nil {
-		overlay(m.medium[base:], &ln.data, ln.dirty)
-		delete(m.lines, base)
-	}
-}
-
 // clflush completes the line's queued write-backs, then writes back and
 // drops its cached copy.
 func (m *refModel) clflush(base uint64) {
@@ -126,7 +119,10 @@ func (m *refModel) clflush(base uint64) {
 		}
 	}
 	m.queue = kept
-	m.evict(base)
+	if ln := m.lines[base]; ln != nil {
+		overlay(m.medium[base:], &ln.data, ln.dirty)
+		delete(m.lines, base)
+	}
 }
 
 func (m *refModel) flushAsync(base uint64, invalidate bool) {
@@ -270,10 +266,8 @@ func (m *refModel) run(op refOp) []byte {
 }
 
 // step runs op on the engine and on the model and compares what they
-// return. A seeded eviction the engine makes during a store is found by
-// the line it leaves missing from the cache and mirrored into the model;
-// step returns the evicted line so that a replayed model can repeat it.
-func step(e *Engine, m *refModel, op refOp) (evicted []uint64, err error) {
+// return.
+func step(e *Engine, m *refModel, op refOp) error {
 	var got []byte
 	switch op.kind {
 	case refStore:
@@ -305,37 +299,33 @@ func step(e *Engine, m *refModel, op refOp) (evicted []uint64, err error) {
 		got = binary.LittleEndian.AppendUint64(nil, e.FAA64(op.addr, binary.LittleEndian.Uint64(op.data)))
 	}
 	if want := m.run(op); !bytes.Equal(got, want) {
-		return nil, fmt.Errorf("op %d at %#x returned %x, model %x", op.kind, op.addr, got, want)
+		return fmt.Errorf("op %d at %#x returned %x, model %x", op.kind, op.addr, got, want)
 	}
-	if len(e.cache) != len(m.lines) {
-		for base := range m.lines {
-			if _, ok := e.cache[base]; !ok {
-				evicted = append(evicted, base)
-			}
-		}
-		if len(evicted) != 1 {
-			return nil, fmt.Errorf("engine evicted a line; model cache differs in %d lines", len(evicted))
-		}
-		m.evict(evicted[0])
-	}
-	return evicted, nil
+	return nil
 }
 
 // compare checks everything the engine derives from its view, its queue
-// and its page tables against the model: queue length, cached lines and
-// their dirty masks, loads, and the bytes and hashes of both kinds of
-// image.
+// and its page tables against the model: queue length, the dirty lines
+// and their masks, loads, and the bytes and hashes of both kinds of
+// image. The engine keeps only dirty lines, so its map must hold exactly
+// the model's dirty lines; the model's clean cached lines must be
+// invisible everywhere else.
 func compare(e *Engine, m *refModel, rng *rand.Rand) error {
 	if got, want := len(e.queue), len(m.queue); got != want {
 		return fmt.Errorf("%d queued write-backs, model %d", got, want)
 	}
-	if got, want := len(e.cache), len(m.lines); got != want {
-		return fmt.Errorf("%d cached lines, model %d", got, want)
-	}
+	dirtyLines := 0
 	for base, ln := range m.lines {
+		if ln.dirty == 0 {
+			continue
+		}
+		dirtyLines++
 		if dirty, ok := e.cache[base]; !ok || dirty != ln.dirty {
 			return fmt.Errorf("line %#x: cached %v with dirty mask %#x, model %#x", base, ok, dirty, ln.dirty)
 		}
+	}
+	if got := len(e.cache); got != dirtyLines {
+		return fmt.Errorf("%d dirty lines, model %d", got, dirtyLines)
 	}
 	prefix := m.prefixImage()
 	h := ContentHash(prefix)
@@ -369,14 +359,11 @@ func compare(e *Engine, m *refModel, rng *rand.Rand) error {
 }
 
 // lockstep runs ops on the engine and on the model, comparing them every
-// 17 ops and at the end, and returns the lines the engine evicted at
-// each op.
-func lockstep(t *testing.T, e *Engine, m *refModel, ops []refOp, rng *rand.Rand) [][]uint64 {
+// 17 ops and at the end.
+func lockstep(t *testing.T, e *Engine, m *refModel, ops []refOp, rng *rand.Rand) {
 	t.Helper()
-	evicted := make([][]uint64, len(ops))
 	for i, op := range ops {
-		var err error
-		evicted[i], err = step(e, m, op)
+		err := step(e, m, op)
 		if err == nil && i%17 == 0 {
 			err = compare(e, m, rng)
 		}
@@ -387,17 +374,45 @@ func lockstep(t *testing.T, e *Engine, m *refModel, ops []refOp, rng *rand.Rand)
 	if err := compare(e, m, rng); err != nil {
 		t.Fatalf("end of run: %v", err)
 	}
-	return evicted
+}
+
+// checkReplays restores the checkpoint store e recorded while it ran ops
+// from the pool contents base at the first two counters, which restore
+// the genesis checkpoint, and at random ones, and compares each restored
+// engine with a model replayed to the same point.
+func checkReplays(t *testing.T, e *Engine, base []byte, eadr bool, ops []refOp, rng *rand.Rand) {
+	t.Helper()
+	s := e.Checkpoints()
+	for k := uint64(1); k <= 20; k++ {
+		target := k
+		if k > 2 {
+			target = 1 + uint64(rng.Int63n(int64(s.LastICount())))
+		}
+		got, _, err := s.ReplayTo(target, time.Time{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newRefModel(base, eadr)
+		for i := 0; i < int(target)-1; i++ {
+			ref.run(ops[i])
+		}
+		if err := compare(got, ref, rng); err != nil {
+			t.Fatalf("ReplayTo(%d): %v", target, err)
+		}
+	}
 }
 
 // TestEngineMatchesReferenceModel drives the engine and the naive model
 // with the same random instruction streams — every store and flush
-// flavour, both fences, CAS and FAA, seeded evictions — under ADR and
-// eADR, and compares them throughout. It then restores the recorded
-// checkpoint store at random counters and compares each restored engine
-// with a model replayed to the same point. Engines restarted from a
-// crash image, one an engine produced and the same bytes as a flat
-// image, are compared the same way.
+// flavour, both fences, CAS and FAA — under ADR and eADR, and compares
+// them throughout. The model keeps the lines CLWB cleans cached and the
+// engine drops them, so the comparison is also the differential showing
+// that dropping clean lines cannot be observed. It then restores the
+// recorded checkpoint store at random counters and compares each
+// restored engine with a model replayed to the same point. Engines
+// restarted from a crash image, one an engine produced and the same
+// bytes as a flat image, are compared the same way, checkpoint restores
+// included.
 func TestEngineMatchesReferenceModel(t *testing.T) {
 	const size, n = 1 << 16, 1500
 	for _, eadr := range []bool{false, true} {
@@ -405,27 +420,9 @@ func TestEngineMatchesReferenceModel(t *testing.T) {
 			t.Run(fmt.Sprintf("seed=%d/eadr=%v", seed, eadr), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				ops := genRefOps(rng, size, n)
-				e := NewEngine(Options{PoolSize: size, EADR: eadr, Seed: seed, Eviction: EvictSeeded,
-					EvictOneIn: 16, CheckpointEvery: 97})
-				evicted := lockstep(t, e, newRefModel(make([]byte, size), eadr), ops, rng)
-				s := e.Checkpoints()
-				for k := 0; k < 20; k++ {
-					target := 1 + uint64(rng.Int63n(int64(s.LastICount())))
-					got, _, err := s.ReplayTo(target, time.Time{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					ref := newRefModel(make([]byte, size), eadr)
-					for i := 0; i < int(target)-1; i++ {
-						ref.run(ops[i])
-						for _, b := range evicted[i] {
-							ref.evict(b)
-						}
-					}
-					if err := compare(got, ref, rng); err != nil {
-						t.Fatalf("ReplayTo(%d): %v", target, err)
-					}
-				}
+				e := NewEngine(Options{PoolSize: size, EADR: eadr, CheckpointEvery: 97})
+				lockstep(t, e, newRefModel(make([]byte, size), eadr), ops, rng)
+				checkReplays(t, e, make([]byte, size), eadr, ops, rng)
 			})
 		}
 		src := NewEngine(Options{PoolSize: size})
@@ -439,12 +436,14 @@ func TestEngineMatchesReferenceModel(t *testing.T) {
 		}{{"engine", img}, {"flat", NewImage(want)}} {
 			t.Run(fmt.Sprintf("image=%s/eadr=%v", restart.name, eadr), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(4))
-				e := NewEngineFromImage(Options{EADR: eadr, Seed: 4, Eviction: EvictSeeded, EvictOneIn: 16}, restart.img)
+				e := NewEngineFromImage(Options{EADR: eadr, CheckpointEvery: 97}, restart.img)
 				m := newRefModel(want, eadr)
 				if err := compare(e, m, rng); err != nil {
 					t.Fatalf("restarted engine: %v", err)
 				}
-				lockstep(t, e, m, genRefOps(rng, size, n), rng)
+				ops := genRefOps(rng, size, n)
+				lockstep(t, e, m, ops, rng)
+				checkReplays(t, e, want, eadr, ops, rng)
 			})
 		}
 	}
@@ -459,7 +458,7 @@ func TestEngineFromImageIsolation(t *testing.T) {
 	src := NewEngine(Options{PoolSize: size})
 	srcModel := newRefModel(make([]byte, size), false)
 	for _, op := range genRefOps(rand.New(rand.NewSource(21)), size, 600) {
-		if _, err := step(src, srcModel, op); err != nil {
+		if err := step(src, srcModel, op); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -474,7 +473,7 @@ func TestEngineFromImageIsolation(t *testing.T) {
 		defer wg.Done()
 		rng := rand.New(rand.NewSource(seed))
 		for _, op := range genRefOps(rng, size, 600) {
-			if _, err := step(e, m, op); err != nil {
+			if err := step(e, m, op); err != nil {
 				errs <- fmt.Errorf("engine %d: %w", seed, err)
 				return
 			}

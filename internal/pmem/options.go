@@ -13,21 +13,6 @@ const CacheLineSize = 64
 // groups of 8 bytes persist entirely or not at all (§2 of the paper).
 const AtomicUnit = 8
 
-// EvictionPolicy controls spontaneous write-back of dirty cache lines.
-type EvictionPolicy uint8
-
-// Eviction policies.
-const (
-	// EvictNever keeps dirty lines cached until explicitly flushed.
-	// This is the deterministic mode used during analysis.
-	EvictNever EvictionPolicy = iota
-	// EvictSeeded writes back a random dirty line with probability
-	// 1/EvictOneIn after each store, driven by the engine seed. This
-	// models the cache-replacement non-determinism that masks
-	// missing-flush bugs on real hardware.
-	EvictSeeded
-)
-
 // StackCapture names the event classes whose call stacks hooks may
 // request.
 type StackCapture uint8
@@ -42,8 +27,6 @@ const (
 	// CaptureStores offers stacks at stores as well (the store
 	// granularity ablation, Fig 3b).
 	CaptureStores
-	// CaptureAll offers stacks for every event including loads.
-	CaptureAll
 )
 
 // covers reports whether the class offers stacks for op.
@@ -53,24 +36,16 @@ func (c StackCapture) covers(op Opcode) bool {
 		return op.IsPersistency()
 	case CaptureStores:
 		return op != OpLoad
-	case CaptureAll:
-		return true
 	}
 	return false
 }
 
-// Options configures an Engine.
+// Options configures an Engine. The simulated cache never evicts: it
+// writes a line back only when a flush asks for it.
 type Options struct {
 	// PoolSize is the size of the simulated PM device in bytes. It is
 	// rounded up to a multiple of CacheLineSize. Required.
 	PoolSize int
-	// Eviction selects the spontaneous write-back policy.
-	Eviction EvictionPolicy
-	// EvictOneIn is the inverse eviction probability under EvictSeeded;
-	// 0 means the default of 64.
-	EvictOneIn int
-	// Seed drives all engine-internal pseudo-randomness.
-	Seed int64
 	// EADR extends the persistence domain to the CPU caches (enhanced
 	// asynchronous DRAM refresh, §2): stores are durable once globally
 	// visible and cache flushes become unnecessary, though fences are
@@ -130,9 +105,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if r := opts.PoolSize % CacheLineSize; r != 0 {
 		opts.PoolSize += CacheLineSize - r
-	}
-	if opts.EvictOneIn == 0 {
-		opts.EvictOneIn = 64
 	}
 	if opts.Capture != CaptureNone && opts.Stacks == nil {
 		opts.Stacks = stack.NewTable()

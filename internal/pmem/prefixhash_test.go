@@ -26,14 +26,14 @@ func assertRolling(t *testing.T, e *Engine, want []byte, label string) {
 
 // exercise runs one deterministic mixed workload on the engine and on
 // the model in lockstep: cached and NT stores (full and partial lines),
-// flushes of every flavour, fences, RMWs, and enough stores to trigger
-// seeded evictions. After each labelled step it hands check the label
-// and the model's prefix image.
+// flushes of every flavour, fences, RMWs, and a burst of stores over
+// lines with queued write-backs. After each labelled step it hands check
+// the label and the model's prefix image.
 func exercise(t *testing.T, e *Engine, m *refModel, check func(label string, want []byte)) {
 	t.Helper()
 	do := func(op refOp) {
 		t.Helper()
-		if _, err := step(e, m, op); err != nil {
+		if err := step(e, m, op); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -86,7 +86,6 @@ func TestRollingPrefixHashMatchesGroundTruth(t *testing.T) {
 		opts Options
 	}{
 		{"plain", Options{PoolSize: 1 << 16}},
-		{"evicting", Options{PoolSize: 1 << 16, Eviction: EvictSeeded, EvictOneIn: 4, Seed: 7}},
 		{"eadr", Options{PoolSize: 1 << 16, EADR: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -127,7 +126,7 @@ func TestRollingPrefixHashFromImage(t *testing.T) {
 // to a target carries the view the recorded execution had at that
 // instruction, as the model stepped in lockstep with it saw it.
 func TestRollingPrefixHashCheckpointRoundTrip(t *testing.T) {
-	opts := Options{PoolSize: 1 << 16, Eviction: EvictSeeded, EvictOneIn: 4, Seed: 7, CheckpointEvery: 32}
+	opts := Options{PoolSize: 1 << 16, CheckpointEvery: 32}
 	rec := NewEngine(opts)
 	type point struct {
 		icount uint64
@@ -154,35 +153,4 @@ func TestRollingPrefixHashCheckpointRoundTrip(t *testing.T) {
 		}
 		assertRolling(t, e, p.want, "restored engine")
 	}
-}
-
-// TestRollingPrefixHashEvictionOverlap pins the one non-store mutation
-// of the coherent view: a seeded eviction whose dirty bytes are
-// re-overlaid by an older queued write-back of the same line.
-func TestRollingPrefixHashEvictionOverlap(t *testing.T) {
-	// EvictOneIn == 1 evicts a cached line after every cached store.
-	e := NewEngine(Options{PoolSize: 1 << 12, Eviction: EvictSeeded, EvictOneIn: 1, Seed: 1})
-	m := newRefModel(make([]byte, e.Size()), false)
-	run := func(op refOp, label string) {
-		t.Helper()
-		if _, err := step(e, m, op); err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		assertRolling(t, e, m.prefixImage(), label)
-	}
-	u64 := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
-	// Queued for line 0; NT stores never evict.
-	run(refOp{kind: refNTStore, addr: 0, data: u64(0xaaaa)}, "queued nt store")
-	// The store caches line 0 as the only cached line, so the eviction
-	// after it writes 0xbbbb back while 0xaaaa is still queued.
-	run(refOp{kind: refStore, addr: 0, data: u64(0xbbbb)}, "after eviction with queued overlap")
-	if e.LineDirty(0) {
-		t.Fatal("line 0 was not evicted")
-	}
-	// The older queued write-back lands on top of the written-back line:
-	// the view shows the queued value again.
-	if got := binary.LittleEndian.Uint64(e.PrefixImage().Clone().Bytes()); got != 0xaaaa {
-		t.Fatalf("view reads %#x after the eviction, want the queued 0xaaaa", got)
-	}
-	run(refOp{kind: refSFence}, "after drain")
 }
