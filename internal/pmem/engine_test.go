@@ -52,45 +52,61 @@ func TestCLWBRequiresFence(t *testing.T) {
 	}
 }
 
+const asyncFlushAddr, asyncFlushBase = 136, 128
+
+// asyncFlushed stores to two lines, flushes the first with flush and
+// fences, checking on the way what every asynchronous flush must do:
+// the line leaves the dirty map, its dirty bytes are queued, loads
+// still read them, and the fence persists them.
+func asyncFlushed(t *testing.T, name string, flush func(*Engine, uint64)) *Engine {
+	t.Helper()
+	const addr, base = asyncFlushAddr, asyncFlushBase
+	e := newTestEngine(4096)
+	e.Store64(addr, 42)
+	e.Store64(addr+CacheLineSize, 43) // a second dirty line stays put
+	flush(e, addr)
+	if _, ok := e.cache[base]; ok || e.LineDirty(addr) {
+		t.Fatalf("%s: the line is still in the dirty map", name)
+	}
+	if !e.LineDirty(addr + CacheLineSize) {
+		t.Fatalf("%s: the flush dropped another line", name)
+	}
+	if len(e.queue) != 1 || e.queue[0].base != base || e.queue[0].dirty != storeMask(addr-base, 8) ||
+		le64(e.queue[0].data[addr-base:]) != 42 {
+		t.Fatalf("%s: queue %+v, want one write-back of the stored word", name, e.queue)
+	}
+	if got := le64(e.MediumSnapshot().Bytes()[addr:]); got != 0 {
+		t.Fatalf("%s: the write-back persisted before a fence: %d", name, got)
+	}
+	if got := e.Load64(addr); got != 42 {
+		t.Fatalf("%s: load after the flush reads %d", name, got)
+	}
+	e.SFence()
+	if got := le64(e.MediumSnapshot().Bytes()[addr:]); got != 42 {
+		t.Fatalf("%s: fence did not persist the write-back: %d", name, got)
+	}
+	return e
+}
+
+func TestCLFlushOptInvalidatesLine(t *testing.T) {
+	asyncFlushed(t, "clflushopt", (*Engine).CLFlushOpt)
+}
+
+// TestCLWBKeepsLineCached: the copy CLWB keeps is the view's line, which
+// still holds the stored bytes, and it is clean, so the engine holds it
+// only in the view and not in the dirty map.
+func TestCLWBKeepsLineCached(t *testing.T) {
+	e := asyncFlushed(t, "clwb", (*Engine).CLWB)
+	if got := le64(e.view.line(asyncFlushBase)[asyncFlushAddr-asyncFlushBase:]); got != 42 {
+		t.Fatalf("clwb dropped the cached bytes: the view holds %d", got)
+	}
+}
+
 // TestAsyncFlushesShareOneMutation: CLWB keeps a clean copy of the line
 // and CLFlushOpt invalidates it, but a clean line behaves exactly like
-// an uncached one, so both move the line's dirty bytes from the dirty
-// map to the queue, a fence persists them, and the two engines end in
-// the same state.
+// an uncached one, so the two engines end in the same state.
 func TestAsyncFlushesShareOneMutation(t *testing.T) {
-	const addr, base = 136, 128
-	var engines []*Engine
-	for _, tc := range []struct {
-		name  string
-		flush func(*Engine, uint64)
-	}{
-		{"clwb", (*Engine).CLWB},
-		{"clflushopt", (*Engine).CLFlushOpt},
-	} {
-		e := newTestEngine(4096)
-		e.Store64(addr, 42)
-		e.Store64(addr+CacheLineSize, 43) // a second dirty line stays put
-		tc.flush(e, addr)
-		if _, ok := e.cache[base]; ok || e.LineDirty(addr) {
-			t.Fatalf("%s: the line is still in the dirty map", tc.name)
-		}
-		if !e.LineDirty(addr + CacheLineSize) {
-			t.Fatalf("%s: the flush dropped another line", tc.name)
-		}
-		if len(e.queue) != 1 || e.queue[0].base != base || e.queue[0].dirty != storeMask(addr-base, 8) ||
-			le64(e.queue[0].data[addr-base:]) != 42 {
-			t.Fatalf("%s: queue %+v, want one write-back of the stored word", tc.name, e.queue)
-		}
-		if got := e.Load64(addr); got != 42 {
-			t.Fatalf("%s: load after the flush reads %d", tc.name, got)
-		}
-		e.SFence()
-		if got := le64(e.MediumSnapshot().Bytes()[addr:]); got != 42 {
-			t.Fatalf("%s: fence did not persist the write-back: %d", tc.name, got)
-		}
-		engines = append(engines, e)
-	}
-	a, b := engines[0], engines[1]
+	a, b := asyncFlushed(t, "clwb", (*Engine).CLWB), asyncFlushed(t, "clflushopt", (*Engine).CLFlushOpt)
 	if !maps.Equal(a.cache, b.cache) || len(a.queue) != 0 || len(b.queue) != 0 ||
 		!bytes.Equal(a.MediumSnapshot().Bytes(), b.MediumSnapshot().Bytes()) ||
 		!bytes.Equal(a.PrefixImage().Bytes(), b.PrefixImage().Bytes()) || a.PrefixImageHash() != b.PrefixImageHash() {
