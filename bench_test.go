@@ -204,7 +204,7 @@ func BenchmarkAblationGranularity(b *testing.B) {
 			var leaves int
 			for i := 0; i < b.N; i++ {
 				res, err := core.Analyze(btree.New(apps.Config{SPT: true, PoolSize: 4 << 20}), w,
-					core.Config{Granularity: g, DisableTraceAnalysis: true, MaxFailurePoints: 50})
+					core.Config{Granularity: g, DisableTraceAnalysis: true, DisableFaultInjection: true})
 				if err != nil {
 					b.Fatal(err)
 				}

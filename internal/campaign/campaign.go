@@ -149,10 +149,13 @@ type Record struct {
 	// re-seeds its verdict memo from it.
 	Judgement
 	// FindingICount is the instruction counter the leaf's finding is
-	// keyed by, and CrashDetail the detail of the target-crash finding
-	// of a replay the sandbox stopped. The finding's call stack is
-	// re-derived from the matched leaf on resume (program counters are
-	// process-local, the leaf's stack is not).
+	// keyed by, set on every judged or sandbox-stopped leaf (a judged
+	// leaf whose image recovery accepted has no finding, and journals
+	// of older builds leave it zero there). CrashDetail is the detail
+	// of the target-crash finding of a replay the sandbox stopped. The
+	// finding's call stack is re-derived from the matched leaf on
+	// resume (program counters are process-local, the leaf's stack is
+	// not).
 	FindingICount uint64
 	CrashDetail   string
 }

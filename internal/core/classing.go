@@ -21,10 +21,11 @@
 // inherit it there. A representative whose key was seeded takes the
 // cached verdict without replaying. Only the merge goroutine touches
 // the memo, in FirstICount order, so its contents — and the exported
-// verdict-cache file — are the same for any worker count. Inherited
-// findings are re-keyed to the member's own FirstICount and call stack,
-// so the merged report stays byte-identical to a campaign that replays
-// every leaf, serial and parallel, counter and stack mode.
+// verdict-cache file — are the same for any worker count. An inherited
+// verdict becomes the member's own record, keyed by its FirstICount,
+// and its finding is rendered with its own call stack, so the merged
+// report stays byte-identical to a campaign that judges every leaf, for
+// any worker count, in counter and stack mode.
 //
 // The reuse is sound exactly when identical persisted prefix images
 // imply identical recovery verdicts, which holds whenever the recovery
@@ -39,8 +40,6 @@ import (
 	"mumak/internal/campaign"
 	"mumak/internal/fpt"
 	"mumak/internal/oracle"
-	"mumak/internal/report"
-	"mumak/internal/stack"
 )
 
 // imageKey identifies a crash image by content: the engine's
@@ -98,16 +97,6 @@ func (p *classPlan) deferred(leaf *fpt.Leaf) bool {
 	return p != nil && p.atMerge[leaf.ID]
 }
 
-// dispatch resolves one pending leaf into an outcome on the merge
-// goroutine: the serial driver's only path, and the parallel merge
-// loop's resolution of the leaves the plan deferred to it.
-func (m *mergeState) dispatch(leaf *fpt.Leaf) replayOutcome {
-	if m.plan.deferred(leaf) {
-		return m.resolve(leaf)
-	}
-	return m.replayer(leaf)
-}
-
 // resolve settles a deferred leaf from the memo without touching an
 // engine: no replay (zero events) and no recovery run. Members still
 // count as injected — an earlier leaf of their class proved the crash
@@ -121,30 +110,27 @@ func (m *mergeState) resolve(leaf *fpt.Leaf) replayOutcome {
 	if !ok {
 		return m.replayer(leaf)
 	}
-	out := replayOutcome{
-		executed:  true,
-		injected:  true,
-		source:    campaign.Inherited,
-		judgement: j,
-		finding:   findingFor(j, leaf.FirstICount, leaf.Stack),
-	}
+	out := replayOutcome{executed: true, Record: campaign.Record{
+		LeafID: leaf.ID, LeafICount: leaf.FirstICount, Source: campaign.Inherited,
+		Injected: true, Judgement: j, FindingICount: leaf.FirstICount,
+	}}
 	if m.plan.reps[k] == leaf.ID {
-		out.source = campaign.Cached
+		out.Source = campaign.Cached
 	}
 	return out
 }
 
-// remember fills the memo from a consumed outcome: the first judgement
+// remember fills the memo from a consumed record: the first judgement
 // of each class wins, and later ones — inherited or cached reads of
 // that same entry — change nothing. A deadline-cut check is never
 // consumed, so it never gets here.
-func (m *mergeState) remember(leaf *fpt.Leaf, out replayOutcome) {
-	if m.memo == nil || !out.injected {
+func (m *mergeState) remember(leaf *fpt.Leaf, rec campaign.Record) {
+	if m.memo == nil || !rec.Injected {
 		return
 	}
 	k := stampOf(leaf)
 	if _, ok := m.memo[k]; !ok {
-		m.memo[k] = out.judgement
+		m.memo[k] = rec.Judgement
 	}
 }
 
@@ -174,18 +160,4 @@ func judge(check oracle.Outcome) campaign.Judgement {
 		j.Detail += "\nrecovery trace:\n" + truncate(check.PanicTrace, 800)
 	}
 	return j
-}
-
-// findingFor renders a judged crash image's finding for the leaf
-// consuming it, keyed by that leaf's own instruction counter and call
-// stack; nil when recovery accepted the image.
-func findingFor(j campaign.Judgement, icount uint64, stk stack.ID) *report.Finding {
-	if j.Verdict == oracle.Consistent {
-		return nil
-	}
-	kind := report.CrashConsistency
-	if j.Verdict == oracle.Hung {
-		kind = report.RecoveryHang
-	}
-	return &report.Finding{Kind: kind, ICount: icount, Stack: stk, Detail: j.Detail}
 }

@@ -67,9 +67,6 @@ type Config struct {
 	// Budget bounds the wall-clock time of the whole analysis; zero
 	// means unbounded. It plays the role of the paper's 12-hour limit.
 	Budget time.Duration
-	// MaxFailurePoints caps the number of injected faults (0 = all);
-	// used by ablation benches only.
-	MaxFailurePoints int
 	// DisableTraceAnalysis skips phase 3 (ablation benches).
 	DisableTraceAnalysis bool
 	// DisableFaultInjection skips phase 2 (ablation benches).
@@ -79,7 +76,7 @@ type Config struct {
 	StackMode bool
 	// Workers bounds the number of concurrent injections in the
 	// fault-injection campaign — recovery checks of phase-1 images in
-	// counter mode, replays in stack mode; 0 or 1 runs serially.
+	// counter mode, replays in stack mode; 0 or 1 runs one worker.
 	// Injections are independent (the failure point tree is frozen
 	// before the campaign and shared read-only), and findings are merged
 	// in leaf first-occurrence order, so the report is byte-identical
@@ -115,7 +112,7 @@ type Config struct {
 	// class, and the other members inherit its verdict from the
 	// campaign's verdict memo without a recovery run (or, in stack mode,
 	// a replay); WarmVerdicts seed that memo. Reports are byte-identical
-	// either way (serial and parallel, counter and stack mode) — only the
+	// either way (any worker count, counter and stack mode) — only the
 	// redundant replays and recoveries are skipped. Off, nothing is
 	// reused: every failure point is judged on its own image, which is
 	// the reference the differential tests compare against and the mode
@@ -179,8 +176,9 @@ type Result struct {
 	// Tree.Encode records that prefix.
 	Tree *fpt.Tree
 	// CampaignWorkers is the worker count the injection campaign
-	// actually ran with (1 for a serial campaign; zero when fault
-	// injection was disabled).
+	// actually ran with: Config.Workers, at least 1, but never more
+	// than the failure points left to inject (zero when fault injection
+	// was disabled or the campaign stopped before it started).
 	CampaignWorkers int
 	// WorkerBusy sums the wall time campaign workers spent replaying;
 	// WorkerBusy/InjectTime is the campaign's average worker
@@ -308,10 +306,6 @@ func Analyze(app harness.Application, w workload.Workload, cfg Config) (*Result,
 	// state is proportional to live cache lines, not trace length. Stacks
 	// are walked only where the builder asks (failure-point candidates);
 	// the analyzer's findings get theirs in phase 3.
-	capture := pmem.CapturePersistency
-	if cfg.Granularity == fpt.GranStore {
-		capture = pmem.CaptureStores
-	}
 	tree := fpt.New(stacks)
 	builder := fpt.NewBuilder(tree, cfg.Granularity)
 	hooks := []pmem.Hook{builder}
@@ -325,7 +319,7 @@ func Analyze(app harness.Application, w workload.Workload, cfg Config) (*Result,
 	}
 	sb := cfg.sandbox(deadline)
 	t0 := time.Now()
-	opts := pmem.Options{Capture: capture, Stacks: stacks, EADR: cfg.EADR}
+	opts := pmem.Options{Capture: cfg.capture(), Stacks: stacks, EADR: cfg.EADR}
 	if !sb.disabled {
 		opts.MaxEvents = sb.budget
 		opts.Deadline = sb.deadline

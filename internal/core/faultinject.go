@@ -95,27 +95,15 @@ func (cfg Config) sandbox(deadline time.Time) sandboxCfg {
 	return sb
 }
 
-// campaignMode bundles the per-mode injection parameters so one
-// merge/driver implementation serves both injection modes.
-type campaignMode struct {
-	// stack selects call-stack matching replays (needs capture,
-	// tolerates non-determinism); false selects the §5
-	// instruction-counter mode, which judges phase-1 images.
-	stack   bool
-	gran    fpt.Granularity
-	capture pmem.StackCapture
-}
-
-// campaignMode derives the injection mode from the configuration.
-func (cfg Config) campaignMode() campaignMode {
-	m := campaignMode{stack: cfg.StackMode, gran: cfg.Granularity, capture: pmem.CaptureNone}
-	if cfg.StackMode {
-		m.capture = pmem.CapturePersistency
-		if cfg.Granularity == fpt.GranStore {
-			m.capture = pmem.CaptureStores
-		}
+// capture is the stack-capture class of the configured granularity:
+// the call stacks of persistency instructions, or of every store at
+// store granularity. Phase 1 captures them for the failure point tree;
+// a stack-mode replay captures them to match its leaf.
+func (cfg Config) capture() pmem.StackCapture {
+	if cfg.Granularity == fpt.GranStore {
+		return pmem.CaptureStores
 	}
-	return m
+	return pmem.CapturePersistency
 }
 
 // execute runs one target execution under the campaign sandbox, or the
@@ -194,14 +182,15 @@ const replayDuring = "a fault-injection replay"
 // walk at every failure-point candidate of every replay but tolerates
 // non-determinism. Either way injections are independent (each builds a
 // private recovery engine, and a stack-mode replay a private engine and
-// injector, over the immutable tree), so both campaigns fan out across
-// cfg.Workers goroutines when asked to.
+// injector, over the immutable tree), so every campaign runs on the one
+// worker pool of injectParallel, with max(cfg.Workers, 1) workers but
+// never more than there are pending leaves.
 // With cfg.Classing only the first leaf of each crash-image class
 // without a verdict is judged; the rest resolve from the campaign's
 // verdict memo at merge (classing.go).
 //
 // Leaves are consumed strictly in tree.LeavesByICount() order, so
-// however the campaign stops — completion, cap, budget, interruption,
+// however the campaign stops — completion, budget, interruption,
 // abort — its progress is a prefix of that order, of length
 // Injections + SkippedFailurePoints. That length is the only progress
 // state: the work list is the order past any folded journal prefix.
@@ -223,10 +212,9 @@ func injectAll(app harness.Application, w workload.Workload, tree *fpt.Tree,
 	sb := cfg.sandbox(deadline)
 	tree.Freeze()
 	order := tree.LeavesByICount()
-	mode := cfg.campaignMode()
-	m := &mergeState{mode: mode, cfg: cfg, rep: rep, res: res, journal: cfg.Journal}
+	m := &mergeState{cfg: cfg, rep: rep, res: res, journal: cfg.Journal}
 	m.replayer = func(leaf *fpt.Leaf) replayOutcome {
-		return replayLeafWithRetry(app, w, leaf, tree.Stacks(), mode, sb)
+		return replayLeafWithRetry(app, w, leaf, tree.Stacks(), cfg, sb)
 	}
 	if cfg.Classing {
 		// One memo per campaign: application, workload and recovery
@@ -255,65 +243,31 @@ func injectAll(app harness.Application, w workload.Workload, tree *fpt.Tree,
 		m.plan = buildClassPlan(order, pending, m.memo)
 		res.EquivClasses = len(m.plan.reps)
 	}
-	if aborted || m.capped() {
+	if aborted {
 		return false, nil
 	}
 	if sb.interrupted() {
 		res.Interrupted = true
 		return false, nil
 	}
-
-	workers := cfg.Workers
-	if workers < 1 || len(pending) <= 1 {
-		workers = 1
-	}
-	res.CampaignWorkers = workers
-	if workers > 1 {
-		return injectParallel(pending, m, sb, workers), nil
-	}
-	return injectSerial(pending, m, sb), nil
+	res.CampaignWorkers = min(max(cfg.Workers, 1), max(len(pending), 1))
+	return injectParallel(pending, m, sb, res.CampaignWorkers), nil
 }
 
-// replayOutcome is the result of injecting one leaf. It carries
-// everything the merge step needs, so that injections can run on any
-// goroutine while the shared Result and Report are only ever touched in
-// deterministic leaf order.
+// replayOutcome is the result of injecting one leaf: the leaf's journal
+// record, which carries everything the merge step needs, so that
+// injections can run on any goroutine while the shared Result and Report
+// are only ever touched in deterministic leaf order.
 type replayOutcome struct {
 	// executed is false when the injection never ran (deadline
-	// expired).
+	// expired or interruption requested).
 	executed bool
 	// deadlineHit reports that the campaign deadline cut the replay or
 	// its recovery mid-flight; the leaf stays unconsumed and the
 	// campaign stops, exactly as if the deadline had expired between
 	// replays.
 	deadlineHit bool
-	// events is the number of engine instruction events of the replay
-	// (all attempts; zero in counter mode, which replays nothing).
-	events uint64
-	// retries counts extra replay attempts after transient skips.
-	retries int
-	// injected reports that the leaf's crash state was reached and
-	// judged.
-	injected bool
-	// skipReason is non-empty when the leaf was consumed without an
-	// injection: the stack-mode replay errored or never re-encountered
-	// the call stack.
-	skipReason string
-	// targetPanic and targetHang mark replays the sandbox stopped: the
-	// target's own code panicked, or the fuel budget expired. The leaf
-	// is consumed without an injection and finding reports the
-	// behaviour.
-	targetPanic bool
-	targetHang  bool
-	// source is how an injected leaf's verdict was obtained: replayed
-	// and judged, inherited from its class, or cached from a
-	// verdict-cache file (classing.go).
-	source campaign.Source
-	// judgement is an injected leaf's crash-image verdict.
-	judgement campaign.Judgement
-	// finding is the resulting finding, if any: a crash-consistency
-	// bug, a target crash, or a recovery hang.
-	finding *report.Finding
+	campaign.Record
 }
 
 // replayLeaf runs one fault injection (§4.1): the recovery oracle over
@@ -328,169 +282,114 @@ type replayOutcome struct {
 // engine are all private to the call, and the tree and its images are
 // frozen.
 func replayLeaf(app harness.Application, w workload.Workload, leaf *fpt.Leaf,
-	stacks *stack.Table, mode campaignMode, sb sandboxCfg) replayOutcome {
+	stacks *stack.Table, cfg Config, sb sandboxCfg) replayOutcome {
 
-	out := replayOutcome{executed: true}
-	if !mode.stack {
-		out.injected = true
-		finishInjected(app, leaf.Image, leaf, leaf.FirstICount, sb, &out)
+	out := replayOutcome{executed: true, Record: campaign.Record{LeafID: leaf.ID, LeafICount: leaf.FirstICount}}
+	if !cfg.StackMode {
+		finishInjected(app, leaf.Image, leaf.FirstICount, sb, &out)
 		return out
 	}
-	opts := pmem.Options{Capture: mode.capture, Stacks: stacks}
+	opts := pmem.Options{Capture: cfg.capture(), Stacks: stacks}
 	if !sb.disabled {
 		// A stack-mode replay has no deterministic crash counter to
 		// bound it by, so it gets the full campaign fuel budget.
 		opts.MaxEvents = sb.budget
 		opts.Deadline = sb.deadline
 	}
-	eng, sres := execute(app, w, opts, sb, &fpt.Injector{Target: leaf, Granularity: mode.gran})
-	out.events = eng.Events()
+	eng, sres := execute(app, w, opts, sb, &fpt.Injector{Target: leaf, Granularity: cfg.Granularity})
+	out.Events = eng.Events()
 	switch {
 	case sres.Err != nil:
 		// The workload failed before the failure point — the run
 		// diverged (should not happen with deterministic targets).
-		out.skipReason = fmt.Sprintf("replay failed before the failure point: %v", sres.Err)
-		return out
+		out.SkipReason = fmt.Sprintf("replay failed before the failure point: %v", sres.Err)
 	case sres.Panic != nil:
-		out.targetPanic = true
-		out.finding = &report.Finding{
-			Kind:   report.TargetCrash,
-			ICount: eng.ICount(),
-			Stack:  leaf.Stack,
-			Detail: panicDetail(replayDuring, sres.Panic),
-		}
-		return out
+		out.TargetPanic = true
+		out.FindingICount, out.CrashDetail = eng.ICount(), panicDetail(replayDuring, sres.Panic)
+	case sres.Hang != nil && sres.Hang.Deadline:
+		out.deadlineHit = true
 	case sres.Hang != nil:
-		if sres.Hang.Deadline {
-			out.deadlineHit = true
-			return out
-		}
-		out.targetHang = true
-		out.finding = &report.Finding{
-			Kind:   report.TargetCrash,
-			ICount: eng.ICount(),
-			Stack:  leaf.Stack,
-			Detail: hangDetail(replayDuring, sres.Hang),
-		}
-		return out
+		out.TargetHang = true
+		out.FindingICount, out.CrashDetail = eng.ICount(), hangDetail(replayDuring, sres.Hang)
 	case sres.Sig == nil:
-		out.skipReason = "failure-point call stack never re-encountered on replay"
-		return out
+		out.SkipReason = "failure-point call stack never re-encountered on replay"
+	default:
+		finishInjected(app, eng.PrefixImage(), sres.Sig.ICount, sb, &out)
 	}
-	out.injected = true
-	finishInjected(app, eng.PrefixImage(), leaf, sres.Sig.ICount, sb, &out)
 	return out
 }
 
 // finishInjected runs the oracle tail shared by every injection: the
 // vanilla, uninstrumented recovery procedure over the graceful-crash
-// image (§4.1), bounded by the hang watchdog. A check the campaign
-// deadline cut short reflects the remaining budget, not the image: the
-// outcome is marked and never consumed.
-func finishInjected(app harness.Application, img *pmem.Image, leaf *fpt.Leaf,
-	icount uint64, sb sandboxCfg, out *replayOutcome) {
-
+// image (§4.1), bounded by the hang watchdog, judged at instruction
+// icount. A check the campaign deadline cut short reflects the
+// remaining budget, not the image: the outcome is marked and never
+// consumed.
+func finishInjected(app harness.Application, img *pmem.Image, icount uint64, sb sandboxCfg, out *replayOutcome) {
 	check, ddl := boundedCheck(app, img, sb)
 	if ddl {
 		out.deadlineHit = true
 		return
 	}
-	out.judgement = judge(check)
-	out.finding = findingFor(out.judgement, icount, leaf.Stack)
+	out.Injected = true
+	out.Judgement = judge(check)
+	out.FindingICount = icount
 }
 
 // replayLeafWithRetry replays a leaf, retrying a bounded number of times
 // (with a small backoff) when the replay is consumed by a transient
 // skip. Panics, hangs and deadline cuts are never retried: the first is
 // already a finding, the others would only burn the remaining budget.
-// The retry policy is mode-agnostic: both campaigns share it, so a
-// flaky replay costs the same bounded tolerance either way.
+// Only stack-mode replays can skip: a counter-mode injection judges its
+// phase-1 image and never retries.
 func replayLeafWithRetry(app harness.Application, w workload.Workload, leaf *fpt.Leaf,
-	stacks *stack.Table, mode campaignMode, sb sandboxCfg) replayOutcome {
+	stacks *stack.Table, cfg Config, sb sandboxCfg) replayOutcome {
 
-	out := replayLeaf(app, w, leaf, stacks, mode, sb)
-	for attempt := 1; attempt <= maxLeafRetries && out.skipReason != ""; attempt++ {
+	out := replayLeaf(app, w, leaf, stacks, cfg, sb)
+	for attempt := 1; attempt <= maxLeafRetries && out.SkipReason != ""; attempt++ {
 		if !sb.deadline.IsZero() && !time.Now().Before(sb.deadline) {
 			break
 		}
 		time.Sleep(time.Duration(attempt) * retryBackoff)
-		next := replayLeaf(app, w, leaf, stacks, mode, sb)
-		next.events += out.events
-		next.retries = out.retries + 1
+		next := replayLeaf(app, w, leaf, stacks, cfg, sb)
+		next.Events += out.Events
+		next.Retries = out.Retries + 1
 		out = next
 	}
 	return out
 }
 
-// consumeOutcome folds one leaf's replay outcome into the shared result
-// and report. Both the serial and the parallel campaign call this in
-// FirstICount order, so the merged report is byte-identical regardless
-// of scheduling.
-func consumeOutcome(leaf *fpt.Leaf, out replayOutcome, rep *report.Report, res *Result) {
-	res.EngineEvents += out.events
-	res.RetriedFailurePoints += out.retries
-	if out.skipReason != "" {
-		// Every retry was spent (replayLeafWithRetry consumed them
-		// before this outcome surfaced): the leaf is quarantined — set
-		// aside with its reason in the report's QuarantinedLeaves
-		// section — rather than aborting the campaign or vanishing into
-		// a bare counter. SkippedFailurePoints stays the superset
-		// coverage count.
-		res.SkippedFailurePoints++
-		res.QuarantinedFailurePoints++
-		rep.Quarantine(report.QuarantinedLeaf{
-			LeafID:  leaf.ID,
-			ICount:  leaf.FirstICount,
-			Stack:   leaf.Stack,
-			Reason:  out.skipReason,
-			Retries: out.retries,
-		})
-		res.addInjectionError(fmt.Sprintf("failure point #%d (instruction %d): %s",
-			leaf.ID, leaf.FirstICount, out.skipReason))
-		return
+// leafFinding renders a consumed leaf's finding from its record, keyed
+// by the record's FindingICount and the leaf's own call stack: a target
+// crash for a replay the sandbox stopped, a crash-consistency bug or a
+// recovery hang for a rejected crash image, nil otherwise. Live and
+// folded leaves share it; leaf stacks are re-derived deterministically
+// (program counters are process-local), so a folded leaf renders
+// byte-identically to the live one.
+func leafFinding(leaf *fpt.Leaf, rec campaign.Record) *report.Finding {
+	kind, detail := report.CrashConsistency, rec.Detail
+	switch {
+	case rec.TargetPanic || rec.TargetHang:
+		kind, detail = report.TargetCrash, rec.CrashDetail
+	case !rec.Injected || rec.Verdict == oracle.Consistent:
+		return nil
+	case rec.Verdict == oracle.Hung:
+		kind = report.RecoveryHang
 	}
-	if out.targetPanic || out.targetHang {
-		// The sandbox stopped the replay before the failure point: the
-		// leaf is consumed without an injection, and the behaviour is a
-		// finding rather than an error sample.
-		if out.targetPanic {
-			res.TargetPanics++
-		} else {
-			res.TargetHangs++
-		}
-		res.SkippedFailurePoints++
-		rep.Add(*out.finding)
-		return
-	}
-	res.Injections++
-	switch out.source {
-	case campaign.Replayed:
-		res.Recoveries++
-	case campaign.Inherited:
-		res.InheritedVerdicts++
-	case campaign.Cached:
-		res.PersistentCacheHits++
-	}
-	if out.judgement.Verdict == oracle.Hung {
-		res.RecoveryHangs++
-	}
-	if out.finding != nil {
-		rep.Add(*out.finding)
-	}
+	return &report.Finding{Kind: kind, ICount: rec.FindingICount, Stack: leaf.Stack, Detail: detail}
 }
 
-// mergeState is the deterministic folding step shared by the serial and
-// parallel drivers: it consumes outcomes strictly in leaf FirstICount
-// order and decides, in that same order, when the campaign stops — the
-// MaxFailurePoints cap, and stack mode's no-progress abort. It also
-// owns the campaign journal: every consumed outcome is durably appended
-// before the next leaf is folded, and a resumed campaign folds its
-// journaled prefix back through the same consume step (journal.go).
+// mergeState is the campaign's deterministic folding step: it consumes
+// records strictly in leaf FirstICount order and decides, in that same
+// order, when the campaign stops early — stack mode's no-progress
+// abort. It also owns the campaign journal: every consumed record is
+// durably appended before the next leaf is folded, and a resumed
+// campaign folds its journaled prefix back through the same consume
+// step (journal.go).
 type mergeState struct {
-	mode campaignMode
-	cfg  Config
-	rep  *report.Report
-	res  *Result
+	cfg Config
+	rep *report.Report
+	res *Result
 
 	// journal receives one record per consumed leaf; nil when
 	// journaling is off (or degraded after a write error). consumed
@@ -510,82 +409,88 @@ type mergeState struct {
 	plan     *classPlan
 	replayer func(*fpt.Leaf) replayOutcome
 
-	injected   int
 	noProgress int
 }
 
-// capped reports that the injection cap was reached; the campaign stops
-// before consuming further leaves.
-func (m *mergeState) capped() bool {
-	return m.cfg.MaxFailurePoints > 0 && m.injected >= m.cfg.MaxFailurePoints
-}
-
-// consume folds one outcome and returns whether the campaign must abort:
-// in stack mode, maxNoProgress consecutive leaves consumed without an
-// injection mean replays have stopped reproducing the construction run
-// (a deterministic failure would recur on every remaining leaf), so the
-// campaign gives up instead of burning the budget on full-workload
-// replays that cannot fire.
-func (m *mergeState) consume(leaf *fpt.Leaf, out replayOutcome) (abort bool) {
-	consumeOutcome(leaf, out, m.rep, m.res)
-	// Folded journal records fill the memo too, so a resumed campaign
-	// inherits across the resume boundary.
-	m.remember(leaf, out)
+// consume folds one consumed leaf's record, live or folded from a
+// journal, into the shared result and report, in FirstICount order, so
+// the merged report is byte-identical regardless of scheduling. It
+// returns whether the campaign must abort: in stack mode, maxNoProgress
+// consecutive leaves consumed without an injection mean replays have
+// stopped reproducing the construction run (a deterministic failure
+// would recur on every remaining leaf), so the campaign gives up
+// instead of burning the budget on full-workload replays that cannot
+// fire.
+func (m *mergeState) consume(leaf *fpt.Leaf, rec campaign.Record) (abort bool) {
+	res := m.res
+	res.EngineEvents += rec.Events
+	res.RetriedFailurePoints += rec.Retries
+	switch {
+	case rec.SkipReason != "":
+		// Every retry was spent (replayLeafWithRetry consumed them
+		// before this record surfaced): the leaf is quarantined — set
+		// aside with its reason in the report's QuarantinedLeaves
+		// section — rather than aborting the campaign or vanishing into
+		// a bare counter. SkippedFailurePoints stays the superset
+		// coverage count.
+		res.SkippedFailurePoints++
+		res.QuarantinedFailurePoints++
+		m.rep.Quarantine(report.QuarantinedLeaf{
+			LeafID:  leaf.ID,
+			ICount:  leaf.FirstICount,
+			Stack:   leaf.Stack,
+			Reason:  rec.SkipReason,
+			Retries: rec.Retries,
+		})
+		res.addInjectionError(fmt.Sprintf("failure point #%d (instruction %d): %s",
+			leaf.ID, leaf.FirstICount, rec.SkipReason))
+	case rec.TargetPanic || rec.TargetHang:
+		// The sandbox stopped the replay before the failure point: the
+		// leaf is consumed without an injection, and the behaviour is a
+		// finding rather than an error sample.
+		if rec.TargetPanic {
+			res.TargetPanics++
+		} else {
+			res.TargetHangs++
+		}
+		res.SkippedFailurePoints++
+	default:
+		res.Injections++
+		switch rec.Source {
+		case campaign.Replayed:
+			res.Recoveries++
+		case campaign.Inherited:
+			res.InheritedVerdicts++
+		case campaign.Cached:
+			res.PersistentCacheHits++
+		}
+		if rec.Verdict == oracle.Hung {
+			res.RecoveryHangs++
+		}
+		// Folded journal records fill the memo too, so a resumed
+		// campaign inherits across the resume boundary.
+		m.remember(leaf, rec)
+	}
+	if f := leafFinding(leaf, rec); f != nil {
+		m.rep.Add(*f)
+	}
 	m.consumed++
 	if !m.folding {
-		m.publish(leaf, out)
+		m.publish(rec)
 	}
-	if out.injected {
-		m.injected++
+	if rec.Injected {
 		m.noProgress = 0
 		return false
 	}
-	if !m.mode.stack {
+	if !m.cfg.StackMode {
 		return false
 	}
 	m.noProgress++
 	if m.noProgress >= maxNoProgress {
-		m.res.InjectionAborted = true
+		res.InjectionAborted = true
 		return true
 	}
 	return false
-}
-
-// injectSerial replays the pending leaves one at a time in FirstICount
-// order. It is the Workers<=1 path and the reference order the parallel
-// campaign reproduces, for both injection modes. The campaign deadline
-// is honoured mid-replay: the replay engine carries it as a wall-clock
-// watchdog, so a single long replay can no longer overshoot the budget
-// arbitrarily. A graceful-interruption request is honoured between
-// leaves: the in-flight replay drains, its outcome is consumed and
-// journaled, and the campaign stops with the remaining failure points
-// unexplored, for a resume to pick up.
-func injectSerial(pending []*fpt.Leaf, m *mergeState, sb sandboxCfg) (timedOut bool) {
-	res := m.res
-	for i := 0; ; i++ {
-		if sb.interrupted() {
-			res.Interrupted = true
-			return false
-		}
-		if !sb.deadline.IsZero() && time.Now().After(sb.deadline) {
-			return true
-		}
-		if m.capped() || i == len(pending) {
-			return false
-		}
-		leaf := pending[i]
-		t0 := time.Now()
-		out := m.dispatch(leaf)
-		res.WorkerBusy += time.Since(t0)
-		if out.deadlineHit {
-			// The mid-replay watchdog cut the replay short: the failure
-			// point stays unexplored.
-			return true
-		}
-		if m.consume(leaf, out) {
-			return false
-		}
-	}
 }
 
 // truncate shortens s to at most n bytes, backing off to the previous

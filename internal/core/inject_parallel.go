@@ -1,4 +1,5 @@
-// Parallel fault injection, both modes.
+// The campaign driver: one worker pool for every worker count, in both
+// modes.
 //
 // Every injection is independent: it hands a graceful-crash image to a
 // private recovery engine. In counter mode that image is the one phase
@@ -9,21 +10,21 @@
 // immutable tree and its frozen leaf images, the (concurrency-safe)
 // stack table and the read-only class plan is shared, so the campaign —
 // the hot path of the whole analysis — fans out across a bounded worker
-// pool. Leaves the plan defers to the merge goroutine are not injected
-// by workers at all: the merge loop resolves them from the verdict
-// memo, which only it touches.
+// pool; a single worker is simply the smallest pool. Leaves the plan
+// defers to the merge goroutine are not injected by workers at all: the
+// merge loop resolves them from the verdict memo, which only it
+// touches.
 //
 // Determinism is preserved by separating execution from merging:
 // workers take the next index of the FirstICount-ordered work list from
 // one atomic cursor and replay in any interleaving, but a single merge
-// loop folds the outcomes into the Result and Report strictly in list
-// order — the same order the serial campaign uses — so the final report
-// is byte-identical for any worker count. Budget expiry, the
-// MaxFailurePoints cap and stack mode's no-progress abort are likewise
-// decided only at merge time, in list order; speculative replays beyond
-// the stop point are discarded, so the campaign's progress is the same
-// prefix of the work list, and the aggregate counters the same, as in
-// a serial run.
+// loop folds the records into the Result and Report strictly in list
+// order, so the final report is byte-identical for any worker count.
+// Budget expiry, interruption and stack mode's no-progress abort are
+// likewise decided only at merge time, in list order; speculative
+// replays beyond the stop point are discarded, so the campaign's
+// progress is the same prefix of the work list, and the aggregate
+// counters the same, whatever the worker count.
 package core
 
 import (
@@ -37,16 +38,15 @@ import (
 // injectParallel fans the pending leaves out across `workers` goroutines
 // pulling indices from one atomic cursor and merges the outcomes
 // deterministically. It returns whether the deadline expired before
-// every leaf was consumed. A graceful-interruption request is honoured
-// like the deadline — workers stop taking leaves, in-flight replays
-// drain, and the merge loop stops at the first unexecuted slot in leaf
-// order — but is attributed to Result.Interrupted instead of TimedOut.
+// every leaf was consumed. The deadline is honoured mid-replay too:
+// the replay engine carries it as a wall-clock watchdog. A
+// graceful-interruption request is honoured like the deadline — workers
+// stop taking leaves, in-flight replays drain, and the merge loop stops
+// at the first unexecuted slot in leaf order — but is attributed to
+// Result.Interrupted instead of TimedOut.
 func injectParallel(pending []*fpt.Leaf, m *mergeState, sb sandboxCfg, workers int) (timedOut bool) {
 	res := m.res
 	n := len(pending)
-	if workers > n {
-		workers = n
-	}
 	outcomes := make([]replayOutcome, n)
 	done := make([]chan struct{}, n)
 	for i := range done {
@@ -90,18 +90,15 @@ func injectParallel(pending []*fpt.Leaf, m *mergeState, sb sandboxCfg, workers i
 	}
 
 	for i := 0; i < n; i++ {
-		if m.capped() {
-			break
-		}
 		<-done[i]
 		out := outcomes[i]
 		if out.executed && m.plan.deferred(pending[i]) {
 			// By now every earlier leaf — the class's first leaf included
 			// — has been merged, so the memo holds the class verdict, or
 			// the leaf falls back to a live replay on this goroutine when
-			// no earlier leaf produced one (exactly the serial dispatch).
-			// A fallback that trips the mid-replay deadline watchdog is
-			// handled by the deadlineHit branch below.
+			// no earlier leaf produced one. A fallback that trips the
+			// mid-replay deadline watchdog is handled by the deadlineHit
+			// branch below.
 			t0 := time.Now()
 			out = m.resolve(pending[i])
 			res.WorkerBusy += time.Since(t0)
@@ -110,10 +107,10 @@ func injectParallel(pending []*fpt.Leaf, m *mergeState, sb sandboxCfg, workers i
 			// The worker stopped before replaying (deadline or
 			// interruption) or the mid-replay watchdog cut the replay
 			// short; decided here in leaf order so speculative later
-			// replays are discarded exactly like the serial path. A
-			// mid-replay watchdog cut is always budget expiry; an
-			// unexecuted slot is attributed to the interruption when
-			// one is pending, to the deadline otherwise.
+			// replays are discarded. A mid-replay watchdog cut is always
+			// budget expiry; an unexecuted slot is attributed to the
+			// interruption when one is pending, to the deadline
+			// otherwise.
 			if !out.deadlineHit && sb.interrupted() {
 				res.Interrupted = true
 			} else {
@@ -121,7 +118,7 @@ func injectParallel(pending []*fpt.Leaf, m *mergeState, sb sandboxCfg, workers i
 			}
 			break
 		}
-		if m.consume(pending[i], out) {
+		if m.consume(pending[i], out.Record) {
 			break
 		}
 	}

@@ -1,16 +1,17 @@
-// Campaign journal plumbing: the deterministic merge loop publishes one
-// durable record per consumed failure point; a resumed run folds the
-// journaled prefix back through the same merge step without
-// re-executing a single replay.
+// Campaign journal plumbing: a consumed leaf is its journal record. The
+// deterministic merge loop publishes each record it consumes, durably;
+// a resumed run folds the journaled prefix back through the same
+// consume step without re-executing a single replay.
 //
-// Why this yields byte-identical reports: the merge loop (serial and
-// parallel alike) consumes leaves strictly in FirstICount order, so the
-// journal is always a prefix of the deterministic campaign over the
+// Why this yields byte-identical reports: the merge loop consumes
+// leaves strictly in FirstICount order, whatever the worker count, so
+// the journal is always a prefix of the deterministic campaign over the
 // tree the (deterministic) instrumented run rebuilds. Folding record i
 // into leaf i of LeavesByICount applies exactly the state transitions
-// the original consume did — findings, quarantines, counters, the cap
-// and the stack-mode no-progress abort — and the continuation replays
-// the remaining leaves exactly as an uninterrupted run would have.
+// the original consume did — findings (rendered from the record by the
+// same leafFinding), quarantines, counters and the stack-mode
+// no-progress abort — and the continuation replays the remaining leaves
+// exactly as an uninterrupted run would have.
 package core
 
 import (
@@ -18,63 +19,7 @@ import (
 
 	"mumak/internal/campaign"
 	"mumak/internal/fpt"
-	"mumak/internal/report"
 )
-
-// recordOutcome flattens one consumed leaf's replay outcome into a
-// durable journal record.
-func recordOutcome(leaf *fpt.Leaf, out replayOutcome) campaign.Record {
-	rec := campaign.Record{
-		LeafID:      leaf.ID,
-		LeafICount:  leaf.FirstICount,
-		Events:      out.events,
-		Retries:     out.retries,
-		Source:      out.source,
-		Injected:    out.injected,
-		TargetPanic: out.targetPanic,
-		TargetHang:  out.targetHang,
-		SkipReason:  out.skipReason,
-		Judgement:   out.judgement,
-	}
-	if out.finding != nil {
-		rec.FindingICount = out.finding.ICount
-		if !out.injected {
-			rec.CrashDetail = out.finding.Detail
-		}
-	}
-	return rec
-}
-
-// outcomeFromRecord reconstructs the replay outcome a journal record
-// documents, for the leaf of the rebuilt tree it matched. The finding's
-// call stack is the leaf's: every replay-phase finding carries its
-// leaf's stack, and leaf stacks are re-derived deterministically, so
-// the reconstruction renders byte-identically.
-func outcomeFromRecord(rec campaign.Record, leaf *fpt.Leaf) replayOutcome {
-	out := replayOutcome{
-		executed:    true,
-		events:      rec.Events,
-		retries:     rec.Retries,
-		source:      rec.Source,
-		injected:    rec.Injected,
-		targetPanic: rec.TargetPanic,
-		targetHang:  rec.TargetHang,
-		skipReason:  rec.SkipReason,
-		judgement:   rec.Judgement,
-	}
-	switch {
-	case rec.Injected:
-		out.finding = findingFor(rec.Judgement, rec.FindingICount, leaf.Stack)
-	case rec.TargetPanic || rec.TargetHang:
-		out.finding = &report.Finding{
-			Kind:   report.TargetCrash,
-			ICount: rec.FindingICount,
-			Stack:  leaf.Stack,
-			Detail: rec.CrashDetail,
-		}
-	}
-	return out
-}
 
 // fold replays the journaled prefix through the merge state without
 // executing anything: record i is matched to leaf i of order, the
@@ -98,7 +43,7 @@ func (m *mergeState) fold(st *campaign.State, ordered []*fpt.Leaf) (aborted bool
 				i, rec.LeafICount, leaf.FirstICount)
 		}
 		m.res.ResumedFailurePoints++
-		if m.consume(leaf, outcomeFromRecord(rec, leaf)) {
+		if m.consume(leaf, rec) {
 			return true, nil
 		}
 	}
@@ -109,11 +54,11 @@ func (m *mergeState) fold(st *campaign.State, ordered []*fpt.Leaf) (aborted bool
 // failure degrades the campaign to unjournaled (recorded in
 // Result.JournalError) instead of aborting it: losing resumability must
 // not lose the run.
-func (m *mergeState) publish(leaf *fpt.Leaf, out replayOutcome) {
+func (m *mergeState) publish(rec campaign.Record) {
 	if m.journal == nil {
 		return
 	}
-	if err := m.journal.Append(recordOutcome(leaf, out)); err != nil {
+	if err := m.journal.Append(rec); err != nil {
 		m.res.JournalError = err.Error()
 		m.journal = nil
 		return

@@ -81,32 +81,3 @@ func TestParallelInjectionMatchesSerial(t *testing.T) {
 		})
 	}
 }
-
-// TestParallelInjectionCapMatchesSerial checks that the MaxFailurePoints
-// cap is applied at merge time in leaf order, so a capped parallel
-// campaign consumes exactly the leaves a capped serial one does.
-func TestParallelInjectionCapMatchesSerial(t *testing.T) {
-	cfg := core.Config{DisableTraceAnalysis: true, MaxFailurePoints: 5}
-	mk := func() harness.Application { return btree.New(cfgSPT(btree.BugCountOutsideTx)) }
-	w := smallWorkload(22)
-	serial, err := core.Analyze(mk(), w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Injections != cfg.MaxFailurePoints {
-		t.Fatalf("serial run injected %d faults, want the cap of %d", serial.Injections, cfg.MaxFailurePoints)
-	}
-	pcfg := cfg
-	pcfg.Workers = 4
-	par, err := core.Analyze(mk(), w, pcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Injections != serial.Injections || par.EngineEvents != serial.EngineEvents {
-		t.Fatalf("capped parallel run diverged: injections %d/%d events %d/%d",
-			par.Injections, serial.Injections, par.EngineEvents, serial.EngineEvents)
-	}
-	if got, want := par.Report.Format(false), serial.Report.Format(false); got != want {
-		t.Fatalf("capped parallel report differs:\n--- serial ---\n%s\n--- parallel ---\n%s", want, got)
-	}
-}

@@ -53,7 +53,6 @@ func TestProgressIsFirstOccurrencePrefix(t *testing.T) {
 			})
 		}
 	}
-	const limit = 5
 	interrupt := make(chan struct{})
 	close(interrupt)
 
@@ -63,14 +62,6 @@ func TestProgressIsFirstOccurrencePrefix(t *testing.T) {
 			check: func(t *testing.T, res *Result) {
 				if res.TimedOut || res.Interrupted || consumedOf(res) != res.Tree.Len() {
 					t.Fatalf("campaign stopped early: consumed %d of %d", consumedOf(res), res.Tree.Len())
-				}
-			},
-		},
-		{
-			name: "cap", identical: true, run: analyze(Config{MaxFailurePoints: limit}),
-			check: func(t *testing.T, res *Result) {
-				if res.Injections != limit {
-					t.Fatalf("capped campaign injected %d faults, want %d", res.Injections, limit)
 				}
 			},
 		},

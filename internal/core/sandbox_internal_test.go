@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -68,14 +69,14 @@ func TestReplayHonoursDeadlineMidReplay(t *testing.T) {
 		deadline: time.Now().Add(100 * time.Millisecond),
 	}
 	start := time.Now()
-	out := replayLeaf(app, w, leaf, stacks, Config{StackMode: true}.campaignMode(), sb)
+	out := replayLeaf(app, w, leaf, stacks, Config{StackMode: true}, sb)
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("replay ran %s past a 100ms deadline", elapsed)
 	}
 	if !out.deadlineHit {
 		t.Fatalf("deadlineHit not set; outcome %+v", out)
 	}
-	if out.skipReason != "" || out.finding != nil {
+	if out.SkipReason != "" || leafFinding(leaf, out.Record) != nil {
 		t.Fatalf("deadline cut must not masquerade as a skip or finding: %+v", out)
 	}
 }
@@ -128,12 +129,55 @@ func TestLeafRetryRecoversTransientFailure(t *testing.T) {
 	leaf := leaves[len(leaves)-1]
 	flaky := &flakyApp{Application: testTarget(), failures: 1}
 	cfg := Config{StackMode: true}
-	out := replayLeafWithRetry(flaky, w, leaf, stacks, cfg.campaignMode(), cfg.sandbox(time.Time{}))
-	if out.retries != 1 {
-		t.Errorf("retries = %d, want 1", out.retries)
+	out := replayLeafWithRetry(flaky, w, leaf, stacks, cfg, cfg.sandbox(time.Time{}))
+	if out.Retries != 1 {
+		t.Errorf("retries = %d, want 1", out.Retries)
 	}
-	if !out.injected || out.skipReason != "" {
+	if !out.Injected || out.SkipReason != "" {
 		t.Errorf("retried replay did not inject: %+v", out)
+	}
+}
+
+// stuckReplayApp is its wrapped target during the instrumented run,
+// which buildTree drives with the target itself, and panics or loops on
+// PM at the start of every replay's Run.
+type stuckReplayApp struct {
+	harness.Application
+	hang bool
+}
+
+func (a stuckReplayApp) Run(e *pmem.Engine, _ workload.Workload) error {
+	for a.hang {
+		e.Load64(0)
+	}
+	panic("seeded replay panic")
+}
+
+// TestStoppedReplayIsRecordedNotRetried: a stack-mode replay the sandbox
+// stops, because the target panicked or burnt its fuel, is never
+// retried, and its record carries the target-crash finding: the
+// instruction counter the run stopped at and the rendered panic or hang.
+func TestStoppedReplayIsRecordedNotRetried(t *testing.T) {
+	w := testWorkload()
+	tree, stacks := buildTree(t, testTarget(), w)
+	leaves := tree.LeavesByICount()
+	// The last leaf lies inside Run, which the replay never reaches.
+	leaf := leaves[len(leaves)-1]
+	cfg := Config{StackMode: true, HangBudget: 1 << 20}
+	for _, hang := range []bool{false, true} {
+		out := replayLeafWithRetry(stuckReplayApp{testTarget(), hang}, w, leaf, stacks, cfg, cfg.sandbox(time.Time{}))
+		if out.TargetPanic == hang || out.TargetHang != hang || out.Injected || out.SkipReason != "" || out.Retries != 0 {
+			t.Errorf("hang=%v: stopped replay recorded as %+v", hang, out.Record)
+		}
+		want := "seeded replay panic"
+		if hang {
+			want = "budget of 1048576 PM events exhausted"
+		}
+		f := leafFinding(leaf, out.Record)
+		if f == nil || f.Kind != report.TargetCrash || f.ICount == 0 || f.ICount != out.FindingICount ||
+			f.Stack != leaf.Stack || !strings.Contains(f.Detail, want) {
+			t.Errorf("hang=%v: finding %+v, want a target crash at the stopping instruction naming %q", hang, f, want)
+		}
 	}
 }
 
@@ -201,6 +245,18 @@ func TestAnalyzeRecordsCampaignMetrics(t *testing.T) {
 	}
 	if st.WorkerBusy <= 0 || st.InjectTime <= 0 {
 		t.Errorf("stack-mode campaign missing time accounting: busy=%v inject=%v", st.WorkerBusy, st.InjectTime)
+	}
+
+	// The campaign starts at most one worker per failure point, and the
+	// result reports the workers that actually ran.
+	clean, err := Analyze(misbehave.NewMode(misbehave.Clean), testWorkload(),
+		Config{Workers: 64, DisableTraceAnalysis: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := clean.Tree.Len(); want >= 64 || clean.CampaignWorkers != want {
+		t.Errorf("64-worker campaign over %d failure points: CampaignWorkers = %d, want %d",
+			want, clean.CampaignWorkers, want)
 	}
 }
 

@@ -28,9 +28,9 @@ func TestImageCacheFirstVerdictWins(t *testing.T) {
 	leaves := tree.LeavesByICount()
 	m := &mergeState{memo: make(map[imageKey]campaign.Judgement)}
 	first := campaign.Judgement{Verdict: oracle.Unrecoverable, Detail: "first"}
-	m.remember(leaves[0], replayOutcome{injected: true, judgement: first})
+	m.remember(leaves[0], campaign.Record{Injected: true, Judgement: first})
 	// A later judgement of the same image must not replace the entry.
-	m.remember(leaves[1], replayOutcome{injected: true, judgement: campaign.Judgement{Verdict: oracle.Consistent}})
+	m.remember(leaves[1], campaign.Record{Injected: true, Judgement: campaign.Judgement{Verdict: oracle.Consistent}})
 	if got, ok := m.memo[k]; !ok || got != first {
 		t.Errorf("memo[%v] = (%+v, %v), want the first judgement", k, got, ok)
 	}
@@ -41,7 +41,7 @@ func TestImageCacheFirstVerdictWins(t *testing.T) {
 	// has no verdict to remember.
 	other := imageKey{hash: 10, size: 1 << 16}
 	skipped := stampedTree(other).Leaves()[0]
-	m.remember(skipped, replayOutcome{executed: true, skipReason: "never reached"})
+	m.remember(skipped, campaign.Record{SkipReason: "never reached"})
 	if _, ok := m.memo[other]; ok {
 		t.Error("an outcome without an injection filled the memo")
 	}
@@ -71,15 +71,15 @@ func TestImageCacheKeyDiscriminates(t *testing.T) {
 		return replayOutcome{executed: true}
 	}}
 	out := m.resolve(leaves[0])
-	if !out.injected || out.source != campaign.Cached || out.judgement != memo[seeded] {
+	if !out.Injected || out.Source != campaign.Cached || out.Judgement != memo[seeded] {
 		t.Errorf("seeded leaf resolved to %+v, want the cached Crashed verdict", out)
 	}
-	if out.finding == nil || out.finding.ICount != leaves[0].FirstICount {
-		t.Errorf("seeded leaf's finding = %+v, want one at its own instruction counter", out.finding)
+	if f := leafFinding(leaves[0], out.Record); f == nil || f.ICount != leaves[0].FirstICount || f.Stack != leaves[0].Stack {
+		t.Errorf("seeded leaf's finding = %+v, want one at its own instruction counter and call stack", f)
 	}
 	// The class member of an unjudged key finds no verdict under its
 	// hash alone and replays live.
-	if out := m.resolve(leaves[3]); out.injected || replayed != 1 {
+	if out := m.resolve(leaves[3]); out.Injected || replayed != 1 {
 		t.Errorf("member of an unjudged key resolved to %+v after %d replays; want a live replay", out, replayed)
 	}
 }
