@@ -118,6 +118,39 @@ func TestReportsIncludeBugPath(t *testing.T) {
 	}
 }
 
+// Bug paths start at the application's own frames. The stack table
+// trims instrumentation frames, including ones the compiler inlined into
+// a library frame: pmem.(*Engine).CLWB inlined into pmdk.(*Pool).Flush
+// must not head every flush-site path.
+func TestBugPathsHoldNoInstrumentationFrames(t *testing.T) {
+	cfg := cfgSPT(btree.BugRootPublishOutsideTx)
+	res, err := core.Analyze(btree.New(cfg), smallWorkload(5), core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bugs := res.Report.Bugs()
+	if len(bugs) == 0 {
+		t.Fatal("seeded bug not reported")
+	}
+	instrumentation := []string{
+		"mumak/internal/pmem.", "mumak/internal/stack.", "mumak/internal/trace.",
+		"mumak/internal/fpt.", "mumak/internal/core.", "mumak/internal/tools", "mumak/internal/oracle.",
+	}
+	for _, f := range bugs {
+		frames := res.Report.Stacks.Frames(f.Stack)
+		if len(frames) == 0 {
+			t.Fatalf("bug at instruction %d has no path", f.ICount)
+		}
+		for _, fr := range frames {
+			for _, p := range instrumentation {
+				if strings.HasPrefix(fr.Function, p) {
+					t.Errorf("bug at instruction %d: instrumentation frame %s in its path", f.ICount, fr)
+				}
+			}
+		}
+	}
+}
+
 func TestUniqueFiltering(t *testing.T) {
 	// The transient-data knob fires on every put, all through the same
 	// code path: the report must collapse the occurrences (Table 3).

@@ -4,15 +4,28 @@
 // identify unique code paths leading to failure points, and the package
 // filters out instrumentation frames so that reports show only the
 // application's own calls (§5 of the paper).
+//
+// An interned stack is the list of logical return PCs that
+// runtime.Callers reports, trimmed. Walking it is the expensive part of
+// a capture, and a campaign captures the same few hundred call chains
+// hundreds of thousands of times. So on amd64 Capture first follows the
+// goroutine's frame-pointer chain, which costs a few nanoseconds per
+// frame, and looks the physical return PCs up in a per-Table memo. Only
+// a chain it has not seen yet pays for runtime.Callers, trimming and
+// interning. A probe checks the walk against runtime.Callers once per
+// process; on a mismatch, on other architectures and with the purego
+// build tag, every capture takes the runtime.Callers path.
 package stack
 
 import (
 	"fmt"
 	"hash/maphash"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // ID names an interned call stack within a Table.
@@ -24,6 +37,11 @@ const NoID ID = -1
 // maxDepth bounds captured stacks; deeper frames are truncated. 64 frames
 // comfortably covers the recursive data structures under test.
 const maxDepth = 64
+
+// walkBound bounds the frame-pointer walk. A chain that has not ended
+// within it is not memoised: its first maxDepth logical frames could
+// depend on frames the walk never saw.
+const walkBound = 256
 
 // instrumentationPrefixes are function-name prefixes dropped from the top
 // of captured stacks, mirroring Pin's filtering of instrumentation
@@ -38,7 +56,7 @@ var instrumentationPrefixes = []string{
 	"mumak/internal/oracle.",
 }
 
-// boundarySuffixes mark the harness frames at which capture stops: frames
+// boundaryPrefixes mark the harness frames at which capture stops: frames
 // at or below these functions belong to the runner, not the application.
 var boundaryPrefixes = []string{
 	"runtime.",
@@ -72,6 +90,13 @@ type Table struct {
 	// captures counts Capture calls.
 	captures atomic.Uint64
 
+	// walk is the probe's verdict: whether Capture may use the
+	// frame-pointer walk and the chains memo.
+	walk bool
+	// chains maps chainHash(skip, physical return PCs) to the memoised
+	// *chain. A hit takes no lock and allocates nothing.
+	chains sync.Map
+
 	classMu sync.RWMutex
 	// pcClass caches, per call-site PC, whether the frame belongs to the
 	// instrumentation layer (1), the harness boundary (2) or the
@@ -85,7 +110,16 @@ func NewTable() *Table {
 		seed:    maphash.MakeSeed(),
 		byHash:  make(map[uint64][]ID),
 		pcClass: make(map[uintptr]uint8),
+		walk:    walkAgrees(),
 	}
+}
+
+// chain is one memoised frame-pointer chain and the ID that
+// runtime.Callers, trim and Intern gave it.
+type chain struct {
+	skip int
+	pcs  []uintptr
+	id   ID
 }
 
 const (
@@ -102,7 +136,11 @@ func (t *Table) classify(pc uintptr) uint8 {
 		return c
 	}
 	c = classApp
-	if fn := runtime.FuncForPC(pc); fn != nil {
+	// pc is a return PC; the call's own inline context is at pc-1, where
+	// runtime.CallersFrames symbolises it. At pc itself an inlined
+	// instrumentation call can already belong to the application frame
+	// it was inlined into.
+	if fn := runtime.FuncForPC(pc - 1); fn != nil {
 		name := fn.Name()
 		for _, p := range instrumentationPrefixes {
 			if strings.HasPrefix(name, p) {
@@ -125,18 +163,99 @@ func (t *Table) classify(pc uintptr) uint8 {
 	return c
 }
 
-// pcBufPool recycles the capture PC buffers. The buffer escapes through
-// trim/Intern, so a stack array would be heap-allocated on every
-// Capture — on the stack-mode hot path, once per PM instruction.
-// Intern copies before storing, so returning the buffer is safe.
+// pcBufPool recycles the runtime.Callers buffers. The buffer escapes
+// through trim/Intern, so a stack array would be heap-allocated on every
+// slow-path capture: once per new call chain, and on every Capture where
+// the frame-pointer walk is unavailable. Intern copies before storing,
+// so returning the buffer is safe.
 var pcBufPool = sync.Pool{New: func() any { return new([maxDepth]uintptr) }}
 
 // Capture records the calling goroutine's stack, trims instrumentation
 // frames from the top and harness frames from the bottom, and returns the
 // interned ID. skip has the meaning of runtime.Callers' skip relative to
 // Capture's caller (0 includes the caller itself).
+//
+// Capture must not be inlined: the frame-pointer chain starts at its own
+// frame, so its caller's call site is the first return PC of the chain.
+//
+//go:noinline
 func (t *Table) Capture(skip int) ID {
 	t.captures.Add(1)
+	if !t.walk {
+		return t.capture(skip + 1)
+	}
+	var buf [walkBound]uintptr
+	n, ended := walkFrames(framePointer(), &buf)
+	if !ended {
+		return t.capture(skip + 1)
+	}
+	pcs := buf[:n]
+	h := chainHash(skip, pcs)
+	if v, ok := t.chains.Load(h); ok {
+		if c := v.(*chain); c.skip == skip && slices.Equal(c.pcs, pcs) {
+			return c.id
+		}
+		// A hash collision: keep the memoised chain, walk this one.
+		return t.capture(skip + 1)
+	}
+	id := t.capture(skip + 1)
+	t.chains.LoadOrStore(h, &chain{skip: skip, pcs: slices.Clone(pcs), id: id})
+	return id
+}
+
+// walkFrames follows the frame-pointer chain from fp, storing each
+// frame's return PC in buf, and reports whether the chain ended (a nil
+// saved frame pointer) within the bound. The loop makes no call, so the
+// stack cannot move during the walk.
+func walkFrames(fp unsafe.Pointer, buf *[walkBound]uintptr) (n int, ended bool) {
+	for ; fp != nil; n++ {
+		if n == len(buf) {
+			return n, false
+		}
+		buf[n] = *(*uintptr)(unsafe.Add(fp, unsafe.Sizeof(fp)))
+		fp = *(*unsafe.Pointer)(fp)
+	}
+	return n, true
+}
+
+// chainHash keys the chains memo. A collision only costs a slow-path
+// capture, since a hit compares the whole chain.
+func chainHash(skip int, pcs []uintptr) uint64 {
+	h := uint64(skip)
+	for _, pc := range pcs {
+		h = (h ^ uint64(pc)) * 0x100000001b3
+	}
+	return h
+}
+
+// walkAgrees is the probe: it compares the frame-pointer walk with
+// runtime.Callers once per process. Any mismatch sends every Table to
+// the runtime.Callers path.
+var walkAgrees = sync.OnceValue(probeOuter)
+
+//go:noinline
+func probeOuter() bool { return probeMiddle() }
+
+//go:noinline
+func probeMiddle() bool { return probeInner() }
+
+// probeInner compares only the probe's own frames, the return PCs into
+// probeMiddle and probeOuter. Below them runtime.Callers elides wrappers
+// and expands inlined frames that the walk reports as one physical
+// frame.
+//
+//go:noinline
+func probeInner() bool {
+	var walked [walkBound]uintptr
+	n, ended := walkFrames(framePointer(), &walked)
+	var logical [2]uintptr
+	m := runtime.Callers(2, logical[:])
+	return ended && n >= 2 && m == 2 && walked[0] == logical[0] && walked[1] == logical[1]
+}
+
+// capture is Capture's runtime.Callers path, with skip relative to
+// capture's caller.
+func (t *Table) capture(skip int) ID {
 	buf := pcBufPool.Get().(*[maxDepth]uintptr)
 	n := runtime.Callers(skip+2, buf[:])
 	if n == 0 {
@@ -183,7 +302,7 @@ func (t *Table) Intern(pcs []uintptr) ID {
 
 	t.mu.RLock()
 	for _, id := range t.byHash[sum] {
-		if pcsEqual(t.stacks[id], pcs) {
+		if slices.Equal(t.stacks[id], pcs) {
 			t.mu.RUnlock()
 			return id
 		}
@@ -193,7 +312,7 @@ func (t *Table) Intern(pcs []uintptr) ID {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, id := range t.byHash[sum] {
-		if pcsEqual(t.stacks[id], pcs) {
+		if slices.Equal(t.stacks[id], pcs) {
 			return id
 		}
 	}
@@ -205,20 +324,8 @@ func (t *Table) Intern(pcs []uintptr) ID {
 	return id
 }
 
-func pcsEqual(a, b []uintptr) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Captures returns the number of Capture calls so far, the stack walks
-// the table has paid for.
+// Captures returns the number of Capture calls so far, memo hits
+// included.
 func (t *Table) Captures() uint64 { return t.captures.Load() }
 
 // Len returns the number of interned stacks.

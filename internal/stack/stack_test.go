@@ -197,19 +197,29 @@ func TestTableConcurrentUse(t *testing.T) {
 	}
 }
 
-// Steady-state Capture of an already-interned stack must not allocate:
-// the PC buffer is pooled and Intern's fast path only reads. One warm-up
-// capture interns the path (and seeds the pool and PC-class cache)
-// before measuring.
+// Steady-state Capture of an already-interned stack must not allocate,
+// on either path: a memo hit only reads, and the runtime.Callers path
+// pools its PC buffer and Intern's fast path only reads.
 func TestCaptureSteadyStateDoesNotAllocate(t *testing.T) {
-	tbl := NewTable()
-	captureViaHelper(tbl)
-	allocs := testing.AllocsPerRun(100, func() {
-		if captureViaHelper(tbl) == NoID {
-			t.Fatal("capture returned NoID")
+	for _, tbl := range []*Table{NewTable(), slowTable()} {
+		var allocs float64
+		var memo int
+		// The first pass interns the stack and memoises the chains of
+		// AllocsPerRun's two call sites; the second is all memo hits.
+		for pass := 0; pass < 2; pass++ {
+			memo = tbl.Memoised()
+			allocs = testing.AllocsPerRun(100, func() {
+				if captureViaHelper(tbl) == NoID {
+					t.Fatal("capture returned NoID")
+				}
+			})
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state Capture allocates %.1f objects per call, want 0", allocs)
+		if allocs != 0 {
+			t.Errorf("walk=%v: steady-state Capture allocates %.1f objects per call, want 0", tbl.Walks(), allocs)
+		}
+		if tbl.Len() != 1 || tbl.Memoised() != memo || tbl.Walks() != (memo > 0) {
+			t.Errorf("walk=%v: %d stack(s) interned, %d chain(s) memoised after the first pass and %d after the second",
+				tbl.Walks(), tbl.Len(), memo, tbl.Memoised())
+		}
 	}
 }
