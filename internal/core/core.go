@@ -319,7 +319,7 @@ func Analyze(app harness.Application, w workload.Workload, cfg Config) (*Result,
 	}
 	sb := cfg.sandbox(deadline)
 	t0 := time.Now()
-	opts := pmem.Options{Capture: cfg.capture(), Stacks: stacks, EADR: cfg.EADR}
+	opts := pmem.Options{Capture: cfg.capture(), Stacks: stacks}
 	if !sb.disabled {
 		opts.MaxEvents = sb.budget
 		opts.Deadline = sb.deadline

@@ -59,7 +59,7 @@ func TestStreamingMatchesOfflineReplay(t *testing.T) {
 					// One execution, both consumers: the recorder
 					// materialises the trace, the analyzer streams it.
 					_, sig, err := harness.Execute(app, w,
-						pmem.Options{Capture: pmem.CapturePersistency, Stacks: stacks, EADR: eadr},
+						pmem.Options{Capture: pmem.CapturePersistency, Stacks: stacks},
 						rec, analyzer)
 					if err != nil {
 						t.Fatal(err)

@@ -1,21 +1,33 @@
 // Package metrics collects the resource measurements of Table 2: wall
-// time, average CPU load (busy goroutine-seconds over wall time), peak
-// volatile memory relative to a vanilla execution, and PM overhead (the
-// analysis' extra persistent memory relative to the target's own usage).
+// time, average CPU load (the process's user plus system CPU time over
+// wall time), peak volatile memory relative to a vanilla execution, and
+// PM overhead (the analysis' extra persistent memory relative to the
+// target's own usage).
+//
+// CPU time is the getrusage(RUSAGE_SELF) delta around the run, so it
+// counts every goroutine of the process: the experiments run one tool at
+// a time.
 package metrics
 
 import (
-	"runtime"
+	rtmetrics "runtime/metrics"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 )
+
+// heapMetric is the runtime/metrics name of the bytes held by heap
+// objects, live or not yet swept: the quantity MemStats.HeapAlloc
+// reports. Reading it does not stop the world.
+const heapMetric = "/memory/classes/heap/objects:bytes"
 
 // Run aggregates one analysis run's resource usage.
 type Run struct {
 	start     time.Time
+	cpuStart  time.Duration
 	wall      time.Duration
-	busyNanos atomic.Int64
+	cpu       time.Duration
 	heapStart uint64
 	heapPeak  atomic.Uint64
 	pmExtra   atomic.Uint64
@@ -26,21 +38,38 @@ type Run struct {
 
 // Start begins measuring; call Stop when the analysis finishes.
 func Start() *Run {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
+	sample := []rtmetrics.Sample{{Name: heapMetric}}
+	heap := readHeap(sample)
 	r := &Run{
 		start:     time.Now(),
-		heapStart: ms.HeapAlloc,
+		cpuStart:  cpuTime(),
+		heapStart: heap,
 		stopPoll:  make(chan struct{}),
 		done:      make(chan struct{}),
 	}
-	r.heapPeak.Store(ms.HeapAlloc)
-	go r.poll()
+	r.heapPeak.Store(heap)
+	go r.poll(sample)
 	return r
 }
 
+// readHeap reads the heap size into sample, a one-element slice naming
+// heapMetric.
+func readHeap(sample []rtmetrics.Sample) uint64 {
+	rtmetrics.Read(sample)
+	return sample[0].Value.Uint64()
+}
+
+// cpuTime returns the user plus system CPU time the process has used.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
 // poll samples heap usage until stopped.
-func (r *Run) poll() {
+func (r *Run) poll(sample []rtmetrics.Sample) {
 	defer close(r.done)
 	ticker := time.NewTicker(5 * time.Millisecond)
 	defer ticker.Stop()
@@ -49,21 +78,16 @@ func (r *Run) poll() {
 		case <-r.stopPoll:
 			return
 		case <-ticker.C:
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
+			heap := readHeap(sample)
 			for {
 				cur := r.heapPeak.Load()
-				if ms.HeapAlloc <= cur || r.heapPeak.CompareAndSwap(cur, ms.HeapAlloc) {
+				if heap <= cur || r.heapPeak.CompareAndSwap(cur, heap) {
 					break
 				}
 			}
 		}
 	}
 }
-
-// AddBusy accounts busy worker time; workers call it with the duration
-// they spent computing, so parallel tools accumulate CPU load above 1.
-func (r *Run) AddBusy(d time.Duration) { r.busyNanos.Add(int64(d)) }
 
 // AddPM accounts persistent memory the tool itself allocated (beyond the
 // target's pools), e.g. XFDetector's on-PM analysis metadata.
@@ -75,6 +99,7 @@ func (r *Run) Stop() {
 		close(r.stopPoll)
 		<-r.done
 		r.wall = time.Since(r.start)
+		r.cpu = cpuTime() - r.cpuStart
 	})
 }
 
@@ -82,10 +107,9 @@ func (r *Run) Stop() {
 type Usage struct {
 	// Wall is the total analysis time.
 	Wall time.Duration
-	// CPULoad is busy-time divided by wall time: above 1 for parallel
-	// tools, below 1 for runs that wait (e.g. oracle-bound serial
-	// campaigns). It defaults to 1 only when no busy time was recorded
-	// at all.
+	// CPULoad is the process's CPU time divided by wall time: above 1
+	// for parallel tools, below 1 for runs that wait (e.g. oracle-bound
+	// serial campaigns), 0 for a run that used no CPU.
 	CPULoad float64
 	// PeakHeapBytes is the peak observed Go heap during the run.
 	PeakHeapBytes uint64
@@ -97,12 +121,9 @@ type Usage struct {
 
 // Usage returns the collected measurements; call after Stop.
 func (r *Run) Usage() Usage {
-	busy := time.Duration(r.busyNanos.Load())
-	load := 1.0
-	if r.wall > 0 && busy > 0 {
-		// Report the true ratio: clamping sub-1 loads up would hide
-		// genuinely idle (e.g. oracle-bound) runs from Table 2.
-		load = float64(busy) / float64(r.wall)
+	var load float64
+	if r.wall > 0 {
+		load = float64(r.cpu) / float64(r.wall)
 	}
 	return Usage{
 		Wall:           r.wall,

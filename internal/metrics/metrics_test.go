@@ -5,25 +5,24 @@ import (
 	"time"
 )
 
-// Usage must report the true busy/wall ratio: serial oracle-bound runs
-// sit below 1, parallel campaigns above it. Only a run with no recorded
-// busy time at all defaults to 1.
+// Usage must report the true CPU/wall ratio: serial oracle-bound runs
+// sit below 1, parallel campaigns above it, and a run that used no CPU
+// reads 0.
 func TestCPULoadTrueRatio(t *testing.T) {
 	cases := []struct {
 		name string
 		wall time.Duration
-		busy time.Duration
+		cpu  time.Duration
 		want float64
 	}{
 		{"idle-heavy serial run", time.Second, 250 * time.Millisecond, 0.25},
 		{"fully busy", time.Second, time.Second, 1.0},
 		{"parallel workers", time.Second, 4 * time.Second, 4.0},
-		{"no busy time recorded", time.Second, 0, 1.0},
+		{"no busy time recorded", time.Second, 0, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := &Run{wall: tc.wall}
-			r.busyNanos.Store(int64(tc.busy))
+			r := &Run{wall: tc.wall, cpu: tc.cpu}
 			if got := r.Usage().CPULoad; got != tc.want {
 				t.Fatalf("CPULoad = %v, want %v", got, tc.want)
 			}
@@ -31,9 +30,28 @@ func TestCPULoadTrueRatio(t *testing.T) {
 	}
 }
 
+// TestCPULoadMeasuresWork: the load is measured, not assumed, so a run
+// that sleeps reads a lower load than one that spins for as long.
+func TestCPULoadMeasuresWork(t *testing.T) {
+	load := func(work func(until time.Time)) float64 {
+		r := Start()
+		work(time.Now().Add(100 * time.Millisecond))
+		r.Stop()
+		return r.Usage().CPULoad
+	}
+	sleep := load(func(until time.Time) { time.Sleep(time.Until(until)) })
+	spin := load(func(until time.Time) {
+		for time.Now().Before(until) {
+		}
+	})
+	if sleep >= spin {
+		t.Fatalf("a sleeping run reads CPU load %.2f, a spinning one %.2f", sleep, spin)
+	}
+	t.Logf("CPU load: sleeping %.2f, spinning %.2f", sleep, spin)
+}
+
 func TestStartStopCollects(t *testing.T) {
 	r := Start()
-	r.AddBusy(5 * time.Millisecond)
 	r.AddPM(4096)
 	r.Stop()
 	r.Stop() // idempotent
@@ -46,9 +64,6 @@ func TestStartStopCollects(t *testing.T) {
 	}
 	if u.PeakHeapBytes == 0 {
 		t.Fatal("no heap peak sampled")
-	}
-	if u.CPULoad <= 0 {
-		t.Fatalf("CPULoad = %v", u.CPULoad)
 	}
 }
 

@@ -35,7 +35,7 @@ func img() *pmem.Image {
 	e := pmem.NewEngine(pmem.Options{PoolSize: 4096})
 	e.Store64(0, 7)
 	e.CLFlush(0)
-	return e.MediumSnapshot()
+	return e.PrefixImage()
 }
 
 func TestConsistentOutcome(t *testing.T) {

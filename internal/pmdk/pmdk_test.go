@@ -6,11 +6,17 @@ import (
 
 	"mumak/internal/pmdk"
 	"mumak/internal/pmem"
+	"mumak/internal/trace"
 )
 
-func newPool(t *testing.T, ver pmdk.Version, size int) (*pmem.Engine, *pmdk.Pool) {
+// newPool creates a pool on a fresh engine with hooks attached from the
+// start.
+func newPool(t *testing.T, ver pmdk.Version, size int, hooks ...pmem.Hook) (*pmem.Engine, *pmdk.Pool) {
 	t.Helper()
 	e := pmem.NewEngine(pmem.Options{PoolSize: size})
+	for _, h := range hooks {
+		e.AttachHook(h)
+	}
 	p, err := pmdk.Create(e, ver, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -18,11 +24,20 @@ func newPool(t *testing.T, ver pmdk.Version, size int) (*pmem.Engine, *pmdk.Pool
 	return e, p
 }
 
+// durable returns the strictly durable image of everything rec
+// recorded: trace.Cursor's certain image over the zeroed pool.
+func durable(e *pmem.Engine, rec *trace.Recorder) *pmem.Image {
+	c := trace.NewCursor(&rec.T, pmem.NewImage(make([]byte, e.Size())))
+	c.SeekTo(rec.T.Len())
+	return c.Certain()
+}
+
 func TestCreateOpenRoundTrip(t *testing.T) {
-	e, p := newPool(t, pmdk.V16, 1<<20)
+	rec := trace.NewRecorder()
+	e, p := newPool(t, pmdk.V16, 1<<20, rec)
 	e.Store64(p.Root(), 77)
 	p.Persist(p.Root(), 8)
-	img := e.MediumSnapshot()
+	img := durable(e, rec)
 
 	e2 := pmem.NewEngineFromImage(pmem.Options{}, img)
 	p2, err := pmdk.Open(e2, pmdk.V16)
@@ -91,7 +106,8 @@ func TestAllocOutOfMemory(t *testing.T) {
 }
 
 func TestTxCommitDurable(t *testing.T) {
-	e, p := newPool(t, pmdk.V16, 1<<20)
+	rec := trace.NewRecorder()
+	e, p := newPool(t, pmdk.V16, 1<<20, rec)
 	tx, err := p.Begin()
 	if err != nil {
 		t.Fatal(err)
@@ -102,8 +118,8 @@ func TestTxCommitDurable(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	// Committed data must be durable in the strict medium image.
-	img := e.MediumSnapshot()
+	// Committed data must be durable in the strictly durable image.
+	img := durable(e, rec)
 	e2 := pmem.NewEngineFromImage(pmem.Options{}, img)
 	p2, err := pmdk.Open(e2, pmdk.V16)
 	if err != nil {

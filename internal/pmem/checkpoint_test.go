@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -63,7 +62,7 @@ func driveOps(e *Engine, seed int64, n int) {
 
 // runToCrash executes the op stream on a fresh engine that panics at
 // the target counter, and returns the engine frozen in its crash state
-// — the reference a checkpoint restore must reproduce bit for bit.
+// — the reference a checkpoint restore must reproduce exactly.
 func runToCrash(t *testing.T, opts Options, seed int64, n int, target uint64) *Engine {
 	t.Helper()
 	o := opts
@@ -89,23 +88,16 @@ func runToCrash(t *testing.T, opts Options, seed int64, n int, target uint64) *E
 	return e
 }
 
-// diffEngines compares every piece of state a crash image can observe:
-// instruction counter, medium bytes, the cache's dirty masks, the
-// write-pending queue (in order), and the view: the graceful-crash
+// diffEngines compares every piece of state an engine keeps: the
+// instruction counter, the dirty lines, and the view: the graceful-crash
 // image itself and its hash.
 func diffEngines(t *testing.T, want, got *Engine, label string) {
 	t.Helper()
 	if want.icount != got.icount {
 		t.Fatalf("%s: icount %d, want %d", label, got.icount, want.icount)
 	}
-	if !bytes.Equal(mediumBytes(want), mediumBytes(got)) {
-		t.Fatalf("%s: medium contents diverge", label)
-	}
-	if !maps.Equal(want.cache, got.cache) {
-		t.Fatalf("%s: cache diverges: %d lines, want %d", label, len(got.cache), len(want.cache))
-	}
-	if !reflect.DeepEqual(want.queue, got.queue) && (len(want.queue) != 0 || len(got.queue) != 0) {
-		t.Fatalf("%s: write-pending queue diverges: %d entries vs %d", label, len(got.queue), len(want.queue))
+	if !maps.Equal(want.dirty, got.dirty) {
+		t.Fatalf("%s: dirty lines diverge: %d lines, want %d", label, len(got.dirty), len(want.dirty))
 	}
 	if w, g := want.PrefixImageHash(), got.PrefixImageHash(); w != g {
 		t.Fatalf("%s: PrefixImageHash %#x, want %#x", label, g, w)
@@ -115,74 +107,74 @@ func diffEngines(t *testing.T, want, got *Engine, label string) {
 	}
 }
 
-// mediumBytes materialises an engine's medium.
-func mediumBytes(e *Engine) []byte {
-	b := make([]byte, e.med.size)
-	materialise(b, e.med.chunks)
-	return b
-}
-
 // TestCheckpointReplayFidelity is the tentpole differential: for every
 // sampled target counter — checkpoint boundaries, their neighbours, the
 // very first instructions, and a pseudo-random spread — restoring the
 // nearest checkpoint and replaying the mutation-log gap must yield an
 // engine byte-identical to a from-scratch execution crashed at that
-// counter, across seeds and eADR.
+// counter, across seeds.
 func TestCheckpointReplayFidelity(t *testing.T) {
 	const n = 1200
-	for _, eadr := range []bool{false, true} {
-		for _, seed := range []int64{1, 7, 4242} {
-			t.Run(fmt.Sprintf("seed=%d/eadr=%v", seed, eadr), func(t *testing.T) {
-				opts := Options{PoolSize: 1 << 16, EADR: eadr}
-				rec := opts
-				rec.CheckpointEvery = 64
-				recorder := NewEngine(rec)
-				driveOps(recorder, seed, n)
-				s := recorder.Checkpoints()
-				if s.Count() == 0 {
-					t.Fatal("recording produced no checkpoints")
-				}
-				if s.LastICount() == 0 {
-					t.Fatal("recording logged no mutations")
-				}
+	for _, seed := range []int64{1, 7, 4242} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			opts := Options{PoolSize: 1 << 16}
+			rec := opts
+			rec.CheckpointEvery = 64
+			recorder := NewEngine(rec)
+			driveOps(recorder, seed, n)
+			s := recorder.Checkpoints()
+			if s.Count() == 0 {
+				t.Fatal("recording produced no checkpoints")
+			}
+			if s.LastICount() == 0 {
+				t.Fatal("recording logged no instructions")
+			}
 
-				targets := map[uint64]bool{1: true, 2: true, s.LastICount(): true}
-				for i := 1; i <= s.Count(); i++ {
-					cp := s.cps[i].icount
-					for _, d := range []int64{-1, 0, 1} {
-						if c := int64(cp) + d; c >= 1 && uint64(c) <= s.LastICount() {
-							targets[uint64(c)] = true
-						}
+			targets := map[uint64]bool{1: true, 2: true, s.LastICount(): true}
+			for i := 1; i <= s.Count(); i++ {
+				cp := s.cps[i].icount
+				for _, d := range []int64{-1, 0, 1} {
+					if c := int64(cp) + d; c >= 1 && uint64(c) <= s.LastICount() {
+						targets[uint64(c)] = true
 					}
 				}
-				rng := rand.New(rand.NewSource(seed))
-				for i := 0; i < 12; i++ {
-					targets[1+uint64(rng.Int63n(int64(s.LastICount())))] = true
-				}
+			}
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 12; i++ {
+				targets[1+uint64(rng.Int63n(int64(s.LastICount())))] = true
+			}
 
-				for target := range targets {
-					got, gap, err := s.ReplayTo(target, time.Time{})
-					if err != nil {
-						t.Fatalf("ReplayTo(%d): %v", target, err)
-					}
-					if gap == 0 || gap > target {
-						t.Fatalf("ReplayTo(%d): nonsensical gap %d", target, gap)
-					}
-					want := runToCrash(t, opts, seed, n, target)
-					diffEngines(t, want, got, fmt.Sprintf("target %d", target))
+			for target := range targets {
+				got, gap, err := s.ReplayTo(target, time.Time{})
+				if err != nil {
+					t.Fatalf("ReplayTo(%d): %v", target, err)
 				}
-			})
-		}
+				if gap == 0 || gap > target {
+					t.Fatalf("ReplayTo(%d): nonsensical gap %d", target, gap)
+				}
+				want := runToCrash(t, opts, seed, n, target)
+				diffEngines(t, want, got, fmt.Sprintf("target %d", target))
+			}
+		})
 	}
 }
 
 // TestCheckpointReplayBounds: targets the recorded run never reached
 // are an error, not a bogus engine; a zero target is likewise rejected.
+// A trailing fence changes no state and logs nothing, but the run
+// reached its counter, so a replay can still target it.
 func TestCheckpointReplayBounds(t *testing.T) {
 	opts := Options{PoolSize: 1 << 14, CheckpointEvery: 32}
 	e := NewEngine(opts)
 	driveOps(e, 3, 200)
+	e.SFence()
 	s := e.Checkpoints()
+	if s.LastICount() != e.ICount() {
+		t.Fatalf("LastICount = %d, want the trailing fence's counter %d", s.LastICount(), e.ICount())
+	}
+	if _, _, err := s.ReplayTo(s.LastICount(), time.Time{}); err != nil {
+		t.Fatalf("ReplayTo(the trailing fence): %v", err)
+	}
 	if _, _, err := s.ReplayTo(0, time.Time{}); err == nil {
 		t.Error("ReplayTo(0) succeeded; want error")
 	}
@@ -255,15 +247,12 @@ func TestCheckpointConcurrentRestores(t *testing.T) {
 
 // TestCheckpointAccounting: Count, Entries and Bytes describe the
 // recording truthfully — snapshots spaced by the interval, every
-// mutation logged, resident size non-trivial but bounded.
+// change logged, resident size non-trivial but bounded.
 func TestCheckpointAccounting(t *testing.T) {
 	opts := Options{PoolSize: 1 << 16, CheckpointEvery: 128}
 	e := NewEngine(opts)
 	driveOps(e, 11, 1000)
 	s := e.Checkpoints()
-	if s.Interval() != 128 {
-		t.Errorf("Interval = %d, want 128", s.Interval())
-	}
 	maxCkpts := int(e.ICount()/128) + 1
 	if s.Count() < 1 || s.Count() > maxCkpts {
 		t.Errorf("Count = %d, want within [1, %d] for %d events", s.Count(), maxCkpts, e.ICount())

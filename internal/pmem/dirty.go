@@ -5,14 +5,14 @@ import "encoding/binary"
 // Incremental content hashing.
 //
 // Crash-image deduplication (Vinter- and Jaaru-style) needs a content
-// identity for an image that never requires hashing the full pool. Only
-// the view, whose frozen copies are the graceful-crash images, is
-// hash-tracked: it changes line by line, through writeView, so the
-// engine maintains viewHash, an XOR fold of a per-line hash over the
-// view, updated at each line write by removing the old line's
-// contribution and adding the new one. Other images, MediumSnapshot's
-// included, hash on first use. (Snapshots that cost O(1) rather than
-// O(pool) come from the copy-on-write medium, medium.go.)
+// identity for an image that never requires hashing the full pool. The
+// view, whose frozen copies are the graceful-crash images, changes line
+// by line, through write, so the engine maintains viewHash, an XOR fold
+// of a per-line hash over the view, updated at each line write by
+// removing the old line's contribution and adding the new one.
+// Hand-built images (NewImage, Clone) hash on first use. (Snapshots that
+// cost O(1) rather than O(pool) come from the copy-on-write page table,
+// medium.go.)
 //
 // An all-zero line contributes 0 to the fold, so a zeroed pool hashes
 // to 0 and a fresh engine starts hash-tracked without scanning the
@@ -75,62 +75,6 @@ func ContentHash(data []byte) uint64 {
 		h ^= lineContrib(uint64(n), tail[:])
 	}
 	return h
-}
-
-// byteMaskTab expands an 8-bit dirty mask into a 64-bit byte-select
-// mask: dirty bit b set selects all eight bits of byte b.
-var byteMaskTab = func() (t [256]uint64) {
-	for b := 0; b < 256; b++ {
-		var m uint64
-		for i := 0; i < 8; i++ {
-			if b&(1<<i) != 0 {
-				m |= 0xff << (8 * i)
-			}
-		}
-		t[b] = m
-	}
-	return
-}()
-
-// applyMasked overlays the dirty-selected bytes of src onto dst; both
-// must be at least CacheLineSize long. A full mask takes the memmove
-// fast path; partial masks are applied eight bytes at a time through
-// word-expanded byte masks instead of a per-byte loop.
-func applyMasked(dst, src []byte, dirty uint64) {
-	if dirty == ^uint64(0) {
-		copy(dst[:CacheLineSize], src[:CacheLineSize])
-		return
-	}
-	if dirty == 0 {
-		return
-	}
-	_ = dst[CacheLineSize-1]
-	_ = src[CacheLineSize-1]
-	for i := 0; i < CacheLineSize; i += 8 {
-		m := byteMaskTab[(dirty>>uint(i))&0xff]
-		if m == 0 {
-			continue
-		}
-		d := binary.LittleEndian.Uint64(dst[i:])
-		s := binary.LittleEndian.Uint64(src[i:])
-		binary.LittleEndian.PutUint64(dst[i:], d&^m|s&m)
-	}
-}
-
-// storeMask builds the dirty mask for n consecutive bytes starting at
-// line offset off (n in [1, CacheLineSize]).
-func storeMask(off uint64, n int) uint64 {
-	return ^uint64(0) >> (64 - uint(n)) << off
-}
-
-// writeMedium overlays the dirty-selected bytes of src onto the medium
-// line at base. It is the only way the medium changes: it records the
-// line for the next checkpoint's delta.
-func (e *Engine) writeMedium(base uint64, src []byte, dirty uint64) {
-	applyMasked(e.med.writable(base), src, dirty)
-	if e.ckpt != nil {
-		e.ckpt.dirty[base] = struct{}{}
-	}
 }
 
 // PrefixImageHash returns the content hash of the image PrefixImage

@@ -38,8 +38,7 @@ func randomOps(e *Engine, rng *rand.Rand, n int) {
 
 // The central dedup invariant: the incrementally maintained image hash
 // always equals a from-scratch content hash of the materialised bytes,
-// for both snapshot flavours, at arbitrary points of arbitrary
-// instruction streams.
+// at arbitrary points of arbitrary instruction streams.
 func TestIncrementalHashMatchesContentHash(t *testing.T) {
 	for _, seed := range []int64{1, 7, 99} {
 		rng := rand.New(rand.NewSource(seed))
@@ -53,10 +52,6 @@ func TestIncrementalHashMatchesContentHash(t *testing.T) {
 			if got, want := e.PrefixImageHash(), img.Hash(); got != want {
 				t.Fatalf("seed %d step %d: PrefixImageHash %#x, image hash %#x", seed, step, got, want)
 			}
-			med := e.MediumSnapshot()
-			if got, want := med.Hash(), ContentHash(med.Bytes()); got != want {
-				t.Fatalf("seed %d step %d: MediumSnapshot hash %#x, content hash %#x", seed, step, got, want)
-			}
 		}
 	}
 }
@@ -69,7 +64,7 @@ func TestSnapshotImmutableAfterLaterWrites(t *testing.T) {
 	e.Store64(128, 42)
 	e.CLWB(128)
 	e.SFence()
-	img := e.MediumSnapshot()
+	img := e.PrefixImage()
 	want := append([]byte(nil), img.Bytes()...)
 	wantHash := img.Hash()
 
@@ -85,19 +80,19 @@ func TestSnapshotImmutableAfterLaterWrites(t *testing.T) {
 	}
 }
 
-// Consecutive snapshots share the base: a second snapshot after a small
-// persisted change must observe the change (via its overlay) while the
-// first keeps the old contents.
+// Consecutive snapshots share pages: a second snapshot after a small
+// change must observe the change while the first keeps the old
+// contents.
 func TestCOWSnapshotsObserveOnlyOwnState(t *testing.T) {
 	e := NewEngine(Options{PoolSize: 1 << 14})
 	e.Store64(0, 1)
 	e.CLFlush(0)
-	s1 := e.MediumSnapshot()
+	s1 := e.PrefixImage()
 	e.Store64(0, 2)
 	e.Store64(4096, 3)
 	e.CLFlush(0)
 	e.CLFlush(4096)
-	s2 := e.MediumSnapshot()
+	s2 := e.PrefixImage()
 	if got := le64(s1.Bytes()[0:]); got != 1 {
 		t.Fatalf("first snapshot sees %d at 0, want 1", got)
 	}
@@ -121,7 +116,7 @@ func TestEngineFromImageInheritsHash(t *testing.T) {
 	img := e.PrefixImage()
 
 	e2 := NewEngineFromImage(Options{}, img)
-	snap := e2.MediumSnapshot()
+	snap := e2.PrefixImage()
 	if got, want := snap.Hash(), img.Hash(); got != want {
 		t.Fatalf("restored engine snapshot hash %#x, want image hash %#x", got, want)
 	}
@@ -159,51 +154,6 @@ func TestIdenticalImagesHashEqual(t *testing.T) {
 	}
 	if i1.Hash() != i2.Hash() {
 		t.Fatalf("identical images hash %#x vs %#x", i1.Hash(), i2.Hash())
-	}
-}
-
-// applyMasked must match the per-byte reference for arbitrary masks,
-// including the full-line fast path.
-func TestApplyMaskedMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 200; trial++ {
-		var dst, src, ref [CacheLineSize]byte
-		rng.Read(dst[:])
-		rng.Read(src[:])
-		copy(ref[:], dst[:])
-		var dirty uint64
-		switch trial % 3 {
-		case 0:
-			dirty = rng.Uint64()
-		case 1:
-			dirty = ^uint64(0)
-		case 2:
-			dirty = 0
-		}
-		for i := 0; i < CacheLineSize; i++ {
-			if dirty&(1<<uint(i)) != 0 {
-				ref[i] = src[i]
-			}
-		}
-		applyMasked(dst[:], src[:], dirty)
-		if dst != ref {
-			t.Fatalf("trial %d (dirty %#x): applyMasked diverges from reference", trial, dirty)
-		}
-	}
-}
-
-// storeMask must match the bit-loop it replaced.
-func TestStoreMask(t *testing.T) {
-	for off := uint64(0); off < CacheLineSize; off++ {
-		for n := 1; int(off)+n <= CacheLineSize; n++ {
-			var want uint64
-			for i := 0; i < n; i++ {
-				want |= 1 << (off + uint64(i))
-			}
-			if got := storeMask(off, n); got != want {
-				t.Fatalf("storeMask(%d,%d) = %#x, want %#x", off, n, got, want)
-			}
-		}
 	}
 }
 

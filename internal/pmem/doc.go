@@ -12,11 +12,12 @@
 //
 // # Durability model
 //
-//   - The medium (the Pool) is durable: its contents survive a crash.
+// The persistency model is that of x86 under ADR:
+//
 //   - Stores land in a volatile cache line (64 bytes) and are lost on a
 //     crash unless written back.
 //   - clflush writes a line back synchronously.
-//   - clflushopt and clwb enqueue an asynchronous write-back that is only
+//   - clflushopt and clwb issue an asynchronous write-back that is only
 //     guaranteed durable after the next fence (sfence, mfence or a
 //     read-modify-write, which has fence semantics).
 //   - Non-temporal stores bypass the cache but are buffered like an
@@ -25,22 +26,26 @@
 // Failure atomicity is provided for aligned 8-byte units: a crash image
 // never exposes a torn 8-byte word, but a larger store may be split.
 //
+// The Engine models coherence and dirtiness only: one coherent view of
+// the pool, which loads read and stores write, and the set of dirty
+// lines, which a cached store marks and any flush clears. Fences change
+// no engine state. Every instruction emits its event all the same, and
+// strict durability — which write-backs a power cut keeps — is modelled
+// once, by package trace's Cursor, over the recorded events.
+//
 // # Crash images
 //
-// Engine materialises two kinds of crash image: the strictly durable
-// state (medium only), and the "graceful crash" image used by Mumak's
-// fault injector, in which every store issued before the failure point
-// is persisted (the program-order prefix of §4.1 of the paper). Neither
-// depends on cache evictions, and the simulated cache never evicts on
-// its own. The engine therefore holds only the durable medium, the dirty
-// masks of the lines not yet written back, the queued write-backs and
-// one coherent view, a copy-on-write medium that is the only copy of
-// cached bytes. The view is exactly the graceful-crash image, so
-// freezing it takes that image in O(1), and the instrumented run hands
-// every failure point its image without any replay.
+// The engine materialises one kind of crash image: the "graceful crash"
+// image used by Mumak's fault injector, in which every store issued
+// before the failure point is persisted (the program-order prefix of
+// §4.1 of the paper). That image is exactly the view, a copy-on-write
+// page table, so freezing the view takes it in O(1), and the
+// instrumented run hands every failure point its image without any
+// replay.
 //
-// Finer-grained images (arbitrary subsets of unfenced flushes, store
-// reorderings) and the crash states that depend on eviction belong to
-// the baseline tools, which build them from recorded traces through the
-// uncertain units of package trace's Cursor.
+// The strictly durable image, finer-grained images (arbitrary subsets of
+// unfenced flushes, store reorderings) and the crash states that depend
+// on eviction belong to the baseline tools, which build them from
+// recorded traces through the certain image and the uncertain units of
+// package trace's Cursor.
 package pmem

@@ -8,45 +8,30 @@ import (
 	"mumak/internal/stack"
 )
 
-// pending is an asynchronous write-back (clwb, clflushopt or ntstore)
-// that has left the cache but is not yet guaranteed durable: it becomes
-// durable at the next fence, or may be dropped by a power-cut crash.
-// data is a copy of the line's coherent contents at issue; dirty selects
-// the bytes the write-back carries.
-type pending struct {
-	base  uint64
-	data  [CacheLineSize]byte
-	dirty uint64
-}
-
 // Engine simulates a single hardware thread issuing PM instructions
 // against a pool. It is not safe for concurrent use: the targets under
 // analysis execute deterministically on one goroutine, as required by the
 // instruction-counter optimisation of §5.
+//
+// The engine keeps only what its callers read: the coherent view and
+// its rolling hash, the set of dirty lines, the instruction counter, the
+// watchdogs and the hooks. Every instruction still emits its event, and
+// the state a power cut would leave is built from those events by
+// package trace's Cursor (see the package doc).
 type Engine struct {
 	opts Options
-	// med is the durable medium.
-	med medium
-	// view is the coherent (load-visible) state and the only copy of
-	// cached bytes: stores, RMWs and NT stores write it, loads read it,
-	// and write-backs take their bytes from it. It is also the
-	// graceful-crash PrefixImage state: every line of it is the medium
-	// overlaid with the line's queued write-backs in issue order, then
-	// with its dirty cached bytes. Flushes and fences move bytes between
-	// those layers without changing the result, so the view changes only
-	// at stores, RMW stores and NT stores, and freezing it is
-	// PrefixImage in O(1). viewHash is its rolling content hash, the
-	// failure points' phase-1 stamp.
+	// view is the coherent (load-visible) state: stores, RMWs and NT
+	// stores write it, and loads read it. It is also the graceful-crash
+	// PrefixImage state, in which every store issued so far has
+	// persisted, so freezing it is PrefixImage in O(1). viewHash is its
+	// rolling content hash, the failure points' phase-1 stamp.
 	view     medium
 	viewHash uint64
-	// cache maps the base of every dirty line to its dirty mask: bit i
-	// is set when byte i of the view has not been written back. A line
-	// leaves it when a flush writes it back or queues it; the cache
-	// never evicts on its own, so a clean line is indistinguishable
-	// from an uncached one and is not kept.
-	cache map[uint64]uint64
-	// queue is the write-pending queue in issue order.
-	queue  []pending
+	// dirty holds the base of every line a cached store has written
+	// since a flush of the line last wrote it back. The cache never
+	// evicts on its own, and a clean line behaves exactly like an
+	// uncached one, so nothing else about the cache is kept.
+	dirty  map[uint64]struct{}
 	hooks  []Hook
 	anns   []AnnotationObserver
 	icount uint64
@@ -56,9 +41,9 @@ type Engine struct {
 	demands []StackDemand
 	eager   bool
 
-	// ckpt, when non-nil, records every state mutation (and periodic
-	// full-state snapshots) as this engine executes, for O(gap)
-	// replays (ReplayTo). See checkpoint.go.
+	// ckpt, when non-nil, records every state change (and periodic
+	// snapshots) as this engine executes, for O(gap) replays
+	// (ReplayTo). See checkpoint.go.
 	ckpt *CheckpointStore
 }
 
@@ -68,51 +53,52 @@ func NewEngine(opts Options) *Engine {
 	return newEngine(o, newMedium(o.PoolSize), 0)
 }
 
-// newEngine creates an engine over med, whose content hash is hash. The
-// cache and the queue start empty, so the view shares the medium's
-// pages. o must have defaults applied.
-func newEngine(o Options, med medium, hash uint64) *Engine {
+// newEngine creates an engine whose view is view, with content hash
+// hash, and whose every line is clean. o must have defaults applied.
+func newEngine(o Options, view medium, hash uint64) *Engine {
 	e := &Engine{
 		opts:     o,
-		med:      med,
+		view:     view,
 		viewHash: hash,
-		cache:    make(map[uint64]uint64),
+		dirty:    make(map[uint64]struct{}),
 	}
-	e.view = sharedMedium(med.size, e.med.freeze())
 	if o.CheckpointEvery > 0 {
-		e.ckpt = newCheckpointStore(o, o.CheckpointEvery)
+		e.ckpt = newCheckpointStore(e)
 	}
 	return e
 }
 
-// NewEngineFromImage creates an engine whose medium is initialised from a
-// crash image, as happens when an application restarts after a failure.
-// The engine starts from the image's pages and copies a page only when it
-// first writes to it, so the image itself never changes.
+// NewEngineFromImage creates an engine whose pool holds a crash image, as
+// happens when an application restarts after a failure. The engine
+// starts from the image's pages and copies a page only when it first
+// writes to it, so the image itself never changes.
 func NewEngineFromImage(opts Options, img *Image) *Engine {
 	o := opts
 	o.PoolSize = img.Len()
 	o = o.withDefaults()
 	// Seed the view's rolling hash from the image; frozen views carry
 	// their hash already, making this O(1) on the oracle path.
-	e := newEngine(o, img.medium(o.PoolSize), img.Hash())
-	if e.ckpt != nil {
-		// A recording engine seeded from an image starts its delta
-		// chain here, not at a zeroed pool: the genesis checkpoint must
-		// carry the image as its base state.
-		e.ckpt.base = e.med.freeze()
-		e.ckpt.cps[0].viewHash = e.viewHash
-	}
-	return e
+	return newEngine(o, img.medium(o.PoolSize), img.Hash())
 }
 
-// writeView copies data into the view of the line at base, starting at
-// line offset off, keeping viewHash current.
-func (e *Engine) writeView(base, off uint64, data []byte) {
-	v := e.view.writable(base)
-	e.viewHash ^= lineContrib(base, v)
-	copy(v[off:], data)
-	e.viewHash ^= lineContrib(base, v)
+// write copies data into the view at addr, line by line, keeping
+// viewHash current. A cached store also marks every line it writes
+// dirty; a non-temporal one bypasses the cache and marks none.
+func (e *Engine) write(addr uint64, data []byte, cached bool) {
+	for len(data) > 0 {
+		base := addr &^ (CacheLineSize - 1)
+		off := addr - base
+		n := min(len(data), CacheLineSize-int(off))
+		if cached {
+			e.dirty[base] = struct{}{}
+		}
+		v := e.view.writable(base)
+		e.viewHash ^= lineContrib(base, v)
+		copy(v[off:], data[:n])
+		e.viewHash ^= lineContrib(base, v)
+		addr += uint64(n)
+		data = data[n:]
+	}
 }
 
 // Checkpoints returns the checkpoint store recorded by this engine's
@@ -123,19 +109,8 @@ func (e *Engine) writeView(base, off uint64, data []byte) {
 // traced pipeline (bench/trace.go) still reads them.
 func (e *Engine) Checkpoints() *CheckpointStore { return e.ckpt }
 
-// maybeCheckpoint snapshots full engine state once the instruction
-// counter reaches the next checkpoint due point. It must run only after
-// the current instruction's mutation has fully applied, so the snapshot
-// is exactly the state a crash strictly after this counter would
-// observe.
-func (e *Engine) maybeCheckpoint() {
-	if e.ckpt != nil && e.icount >= e.ckpt.nextAt {
-		e.ckpt.take(e)
-	}
-}
-
 // Size returns the pool size in bytes.
-func (e *Engine) Size() int { return e.med.size }
+func (e *Engine) Size() int { return e.view.size }
 
 // ICount returns the current instruction counter (the counter of the last
 // delivered event).
@@ -164,8 +139,8 @@ func (e *Engine) AttachHook(h Hook) {
 }
 
 func (e *Engine) check(addr uint64, size int) {
-	if size < 0 || addr > uint64(e.med.size) || addr+uint64(size) > uint64(e.med.size) {
-		panic(fmt.Sprintf("pmem: access [0x%x,0x%x) outside pool of %d bytes", addr, addr+uint64(size), e.med.size))
+	if size < 0 || addr > uint64(e.view.size) || addr+uint64(size) > uint64(e.view.size) {
+		panic(fmt.Sprintf("pmem: access [0x%x,0x%x) outside pool of %d bytes", addr, addr+uint64(size), e.view.size))
 	}
 }
 
@@ -237,23 +212,8 @@ func (e *Engine) Annotate(kind AnnKind, addr uint64, size int) {
 func (e *Engine) Store(addr uint64, data []byte) {
 	e.check(addr, len(data))
 	e.emit(OpStore, addr, len(data), data)
-	if e.ckpt != nil {
-		e.ckpt.record(ckStore, e.icount, addr, data)
-	}
-	e.applyStore(addr, data)
-	e.maybeCheckpoint()
-}
-
-func (e *Engine) applyStore(addr uint64, data []byte) {
-	for len(data) > 0 {
-		base := addr &^ (CacheLineSize - 1)
-		off := addr - base
-		n := min(len(data), CacheLineSize-int(off))
-		e.cache[base] |= storeMask(off, n)
-		e.writeView(base, off, data[:n])
-		addr += uint64(n)
-		data = data[n:]
-	}
+	e.write(addr, data, true)
+	e.commit(ckStore, addr, data)
 }
 
 // Store64 writes an aligned 8-byte value; such a write is
@@ -264,32 +224,14 @@ func (e *Engine) Store64(addr uint64, v uint64) {
 	e.Store(addr, b[:])
 }
 
-// NTStore performs a non-temporal store: the data bypasses the cache and
-// enters the write-pending queue directly, but is only guaranteed durable
-// after the next fence.
+// NTStore performs a non-temporal store: the data bypasses the cache,
+// so loads observe it at once but no line turns dirty, and it is only
+// guaranteed durable after the next fence.
 func (e *Engine) NTStore(addr uint64, data []byte) {
 	e.check(addr, len(data))
 	e.emit(OpNTStore, addr, len(data), data)
-	if e.ckpt != nil {
-		e.ckpt.record(ckNTStore, e.icount, addr, data)
-	}
-	e.applyNTStore(addr, data)
-	e.maybeCheckpoint()
-}
-
-// applyNTStore is the state mutation of NTStore: it writes the view, so
-// loads observe the new data whether or not the line is cached, and
-// queues one write-back per line without dirtying the cache.
-func (e *Engine) applyNTStore(addr uint64, data []byte) {
-	for len(data) > 0 {
-		base := addr &^ (CacheLineSize - 1)
-		off := addr - base
-		n := min(len(data), CacheLineSize-int(off))
-		e.writeView(base, off, data[:n])
-		e.enqueue(base, storeMask(off, n))
-		addr += uint64(n)
-		data = data[n:]
-	}
+	e.write(addr, data, false)
+	e.commit(ckNTStore, addr, data)
 }
 
 // NTStore64 performs an aligned 8-byte non-temporal store.
@@ -328,121 +270,65 @@ func (e *Engine) Load64(addr uint64) uint64 {
 	return binary.LittleEndian.Uint64(b[:])
 }
 
-// CLFlush synchronously writes the line containing addr back to the
-// medium (and drops it from the cache).
-func (e *Engine) CLFlush(addr uint64) {
-	e.check(addr, 1)
-	base := addr &^ (CacheLineSize - 1)
-	e.emit(OpCLFlush, base, CacheLineSize, nil)
-	if e.ckpt != nil {
-		e.ckpt.record(ckCLFlush, e.icount, base, nil)
-	}
-	e.applyCLFlush(base)
-	e.maybeCheckpoint()
-}
-
-// applyCLFlush is the state mutation of CLFlush. x86 orders flushes of
-// the same line with each other: earlier asynchronous write-backs of
-// this line complete first. It filters the whole queue, which costs
-// O(queue); PM libraries flush with CLWB or CLFlushOpt instead.
-func (e *Engine) applyCLFlush(base uint64) {
-	kept := e.queue[:0]
-	for i := range e.queue {
-		if p := &e.queue[i]; p.base == base {
-			e.writeMedium(base, p.data[:], p.dirty)
-		} else {
-			kept = append(kept, *p)
-		}
-	}
-	e.queue = kept
-	if dirty, ok := e.cache[base]; ok {
-		e.writeMedium(base, e.view.line(base), dirty)
-		delete(e.cache, base)
-	}
-}
+// CLFlush synchronously writes the line containing addr back and
+// invalidates it.
+func (e *Engine) CLFlush(addr uint64) { e.flush(addr, OpCLFlush) }
 
 // CLFlushOpt asynchronously writes the line containing addr back and
 // invalidates it; the write-back is durable only after the next fence.
-func (e *Engine) CLFlushOpt(addr uint64) {
-	e.flushAsync(addr, OpCLFlushOpt)
-}
+func (e *Engine) CLFlushOpt(addr uint64) { e.flush(addr, OpCLFlushOpt) }
 
-// CLWB asynchronously writes the line containing addr back, keeping the
-// cached copy; the write-back is durable only after the next fence. The
-// kept copy is clean, and a clean line behaves exactly like an uncached
-// one, so CLWB and CLFlushOpt change the engine's state alike.
-func (e *Engine) CLWB(addr uint64) {
-	e.flushAsync(addr, OpCLWB)
-}
+// CLWB asynchronously writes the line containing addr back, keeping a
+// clean cached copy; the write-back is durable only after the next
+// fence.
+func (e *Engine) CLWB(addr uint64) { e.flush(addr, OpCLWB) }
 
-func (e *Engine) flushAsync(addr uint64, op Opcode) {
+// flush issues a write-back of the line containing addr. Every flavour
+// leaves the line clean, and a clean line behaves exactly like an
+// uncached one; when the write-back becomes durable matters only to
+// strict crash states, which trace.Cursor builds from the events. So
+// each flavour only clears the line's dirty mark.
+func (e *Engine) flush(addr uint64, op Opcode) {
 	e.check(addr, 1)
 	base := addr &^ (CacheLineSize - 1)
 	e.emit(op, base, CacheLineSize, nil)
-	if e.ckpt != nil {
-		e.ckpt.record(ckFlushAsync, e.icount, base, nil)
-	}
-	e.applyFlushAsync(base)
-	e.maybeCheckpoint()
+	delete(e.dirty, base)
+	e.commit(ckFlush, base, nil)
 }
 
-// applyFlushAsync is the state mutation of CLFlushOpt and CLWB: it
-// queues the line's dirty bytes and drops the line from the cache.
-func (e *Engine) applyFlushAsync(base uint64) {
-	if dirty, ok := e.cache[base]; ok {
-		e.enqueue(base, dirty)
-		delete(e.cache, base)
-	}
-}
-
-// SFence drains the write-pending queue: every buffered flush and
-// non-temporal store issued before the fence becomes durable.
-func (e *Engine) SFence() {
-	e.emit(OpSFence, 0, 0, nil)
-	if e.ckpt != nil {
-		e.ckpt.record(ckFence, e.icount, 0, nil)
-	}
-	e.drain()
-	e.maybeCheckpoint()
-}
+// SFence makes every write-back and non-temporal store issued before it
+// durable. Durability is trace.Cursor's to model, so the fence changes
+// no engine state.
+func (e *Engine) SFence() { e.fence(OpSFence) }
 
 // MFence behaves like SFence for persistency purposes.
-func (e *Engine) MFence() {
-	e.emit(OpMFence, 0, 0, nil)
-	if e.ckpt != nil {
-		e.ckpt.record(ckFence, e.icount, 0, nil)
-	}
-	e.drain()
-	e.maybeCheckpoint()
+func (e *Engine) MFence() { e.fence(OpMFence) }
+
+func (e *Engine) fence(op Opcode) {
+	e.emit(op, 0, 0, nil)
+	e.commit(0, 0, nil)
 }
 
 // CAS64 performs an aligned 8-byte compare-and-swap. Like hardware RMW
-// instructions it has fence semantics: it drains the write-pending queue.
-// The stored value itself lands in the cache and still requires an
-// explicit flush to be durable.
+// instructions it has fence semantics, which, as for SFence, change no
+// engine state. The stored value itself lands in the cache and still
+// requires an explicit flush to be durable.
 func (e *Engine) CAS64(addr uint64, old, new uint64) bool {
 	e.check(addr, 8)
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], new)
 	e.emit(OpRMW, addr, 8, b[:])
-	e.drain()
 	var cur [8]byte
 	e.readInto(cur[:], addr)
 	if binary.LittleEndian.Uint64(cur[:]) != old {
-		// The event stream alone cannot tell a failed CAS from a
-		// successful one (both emit OpRMW with the new value), so the
-		// log records the outcome explicitly.
-		if e.ckpt != nil {
-			e.ckpt.record(ckRMWFailed, e.icount, addr, nil)
-		}
-		e.maybeCheckpoint()
+		// The event alone cannot tell a failed CAS from a successful
+		// one (both emit OpRMW with the new value), so a failed one
+		// logs no store.
+		e.commit(0, 0, nil)
 		return false
 	}
-	if e.ckpt != nil {
-		e.ckpt.record(ckRMW, e.icount, addr, b[:])
-	}
-	e.applyStore(addr, b[:])
-	e.maybeCheckpoint()
+	e.write(addr, b[:], true)
+	e.commit(ckStore, addr, b[:])
 	return true
 }
 
@@ -456,34 +342,15 @@ func (e *Engine) FAA64(addr uint64, delta uint64) uint64 {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], prev+delta)
 	e.emit(OpRMW, addr, 8, b[:])
-	if e.ckpt != nil {
-		e.ckpt.record(ckRMW, e.icount, addr, b[:])
-	}
-	e.drain()
-	e.applyStore(addr, b[:])
-	e.maybeCheckpoint()
+	e.write(addr, b[:], true)
+	e.commit(ckStore, addr, b[:])
 	return prev
-}
-
-// drain makes every pending write-back durable, preserving issue order.
-func (e *Engine) drain() {
-	for i := range e.queue {
-		p := &e.queue[i]
-		e.writeMedium(p.base, p.data[:], p.dirty)
-	}
-	e.queue = e.queue[:0]
-}
-
-// enqueue queues a write-back of the dirty-selected bytes of the line at
-// base, copying the line from the view.
-func (e *Engine) enqueue(base, dirty uint64) {
-	e.queue = append(e.queue, pending{base: base, dirty: dirty})
-	copy(e.queue[len(e.queue)-1].data[:], e.view.line(base))
 }
 
 // LineDirty reports whether the cache line containing addr holds
 // unwritten-back store data. PM libraries use it to skip write-backs of
 // clean lines.
 func (e *Engine) LineDirty(addr uint64) bool {
-	return e.cache[addr&^(CacheLineSize-1)] != 0
+	_, ok := e.dirty[addr&^(CacheLineSize-1)]
+	return ok
 }

@@ -90,3 +90,64 @@ func TestHangSignalError(t *testing.T) {
 		t.Fatal("HangSignal must render as an error")
 	}
 }
+
+func TestCrashAtFiresWithoutHooks(t *testing.T) {
+	e := NewEngine(Options{PoolSize: 4096, CrashAt: 3})
+	var sig *CrashSignal
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				sig = r.(*CrashSignal)
+			}
+		}()
+		e.Store64(0, 1) // 1
+		e.CLWB(0)       // 2
+		e.SFence()      // 3 <- crash here, before the fence applies
+		t.Fatal("unreachable")
+	}()
+	if sig == nil || sig.ICount != 3 {
+		t.Fatalf("sig = %+v", sig)
+	}
+	// The store and the flush executed before the crash: the line holds
+	// the store and is clean.
+	if e.LineDirty(0) || e.Load64(0) != 1 {
+		t.Fatalf("crash state: dirty %v, value %d; want a clean line holding 1", e.LineDirty(0), e.Load64(0))
+	}
+}
+
+func TestCrashAtMatchesHookInjection(t *testing.T) {
+	// The native fast path and a hook-based injector must stop the
+	// engine in identical states.
+	run := func(native bool) *Image {
+		opts := Options{PoolSize: 4096}
+		var hooks []Hook
+		if native {
+			opts.CrashAt = 5
+		} else {
+			hooks = append(hooks, hookFunc(func(ev *Event) {
+				if ev.ICount == 5 {
+					panic(&CrashSignal{ICount: 5, Reason: "hook"})
+				}
+			}))
+		}
+		e := NewEngine(opts)
+		for _, h := range hooks {
+			e.AttachHook(h)
+		}
+		func() {
+			defer func() { recover() }()
+			for i := uint64(0); i < 10; i++ {
+				e.Store64(i*8, i+1)
+				e.CLWB(i * 8)
+				e.SFence()
+			}
+		}()
+		return e.PrefixImage()
+	}
+	a, b := run(true), run(false)
+	for i := range a.Bytes() {
+		if a.Bytes()[i] != b.Bytes()[i] {
+			t.Fatalf("images diverge at byte %d", i)
+		}
+	}
+}

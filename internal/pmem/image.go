@@ -3,12 +3,12 @@ package pmem
 // Image is a durable snapshot of pool contents — the state an
 // application would observe after a restart.
 //
-// An engine-produced image is a frozen page table (medium.go): it shares
-// pages with the engine that took it, with sibling snapshots and with
-// engines later built from it, and none of them ever writes a shared
-// page. Taking one therefore costs O(1), never O(pool). A frozen view
-// (PrefixImage) also carries its content hash, maintained incrementally
-// by the engine (dirty.go), so the identity checks of a campaign never
+// An engine-produced image is a frozen view (PrefixImage): a page table
+// (medium.go) that shares pages with the engine that took it, with
+// sibling snapshots and with engines later built from it, and none of
+// them ever writes a shared page. Taking one therefore costs O(1), never
+// O(pool). It also carries its content hash, maintained incrementally by
+// the engine (dirty.go), so the identity checks of a campaign never
 // rescan the pool.
 //
 // Engine-produced images must be treated as read-only. Callers that need
@@ -51,9 +51,9 @@ func (img *Image) Bytes() []byte {
 }
 
 // Hash returns the image's content hash — the crash-image identity
-// verdict reuse keys on. Frozen views carry it already; for other
-// images (MediumSnapshot, Clone, NewImage) it is computed (and
-// memoised) on first use, so call it only once the image is quiescent.
+// verdict reuse keys on. Frozen views (PrefixImage) carry it already;
+// for hand-built images (Clone, NewImage) it is computed (and memoised)
+// on first use, so call it only once the image is quiescent.
 func (img *Image) Hash() uint64 {
 	if !img.hashed {
 		img.hash = ContentHash(img.Bytes())
@@ -82,24 +82,12 @@ func (img *Image) medium(size int) medium {
 	return flatMedium(size, img.flat)
 }
 
-// MediumSnapshot returns the strictly durable state. Under the classic
-// ADR domain that is the medium contents only: dirty cache lines and
-// unfenced write-backs are lost, the worst-case power-cut image. Under
-// eADR the caches are inside the persistence domain, so every store is
-// already durable and the snapshot equals the coherent view. The
-// medium is not hash-tracked, so an ADR snapshot hashes on first use.
-func (e *Engine) MediumSnapshot() *Image {
-	if e.opts.EADR {
-		return e.PrefixImage()
-	}
-	return &Image{size: e.med.size, chunks: e.med.freeze()}
-}
-
 // PrefixImage returns the "graceful crash" image of §4.1: every store
 // issued so far is persisted, respecting program order. This is the
 // deterministic post-failure state Mumak's fault injector hands to the
-// recovery procedure. It freezes the engine's view in O(1): phase 1
-// takes each failure point's image this way.
+// recovery procedure, and the only crash image an engine produces. It
+// freezes the engine's view in O(1): phase 1 takes each failure point's
+// image this way. On a fresh engine it is the all-zero pool.
 func (e *Engine) PrefixImage() *Image {
 	return &Image{size: e.view.size, chunks: e.view.freeze(), hash: e.viewHash, hashed: true}
 }

@@ -4,21 +4,21 @@ import "slices"
 
 // The copy-on-write medium.
 //
-// The durable medium is a two-level table of fixed-size pages, not one
-// flat pool-sized buffer: a top-level table of chunk pointers, each
-// chunk holding chunkPages page pointers. A nil chunk or page reads as
-// zeros, so a fresh engine costs one pointer per chunk rather than a
-// zeroed pool. Snapshots share pages instead of copying bytes: freezing
-// hands the current top-level table to an image, after which the medium
-// copies that table on its next write, each chunk on the first write it
-// makes into the chunk, and each page on the first write it makes to the
-// page. Crash images, phase-1 leaf images, checkpoint restores and
-// recovery engines all build on this one mechanism, so a per-injection
-// step copies only the pages it writes plus one chunk (4 KiB) per 2 MiB
-// region it writes into and one top-level pointer per 2 MiB of pool: at
-// a 64 MiB pool the top level is 32 pointers, where a one-level table
-// cost one pointer per 4 KiB page (128 KiB) and a flat medium the whole
-// pool.
+// The engine's view and every image it freezes are a two-level table of
+// fixed-size pages, not one flat pool-sized buffer: a top-level table of
+// chunk pointers, each chunk holding chunkPages page pointers. A nil
+// chunk or page reads as zeros, so a fresh engine costs one pointer per
+// chunk rather than a zeroed pool. Snapshots share pages instead of
+// copying bytes: freezing hands the current top-level table to an
+// image, after which the medium copies that table on its next write,
+// each chunk on the first write it makes into the chunk, and each page
+// on the first write it makes to the page. Crash images, phase-1 leaf
+// images, checkpoint restores and recovery engines all build on this one
+// mechanism, so a per-injection step copies only the pages it writes
+// plus one chunk (4 KiB) per 2 MiB region it writes into and one
+// top-level pointer per 2 MiB of pool: at a 64 MiB pool the top level is
+// 32 pointers, where a one-level table cost one pointer per 4 KiB page
+// (128 KiB) and a flat medium the whole pool.
 //
 // The invariant that makes sharing safe: a chunk or page reachable from
 // a frozen table is never mutated. A medium writes in place only the

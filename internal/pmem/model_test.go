@@ -11,15 +11,14 @@ import (
 	"time"
 )
 
-// refModel is a deliberately naive model of the engine's persistency
-// semantics, the reference for its coherent view, its write-pending
-// queue and its copy-on-write medium: a flat medium, cached lines with
-// their own data and dirty byte masks, a queue that every lookup scans
-// from the start, and crash images derived from those three as full
-// copies. Like hardware, and unlike the engine, it keeps a line cached
-// after CLWB has cleaned it.
+// refModel is a deliberately naive model of x86 persistency under ADR,
+// the reference for the engine's coherent view and dirty lines and for
+// trace.Cursor's strictly durable image: a flat durable medium, cached
+// lines with their own data and dirty byte masks, a write-pending queue
+// that every lookup scans from the start, and crash images derived from
+// those three as full copies. Like hardware, and unlike the engine, it
+// keeps a line cached after CLWB has cleaned it.
 type refModel struct {
-	eadr   bool
 	medium []byte
 	lines  map[uint64]*refLine
 	queue  []refPending
@@ -36,8 +35,8 @@ type refPending struct {
 	dirty uint64
 }
 
-func newRefModel(medium []byte, eadr bool) *refModel {
-	return &refModel{eadr: eadr, medium: bytes.Clone(medium), lines: map[uint64]*refLine{}}
+func newRefModel(medium []byte) *refModel {
+	return &refModel{medium: bytes.Clone(medium), lines: map[uint64]*refLine{}}
 }
 
 // overlay copies the dirty-selected bytes of src onto dst, one at a time.
@@ -155,13 +154,6 @@ func (m *refModel) prefixImage() []byte {
 		overlay(img[base:], &ln.data, ln.dirty)
 	}
 	return img
-}
-
-func (m *refModel) mediumSnapshot() []byte {
-	if m.eadr {
-		return m.prefixImage()
-	}
-	return bytes.Clone(m.medium)
 }
 
 type refOpKind uint8
@@ -304,27 +296,24 @@ func step(e *Engine, m *refModel, op refOp) error {
 	return nil
 }
 
-// compare checks everything the engine derives from its view, its queue
-// and its page tables against the model: queue length, the dirty lines
-// and their masks, loads, and the bytes and hashes of both kinds of
-// image. The engine keeps only dirty lines, so its map must hold exactly
-// the model's dirty lines; the model's clean cached lines must be
-// invisible everywhere else.
+// compare checks everything the engine derives from its view and its
+// page tables against the model: the dirty lines, loads, and the bytes
+// and hash of the prefix image. The engine keeps only the set of dirty
+// lines, so it must hold exactly the model's lines with a non-empty
+// dirty mask; the model's clean cached lines must be invisible
+// everywhere else.
 func compare(e *Engine, m *refModel, rng *rand.Rand) error {
-	if got, want := len(e.queue), len(m.queue); got != want {
-		return fmt.Errorf("%d queued write-backs, model %d", got, want)
-	}
 	dirtyLines := 0
 	for base, ln := range m.lines {
 		if ln.dirty == 0 {
 			continue
 		}
 		dirtyLines++
-		if dirty, ok := e.cache[base]; !ok || dirty != ln.dirty {
-			return fmt.Errorf("line %#x: cached %v with dirty mask %#x, model %#x", base, ok, dirty, ln.dirty)
+		if _, ok := e.dirty[base]; !ok {
+			return fmt.Errorf("line %#x is clean, model dirty mask %#x", base, ln.dirty)
 		}
 	}
-	if got := len(e.cache); got != dirtyLines {
+	if got := len(e.dirty); got != dirtyLines {
 		return fmt.Errorf("%d dirty lines, model %d", got, dirtyLines)
 	}
 	prefix := m.prefixImage()
@@ -335,14 +324,6 @@ func compare(e *Engine, m *refModel, rng *rand.Rand) error {
 	}
 	if img.Hash() != h || e.PrefixImageHash() != h {
 		return fmt.Errorf("prefix hashes %#x, %#x; content hash %#x", img.Hash(), e.PrefixImageHash(), h)
-	}
-	want := m.mediumSnapshot()
-	med := e.MediumSnapshot()
-	if !bytes.Equal(med.Bytes(), want) {
-		return errors.New("MediumSnapshot bytes diverge")
-	}
-	if h := ContentHash(want); med.Hash() != h {
-		return fmt.Errorf("MediumSnapshot hash %#x, content hash %#x", med.Hash(), h)
 	}
 	for i := 0; i < 8; i++ {
 		addr := uint64(rng.Intn(16 * CacheLineSize))
@@ -380,7 +361,7 @@ func lockstep(t *testing.T, e *Engine, m *refModel, ops []refOp, rng *rand.Rand)
 // from the pool contents base at the first two counters, which restore
 // the genesis checkpoint, and at random ones, and compares each restored
 // engine with a model replayed to the same point.
-func checkReplays(t *testing.T, e *Engine, base []byte, eadr bool, ops []refOp, rng *rand.Rand) {
+func checkReplays(t *testing.T, e *Engine, base []byte, ops []refOp, rng *rand.Rand) {
 	t.Helper()
 	s := e.Checkpoints()
 	for k := uint64(1); k <= 20; k++ {
@@ -392,7 +373,7 @@ func checkReplays(t *testing.T, e *Engine, base []byte, eadr bool, ops []refOp, 
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := newRefModel(base, eadr)
+		ref := newRefModel(base)
 		for i := 0; i < int(target)-1; i++ {
 			ref.run(ops[i])
 		}
@@ -404,48 +385,45 @@ func checkReplays(t *testing.T, e *Engine, base []byte, eadr bool, ops []refOp, 
 
 // TestEngineMatchesReferenceModel drives the engine and the naive model
 // with the same random instruction streams — every store and flush
-// flavour, both fences, CAS and FAA — under ADR and eADR, and compares
-// them throughout. The model keeps the lines CLWB cleans cached and the
-// engine drops them, so the comparison is also the differential showing
-// that dropping clean lines cannot be observed. It then restores the
-// recorded checkpoint store at random counters and compares each
-// restored engine with a model replayed to the same point. Engines
-// restarted from a crash image, one an engine produced and the same
-// bytes as a flat image, are compared the same way, checkpoint restores
-// included.
+// flavour, both fences, CAS and FAA — and compares them throughout. The
+// model keeps the lines CLWB cleans cached and the engine drops them, so
+// the comparison is also the differential showing that dropping clean
+// lines cannot be observed. It then restores the recorded checkpoint
+// store at random counters and compares each restored engine with a
+// model replayed to the same point. Engines restarted from a crash
+// image, one an engine produced and the same bytes as a flat image, are
+// compared the same way, checkpoint restores included.
 func TestEngineMatchesReferenceModel(t *testing.T) {
 	const size, n = 1 << 16, 1500
-	for _, eadr := range []bool{false, true} {
-		for _, seed := range []int64{1, 2, 3} {
-			t.Run(fmt.Sprintf("seed=%d/eadr=%v", seed, eadr), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(seed))
-				ops := genRefOps(rng, size, n)
-				e := NewEngine(Options{PoolSize: size, EADR: eadr, CheckpointEvery: 97})
-				lockstep(t, e, newRefModel(make([]byte, size), eadr), ops, rng)
-				checkReplays(t, e, make([]byte, size), eadr, ops, rng)
-			})
-		}
-		src := NewEngine(Options{PoolSize: size})
-		lockstep(t, src, newRefModel(make([]byte, size), false), genRefOps(rand.New(rand.NewSource(31)), size, 600),
-			rand.New(rand.NewSource(32)))
-		img := src.PrefixImage()
-		want := img.Clone().Bytes()
-		for _, restart := range []struct {
-			name string
-			img  *Image
-		}{{"engine", img}, {"flat", NewImage(want)}} {
-			t.Run(fmt.Sprintf("image=%s/eadr=%v", restart.name, eadr), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(4))
-				e := NewEngineFromImage(Options{EADR: eadr, CheckpointEvery: 97}, restart.img)
-				m := newRefModel(want, eadr)
-				if err := compare(e, m, rng); err != nil {
-					t.Fatalf("restarted engine: %v", err)
-				}
-				ops := genRefOps(rng, size, n)
-				lockstep(t, e, m, ops, rng)
-				checkReplays(t, e, want, eadr, ops, rng)
-			})
-		}
+	for _, seed := range []int64{1, 2, 3} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			ops := genRefOps(rng, size, n)
+			e := NewEngine(Options{PoolSize: size, CheckpointEvery: 97})
+			lockstep(t, e, newRefModel(make([]byte, size)), ops, rng)
+			checkReplays(t, e, make([]byte, size), ops, rng)
+		})
+	}
+	src := NewEngine(Options{PoolSize: size})
+	lockstep(t, src, newRefModel(make([]byte, size)), genRefOps(rand.New(rand.NewSource(31)), size, 600),
+		rand.New(rand.NewSource(32)))
+	img := src.PrefixImage()
+	want := img.Clone().Bytes()
+	for _, restart := range []struct {
+		name string
+		img  *Image
+	}{{"engine", img}, {"flat", NewImage(want)}} {
+		t.Run("image="+restart.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(4))
+			e := NewEngineFromImage(Options{CheckpointEvery: 97}, restart.img)
+			m := newRefModel(want)
+			if err := compare(e, m, rng); err != nil {
+				t.Fatalf("restarted engine: %v", err)
+			}
+			ops := genRefOps(rng, size, n)
+			lockstep(t, e, m, ops, rng)
+			checkReplays(t, e, want, ops, rng)
+		})
 	}
 }
 
@@ -456,7 +434,7 @@ func TestEngineMatchesReferenceModel(t *testing.T) {
 func TestEngineFromImageIsolation(t *testing.T) {
 	const size = 1 << 16
 	src := NewEngine(Options{PoolSize: size})
-	srcModel := newRefModel(make([]byte, size), false)
+	srcModel := newRefModel(make([]byte, size))
 	for _, op := range genRefOps(rand.New(rand.NewSource(21)), size, 600) {
 		if err := step(src, srcModel, op); err != nil {
 			t.Fatal(err)
@@ -485,7 +463,7 @@ func TestEngineFromImageIsolation(t *testing.T) {
 	wg.Add(5)
 	for seed := int64(100); seed < 104; seed++ {
 		go func() {
-			run(NewEngineFromImage(Options{}, img), newRefModel(want, false), seed)
+			run(NewEngineFromImage(Options{}, img), newRefModel(want), seed)
 		}()
 	}
 	go run(src, srcModel, 99)

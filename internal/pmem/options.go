@@ -46,11 +46,6 @@ type Options struct {
 	// PoolSize is the size of the simulated PM device in bytes. It is
 	// rounded up to a multiple of CacheLineSize. Required.
 	PoolSize int
-	// EADR extends the persistence domain to the CPU caches (enhanced
-	// asynchronous DRAM refresh, §2): stores are durable once globally
-	// visible and cache flushes become unnecessary, though fences are
-	// still required to order non-temporal stores.
-	EADR bool
 	// CrashAt, when non-zero, makes the engine panic with a
 	// *CrashSignal immediately before the instruction with this
 	// counter executes: the from-scratch replay of §5's

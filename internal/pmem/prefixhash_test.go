@@ -27,7 +27,7 @@ func assertRolling(t *testing.T, e *Engine, want []byte, label string) {
 // exercise runs one deterministic mixed workload on the engine and on
 // the model in lockstep: cached and NT stores (full and partial lines),
 // flushes of every flavour, fences, RMWs, and a burst of stores over
-// lines with queued write-backs. After each labelled step it hands check
+// lines with unfenced write-backs. After each labelled step it hands check
 // the label and the model's prefix image.
 func exercise(t *testing.T, e *Engine, m *refModel, check func(label string, want []byte)) {
 	t.Helper()
@@ -45,7 +45,7 @@ func exercise(t *testing.T, e *Engine, m *refModel, check func(label string, wan
 	at("unaligned store")
 	do(refOp{kind: refCLWB, addr: 0})
 	at("clwb")
-	do(refOp{kind: refStore, addr: 0, data: u64(0x2222)}) // re-dirty a line with a queued write-back
+	do(refOp{kind: refStore, addr: 0, data: u64(0x2222)}) // re-dirty a line with an unfenced write-back
 	at("re-dirty after clwb")
 	do(refOp{kind: refNTStore, addr: 256, data: u64(0x3333)})
 	at("partial-line ntstore")
@@ -81,20 +81,10 @@ func exercise(t *testing.T, e *Engine, m *refModel, check func(label string, wan
 }
 
 func TestRollingPrefixHashMatchesGroundTruth(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opts Options
-	}{
-		{"plain", Options{PoolSize: 1 << 16}},
-		{"eadr", Options{PoolSize: 1 << 16, EADR: true}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			e := NewEngine(tc.opts)
-			m := newRefModel(make([]byte, e.Size()), tc.opts.EADR)
-			assertRolling(t, e, m.prefixImage(), "fresh engine")
-			exercise(t, e, m, func(label string, want []byte) { assertRolling(t, e, want, label) })
-		})
-	}
+	e := NewEngine(Options{PoolSize: 1 << 16})
+	m := newRefModel(make([]byte, e.Size()))
+	assertRolling(t, e, m.prefixImage(), "fresh engine")
+	exercise(t, e, m, func(label string, want []byte) { assertRolling(t, e, want, label) })
 }
 
 // TestRollingPrefixHashFromImage: an engine restarted from an image
@@ -112,7 +102,7 @@ func TestRollingPrefixHashFromImage(t *testing.T) {
 	want := tables.Clone().Bytes()
 	for _, img := range []*Image{tables, NewImage(want)} {
 		e := NewEngineFromImage(Options{}, img)
-		m := newRefModel(want, false)
+		m := newRefModel(want)
 		assertRolling(t, e, want, "restarted engine")
 		exercise(t, e, m, func(label string, want []byte) { assertRolling(t, e, want, "post-restart "+label) })
 		if !bytes.Equal(img.Clone().Bytes(), want) {
@@ -133,7 +123,7 @@ func TestRollingPrefixHashCheckpointRoundTrip(t *testing.T) {
 		want   []byte
 	}
 	var points []point
-	exercise(t, rec, newRefModel(make([]byte, rec.Size()), false), func(label string, want []byte) {
+	exercise(t, rec, newRefModel(make([]byte, rec.Size())), func(label string, want []byte) {
 		assertRolling(t, rec, want, label)
 		points = append(points, point{rec.ICount(), want})
 	})

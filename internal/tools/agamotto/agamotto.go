@@ -149,7 +149,6 @@ func (t *Tool) Analyze(app harness.Application, _ workload.Workload, cfg tools.C
 			}
 		}
 	}
-	run.AddBusy(time.Since(start))
 	res.Elapsed = time.Since(start)
 	run.Stop()
 	res.Usage = run.Usage()

@@ -53,7 +53,7 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 		return nil, err
 	}
 	res.EngineEvents += eng.Events()
-	base := pmem.NewEngine(pmem.Options{PoolSize: app.PoolSize()}).MediumSnapshot()
+	base := pmem.NewEngine(pmem.Options{PoolSize: app.PoolSize()}).PrefixImage()
 
 	maxRel := t.MaxRelevant
 	if maxRel <= 0 {
@@ -72,7 +72,6 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 		}
 		cursor.Step()
 	}
-	run.AddBusy(time.Since(start))
 	res.Elapsed = time.Since(start)
 	run.Stop()
 	res.Usage = run.Usage()

@@ -60,7 +60,6 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 	res.EngineEvents = eng.Events()
 	res.Explored = hook.processed
 	hook.finish()
-	run.AddBusy(time.Since(start))
 	res.Elapsed = time.Since(start)
 	run.Stop()
 	res.Usage = run.Usage()

@@ -48,7 +48,6 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 	res.EngineEvents = eng.Events()
 	res.Explored = int(eng.Events())
 	hook.finish()
-	run.AddBusy(time.Since(start))
 	res.Elapsed = time.Since(start)
 	run.Stop()
 	res.Usage = run.Usage()

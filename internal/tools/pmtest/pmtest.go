@@ -52,7 +52,6 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 	// Replay-check phase.
 	checkAssertions(hook, res.Report)
 	res.Explored = len(hook.asserts)
-	run.AddBusy(time.Since(start))
 	res.Elapsed = time.Since(start)
 	run.Stop()
 	res.Usage = run.Usage()

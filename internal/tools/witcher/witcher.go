@@ -80,7 +80,7 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 	if err := app.Setup(eng); err != nil {
 		return nil, err
 	}
-	base := pmem.NewEngine(pmem.Options{PoolSize: app.PoolSize()}).MediumSnapshot()
+	base := pmem.NewEngine(pmem.Options{PoolSize: app.PoolSize()}).PrefixImage()
 	kv, err := kvApp.Open(eng)
 	if err != nil {
 		return nil, err
@@ -155,7 +155,6 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 		workers = runtime.NumCPU()
 	}
 	var imgBytes atomic.Uint64
-	var busy atomic.Int64
 	batch := make([]*pmem.Image, len(candidates))
 	genCursor := trace.NewCursor(tr, base)
 	lastPos := 0
@@ -202,8 +201,6 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 			go func() {
 				defer wg.Done()
 				defer func() { <-sem }()
-				t0 := time.Now()
-				defer func() { busy.Add(int64(time.Since(t0))) }()
 				finding, bad := t.check(kvApp, img, models[c.opIdx], models[c.opIdx+1], tr.Records[c.fenceRec].ICount)
 				if bad {
 					mu.Lock()
@@ -215,7 +212,6 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 		wg.Wait()
 	}
 	res.Explored = len(candidates)
-	run.AddBusy(time.Duration(busy.Load()) + time.Since(start))
 	res.Elapsed = time.Since(start)
 	run.Stop()
 	res.Usage = run.Usage()

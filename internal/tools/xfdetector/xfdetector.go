@@ -59,7 +59,7 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 		return nil, err
 	}
 	res.EngineEvents += eng.Events()
-	base := pmem.NewEngine(pmem.Options{PoolSize: app.PoolSize()}).MediumSnapshot()
+	base := pmem.NewEngine(pmem.Options{PoolSize: app.PoolSize()}).PrefixImage()
 	// XFDetector keeps its shadow memory in PM: one shadow byte per
 	// byte of PM the target actually touches (the ~2x PM overhead of
 	// Table 2).
@@ -119,7 +119,6 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 		}
 		cursor.Step()
 	}
-	run.AddBusy(time.Since(start))
 	res.Elapsed = time.Since(start)
 	run.Stop()
 	res.Usage = run.Usage()

@@ -55,7 +55,7 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 		return nil, err
 	}
 	res.EngineEvents += eng.Events()
-	base := pmem.NewEngine(pmem.Options{PoolSize: app.PoolSize()}).MediumSnapshot()
+	base := pmem.NewEngine(pmem.Options{PoolSize: app.PoolSize()}).PrefixImage()
 
 	maxUnits := t.MaxUnits
 	if maxUnits <= 0 {
@@ -97,7 +97,6 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 		}
 		cursor.Step()
 	}
-	run.AddBusy(time.Since(start))
 	res.Elapsed = time.Since(start)
 	run.Stop()
 	res.Usage = run.Usage()

@@ -39,10 +39,13 @@ func splitUnits(t *Trace, rec int) []Unit {
 
 // Cursor incrementally replays a trace over a base image, maintaining the
 // certain-durable state and the set of maybe-durable units at every
-// point. It is the machinery with which the exhaustive-exploration
-// baselines (Yat, Witcher) and the ablation benches enumerate post-failure
-// states that do not respect program order — the space Mumak deliberately
-// skips (§4.1).
+// point. It is the one model of strict durability: the engine models
+// only coherence and dirtiness (see package pmem), and every crash state
+// other than the program-order prefix is built here from recorded
+// writes. It is the machinery with which the exhaustive-exploration
+// baselines (Yat, Witcher) and the ablation benches enumerate
+// post-failure states that do not respect program order — the space
+// Mumak deliberately skips (§4.1).
 type Cursor struct {
 	t       *Trace
 	certain *pmem.Image
@@ -149,7 +152,9 @@ func (c *Cursor) SeekTo(n int) {
 }
 
 // Certain returns a copy of the guaranteed-durable image at the current
-// position.
+// position: the base overlaid with every store that was clflushed, or
+// written back or non-temporally stored and then fenced — the state a
+// power cut under ADR leaves when no dirty line happens to be evicted.
 func (c *Cursor) Certain() *pmem.Image { return c.certain.Clone() }
 
 // Uncertain returns the maybe-durable units at the current position in

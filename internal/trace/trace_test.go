@@ -12,7 +12,7 @@ import (
 
 func recordedRun(f func(e *pmem.Engine)) (*Trace, *pmem.Engine, *pmem.Image) {
 	e := pmem.NewEngine(pmem.Options{PoolSize: 1 << 14})
-	base := e.MediumSnapshot()
+	base := e.PrefixImage()
 	rec := NewRecorder()
 	e.AttachHook(rec)
 	f(e)
@@ -177,7 +177,7 @@ func TestPropertyCursorPrefixMatchesEngine(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e := pmem.NewEngine(pmem.Options{PoolSize: 1 << 13})
-		base := e.MediumSnapshot()
+		base := e.PrefixImage()
 		rec := NewRecorder()
 		e.AttachHook(rec)
 		slots := uint64(e.Size() / 8)
@@ -201,41 +201,6 @@ func TestPropertyCursorPrefixMatchesEngine(t *testing.T) {
 		c := NewCursor(&rec.T, base)
 		c.SeekTo(rec.T.Len())
 		return bytes.Equal(c.PrefixImage().Bytes(), e.PrefixImage().Bytes())
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: the certain image never exposes data the engine's strict
-// medium snapshot does not also expose (certainty is conservative), and
-// certain+all-uncertain covers the medium exactly.
-func TestPropertyCertainConservative(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		e := pmem.NewEngine(pmem.Options{PoolSize: 1 << 12})
-		base := e.MediumSnapshot()
-		rec := NewRecorder()
-		e.AttachHook(rec)
-		slots := uint64(e.Size() / 8)
-		for i := 0; i < int(n)+3; i++ {
-			addr := (rng.Uint64() % slots) * 8
-			switch rng.Intn(5) {
-			case 0, 1:
-				e.Store64(addr, rng.Uint64()|1)
-			case 2:
-				e.CLWB(addr)
-			case 3:
-				e.SFence()
-			case 4:
-				e.CLFlush(addr)
-			}
-		}
-		c := NewCursor(&rec.T, base)
-		c.SeekTo(rec.T.Len())
-		certain := c.Certain()
-		medium := e.MediumSnapshot()
-		return bytes.Equal(certain.Bytes(), medium.Bytes())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
