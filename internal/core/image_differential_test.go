@@ -17,61 +17,69 @@ import (
 // TestCheckpointRestoreMatchesFromScratchAcrossRegistry is the
 // image-fidelity contract at the pipeline level. Its name predates
 // phase-1 images, from when a counter-mode crash state was a checkpoint
-// restore. For every registry target and seed, the image phase 1 freezes
-// for each failure point must equal, in bytes and hash, the
-// graceful-crash image of a from-scratch replay crashed at the leaf's
-// counter (pmem.Options.CrashAt, kept only as this reference), and the
-// leaf's classing stamp must be that image's identity.
+// restore. For every registry target, seed and persistence domain, the
+// image phase 1 freezes for each failure point must equal, in bytes and
+// hash, the graceful-crash image of a from-scratch replay crashed at the
+// leaf's counter (pmem.Options.CrashAt, kept only as this reference),
+// and the leaf's classing stamp must be that image's identity. The
+// persistence domain is core.Config.EADR: phase 1 runs the builder next
+// to the §4.2 analyzer in that domain's mode, as Analyze runs them.
 func TestCheckpointRestoreMatchesFromScratchAcrossRegistry(t *testing.T) {
-	for _, seed := range []int64{11, 4242} {
-		w := workload.Generate(workload.Config{N: 250, Seed: seed, Keyspace: 100,
-			PutFrac: 2, GetFrac: 1, DeleteFrac: 1})
-		for _, name := range apps.Names() {
-			name, seed := name, seed
-			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
-				mk := func() harness.Application {
-					app, err := apps.New(name, apps.Config{SPT: true, PoolSize: 8 << 20, WithRecovery: true})
-					if err != nil {
-						t.Fatal(err)
+	for _, eadr := range []bool{false, true} {
+		for _, seed := range []int64{11, 4242} {
+			w := workload.Generate(workload.Config{N: 250, Seed: seed, Keyspace: 100,
+				PutFrac: 2, GetFrac: 1, DeleteFrac: 1})
+			for _, name := range apps.Names() {
+				name, eadr, seed := name, eadr, seed
+				t.Run(fmt.Sprintf("%s/seed=%d/eadr=%v", name, seed, eadr), func(t *testing.T) {
+					mk := func() harness.Application {
+						app, err := apps.New(name, apps.Config{SPT: true, PoolSize: 8 << 20, WithRecovery: true})
+						if err != nil {
+							t.Fatal(err)
+						}
+						return app
 					}
-					return app
-				}
-				// The instrumented run, set up as Analyze's phase 1
-				// sets up a counter-mode campaign.
-				stacks := stack.NewTable()
-				tree := fpt.New(stacks)
-				builder := fpt.NewBuilder(tree, fpt.GranPersistency)
-				builder.KeepImages = true
-				_, sig, err := harness.Execute(mk(), w, pmem.Options{
-					Capture: pmem.CapturePersistency, Stacks: stacks,
-				}, builder)
-				if err != nil || sig != nil {
-					t.Fatalf("instrumented run failed: err=%v sig=%v", err, sig)
-				}
-				leaves := tree.LeavesByICount()
-				if len(leaves) == 0 {
-					t.Fatal("no failure points recorded")
-				}
-				for _, leaf := range leaves {
-					if leaf.Image == nil {
-						t.Fatalf("leaf %d has no phase-1 image", leaf.FirstICount)
+					// The instrumented run, set up as Analyze's phase 1
+					// sets up a counter-mode campaign.
+					stacks := stack.NewTable()
+					tree := fpt.New(stacks)
+					builder := fpt.NewBuilder(tree, fpt.GranPersistency)
+					builder.KeepImages = true
+					analyzer := core.NewAnalyzer(core.Config{EADR: eadr})
+					eng, sig, err := harness.Execute(mk(), w, pmem.Options{
+						Capture: pmem.CapturePersistency, Stacks: stacks,
+					}, builder, analyzer)
+					if err != nil || sig != nil {
+						t.Fatalf("instrumented run failed: err=%v sig=%v", err, sig)
 					}
-					fresh, fsig, err := harness.Execute(mk(), w, pmem.Options{CrashAt: leaf.FirstICount})
-					if err != nil || fsig == nil {
-						t.Fatalf("from-scratch replay to %d: err=%v sig=%v", leaf.FirstICount, err, fsig)
+					if analyzer.Events() == 0 || uint64(analyzer.Events()) > eng.ICount() {
+						t.Fatalf("analyzer saw %d events of %d", analyzer.Events(), eng.ICount())
 					}
-					want := fresh.PrefixImage()
-					if h := want.Hash(); leaf.Image.Hash() != h || leaf.ImageHash != h || leaf.ImageSize != want.Len() {
-						t.Fatalf("leaf %d: image hash %#x, stamp (%#x, %d); from-scratch (%#x, %d)",
-							leaf.FirstICount, leaf.Image.Hash(), leaf.ImageHash, leaf.ImageSize, h, want.Len())
+					leaves := tree.LeavesByICount()
+					if len(leaves) == 0 {
+						t.Fatal("no failure points recorded")
 					}
-					// Clone leaves the leaf's image unmaterialised, so
-					// the check does not keep a pool copy per leaf.
-					if !bytes.Equal(leaf.Image.Clone().Bytes(), want.Bytes()) {
-						t.Fatalf("leaf %d: image bytes diverge from the from-scratch replay", leaf.FirstICount)
+					for _, leaf := range leaves {
+						if leaf.Image == nil {
+							t.Fatalf("leaf %d has no phase-1 image", leaf.FirstICount)
+						}
+						fresh, fsig, err := harness.Execute(mk(), w, pmem.Options{CrashAt: leaf.FirstICount})
+						if err != nil || fsig == nil {
+							t.Fatalf("from-scratch replay to %d: err=%v sig=%v", leaf.FirstICount, err, fsig)
+						}
+						want := fresh.PrefixImage()
+						if h := want.Hash(); leaf.Image.Hash() != h || leaf.ImageHash != h || leaf.ImageSize != want.Len() {
+							t.Fatalf("leaf %d: image hash %#x, stamp (%#x, %d); from-scratch (%#x, %d)",
+								leaf.FirstICount, leaf.Image.Hash(), leaf.ImageHash, leaf.ImageSize, h, want.Len())
+						}
+						// Clone leaves the leaf's image unmaterialised, so
+						// the check does not keep a pool copy per leaf.
+						if !bytes.Equal(leaf.Image.Clone().Bytes(), want.Bytes()) {
+							t.Fatalf("leaf %d: image bytes diverge from the from-scratch replay", leaf.FirstICount)
+						}
 					}
-				}
-			})
+				})
+			}
 		}
 	}
 }

@@ -15,11 +15,20 @@ import (
 // flavours, both fences, succeeding and failing CAS, FAA, and loads —
 // against the engine. The sequence depends only on the seed, never on
 // engine state, so a recording engine and a from-scratch CrashAt engine
-// replay the exact same instruction stream.
-func driveOps(e *Engine, seed int64, n int) {
+// replay the exact same instruction stream. With eadr set it issues the
+// stream a build for an eADR platform issues: the same one without its
+// cache flushes (see eadrBuild), so no line is ever cleaned.
+func driveOps(e *Engine, seed int64, n int, eadr bool) {
 	rng := rand.New(rand.NewSource(seed ^ 0x05eed))
 	span := e.Size() - 2*CacheLineSize
 	addr := func() uint64 { return uint64(rng.Intn(span)) }
+	// A dropped flush still draws its address, so both streams share
+	// every other instruction.
+	flush := func(f func(uint64)) {
+		if a := addr(); !eadr {
+			f(a)
+		}
+	}
 	for i := 0; i < n; i++ {
 		switch rng.Intn(12) {
 		case 0, 1, 2:
@@ -31,11 +40,11 @@ func driveOps(e *Engine, seed int64, n int) {
 			rng.Read(buf)
 			e.NTStore(addr(), buf)
 		case 4:
-			e.CLFlush(addr())
+			flush(e.CLFlush)
 		case 5:
-			e.CLFlushOpt(addr())
+			flush(e.CLFlushOpt)
 		case 6:
-			e.CLWB(addr())
+			flush(e.CLWB)
 		case 7:
 			if rng.Intn(2) == 0 {
 				e.SFence()
@@ -63,7 +72,7 @@ func driveOps(e *Engine, seed int64, n int) {
 // runToCrash executes the op stream on a fresh engine that panics at
 // the target counter, and returns the engine frozen in its crash state
 // — the reference a checkpoint restore must reproduce exactly.
-func runToCrash(t *testing.T, opts Options, seed int64, n int, target uint64) *Engine {
+func runToCrash(t *testing.T, opts Options, seed int64, n int, eadr bool, target uint64) *Engine {
 	t.Helper()
 	o := opts
 	o.CrashAt = target
@@ -80,7 +89,7 @@ func runToCrash(t *testing.T, opts Options, seed int64, n int, target uint64) *E
 				panic(r)
 			}
 		}()
-		driveOps(e, seed, n)
+		driveOps(e, seed, n, eadr)
 	}()
 	if !crashed {
 		t.Fatalf("reference run never reached counter %d", target)
@@ -112,50 +121,54 @@ func diffEngines(t *testing.T, want, got *Engine, label string) {
 // very first instructions, and a pseudo-random spread — restoring the
 // nearest checkpoint and replaying the mutation-log gap must yield an
 // engine byte-identical to a from-scratch execution crashed at that
-// counter, across seeds.
+// counter, across seeds and across the streams of an ADR and an eADR
+// build; the latter never cleans a line, so every checkpoint carries a
+// growing dirty set.
 func TestCheckpointReplayFidelity(t *testing.T) {
 	const n = 1200
-	for _, seed := range []int64{1, 7, 4242} {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			opts := Options{PoolSize: 1 << 16}
-			rec := opts
-			rec.CheckpointEvery = 64
-			recorder := NewEngine(rec)
-			driveOps(recorder, seed, n)
-			s := recorder.Checkpoints()
-			if s.Count() == 0 {
-				t.Fatal("recording produced no checkpoints")
-			}
-			if s.LastICount() == 0 {
-				t.Fatal("recording logged no instructions")
-			}
+	for _, eadr := range []bool{false, true} {
+		for _, seed := range []int64{1, 7, 4242} {
+			t.Run(fmt.Sprintf("seed=%d/eadr=%v", seed, eadr), func(t *testing.T) {
+				opts := Options{PoolSize: 1 << 16}
+				rec := opts
+				rec.CheckpointEvery = 64
+				recorder := NewEngine(rec)
+				driveOps(recorder, seed, n, eadr)
+				s := recorder.Checkpoints()
+				if s.Count() == 0 {
+					t.Fatal("recording produced no checkpoints")
+				}
+				if s.LastICount() == 0 {
+					t.Fatal("recording logged no instructions")
+				}
 
-			targets := map[uint64]bool{1: true, 2: true, s.LastICount(): true}
-			for i := 1; i <= s.Count(); i++ {
-				cp := s.cps[i].icount
-				for _, d := range []int64{-1, 0, 1} {
-					if c := int64(cp) + d; c >= 1 && uint64(c) <= s.LastICount() {
-						targets[uint64(c)] = true
+				targets := map[uint64]bool{1: true, 2: true, s.LastICount(): true}
+				for i := 1; i <= s.Count(); i++ {
+					cp := s.cps[i].icount
+					for _, d := range []int64{-1, 0, 1} {
+						if c := int64(cp) + d; c >= 1 && uint64(c) <= s.LastICount() {
+							targets[uint64(c)] = true
+						}
 					}
 				}
-			}
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 12; i++ {
-				targets[1+uint64(rng.Int63n(int64(s.LastICount())))] = true
-			}
+				rng := rand.New(rand.NewSource(seed))
+				for i := 0; i < 12; i++ {
+					targets[1+uint64(rng.Int63n(int64(s.LastICount())))] = true
+				}
 
-			for target := range targets {
-				got, gap, err := s.ReplayTo(target, time.Time{})
-				if err != nil {
-					t.Fatalf("ReplayTo(%d): %v", target, err)
+				for target := range targets {
+					got, gap, err := s.ReplayTo(target, time.Time{})
+					if err != nil {
+						t.Fatalf("ReplayTo(%d): %v", target, err)
+					}
+					if gap == 0 || gap > target {
+						t.Fatalf("ReplayTo(%d): nonsensical gap %d", target, gap)
+					}
+					want := runToCrash(t, opts, seed, n, eadr, target)
+					diffEngines(t, want, got, fmt.Sprintf("target %d", target))
 				}
-				if gap == 0 || gap > target {
-					t.Fatalf("ReplayTo(%d): nonsensical gap %d", target, gap)
-				}
-				want := runToCrash(t, opts, seed, n, target)
-				diffEngines(t, want, got, fmt.Sprintf("target %d", target))
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -166,7 +179,7 @@ func TestCheckpointReplayFidelity(t *testing.T) {
 func TestCheckpointReplayBounds(t *testing.T) {
 	opts := Options{PoolSize: 1 << 14, CheckpointEvery: 32}
 	e := NewEngine(opts)
-	driveOps(e, 3, 200)
+	driveOps(e, 3, 200, false)
 	e.SFence()
 	s := e.Checkpoints()
 	if s.LastICount() != e.ICount() {
@@ -190,7 +203,7 @@ func TestCheckpointReplayDeadline(t *testing.T) {
 	e := NewEngine(opts)
 	// More logged mutations than one deadline-check stride, all in one
 	// checkpoint gap, so the replay must hit the wall-clock sample.
-	driveOps(e, 5, 2*replayDeadlineEvery)
+	driveOps(e, 5, 2*replayDeadlineEvery, false)
 	s := e.Checkpoints()
 	if s.Entries() <= replayDeadlineEvery {
 		t.Fatalf("fixture too small: %d entries", s.Entries())
@@ -208,7 +221,7 @@ func TestCheckpointReplayDeadline(t *testing.T) {
 func TestCheckpointConcurrentRestores(t *testing.T) {
 	opts := Options{PoolSize: 1 << 16, CheckpointEvery: 64}
 	e := NewEngine(opts)
-	driveOps(e, 9, 800)
+	driveOps(e, 9, 800, false)
 	s := e.Checkpoints()
 	targets := []uint64{1, s.LastICount() / 3, s.LastICount() / 2, s.LastICount()}
 	wantHash := make([]uint64, len(targets))
@@ -251,7 +264,7 @@ func TestCheckpointConcurrentRestores(t *testing.T) {
 func TestCheckpointAccounting(t *testing.T) {
 	opts := Options{PoolSize: 1 << 16, CheckpointEvery: 128}
 	e := NewEngine(opts)
-	driveOps(e, 11, 1000)
+	driveOps(e, 11, 1000, false)
 	s := e.Checkpoints()
 	maxCkpts := int(e.ICount()/128) + 1
 	if s.Count() < 1 || s.Count() > maxCkpts {

@@ -224,6 +224,24 @@ func genRefOps(rng *rand.Rand, size, n int) []refOp {
 	return ops
 }
 
+// flush reports whether k is a cache flush.
+func (k refOpKind) flush() bool { return k == refCLFlush || k == refCLFlushOpt || k == refCLWB }
+
+// eadrBuild returns ops without their cache flushes: the stream a
+// program built for an eADR platform issues, since libpmem skips the
+// flushes and keeps the fences once pmem_has_auto_flush reports the
+// caches inside the persistence domain. It never cleans a line, so the
+// dirty set only grows.
+func eadrBuild(ops []refOp) []refOp {
+	var out []refOp
+	for _, op := range ops {
+		if !op.kind.flush() {
+			out = append(out, op)
+		}
+	}
+	return out
+}
+
 // run applies op to the model. It returns what a load reads, FAA's
 // previous value, or whether a CAS succeeded.
 func (m *refModel) run(op refOp) []byte {
@@ -392,38 +410,48 @@ func checkReplays(t *testing.T, e *Engine, base []byte, ops []refOp, rng *rand.R
 // store at random counters and compares each restored engine with a
 // model replayed to the same point. Engines restarted from a crash
 // image, one an engine produced and the same bytes as a flat image, are
-// compared the same way, checkpoint restores included.
+// compared the same way, checkpoint restores included. Each run is
+// repeated on the stream an eADR build issues (eadrBuild), whose dirty
+// set is never cleaned.
 func TestEngineMatchesReferenceModel(t *testing.T) {
 	const size, n = 1 << 16, 1500
-	for _, seed := range []int64{1, 2, 3} {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			ops := genRefOps(rng, size, n)
-			e := NewEngine(Options{PoolSize: size, CheckpointEvery: 97})
-			lockstep(t, e, newRefModel(make([]byte, size)), ops, rng)
-			checkReplays(t, e, make([]byte, size), ops, rng)
-		})
+	stream := func(ops []refOp, eadr bool) []refOp {
+		if eadr {
+			return eadrBuild(ops)
+		}
+		return ops
 	}
 	src := NewEngine(Options{PoolSize: size})
 	lockstep(t, src, newRefModel(make([]byte, size)), genRefOps(rand.New(rand.NewSource(31)), size, 600),
 		rand.New(rand.NewSource(32)))
 	img := src.PrefixImage()
 	want := img.Clone().Bytes()
-	for _, restart := range []struct {
-		name string
-		img  *Image
-	}{{"engine", img}, {"flat", NewImage(want)}} {
-		t.Run("image="+restart.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(4))
-			e := NewEngineFromImage(Options{CheckpointEvery: 97}, restart.img)
-			m := newRefModel(want)
-			if err := compare(e, m, rng); err != nil {
-				t.Fatalf("restarted engine: %v", err)
-			}
-			ops := genRefOps(rng, size, n)
-			lockstep(t, e, m, ops, rng)
-			checkReplays(t, e, want, ops, rng)
-		})
+	for _, eadr := range []bool{false, true} {
+		for _, seed := range []int64{1, 2, 3} {
+			t.Run(fmt.Sprintf("seed=%d/eadr=%v", seed, eadr), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				ops := stream(genRefOps(rng, size, n), eadr)
+				e := NewEngine(Options{PoolSize: size, CheckpointEvery: 97})
+				lockstep(t, e, newRefModel(make([]byte, size)), ops, rng)
+				checkReplays(t, e, make([]byte, size), ops, rng)
+			})
+		}
+		for _, restart := range []struct {
+			name string
+			img  *Image
+		}{{"engine", img}, {"flat", NewImage(want)}} {
+			t.Run(fmt.Sprintf("image=%s/eadr=%v", restart.name, eadr), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(4))
+				e := NewEngineFromImage(Options{CheckpointEvery: 97}, restart.img)
+				m := newRefModel(want)
+				if err := compare(e, m, rng); err != nil {
+					t.Fatalf("restarted engine: %v", err)
+				}
+				ops := stream(genRefOps(rng, size, n), eadr)
+				lockstep(t, e, m, ops, rng)
+				checkReplays(t, e, want, ops, rng)
+			})
+		}
 	}
 }
 
