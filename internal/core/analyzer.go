@@ -103,7 +103,8 @@ type Analyzer struct {
 
 // NewAnalyzer returns an online analyzer for one execution. Attach it to
 // the instrumented engine (it implements pmem.Hook) or feed it a recorded
-// trace via AnalyzeTrace, then collect findings with Finalize.
+// trace via AnalyzeTrace, then collect findings with Finalize. Its
+// findings include warnings only when cfg.KeepWarnings is set.
 func NewAnalyzer(cfg Config) *Analyzer {
 	return &Analyzer{cfg: cfg, lines: make(map[uint64]*lineState)}
 }
@@ -121,7 +122,13 @@ func (a *Analyzer) lineOf(addr uint64) *lineState {
 	return st
 }
 
+// add records a finding. A warning is recorded only under
+// Config.KeepWarnings; the report leaves the others out, so they are
+// never built.
 func (a *Analyzer) add(kind report.Kind, ref evRef, detail string) {
+	if kind.IsWarning() && !a.cfg.KeepWarnings {
+		return
+	}
 	a.findings = append(a.findings, &report.Finding{
 		Kind:   kind,
 		ICount: ref.icount,
@@ -168,7 +175,7 @@ func (a *Analyzer) OnEvent(ev *pmem.Event) {
 		if a.flushesSinceFence == 0 && a.ntSinceFence == 0 {
 			a.add(report.RedundantFence, ref,
 				"no flush or non-temporal store since the previous fence")
-		} else if a.flushesSinceFence+a.ntSinceFence > 1 {
+		} else if a.flushesSinceFence+a.ntSinceFence > 1 && a.cfg.KeepWarnings {
 			a.add(report.WarnFenceOrdering, ref, fmt.Sprintf(
 				"%d write-backs race to this fence; orderings violating program order were not explored",
 				a.flushesSinceFence+a.ntSinceFence))
@@ -268,7 +275,7 @@ func (a *Analyzer) applyFlush(ev *pmem.Event, ref evRef) {
 		a.add(report.WarnRedundantNTFlush, ref,
 			"the line was written only non-temporally; there is nothing cached to write back")
 	}
-	if st.storesSinceFlush > 1 {
+	if st.storesSinceFlush > 1 && a.cfg.KeepWarnings {
 		a.add(report.WarnMultiStoreFlush, ref, fmt.Sprintf(
 			"one flush covers %d separate stores; the layout may differ on other platforms",
 			st.storesSinceFlush))

@@ -153,3 +153,51 @@ func TestAnalyzerStateStaysFlat(t *testing.T) {
 		t.Fatalf("events = %d, want 30000", a.Events())
 	}
 }
+
+// The analyzer builds warnings only when the report keeps them. On one
+// trace that raises every warning kind beside three bugs, KeepWarnings
+// yields the warnings, and without it the analyzer yields exactly the
+// same bugs and nothing else.
+func TestAnalyzerBuildsWarningsOnlyWhenKept(t *testing.T) {
+	evs := []pmem.Event{
+		{ICount: 1, Op: pmem.OpStore, Addr: 0x1000, Size: 8},
+		{ICount: 2, Op: pmem.OpStore, Addr: 0x1008, Size: 8},
+		{ICount: 3, Op: pmem.OpCLWB, Addr: 0x1000, Size: 64}, // multi-store flush
+		{ICount: 4, Op: pmem.OpStore, Addr: 0x2000, Size: 8},
+		{ICount: 5, Op: pmem.OpCLWB, Addr: 0x2000, Size: 64},
+		{ICount: 6, Op: pmem.OpSFence}, // fence ordering: two write-backs
+		{ICount: 7, Op: pmem.OpSFence}, // redundant fence
+		{ICount: 8, Op: pmem.OpNTStore, Addr: 0x4000, Size: 64},
+		{ICount: 9, Op: pmem.OpSFence},
+		{ICount: 10, Op: pmem.OpCLWB, Addr: 0x4000, Size: 64},    // NT-only line
+		{ICount: 11, Op: pmem.OpCLFlush, Addr: 0x4000, Size: 64}, // redundant flush
+		{ICount: 12, Op: pmem.OpSFence},
+		{ICount: 13, Op: pmem.OpStore, Addr: 0x3000, Size: 8}, // transient data
+		{ICount: 14, Op: pmem.OpStore, Addr: 0x1010, Size: 8}, // durability
+	}
+	kept, _ := feed(core.Config{KeepWarnings: true}, append([]pmem.Event(nil), evs...))
+	dropped, _ := feed(core.Config{}, append([]pmem.Event(nil), evs...))
+
+	got := kinds(kept)
+	for _, k := range []report.Kind{report.WarnMultiStoreFlush, report.WarnFenceOrdering,
+		report.WarnRedundantNTFlush, report.WarnTransientData,
+		report.RedundantFence, report.RedundantFlush, report.Durability} {
+		if got[k] != 1 {
+			t.Errorf("KeepWarnings: %d %v finding(s), want 1 (all: %v)", got[k], k, got)
+		}
+	}
+	var bugs []report.Finding
+	for _, f := range kept {
+		if !f.Kind.IsWarning() {
+			bugs = append(bugs, *f)
+		}
+	}
+	if len(dropped) != len(bugs) {
+		t.Fatalf("without KeepWarnings: %d findings %v, want the %d bugs", len(dropped), kinds(dropped), len(bugs))
+	}
+	for i, f := range dropped {
+		if *f != bugs[i] {
+			t.Errorf("finding %d without KeepWarnings is %+v, want %+v", i, *f, bugs[i])
+		}
+	}
+}

@@ -82,8 +82,8 @@ type Config struct {
 	// in leaf first-occurrence order, so the report is byte-identical
 	// for any worker count.
 	Workers int
-	// KeepWarnings retains §4.2 warnings in the report (they are
-	// always excluded from bug counts).
+	// KeepWarnings makes the analyzer build §4.2 warnings and the
+	// report keep them (they are always excluded from bug counts).
 	KeepWarnings bool
 	// EADR analyses the target under an extended persistence domain
 	// (§4.3): fault injection is unchanged — the reported atomicity
@@ -385,16 +385,11 @@ func Analyze(app harness.Application, w workload.Workload, cfg Config) (*Result,
 	}
 
 	// Phase 3: finalise the single-pass trace analysis (the per-event
-	// work already ran inline with phase 1), drop the warnings the report
-	// leaves out, and resolve stacks for the rest only.
+	// work already ran inline with phase 1; the analyzer built no warning
+	// the report leaves out) and resolve stacks for its findings.
 	if analyzer != nil {
 		t0 = time.Now()
-		var findings []*report.Finding
-		for _, f := range analyzer.Finalize() {
-			if !f.Kind.IsWarning() || cfg.KeepWarnings {
-				findings = append(findings, f)
-			}
-		}
+		findings := analyzer.Finalize()
 		resolveStacks(app, w, stacks, findings, sb)
 		for _, f := range findings {
 			rep.Add(*f)

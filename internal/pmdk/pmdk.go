@@ -108,6 +108,11 @@ type Pool struct {
 	ver      Version
 	rootOff  uint64
 	rootSize uint64
+	// undo carries old data between the pool and the undo log:
+	// AddRange loads a range into it before logging it, and rollback
+	// reads each entry into it before restoring it. It lives in the
+	// Pool, not the Tx, because a Tx lives for one transaction.
+	undo []byte
 }
 
 // Create formats the engine's pool and returns it opened. rootSize bytes

@@ -183,6 +183,43 @@ func TestTxRecoveryRollsBack(t *testing.T) {
 	}
 }
 
+// Rollback restores each entry exactly, whatever order the entry sizes
+// come in: a small range logged before a large one gets back its own
+// bytes and no more.
+func TestTxRecoveryRestoresMixedSizes(t *testing.T) {
+	e, p := newPool(t, pmdk.V16, 1<<20)
+	off, err := p.Alloc(512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, 512)
+	for i := range want {
+		want[i] = byte(i)
+	}
+	e.Store(off, want)
+	p.Persist(off, len(want))
+	tx, _ := p.Begin()
+	for _, r := range []struct{ at, size int }{{0, 8}, {64, 256}, {16, 24}, {400, 100}} {
+		if err := tx.AddRange(off+uint64(r.at), r.size); err != nil {
+			t.Fatal(err)
+		}
+		e.Store(off+uint64(r.at), make([]byte, r.size))
+	}
+	img := e.PrefixImage()
+
+	e2 := pmem.NewEngineFromImage(pmem.Options{}, img)
+	if _, err := pmdk.Open(e2, pmdk.V16); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(want))
+	e2.Load(got, off)
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("byte %d after rollback is %#x, want %#x", i, got[i], want[i])
+		}
+	}
+}
+
 // largeTx runs a transaction big enough to overflow the static log twice
 // (exceeding 2 KiB + 4 KiB of undo data).
 func largeTx(t *testing.T, p *pmdk.Pool, blocks []uint64) {

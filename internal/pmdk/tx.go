@@ -73,7 +73,8 @@ func (t *Tx) AddRange(off uint64, size int) error {
 	if err := t.ensure(t.bytes + need); err != nil {
 		return err
 	}
-	old := t.p.e.Load(off, size)
+	old := t.p.undoBuf(size)
+	t.p.e.Load(old, off)
 	var hdr [16]byte
 	put64(hdr[:], off)
 	put64(hdr[8:], uint64(size))
@@ -262,19 +263,27 @@ func (t *Tx) streamPersist(pos uint64, size int) {
 	t.p.Drain()
 }
 
-func (p *Pool) streamRead(pos uint64, size int) []byte {
-	out := make([]byte, 0, size)
-	for size > 0 {
+// streamRead fills dst with the log stream from pos on.
+func (p *Pool) streamRead(dst []byte, pos uint64) {
+	for len(dst) > 0 {
 		addr, run := p.streamAddr(pos)
-		n := size
+		n := len(dst)
 		if uint64(n) > run {
 			n = int(run)
 		}
-		out = append(out, p.e.Load(addr, n)...)
+		p.e.Load(dst[:n], addr)
 		pos += uint64(n)
-		size -= n
+		dst = dst[n:]
 	}
-	return out
+}
+
+// undoBuf returns the pool's undo buffer sliced to n bytes, growing it
+// when it is shorter.
+func (p *Pool) undoBuf(n int) []byte {
+	if cap(p.undo) < n {
+		p.undo = make([]byte, n)
+	}
+	return p.undo[:n]
 }
 
 // rollback restores every logged range, newest first, and retires the
@@ -285,10 +294,13 @@ func (p *Pool) rollback(bytes uint64) error {
 		size uint64
 		pos  uint64 // stream position of the data
 	}
+	// The list grows by append rather than from bytes: a corrupt log
+	// must not size an allocation.
 	var entries []entry
+	var hdr [16]byte
 	for pos := uint64(0); pos < bytes; {
-		hdr := p.streamRead(pos, 16)
-		e := entry{off: get64(hdr), size: get64(hdr[8:]), pos: pos + 16}
+		p.streamRead(hdr[:], pos)
+		e := entry{off: get64(hdr[:]), size: get64(hdr[8:]), pos: pos + 16}
 		if e.off+e.size > uint64(p.e.Size()) {
 			// Malformed entry: with a well-formed log this cannot
 			// happen; the V112 growth bug produces exactly this.
@@ -299,7 +311,8 @@ func (p *Pool) rollback(bytes uint64) error {
 	}
 	for i := len(entries) - 1; i >= 0; i-- {
 		e := entries[i]
-		old := p.streamRead(e.pos, int(e.size))
+		old := p.undoBuf(int(e.size))
+		p.streamRead(old, e.pos)
 		p.e.Store(e.off, old)
 		p.Flush(e.off, int(e.size))
 	}
@@ -322,13 +335,10 @@ func (p *Pool) recoverTxLog() error {
 // copyPersistent copies size bytes between pool regions and persists the
 // destination.
 func (p *Pool) copyPersistent(dst, src uint64, size int) {
-	const chunk = 256
-	for moved := 0; moved < size; moved += chunk {
-		n := size - moved
-		if n > chunk {
-			n = chunk
-		}
-		data := p.e.Load(src+uint64(moved), n)
+	var chunk [256]byte
+	for moved := 0; moved < size; moved += len(chunk) {
+		data := chunk[:min(size-moved, len(chunk))]
+		p.e.Load(data, src+uint64(moved))
 		p.e.Store(dst+uint64(moved), data)
 	}
 	p.Flush(dst, size)

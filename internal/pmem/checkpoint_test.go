@@ -64,7 +64,8 @@ func driveOps(e *Engine, seed int64, n int, eadr bool) {
 		case 9:
 			e.FAA64(addr()&^7, rng.Uint64())
 		default:
-			e.Load(addr(), 1+rng.Intn(CacheLineSize))
+			a := addr()
+			e.Load(make([]byte, 1+rng.Intn(CacheLineSize)), a)
 		}
 	}
 }

@@ -33,6 +33,18 @@
 // strict durability — which write-backs a power cut keeps — is modelled
 // once, by package trace's Cursor, over the recorded events.
 //
+// # Observing instructions
+//
+// The instrumented run and every stack-mode replay observe every
+// instruction, so the path from an instruction to its hooks allocates
+// nothing. Each Engine owns one Event, which it overwrites whole for
+// every instruction, and one operand buffer, into which it copies a
+// store's or RMW's value for Event.Data; Annotate likewise reuses one
+// Annotation. Operands therefore stay on the caller's stack, and Load
+// fills a buffer the caller passes. The price is a rule for hooks: the
+// *Event and its Data are valid only during OnEvent, and a hook issues
+// no instruction on the engine that delivered them (see Hook).
+//
 // # Crash images
 //
 // The engine materialises one kind of crash image: the "graceful crash"

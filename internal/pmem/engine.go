@@ -45,6 +45,15 @@ type Engine struct {
 	// snapshots) as this engine executes, for O(gap) replays
 	// (ReplayTo). See checkpoint.go.
 	ckpt *CheckpointStore
+
+	// ev is the one Event emit overwrites for every instruction and
+	// hands to the hooks, and operand the buffer ev.Data aliases for
+	// stores and RMWs; ann is Annotate's Annotation. None outlives the
+	// hook calls of one instruction (see Hook), so the path from an
+	// instruction to its hooks allocates nothing.
+	ev      Event
+	operand []byte
+	ann     Annotation
 }
 
 // NewEngine creates an engine over a zeroed pool.
@@ -177,21 +186,31 @@ func (e *Engine) emit(op Opcode, addr uint64, size int, data []byte) {
 	if len(e.hooks) == 0 {
 		return
 	}
-	ev := Event{
+	// The operand is copied, so the caller's buffer does not escape
+	// through the hooks: Store64's and the RMWs' stay on the stack. It
+	// takes a local of its own because escape analysis is
+	// flow-insensitive: assigning e.operand to data would leak data.
+	var operand []byte
+	if data != nil {
+		e.operand = append(e.operand[:0], data...)
+		operand = e.operand
+	}
+	ev := &e.ev
+	*ev = Event{
 		ICount: e.icount,
 		Op:     op,
 		Addr:   addr,
 		Size:   size,
-		Data:   data,
+		Data:   operand,
 		Stack:  stack.NoID,
 	}
-	if e.wantsStack(&ev) {
+	if e.wantsStack(ev) {
 		// Skip emit and the engine entry point; trimming in the stack
 		// table removes any residual instrumentation frames.
 		ev.Stack = e.opts.Stacks.Capture(2)
 	}
 	for _, h := range e.hooks {
-		h.OnEvent(&ev)
+		h.OnEvent(ev)
 	}
 }
 
@@ -201,9 +220,9 @@ func (e *Engine) Annotate(kind AnnKind, addr uint64, size int) {
 	if len(e.anns) == 0 {
 		return
 	}
-	a := Annotation{ICount: e.icount, Kind: kind, Addr: addr, Size: size}
+	e.ann = Annotation{ICount: e.icount, Kind: kind, Addr: addr, Size: size}
 	for _, ao := range e.anns {
-		ao.OnAnnotation(&a)
+		ao.OnAnnotation(&e.ann)
 	}
 }
 
@@ -241,14 +260,12 @@ func (e *Engine) NTStore64(addr uint64, v uint64) {
 	e.NTStore(addr, b[:])
 }
 
-// Load reads size bytes at addr into a fresh slice, observing cached
+// Load fills dst with the len(dst) bytes at addr, observing cached
 // (volatile) data when present.
-func (e *Engine) Load(addr uint64, size int) []byte {
-	e.check(addr, size)
-	e.emit(OpLoad, addr, size, nil)
-	out := make([]byte, size)
-	e.readInto(out, addr)
-	return out
+func (e *Engine) Load(dst []byte, addr uint64) {
+	e.check(addr, len(dst))
+	e.emit(OpLoad, addr, len(dst), nil)
+	e.readInto(dst, addr)
 }
 
 // readInto fills out with the view at addr.
@@ -313,17 +330,21 @@ func (e *Engine) fence(op Opcode) {
 // instructions it has fence semantics, which, as for SFence, change no
 // engine state. The stored value itself lands in the cache and still
 // requires an explicit flush to be durable.
+//
+// The event carries the value the instruction leaves in the word: new
+// when the compare succeeds, and the current value when it fails, which
+// is what a locked cmpxchg writes back. A failed CAS changes nothing
+// else, so it neither writes the view nor marks the line dirty.
 func (e *Engine) CAS64(addr uint64, old, new uint64) bool {
 	e.check(addr, 8)
 	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], new)
+	e.readInto(b[:], addr)
+	ok := binary.LittleEndian.Uint64(b[:]) == old
+	if ok {
+		binary.LittleEndian.PutUint64(b[:], new)
+	}
 	e.emit(OpRMW, addr, 8, b[:])
-	var cur [8]byte
-	e.readInto(cur[:], addr)
-	if binary.LittleEndian.Uint64(cur[:]) != old {
-		// The event alone cannot tell a failed CAS from a successful
-		// one (both emit OpRMW with the new value), so a failed one
-		// logs no store.
+	if !ok {
 		e.commit(0, 0, nil)
 		return false
 	}

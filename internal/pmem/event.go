@@ -13,6 +13,10 @@ import (
 // The fields mirror the optimised trace record of §5 of the paper: the
 // instruction type, its argument(s), and a monotonically increasing
 // instruction counter that uniquely identifies the traced instruction.
+//
+// Each Engine owns one Event and overwrites all of it for every
+// instruction, so a delivered *Event, like its Data, is valid only
+// during the hook call (see Hook).
 type Event struct {
 	// ICount is the 1-based instruction counter of this event within
 	// the engine's lifetime.
@@ -26,9 +30,13 @@ type Event struct {
 	// Size is the number of bytes affected. CacheLineSize for flushes,
 	// 0 for fences.
 	Size int
-	// Data holds the bytes being written for store events. The slice
-	// aliases engine-internal memory and is only valid for the duration
-	// of the hook call; hooks that retain it must copy.
+	// Data holds the bytes a store or RMW event leaves in the pool: the
+	// operand of a store, the new value of a successful CAS or of FAA,
+	// and the unchanged current value of a failed CAS (what a locked
+	// cmpxchg writes back). Nil for loads, flushes and fences. The
+	// slice aliases the engine's operand buffer, not the caller's, and
+	// is only valid for the duration of the hook call; hooks that
+	// retain it must copy.
 	Data []byte
 	// Stack identifies the call stack at the instruction when the
 	// engine captured one: Options.Capture covers the opcode and an
@@ -92,7 +100,10 @@ func (k AnnKind) String() string {
 	return "ann?"
 }
 
-// Annotation is a library-emitted semantic hint.
+// Annotation is a library-emitted semantic hint. Each Engine owns one
+// Annotation and overwrites it for every Annotate call, so a delivered
+// *Annotation is valid only during OnAnnotation; observers that keep it
+// must copy the value.
 type Annotation struct {
 	// ICount is the instruction counter at which the annotation was
 	// issued (annotations do not consume counters themselves).
@@ -107,6 +118,13 @@ type Annotation struct {
 // Hook observes the PM instruction stream. OnEvent runs synchronously in
 // the instrumented execution; a hook may panic with *CrashSignal to crash
 // the application at the current instruction.
+//
+// The *Event, and the Data it carries, are valid only during OnEvent:
+// the engine reuses both for its next instruction, which is what keeps
+// the instruction path free of allocations. A hook that keeps anything
+// copies it. For the same reason a hook issues no instruction on the
+// engine that delivered the event (it may read the engine's state, as
+// EngineObservers do).
 type Hook interface {
 	OnEvent(*Event)
 }

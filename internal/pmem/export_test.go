@@ -18,17 +18,8 @@ type RefOp = refOp
 // NewRefModel returns a model of a zeroed pool of size bytes.
 func NewRefModel(size int) *RefModel { return newRefModel(make([]byte, size)) }
 
-// GenDurableOps draws n instructions as genRefOps does, with every CAS
-// set to succeed: a recorded OpRMW event carries the new value whether
-// or not the compare succeeds, so a trace cannot tell a failed CAS from
-// a successful one.
-func GenDurableOps(rng *rand.Rand, size, n int) []RefOp {
-	ops := genRefOps(rng, size, n)
-	for i := range ops {
-		ops[i].fail = false
-	}
-	return ops
-}
+// GenRefOps draws n instructions, failing CASes among them.
+func GenRefOps(rng *rand.Rand, size, n int) []RefOp { return genRefOps(rng, size, n) }
 
 // Step runs op on the engine and on the model and compares what they
 // return.

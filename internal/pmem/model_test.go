@@ -285,7 +285,8 @@ func step(e *Engine, m *refModel, op refOp) error {
 	case refNTStore:
 		e.NTStore(op.addr, op.data)
 	case refLoad:
-		got = e.Load(op.addr, op.n)
+		got = make([]byte, op.n)
+		e.Load(got, op.addr)
 	case refCLFlush:
 		e.CLFlush(op.addr)
 	case refCLFlushOpt:
