@@ -72,9 +72,7 @@ func TestCheckpointRestoreMatchesFromScratchAcrossRegistry(t *testing.T) {
 							t.Fatalf("leaf %d: image hash %#x, stamp (%#x, %d); from-scratch (%#x, %d)",
 								leaf.FirstICount, leaf.Image.Hash(), leaf.ImageHash, leaf.ImageSize, h, want.Len())
 						}
-						// Clone leaves the leaf's image unmaterialised, so
-						// the check does not keep a pool copy per leaf.
-						if !bytes.Equal(leaf.Image.Clone().Bytes(), want.Bytes()) {
+						if !bytes.Equal(leaf.Image.Bytes(), want.Bytes()) {
 							t.Fatalf("leaf %d: image bytes diverge from the from-scratch replay", leaf.FirstICount)
 						}
 					}

@@ -78,6 +78,42 @@ func TestFig4ShapeQuickScale(t *testing.T) {
 		t.Errorf("XFDetector (%v) should be far slower than Mumak (%v)",
 			xfBtree.Elapsed, mumakBtree.Elapsed)
 	}
+	// Table 2: XFDetector keeps shadow memory in PM, Mumak keeps none.
+	if xfBtree.PMx <= 1 || mumakBtree.PMx != 1 {
+		t.Errorf("PM column: XFDetector %.2f (want above 1), Mumak %.2f (want 1)", xfBtree.PMx, mumakBtree.PMx)
+	}
+}
+
+// TestErgonomicsRowsPinned pins the measured §6.5 rows at Quick scale:
+// raw findings, unique bugs and unique bugs with a complete path, per
+// tool. These are the table's claims (one deduplicated bug with its path
+// from Mumak, hundreds of raw reports of one bug from XFDetector, none
+// from the rest), so they are counts, never times.
+func TestErgonomicsRowsPinned(t *testing.T) {
+	rows, err := experiments.Ergonomics(experiments.Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		tool                   string
+		raw, unique, withPaths int
+	}{
+		{"Mumak", 1, 1, 1},
+		{"XFDetector", 383, 1, 1},
+		{"PMDebugger", 0, 0, 0},
+		{"Agamotto", 0, 0, 0},
+		{"Witcher", 0, 0, 0},
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("got %d rows, want %d: %+v", len(rows), len(want), rows)
+	}
+	for i, w := range want {
+		r := rows[i]
+		if r.Tool != w.tool || r.Err != "" || r.RawFindings != w.raw || r.Unique != w.unique || r.WithPaths != w.withPaths {
+			t.Errorf("row %d: %s %d/%d/%d (err %q), want %s %d/%d/%d",
+				i, r.Tool, r.RawFindings, r.Unique, r.WithPaths, r.Err, w.tool, w.raw, w.unique, w.withPaths)
+		}
+	}
 }
 
 func TestCodeSizeMeasurement(t *testing.T) {

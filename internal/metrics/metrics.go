@@ -1,8 +1,8 @@
 // Package metrics collects the resource measurements of Table 2: wall
 // time, average CPU load (the process's user plus system CPU time over
-// wall time), peak volatile memory relative to a vanilla execution, and
-// PM overhead (the analysis' extra persistent memory relative to the
-// target's own usage).
+// wall time) and peak volatile memory relative to a vanilla execution.
+// The PM column is not measured here: a tool counts the persistent
+// memory it keeps itself (tools.Result.PMExtraBytes).
 //
 // CPU time is the getrusage(RUSAGE_SELF) delta around the run, so it
 // counts every goroutine of the process: the experiments run one tool at
@@ -30,7 +30,6 @@ type Run struct {
 	cpu       time.Duration
 	heapStart uint64
 	heapPeak  atomic.Uint64
-	pmExtra   atomic.Uint64
 	stopPoll  chan struct{}
 	done      chan struct{}
 	stopOnce  sync.Once
@@ -89,10 +88,6 @@ func (r *Run) poll(sample []rtmetrics.Sample) {
 	}
 }
 
-// AddPM accounts persistent memory the tool itself allocated (beyond the
-// target's pools), e.g. XFDetector's on-PM analysis metadata.
-func (r *Run) AddPM(bytes uint64) { r.pmExtra.Add(bytes) }
-
 // Stop finishes measurement; extra calls are no-ops.
 func (r *Run) Stop() {
 	r.stopOnce.Do(func() {
@@ -115,8 +110,6 @@ type Usage struct {
 	PeakHeapBytes uint64
 	// HeapStartBytes is the heap size when the run began.
 	HeapStartBytes uint64
-	// PMExtraBytes is the tool's own persistent-memory footprint.
-	PMExtraBytes uint64
 }
 
 // Usage returns the collected measurements; call after Stop.
@@ -130,7 +123,6 @@ func (r *Run) Usage() Usage {
 		CPULoad:        load,
 		PeakHeapBytes:  r.heapPeak.Load(),
 		HeapStartBytes: r.heapStart,
-		PMExtraBytes:   r.pmExtra.Load(),
 	}
 }
 

@@ -52,15 +52,11 @@ func TestCPULoadMeasuresWork(t *testing.T) {
 
 func TestStartStopCollects(t *testing.T) {
 	r := Start()
-	r.AddPM(4096)
 	r.Stop()
 	r.Stop() // idempotent
 	u := r.Usage()
 	if u.Wall <= 0 {
 		t.Fatalf("wall = %v", u.Wall)
-	}
-	if u.PMExtraBytes != 4096 {
-		t.Fatalf("PMExtraBytes = %d", u.PMExtraBytes)
 	}
 	if u.PeakHeapBytes == 0 {
 		t.Fatal("no heap peak sampled")

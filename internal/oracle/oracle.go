@@ -143,13 +143,13 @@ func CheckBounded(app harness.Application, img *pmem.Image, wd Watchdog) Outcome
 	}
 	eng := pmem.NewEngineFromImage(opts, img)
 	if wd.Timeout <= 0 {
-		out := checkOn(app, eng)
+		out := CheckEngine(app, eng)
 		out.Bounds = wd
 		return out
 	}
 	ch := make(chan Outcome, 1)
 	go func() {
-		ch <- checkOn(app, eng)
+		ch <- CheckEngine(app, eng)
 	}()
 	timer := time.NewTimer(wd.Timeout)
 	defer timer.Stop()
@@ -165,7 +165,13 @@ func CheckBounded(app harness.Application, img *pmem.Image, wd Watchdog) Outcome
 	}
 }
 
-func checkOn(app harness.Application, eng *pmem.Engine) (out Outcome) {
+// CheckEngine runs the recovery procedure on eng, on the caller's
+// goroutine and under whatever bounds and hooks eng already has, and
+// classifies the attempt: a returned error is Unrecoverable, a panic is
+// Crashed with its trace, and an engine hang signal is Hung. Tools that
+// instrument the post-failure execution build the engine themselves and
+// judge it here.
+func CheckEngine(app harness.Application, eng *pmem.Engine) (out Outcome) {
 	out.Engine = eng
 	defer func() {
 		if r := recover(); r != nil {

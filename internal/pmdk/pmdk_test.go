@@ -27,7 +27,7 @@ func newPool(t *testing.T, ver pmdk.Version, size int, hooks ...pmem.Hook) (*pme
 // durable returns the strictly durable image of everything rec
 // recorded: trace.Cursor's certain image over the zeroed pool.
 func durable(e *pmem.Engine, rec *trace.Recorder) *pmem.Image {
-	c := trace.NewCursor(&rec.T, pmem.NewImage(make([]byte, e.Size())))
+	c := trace.NewCursor(&rec.T, pmem.NewEngine(pmem.Options{PoolSize: e.Size()}).PrefixImage())
 	c.SeekTo(rec.T.Len())
 	return c.Certain()
 }

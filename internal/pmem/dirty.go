@@ -9,10 +9,11 @@ import "encoding/binary"
 // view, whose frozen copies are the graceful-crash images, changes line
 // by line, through write, so the engine maintains viewHash, an XOR fold
 // of a per-line hash over the view, updated at each line write by
-// removing the old line's contribution and adding the new one.
-// Hand-built images (NewImage, Clone) hash on first use. (Snapshots that
-// cost O(1) rather than O(pool) come from the copy-on-write page table,
-// medium.go.)
+// removing the old line's contribution and adding the new one. Every
+// image is a frozen view and carries the hash its engine had, and an
+// engine built from an image starts from that hash, so no pool is ever
+// rehashed. (Snapshots that cost O(1) rather than O(pool) come from the
+// copy-on-write page table, medium.go.)
 //
 // An all-zero line contributes 0 to the fold, so a zeroed pool hashes
 // to 0 and a fresh engine starts hash-tracked without scanning the
@@ -55,9 +56,9 @@ func lineContrib(base uint64, ln []byte) uint64 {
 
 // ContentHash hashes full pool contents with the same per-line fold the
 // engine maintains incrementally: for any image,
-// ContentHash(img.Bytes()) == img.Hash(). It is O(len(data)) and exists
-// for images built from raw bytes and for tests; engine-produced images
-// carry their hash already.
+// ContentHash(img.Bytes()) == img.Hash(). It is O(len(data)) and is the
+// reference the rolling hash is tested against; images carry their hash
+// already.
 func ContentHash(data []byte) uint64 {
 	var h uint64
 	n := len(data) &^ (CacheLineSize - 1)
@@ -65,9 +66,9 @@ func ContentHash(data []byte) uint64 {
 		h ^= lineContrib(uint64(base), data[base:base+CacheLineSize])
 	}
 	// Fold a trailing partial line zero-padded to line size. Engine
-	// pools are always line-aligned (withDefaults rounds up), but
-	// hand-built images need not be; ignoring the tail would let two
-	// images differing only there collide, and a hash collision is a
+	// pools are always line-aligned (withDefaults rounds up), but a
+	// caller's buffer need not be; ignoring the tail would let two
+	// buffers differing only there collide, and a hash collision is a
 	// verdict-cache correctness issue, not just a quality issue.
 	if rem := len(data) - n; rem > 0 {
 		var tail [CacheLineSize]byte

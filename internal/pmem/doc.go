@@ -59,5 +59,7 @@
 // unfenced flushes, store reorderings) and the crash states that depend
 // on eviction belong to the baseline tools, which build them from
 // recorded traces through the certain image and the uncertain units of
-// package trace's Cursor.
+// package trace's Cursor. The Cursor keeps the certain state in an
+// engine of its own and freezes it the same way, so every Image is a
+// frozen page table that carries its content hash.
 package pmem

@@ -79,15 +79,13 @@ func newEngine(o Options, view medium, hash uint64) *Engine {
 
 // NewEngineFromImage creates an engine whose pool holds a crash image, as
 // happens when an application restarts after a failure. The engine
-// starts from the image's pages and copies a page only when it first
-// writes to it, so the image itself never changes.
+// starts from the image's pages and its hash in O(1), and copies a page
+// only when it first writes to it, so the image itself never changes.
 func NewEngineFromImage(opts Options, img *Image) *Engine {
 	o := opts
-	o.PoolSize = img.Len()
+	o.PoolSize = img.size
 	o = o.withDefaults()
-	// Seed the view's rolling hash from the image; frozen views carry
-	// their hash already, making this O(1) on the oracle path.
-	return newEngine(o, img.medium(o.PoolSize), img.Hash())
+	return newEngine(o, sharedMedium(o.PoolSize, img.chunks), img.hash)
 }
 
 // write copies data into the view at addr, line by line, keeping

@@ -144,9 +144,9 @@ func TestCrashAtMatchesHookInjection(t *testing.T) {
 		}()
 		return e.PrefixImage()
 	}
-	a, b := run(true), run(false)
-	for i := range a.Bytes() {
-		if a.Bytes()[i] != b.Bytes()[i] {
+	a, b := run(true).Bytes(), run(false).Bytes()
+	for i := range a {
+		if a[i] != b[i] {
 			t.Fatalf("images diverge at byte %d", i)
 		}
 	}

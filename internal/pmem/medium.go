@@ -13,12 +13,13 @@ import "slices"
 // image, after which the medium copies that table on its next write,
 // each chunk on the first write it makes into the chunk, and each page
 // on the first write it makes to the page. Crash images, phase-1 leaf
-// images, checkpoint restores and recovery engines all build on this one
-// mechanism, so a per-injection step copies only the pages it writes
-// plus one chunk (4 KiB) per 2 MiB region it writes into and one
-// top-level pointer per 2 MiB of pool: at a 64 MiB pool the top level is
-// 32 pointers, where a one-level table cost one pointer per 4 KiB page
-// (128 KiB) and a flat medium the whole pool.
+// images, checkpoint restores, recovery engines and the strict crash
+// states of package trace all rest on this one mechanism, so a
+// per-injection step copies only the pages it writes plus one chunk
+// (4 KiB) per 2 MiB region it writes into and one top-level pointer per
+// 2 MiB of pool: at a 64 MiB pool the top level is 32 pointers, where a
+// one-level table cost one pointer per 4 KiB page (128 KiB) and a flat
+// medium the whole pool.
 //
 // The invariant that makes sharing safe: a chunk or page reachable from
 // a frozen table is never mutated. A medium writes in place only the
@@ -73,19 +74,6 @@ func newMedium(size int) medium {
 // so every chunk and page it writes is copied first.
 func sharedMedium(size int, chunks []*chunk) medium {
 	return medium{size: size, chunks: chunks, frozen: true}
-}
-
-// flatMedium returns a medium holding a copy of data, which may be
-// shorter than size. All-zero pages stay nil.
-func flatMedium(size int, data []byte) medium {
-	m := newMedium(size)
-	for lo := 0; lo < len(data); lo += pageSize {
-		src := data[lo:min(lo+pageSize, len(data))]
-		if slices.ContainsFunc(src, func(b byte) bool { return b != 0 }) {
-			copy(m.writablePage(uint64(lo))[:], src)
-		}
-	}
-	return m
 }
 
 // line returns the contents of the line at base. The slice may alias a

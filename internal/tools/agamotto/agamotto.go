@@ -7,20 +7,22 @@
 // oracles (unpersisted data, redundant flushes/fences) plus a PMDK
 // transaction oracle fed by undo-log annotations.
 //
-// Every frontier state retains a full copy of the simulated pool, the
-// analogue of a KLEE state, which is where the 3.8-5.8x memory overhead
-// of Table 2 comes from. Exploration is exhaustive in the limit and is
-// in practice bounded by the wall-clock budget, like the original's
-// 12-hour runs.
+// In the original every frontier state retains a full copy of the pool,
+// as a KLEE state does, which is where the 3.8-5.8x memory overhead of
+// Table 2 comes from. Here a state holds a copy-on-write image that
+// shares pages with its parent, and the frontier cap under a memory
+// budget still counts each state as a full pool (see package tools).
+// Exploration is exhaustive in the limit and is in practice bounded by
+// the wall-clock budget, like the original's 12-hour runs.
 package agamotto
 
 import (
 	"container/heap"
 	"errors"
+	"maps"
 	"time"
 
 	"mumak/internal/harness"
-	"mumak/internal/metrics"
 	"mumak/internal/pmem"
 	"mumak/internal/report"
 	"mumak/internal/stack"
@@ -83,11 +85,9 @@ func (t *Tool) Analyze(app harness.Application, _ workload.Workload, cfg tools.C
 	if !ok {
 		return nil, ErrNeedsKV
 	}
-	run := metrics.Start()
-	start := time.Now()
 	deadline := time.Time{}
 	if cfg.Budget > 0 {
-		deadline = start.Add(cfg.Budget)
+		deadline = time.Now().Add(cfg.Budget)
 	}
 	stacks := stack.NewTable()
 	res := &tools.Result{Report: &report.Report{Target: app.Name(), Tool: t.Name(), Stacks: stacks}}
@@ -114,8 +114,8 @@ func (t *Tool) Analyze(app harness.Application, _ workload.Workload, cfg tools.C
 		maxStates = 64
 	}
 	if cfg.MemBudget > 0 {
-		// Respect the memory budget by shrinking the frontier: each
-		// live state retains a full pool image.
+		// Respect the memory budget by shrinking the frontier, each
+		// live state counted as a full pool (see package tools).
 		if cap := int(cfg.MemBudget / uint64(app.PoolSize()) / 2); cap > 0 && cap < maxStates {
 			maxStates = cap
 		}
@@ -149,9 +149,6 @@ func (t *Tool) Analyze(app harness.Application, _ workload.Workload, cfg tools.C
 			}
 		}
 	}
-	res.Elapsed = time.Since(start)
-	run.Stop()
-	res.Usage = run.Usage()
 	return res, nil
 }
 
@@ -177,7 +174,7 @@ func (t *Tool) ops(alphabet int) []op {
 // oracles to the instruction stream it produces.
 func (t *Tool) expand(app harness.KVApplication, cur *state, o op, res *tools.Result) (*state, error) {
 	eng := pmem.NewEngineFromImage(pmem.Options{}, cur.img)
-	orc := &oracles{rep: res.Report, unpersisted: cloneMap(cur.unpersisted), lineClean: cloneBoolMap(cur.lineClean)}
+	orc := &oracles{rep: res.Report, unpersisted: maps.Clone(cur.unpersisted), lineClean: maps.Clone(cur.lineClean)}
 	eng.AttachHook(orc)
 	kv, err := app.Open(eng)
 	if err != nil {
@@ -205,22 +202,6 @@ func (t *Tool) expand(app harness.KVApplication, cur *state, o op, res *tools.Re
 		lineClean:   orc.lineClean,
 		seq:         cur.seq + o.kind.String(),
 	}, nil
-}
-
-func cloneBoolMap(m map[uint64]bool) map[uint64]bool {
-	out := make(map[uint64]bool, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func cloneMap(m map[uint64]uint64) map[uint64]uint64 {
-	out := make(map[uint64]uint64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // oracles implements Agamotto's universal and PMDK-transaction oracles

@@ -14,7 +14,7 @@ import (
 	"time"
 
 	"mumak/internal/harness"
-	"mumak/internal/metrics"
+	"mumak/internal/oracle"
 	"mumak/internal/pmem"
 	"mumak/internal/report"
 	"mumak/internal/stack"
@@ -38,11 +38,9 @@ func (t *Tool) Name() string { return "Jaaru" }
 
 // Analyze implements tools.Tool.
 func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.Config) (*tools.Result, error) {
-	run := metrics.Start()
-	start := time.Now()
 	deadline := time.Time{}
 	if cfg.Budget > 0 {
-		deadline = start.Add(cfg.Budget)
+		deadline = time.Now().Add(cfg.Budget)
 	}
 	stacks := stack.NewTable()
 	res := &tools.Result{Report: &report.Report{Target: app.Name(), Tool: t.Name(), Stacks: stacks}}
@@ -72,9 +70,6 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 		}
 		cursor.Step()
 	}
-	res.Elapsed = time.Since(start)
-	run.Stop()
-	res.Usage = run.Usage()
 	return res, nil
 }
 
@@ -93,9 +88,9 @@ func (t *Tool) exploreCrashPoint(app harness.Application, cursor *trace.Cursor,
 	reads := &readSet{bytes: map[uint64]bool{}}
 	probe := pmem.NewEngineFromImage(pmem.Options{}, cursor.Certain())
 	probe.AttachHook(reads)
-	ok, _ := runRecovery(app, probe)
+	out := oracle.CheckEngine(app, probe)
 	res.EngineEvents += probe.Events()
-	if !ok {
+	if !out.Consistent() {
 		res.Report.Add(report.Finding{
 			Kind:   report.CrashConsistency,
 			ICount: icount,
@@ -143,14 +138,14 @@ func (t *Tool) exploreCrashPoint(app harness.Application, cursor *trace.Cursor,
 			res.Explored++
 			eng := pmem.NewEngineFromImage(pmem.Options{}, img)
 			eng.AttachHook(reads) // refinement: collect this branch's reads
-			okB, why := runRecovery(app, eng)
+			out := oracle.CheckEngine(app, eng)
 			res.EngineEvents += eng.Events()
-			if !okB {
+			if !out.Consistent() {
 				res.Report.Add(report.Finding{
 					Kind:   report.CrashConsistency,
 					ICount: icount,
 					Detail: fmt.Sprintf("constraint branch %b over %d read-relevant write-backs is unrecoverable: %s",
-						mask, len(branch), why),
+						mask, len(branch), out.Describe()),
 				})
 			}
 		}
@@ -169,20 +164,6 @@ func (rs *readSet) OnEvent(ev *pmem.Event) {
 	for b := uint64(0); b < uint64(ev.Size); b++ {
 		rs.bytes[ev.Addr+b] = true
 	}
-}
-
-// runRecovery invokes the recovery procedure, absorbing panics, and
-// reports acceptance plus a description on rejection.
-func runRecovery(app harness.Application, eng *pmem.Engine) (ok bool, why string) {
-	defer func() {
-		if r := recover(); r != nil {
-			ok, why = false, fmt.Sprintf("recovery crashed: %v", r)
-		}
-	}()
-	if err := app.Recover(eng); err != nil {
-		return false, err.Error()
-	}
-	return true, ""
 }
 
 var _ tools.Tool = (*Tool)(nil)

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"mumak/internal/harness"
-	"mumak/internal/metrics"
 	"mumak/internal/pmem"
 	"mumak/internal/report"
 	"mumak/internal/stack"
@@ -40,13 +39,11 @@ func (t *Tool) Name() string { return "PMDebugger" }
 
 // Analyze implements tools.Tool.
 func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.Config) (*tools.Result, error) {
-	run := metrics.Start()
-	start := time.Now()
 	stacks := stack.NewTable()
 	res := &tools.Result{Report: &report.Report{Target: app.Name(), Tool: t.Name(), Stacks: stacks}}
 	hook := &tracker{
 		rep:      res.Report,
-		deadline: deadlineFor(start, cfg),
+		deadline: deadlineFor(cfg),
 		lines:    map[uint64]*lineInfo{},
 	}
 	eng, sig, err := harness.Execute(app, w, pmem.Options{}, hook)
@@ -60,9 +57,6 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 	res.EngineEvents = eng.Events()
 	res.Explored = hook.processed
 	hook.finish()
-	res.Elapsed = time.Since(start)
-	run.Stop()
-	res.Usage = run.Usage()
 	if hook.annotations == 0 {
 		return res, ErrNoAnnotations
 	}
@@ -71,11 +65,11 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 
 var errBudget = errors.New("pmdebugger: budget exhausted")
 
-func deadlineFor(start time.Time, cfg tools.Config) time.Time {
+func deadlineFor(cfg tools.Config) time.Time {
 	if cfg.Budget <= 0 {
 		return time.Time{}
 	}
-	return start.Add(cfg.Budget)
+	return time.Now().Add(cfg.Budget)
 }
 
 // entry is one tracked unpersisted store.

@@ -11,10 +11,8 @@ package pmemcheck
 
 import (
 	"errors"
-	"time"
 
 	"mumak/internal/harness"
-	"mumak/internal/metrics"
 	"mumak/internal/pmem"
 	"mumak/internal/report"
 	"mumak/internal/stack"
@@ -36,8 +34,6 @@ func (t *Tool) Name() string { return "pmemcheck" }
 
 // Analyze implements tools.Tool.
 func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.Config) (*tools.Result, error) {
-	run := metrics.Start()
-	start := time.Now()
 	stacks := stack.NewTable()
 	res := &tools.Result{Report: &report.Report{Target: app.Name(), Tool: t.Name(), Stacks: stacks}}
 	hook := &checker{rep: res.Report, lines: map[uint64]*lineState{}}
@@ -48,9 +44,6 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 	res.EngineEvents = eng.Events()
 	res.Explored = int(eng.Events())
 	hook.finish()
-	res.Elapsed = time.Since(start)
-	run.Stop()
-	res.Usage = run.Usage()
 	if hook.annotations == 0 {
 		return res, ErrNoAnnotations
 	}

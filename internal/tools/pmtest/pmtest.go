@@ -13,10 +13,8 @@ package pmtest
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"mumak/internal/harness"
-	"mumak/internal/metrics"
 	"mumak/internal/pmem"
 	"mumak/internal/report"
 	"mumak/internal/stack"
@@ -38,8 +36,6 @@ func (t *Tool) Name() string { return "PMTest" }
 
 // Analyze implements tools.Tool.
 func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.Config) (*tools.Result, error) {
-	run := metrics.Start()
-	start := time.Now()
 	stacks := stack.NewTable()
 	res := &tools.Result{Report: &report.Report{Target: app.Name(), Tool: t.Name(), Stacks: stacks}}
 	// Record phase (decoupled from checking, as in the original).
@@ -52,9 +48,6 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 	// Replay-check phase.
 	checkAssertions(hook, res.Report)
 	res.Explored = len(hook.asserts)
-	res.Elapsed = time.Since(start)
-	run.Stop()
-	res.Usage = run.Usage()
 	if len(hook.asserts) == 0 {
 		return res, ErrNoAssertions
 	}

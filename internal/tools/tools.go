@@ -1,15 +1,42 @@
 // Package tools defines the common contract of the baseline PM bug
 // detectors Mumak is evaluated against (§3, §6.1): XFDetector,
-// PMDebugger, Agamotto, Witcher and Yat, each reimplemented in its own
-// subpackage with the algorithmic character — and therefore the cost
-// profile — described in the respective papers.
+// PMDebugger, Agamotto, Witcher and Yat, plus Jaaru, pmemcheck and
+// PMTest, each reimplemented in its own subpackage with the algorithmic
+// character described in the respective papers.
+//
+// # Memory and cost model
+//
+// The baselines run on the same simulated machine as Mumak, so what a
+// run costs is its own algorithm: the executions it instruments, the
+// recoveries it runs and the oracles it applies. Building crash states
+// is not part of it. Every crash state a tool explores is a pmem.Image,
+// a frozen copy-on-write page table that shares every page it does not
+// write with the trace.Cursor or engine it came from and carries its
+// content hash, so a state costs the pages its own writes touch, never a
+// pool copy, and a recovery engine starts from it in O(1). Where the
+// original tools pay for full pool copies, the reimplementations model
+// that cost instead of paying it:
+//
+//   - XFDetector builds each failure point's durable state from one
+//     recorded trace of the pre-failure run (trace.Cursor) and does not
+//     re-execute that run per failure point; only the post-failure
+//     execution runs per failure point, under its shadow-memory checker.
+//   - Witcher counts each pre-generated crash image at full pool size
+//     against Config.MemBudget, and Agamotto caps its frontier as if each
+//     state held a full pool, as a KLEE state does. Their images in fact
+//     share pages, so their out-of-memory outcomes and frontier sizes
+//     model the originals' memory, not this process's.
+//
+// Table 2's time, CPU and heap columns are measured around Analyze by
+// its caller (package experiments), never inside a tool. A tool reports
+// only the persistent memory it keeps for its own analysis state
+// (Result.PMExtraBytes).
 package tools
 
 import (
 	"time"
 
 	"mumak/internal/harness"
-	"mumak/internal/metrics"
 	"mumak/internal/report"
 	"mumak/internal/workload"
 )
@@ -32,8 +59,6 @@ type Config struct {
 type Result struct {
 	// Report holds the findings.
 	Report *report.Report
-	// Elapsed is the analysis wall time.
-	Elapsed time.Duration
 	// TimedOut and OOM mark budget exhaustion (the ∞ bars of Fig 4).
 	TimedOut bool
 	OOM      bool
@@ -42,8 +67,10 @@ type Result struct {
 	Explored int
 	// EngineEvents counts simulated PM instructions.
 	EngineEvents uint64
-	// Usage is the Table 2 resource row.
-	Usage metrics.Usage
+	// PMExtraBytes is the persistent memory the tool keeps for its own
+	// analysis state beyond the target's pools (XFDetector's shadow
+	// memory): the PM column of Table 2.
+	PMExtraBytes uint64
 }
 
 // Tool is a PM bug detector operating on the same black-box inputs as

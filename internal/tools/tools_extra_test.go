@@ -26,6 +26,9 @@ func TestJaaruFindsFusedFenceBugLazily(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.TimedOut {
+		t.Fatalf("budget expired after %d states", res.Explored)
+	}
 	if !hasKind(res.Report, report.CrashConsistency) {
 		t.Fatal("Jaaru missed the fused-fence bug")
 	}
@@ -39,6 +42,9 @@ func TestJaaruLazierThanYat(t *testing.T) {
 	jr, err := jaaru.New().Analyze(hashatomic.New(cfg), w, tools.Config{Budget: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if jr.TimedOut {
+		t.Fatalf("budget expired after %d states", jr.Explored)
 	}
 	// Compare against the eager bound: sum of 2^min(units,10) per fence
 	// is what Yat would explore; the lazy version should undercut it

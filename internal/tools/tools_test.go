@@ -157,6 +157,9 @@ func TestYatFindsFusedFenceBugExhaustively(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.TimedOut {
+		t.Fatalf("budget expired after %d of the enumerated states", res.Explored)
+	}
 	if !hasKind(res.Report, report.CrashConsistency) {
 		t.Fatal("Yat's exhaustive enumeration missed the fused-fence bug")
 	}
@@ -170,6 +173,9 @@ func TestYatCleanTinyTargetNoBugs(t *testing.T) {
 	res, err := yat.New().Analyze(hashatomic.New(apps.Config{PoolSize: 1 << 20}), w, tools.Config{Budget: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.TimedOut {
+		t.Fatalf("budget expired after %d states: not every image was judged", res.Explored)
 	}
 	if hasKind(res.Report, report.CrashConsistency) {
 		t.Fatalf("false positive on clean target:\n%s", res.Report.Format(true))

@@ -1,24 +1,26 @@
 // Package xfdetector reimplements XFDetector (Liu et al., ASPLOS'20):
 // cross-failure bug detection with shadow memory. Every store to PM is a
-// failure point; for each one the tool re-executes the pre-failure run
-// under instrumentation, materialises the strictly durable state, and
-// then runs the post-failure (recovery) execution under instrumentation
-// as well, flagging reads of data that was written before the failure
-// but not guaranteed durable — a cross-failure read.
+// failure point; for each one the tool takes the strictly durable state
+// and then runs the post-failure (recovery) execution under
+// instrumentation, flagging reads of data that was written before the
+// failure but not guaranteed durable — a cross-failure read.
 //
-// The cost profile matches the original: both pre- and post-failure
-// executions are instrumented for every failure point, plus shadow
-// memory maintenance, which is why the original needs 40.6 seconds per
-// analysed operation and exceeds any reasonable budget on 150 k-op
-// workloads (§6.1). The shadow state is kept in (simulated) PM, giving
-// the tool its characteristic ~2x PM overhead (Table 2).
+// The original re-executes the instrumented pre-failure run for every
+// failure point, which is why it needs 40.6 seconds per analysed
+// operation and exceeds any reasonable budget on 150 k-op workloads
+// (§6.1). This reimplementation records the pre-failure run once and
+// builds each failure point's durable state from that trace
+// (trace.Cursor; see package tools), so its cost per failure point is
+// the instrumented post-failure execution and the shadow-memory
+// maintenance. The shadow state is kept in (simulated) PM, giving the
+// tool its characteristic ~2x PM overhead (Table 2), which it reports as
+// Result.PMExtraBytes.
 package xfdetector
 
 import (
 	"time"
 
 	"mumak/internal/harness"
-	"mumak/internal/metrics"
 	"mumak/internal/oracle"
 	"mumak/internal/pmem"
 	"mumak/internal/report"
@@ -39,12 +41,9 @@ func (t *Tool) Name() string { return "XFDetector" }
 
 // Analyze implements tools.Tool.
 func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.Config) (*tools.Result, error) {
-	run := metrics.Start()
-	defer run.Stop()
-	start := time.Now()
 	deadline := time.Time{}
 	if cfg.Budget > 0 {
-		deadline = start.Add(cfg.Budget)
+		deadline = time.Now().Add(cfg.Budget)
 	}
 	stacks := stack.NewTable()
 	res := &tools.Result{Report: &report.Report{Target: app.Name(), Tool: t.Name(), Stacks: stacks}}
@@ -70,7 +69,7 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 			shadowLines[r.Addr&^(pmem.CacheLineSize-1)] = struct{}{}
 		}
 	}
-	run.AddPM(uint64(len(shadowLines)) * pmem.CacheLineSize)
+	res.PMExtraBytes = uint64(len(shadowLines)) * pmem.CacheLineSize
 
 	tr := &rec.T
 	cursor := trace.NewCursor(tr, base)
@@ -101,7 +100,7 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 		postEng := pmem.NewEngineFromImage(pmem.Options{}, img)
 		checker := &shadowChecker{taint: taint}
 		postEng.AttachHook(checker)
-		out := checkRecovery(app, postEng)
+		out := oracle.CheckEngine(app, postEng)
 		res.EngineEvents += postEng.Events()
 		if checker.firstRead != 0 {
 			res.Report.Add(report.Finding{
@@ -119,9 +118,6 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 		}
 		cursor.Step()
 	}
-	res.Elapsed = time.Since(start)
-	run.Stop()
-	res.Usage = run.Usage()
 	return res, nil
 }
 
@@ -152,27 +148,6 @@ func (c *shadowChecker) OnEvent(ev *pmem.Event) {
 			}
 		}
 	}
-}
-
-// checkRecovery runs the recovery procedure on the instrumented engine,
-// capturing panics like the oracle does.
-func checkRecovery(app harness.Application, eng *pmem.Engine) oracle.Outcome {
-	var out oracle.Outcome
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				out.Verdict = oracle.Crashed
-				out.PanicValue = r
-			}
-		}()
-		if err := app.Recover(eng); err != nil {
-			out.Verdict = oracle.Unrecoverable
-			out.Err = err
-			return
-		}
-		out.Verdict = oracle.Consistent
-	}()
-	return out
 }
 
 var _ tools.Tool = (*Tool)(nil)

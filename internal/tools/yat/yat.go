@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"mumak/internal/harness"
-	"mumak/internal/metrics"
 	"mumak/internal/oracle"
 	"mumak/internal/pmem"
 	"mumak/internal/report"
@@ -40,11 +39,9 @@ func (t *Tool) Name() string { return "Yat" }
 
 // Analyze implements tools.Tool.
 func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.Config) (*tools.Result, error) {
-	run := metrics.Start()
-	start := time.Now()
 	deadline := time.Time{}
 	if cfg.Budget > 0 {
-		deadline = start.Add(cfg.Budget)
+		deadline = time.Now().Add(cfg.Budget)
 	}
 	stacks := stack.NewTable()
 	res := &tools.Result{Report: &report.Report{Target: app.Name(), Tool: t.Name(), Stacks: stacks}}
@@ -97,9 +94,6 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 		}
 		cursor.Step()
 	}
-	res.Elapsed = time.Since(start)
-	run.Stop()
-	res.Usage = run.Usage()
 	return res, nil
 }
 

@@ -46,9 +46,17 @@ func splitUnits(t *Trace, rec int) []Unit {
 // baselines (Yat, Witcher) and the ablation benches enumerate
 // post-failure states that do not respect program order — the space
 // Mumak deliberately skips (§4.1).
+//
+// The certain state lives in an engine of its own, and every image the
+// cursor returns is a frozen snapshot of an engine's view, as the
+// campaign's crash images are: it shares pages with the cursor and its
+// siblings, carries its content hash, and costs only the pages its own
+// units write. Nothing done later changes a returned image.
 type Cursor struct {
-	t       *Trace
-	certain *pmem.Image
+	t *Trace
+	// certain is written only by applyUnit, with non-temporal stores,
+	// which write the view and mark no line dirty.
+	certain *pmem.Engine
 	pos     int
 	// dirty maps cache-line base -> units stored but not written back.
 	dirty map[uint64][]Unit
@@ -57,12 +65,12 @@ type Cursor struct {
 	inflight []Unit
 }
 
-// NewCursor returns a cursor positioned before the first record. The base
-// image is copied.
+// NewCursor returns a cursor positioned before the first record. The
+// cursor shares the base image's pages and never writes them.
 func NewCursor(t *Trace, base *pmem.Image) *Cursor {
 	return &Cursor{
 		t:       t,
-		certain: base.Clone(),
+		certain: pmem.NewEngineFromImage(pmem.Options{}, base),
 		dirty:   make(map[uint64][]Unit),
 	}
 }
@@ -140,10 +148,7 @@ func (c *Cursor) applyUnits(units []Unit) {
 	}
 }
 
-func (c *Cursor) applyUnit(u Unit) {
-	// The cursor owns certain (a Clone), so mutating its bytes is safe.
-	copy(c.certain.Bytes()[u.Addr:], u.Data)
-}
+func (c *Cursor) applyUnit(u Unit) { c.certain.NTStore(u.Addr, u.Data) }
 
 // SeekTo advances the cursor until Pos == n (or the trace ends).
 func (c *Cursor) SeekTo(n int) {
@@ -151,11 +156,13 @@ func (c *Cursor) SeekTo(n int) {
 	}
 }
 
-// Certain returns a copy of the guaranteed-durable image at the current
-// position: the base overlaid with every store that was clflushed, or
-// written back or non-temporally stored and then fenced — the state a
-// power cut under ADR leaves when no dirty line happens to be evicted.
-func (c *Cursor) Certain() *pmem.Image { return c.certain.Clone() }
+// Certain returns the guaranteed-durable image at the current position:
+// the base overlaid with every store that was clflushed, or written back
+// or non-temporally stored and then fenced — the state a power cut
+// under ADR leaves when no dirty line happens to be evicted. It is a
+// read-only snapshot taken in O(1); stepping the cursor on does not
+// change it.
+func (c *Cursor) Certain() *pmem.Image { return c.certain.PrefixImage() }
 
 // Uncertain returns the maybe-durable units at the current position in
 // record order: in-flight write-backs racing the next fence, followed by
@@ -178,15 +185,17 @@ func (c *Cursor) Uncertain() []Unit {
 // Materialize builds a crash image from the current position: the certain
 // image plus every uncertain unit selected by keep, applied in record
 // order. uncertain must be the slice returned by Uncertain at the same
-// position.
+// position. The kept units go to a fresh engine started from the certain
+// image, never to the cursor's own, so the result is a read-only
+// snapshot that costs only the pages those units write.
 func (c *Cursor) Materialize(uncertain []Unit, keep func(i int) bool) *pmem.Image {
-	img := c.certain.Clone()
+	e := pmem.NewEngineFromImage(pmem.Options{}, c.certain.PrefixImage())
 	for i, u := range uncertain {
 		if keep(i) {
-			copy(img.Bytes()[u.Addr:], u.Data)
+			e.NTStore(u.Addr, u.Data)
 		}
 	}
-	return img
+	return e.PrefixImage()
 }
 
 // PrefixImage builds the program-order-prefix image at the current

@@ -54,10 +54,6 @@ func (t *Trace) Payload(r *Record) []byte {
 // Len returns the number of records.
 func (t *Trace) Len() int { return len(t.Records) }
 
-// PayloadBytes returns the total payload storage, a proxy for the
-// resident size of the trace.
-func (t *Trace) PayloadBytes() int { return len(t.payload) }
-
 // Recorder is a pmem.Hook that appends every observed event to a Trace.
 type Recorder struct {
 	// T is the trace under construction.
@@ -95,31 +91,4 @@ func (rec *Recorder) OnEvent(ev *pmem.Event) {
 // OnAnnotation implements pmem.AnnotationObserver.
 func (rec *Recorder) OnAnnotation(a *pmem.Annotation) {
 	rec.T.Anns = append(rec.T.Anns, *a)
-}
-
-// Epoch is a fence-delimited section of the trace: the records strictly
-// between two fences (the closing fence index is Fence, or -1 when the
-// trace ends without one).
-type Epoch struct {
-	// Start and End delimit the record index range [Start, End).
-	Start, End int
-	// Fence is the index of the closing fence record, or -1.
-	Fence int
-}
-
-// Epochs splits the trace at fence records. Every record belongs to
-// exactly one epoch; fences close the epoch they terminate.
-func (t *Trace) Epochs() []Epoch {
-	var out []Epoch
-	start := 0
-	for i := range t.Records {
-		if t.Records[i].Op.Kind() == pmem.KindFence {
-			out = append(out, Epoch{Start: start, End: i, Fence: i})
-			start = i + 1
-		}
-	}
-	if start < len(t.Records) {
-		out = append(out, Epoch{Start: start, End: len(t.Records), Fence: -1})
-	}
-	return out
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -51,28 +52,6 @@ func TestRecorderLoadsOptIn(t *testing.T) {
 	e.Load64(0)
 	if rec.T.Len() != 1 || rec.T.Records[0].Op != pmem.OpLoad {
 		t.Fatalf("load not recorded: %+v", rec.T.Records)
-	}
-}
-
-func TestEpochSplitting(t *testing.T) {
-	tr, _, _ := recordedRun(func(e *pmem.Engine) {
-		e.Store64(0, 1)
-		e.CLWB(0)
-		e.SFence() // epoch 0 closes at index 2
-		e.Store64(64, 2)
-		e.NTStore64(128, 3)
-		e.MFence() // epoch 1 closes at index 5
-		e.Store64(192, 4)
-	})
-	eps := tr.Epochs()
-	if len(eps) != 3 {
-		t.Fatalf("got %d epochs, want 3: %+v", len(eps), eps)
-	}
-	if eps[0].Fence != 2 || eps[1].Fence != 5 || eps[2].Fence != -1 {
-		t.Errorf("fence indices: %+v", eps)
-	}
-	if eps[2].Start != 6 || eps[2].End != 7 {
-		t.Errorf("tail epoch: %+v", eps[2])
 	}
 }
 
@@ -204,6 +183,102 @@ func TestPropertyCursorPrefixMatchesEngine(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCursorImagesAreSnapshots: every image a cursor returns is a
+// read-only snapshot that shares pages with the cursor and its siblings.
+// An image from Certain or Materialize keeps its bytes and its hash
+// while the cursor steps on, while other Materialize calls run, and
+// while engines built from it write concurrently, as Witcher's checkers
+// do. Materialize never writes the cursor's own certain state: the
+// cursor's images stay those of a twin cursor that materialises nothing.
+func TestCursorImagesAreSnapshots(t *testing.T) {
+	const size = 1 << 15
+	rng := rand.New(rand.NewSource(17))
+	e := pmem.NewEngine(pmem.Options{PoolSize: size})
+	base := e.PrefixImage()
+	rec := NewRecorder()
+	e.AttachHook(rec)
+	for i := 0; i < 200; i++ {
+		addr := (rng.Uint64() % (size / 8)) * 8
+		switch rng.Intn(6) {
+		case 0, 1:
+			e.Store64(addr, rng.Uint64())
+		case 2:
+			e.NTStore64(addr, rng.Uint64())
+		case 3:
+			e.CLWB(addr)
+		case 4:
+			e.CLFlushOpt(addr)
+		case 5:
+			e.SFence()
+		}
+	}
+
+	type snapshot struct {
+		img  *pmem.Image
+		want []byte
+		hash uint64
+	}
+	var snaps []snapshot
+	keep := func(img *pmem.Image, want []byte) {
+		snaps = append(snaps, snapshot{img, want, img.Hash()})
+	}
+	c, twin := NewCursor(&rec.T, base), NewCursor(&rec.T, base)
+	for c.Step() {
+		twin.Step()
+		certain := c.Certain()
+		keep(certain, certain.Bytes())
+		uncertain := c.Uncertain()
+		for parity := 0; parity < 2; parity++ {
+			kept := func(i int) bool { return i%2 == parity }
+			want := certain.Bytes()
+			for i, u := range uncertain {
+				if kept(i) {
+					copy(want[u.Addr:], u.Data)
+				}
+			}
+			img := c.Materialize(uncertain, kept)
+			if !bytes.Equal(img.Bytes(), want) {
+				t.Fatalf("record %d: Materialize differs from the certain image overlaid with the kept units", c.Pos())
+			}
+			keep(img, want)
+		}
+		if got, want := c.Certain(), twin.Certain(); got.Hash() != want.Hash() || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("record %d: Materialize changed the cursor's certain state", c.Pos())
+		}
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := w; i < len(snaps); i += 4 {
+				eng := pmem.NewEngineFromImage(pmem.Options{}, snaps[i].img)
+				for j := 0; j < 8; j++ {
+					addr := (rng.Uint64() % (size / 8)) * 8
+					if j%2 == 0 {
+						eng.Store64(addr, rng.Uint64())
+					} else {
+						eng.NTStore64(addr, rng.Uint64())
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	for i, s := range snaps {
+		got := s.img.Bytes()
+		if !bytes.Equal(got, s.want) || s.img.Hash() != s.hash {
+			t.Fatalf("snapshot %d of %d changed after it was taken", i, len(snaps))
+		}
+		if pmem.ContentHash(got) != s.hash {
+			t.Fatalf("snapshot %d: hash %#x is not the content hash of its bytes", i, s.hash)
+		}
 	}
 }
 
