@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -230,7 +229,10 @@ func main() {
 		}
 	}
 	if *artifacts != "" {
-		if err := saveArtifacts(*artifacts, res); err != nil {
+		// The consumed failure points, the first Injections +
+		// SkippedFailurePoints in first-occurrence order, are marked
+		// visited.
+		if err := campaign.SaveTree(*artifacts, res.Tree, res.Injections+res.SkippedFailurePoints); err != nil {
 			fatal(err)
 		}
 	}
@@ -339,48 +341,6 @@ func exitCode(res *core.Result, exitZero bool) int {
 		return 1 // CI-pipeline friendly: bugs fail the build
 	}
 	return 0
-}
-
-// saveArtifacts serialises the pipeline by-products: the failure point
-// tree (step 5 of Fig 1), with the failure points the campaign consumed
-// — the first Injections + SkippedFailurePoints in first-occurrence
-// order — marked visited. Program counters are process-local, so the
-// artifacts document one analysis rather than seeding another process;
-// campaigns resume from -journal, never from artifacts.
-//
-// The tree is written crash-safely — temp file, fsync, rename, fsync
-// the directory — so a kill mid-save leaves either the previous
-// complete artifact or the new one, never a truncated gob that panics
-// a later decode.
-func saveArtifacts(dir string, res *core.Result) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, "failure-point-tree.*.tmp")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := res.Tree.Encode(tmp, res.Injections+res.SkippedFailurePoints); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, "failure-point-tree.gob")); err != nil {
-		return err
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }
 
 func parseVersion(s string) (pmdk.Version, error) {

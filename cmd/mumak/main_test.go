@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"mumak/internal/campaign"
-	"mumak/internal/fpt"
 	"mumak/internal/stack"
 )
 
@@ -112,12 +111,7 @@ func TestArtifactsTreeReadsBack(t *testing.T) {
 		t.Fatalf("summary lacks the failure points line:\n%s", out)
 	}
 	want, _ := strconv.Atoi(m[1])
-	f, err := os.Open(filepath.Join(dir, "failure-point-tree.gob"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	tree, visited, err := fpt.ReadTree(f, stack.NewTable())
+	tree, visited, err := campaign.LoadTree(filepath.Join(dir, campaign.TreeFile), stack.NewTable())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,8 +122,8 @@ func TestArtifactsTreeReadsBack(t *testing.T) {
 }
 
 // TestResumeRefusesOtherJournalVersion: a journal whose meta file holds
-// a bare Meta, as journals did before the format version moved there,
-// is refused before any analysis runs.
+// a bare Meta gob, as journals of format 3 or earlier did before the
+// meta file was sealed, is refused before any analysis runs.
 func TestResumeRefusesOtherJournalVersion(t *testing.T) {
 	bin := buildCLI(t)
 	dir := t.TempDir()

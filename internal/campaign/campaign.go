@@ -1,22 +1,31 @@
-// Package campaign makes fault-injection campaigns crash-safe: it
-// persists an append-only, checksummed, fsync'd journal of per-leaf
-// replay verdicts, so a campaign killed at any byte — SIGKILL, OOM,
-// reboot, budget expiry — resumes from a loadable prefix instead of
-// starting over.
+// Package campaign owns every file Mumak writes: the crash-safe
+// campaign journal, the cross-run verdict cache and the failure point
+// tree artifact.
 //
-// The durability argument mirrors the tool's own subject matter:
+// Every file written whole — the tree artifact, the journal's meta file
+// and the verdict-cache file — is a sealed file (sealed.go): a header
+// naming its kind and format version, a checksummed gob payload, and
+// one atomic write (temp file, fsync, rename, directory fsync). A
+// reader sees the old complete file or the new one, and rejects a
+// damaged or foreign file with a one-line diagnostic.
 //
-//   - The journal is append-only and every record is length-prefixed
-//     and CRC-checksummed; each append is fsync'd before the campaign
-//     merge loop moves on. A crash mid-append leaves a torn tail that
-//     the loader detects and discards — everything before it is intact,
-//     and a lost tail record only costs re-replaying that one leaf.
-//   - The format Version and the campaign identity (Meta: every setting
-//     that changes the failure point tree or a verdict) are written
-//     once at creation, atomically (temp file, fsync, rename, directory
-//     fsync). Resume refuses a journal of another format version, and
-//     one recorded under different parameters with a one-line
-//     diagnostic naming the first differing field.
+// The journal makes fault-injection campaigns crash-safe: it is an
+// append-only, checksummed, fsync'd log of per-leaf replay verdicts, so
+// a campaign killed at any byte — SIGKILL, OOM, reboot, budget expiry —
+// resumes from a loadable prefix instead of starting over. The
+// durability argument mirrors the tool's own subject matter:
+//
+//   - Every record is length-prefixed and CRC-checksummed; each append
+//     is fsync'd before the campaign merge loop moves on. A crash
+//     mid-append leaves a torn tail that the loader detects and
+//     discards — everything before it is intact, and a lost tail
+//     record only costs re-replaying that one leaf.
+//   - The campaign identity (Meta: every setting that changes the
+//     failure point tree or a verdict) is written once at creation, as
+//     a sealed meta file whose header carries the format Version.
+//     Resume refuses a journal of another format version, and one
+//     recorded under different parameters with a one-line diagnostic
+//     naming the first differing field.
 //
 // The journal is the campaign's only progress state. The campaign
 // merge loop consumes leaves strictly in first-occurrence order, so
@@ -35,10 +44,10 @@ import (
 	"mumak/internal/oracle"
 )
 
-// Version is the journal format version, written into the meta file
-// beside the Meta. Load refuses any other version: records of another
-// format cannot be folded safely.
-const Version = 3
+// Version is the journal format version, written into the header of
+// the sealed meta file. Load refuses any other version: records of
+// another format cannot be folded safely.
+const Version = 4
 
 // Meta identifies the campaign a journal or verdict-cache file belongs
 // to: every setting that changes the failure point tree or the verdict

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -15,7 +16,8 @@ import (
 // The names are exported so tests can inspect or perturb the files
 // directly.
 const (
-	// MetaFile holds the gob-encoded format Version and campaign Meta,
+	// MetaFile holds the campaign Meta as a sealed file (magic
+	// MUMAKJNL) whose header carries the journal format Version,
 	// written atomically once at creation.
 	MetaFile = "meta.gob"
 	// JournalFile is the append-only record log: one length-prefixed,
@@ -23,17 +25,7 @@ const (
 	JournalFile = "journal.log"
 )
 
-// metaFile is the MetaFile payload. The version sits beside the Meta,
-// not in it: Meta is also the identity of verdict-cache files, which
-// carry their own format version.
-type metaFile struct {
-	Version int
-	Meta    Meta
-}
-
-// legacyVersion is the newest format whose meta file held a bare Meta;
-// formats up to it stamped their version only into a snapshot file.
-const legacyVersion = 2
+var journalMagic = [8]byte{'M', 'U', 'M', 'A', 'K', 'J', 'N', 'L'}
 
 // maxFrame bounds one journal frame; anything larger is treated as a
 // corrupt length prefix rather than a 4 GiB allocation.
@@ -47,7 +39,7 @@ type Journal struct {
 }
 
 // Create initialises a fresh campaign journal in dir, writing the
-// format version and the campaign identity atomically. It refuses a
+// campaign identity as a sealed meta file of format Version. It refuses a
 // directory that already holds journaled verdicts: appending a
 // different campaign's records after an existing prefix would corrupt
 // both, so the caller must either resume (Load + Reopen) or pick a
@@ -59,11 +51,7 @@ func Create(dir string, meta Meta) (*Journal, error) {
 	if fi, err := os.Stat(filepath.Join(dir, JournalFile)); err == nil && fi.Size() > 0 {
 		return nil, fmt.Errorf("campaign: %s already holds a campaign journal; resume it with -resume or choose a fresh directory", dir)
 	}
-	var mb bytes.Buffer
-	if err := gob.NewEncoder(&mb).Encode(&metaFile{Version: Version, Meta: meta}); err != nil {
-		return nil, fmt.Errorf("campaign: encoding journal meta: %w", err)
-	}
-	if err := writeAtomic(dir, MetaFile, mb.Bytes()); err != nil {
+	if err := writeSealed(filepath.Join(dir, MetaFile), journalMagic, Version, &meta); err != nil {
 		return nil, err
 	}
 	f, err := os.OpenFile(filepath.Join(dir, JournalFile),
@@ -147,17 +135,17 @@ func Load(dir string) (*State, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaign: no campaign journal in %s (%v)", dir, err)
 	}
-	var mf metaFile
-	if err := gobDecode(mb, &mf); err != nil {
-		if gobDecode(mb, &Meta{}) == nil {
-			return nil, versionError(dir, fmt.Sprintf("%d or earlier", legacyVersion))
-		}
+	st := &State{Dir: dir}
+	var vm *versionMismatch
+	switch err := unseal(mb, journalMagic, Version, &st.Meta); {
+	case errors.Is(err, errBadMagic):
+		// Formats up to 3 wrote the meta file as a bare gob stream.
+		return nil, versionError(dir, "3 or earlier")
+	case errors.As(err, &vm):
+		return nil, versionError(dir, fmt.Sprint(vm.got))
+	case err != nil:
 		return nil, fmt.Errorf("campaign: corrupt journal meta in %s: %v", dir, err)
 	}
-	if mf.Version != Version {
-		return nil, versionError(dir, fmt.Sprint(mf.Version))
-	}
-	st := &State{Dir: dir, Meta: mf.Meta}
 	data, err := os.ReadFile(filepath.Join(dir, JournalFile))
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("campaign: reading journal: %w", err)
@@ -238,58 +226,4 @@ func readFrames(data []byte) (payloads [][]byte, ends []int, diag string) {
 		ends = append(ends, off)
 	}
 	return payloads, ends, ""
-}
-
-// gobDecode decodes data into v, converting decoder panics on
-// adversarially malformed input into errors.
-func gobDecode(data []byte, v any) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("decode panic: %v", r)
-		}
-	}()
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
-}
-
-// writeAtomic writes name under dir via temp file + fsync + rename +
-// directory fsync: the named file either keeps its old complete
-// contents or holds the new complete ones, never a torn blend.
-func writeAtomic(dir, name string, data []byte) error {
-	tmp := filepath.Join(dir, name+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("campaign: creating %s: %w", tmp, err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("campaign: writing %s: %w", tmp, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("campaign: syncing %s: %w", tmp, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("campaign: closing %s: %w", tmp, err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		return fmt.Errorf("campaign: publishing %s: %w", name, err)
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs the directory so a just-renamed or just-created entry
-// survives a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("campaign: opening %s for sync: %w", dir, err)
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("campaign: syncing %s: %w", dir, err)
-	}
-	return nil
 }

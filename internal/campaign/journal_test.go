@@ -292,28 +292,46 @@ func TestReopenAppendsAfterTornTail(t *testing.T) {
 	}
 }
 
-// TestLoadRefusesOtherVersion: a journal of any other format version —
-// including a meta file from before the version moved into it, which
-// holds a bare Meta — is refused with an error naming both versions,
-// never folded.
+// TestLoadRefusesOtherVersion: a journal of any other format version is
+// refused with an error naming both versions, never folded. Formats up
+// to 3 wrote the meta file as a bare gob stream: a bare Meta (formats 1
+// and 2) or a {Version, Meta} pair (format 3); later formats seal it.
 func TestLoadRefusesOtherVersion(t *testing.T) {
+	unsealed := func(v any) func(t *testing.T, path string) {
+		return func(t *testing.T, path string) {
+			var b bytes.Buffer
+			if err := gob.NewEncoder(&b).Encode(v); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sealed := func(version uint32) func(t *testing.T, path string) {
+		return func(t *testing.T, path string) {
+			meta := testMeta()
+			if err := writeSealed(path, journalMagic, version, &meta); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	type format3 struct {
+		Version int
+		Meta    Meta
+	}
 	for name, tc := range map[string]struct {
-		meta any
-		want string
+		write func(t *testing.T, path string)
+		want  string
 	}{
-		"legacy": {testMeta(), fmt.Sprintf("version %d or earlier", legacyVersion)},
-		"older":  {metaFile{Version: Version - 1, Meta: testMeta()}, fmt.Sprintf("version %d,", Version-1)},
-		"newer":  {metaFile{Version: Version + 1, Meta: testMeta()}, fmt.Sprintf("version %d,", Version+1)},
+		"legacy":   {unsealed(testMeta()), "version 3 or earlier"},
+		"format-3": {unsealed(format3{Version: 3, Meta: testMeta()}), "version 3 or earlier"},
+		"older":    {sealed(Version - 1), fmt.Sprintf("version %d,", Version-1)},
+		"newer":    {sealed(Version + 1), fmt.Sprintf("version %d,", Version+1)},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := writeJournal(t, testRecords(2))
-			var b bytes.Buffer
-			if err := gob.NewEncoder(&b).Encode(tc.meta); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(dir, MetaFile), b.Bytes(), 0o644); err != nil {
-				t.Fatal(err)
-			}
+			tc.write(t, filepath.Join(dir, MetaFile))
 			st, err := Load(dir)
 			if err == nil {
 				t.Fatalf("Load accepted a journal of another format version: %d records", len(st.Records))

@@ -67,6 +67,9 @@ func TestVerdictCacheRejectsMetaMismatch(t *testing.T) {
 	}
 }
 
+// TestVerdictCacheRejectsCorruption: fixed flips and tears of a
+// verdict-cache file, at offsets the every-third-byte sweep of
+// TestSealedFilesRejectDamage need not hit, are refused.
 func TestVerdictCacheRejectsCorruption(t *testing.T) {
 	meta, entries := verdictFixture()
 	dir := t.TempDir()

@@ -10,14 +10,12 @@ import (
 )
 
 // evRef compactly identifies one analysed instruction: its engine
-// instruction counter, the record's start address, and the stack captured
-// at the instruction (stack.NoID when capture was off for its class). It
-// replaces the trace-record indices the offline pass used to keep, so the
-// analyzer never retains a trace.Record slice or payload buffer.
+// instruction counter and start address. Its call stack is resolved in
+// phase 3, and only for the findings the report keeps, so the analyzer
+// retains no stacks, trace records or payload bytes.
 type evRef struct {
 	icount uint64
 	addr   uint64
-	stack  stack.ID
 }
 
 // lineState tracks one cache line across the analysis. Its memory is the
@@ -26,16 +24,16 @@ type evRef struct {
 // persisted) cache lines rather than to trace length.
 type lineState struct {
 	// dirty marks bytes stored (through the cache) since the line's
-	// last write-back. It mirrors the engine's dirty bitmask: a
-	// non-temporal store does NOT clear it — the cached bytes remain
-	// dirty and a later flush still queues a real write-back.
+	// last write-back. A non-temporal store does NOT clear it — the
+	// cached bytes remain dirty and a later flush still writes them
+	// back.
 	dirty uint64
 	// unpersisted marks cached-store bytes whose data is not yet on its
 	// way to the medium by any route. It starts out equal to dirty but a
 	// non-temporal store clears the bytes it covers: the NT write
-	// carries the same addresses into the write-pending queue, so the
-	// earlier cached stores no longer need an explicit flush to become
-	// durable. This is the mask the durability patterns consult.
+	// bypasses the cache and sends the same addresses towards memory, so
+	// the earlier cached stores no longer need an explicit flush to
+	// become durable. This is the mask the durability patterns consult.
 	unpersisted uint64
 	// unflushed holds the store events contributing unpersisted bytes
 	// not yet covered by any flush or non-temporal overwrite.
@@ -67,7 +65,7 @@ type lineState struct {
 // state-size gauges: a lineState plus its map slot, and one evRef.
 const (
 	lineStateCost = 128
-	evRefCost     = 24
+	evRefCost     = 16
 )
 
 // Analyzer is the §4.2 pattern matcher as an online pmem.Hook: it
@@ -76,10 +74,6 @@ const (
 // state, analysing a workload needs memory proportional to the number of
 // live cache lines, not to the trace length — the property that lets
 // cmd/mumak default to the paper's 150 000-op workloads.
-//
-// The offline front-end AnalyzeTrace replays a recorded trace through the
-// same implementation, so streaming and offline analyses produce
-// identical findings.
 type Analyzer struct {
 	cfg   Config
 	lines map[uint64]*lineState
@@ -102,9 +96,10 @@ type Analyzer struct {
 }
 
 // NewAnalyzer returns an online analyzer for one execution. Attach it to
-// the instrumented engine (it implements pmem.Hook) or feed it a recorded
-// trace via AnalyzeTrace, then collect findings with Finalize. Its
-// findings include warnings only when cfg.KeepWarnings is set.
+// the instrumented engine (it implements pmem.Hook), then collect
+// findings with Finalize. Its findings include warnings only when
+// cfg.KeepWarnings is set, and carry no stack (stack.NoID) until
+// Analyze's debug-information pass resolves them.
 func NewAnalyzer(cfg Config) *Analyzer {
 	return &Analyzer{cfg: cfg, lines: make(map[uint64]*lineState)}
 }
@@ -133,15 +128,14 @@ func (a *Analyzer) add(kind report.Kind, ref evRef, detail string) {
 		Kind:   kind,
 		ICount: ref.icount,
 		Addr:   ref.addr,
-		Stack:  ref.stack,
+		Stack:  stack.NoID,
 		Detail: detail,
 	})
 }
 
 // WantsStack implements pmem.StackDemand: the analyzer never asks for a
 // stack. Analyze's debug-information pass (resolveStacks) sets the stack
-// of every finding it reports, so the analyzer records whatever stacks
-// other hooks requested and nothing more.
+// of every finding it reports.
 func (a *Analyzer) WantsStack(*pmem.Event) bool { return false }
 
 // OnEvent implements pmem.Hook: one §4.2 pattern step per instruction.
@@ -150,7 +144,7 @@ func (a *Analyzer) OnEvent(ev *pmem.Event) {
 		return
 	}
 	a.events++
-	ref := evRef{icount: ev.ICount, addr: ev.Addr, stack: ev.Stack}
+	ref := evRef{icount: ev.ICount, addr: ev.Addr}
 	switch ev.Op {
 	case pmem.OpStore, pmem.OpRMW:
 		a.applyStore(ev, ref)
@@ -225,13 +219,14 @@ func (a *Analyzer) applyStore(ev *pmem.Event, ref evRef) {
 }
 
 // applyNTStore models a non-temporal store as writing through: the
-// covered bytes join the write-pending queue directly, so overlapping
+// covered bytes bypass the cache on their way to memory, so overlapping
 // unpersisted cached bytes no longer need an explicit flush to become
-// durable (their addresses are persisted by the NT write). The line's
-// engine dirty mask is untouched — an NT store to a cached line does not
-// clean the cache, and a later flush still performs a real write-back —
-// but a line whose only writes were non-temporal is marked so a flush of
-// it can be recognised as having nothing cached to persist.
+// durable (their addresses are persisted by the NT write once fenced).
+// The line's dirty mask is untouched — an NT store to a cached line does
+// not clean the cache, and a later flush still performs a real
+// write-back — but a line whose only writes were non-temporal is marked
+// so a flush of it can be recognised as having nothing cached to
+// persist.
 func (a *Analyzer) applyNTStore(ev *pmem.Event) {
 	addr, size := ev.Addr, uint64(ev.Size)
 	for size > 0 {

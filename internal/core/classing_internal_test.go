@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"mumak/internal/apps/apptest"
 	"mumak/internal/apps/btree"
 	"mumak/internal/fpt"
 	"mumak/internal/harness"
@@ -43,13 +44,13 @@ func TestClassingStampMatchesReplayHash(t *testing.T) {
 		if leaf.ImageSize == 0 {
 			t.Fatalf("leaf at instruction %d was not stamped", leaf.FirstICount)
 		}
-		eng, sig, err := harness.Execute(mk(), w, pmem.Options{CrashAt: leaf.FirstICount})
-		if err != nil || sig == nil {
-			t.Fatalf("replay at %d: sig=%v err=%v", leaf.FirstICount, sig, err)
+		img := apptest.Crash(t, mk(), w, leaf.FirstICount)
+		if img == nil {
+			t.Fatalf("replay never reached instruction %d", leaf.FirstICount)
 		}
-		if got := eng.PrefixImageHash(); got != leaf.ImageHash || eng.Size() != leaf.ImageSize {
+		if img.Hash() != leaf.ImageHash || img.Len() != leaf.ImageSize {
 			t.Fatalf("leaf at instruction %d: stamp (%#x, %d) != replay image (%#x, %d)",
-				leaf.FirstICount, leaf.ImageHash, leaf.ImageSize, got, eng.Size())
+				leaf.FirstICount, leaf.ImageHash, leaf.ImageSize, img.Hash(), img.Len())
 		}
 		checked++
 	}

@@ -173,7 +173,7 @@ type Result struct {
 	// injection campaign started. The campaign consumes its leaves in
 	// LeavesByICount order, so its progress is the first
 	// Injections + SkippedFailurePoints of them, however it stopped;
-	// Tree.Encode records that prefix.
+	// campaign.SaveTree records that prefix.
 	Tree *fpt.Tree
 	// CampaignWorkers is the worker count the injection campaign
 	// actually ran with: Config.Workers, at least 1, but never more

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mumak/internal/apps"
+	"mumak/internal/apps/apptest"
 	"mumak/internal/core"
 	"mumak/internal/fpt"
 	"mumak/internal/harness"
@@ -19,9 +20,9 @@ import (
 // phase-1 images, from when a counter-mode crash state was a checkpoint
 // restore. For every registry target, seed and persistence domain, the
 // image phase 1 freezes for each failure point must equal, in bytes and
-// hash, the graceful-crash image of a from-scratch replay crashed at the
-// leaf's counter (pmem.Options.CrashAt, kept only as this reference),
-// and the leaf's classing stamp must be that image's identity. The
+// hash, the graceful-crash image of a from-scratch replay that a hook
+// crashes at the leaf's counter (apptest.Crash), and the leaf's classing
+// stamp must be that image's identity. The
 // persistence domain is core.Config.EADR: phase 1 runs the builder next
 // to the §4.2 analyzer in that domain's mode, as Analyze runs them.
 func TestCheckpointRestoreMatchesFromScratchAcrossRegistry(t *testing.T) {
@@ -63,11 +64,10 @@ func TestCheckpointRestoreMatchesFromScratchAcrossRegistry(t *testing.T) {
 						if leaf.Image == nil {
 							t.Fatalf("leaf %d has no phase-1 image", leaf.FirstICount)
 						}
-						fresh, fsig, err := harness.Execute(mk(), w, pmem.Options{CrashAt: leaf.FirstICount})
-						if err != nil || fsig == nil {
-							t.Fatalf("from-scratch replay to %d: err=%v sig=%v", leaf.FirstICount, err, fsig)
+						want := apptest.Crash(t, mk(), w, leaf.FirstICount)
+						if want == nil {
+							t.Fatalf("from-scratch replay never reached instruction %d", leaf.FirstICount)
 						}
-						want := fresh.PrefixImage()
 						if h := want.Hash(); leaf.Image.Hash() != h || leaf.ImageHash != h || leaf.ImageSize != want.Len() {
 							t.Fatalf("leaf %d: image hash %#x, stamp (%#x, %d); from-scratch (%#x, %d)",
 								leaf.FirstICount, leaf.Image.Hash(), leaf.ImageHash, leaf.ImageSize, h, want.Len())

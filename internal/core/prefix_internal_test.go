@@ -11,7 +11,6 @@ import (
 
 	"mumak/internal/apps/btree"
 	"mumak/internal/campaign"
-	"mumak/internal/fpt"
 	"mumak/internal/harness"
 	"mumak/internal/report"
 	"mumak/internal/stack"
@@ -34,8 +33,8 @@ type prefixStop struct {
 // TestProgressIsFirstOccurrencePrefix: however a campaign stops, what it
 // consumed is the first Injections + SkippedFailurePoints leaves of
 // LeavesByICount. The journal holds exactly those leaves in that order,
-// the artifact Tree.Encode writes marks exactly them visited, and
-// ReadTree returns their count. Where the stop point is deterministic,
+// the artifact campaign.SaveTree writes marks exactly them visited, and
+// campaign.LoadTree returns their count. Where the stop point is deterministic,
 // the serial and parallel artifacts are byte-identical too.
 func TestProgressIsFirstOccurrencePrefix(t *testing.T) {
 	mk := func() harness.Application { return btree.New(cfgSeeded(btree.BugCountOutsideTx)) }
@@ -199,8 +198,13 @@ func checkPrefix(t *testing.T, res *Result, dir string) []byte {
 		}
 	}
 
-	var buf bytes.Buffer
-	if err := res.Tree.Encode(&buf, consumed); err != nil {
+	artifacts := t.TempDir()
+	if err := campaign.SaveTree(artifacts, res.Tree, consumed); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(artifacts, campaign.TreeFile)
+	data, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Read the visited marks straight from the gob payload behind the
@@ -211,7 +215,7 @@ func checkPrefix(t *testing.T, res *Result, dir string) []byte {
 			Visited     bool
 		}
 	}
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes()[24:])).Decode(&wire); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(data[24:])).Decode(&wire); err != nil {
 		t.Fatal(err)
 	}
 	inPrefix := make(map[uint64]bool, consumed)
@@ -225,13 +229,13 @@ func checkPrefix(t *testing.T, res *Result, dir string) []byte {
 		}
 	}
 
-	restored, visited, err := fpt.ReadTree(bytes.NewReader(buf.Bytes()), stack.NewTable())
+	restored, visited, err := campaign.LoadTree(path, stack.NewTable())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if visited != consumed || restored.Len() != len(order) {
-		t.Fatalf("ReadTree: %d of %d failure points visited, want %d of %d",
+		t.Fatalf("LoadTree: %d of %d failure points visited, want %d of %d",
 			visited, restored.Len(), consumed, len(order))
 	}
-	return buf.Bytes()
+	return data
 }

@@ -12,7 +12,6 @@ import (
 	"mumak/internal/pmem"
 	"mumak/internal/report"
 	"mumak/internal/stack"
-	"mumak/internal/trace"
 	"mumak/internal/workload"
 )
 
@@ -99,32 +98,48 @@ func TestCapturesMatchFailurePointCandidates(t *testing.T) {
 	}
 }
 
+// stackLog is a hook without a stack demand that records the stack of
+// every non-load instruction it sees.
+type stackLog struct {
+	ops    []pmem.Opcode
+	counts []uint64
+	stacks []stack.ID
+}
+
+func (l *stackLog) OnEvent(ev *pmem.Event) {
+	if ev.Op != pmem.OpLoad {
+		l.ops = append(l.ops, ev.Op)
+		l.counts = append(l.counts, ev.ICount)
+		l.stacks = append(l.stacks, ev.Stack)
+	}
+}
+
 // A hook without a stack demand keeps the capture-class contract: next
-// to the builder, which asks only at candidates, the trace recorder the
-// baseline tools use still gets a stack on every flush and fence.
+// to the builder, which asks only at candidates, it still gets a stack
+// on every flush and fence.
 func TestUndemandingHookGetsEveryStack(t *testing.T) {
 	app := btree.New(apps.Config{SPT: true, PoolSize: 1 << 20})
 	w := workload.Generate(workload.Config{N: 300, Seed: 9})
 	stacks := stack.NewTable()
 	tree := fpt.New(stacks)
-	rec := trace.NewRecorder()
+	log := &stackLog{}
 	_, sig, err := harness.Execute(app, w,
 		pmem.Options{Capture: pmem.CapturePersistency, Stacks: stacks},
-		fpt.NewBuilder(tree, fpt.GranPersistency), rec)
+		fpt.NewBuilder(tree, fpt.GranPersistency), log)
 	if err != nil || sig != nil {
 		t.Fatalf("run: sig %v, err %v", sig, err)
 	}
 	persistency := 0
-	for i, r := range rec.T.Records {
-		if !r.Op.IsPersistency() {
-			if r.Stack != stack.NoID {
-				t.Fatalf("record %d (%s) carries a stack outside the capture class", i, r.Op)
+	for i, op := range log.ops {
+		if !op.IsPersistency() {
+			if log.stacks[i] != stack.NoID {
+				t.Fatalf("event %d (%s) carries a stack outside the capture class", i, op)
 			}
 			continue
 		}
 		persistency++
-		if r.Stack == stack.NoID {
-			t.Fatalf("record %d (%s at instruction %d) has no stack", i, r.Op, r.ICount)
+		if log.stacks[i] == stack.NoID {
+			t.Fatalf("event %d (%s at instruction %d) has no stack", i, op, log.counts[i])
 		}
 	}
 	if got := stacks.Captures(); got != uint64(persistency) {

@@ -28,12 +28,6 @@ type Scale struct {
 	Seed int64
 }
 
-// Default is the scale used by the cmd/ drivers: 1/10th of the paper's
-// workload and a budget that plays the role of the 12-hour limit.
-func Default() Scale {
-	return Scale{Ops: 15000, Budget: 60 * time.Second, MemBudget: 2 << 30, Seed: 42}
-}
-
 // Quick is the scale used by the benchmark harness and tests.
 func Quick() Scale {
 	return Scale{Ops: 2000, Budget: 10 * time.Second, MemBudget: 512 << 20, Seed: 42}

@@ -1,6 +1,7 @@
 package fpt_test
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -211,29 +212,58 @@ func TestTreeStringRendersFig2Style(t *testing.T) {
 	}
 }
 
-// A counter-mode replay needs no hook: the engine crashes at the
-// recorded leaf's first occurrence by itself (pmem.Options.CrashAt).
-func TestInjectorCounterMode(t *testing.T) {
-	tree, _ := buildTree(t, GranPersistency)
-	target := tree.Leaves()[1].FirstICount
+// crashAt is a hook that crashes the engine at one instruction counter,
+// before that instruction's own change.
+type crashAt uint64
 
-	e := pmem.NewEngine(pmem.Options{PoolSize: 4096, CrashAt: target})
-	app := &pmApp{e: e}
-	var sig *pmem.CrashSignal
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				sig = r.(*pmem.CrashSignal)
-			}
-		}()
+func (c crashAt) OnEvent(ev *pmem.Event) {
+	if ev.ICount == uint64(c) {
+		panic(&pmem.CrashSignal{ICount: ev.ICount, Reason: "failure point"})
+	}
+}
+
+// WantsStack implements pmem.StackDemand: the hook needs no stacks.
+func (crashAt) WantsStack(*pmem.Event) bool { return false }
+
+// A counter-mode injection replays nothing: the image the builder
+// freezes at a leaf's first occurrence, and the stamp it takes of it,
+// are the crash state a re-execution crashed at that counter reaches.
+func TestInjectorCounterMode(t *testing.T) {
+	st := stack.NewTable()
+	e := pmem.NewEngine(pmem.Options{PoolSize: 4096, Capture: pmem.CapturePersistency, Stacks: st})
+	tree := New(st)
+	b := NewBuilder(tree, GranPersistency)
+	b.KeepImages = true
+	e.AttachHook(b)
+	run := func(app *pmApp) {
 		app.mainPath()
 		app.loopPath()
-	}()
-	if sig == nil {
-		t.Fatal("injector never fired")
 	}
-	if sig.ICount != target {
-		t.Fatalf("crashed at %d, want %d", sig.ICount, target)
+	run(&pmApp{e: e})
+
+	for _, leaf := range tree.Leaves() {
+		replay := pmem.NewEngine(pmem.Options{PoolSize: 4096})
+		replay.AttachHook(crashAt(leaf.FirstICount))
+		var sig *pmem.CrashSignal
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					sig = r.(*pmem.CrashSignal)
+				}
+			}()
+			run(&pmApp{e: replay})
+		}()
+		if sig == nil || sig.ICount != leaf.FirstICount {
+			t.Fatalf("leaf %d: re-execution crashed with %+v, want a crash at %d", leaf.ID, sig, leaf.FirstICount)
+		}
+		want := replay.PrefixImage()
+		if leaf.Image == nil || leaf.Image.Hash() != want.Hash() || !bytes.Equal(leaf.Image.Bytes(), want.Bytes()) {
+			t.Fatalf("leaf %d: the builder's image differs from the re-execution's crash state", leaf.ID)
+		}
+		if leaf.ImageHash != want.Hash() || leaf.ImageSize != want.Len() {
+			t.Fatalf("leaf %d: stamp (%#x, %d), crash state (%#x, %d)",
+				leaf.ID, leaf.ImageHash, leaf.ImageSize, want.Hash(), want.Len())
+		}
 	}
 }
 

@@ -1,13 +1,31 @@
 package fpt_test
 
 import (
-	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 	"testing/quick"
 
+	"mumak/internal/campaign"
 	. "mumak/internal/fpt"
 	"mumak/internal/stack"
 )
+
+// The tree's artifact file is written and read by internal/campaign;
+// these tests check that a tree survives the round trip whole.
+
+// saveAndLoad writes tree with the given consumed prefix and reads it
+// back into a fresh stack table.
+func saveAndLoad(t *testing.T, tree *Tree, consumed int) (*Tree, int, *stack.Table, error) {
+	t.Helper()
+	dir := t.TempDir()
+	if err := campaign.SaveTree(dir, tree, consumed); err != nil {
+		t.Fatal(err)
+	}
+	st := stack.NewTable()
+	got, visited, err := campaign.LoadTree(filepath.Join(dir, campaign.TreeFile), st)
+	return got, visited, st, err
+}
 
 func TestSerializeRoundTrip(t *testing.T) {
 	st := stack.NewTable()
@@ -16,12 +34,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 	tree.Insert(st.Intern([]uintptr{10, 20, 30}), 5)
 	tree.Freeze()
 
-	var buf bytes.Buffer
-	if err := tree.Encode(&buf, 1); err != nil {
-		t.Fatal(err)
-	}
-	st2 := stack.NewTable()
-	got, consumed, err := ReadTree(&buf, st2)
+	got, consumed, st2, err := saveAndLoad(t, tree, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +71,7 @@ func TestSerializePreservesImageStamps(t *testing.T) {
 	b.ImageSize = 4096
 	tree.Freeze()
 
-	var buf bytes.Buffer
-	if err := tree.Encode(&buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := ReadTree(&buf, stack.NewTable())
+	got, _, _, err := saveAndLoad(t, tree, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +88,11 @@ func TestSerializePreservesImageStamps(t *testing.T) {
 }
 
 func TestReadTreeRejectsGarbage(t *testing.T) {
-	if _, _, err := ReadTree(bytes.NewReader([]byte("not a tree")), stack.NewTable()); err == nil {
+	path := filepath.Join(t.TempDir(), campaign.TreeFile)
+	if err := os.WriteFile(path, []byte("not a tree"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := campaign.LoadTree(path, stack.NewTable()); err == nil {
 		t.Fatal("garbage input accepted")
 	}
 }
@@ -105,11 +118,7 @@ func TestPropertySerializePreservesLeaves(t *testing.T) {
 			tree.Insert(st.Intern(pcs), ic)
 		}
 		want := int(k) % (tree.Len() + 1)
-		var buf bytes.Buffer
-		if err := tree.Encode(&buf, want); err != nil {
-			return false
-		}
-		got, consumed, err := ReadTree(&buf, stack.NewTable())
+		got, consumed, _, err := saveAndLoad(t, tree, want)
 		if err != nil {
 			return false
 		}

@@ -187,7 +187,6 @@ func (s *CheckpointStore) restore(idx int) *Engine {
 	// recording, no watchdogs, no capture. It only receives logged
 	// changes and then materialises crash images.
 	o.CheckpointEvery = 0
-	o.CrashAt = 0
 	o.MaxEvents = 0
 	o.Deadline = time.Time{}
 	o.Capture = CaptureNone
@@ -202,8 +201,9 @@ func (s *CheckpointStore) restore(idx int) *Engine {
 // instruction counter: restore the nearest checkpoint strictly below
 // target, apply the logged changes with counters in (checkpoint,
 // target), and set the counter to target — exactly the state an
-// execution reaches when the engine panics at CrashAt == target, which
-// happens before the target instruction's own change.
+// execution reaches when a hook panics with a *CrashSignal at the event
+// with counter target, which happens before the target instruction's
+// own change.
 //
 // It returns the private restored engine and the replayed gap in
 // instruction-counter units (target minus the checkpoint counter). A

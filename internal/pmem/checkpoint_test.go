@@ -14,10 +14,11 @@ import (
 // multi-line and partial-line stores, NT stores, all three flush
 // flavours, both fences, succeeding and failing CAS, FAA, and loads —
 // against the engine. The sequence depends only on the seed, never on
-// engine state, so a recording engine and a from-scratch CrashAt engine
-// replay the exact same instruction stream. With eadr set it issues the
-// stream a build for an eADR platform issues: the same one without its
-// cache flushes (see eadrBuild), so no line is ever cleaned.
+// engine state, so a recording engine and a from-scratch engine crashed
+// by a hook replay the exact same instruction stream. With eadr set it
+// issues the stream a build for an eADR platform issues: the same one
+// without its cache flushes (see eadrBuild), so no line is ever
+// cleaned.
 func driveOps(e *Engine, seed int64, n int, eadr bool) {
 	rng := rand.New(rand.NewSource(seed ^ 0x05eed))
 	span := e.Size() - 2*CacheLineSize
@@ -70,14 +71,14 @@ func driveOps(e *Engine, seed int64, n int, eadr bool) {
 	}
 }
 
-// runToCrash executes the op stream on a fresh engine that panics at
-// the target counter, and returns the engine frozen in its crash state
-// — the reference a checkpoint restore must reproduce exactly.
+// runToCrash executes the op stream on a fresh engine that a hook
+// crashes at the target counter, and returns the engine frozen in its
+// crash state — the reference a checkpoint restore must reproduce
+// exactly.
 func runToCrash(t *testing.T, opts Options, seed int64, n int, eadr bool, target uint64) *Engine {
 	t.Helper()
-	o := opts
-	o.CrashAt = target
-	e := NewEngine(o)
+	e := NewEngine(opts)
+	e.AttachHook(crashAt(target))
 	crashed := false
 	func() {
 		defer func() {

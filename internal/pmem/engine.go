@@ -172,9 +172,6 @@ func (e *Engine) wantsStack(ev *Event) bool {
 
 func (e *Engine) emit(op Opcode, addr uint64, size int, data []byte) {
 	e.icount++
-	if e.icount == e.opts.CrashAt {
-		panic(&CrashSignal{ICount: e.icount, Reason: "failure point (counter mode)"})
-	}
 	if e.opts.MaxEvents != 0 && e.icount > e.opts.MaxEvents {
 		panic(&HangSignal{ICount: e.icount, Budget: e.opts.MaxEvents})
 	}

@@ -46,14 +46,6 @@ type Options struct {
 	// PoolSize is the size of the simulated PM device in bytes. It is
 	// rounded up to a multiple of CacheLineSize. Required.
 	PoolSize int
-	// CrashAt, when non-zero, makes the engine panic with a
-	// *CrashSignal immediately before the instruction with this
-	// counter executes: the from-scratch replay of §5's
-	// instruction-counter mode, with no event construction or hook
-	// dispatch on its hot path. The campaign no longer replays in that
-	// mode (phase 1 freezes each failure point's image instead); the
-	// replay stays as the reference those images are tested against.
-	CrashAt uint64
 	// MaxEvents, when non-zero, is a deterministic fuel budget: the
 	// engine panics with a *HangSignal once the instruction counter
 	// exceeds it. It preempts targets whose PM activity never

@@ -20,6 +20,7 @@ package stack
 import (
 	"fmt"
 	"hash/maphash"
+	"path"
 	"runtime"
 	"slices"
 	"strings"
@@ -70,7 +71,8 @@ type Frame struct {
 	PC uintptr
 	// Function is the fully qualified function name.
 	Function string
-	// File and Line locate the call site in source.
+	// File and Line locate the call site in source. File is the path a
+	// -trimpath build prints (see trimFile), whatever the build.
 	File string
 	Line int
 }
@@ -78,6 +80,42 @@ type Frame struct {
 // String formats the frame like a debugger line.
 func (f Frame) String() string {
 	return fmt.Sprintf("%s at %s:%d", f.Function, f.File, f.Line)
+}
+
+// sourceRoot is a directory symbolisation puts before source files and
+// what a -trimpath build prints in its place.
+type sourceRoot struct{ dir, trimmed string }
+
+// sourceRoots are this module's root directory, printed as the module
+// path, and GOROOT/src, printed as nothing. Both come from the stack
+// package's own frames: this function's (a file of this module) and
+// runtime.Callers's (a standard-library file).
+var sourceRoots = sync.OnceValue(func() [2]sourceRoot {
+	pcs := make([]uintptr, 2)
+	it := runtime.CallersFrames(pcs[:runtime.Callers(0, pcs)])
+	callers, _ := it.Next()
+	self, _ := it.Next()
+	return [2]sourceRoot{
+		{
+			dir:     strings.TrimSuffix(path.Dir(self.File), "internal/stack"),
+			trimmed: self.Function[:strings.Index(self.Function, "internal/stack.")],
+		},
+		{dir: strings.TrimSuffix(path.Dir(callers.File), "runtime")},
+	}
+})
+
+// trimFile returns the path a -trimpath build prints for a source file:
+// files of this module under the module path, standard-library files
+// relative to GOROOT/src. Reports, panic traces and the journal records
+// and verdict-cache entries that embed them then read the same whatever
+// directory Mumak was built in, and however.
+func trimFile(file string) string {
+	for _, r := range sourceRoots() {
+		if strings.HasPrefix(file, r.dir) {
+			return r.trimmed + file[len(r.dir):]
+		}
+	}
+	return file
 }
 
 // Table interns call stacks and assigns them stable IDs. It is safe for
@@ -360,7 +398,7 @@ func (t *Table) Frames(id ID) []Frame {
 	it := runtime.CallersFrames(pcs)
 	for {
 		fr, more := it.Next()
-		frames = append(frames, Frame{PC: fr.PC, Function: fr.Function, File: fr.File, Line: fr.Line})
+		frames = append(frames, Frame{PC: fr.PC, Function: fr.Function, File: trimFile(fr.File), Line: fr.Line})
 		if !more {
 			break
 		}
@@ -400,7 +438,7 @@ func PanicTrace() string {
 	for {
 		fr, more := it.Next()
 		if len(lines) > 0 || !strings.HasPrefix(fr.Function, "runtime.") {
-			f := Frame{PC: fr.PC, Function: fr.Function, File: fr.File, Line: fr.Line}
+			f := Frame{PC: fr.PC, Function: fr.Function, File: trimFile(fr.File), Line: fr.Line}
 			lines = append(lines, "  "+f.String())
 		}
 		if !more {

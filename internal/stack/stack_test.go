@@ -3,6 +3,8 @@ package stack_test
 import . "mumak/internal/stack"
 
 import (
+	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -72,6 +74,59 @@ func TestFormatContainsFileAndLine(t *testing.T) {
 	s := tbl.Format(id)
 	if !strings.Contains(s, "stack_test.go:") {
 		t.Errorf("formatted stack lacks source location:\n%s", s)
+	}
+}
+
+//go:noinline
+func panicker() { panic("seeded") }
+
+// panicTrace recovers panicker's panic and renders its trace.
+func panicTrace() (trace string) {
+	defer func() {
+		recover()
+		trace = PanicTrace()
+	}()
+	panicker()
+	return ""
+}
+
+// TestFramesPrintBuildIndependentPaths: frames print the paths a
+// -trimpath build prints, whatever directory the code was built in. A
+// frame of this module reads mumak/internal/..., never the checkout
+// directory, and a panic trace's runtime frames read runtime/...,
+// never GOROOT.
+func TestFramesPrintBuildIndependentPaths(t *testing.T) {
+	_, self, _, _ := runtime.Caller(0)
+	checkout := strings.TrimSuffix(filepath.ToSlash(self), "internal/stack/stack_test.go")
+
+	tbl := NewTable()
+	f := tbl.Frames(captureLeaf(tbl))[0]
+	if f.File != "mumak/internal/stack/stack_test.go" {
+		t.Fatalf("captured frame in %q, want mumak/internal/stack/stack_test.go (built in %q)", f.File, checkout)
+	}
+
+	trace := panicTrace()
+	if !strings.Contains(trace, "stack_test.panicker at mumak/internal/stack/stack_test.go:") {
+		t.Fatalf("panic trace does not start at panicker in this module:\n%s", trace)
+	}
+	runtimeFrames := 0
+	for _, line := range strings.Split(trace, "\n") {
+		fn, file, ok := strings.Cut(strings.TrimSpace(line), " at ")
+		if !ok {
+			t.Fatalf("malformed trace line %q", line)
+		}
+		if checkout != "mumak/" && strings.Contains(file, checkout) {
+			t.Fatalf("frame %s names the checkout directory: %s", fn, file)
+		}
+		if strings.HasPrefix(fn, "runtime.") {
+			runtimeFrames++
+			if !strings.HasPrefix(file, "runtime/") {
+				t.Fatalf("runtime frame %s in %s, want runtime/...", fn, file)
+			}
+		}
+	}
+	if runtimeFrames == 0 {
+		t.Fatalf("panic trace has no runtime frame below the test:\n%s", trace)
 	}
 }
 

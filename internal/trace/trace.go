@@ -2,17 +2,15 @@
 //
 // A Trace is the by-product 6 of the Mumak pipeline (Fig 1): the ordered
 // list of stores, flushes and fences observed during the workload run,
-// identified by instruction counter. Mumak's trace-analysis phase
-// consumes it with a single pass; the baseline tools additionally use the
-// replay machinery here to build crash images under weaker persistency
-// assumptions (arbitrary subsets of unfenced write-backs), which is the
-// search space Yat and Witcher explore.
+// identified by instruction counter. Mumak itself streams its trace
+// analysis and never materialises one; the baseline tools record traces
+// in memory and use the replay machinery here to build crash images
+// under weaker persistency assumptions (arbitrary subsets of unfenced
+// write-backs), which is the search space Yat and Witcher explore.
+// Traces have no file format.
 package trace
 
-import (
-	"mumak/internal/pmem"
-	"mumak/internal/stack"
-)
+import "mumak/internal/pmem"
 
 // Record is one traced instruction, stored compactly (§5: instruction
 // type, argument(s), instruction counter).
@@ -28,17 +26,12 @@ type Record struct {
 	// Data indexes the payload of store events within the trace's
 	// shared buffer; -1 when the record carries no payload.
 	Data int64
-	// Stack is the captured call stack, or stack.NoID.
-	Stack stack.ID
 }
 
-// Trace is an ordered PM access trace plus the annotations emitted by the
-// PM library during the same execution.
+// Trace is an ordered PM access trace.
 type Trace struct {
 	// Records holds the instruction stream in execution order.
 	Records []Record
-	// Anns holds library annotations in execution order.
-	Anns []pmem.Annotation
 
 	payload []byte
 }
@@ -79,16 +72,10 @@ func (rec *Recorder) OnEvent(ev *pmem.Event) {
 		Addr:   ev.Addr,
 		Size:   int32(ev.Size),
 		Data:   -1,
-		Stack:  ev.Stack,
 	}
 	if len(ev.Data) > 0 {
 		r.Data = int64(len(rec.T.payload))
 		rec.T.payload = append(rec.T.payload, ev.Data...)
 	}
 	rec.T.Records = append(rec.T.Records, r)
-}
-
-// OnAnnotation implements pmem.AnnotationObserver.
-func (rec *Recorder) OnAnnotation(a *pmem.Annotation) {
-	rec.T.Anns = append(rec.T.Anns, *a)
 }
