@@ -69,8 +69,7 @@ func main() {
 		hangBudget = flag.Uint64("hang-budget", 0, "PM events one execution may emit before the hang watchdog kills it (0 = default)")
 		recTimeout = flag.Duration("recovery-timeout", 0, "wall-clock watchdog per recovery-oracle invocation (0 = default)")
 		exitZero   = flag.Bool("exit-zero", false, "exit 0 even when bugs were found (smoke tests that assert findings without failing the step)")
-		journalDir = flag.String("journal", "", "directory for a durable campaign journal: every verdict is fsync'd, so a killed campaign resumes with -resume")
-		resume     = flag.Bool("resume", false, "resume the journaled campaign in -journal instead of starting fresh")
+		journalDir = flag.String("journal", "", "directory for a durable campaign journal: every verdict is fsync'd, and rerunning the same command resumes the campaign it holds")
 		classing   = flag.Bool("classing", true, "reuse verdicts: replay one failure point per phase-1 crash-image class and let the rest inherit its verdict (reports are byte-identical); turn off for targets whose execution or recovery is not deterministic")
 		vcFile     = flag.String("verdict-cache-file", "", "persistent cross-run verdict cache file: re-runs of the identical campaign replay only crash images never judged before")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to FILE (read it with go tool pprof; the report is unchanged)")
@@ -90,7 +89,6 @@ func main() {
 	if err := validateFlags(flagValues{
 		ops: *ops, workers: *workers, poolMB: *poolMB,
 		budget: *budget, artifacts: *artifacts,
-		journal: *journalDir, resume: *resume,
 		verdictCache: *vcFile, classing: *classing,
 		cpuProfile: *cpuProfile, memProfile: *memProfile, execTrace: *execTrace,
 	}); err != nil {
@@ -148,34 +146,17 @@ func main() {
 		PersistVerdicts: *vcFile != "",
 	}
 
-	// Campaign journal: identity is pinned at creation and re-checked on
-	// resume, so a journal can never be folded into a different campaign.
+	// Campaign journal: identity is pinned at creation and re-checked
+	// when the journal is reopened, so a journal can never be folded
+	// into a different campaign.
 	meta := campaignMeta(*target, wlCfg, appCfg, coreCfg)
-	var (
-		journal     *campaign.Journal
-		resumeState *campaign.State
-	)
-	switch {
-	case *resume:
-		st, err := campaign.Load(*journalDir)
-		if err != nil {
-			fatal(fmt.Errorf("resume: %v", err))
+	var journal *campaign.Journal
+	if *journalDir != "" {
+		if journal, err = campaign.Open(*journalDir, meta); err != nil {
+			fatal(err)
 		}
-		if err := st.Meta.Check(meta); err != nil {
-			fatal(fmt.Errorf("resume: %v", err))
-		}
-		for _, d := range st.Diagnostics {
+		for _, d := range journal.Diagnostics {
 			fmt.Fprintln(os.Stderr, "mumak: journal:", d)
-		}
-		journal, err = st.Reopen()
-		if err != nil {
-			fatal(fmt.Errorf("resume: %v", err))
-		}
-		resumeState = st
-	case *journalDir != "":
-		journal, err = campaign.Create(*journalDir, meta)
-		if err != nil {
-			fatal(fmt.Errorf("journal: %v", err))
 		}
 	}
 
@@ -207,7 +188,6 @@ func main() {
 
 	coreCfg.Interrupt = interrupt
 	coreCfg.Journal = journal
-	coreCfg.Resume = resumeState
 	res, err := core.Analyze(app, w, coreCfg)
 	if journal != nil {
 		if cerr := journal.Close(); cerr != nil {
@@ -300,7 +280,7 @@ func main() {
 	if res.Interrupted {
 		hint := ""
 		if *journalDir != "" {
-			hint = fmt.Sprintf(" (resume: mumak -target %s -journal %s -resume)", *target, *journalDir)
+			hint = " (rerun the same command to resume)"
 		}
 		fmt.Printf("campaign interrupted before completion%s\n", hint)
 	}

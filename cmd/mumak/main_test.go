@@ -134,8 +134,129 @@ func TestResumeRefusesOtherJournalVersion(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, campaign.MetaFile), meta.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out, code := runCLI(t, bin, "-target", "btree", "-ops", "300", "-journal", dir, "-resume")
+	out, code := runCLI(t, bin, "-target", "btree", "-ops", "300", "-journal", dir)
 	if code != 2 || !strings.Contains(out, "format version") {
 		t.Fatalf("resume of an old-format journal: exit %d, want 2 naming the format version\n%s", code, out)
+	}
+}
+
+// TestJournalResumesOnlyItsOwnCampaign: rerunning the command that
+// wrote a journal resumes it (here a completed one: every verdict is
+// folded, none replayed, and the report is unchanged), while a run of
+// another campaign is refused naming the field that differs.
+func TestJournalResumesOnlyItsOwnCampaign(t *testing.T) {
+	bin := buildCLI(t)
+	dir := t.TempDir()
+	args := []string{"-target", "btree", "-spt", "-seed-bugs", "btree/count-outside-tx",
+		"-ops", "300", "-workers", "1", "-exit-zero", "-journal", dir}
+	first, code := runCLI(t, bin, append(args, "-json")...)
+	if code != 0 {
+		t.Fatalf("journaled run: exit %d\n%s", code, first)
+	}
+	again, code := runCLI(t, bin, append(args, "-json")...)
+	if code != 0 || again != first {
+		t.Fatalf("rerun over the journal: exit %d, report\n%s\nwant exit 0 and\n%s", code, again, first)
+	}
+	summary, _ := runCLI(t, bin, args...)
+	if !regexp.MustCompile(`journal: 0 verdict\(s\) appended, [1-9]\d* verdict\(s\) restored on resume`).MatchString(summary) {
+		t.Fatalf("rerun of a completed campaign did not fold every verdict:\n%s", summary)
+	}
+	out, code := runCLI(t, bin, append(args, "-ops", "200")...)
+	if code != 2 || !strings.Contains(out, "Ops=300") {
+		t.Fatalf("run of another campaign over the journal: exit %d, want 2 naming Ops\n%s", code, out)
+	}
+}
+
+// identityFlags are the flags campaignMeta pins: a journal or
+// verdict-cache file recorded under one value is refused under another.
+// Each maps to a base value and an alternative one.
+var identityFlags = map[string][2]string{
+	"target":            {"btree", "rbtree"},
+	"ops":               {"20", "21"},
+	"seed":              {"42", "43"},
+	"spt":               {"false", "true"},
+	"pmdk":              {"1.6", "1.8"},
+	"eadr":              {"false", "true"},
+	"store-granularity": {"false", "true"},
+	"stack-mode":        {"false", "true"},
+	"seed-bugs":         {"", "btree/count-outside-tx"},
+	"montage-buggy":     {"false", "true"},
+	"with-recovery":     {"true", "false"},
+	"pool-mb":           {"64", "32"},
+	"hang-budget":       {"0", "1000000"},
+	"recovery-timeout":  {"0", "5s"},
+}
+
+// neutralFlags change neither the failure point tree nor a verdict, so
+// a journal or verdict-cache file recorded under one value folds into a
+// run under another. Each maps to the reason.
+var neutralFlags = map[string]string{
+	"list":               "lists the targets and analyses nothing",
+	"warnings":           "adds trace-analysis warnings to the report, which no verdict reads",
+	"json":               "selects the report format",
+	"print-tree":         "prints the tree the run built",
+	"exit-zero":          "changes only the exit status",
+	"workers":            "reports are byte-identical for any worker count",
+	"budget":             "cuts a campaign short, and the journal resumes it",
+	"classing":           "classed and unclassed campaigns give byte-identical reports, and journals fold across it",
+	"journal":            "names where verdicts are recorded",
+	"verdict-cache-file": "names where verdicts are cached",
+	"artifacts":          "names where the tree is saved",
+	"cpuprofile":         "profiles leave the report unchanged",
+	"memprofile":         "profiles leave the report unchanged",
+	"trace":              "profiles leave the report unchanged",
+}
+
+// TestEveryFlagIsIdentityOrResultNeutral: every flag mumak -h prints is
+// declared either part of the campaign identity or result-neutral, and
+// each identity flag really changes the identity a journal records.
+func TestEveryFlagIsIdentityOrResultNeutral(t *testing.T) {
+	bin := buildCLI(t)
+	usage, code := runCLI(t, bin, "-h")
+	if code != 0 {
+		t.Fatalf("mumak -h: exit %d\n%s", code, usage)
+	}
+	printed := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^  -([\w-]+)`).FindAllStringSubmatch(usage, -1) {
+		printed[m[1]] = true
+	}
+	declared := map[string]int{}
+	for name := range identityFlags {
+		declared[name]++
+	}
+	for name := range neutralFlags {
+		declared[name]++
+	}
+	for name := range printed {
+		if declared[name] != 1 {
+			t.Errorf("flag -%s must be declared exactly once, as an identity flag or as result-neutral", name)
+		}
+	}
+	for name := range declared {
+		if !printed[name] {
+			t.Errorf("declared flag -%s is not printed by mumak -h", name)
+		}
+	}
+	for name, values := range identityFlags {
+		t.Run(name, func(t *testing.T) {
+			var metas [2]campaign.Meta
+			for i, v := range values {
+				dir := t.TempDir()
+				args := []string{"-target", "btree", "-ops", "20", "-budget", "2s", "-workers", "1",
+					"-exit-zero", "-journal", dir, "-" + name + "=" + v}
+				if out, code := runCLI(t, bin, args...); code != 0 {
+					t.Fatalf("mumak %s: exit %d\n%s", strings.Join(args, " "), code, out)
+				}
+				st, err := campaign.Load(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				metas[i] = st.Meta
+			}
+			if metas[0].Check(metas[1]) == nil {
+				t.Errorf("-%s=%s and -%s=%s record the same campaign identity %+v",
+					name, values[0], name, values[1], metas[0])
+			}
+		})
 	}
 }

@@ -20,8 +20,6 @@ type flagValues struct {
 	poolMB       int
 	budget       time.Duration
 	artifacts    string
-	journal      string
-	resume       bool
 	verdictCache string
 	classing     bool
 	cpuProfile   string
@@ -41,8 +39,6 @@ func validateFlags(v flagValues) error {
 		return fmt.Errorf("-pool-mb %d: the simulated PM pool needs at least 1 MiB", v.poolMB)
 	case v.budget < 0:
 		return fmt.Errorf("-budget %s: the analysis budget cannot be negative", v.budget)
-	case v.resume && v.journal == "":
-		return fmt.Errorf("-resume needs -journal DIR: there is no journal to resume from")
 	case v.verdictCache != "" && !v.classing:
 		return fmt.Errorf("-verdict-cache-file needs -classing: verdicts are only reused, and saved, with it on")
 	}

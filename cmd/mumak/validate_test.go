@@ -38,7 +38,6 @@ func TestValidateFlagsRejections(t *testing.T) {
 		{"workers-negative", func(v *flagValues) { v.workers = -3 }, "-workers"},
 		{"pool", func(v *flagValues) { v.poolMB = 0 }, "-pool-mb"},
 		{"budget", func(v *flagValues) { v.budget = -time.Second }, "-budget"},
-		{"resume-without-journal", func(v *flagValues) { v.resume = true }, "-journal"},
 		{"verdict-cache-without-classing", func(v *flagValues) {
 			v.verdictCache = "verdicts.bin"
 			v.classing = false

@@ -22,10 +22,11 @@
 //     record only costs re-replaying that one leaf.
 //   - The campaign identity (Meta: every setting that changes the
 //     failure point tree or a verdict) is written once at creation, as
-//     a sealed meta file whose header carries the format Version.
-//     Resume refuses a journal of another format version, and one
-//     recorded under different parameters with a one-line diagnostic
-//     naming the first differing field.
+//     a sealed meta file whose header carries the format Version. Open
+//     creates a journal where there is none and otherwise resumes the
+//     one there: it refuses a journal of another format version, and
+//     one recorded under different parameters with a one-line
+//     diagnostic naming the first differing field.
 //
 // The journal is the campaign's only progress state. The campaign
 // merge loop consumes leaves strictly in first-occurrence order, so

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 )
@@ -31,39 +30,66 @@ var journalMagic = [8]byte{'M', 'U', 'M', 'A', 'K', 'J', 'N', 'L'}
 // corrupt length prefix rather than a 4 GiB allocation.
 const maxFrame = 16 << 20
 
-// Journal is an open, appendable campaign journal. Append is called
-// only from the campaign's single merge goroutine; the type needs no
-// internal locking.
+// Journal is an open, appendable campaign journal: the State Open
+// found in its directory, whose records core.Analyze folds before the
+// campaign continues (none for a fresh journal), and the record log,
+// open for appending. Append is called only from the campaign's single
+// merge goroutine; the type needs no internal locking.
 type Journal struct {
+	State
 	f *os.File
 }
 
-// Create initialises a fresh campaign journal in dir, writing the
-// campaign identity as a sealed meta file of format Version. It refuses a
-// directory that already holds journaled verdicts: appending a
-// different campaign's records after an existing prefix would corrupt
-// both, so the caller must either resume (Load + Reopen) or pick a
-// fresh directory.
-func Create(dir string, meta Meta) (*Journal, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("campaign: creating journal directory: %w", err)
+// Open opens the campaign journal in dir for appending, creating it
+// when dir holds no meta file yet. A fresh journal writes the campaign
+// identity as a sealed meta file of format Version; it refuses a
+// directory whose record log already holds verdicts without one, since
+// appending after records of an unknown campaign would corrupt both.
+// An existing journal is loaded as Load does, must have been recorded
+// under the same identity (Meta.Check), and has any torn tail
+// truncated away, so appended frames follow the last intact one.
+func Open(dir string, meta Meta) (*Journal, error) {
+	j := &Journal{State: State{Meta: meta}}
+	if _, err := os.Stat(filepath.Join(dir, MetaFile)); os.IsNotExist(err) {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, fmt.Errorf("campaign: creating journal directory: %w", err)
+		}
+		if fi, err := os.Stat(filepath.Join(dir, JournalFile)); err == nil && fi.Size() > 0 {
+			return nil, fmt.Errorf("campaign: %s holds journal records but no %s; choose a fresh directory", dir, MetaFile)
+		}
+		if err := writeSealed(filepath.Join(dir, MetaFile), journalMagic, Version, &meta); err != nil {
+			return nil, err
+		}
+	} else {
+		st, err := Load(dir)
+		if err != nil {
+			return nil, err
+		}
+		if err := st.Meta.Check(meta); err != nil {
+			return nil, fmt.Errorf("campaign: journal in %s: %v; rerun with its settings or choose a fresh directory", dir, err)
+		}
+		j.State = *st
 	}
-	if fi, err := os.Stat(filepath.Join(dir, JournalFile)); err == nil && fi.Size() > 0 {
-		return nil, fmt.Errorf("campaign: %s already holds a campaign journal; resume it with -resume or choose a fresh directory", dir)
-	}
-	if err := writeSealed(filepath.Join(dir, MetaFile), journalMagic, Version, &meta); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(filepath.Join(dir, JournalFile),
-		os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, JournalFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("campaign: creating journal: %w", err)
+		return nil, fmt.Errorf("campaign: opening journal: %w", err)
+	}
+	// A torn tail never held a complete record; a fresh journal keeps
+	// nothing.
+	if err := f.Truncate(j.validLen); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("campaign: truncating journal: %w", err)
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("campaign: syncing journal: %w", err)
 	}
 	if err := syncDir(dir); err != nil {
 		f.Close()
 		return nil, err
 	}
-	return &Journal{f: f}, nil
+	j.f = f
+	return j, nil
 }
 
 // Append durably appends one verdict record: the frame (length, CRC,
@@ -104,11 +130,8 @@ func (j *Journal) Close() error {
 }
 
 // State is a loaded campaign journal: the durable prefix a crashed or
-// interrupted campaign left behind, ready to be folded into a resumed
-// run (core.Config.Resume) and appended to (Reopen).
+// interrupted campaign left behind.
 type State struct {
-	// Dir is the journal directory.
-	Dir string
 	// Meta is the campaign identity the journal was created with.
 	Meta Meta
 	// Records is the loadable prefix of journaled verdicts, in the
@@ -119,7 +142,7 @@ type State struct {
 	// affected leaves.
 	Diagnostics []string
 
-	// validLen is the byte offset past the last intact record; Reopen
+	// validLen is the byte offset past the last intact record; Open
 	// truncates a torn tail back to it before appending.
 	validLen int64
 }
@@ -135,7 +158,7 @@ func Load(dir string) (*State, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaign: no campaign journal in %s (%v)", dir, err)
 	}
-	st := &State{Dir: dir}
+	st := &State{}
 	var vm *versionMismatch
 	switch err := unseal(mb, journalMagic, Version, &st.Meta); {
 	case errors.Is(err, errBadMagic):
@@ -174,30 +197,6 @@ func Load(dir string) (*State, error) {
 func versionError(dir, got string) error {
 	return fmt.Errorf("campaign: journal in %s has format version %s, this build reads only version %d; start a fresh journal",
 		dir, got, Version)
-}
-
-// Reopen opens the journal for appending the resumed campaign's
-// verdicts after the loaded prefix. A torn tail (detected by Load) is
-// truncated away first — it never held a complete record — so appended
-// frames always follow the last intact one.
-func (s *State) Reopen() (*Journal, error) {
-	f, err := os.OpenFile(filepath.Join(s.Dir, JournalFile), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: reopening journal: %w", err)
-	}
-	if err := f.Truncate(s.validLen); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("campaign: truncating torn journal tail: %w", err)
-	}
-	if _, err := f.Seek(s.validLen, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("campaign: seeking journal end: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("campaign: syncing reopened journal: %w", err)
-	}
-	return &Journal{f: f}, nil
 }
 
 // readFrames walks the framed journal bytes, returning every intact

@@ -45,7 +45,7 @@ func testRecords(n int) []Record {
 func writeJournal(t *testing.T, recs []Record) string {
 	t.Helper()
 	dir := t.TempDir()
-	j, err := Create(dir, testMeta())
+	j, err := Open(dir, testMeta())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,13 +189,37 @@ func TestJournalImplausibleLength(t *testing.T) {
 	}
 }
 
+// TestCreateRefusesExistingJournal: Open creates a journal only where
+// it can lose no record. A journal of another campaign is refused
+// naming the differing field, and records without a meta file are
+// refused too; neither refusal touches the record log.
 func TestCreateRefusesExistingJournal(t *testing.T) {
 	dir := writeJournal(t, testRecords(1))
-	if _, err := Create(dir, testMeta()); err == nil {
-		t.Fatal("Create accepted a directory that already holds a journal")
-	} else if !strings.Contains(err.Error(), "-resume") {
-		t.Fatalf("refusal does not point at -resume: %v", err)
+	log := filepath.Join(dir, JournalFile)
+	size := fileSize(t, log)
+	other := testMeta()
+	other.Ops++
+	if _, err := Open(dir, other); err == nil || !strings.Contains(err.Error(), "Ops=") {
+		t.Fatalf("Open of another campaign's journal = %v, want a refusal naming Ops", err)
 	}
+	if err := os.Remove(filepath.Join(dir, MetaFile)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, testMeta()); err == nil || !strings.Contains(err.Error(), "fresh directory") {
+		t.Fatalf("Open of records without a meta file = %v, want a refusal pointing at a fresh directory", err)
+	}
+	if got := fileSize(t, log); got != size {
+		t.Fatalf("refused Opens changed the record log from %d to %d bytes", size, got)
+	}
+}
+
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
 }
 
 // TestMetaCheckMismatches flips each identity field in turn — walked by
@@ -243,8 +267,9 @@ func TestMetaCheckMismatches(t *testing.T) {
 	}
 }
 
-// TestReopenAppendsAfterTornTail: resume after a torn tail must
-// truncate the tear away so new frames follow the last intact record.
+// TestReopenAppendsAfterTornTail: reopening a journal after a torn
+// tail returns the intact records with a diagnostic and truncates the
+// tear away, so new frames follow the last intact record.
 func TestReopenAppendsAfterTornTail(t *testing.T) {
 	recs := testRecords(3)
 	dir := writeJournal(t, recs)
@@ -256,16 +281,13 @@ func TestReopenAppendsAfterTornTail(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)-5], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Load(dir)
+	j, err := Open(dir, testMeta())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Records) != 2 {
-		t.Fatalf("loaded %d records from torn journal, want 2", len(st.Records))
-	}
-	j, err := st.Reopen()
-	if err != nil {
-		t.Fatal(err)
+	if len(j.Records) != 2 || len(j.Diagnostics) == 0 {
+		t.Fatalf("reopened torn journal with %d records and diagnostics %v, want 2 and a diagnostic",
+			len(j.Records), j.Diagnostics)
 	}
 	extra := Record{LeafID: 9, LeafICount: 999, Injected: true}
 	if err := j.Append(extra); err != nil {
@@ -274,20 +296,20 @@ func TestReopenAppendsAfterTornTail(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := Load(dir)
+	st, err := Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st2.Diagnostics) != 0 {
-		t.Fatalf("journal still damaged after reopen+append: %v", st2.Diagnostics)
+	if len(st.Diagnostics) != 0 {
+		t.Fatalf("journal still damaged after reopen+append: %v", st.Diagnostics)
 	}
 	want := append(recs[:2], extra)
-	if len(st2.Records) != len(want) {
-		t.Fatalf("loaded %d records, want %d", len(st2.Records), len(want))
+	if len(st.Records) != len(want) {
+		t.Fatalf("loaded %d records, want %d", len(st.Records), len(want))
 	}
 	for i := range want {
-		if st2.Records[i] != want[i] {
-			t.Fatalf("record %d = %+v, want %+v", i, st2.Records[i], want[i])
+		if st.Records[i] != want[i] {
+			t.Fatalf("record %d = %+v, want %+v", i, st.Records[i], want[i])
 		}
 	}
 }

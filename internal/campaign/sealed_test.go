@@ -64,7 +64,7 @@ func sealedKinds() []sealedKind {
 		{
 			name: "journal-meta",
 			write: func(t *testing.T, dir string) string {
-				j, err := Create(dir, testMeta())
+				j, err := Open(dir, testMeta())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -348,7 +348,7 @@ func TestClassingResumeByteIdentical(t *testing.T) {
 	logLen := fileSize(t, filepath.Join(full, campaign.JournalFile))
 	for _, cut := range []int64{1, logLen / 3, logLen / 2, logLen - 3} {
 		dir := copyTruncated(t, full, cut)
-		res := analyzeResumed(t, mk, w, cfg, dir)
+		res := analyzeJournaled(t, mk, w, cfg, dir)
 		label := fmt.Sprintf("cut=%d", cut)
 		if got, want := renderReport(t, res.Report), renderReport(t, ref.Report); got != want {
 			t.Errorf("%s: resumed classed report differs\n--- reference ---\n%s\n--- resumed ---\n%s",
@@ -364,7 +364,7 @@ func TestClassingResumeByteIdentical(t *testing.T) {
 	// the campaign identity.
 	dir := copyTruncated(t, full, logLen/2)
 	plain := journaledConfig(false, 1)
-	res := analyzeResumed(t, mk, w, plain, dir)
+	res := analyzeJournaled(t, mk, w, plain, dir)
 	if got, want := res.Report.Format(true), ref.Report.Format(true); got != want {
 		t.Errorf("unclassed resume of a classed journal diverges\n--- reference ---\n%s\n--- resumed ---\n%s", want, got)
 	}

@@ -140,18 +140,15 @@ type Config struct {
 	// Journal, when non-nil, durably records every consumed failure
 	// point's verdict (append-only, fsync'd, checksummed), making the
 	// campaign crash-safe: a run killed at any byte resumes from the
-	// journal's loadable prefix. Journal write failures degrade the run
-	// to unjournaled (Result.JournalError) instead of aborting it.
+	// journal's loadable prefix. The records campaign.Open loaded into
+	// it are folded before any replay executes: phase 1 rebuilds the
+	// (deterministic) failure point tree, the journaled verdicts are
+	// merged in leaf first-occurrence order, and the campaign continues
+	// from the first unexplored failure point. Analyze errors when the
+	// journal does not match this run's tree (different target,
+	// workload or flags). Journal write failures degrade the run to
+	// unjournaled (Result.JournalError) instead of aborting it.
 	Journal *campaign.Journal
-	// Resume, when non-nil, folds a previously journaled campaign
-	// prefix into this run before any replay executes: phase 1 rebuilds
-	// the (deterministic) failure point tree, the journaled verdicts
-	// are merged in leaf first-occurrence order, and the campaign
-	// continues from the first unexplored failure point. Analyze errors
-	// when the journal does not match this run's tree (different
-	// target, workload or flags). Usually combined with Journal
-	// (campaign.State.Reopen) so the continuation is journaled too.
-	Resume *campaign.State
 	// CheckpointInterval is ignored.
 	//
 	// Deprecated: counter-mode injections judge the crash images phase 1

@@ -199,13 +199,12 @@ const replayDuring = "a fault-injection replay"
 // a watchdog kill becomes a TargetCrash or RecoveryHang finding instead
 // of crashing or stalling the tool.
 //
-// With a journal configured (cfg.Journal) every consumed leaf is
-// durably recorded before the next is folded. With a resume state
-// (cfg.Resume) the journaled prefix is folded through the merge step
-// first — no replay re-executes — and the campaign continues from the
-// first unexplored leaf. The only returned error is a resume mismatch:
-// a journal recorded under a different target, workload or injection
-// mode.
+// With a journal configured (cfg.Journal) the records it already holds
+// are folded through the merge step first — no replay re-executes —
+// and the campaign continues from the first unexplored leaf, durably
+// recording every consumed leaf before the next is folded. The only
+// returned error is a resume mismatch: a journal recorded under a
+// different target, workload or injection mode.
 func injectAll(app harness.Application, w workload.Workload, tree *fpt.Tree,
 	cfg Config, rep *report.Report, res *Result, deadline time.Time) (timedOut bool, err error) {
 
@@ -232,9 +231,9 @@ func injectAll(app harness.Application, w workload.Workload, tree *fpt.Tree,
 	}()
 
 	aborted := false
-	if cfg.Resume != nil {
+	if cfg.Journal != nil {
 		// Fold the journaled verdicts, which also seeds the memo.
-		if aborted, err = m.fold(cfg.Resume, order); err != nil {
+		if aborted, err = m.fold(cfg.Journal.Records, order); err != nil {
 			return false, err
 		}
 	}

@@ -29,14 +29,14 @@ import (
 // (stack-mode no-progress abort), and errors when the journal does not
 // match this run's tree — resuming under a different target, workload
 // or injection mode would silently corrupt the report.
-func (m *mergeState) fold(st *campaign.State, ordered []*fpt.Leaf) (aborted bool, err error) {
-	if len(st.Records) > len(ordered) {
+func (m *mergeState) fold(records []campaign.Record, ordered []*fpt.Leaf) (aborted bool, err error) {
+	if len(records) > len(ordered) {
 		return false, fmt.Errorf("campaign journal holds %d verdicts but this run found only %d failure points (target, workload or flags changed since the journal was recorded)",
-			len(st.Records), len(ordered))
+			len(records), len(ordered))
 	}
 	m.folding = true
 	defer func() { m.folding = false }()
-	for i, rec := range st.Records {
+	for i, rec := range records {
 		leaf := ordered[i]
 		if leaf.FirstICount != rec.LeafICount {
 			return false, fmt.Errorf("campaign journal diverges at verdict %d: the journal's failure point first occurs at instruction %d, this run's at %d (target, workload or flags changed since the journal was recorded)",

@@ -118,16 +118,12 @@ func TestProgressIsFirstOccurrencePrefix(t *testing.T) {
 				if err := os.Truncate(log, fi.Size()/2); err != nil {
 					t.Fatal(err)
 				}
-				st, err := campaign.Load(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				j, err := st.Reopen()
+				j, err := campaign.Open(dir, campaign.Meta{Target: "fixture"})
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer j.Close()
-				res, err := Analyze(mk(), w, Config{Workers: workers, Journal: j, Resume: st})
+				res, err := Analyze(mk(), w, Config{Workers: workers, Journal: j})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -166,7 +162,7 @@ func consumedOf(res *Result) int { return res.Injections + res.SkippedFailurePoi
 func journaled(t *testing.T, run func(*campaign.Journal) *Result) (*Result, string) {
 	t.Helper()
 	dir := t.TempDir()
-	j, err := campaign.Create(dir, campaign.Meta{Target: "fixture"})
+	j, err := campaign.Open(dir, campaign.Meta{Target: "fixture"})
 	if err != nil {
 		t.Fatal(err)
 	}

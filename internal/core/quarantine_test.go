@@ -89,7 +89,7 @@ func TestQuarantineSurvivesJournalResume(t *testing.T) {
 	analyzeJournaled(t, mk, fixtureWorkload(), cfg, dir)
 	logLen := fileSize(t, filepath.Join(dir, campaign.JournalFile))
 	cut := copyTruncated(t, dir, logLen/2)
-	res := analyzeResumed(t, mk, fixtureWorkload(), cfg, cut)
+	res := analyzeJournaled(t, mk, fixtureWorkload(), cfg, cut)
 	assertResumeMatches(t, "quarantine-resume", ref, res)
 	if res.QuarantinedFailurePoints != ref.QuarantinedFailurePoints {
 		t.Errorf("resumed run quarantined %d failure points, want %d",

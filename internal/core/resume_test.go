@@ -61,11 +61,13 @@ func journaledConfig(stackMode bool, workers int) core.Config {
 	return core.Config{StackMode: stackMode, Workers: workers}
 }
 
-// analyzeJournaled runs a campaign writing a journal into dir.
+// analyzeJournaled runs a campaign journaled in dir, folding whatever
+// the journal already holds: a fresh directory starts the campaign, a
+// journal left by an earlier run resumes it.
 func analyzeJournaled(t *testing.T, mk func() harness.Application, w workload.Workload,
 	cfg core.Config, dir string) *core.Result {
 	t.Helper()
-	j, err := campaign.Create(dir, campaign.Meta{Target: "fixture"})
+	j, err := campaign.Open(dir, campaign.Meta{Target: "fixture"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,31 +81,6 @@ func analyzeJournaled(t *testing.T, mk func() harness.Application, w workload.Wo
 	}
 	if res.JournalError != "" {
 		t.Fatalf("journal degraded: %s", res.JournalError)
-	}
-	return res
-}
-
-// analyzeResumed loads the journal in dir, reopens it for appending and
-// runs the campaign with the loaded state folded in.
-func analyzeResumed(t *testing.T, mk func() harness.Application, w workload.Workload,
-	cfg core.Config, dir string) *core.Result {
-	t.Helper()
-	st, err := campaign.Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, err := st.Reopen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Journal = j
-	cfg.Resume = st
-	res, err := core.Analyze(mk(), w, cfg)
-	if cerr := j.Close(); cerr != nil {
-		t.Fatal(cerr)
-	}
-	if err != nil {
-		t.Fatal(err)
 	}
 	return res
 }
@@ -209,7 +186,7 @@ func TestResumeAfterKill(t *testing.T) {
 			cuts := []int64{0, 1, logLen / 7, logLen / 3, logLen / 2, logLen - 3}
 			for _, cut := range cuts {
 				dir := copyTruncated(t, full, cut)
-				res := analyzeResumed(t, tc.mk, tc.w, cfg, dir)
+				res := analyzeJournaled(t, tc.mk, tc.w, cfg, dir)
 				label := fmt.Sprintf("cut=%d", cut)
 				assertResumeMatches(t, label, ref, res)
 				if res.ResumedFailurePoints == 0 && cut > 8 {
@@ -235,7 +212,7 @@ func TestResumeCompletedCampaign(t *testing.T) {
 	w := smallWorkload(21)
 	dir := t.TempDir()
 	ref := analyzeJournaled(t, mk, w, core.Config{}, dir)
-	res := analyzeResumed(t, mk, w, core.Config{}, dir)
+	res := analyzeJournaled(t, mk, w, core.Config{}, dir)
 	assertResumeMatches(t, "completed", ref, res)
 	if res.JournalAppends != 0 {
 		t.Errorf("resume of a completed campaign appended %d records", res.JournalAppends)
@@ -252,11 +229,12 @@ func TestResumeRejectsForeignJournal(t *testing.T) {
 	mk := func() harness.Application { return btree.New(cfgSPT(btree.BugCountOutsideTx)) }
 	dir := t.TempDir()
 	analyzeJournaled(t, mk, smallWorkload(21), core.Config{}, dir)
-	st, err := campaign.Load(dir)
+	j, err := campaign.Open(dir, campaign.Meta{Target: "fixture"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = core.Analyze(mk(), smallWorkload(99), core.Config{Resume: st})
+	defer j.Close()
+	_, err = core.Analyze(mk(), smallWorkload(99), core.Config{Journal: j})
 	if err == nil || !strings.Contains(err.Error(), "journal") {
 		t.Fatalf("foreign journal was folded without a diagnostic: err=%v", err)
 	}
@@ -277,17 +255,7 @@ func TestInterruptedCampaign(t *testing.T) {
 			interrupt := make(chan struct{})
 			close(interrupt)
 			dir := t.TempDir()
-			j, err := campaign.Create(dir, campaign.Meta{Target: "fixture"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := core.Analyze(mk(), w, core.Config{
-				Workers: workers, Interrupt: interrupt, Journal: j,
-			})
-			j.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := analyzeJournaled(t, mk, w, core.Config{Workers: workers, Interrupt: interrupt}, dir)
 			if !res.Interrupted {
 				t.Fatal("pre-closed interrupt channel did not mark the run interrupted")
 			}
@@ -297,7 +265,7 @@ func TestInterruptedCampaign(t *testing.T) {
 			if !strings.Contains(res.Report.Format(false), "campaign interrupted") {
 				t.Fatalf("partial report lacks the interruption marker:\n%s", res.Report.Format(false))
 			}
-			resumed := analyzeResumed(t, mk, w, core.Config{Workers: workers}, dir)
+			resumed := analyzeJournaled(t, mk, w, core.Config{Workers: workers}, dir)
 			assertResumeMatches(t, "resumed-after-interrupt", ref, resumed)
 		})
 	}
@@ -324,22 +292,14 @@ func TestInterruptMidCampaign(t *testing.T) {
 		close(interrupt)
 	}()
 	dir := t.TempDir()
-	j, err := campaign.Create(dir, campaign.Meta{Target: "fixture"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.Analyze(mk(), w, core.Config{Interrupt: interrupt, Journal: j})
-	j.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := analyzeJournaled(t, mk, w, core.Config{Interrupt: interrupt}, dir)
 	if !res.Interrupted {
 		// The campaign finished before the timer fired; the journal then
 		// already holds the full run and resume degenerates to
 		// TestResumeCompletedCampaign, still worth asserting.
 		t.Log("campaign completed before the interrupt fired")
 	}
-	resumed := analyzeResumed(t, mk, w, core.Config{}, dir)
+	resumed := analyzeJournaled(t, mk, w, core.Config{}, dir)
 	assertResumeMatches(t, "resumed-after-mid-interrupt", ref, resumed)
 }
 
@@ -356,15 +316,7 @@ func TestBudgetExpiryPartialReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	j, err := campaign.Create(dir, campaign.Meta{Target: "fixture"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.Analyze(mk(), w, core.Config{Budget: 30 * time.Millisecond, Journal: j})
-	j.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := analyzeJournaled(t, mk, w, core.Config{Budget: 30 * time.Millisecond}, dir)
 	if res.TimedOut {
 		if !strings.Contains(res.Report.Format(false), "analysis budget exhausted") {
 			t.Errorf("timed-out report lacks the budget marker:\n%s", res.Report.Format(false))
@@ -380,7 +332,7 @@ func TestBudgetExpiryPartialReport(t *testing.T) {
 	} else {
 		t.Log("campaign finished inside the tiny budget; resume degenerates to the completed case")
 	}
-	resumed := analyzeResumed(t, mk, w, core.Config{}, dir)
+	resumed := analyzeJournaled(t, mk, w, core.Config{}, dir)
 	assertResumeMatches(t, "resumed-after-budget-expiry", ref, resumed)
 	if resumed.TimedOut || strings.Contains(resumed.Report.Format(false), "budget exhausted") {
 		t.Error("resumed run inherited the budget-exhausted marker")

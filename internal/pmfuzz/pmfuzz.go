@@ -65,9 +65,8 @@ func Fuzz(mk func() harness.Application, seed workload.Workload, cfg Config) (*R
 	res.Evaluated = 1
 
 	maxLen := len(seed.Ops)*8 + 64
-	for round := 0; round < cfg.Rounds; round++ {
-		improved := false
-		for m := 0; m < cfg.MutantsPerRound; m++ {
+	for range cfg.Rounds {
+		for range cfg.MutantsPerRound {
 			cand := mutate(rng, res.Best)
 			if len(cand.Ops) > maxLen {
 				cand.Ops = cand.Ops[:maxLen]
@@ -81,7 +80,6 @@ func Fuzz(mk func() harness.Application, seed workload.Workload, cfg Config) (*R
 			case c > res.BestCoverage:
 				res.Best = cand
 				res.BestCoverage = c
-				improved = true
 			case c == res.BestCoverage && len(cand.Ops) > len(res.Best.Ops):
 				// Neutral drift towards longer inputs: coverage
 				// plateaus (a split or resize needs many more
@@ -89,9 +87,6 @@ func Fuzz(mk func() harness.Application, seed workload.Workload, cfg Config) (*R
 				// letting equally-covering but larger inputs survive.
 				res.Best = cand
 			}
-		}
-		if !improved && round > cfg.Rounds {
-			break
 		}
 	}
 	return res, nil

@@ -34,22 +34,24 @@ import (
 // interface the exploration alphabet is built from.
 var ErrNeedsKV = errors.New("agamotto: target does not expose an explorable operation alphabet")
 
-// Tool is the Agamotto reimplementation.
-type Tool struct {
-	// Alphabet is the number of distinct keys in the generated
-	// operation alphabet (default 3).
-	Alphabet int
-	// MaxDepth bounds the explored operation sequences (default 4, the
-	// artifact's configuration; raising it grows the state space
-	// exponentially).
-	MaxDepth int
-	// MaxStates caps the live frontier, KLEE-style: when full, the
+// Exploration parameters.
+const (
+	// alphabet is the number of distinct keys in the generated
+	// operation alphabet.
+	alphabet = 3
+	// maxDepth bounds the explored operation sequences (the artifact's
+	// configuration; raising it grows the state space exponentially).
+	maxDepth = 4
+	// maxStates caps the live frontier, KLEE-style: when full, the
 	// lowest-priority state is pruned rather than exhausting memory.
-	MaxStates int
-}
+	maxStates = 64
+)
 
-// New constructs the tool with default exploration parameters.
-func New() *Tool { return &Tool{Alphabet: 3, MaxDepth: 4, MaxStates: 64} }
+// Tool is the Agamotto reimplementation.
+type Tool struct{}
+
+// New constructs the tool.
+func New() *Tool { return &Tool{} }
 
 // Name implements tools.Tool.
 func (t *Tool) Name() string { return "Agamotto" }
@@ -101,23 +103,12 @@ func (t *Tool) Analyze(app harness.Application, _ workload.Workload, cfg tools.C
 	queue := &stateQueue{{img: rootEng.PrefixImage(), unpersisted: map[uint64]uint64{}, lineClean: map[uint64]bool{}}}
 	heap.Init(queue)
 
-	alphabet := t.Alphabet
-	if alphabet <= 0 {
-		alphabet = 3
-	}
-	maxDepth := t.MaxDepth
-	if maxDepth <= 0 {
-		maxDepth = 4
-	}
-	maxStates := t.MaxStates
-	if maxStates <= 0 {
-		maxStates = 64
-	}
+	frontier := maxStates
 	if cfg.MemBudget > 0 {
 		// Respect the memory budget by shrinking the frontier, each
 		// live state counted as a full pool (see package tools).
-		if cap := int(cfg.MemBudget / uint64(app.PoolSize()) / 2); cap > 0 && cap < maxStates {
-			maxStates = cap
+		if cap := int(cfg.MemBudget / uint64(app.PoolSize()) / 2); cap > 0 && cap < frontier {
+			frontier = cap
 		}
 	}
 	for queue.Len() > 0 {
@@ -129,13 +120,13 @@ func (t *Tool) Analyze(app harness.Application, _ workload.Workload, cfg tools.C
 		if cur.depth >= maxDepth {
 			continue
 		}
-		for _, op := range t.ops(alphabet) {
+		for _, op := range t.ops() {
 			next, err := t.expand(kvApp, cur, op, res)
 			if err != nil {
 				continue
 			}
 			heap.Push(queue, next)
-			if queue.Len() > maxStates {
+			if queue.Len() > frontier {
 				// Prune the lowest-priority state (KLEE state cap):
 				// the heap keeps high scores at the top, so scan for
 				// the minimum.
@@ -158,7 +149,7 @@ type op struct {
 	key  uint64
 }
 
-func (t *Tool) ops(alphabet int) []op {
+func (t *Tool) ops() []op {
 	out := make([]op, 0, alphabet*2+1)
 	for k := 0; k < alphabet; k++ {
 		out = append(out, op{kind: workload.Put, key: uint64(k)})

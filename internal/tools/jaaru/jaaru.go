@@ -23,15 +23,15 @@ import (
 	"mumak/internal/workload"
 )
 
+// maxRelevant caps the racing write-backs branched on per crash point
+// after the read-set restriction.
+const maxRelevant = 12
+
 // Tool is the Jaaru reimplementation.
-type Tool struct {
-	// MaxRelevant caps the racing write-backs branched on per crash
-	// point after the read-set restriction (default 12).
-	MaxRelevant int
-}
+type Tool struct{}
 
 // New constructs the tool.
-func New() *Tool { return &Tool{MaxRelevant: 12} }
+func New() *Tool { return &Tool{} }
 
 // Name implements tools.Tool.
 func (t *Tool) Name() string { return "Jaaru" }
@@ -47,16 +47,15 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 
 	rec := trace.NewRecorder()
 	eng, sig, err := harness.Execute(app, w, pmem.Options{}, rec)
-	if err != nil || sig != nil {
+	if err != nil {
 		return nil, err
+	}
+	if sig != nil {
+		return nil, sig
 	}
 	res.EngineEvents += eng.Events()
 	base := pmem.NewEngine(pmem.Options{PoolSize: app.PoolSize()}).PrefixImage()
 
-	maxRel := t.MaxRelevant
-	if maxRel <= 0 {
-		maxRel = 12
-	}
 	tr := &rec.T
 	cursor := trace.NewCursor(tr, base)
 	for i := range tr.Records {
@@ -66,7 +65,7 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 				res.TimedOut = true
 				break
 			}
-			t.exploreCrashPoint(app, cursor, r.ICount, maxRel, res)
+			t.exploreCrashPoint(app, cursor, r.ICount, res)
 		}
 		cursor.Step()
 	}
@@ -78,7 +77,7 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 // execution reads, iterating as newly explored branches reveal further
 // reads (Jaaru's constraint refinement).
 func (t *Tool) exploreCrashPoint(app harness.Application, cursor *trace.Cursor,
-	icount uint64, maxRel int, res *tools.Result) {
+	icount uint64, res *tools.Result) {
 
 	uncertain := cursor.Uncertain()
 	if len(uncertain) == 0 {
@@ -119,10 +118,7 @@ func (t *Tool) exploreCrashPoint(app harness.Application, cursor *trace.Cursor,
 		if !grew || len(relevant) == 0 {
 			return
 		}
-		branch := relevant
-		if len(branch) > maxRel {
-			branch = branch[:maxRel]
-		}
+		branch := relevant[:min(len(relevant), maxRelevant)]
 		for mask := uint64(0); mask < 1<<uint(len(branch)); mask++ {
 			if round > 0 && mask < 1<<uint(prevBits) {
 				continue // selects only already-tested write-backs

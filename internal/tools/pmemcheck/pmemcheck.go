@@ -38,8 +38,11 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 	res := &tools.Result{Report: &report.Report{Target: app.Name(), Tool: t.Name(), Stacks: stacks}}
 	hook := &checker{rep: res.Report, lines: map[uint64]*lineState{}}
 	eng, sig, err := harness.Execute(app, w, pmem.Options{}, hook)
-	if err != nil || sig != nil {
+	if err != nil {
 		return nil, err
+	}
+	if sig != nil {
+		return nil, sig
 	}
 	res.EngineEvents = eng.Events()
 	res.Explored = int(eng.Events())

@@ -41,8 +41,11 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 	// Record phase (decoupled from checking, as in the original).
 	hook := &recorder{}
 	eng, sig, err := harness.Execute(app, w, pmem.Options{}, hook)
-	if err != nil || sig != nil {
+	if err != nil {
 		return nil, err
+	}
+	if sig != nil {
+		return nil, sig
 	}
 	res.EngineEvents = eng.Events()
 	// Replay-check phase.

@@ -50,9 +50,6 @@ type Config struct {
 	// would exceed it aborts with OOM = true, as Witcher did against
 	// the machine's 256 GB. Zero means unbounded.
 	MemBudget uint64
-	// Parallelism is the worker count for tools that parallelise
-	// (Witcher); zero selects the tool default.
-	Parallelism int
 }
 
 // Result is a tool run's outcome.

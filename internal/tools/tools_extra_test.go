@@ -11,11 +11,15 @@ import (
 	"mumak/internal/apps/levelhash"
 	"mumak/internal/apps/montageht"
 	"mumak/internal/bugs"
+	"mumak/internal/pmem"
 	"mumak/internal/report"
 	"mumak/internal/tools"
 	"mumak/internal/tools/jaaru"
+	"mumak/internal/tools/pmdebugger"
 	"mumak/internal/tools/pmemcheck"
 	"mumak/internal/tools/pmtest"
+	"mumak/internal/tools/xfdetector"
+	"mumak/internal/tools/yat"
 	"mumak/internal/workload"
 )
 
@@ -128,5 +132,33 @@ func TestPMTestRejectsUnannotatedTargets(t *testing.T) {
 	_, err := pmtest.New().Analyze(app, tinyWorkload(16), tools.Config{})
 	if !errors.Is(err, pmtest.ErrNoAssertions) {
 		t.Fatalf("err = %v, want ErrNoAssertions", err)
+	}
+}
+
+// crashingApp is a target whose workload run ends in an injected crash.
+type crashingApp struct{}
+
+func (crashingApp) Name() string               { return "crashing" }
+func (crashingApp) PoolSize() int              { return 1 << 20 }
+func (crashingApp) Setup(*pmem.Engine) error   { return nil }
+func (crashingApp) Recover(*pmem.Engine) error { return nil }
+func (crashingApp) Run(*pmem.Engine, workload.Workload) error {
+	panic(&pmem.CrashSignal{ICount: 7, Reason: "crash in the pre-failure run"})
+}
+
+// TestToolsReturnPreFailureCrash: a tool whose pre-failure run ends in a
+// *pmem.CrashSignal returns the signal as its error, never a nil result
+// with a nil error.
+func TestToolsReturnPreFailureCrash(t *testing.T) {
+	for _, tool := range []tools.Tool{
+		yat.New(), jaaru.New(), xfdetector.New(), pmemcheck.New(), pmtest.New(), pmdebugger.New(),
+	} {
+		t.Run(tool.Name(), func(t *testing.T) {
+			res, err := tool.Analyze(crashingApp{}, tinyWorkload(1), tools.Config{})
+			var sig *pmem.CrashSignal
+			if res != nil || !errors.As(err, &sig) || sig.ICount != 7 {
+				t.Fatalf("Analyze = (%v, %v), want (nil, the crash signal)", res, err)
+			}
+		})
 	}
 }

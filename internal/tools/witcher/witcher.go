@@ -150,10 +150,6 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 
 	// Phase 3: pre-generate the crash images in batches and check them
 	// in parallel with output equivalence — the memory-hungry fan-out.
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
 	var imgBytes atomic.Uint64
 	batch := make([]*pmem.Image, len(candidates))
 	genCursor := trace.NewCursor(tr, base)
@@ -189,7 +185,7 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 
 	if !res.OOM && !res.TimedOut {
 		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
+		sem := make(chan struct{}, runtime.NumCPU())
 		for ci := range batch {
 			img := batch[ci]
 			if img == nil {

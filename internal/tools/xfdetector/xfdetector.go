@@ -54,8 +54,11 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 	rec := trace.NewRecorder()
 	rec.RecordLoads = true
 	eng, sig, err := harness.Execute(app, w, pmem.Options{}, rec)
-	if err != nil || sig != nil {
+	if err != nil {
 		return nil, err
+	}
+	if sig != nil {
+		return nil, sig
 	}
 	res.EngineEvents += eng.Events()
 	base := pmem.NewEngine(pmem.Options{PoolSize: app.PoolSize()}).PrefixImage()

@@ -23,16 +23,16 @@ import (
 	"mumak/internal/workload"
 )
 
+// maxUnits caps the racing write-backs enumerated per crash point;
+// epochs with more are truncated to the first maxUnits, so a crash point
+// yields at most 1024 images.
+const maxUnits = 10
+
 // Tool is the Yat reimplementation.
-type Tool struct {
-	// MaxUnits caps the racing write-backs enumerated per crash point;
-	// epochs with more are truncated to the first MaxUnits (default
-	// 10, i.e. at most 1024 images per crash point).
-	MaxUnits int
-}
+type Tool struct{}
 
 // New constructs the tool.
-func New() *Tool { return &Tool{MaxUnits: 10} }
+func New() *Tool { return &Tool{} }
 
 // Name implements tools.Tool.
 func (t *Tool) Name() string { return "Yat" }
@@ -48,16 +48,15 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 
 	rec := trace.NewRecorder()
 	eng, sig, err := harness.Execute(app, w, pmem.Options{}, rec)
-	if err != nil || sig != nil {
+	if err != nil {
 		return nil, err
+	}
+	if sig != nil {
+		return nil, sig
 	}
 	res.EngineEvents += eng.Events()
 	base := pmem.NewEngine(pmem.Options{PoolSize: app.PoolSize()}).PrefixImage()
 
-	maxUnits := t.MaxUnits
-	if maxUnits <= 0 {
-		maxUnits = 10
-	}
 	tr := &rec.T
 	cursor := trace.NewCursor(tr, base)
 	for i := range tr.Records {
@@ -66,10 +65,7 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 			// Crash point just before the fence: enumerate every
 			// subset of the racing write-backs and evictable stores.
 			uncertain := cursor.Uncertain()
-			n := len(uncertain)
-			if n > maxUnits {
-				n = maxUnits
-			}
+			n := min(len(uncertain), maxUnits)
 			for mask := uint64(0); mask < 1<<uint(n); mask++ {
 				if !deadline.IsZero() && time.Now().After(deadline) {
 					res.TimedOut = true

@@ -139,19 +139,3 @@ func (w Workload) Mix() (puts, gets, deletes int) {
 	}
 	return
 }
-
-// YCSB-style presets over the generator, for the domain examples: A is
-// update-heavy (50/50), B read-heavy (95/5), C read-only on a loaded
-// store, with the zipfian skew YCSB specifies.
-func YCSB(preset byte, n int, seed int64) Workload {
-	cfg := Config{N: n, Seed: seed, Dist: Zipfian}
-	switch preset {
-	case 'A', 'a':
-		cfg.PutFrac, cfg.GetFrac, cfg.DeleteFrac = 10, 10, 0
-	case 'B', 'b':
-		cfg.PutFrac, cfg.GetFrac, cfg.DeleteFrac = 1, 19, 0
-	default: // C
-		cfg.PutFrac, cfg.GetFrac, cfg.DeleteFrac = 0, 1, 0
-	}
-	return Generate(cfg)
-}

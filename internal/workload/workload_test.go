@@ -94,17 +94,3 @@ func TestZipfianSkew(t *testing.T) {
 		t.Fatalf("hottest key hit %d times; zipfian skew absent", max)
 	}
 }
-
-func TestYCSBPresets(t *testing.T) {
-	a := YCSB('A', 10000, 1)
-	puts, gets, _ := a.Mix()
-	if puts == 0 || gets == 0 {
-		t.Fatal("YCSB-A should mix reads and writes")
-	}
-	c := YCSB('C', 1000, 1)
-	pc, _, dc := c.Mix()
-	// Only the warmup preloads puts in the read-only preset.
-	if pc > 1000/20+1 || dc != 0 {
-		t.Fatalf("YCSB-C mix: %d puts %d deletes", pc, dc)
-	}
-}
