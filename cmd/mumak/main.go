@@ -64,7 +64,6 @@ func main() {
 		montageBug = flag.Bool("montage-buggy", false, "enable the two historical Montage bugs")
 		recovery   = flag.Bool("with-recovery", true, "use the full recovery procedure for targets that ship without one")
 		poolMB     = flag.Int("pool-mb", 64, "simulated PM pool size in MiB")
-		artifacts  = flag.String("artifacts", "", "directory to store the serialised failure point tree, consumed failure points marked visited (step 5 of Fig 1; the trace is analysed online and never materialised)")
 		printTree  = flag.Bool("print-tree", false, "render the failure point tree (the Fig 2 view)")
 		hangBudget = flag.Uint64("hang-budget", 0, "PM events one execution may emit before the hang watchdog kills it (0 = default)")
 		recTimeout = flag.Duration("recovery-timeout", 0, "wall-clock watchdog per recovery-oracle invocation (0 = default)")
@@ -87,8 +86,7 @@ func main() {
 		return
 	}
 	if err := validateFlags(flagValues{
-		ops: *ops, workers: *workers, poolMB: *poolMB,
-		budget: *budget, artifacts: *artifacts,
+		ops: *ops, workers: *workers, poolMB: *poolMB, budget: *budget,
 		verdictCache: *vcFile, classing: *classing,
 		cpuProfile: *cpuProfile, memProfile: *memProfile, execTrace: *execTrace,
 	}); err != nil {
@@ -208,14 +206,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "mumak: verdict cache not saved:", err)
 		}
 	}
-	if *artifacts != "" {
-		// The consumed failure points, the first Injections +
-		// SkippedFailurePoints in first-occurrence order, are marked
-		// visited.
-		if err := campaign.SaveTree(*artifacts, res.Tree, res.Injections+res.SkippedFailurePoints); err != nil {
-			fatal(err)
-		}
-	}
 	if *jsonOut {
 		if err := res.Report.WriteJSON(os.Stdout, *warnings); err != nil {
 			fatal(err)
@@ -238,15 +228,8 @@ func main() {
 		fmt.Printf("skipped failure points: %d (coverage is below one fault per failure point)\n",
 			res.SkippedFailurePoints)
 	}
-	if res.QuarantinedFailurePoints > 0 {
-		fmt.Printf("quarantined failure points: %d (replays kept failing after retries; see the report section)\n",
-			res.QuarantinedFailurePoints)
-	}
 	if res.InjectionAborted {
 		fmt.Println("fault-injection campaign aborted: repeated replays made no progress")
-	}
-	for _, e := range res.InjectionErrors {
-		fmt.Println("  ", e)
 	}
 	if res.RetriedFailurePoints > 0 {
 		fmt.Printf("replay retries: %d (transient skips re-attempted)\n", res.RetriedFailurePoints)

@@ -3,17 +3,17 @@ package main
 import (
 	"bytes"
 	"encoding/gob"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 
 	"mumak/internal/campaign"
-	"mumak/internal/stack"
 )
 
 // buildCLI compiles this command into a temporary directory, so tests can
@@ -95,29 +95,40 @@ func TestProfilesLeaveReportUnchanged(t *testing.T) {
 	}
 }
 
-// TestArtifactsTreeReadsBack: -artifacts saves the failure point tree
-// with the campaign's progress. On a completed run it reads back with
-// every failure point visited, as many as the summary reports.
-func TestArtifactsTreeReadsBack(t *testing.T) {
+// TestSummaryListsEachQuarantineOnce: the text summary names every
+// quarantined failure point exactly once, in the report's quarantine
+// section, and prints that section's headline once.
+func TestSummaryListsEachQuarantineOnce(t *testing.T) {
 	bin := buildCLI(t)
-	dir := t.TempDir()
-	out, code := runCLI(t, bin, "-target", "btree", "-spt", "-ops", "300", "-workers", "1",
-		"-exit-zero", "-artifacts", dir)
+	args := []string{"-target", "misbehave-replay-broken", "-stack-mode", "-workers", "1", "-exit-zero"}
+	js, code := runCLI(t, bin, append(args, "-json")...)
 	if code != 0 {
-		t.Fatalf("exit %d, want 0\n%s", code, out)
+		t.Fatalf("exit %d\n%s", code, js)
 	}
-	m := regexp.MustCompile(`(?m)^failure points: (\d+) `).FindStringSubmatch(out)
-	if m == nil {
-		t.Fatalf("summary lacks the failure points line:\n%s", out)
+	var rep struct {
+		Quarantined []struct {
+			FailurePoint int    `json:"failure_point"`
+			ICount       uint64 `json:"instruction"`
+		} `json:"quarantined_leaves"`
 	}
-	want, _ := strconv.Atoi(m[1])
-	tree, visited, err := campaign.LoadTree(filepath.Join(dir, campaign.TreeFile), stack.NewTable())
-	if err != nil {
+	if err := json.Unmarshal([]byte(js), &rep); err != nil {
 		t.Fatal(err)
 	}
-	if tree.Len() != want || visited != want {
-		t.Fatalf("artifact holds %d failure points, %d visited; the summary reports %d, all consumed",
-			tree.Len(), visited, want)
+	if len(rep.Quarantined) == 0 {
+		t.Fatalf("the broken-replay fixture quarantined nothing:\n%s", js)
+	}
+	summary, code := runCLI(t, bin, args...)
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, summary)
+	}
+	if n := strings.Count(summary, "quarantined failure points:"); n != 1 {
+		t.Errorf("the quarantine headline is printed %d times, want once:\n%s", n, summary)
+	}
+	for _, q := range rep.Quarantined {
+		name := fmt.Sprintf("failure point #%d (instruction %d)", q.FailurePoint, q.ICount)
+		if n := strings.Count(summary, name); n != 1 {
+			t.Errorf("%s is printed %d times, want once:\n%s", name, n, summary)
+		}
 	}
 }
 
@@ -201,7 +212,6 @@ var neutralFlags = map[string]string{
 	"classing":           "classed and unclassed campaigns give byte-identical reports, and journals fold across it",
 	"journal":            "names where verdicts are recorded",
 	"verdict-cache-file": "names where verdicts are cached",
-	"artifacts":          "names where the tree is saved",
 	"cpuprofile":         "profiles leave the report unchanged",
 	"memprofile":         "profiles leave the report unchanged",
 	"trace":              "profiles leave the report unchanged",

@@ -1,14 +1,13 @@
 // Flag validation. Every rejection is a single actionable line on
 // stderr (via fatal) instead of a Go panic or a confusing downstream
 // failure: a campaign that will run for hours should refuse nonsense
-// before phase 1, and an unwritable artifacts directory should fail
-// now, not after the analysis already spent its budget.
+// before phase 1, and an unwritable profile path should fail now, not
+// after the analysis already spent its budget.
 package main
 
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 )
 
@@ -19,7 +18,6 @@ type flagValues struct {
 	workers      int
 	poolMB       int
 	budget       time.Duration
-	artifacts    string
 	verdictCache string
 	classing     bool
 	cpuProfile   string
@@ -41,11 +39,6 @@ func validateFlags(v flagValues) error {
 		return fmt.Errorf("-budget %s: the analysis budget cannot be negative", v.budget)
 	case v.verdictCache != "" && !v.classing:
 		return fmt.Errorf("-verdict-cache-file needs -classing: verdicts are only reused, and saved, with it on")
-	}
-	if v.artifacts != "" {
-		if err := probeWritableDir(v.artifacts); err != nil {
-			return fmt.Errorf("-artifacts %s: %v", v.artifacts, err)
-		}
 	}
 	for _, p := range []struct{ flag, path string }{
 		{"-cpuprofile", v.cpuProfile}, {"-memprofile", v.memProfile}, {"-trace", v.execTrace},
@@ -74,22 +67,5 @@ func probeWritableFile(path string) error {
 	if os.IsNotExist(statErr) {
 		os.Remove(path)
 	}
-	return nil
-}
-
-// probeWritableDir creates the directory if needed and verifies a file
-// can actually be created inside it, so permission problems surface
-// before the analysis runs rather than when its results are saved.
-func probeWritableDir(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("not writable: %v", err)
-	}
-	probe := filepath.Join(dir, ".mumak-writable")
-	f, err := os.Create(probe)
-	if err != nil {
-		return fmt.Errorf("not writable: %v", err)
-	}
-	f.Close()
-	os.Remove(probe)
 	return nil
 }

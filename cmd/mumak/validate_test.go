@@ -60,32 +60,6 @@ func TestValidateFlagsRejections(t *testing.T) {
 	}
 }
 
-func TestValidateFlagsArtifactsProbe(t *testing.T) {
-	v := validValues()
-	v.artifacts = filepath.Join(t.TempDir(), "out")
-	if err := validateFlags(v); err != nil {
-		t.Fatalf("creatable artifacts dir rejected: %v", err)
-	}
-	if fi, err := os.Stat(v.artifacts); err != nil || !fi.IsDir() {
-		t.Fatalf("probe did not create the directory: %v", err)
-	}
-	if entries, _ := os.ReadDir(v.artifacts); len(entries) != 0 {
-		t.Fatalf("probe left %d files behind", len(entries))
-	}
-
-	if os.Getuid() == 0 {
-		t.Skip("running as root: directory permissions are not enforced")
-	}
-	locked := filepath.Join(t.TempDir(), "locked")
-	if err := os.Mkdir(locked, 0o555); err != nil {
-		t.Fatal(err)
-	}
-	v.artifacts = filepath.Join(locked, "out")
-	if err := validateFlags(v); err == nil {
-		t.Fatal("unwritable artifacts dir accepted")
-	}
-}
-
 func TestValidateFlagsProfilePaths(t *testing.T) {
 	dir := t.TempDir()
 	existing := filepath.Join(dir, "existing.prof")

@@ -1,13 +1,15 @@
 // Package campaign owns every file Mumak writes: the crash-safe
-// campaign journal, the cross-run verdict cache and the failure point
-// tree artifact.
+// campaign journal and the cross-run verdict cache. The failure point
+// tree is never written: all three phases run in one process, so it
+// lives in memory, and the journal is the one durable record of a
+// campaign's progress.
 //
-// Every file written whole — the tree artifact, the journal's meta file
-// and the verdict-cache file — is a sealed file (sealed.go): a header
-// naming its kind and format version, a checksummed gob payload, and
-// one atomic write (temp file, fsync, rename, directory fsync). A
-// reader sees the old complete file or the new one, and rejects a
-// damaged or foreign file with a one-line diagnostic.
+// Every file written whole — the journal's meta file and the
+// verdict-cache file — is a sealed file (sealed.go): a header naming
+// its kind and format version, a checksummed gob payload, and one
+// atomic write (temp file, fsync, rename, directory fsync). A reader
+// sees the old complete file or the new one, and rejects a damaged or
+// foreign file with a one-line diagnostic.
 //
 // The journal makes fault-injection campaigns crash-safe: it is an
 // append-only, checksummed, fsync'd log of per-leaf replay verdicts, so

@@ -13,11 +13,11 @@ import (
 
 // Sealed files.
 //
-// Every file Mumak writes whole — the tree artifact, the journal's meta
-// file and the verdict-cache file — is a sealed file: a fixed header
-// (an 8-byte magic naming the kind, a u32 format version, a u64 payload
-// length and a CRC-32 of the payload, all little-endian) followed by a
-// gob payload, written through temp file + fsync + rename + directory
+// Every file Mumak writes whole — the journal's meta file and the
+// verdict-cache file — is a sealed file: a fixed header (an 8-byte
+// magic naming the kind, a u32 format version, a u64 payload length and
+// a CRC-32 of the payload, all little-endian) followed by a gob
+// payload, written through temp file + fsync + rename + directory
 // fsync. A reader therefore sees either the old complete file or the
 // new one, and a truncated, bit-flipped or foreign file is rejected
 // with a diagnostic instead of reaching the gob decoder.

@@ -1,17 +1,12 @@
 package campaign
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"mumak/internal/fpt"
-	"mumak/internal/stack"
 )
 
 // sealedKind is one kind of sealed file: how to write a pristine one
@@ -26,25 +21,6 @@ type sealedKind struct {
 
 func sealedKinds() []sealedKind {
 	return []sealedKind{
-		{
-			name: "tree",
-			write: func(t *testing.T, dir string) string {
-				st := stack.NewTable()
-				tree := fpt.New(st)
-				tree.Insert(st.Intern([]uintptr{10, 20, 30}), 5)
-				tree.Insert(st.Intern([]uintptr{11, 20, 30}), 9)
-				tree.Freeze()
-				if err := SaveTree(dir, tree, 0); err != nil {
-					t.Fatal(err)
-				}
-				return filepath.Join(dir, TreeFile)
-			},
-			load: func(path string) error {
-				_, _, err := LoadTree(path, stack.NewTable())
-				return err
-			},
-			badMagic: "magic",
-		},
 		{
 			name: "verdict-cache",
 			write: func(t *testing.T, dir string) string {
@@ -155,22 +131,6 @@ func TestSealedFilesRejectDamage(t *testing.T) {
 			})
 			t.Run("corrupt-gob-with-valid-checksum", func(t *testing.T) {
 				damaged(t, reseal(full, []byte("\x7f\x03definitely not a gob stream")), "")
-			})
-			if k.name != "tree" {
-				return
-			}
-			t.Run("visited-not-a-prefix", func(t *testing.T) {
-				// The later of the fixture's two leaves marked visited,
-				// the earlier not: a campaign never leaves progress in
-				// that shape.
-				var payload bytes.Buffer
-				if err := gob.NewEncoder(&payload).Encode(wireTree{Leaves: []wireLeaf{
-					{PCs: []uintptr{10, 20, 30}, FirstICount: 5},
-					{PCs: []uintptr{11, 20, 30}, FirstICount: 9, Visited: true},
-				}}); err != nil {
-					t.Fatal(err)
-				}
-				damaged(t, reseal(full, payload.Bytes()), "first-occurrence order")
 			})
 		})
 	}

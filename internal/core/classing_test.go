@@ -145,11 +145,11 @@ func TestClassingDifferential(t *testing.T) {
 							label, want, got)
 					}
 					if res.Injections != ref.Injections || res.SkippedFailurePoints != ref.SkippedFailurePoints ||
-						res.QuarantinedFailurePoints != ref.QuarantinedFailurePoints {
+						len(res.Report.Quarantined) != len(ref.Report.Quarantined) {
 						t.Errorf("%s: coverage diverges: injections %d/%d skipped %d/%d quarantined %d/%d",
 							label, res.Injections, ref.Injections,
 							res.SkippedFailurePoints, ref.SkippedFailurePoints,
-							res.QuarantinedFailurePoints, ref.QuarantinedFailurePoints)
+							len(res.Report.Quarantined), len(ref.Report.Quarantined))
 					}
 					if res.EquivClasses == 0 {
 						t.Errorf("%s: classing enabled but no classes were built", label)

@@ -170,7 +170,7 @@ type Result struct {
 	// injection campaign started. The campaign consumes its leaves in
 	// LeavesByICount order, so its progress is the first
 	// Injections + SkippedFailurePoints of them, however it stopped;
-	// campaign.SaveTree records that prefix.
+	// the journal (Config.Journal) records that prefix.
 	Tree *fpt.Tree
 	// CampaignWorkers is the worker count the injection campaign
 	// actually ran with: Config.Workers, at least 1, but never more
@@ -192,24 +192,16 @@ type Result struct {
 	Recoveries int
 	// SkippedFailurePoints counts failure points consumed without an
 	// injection: a stack-mode replay errored or never re-encountered the
-	// target call stack. A non-zero value means campaign coverage is
-	// below one fault per unique failure point.
+	// target call stack, or the sandbox stopped it. A non-zero value
+	// means campaign coverage is below one fault per unique failure
+	// point. The errored and unmatched replays are quarantined into
+	// Report.Quarantined once their bounded retries are exhausted; the
+	// stopped ones are findings (TargetPanics, TargetHangs).
 	SkippedFailurePoints int
-	// QuarantinedFailurePoints counts the skipped failure points whose
-	// bounded retries were exhausted and that were set aside into the
-	// report's QuarantinedLeaves section — reported coverage gaps, never
-	// silent drops. Always ≤ SkippedFailurePoints: replays the sandbox
-	// stopped (TargetPanics, TargetHangs) count as skipped too, but
-	// they are reported as findings, not quarantined.
-	QuarantinedFailurePoints int
 	// InjectionAborted reports that the stack-mode campaign gave up
 	// after too many consecutive failure points were consumed without
 	// an injection.
 	InjectionAborted bool
-	// InjectionErrors samples the errors behind skipped failure points
-	// and aborted campaigns (capped; SkippedFailurePoints is the full
-	// count).
-	InjectionErrors []string
 	// RetriedFailurePoints counts the extra replay attempts spent on
 	// leaves whose first replay was consumed by a transient skip
 	// (errored replay, counter never reached, stack never
@@ -274,15 +266,6 @@ type Result struct {
 	JournalError   string
 	// EngineEvents counts simulated PM instructions across all runs.
 	EngineEvents uint64
-}
-
-// addInjectionError samples an injection-campaign error into the result,
-// up to maxInjectionErrors entries. It is only called from the (single)
-// campaign merge goroutine, so it needs no locking.
-func (r *Result) addInjectionError(msg string) {
-	if len(r.InjectionErrors) < maxInjectionErrors {
-		r.InjectionErrors = append(r.InjectionErrors, msg)
-	}
 }
 
 // Analyze runs the full Mumak pipeline on the target.

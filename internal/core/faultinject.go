@@ -26,10 +26,6 @@ import (
 // re-executes nothing, so it has nothing to abort.
 const maxNoProgress = 3
 
-// maxInjectionErrors caps the error strings sampled into
-// Result.InjectionErrors; SkippedFailurePoints keeps the honest total.
-const maxInjectionErrors = 8
-
 // maxLeafRetries bounds the re-replays of a leaf consumed with a
 // transient skip (an errored replay, a call stack never
 // re-encountered), instead of giving up on the first hiccup.
@@ -428,12 +424,11 @@ func (m *mergeState) consume(leaf *fpt.Leaf, rec campaign.Record) (abort bool) {
 	case rec.SkipReason != "":
 		// Every retry was spent (replayLeafWithRetry consumed them
 		// before this record surfaced): the leaf is quarantined — set
-		// aside with its reason in the report's QuarantinedLeaves
-		// section — rather than aborting the campaign or vanishing into
-		// a bare counter. SkippedFailurePoints stays the superset
-		// coverage count.
+		// aside with its reason in the report's Quarantined section —
+		// rather than aborting the campaign or vanishing into a bare
+		// counter. SkippedFailurePoints stays the superset coverage
+		// count.
 		res.SkippedFailurePoints++
-		res.QuarantinedFailurePoints++
 		m.rep.Quarantine(report.QuarantinedLeaf{
 			LeafID:  leaf.ID,
 			ICount:  leaf.FirstICount,
@@ -441,8 +436,6 @@ func (m *mergeState) consume(leaf *fpt.Leaf, rec campaign.Record) (abort bool) {
 			Reason:  rec.SkipReason,
 			Retries: rec.Retries,
 		})
-		res.addInjectionError(fmt.Sprintf("failure point #%d (instruction %d): %s",
-			leaf.ID, leaf.FirstICount, rec.SkipReason))
 	case rec.TargetPanic || rec.TargetHang:
 		// The sandbox stopped the replay before the failure point: the
 		// leaf is consumed without an injection, and the behaviour is a

@@ -74,13 +74,21 @@ func TestCounterModeCountsFailedReplays(t *testing.T) {
 		if res.Injections != 0 || res.Recoveries != 0 {
 			t.Fatalf("workers=%d: Injections=%d Recoveries=%d, want 0/0", workers, res.Injections, res.Recoveries)
 		}
-		if res.SkippedFailurePoints != maxNoProgress || res.QuarantinedFailurePoints != maxNoProgress {
+		if res.SkippedFailurePoints != maxNoProgress || len(rep.Quarantined) != maxNoProgress {
 			t.Fatalf("workers=%d: skipped %d, quarantined %d failure points, want %d each",
-				workers, res.SkippedFailurePoints, res.QuarantinedFailurePoints, maxNoProgress)
+				workers, res.SkippedFailurePoints, len(rep.Quarantined), maxNoProgress)
 		}
-		if len(res.InjectionErrors) != maxNoProgress {
-			t.Fatalf("workers=%d: InjectionErrors has %d entries, want %d",
-				workers, len(res.InjectionErrors), maxNoProgress)
+		checkQuarantineReasons(t, rep, "deterministic setup failure")
+	}
+}
+
+// checkQuarantineReasons asserts that every quarantined failure point
+// carries the replay error behind it.
+func checkQuarantineReasons(t *testing.T, rep *report.Report, want string) {
+	t.Helper()
+	for _, q := range rep.Quarantined {
+		if !strings.Contains(q.Reason, want) {
+			t.Fatalf("failure point #%d quarantined for %q, want the replay error %q", q.LeafID, q.Reason, want)
 		}
 	}
 }
@@ -109,9 +117,10 @@ func TestStackModeAbortsAfterNoProgress(t *testing.T) {
 	if !res.InjectionAborted {
 		t.Fatal("InjectionAborted not set after repeated no-progress replays")
 	}
-	if len(res.InjectionErrors) != maxNoProgress {
-		t.Fatalf("InjectionErrors has %d entries, want %d", len(res.InjectionErrors), maxNoProgress)
+	if len(rep.Quarantined) != maxNoProgress {
+		t.Fatalf("%d failure points quarantined, want %d", len(rep.Quarantined), maxNoProgress)
 	}
+	checkQuarantineReasons(t, rep, "deterministic setup failure")
 }
 
 func TestTruncateRuneBoundary(t *testing.T) {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,7 +12,6 @@ import (
 	"mumak/internal/campaign"
 	"mumak/internal/harness"
 	"mumak/internal/report"
-	"mumak/internal/stack"
 	"mumak/internal/workload"
 )
 
@@ -24,7 +22,7 @@ import (
 type prefixStop struct {
 	name string
 	// identical marks stops whose stop point is deterministic, so the
-	// serial and the parallel artifact must be byte-identical.
+	// serial and the parallel journal must be byte-identical.
 	identical bool
 	run       func(t *testing.T, workers int) (*Result, string)
 	check     func(t *testing.T, res *Result)
@@ -32,10 +30,9 @@ type prefixStop struct {
 
 // TestProgressIsFirstOccurrencePrefix: however a campaign stops, what it
 // consumed is the first Injections + SkippedFailurePoints leaves of
-// LeavesByICount. The journal holds exactly those leaves in that order,
-// the artifact campaign.SaveTree writes marks exactly them visited, and
-// campaign.LoadTree returns their count. Where the stop point is deterministic,
-// the serial and parallel artifacts are byte-identical too.
+// LeavesByICount, and the journal holds exactly those leaves in that
+// order. Where the stop point is deterministic, the serial and parallel
+// journals are byte-identical too.
 func TestProgressIsFirstOccurrencePrefix(t *testing.T) {
 	mk := func() harness.Application { return btree.New(cfgSeeded(btree.BugCountOutsideTx)) }
 	w := workload.Generate(workload.Config{N: 150, Seed: 21, Keyspace: 50})
@@ -139,16 +136,16 @@ func TestProgressIsFirstOccurrencePrefix(t *testing.T) {
 	}
 	for _, stop := range stops {
 		t.Run(stop.name, func(t *testing.T) {
-			var artifacts [][]byte
+			var journals [][]byte
 			for _, workers := range []int{1, 4} {
 				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 					res, dir := stop.run(t, workers)
 					stop.check(t, res)
-					artifacts = append(artifacts, checkPrefix(t, res, dir))
+					journals = append(journals, checkPrefix(t, res, dir))
 				})
 			}
-			if stop.identical && len(artifacts) == 2 && !bytes.Equal(artifacts[0], artifacts[1]) {
-				t.Error("serial and parallel campaigns wrote different artifacts")
+			if stop.identical && len(journals) == 2 && !bytes.Equal(journals[0], journals[1]) {
+				t.Error("serial and parallel campaigns wrote different journals")
 			}
 		})
 	}
@@ -173,9 +170,9 @@ func journaled(t *testing.T, run func(*campaign.Journal) *Result) (*Result, stri
 	return res, dir
 }
 
-// checkPrefix asserts that the journal in dir and the artifact of
-// res.Tree both hold exactly the first Injections + SkippedFailurePoints
-// leaves of LeavesByICount, and returns the artifact.
+// checkPrefix asserts that the journal in dir holds exactly the first
+// Injections + SkippedFailurePoints leaves of LeavesByICount, in that
+// order, and returns its log.
 func checkPrefix(t *testing.T, res *Result, dir string) []byte {
 	t.Helper()
 	order := res.Tree.LeavesByICount()
@@ -193,45 +190,9 @@ func checkPrefix(t *testing.T, res *Result, dir string) []byte {
 				i, rec.LeafICount, order[i].FirstICount)
 		}
 	}
-
-	artifacts := t.TempDir()
-	if err := campaign.SaveTree(artifacts, res.Tree, consumed); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(artifacts, campaign.TreeFile)
-	data, err := os.ReadFile(path)
+	log, err := os.ReadFile(filepath.Join(dir, campaign.JournalFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Read the visited marks straight from the gob payload behind the
-	// 24-byte artifact header; gob matches the fields by name.
-	var wire struct {
-		Leaves []struct {
-			FirstICount uint64
-			Visited     bool
-		}
-	}
-	if err := gob.NewDecoder(bytes.NewReader(data[24:])).Decode(&wire); err != nil {
-		t.Fatal(err)
-	}
-	inPrefix := make(map[uint64]bool, consumed)
-	for _, l := range order[:consumed] {
-		inPrefix[l.FirstICount] = true
-	}
-	for _, l := range wire.Leaves {
-		if l.Visited != inPrefix[l.FirstICount] {
-			t.Fatalf("artifact marks the failure point at instruction %d visited=%v, want %v",
-				l.FirstICount, l.Visited, inPrefix[l.FirstICount])
-		}
-	}
-
-	restored, visited, err := campaign.LoadTree(path, stack.NewTable())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if visited != consumed || restored.Len() != len(order) {
-		t.Fatalf("LoadTree: %d of %d failure points visited, want %d of %d",
-			visited, restored.Len(), consumed, len(order))
-	}
-	return data
+	return log
 }

@@ -29,16 +29,17 @@ func TestBrokenReplaysAreQuarantined(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: campaign aborted: %v", workers, err)
 		}
-		if res.QuarantinedFailurePoints == 0 {
+		quarantined := len(res.Report.Quarantined)
+		if quarantined == 0 {
 			t.Fatalf("workers=%d: no failure points quarantined", workers)
 		}
-		if res.QuarantinedFailurePoints != res.Tree.Len() {
+		if quarantined != res.Tree.Len() {
 			t.Errorf("workers=%d: quarantined %d of %d failure points",
-				workers, res.QuarantinedFailurePoints, res.Tree.Len())
+				workers, quarantined, res.Tree.Len())
 		}
-		if res.SkippedFailurePoints < res.QuarantinedFailurePoints {
+		if res.SkippedFailurePoints < quarantined {
 			t.Errorf("workers=%d: skipped %d < quarantined %d; quarantine must stay a subset",
-				workers, res.SkippedFailurePoints, res.QuarantinedFailurePoints)
+				workers, res.SkippedFailurePoints, quarantined)
 		}
 		if res.Injections != 0 {
 			t.Errorf("workers=%d: broken replays injected %d faults", workers, res.Injections)
@@ -63,9 +64,9 @@ func TestFlakyReplayIsRetriedNotQuarantined(t *testing.T) {
 	if res.RetriedFailurePoints != 1 {
 		t.Errorf("RetriedFailurePoints = %d, want 1", res.RetriedFailurePoints)
 	}
-	if res.QuarantinedFailurePoints != 0 || res.SkippedFailurePoints != 0 {
+	if len(res.Report.Quarantined) != 0 || res.SkippedFailurePoints != 0 {
 		t.Errorf("transient failure was not retried away: quarantined=%d skipped=%d",
-			res.QuarantinedFailurePoints, res.SkippedFailurePoints)
+			len(res.Report.Quarantined), res.SkippedFailurePoints)
 	}
 	if res.Injections != res.Tree.Len() {
 		t.Errorf("Injections = %d, want full coverage of %d", res.Injections, res.Tree.Len())
@@ -91,8 +92,8 @@ func TestQuarantineSurvivesJournalResume(t *testing.T) {
 	cut := copyTruncated(t, dir, logLen/2)
 	res := analyzeJournaled(t, mk, fixtureWorkload(), cfg, cut)
 	assertResumeMatches(t, "quarantine-resume", ref, res)
-	if res.QuarantinedFailurePoints != ref.QuarantinedFailurePoints {
+	if len(res.Report.Quarantined) != len(ref.Report.Quarantined) {
 		t.Errorf("resumed run quarantined %d failure points, want %d",
-			res.QuarantinedFailurePoints, ref.QuarantinedFailurePoints)
+			len(res.Report.Quarantined), len(ref.Report.Quarantined))
 	}
 }

@@ -121,12 +121,12 @@ func assertResumeMatches(t *testing.T, label string, ref, res *core.Result) {
 	}
 	if res.Injections != ref.Injections || res.Recoveries != ref.Recoveries ||
 		res.SkippedFailurePoints != ref.SkippedFailurePoints ||
-		res.QuarantinedFailurePoints != ref.QuarantinedFailurePoints ||
+		len(res.Report.Quarantined) != len(ref.Report.Quarantined) ||
 		res.EngineEvents != ref.EngineEvents {
 		t.Errorf("%s: counters diverge: injections %d/%d recoveries %d/%d skipped %d/%d quarantined %d/%d events %d/%d",
 			label, res.Injections, ref.Injections, res.Recoveries, ref.Recoveries,
 			res.SkippedFailurePoints, ref.SkippedFailurePoints,
-			res.QuarantinedFailurePoints, ref.QuarantinedFailurePoints,
+			len(res.Report.Quarantined), len(ref.Report.Quarantined),
 			res.EngineEvents, ref.EngineEvents)
 	}
 	if res.Interrupted {

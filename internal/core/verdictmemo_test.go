@@ -57,10 +57,10 @@ func checkCachedAgainst(t *testing.T, label string, ref *core.Result, warm []cam
 			label, want, got)
 	}
 	if res.Injections != ref.Injections || res.SkippedFailurePoints != ref.SkippedFailurePoints ||
-		res.QuarantinedFailurePoints != ref.QuarantinedFailurePoints {
+		len(res.Report.Quarantined) != len(ref.Report.Quarantined) {
 		t.Errorf("%s: coverage diverges: injections %d/%d skipped %d/%d quarantined %d/%d",
 			label, res.Injections, ref.Injections, res.SkippedFailurePoints, ref.SkippedFailurePoints,
-			res.QuarantinedFailurePoints, ref.QuarantinedFailurePoints)
+			len(res.Report.Quarantined), len(ref.Report.Quarantined))
 	}
 	if res.Recoveries+res.InheritedVerdicts+res.PersistentCacheHits != ref.Recoveries {
 		t.Errorf("%s: recoveries %d + inherited %d + cached %d != reference recoveries %d",

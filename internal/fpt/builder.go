@@ -133,8 +133,6 @@ type Injector struct {
 	Target *Leaf
 	// Granularity must match the tree's.
 	Granularity Granularity
-	// Fired is set to Target when the crash fired.
-	Fired *Leaf
 
 	gate storeGate
 }
@@ -151,6 +149,5 @@ func (in *Injector) OnEvent(ev *pmem.Event) {
 	if !in.gate.step(in.Granularity, ev) || ev.Stack == stack.NoID || ev.Stack != in.Target.Stack {
 		return
 	}
-	in.Fired = in.Target
 	panic(&pmem.CrashSignal{ICount: ev.ICount, Stack: ev.Stack, Reason: "failure point (stack mode)"})
 }

@@ -56,7 +56,7 @@ type Leaf struct {
 	// at the same instant when Builder.KeepImages is set (counter
 	// mode): the state a replay crashed at FirstICount would hand to
 	// recovery, so the campaign judges it without re-executing the
-	// target. nil otherwise; it is never serialised.
+	// target. nil otherwise.
 	Image *pmem.Image
 }
 

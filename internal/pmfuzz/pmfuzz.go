@@ -9,12 +9,12 @@
 package pmfuzz
 
 import (
+	"fmt"
 	"math/rand"
 
+	"mumak/internal/core"
 	"mumak/internal/fpt"
 	"mumak/internal/harness"
-	"mumak/internal/pmem"
-	"mumak/internal/stack"
 	"mumak/internal/workload"
 )
 
@@ -92,24 +92,24 @@ func Fuzz(mk func() harness.Application, seed workload.Workload, cfg Config) (*R
 	return res, nil
 }
 
-// coverage measures a workload's unique-failure-point count — the same
-// tree Mumak later injects into.
+// coverage measures a workload's unique-failure-point count: it runs
+// Mumak's phase 1 alone, under its sandbox, and counts the tree Mumak
+// later injects into. A run the sandbox stopped (a target panic or a
+// hang) is an error.
 func coverage(app harness.Application, w workload.Workload, g fpt.Granularity) (int, error) {
-	stacks := stack.NewTable()
-	tree := fpt.New(stacks)
-	capture := pmem.CapturePersistency
-	if g == fpt.GranStore {
-		capture = pmem.CaptureStores
-	}
-	_, sig, err := harness.Execute(app, w, pmem.Options{Capture: capture, Stacks: stacks},
-		fpt.NewBuilder(tree, g))
+	res, err := core.Analyze(app, w, core.Config{
+		Granularity:           g,
+		DisableFaultInjection: true,
+		DisableTraceAnalysis:  true,
+	})
 	if err != nil {
 		return 0, err
 	}
-	if sig != nil {
-		return 0, sig
+	if res.TargetPanics+res.TargetHangs > 0 {
+		return 0, fmt.Errorf("pmfuzz: the sandbox stopped the target (%d panic(s), %d hang(s))",
+			res.TargetPanics, res.TargetHangs)
 	}
-	return tree.Len(), nil
+	return res.Tree.Len(), nil
 }
 
 // mutate applies one of PMFuzz's input mutations: splice a hot segment,

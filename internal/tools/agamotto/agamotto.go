@@ -288,18 +288,26 @@ func (o *oracles) OnAnnotation(a *pmem.Annotation) {
 }
 
 // finish applies the end-of-path durability oracle: data still
-// unpersisted when the operation returns.
+// unpersisted when the operation returns. One representative per path
+// keeps reports readable: the grain stored first, ties broken by
+// address, so the choice never depends on map order.
 func (o *oracles) finish() {
-	for g, ic := range o.unpersisted {
-		o.rep.Add(report.Finding{
-			Kind:   report.Durability,
-			ICount: ic,
-			Addr:   g * grain,
-			Detail: "universal oracle: data not persisted at operation completion",
-		})
-		_ = g
-		break // one representative per path keeps reports readable
+	if len(o.unpersisted) == 0 {
+		return
 	}
+	var g0, ic0 uint64
+	first := true
+	for g, ic := range o.unpersisted {
+		if first || ic < ic0 || ic == ic0 && g < g0 {
+			g0, ic0, first = g, ic, false
+		}
+	}
+	o.rep.Add(report.Finding{
+		Kind:   report.Durability,
+		ICount: ic0,
+		Addr:   g0 * grain,
+		Detail: "universal oracle: data not persisted at operation completion",
+	})
 }
 
 func within(ranges [][2]uint64, addr uint64, size int) bool {

@@ -47,13 +47,13 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 		lines:    map[uint64]*lineInfo{},
 	}
 	eng, sig, err := harness.Execute(app, w, pmem.Options{}, hook)
-	if err != nil && !errors.Is(err, errBudget) {
+	if err != nil {
 		return nil, err
 	}
 	if sig != nil {
 		return nil, sig
 	}
-	res.TimedOut = errors.Is(err, errBudget) || hook.timedOut
+	res.TimedOut = hook.timedOut
 	res.EngineEvents = eng.Events()
 	res.Explored = hook.processed
 	hook.finish()
@@ -62,8 +62,6 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 	}
 	return res, nil
 }
-
-var errBudget = errors.New("pmdebugger: budget exhausted")
 
 func deadlineFor(cfg tools.Config) time.Time {
 	if cfg.Budget <= 0 {

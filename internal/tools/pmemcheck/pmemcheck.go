@@ -64,7 +64,6 @@ type checker struct {
 	rep         *report.Report
 	lines       map[uint64]*lineState
 	annotations int
-	ntPending   int
 }
 
 func (c *checker) line(addr uint64) *lineState {
@@ -82,8 +81,7 @@ func (c *checker) OnEvent(ev *pmem.Event) {
 	switch ev.Op.Kind() {
 	case pmem.KindStore:
 		if ev.Op == pmem.OpNTStore {
-			c.ntPending++
-			return
+			return // bypasses the cache: no line to flush
 		}
 		addr, remain := ev.Addr, uint64(ev.Size)
 		for remain > 0 {
@@ -114,8 +112,6 @@ func (c *checker) OnEvent(ev *pmem.Event) {
 		}
 		st.dirty = 0
 		st.flushed = true
-	case pmem.KindFence:
-		c.ntPending = 0
 	}
 }
 

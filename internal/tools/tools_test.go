@@ -2,6 +2,7 @@ package tools_test
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"mumak/internal/apps/btree"
 	"mumak/internal/apps/hashatomic"
 	"mumak/internal/apps/montageht"
+	"mumak/internal/apps/rbtree"
 	"mumak/internal/bugs"
 	"mumak/internal/report"
 	"mumak/internal/tools"
@@ -112,6 +114,26 @@ func TestAgamottoFindsUnloggedTxStore(t *testing.T) {
 	}
 	if !hasKind(res.Report, report.CrashConsistency) {
 		t.Fatal("Agamotto's PMDK transaction oracle missed the non-transactional count update")
+	}
+}
+
+// TestAgamottoIsDeterministic: exploration order and oracles depend on
+// the target alone, so repeated runs report the same raw findings in the
+// same order.
+func TestAgamottoIsDeterministic(t *testing.T) {
+	cfg := apps.Config{SPT: true, PoolSize: 1 << 20, Bugs: bugs.All("rbtree")}
+	var first []report.Finding
+	for run := range 5 {
+		res, err := agamotto.New().Analyze(rbtree.New(cfg), workload.Workload{}, tools.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			first = res.Report.Findings
+		} else if !reflect.DeepEqual(res.Report.Findings, first) {
+			t.Fatalf("run %d reported %d raw findings that differ from the first run's %d",
+				run, len(res.Report.Findings), len(first))
+		}
 	}
 }
 

@@ -70,7 +70,6 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 	stacks := stack.NewTable()
 	res := &tools.Result{Report: &report.Report{Target: app.Name(), Tool: t.Name(), Stacks: stacks}}
 	rep := res.Report
-	var mu sync.Mutex
 
 	// Phase 1: drive the workload through the KV driver, tracing PM
 	// accesses and the record range of every operation.
@@ -199,9 +198,7 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 				defer func() { <-sem }()
 				finding, bad := t.check(kvApp, img, models[c.opIdx], models[c.opIdx+1], tr.Records[c.fenceRec].ICount)
 				if bad {
-					mu.Lock()
 					rep.Add(finding)
-					mu.Unlock()
 				}
 			}()
 		}
