@@ -68,6 +68,17 @@ const (
 	evRefCost     = 16
 )
 
+// A flush hands its line's emptied ref lists to the next line that
+// starts one, so a line stored and flushed over and over (an undo log
+// every transaction reuses) does not grow a fresh list each time. Only
+// short lists are kept, and at most spareLists of them: a flush of many
+// long lists (a commit) still frees them, and the lists of every line
+// the run ever stored are not held for the rest of the campaign.
+const (
+	spareCap   = 8
+	spareLists = 256
+)
+
 // Analyzer is the §4.2 pattern matcher as an online pmem.Hook: it
 // consumes the persistency-instruction stream while the workload executes
 // and emits findings at Finalize. Because it keeps only per-cache-line
@@ -87,6 +98,9 @@ type Analyzer struct {
 	findings  []*report.Finding
 	events    int
 	finalized bool
+
+	// spare holds emptied ref lists for reuse (see spareCap).
+	spare [][]evRef
 
 	// State-size gauges: live refs across all lines plus ntPending, and
 	// the peaks Result.AnalyzerPeakLines/AnalyzerPeakStateBytes report.
@@ -202,14 +216,12 @@ func (a *Analyzer) applyStore(ev *pmem.Event, ref evRef) {
 			// been written back (or under eADR, which has no
 			// durability patterns at all). Bytes already persisted via
 			// a non-temporal overwrite are not dirty in this sense.
-			st.overwrites = append(st.overwrites, ref)
-			a.liveRefs++
+			st.overwrites = a.pushRef(st.overwrites, ref)
 		}
 		st.dirty |= mask
 		st.unpersisted |= mask
 		if !a.cfg.EADR {
-			st.unflushed = append(st.unflushed, ref)
-			a.liveRefs++
+			st.unflushed = a.pushRef(st.unflushed, ref)
 		}
 		st.storesSinceFlush++
 		st.flushedSinceStore = false
@@ -278,6 +290,8 @@ func (a *Analyzer) applyFlush(ev *pmem.Event, ref evRef) {
 	st.dirty = 0
 	st.unpersisted = 0
 	a.liveRefs -= len(st.unflushed) + len(st.overwrites)
+	a.release(st.unflushed)
+	a.release(st.overwrites)
 	st.unflushed = nil
 	st.overwrites = nil
 	st.storesSinceFlush = 0
@@ -293,12 +307,29 @@ func (a *Analyzer) clearNTPending() {
 	a.ntPending = a.ntPending[:0]
 }
 
-func lineMask(off, n uint64) uint64 {
-	var mask uint64
-	for b := uint64(0); b < n; b++ {
-		mask |= 1 << (off + b)
+// pushRef appends ref to a line's list l, starting an empty list from a
+// spare one.
+func (a *Analyzer) pushRef(l []evRef, ref evRef) []evRef {
+	if n := len(a.spare); cap(l) == 0 && n > 0 {
+		l = a.spare[n-1]
+		a.spare = a.spare[:n-1]
 	}
-	return mask
+	a.liveRefs++
+	return append(l, ref)
+}
+
+// release keeps a list a flush emptied for reuse when it is short and
+// there is room; the caller drops its own reference.
+func (a *Analyzer) release(l []evRef) {
+	if c := cap(l); c > 0 && c <= spareCap && len(a.spare) < spareLists {
+		a.spare = append(a.spare, l[:0])
+	}
+}
+
+// lineMask returns the mask of n bytes from offset off of a line, where
+// off+n <= 64. A shift by 64 gives 0, so a whole line sets every bit.
+func lineMask(off, n uint64) uint64 {
+	return (uint64(1)<<n - 1) << off
 }
 
 // Finalize runs the end-of-trace patterns — stores that were never

@@ -154,6 +154,35 @@ func TestAnalyzerStateStaysFlat(t *testing.T) {
 	}
 }
 
+// A line stored and flushed over and over, as an undo log every
+// transaction reuses is, costs the analyzer no allocation once it has
+// one list: a flush hands the emptied list to the line's next store.
+func TestAnalyzerReusesFlushedRefLists(t *testing.T) {
+	a := core.NewAnalyzer(core.Config{})
+	ic := uint64(0)
+	evs := []pmem.Event{
+		{Op: pmem.OpStore, Addr: 0x7000, Size: 8},
+		{Op: pmem.OpStore, Addr: 0x7008, Size: 8},
+		{Op: pmem.OpCLWB, Addr: 0x7000, Size: 64},
+		{Op: pmem.OpStore, Addr: 0x8000, Size: 8},
+		{Op: pmem.OpCLFlushOpt, Addr: 0x8000, Size: 64},
+		{Op: pmem.OpSFence},
+	}
+	cycle := func() {
+		for j := range evs {
+			ic++
+			evs[j].ICount = ic
+			a.OnEvent(&evs[j])
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("a store-and-flush cycle over two lines allocates %.1f objects, want 0", allocs)
+	}
+	if got := a.Finalize(); len(got) != 0 {
+		t.Fatalf("clean cycles yield findings: %v", kinds(got))
+	}
+}
+
 // The analyzer builds warnings only when the report keeps them. On one
 // trace that raises every warning kind beside three bugs, KeepWarnings
 // yields the warnings, and without it the analyzer yields exactly the

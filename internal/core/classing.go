@@ -1,15 +1,15 @@
 // Phase-1 crash-image equivalence classing and the campaign's verdict
 // memo.
 //
-// During the instrumented run the engine maintains a rolling hash of
-// the graceful-crash prefix image (pmem.Engine.PrefixImageHash), and
-// the failure-point-tree builder stamps every new leaf with its
-// prospective (imageHash, size) key — the content hash a replay crashed
-// at that leaf would compute. The injection campaign can therefore
-// group leaves into equivalence classes BEFORE any replay runs: leaves
-// whose stamps match would materialise byte-identical crash images, and
-// the deterministic recovery oracle necessarily returns the same
-// verdict for all of them.
+// During the instrumented run the failure-point-tree builder stamps
+// every new leaf with its prospective (imageHash, size) key: the content
+// hash of the graceful-crash prefix image (pmem.Engine.PrefixImageHash,
+// which folds the pages written since the previous stamp), the hash a
+// replay crashed at that leaf would compute. The injection campaign can
+// therefore group leaves into equivalence classes BEFORE any replay
+// runs: leaves whose stamps match would materialise byte-identical crash
+// images, and the deterministic recovery oracle necessarily returns the
+// same verdict for all of them.
 //
 // One map holds every verdict the campaign reuses: the memo, keyed by
 // stamp. It is seeded before any worker starts — from a cross-run

@@ -12,7 +12,7 @@ import (
 )
 
 // TestClassingStampMatchesReplayHash pins the tentpole invariant behind
-// phase-1 classing: the rolling prefix hash the builder reads when a
+// phase-1 classing: the prefix-image hash the builder reads when a
 // leaf is created equals the PrefixImageHash a replay crashed at that
 // leaf's counter computes — the engine crashes before the failure-point
 // instruction mutates anything, so the stamp and the replay see the

@@ -213,7 +213,7 @@ func TestClassingDedupsScanPhase(t *testing.T) {
 
 // TestClassingEADRDifferential repeats the differential check under the
 // extended persistence domain, whose instrumented run takes the eADR
-// snapshot paths (and therefore the eADR rolling-hash paths).
+// snapshot paths (and therefore the eADR prefix-hash paths).
 func TestClassingEADRDifferential(t *testing.T) {
 	mk := func() harness.Application { return btree.New(cfgSPT(btree.BugCountOutsideTx)) }
 	w := smallWorkload(7)

@@ -106,8 +106,8 @@ type Config struct {
 	ImageCacheSize int
 	// Classing is the one verdict-reuse switch. On, the instrumented run
 	// stamps every failure point with the content hash of its
-	// prospective graceful-crash image (a rolling hash maintained
-	// alongside execution, O(changed bytes)), the campaign groups leaves
+	// prospective graceful-crash image (folded on demand from the pages
+	// written since the previous stamp), the campaign groups leaves
 	// whose stamps match into equivalence classes, judges one leaf per
 	// class, and the other members inherit its verdict from the
 	// campaign's verdict memo without a recovery run (or, in stack mode,

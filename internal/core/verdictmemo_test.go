@@ -239,7 +239,7 @@ func TestImageCacheCapacityConfig(t *testing.T) {
 
 // TestImageCacheEADRDifferential repeats the cached differential check
 // under the extended persistence domain, whose instrumented run takes
-// the eADR snapshot paths (and therefore the eADR rolling-hash paths
+// the eADR snapshot paths (and therefore the eADR prefix-hash paths
 // the memo's keys come from).
 func TestImageCacheEADRDifferential(t *testing.T) {
 	mk := func() harness.Application { return btree.New(cfgSPT(btree.BugCountOutsideTx)) }

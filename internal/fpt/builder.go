@@ -80,7 +80,7 @@ type Builder struct {
 }
 
 // ObserveEngine implements pmem.EngineObserver: it gives the builder
-// access to the engine's crash image and its rolling hash.
+// access to the engine's crash image and its hash.
 func (b *Builder) ObserveEngine(e *pmem.Engine) { b.eng = e }
 
 // NewBuilder returns a builder inserting into tree.

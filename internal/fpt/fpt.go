@@ -41,13 +41,14 @@ type Leaf struct {
 	// optimisation of §5).
 	FirstICount uint64
 	// ImageHash and ImageSize stamp the leaf with its prospective
-	// crash-image identity: the engine's rolling prefix-image hash and
-	// pool size at the instant the builder first reached this failure
-	// point. The engine crashes a replay at FirstICount before that
-	// instruction's own mutation — the same pre-mutation point at which
-	// the builder hook observed the event — so crashing there
-	// materialises exactly this image, and leaves sharing a stamp form
-	// one crash-image equivalence class. ImageSize == 0 means unstamped
+	// crash-image identity: the engine's prefix-image hash
+	// (pmem.Engine.PrefixImageHash) and pool size at the instant the
+	// builder first reached this failure point. The engine crashes a
+	// replay at FirstICount before that instruction's own mutation —
+	// the same pre-mutation point at which the builder hook observed
+	// the event — so crashing there materialises exactly this image,
+	// and leaves sharing a stamp form one crash-image equivalence
+	// class. ImageSize == 0 means unstamped
 	// (the builder had no engine); a zero ImageHash is legitimate (a
 	// still-zeroed pool), so the size carries the validity bit.
 	ImageHash uint64
@@ -70,6 +71,10 @@ type node struct {
 type Tree struct {
 	root   *node
 	leaves []*Leaf
+	// byStack indexes the leaves by call stack. The stack table interns
+	// each PC sequence to one ID, so this is the path walk's answer, and
+	// a repeat occurrence finds its leaf without the walk.
+	byStack map[stack.ID]*Leaf
 	// stacks resolves interned IDs to PCs for insertion and rendering.
 	stacks *stack.Table
 	// nodes counts tree nodes, a proxy for the pre-allocated memory of
@@ -82,7 +87,7 @@ type Tree struct {
 
 // New returns an empty tree backed by the given stack table.
 func New(stacks *stack.Table) *Tree {
-	return &Tree{root: &node{children: make(map[uintptr]*node)}, stacks: stacks}
+	return &Tree{root: &node{children: make(map[uintptr]*node)}, byStack: make(map[stack.ID]*Leaf), stacks: stacks}
 }
 
 // Stacks returns the backing stack table.
@@ -105,6 +110,9 @@ func (t *Tree) Insert(id stack.ID, icount uint64) (*Leaf, bool) {
 	if t.frozen {
 		panic("fpt: Insert on a frozen tree")
 	}
+	if leaf := t.byStack[id]; leaf != nil {
+		return leaf, false
+	}
 	pcs := t.stacks.PCs(id)
 	if len(pcs) == 0 {
 		return nil, false
@@ -122,29 +130,17 @@ func (t *Tree) Insert(id stack.ID, icount uint64) (*Leaf, bool) {
 		cur = next
 	}
 	if cur.leaf != nil {
-		return cur.leaf, false
+		panic("fpt: two stack IDs for one PC sequence")
 	}
 	leaf := &Leaf{ID: len(t.leaves), Stack: id, FirstICount: icount}
 	cur.leaf = leaf
+	t.byStack[id] = leaf
 	t.leaves = append(t.leaves, leaf)
 	return leaf, true
 }
 
 // Lookup returns the leaf for the call stack, or nil.
-func (t *Tree) Lookup(id stack.ID) *Leaf {
-	pcs := t.stacks.PCs(id)
-	if len(pcs) == 0 {
-		return nil
-	}
-	cur := t.root
-	for i := len(pcs) - 1; i >= 0; i-- {
-		cur = cur.children[pcs[i]]
-		if cur == nil {
-			return nil
-		}
-	}
-	return cur.leaf
-}
+func (t *Tree) Lookup(id stack.ID) *Leaf { return t.byStack[id] }
 
 // Leaves returns all leaves in insertion order. The slice is shared; do
 // not modify it.

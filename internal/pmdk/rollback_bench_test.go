@@ -2,6 +2,7 @@ package pmdk_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"mumak/internal/pmdk"
@@ -69,5 +70,28 @@ func TestRollbackAllocatesPerPageNotPerEntry(t *testing.T) {
 	allocs := testing.AllocsPerRun(1, func() { recoverTx(t, img) })
 	if allocs >= 1024 {
 		t.Fatalf("recovering %d undo entries allocates %.0f objects, want fewer than 1024", n, allocs)
+	}
+}
+
+// Rollback reuses its entry list across recoveries: the campaign
+// recovers the same long log once per crash-image class. After a first
+// recovery, each of two consecutive recoveries of a 16,384-entry log
+// allocates little beyond the 256 pages and 2 chunks it copies on
+// write; the entry list alone, grown from nil, would add about 2 MB.
+func TestRollbackReusesEntryList(t *testing.T) {
+	const n = 1 << 14
+	img := crashedTx(t, n)
+	recoverTx(t, img)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	recoverTx(t, img)
+	recoverTx(t, img)
+	runtime.ReadMemStats(&after)
+	copied := uint64(n/(4096/pmem.CacheLineSize)*4096 + 2*(4096+64))
+	perRecovery := (after.TotalAlloc - before.TotalAlloc) / 2
+	t.Logf("a recovery allocates %d bytes, %d beyond the pages and chunks it copies", perRecovery, perRecovery-copied)
+	if perRecovery > copied+64<<10 {
+		t.Fatalf("a recovery of %d undo entries allocates %d bytes, want at most %d beyond the %d it copies on write",
+			n, perRecovery, 64<<10, copied)
 	}
 }

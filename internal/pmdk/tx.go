@@ -289,18 +289,18 @@ func (p *Pool) undoBuf(n int) []byte {
 // rollback restores every logged range, newest first, and retires the
 // log. bytes is the valid stream length.
 func (p *Pool) rollback(bytes uint64) error {
-	type entry struct {
-		off  uint64
-		size uint64
-		pos  uint64 // stream position of the data
-	}
 	// The list grows by append rather than from bytes: a corrupt log
-	// must not size an allocation.
-	var entries []entry
+	// must not size an allocation. A campaign recovers the same long
+	// log once per crash-image class, several recoveries at a time, so
+	// the list is one an earlier recovery grew (undo.go), and it goes
+	// back for a later one even when a corrupt entry or a watchdog
+	// stops this recovery.
+	entries := takeEntries()
+	defer func() { putEntries(entries) }()
 	var hdr [16]byte
 	for pos := uint64(0); pos < bytes; {
 		p.streamRead(hdr[:], pos)
-		e := entry{off: get64(hdr[:]), size: get64(hdr[8:]), pos: pos + 16}
+		e := undoEntry{off: get64(hdr[:]), size: get64(hdr[8:]), pos: pos + 16}
 		if e.off+e.size > uint64(p.e.Size()) {
 			// Malformed entry: with a well-formed log this cannot
 			// happen; the V112 growth bug produces exactly this.

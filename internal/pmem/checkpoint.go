@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"maps"
 	"time"
 )
 
@@ -25,9 +24,10 @@ import (
 //     CASes change no state and are never logged;
 //   - periodic checkpoints, every CheckpointEvery events: the frozen
 //     view, its hash, a copy of the dirty set, and the log offset of the
-//     first entry after the snapshot. Freezing the view is O(1), and the
-//     views share their unchanged pages with each other and with the
-//     engine.
+//     first entry after the snapshot. Freezing the view is O(1), the
+//     hash folds the pages written since the previous checkpoint, and
+//     the views share their unchanged pages with each other and with
+//     the engine.
 //
 // A replay to instruction counter F then restores the nearest
 // checkpoint strictly below F and applies only the logged changes in
@@ -64,10 +64,10 @@ type checkpoint struct {
 	// recorded after this snapshot.
 	offset int
 	// view is the engine's view, frozen at the snapshot, and viewHash
-	// its rolling hash; dirty is a copy of the dirty set.
+	// its content hash; dirty is a copy of the dirty set.
 	view     []*chunk
 	viewHash uint64
-	dirty    map[uint64]struct{}
+	dirty    lineSet
 }
 
 // CheckpointStore holds the mutation log and the ordered checkpoints of
@@ -112,10 +112,9 @@ func (s *CheckpointStore) LastICount() uint64 { return s.last }
 // the checkpoints' dirty-set copies. The frozen views share their pages
 // with each other and with the recording engine, and are not counted.
 func (s *CheckpointStore) Bytes() uint64 {
-	const keyBytes = 8
 	total := uint64(len(s.log))
 	for i := range s.cps {
-		total += uint64(len(s.cps[i].dirty)) * keyBytes
+		total += s.cps[i].dirty.bytes()
 	}
 	return total
 }
@@ -149,15 +148,16 @@ func (s *CheckpointStore) record(e *Engine, tag byte, addr uint64, data []byte) 
 	}
 }
 
-// take snapshots the engine: the view frozen in O(1), its hash, and a
-// copy of the dirty set.
+// take snapshots the engine: its hash, folded, the view the fold
+// froze, and a copy of the dirty set.
 func (s *CheckpointStore) take(e *Engine) {
+	h := e.PrefixImageHash()
 	s.cps = append(s.cps, checkpoint{
 		icount:   e.icount,
 		offset:   len(s.log),
-		view:     e.view.freeze(),
-		viewHash: e.viewHash,
-		dirty:    maps.Clone(e.dirty),
+		view:     e.hashed,
+		viewHash: h,
+		dirty:    e.dirty.clone(),
 	})
 	s.nextAt = e.icount + s.opts.CheckpointEvery
 }
@@ -191,8 +191,8 @@ func (s *CheckpointStore) restore(idx int) *Engine {
 	o.Deadline = time.Time{}
 	o.Capture = CaptureNone
 	o.Stacks = nil
-	e := newEngine(o, sharedMedium(o.PoolSize, cp.view), cp.viewHash)
-	maps.Copy(e.dirty, cp.dirty)
+	e := newEngine(o, sharedMedium(o.PoolSize, cp.view), cp.view, cp.viewHash)
+	e.dirty = cp.dirty.clone()
 	e.icount = cp.icount
 	return e
 }
@@ -241,7 +241,7 @@ func (s *CheckpointStore) ReplayTo(target uint64, deadline time.Time) (*Engine, 
 			e.write(addr, s.log[pos:pos+int(size)], tag == ckStore)
 			pos += int(size)
 		case ckFlush:
-			delete(e.dirty, addr)
+			e.dirty.remove(addr)
 		default:
 			return nil, 0, fmt.Errorf("pmem: corrupt checkpoint log: tag %d at offset %d", tag, pos)
 		}

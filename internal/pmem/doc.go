@@ -61,5 +61,7 @@
 // recorded traces through the certain image and the uncertain units of
 // package trace's Cursor. The Cursor keeps the certain state in an
 // engine of its own and freezes it the same way, so every Image is a
-// frozen page table that carries its content hash.
+// frozen page table. Content hashes are computed on demand (hash.go):
+// the failure-point stamp folds the pages written since the previous
+// one.
 package pmem

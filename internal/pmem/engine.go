@@ -13,25 +13,29 @@ import (
 // analysis execute deterministically on one goroutine, as required by the
 // instruction-counter optimisation of §5.
 //
-// The engine keeps only what its callers read: the coherent view and
-// its rolling hash, the set of dirty lines, the instruction counter, the
-// watchdogs and the hooks. Every instruction still emits its event, and
-// the state a power cut would leave is built from those events by
-// package trace's Cursor (see the package doc).
+// The engine keeps only what its callers read: the coherent view, the
+// set of dirty lines, the instruction counter, the watchdogs and the
+// hooks, plus the table and hash of the view's last hash fold. An
+// instruction does no work for state nobody reads: it hashes nothing
+// (PrefixImageHash folds on demand, hash.go). Every instruction still
+// emits its event, and the state a power cut would leave is built from
+// those events by package trace's Cursor (see the package doc).
 type Engine struct {
 	opts Options
 	// view is the coherent (load-visible) state: stores, RMWs and NT
 	// stores write it, and loads read it. It is also the graceful-crash
 	// PrefixImage state, in which every store issued so far has
-	// persisted, so freezing it is PrefixImage in O(1). viewHash is its
-	// rolling content hash, the failure points' phase-1 stamp.
-	view     medium
+	// persisted, so freezing it is PrefixImage in O(1).
+	view medium
+	// hashed is the view's table frozen at the last hash fold, nil for
+	// the all-zero pool, and viewHash its content hash (hash.go).
+	hashed   []*chunk
 	viewHash uint64
-	// dirty holds the base of every line a cached store has written
-	// since a flush of the line last wrote it back. The cache never
-	// evicts on its own, and a clean line behaves exactly like an
-	// uncached one, so nothing else about the cache is kept.
-	dirty  map[uint64]struct{}
+	// dirty holds every line a cached store has written since a flush
+	// of the line last wrote it back. The cache never evicts on its
+	// own, and a clean line behaves exactly like an uncached one, so
+	// nothing else about the cache is kept.
+	dirty  lineSet
 	hooks  []Hook
 	anns   []AnnotationObserver
 	icount uint64
@@ -59,17 +63,20 @@ type Engine struct {
 // NewEngine creates an engine over a zeroed pool.
 func NewEngine(opts Options) *Engine {
 	o := opts.withDefaults()
-	return newEngine(o, newMedium(o.PoolSize), 0)
+	return newEngine(o, newMedium(o.PoolSize), nil, 0)
 }
 
-// newEngine creates an engine whose view is view, with content hash
-// hash, and whose every line is clean. o must have defaults applied.
-func newEngine(o Options, view medium, hash uint64) *Engine {
+// newEngine creates an engine whose view is view and whose every line
+// is clean. hashed is a frozen table the view starts from, or nil for
+// the all-zero pool, and hash its content hash. o must have defaults
+// applied.
+func newEngine(o Options, view medium, hashed []*chunk, hash uint64) *Engine {
 	e := &Engine{
 		opts:     o,
 		view:     view,
+		hashed:   hashed,
 		viewHash: hash,
-		dirty:    make(map[uint64]struct{}),
+		dirty:    newLineSet(o.PoolSize),
 	}
 	if o.CheckpointEvery > 0 {
 		e.ckpt = newCheckpointStore(e)
@@ -79,30 +86,28 @@ func newEngine(o Options, view medium, hash uint64) *Engine {
 
 // NewEngineFromImage creates an engine whose pool holds a crash image, as
 // happens when an application restarts after a failure. The engine
-// starts from the image's pages and its hash in O(1), and copies a page
-// only when it first writes to it, so the image itself never changes.
+// starts from the image's pages in O(1), and copies a page only when it
+// first writes to it, so the image itself never changes. Its first
+// PrefixImageHash hashes the pool from scratch.
 func NewEngineFromImage(opts Options, img *Image) *Engine {
 	o := opts
 	o.PoolSize = img.size
 	o = o.withDefaults()
-	return newEngine(o, sharedMedium(o.PoolSize, img.chunks), img.hash)
+	return newEngine(o, sharedMedium(o.PoolSize, img.chunks), nil, 0)
 }
 
-// write copies data into the view at addr, line by line, keeping
-// viewHash current. A cached store also marks every line it writes
-// dirty; a non-temporal one bypasses the cache and marks none.
+// write copies data into the view at addr, line by line. A cached store
+// also marks every line it writes dirty; a non-temporal one bypasses
+// the cache and marks none.
 func (e *Engine) write(addr uint64, data []byte, cached bool) {
 	for len(data) > 0 {
 		base := addr &^ (CacheLineSize - 1)
 		off := addr - base
 		n := min(len(data), CacheLineSize-int(off))
 		if cached {
-			e.dirty[base] = struct{}{}
+			e.dirty.add(base)
 		}
-		v := e.view.writable(base)
-		e.viewHash ^= lineContrib(base, v)
-		copy(v[off:], data[:n])
-		e.viewHash ^= lineContrib(base, v)
+		copy(e.view.writable(base)[off:], data[:n])
 		addr += uint64(n)
 		data = data[n:]
 	}
@@ -190,15 +195,15 @@ func (e *Engine) emit(op Opcode, addr uint64, size int, data []byte) {
 		e.operand = append(e.operand[:0], data...)
 		operand = e.operand
 	}
+	// Every field, one by one: a composite literal would be built on
+	// the stack and then copied over the shared Event.
 	ev := &e.ev
-	*ev = Event{
-		ICount: e.icount,
-		Op:     op,
-		Addr:   addr,
-		Size:   size,
-		Data:   operand,
-		Stack:  stack.NoID,
-	}
+	ev.ICount = e.icount
+	ev.Op = op
+	ev.Addr = addr
+	ev.Size = size
+	ev.Data = operand
+	ev.Stack = stack.NoID
 	if e.wantsStack(ev) {
 		// Skip emit and the engine entry point; trimming in the stack
 		// table removes any residual instrumentation frames.
@@ -304,7 +309,7 @@ func (e *Engine) flush(addr uint64, op Opcode) {
 	e.check(addr, 1)
 	base := addr &^ (CacheLineSize - 1)
 	e.emit(op, base, CacheLineSize, nil)
-	delete(e.dirty, base)
+	e.dirty.remove(base)
 	e.commit(ckFlush, base, nil)
 }
 
@@ -366,7 +371,4 @@ func (e *Engine) FAA64(addr uint64, delta uint64) uint64 {
 // LineDirty reports whether the cache line containing addr holds
 // unwritten-back store data. PM libraries use it to skip write-backs of
 // clean lines.
-func (e *Engine) LineDirty(addr uint64) bool {
-	_, ok := e.dirty[addr&^(CacheLineSize-1)]
-	return ok
-}
+func (e *Engine) LineDirty(addr uint64) bool { return e.dirty.has(addr) }

@@ -146,8 +146,8 @@ type StackDemand interface {
 }
 
 // EngineObserver is implemented by hooks that want a reference to the
-// engine they are attached to — e.g. to read the rolling prefix-image
-// hash at event time. AttachHook calls ObserveEngine once, at
+// engine they are attached to — e.g. to read the prefix-image hash at
+// event time. AttachHook calls ObserveEngine once, at
 // attachment.
 type EngineObserver interface {
 	ObserveEngine(*Engine)

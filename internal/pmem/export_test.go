@@ -2,6 +2,7 @@ package pmem
 
 import (
 	"bytes"
+	"math/bits"
 	"math/rand"
 )
 
@@ -29,5 +30,22 @@ func Step(e *Engine, m *RefModel, op RefOp) error { return step(e, m, op) }
 // durable image.
 func (m *refModel) Durable() []byte { return bytes.Clone(m.medium) }
 
-// DirtyLines returns the engine's dirty set.
-func DirtyLines(e *Engine) map[uint64]struct{} { return e.dirty }
+// DirtyLines returns the bases of the engine's dirty lines.
+func DirtyLines(e *Engine) map[uint64]struct{} { return e.dirty.lines() }
+
+// lines returns the bases of the lines s marks.
+func (s lineSet) lines() map[uint64]struct{} {
+	out := map[uint64]struct{}{}
+	for ci, w := range s {
+		if w == nil {
+			continue
+		}
+		for wi, word := range w {
+			for ; word != 0; word &= word - 1 {
+				line := uint64(bits.TrailingZeros64(word))
+				out[(uint64(ci)<<chunkShift|uint64(wi))<<pageShift|line*CacheLineSize] = struct{}{}
+			}
+		}
+	}
+	return out
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -36,24 +37,86 @@ func randomOps(e *Engine, rng *rand.Rand, n int) {
 	}
 }
 
-// The central dedup invariant: the incrementally maintained image hash
+// The central dedup invariant: the hash PrefixImageHash folds on demand
 // always equals a from-scratch content hash of the materialised bytes,
-// at arbitrary points of arbitrary instruction streams.
+// whatever interleaving of instructions, freezes, folds and restarts led
+// there. Each step runs one to four of: a batch of stores, NT stores,
+// flushes, fences and RMWs; a freeze (PrefixImage) without a fold; a
+// fold (PrefixImageHash); a restart from the engine's image, taken with
+// or without a fold just before. After each step the image PrefixImage
+// freezes must hash, as img.Hash and as PrefixImageHash, to the content
+// hash of its bytes.
 func TestIncrementalHashMatchesContentHash(t *testing.T) {
 	for _, seed := range []int64{1, 7, 99} {
 		rng := rand.New(rand.NewSource(seed))
 		e := NewEngine(Options{PoolSize: 1 << 16})
-		for step := 0; step < 40; step++ {
-			randomOps(e, rng, 25)
+		for step := 0; step < 80; step++ {
+			for k := rng.Intn(4); k >= 0; k-- {
+				switch rng.Intn(6) {
+				case 0, 1:
+					randomOps(e, rng, 1+rng.Intn(25))
+				case 2:
+					e.PrefixImage()
+				case 3:
+					e.PrefixImageHash()
+				default:
+					if rng.Intn(2) == 0 {
+						e.PrefixImageHash()
+					}
+					e = NewEngineFromImage(Options{}, e.PrefixImage())
+				}
+			}
 			img := e.PrefixImage()
-			if got, want := img.Hash(), ContentHash(img.Bytes()); got != want {
+			want := ContentHash(img.Bytes())
+			if got := img.Hash(); got != want {
 				t.Fatalf("seed %d step %d: PrefixImage hash %#x, content hash %#x", seed, step, got, want)
 			}
-			if got, want := e.PrefixImageHash(), img.Hash(); got != want {
-				t.Fatalf("seed %d step %d: PrefixImageHash %#x, image hash %#x", seed, step, got, want)
+			if got := e.PrefixImageHash(); got != want {
+				t.Fatalf("seed %d step %d: PrefixImageHash %#x, content hash %#x", seed, step, got, want)
 			}
 		}
 	}
+}
+
+// A fold reads the table frozen at the last fold while engines built
+// from images of that table write and fold concurrently, as phase 1
+// stamps leaves while the campaign's workers recover from earlier
+// leaves' images. Every image keeps its bytes and its hash, and every
+// engine's fold matches its content (CI runs this under -race).
+func TestFoldWhileEnginesShareImages(t *testing.T) {
+	const size = 1 << 16
+	images := make(chan *Image, 16)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for img := range images {
+				want := ContentHash(img.Bytes())
+				if img.Hash() != want {
+					t.Errorf("a leaf image hashes to %#x, content hash %#x", img.Hash(), want)
+				}
+				e := NewEngineFromImage(Options{}, img)
+				randomOps(e, rng, 20)
+				if got, want := e.PrefixImageHash(), ContentHash(e.PrefixImage().Bytes()); got != want {
+					t.Errorf("an engine built from a leaf image folds %#x, content hash %#x", got, want)
+				}
+				if ContentHash(img.Bytes()) != want {
+					t.Error("an engine built from a leaf image changed the image")
+				}
+			}
+		}()
+	}
+	src := NewEngine(Options{PoolSize: size})
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 200; i++ {
+		randomOps(src, rng, 10)
+		src.PrefixImageHash()
+		images <- src.PrefixImage()
+	}
+	close(images)
+	wg.Wait()
 }
 
 // A snapshot must be immutable: once taken, later engine activity may
@@ -107,8 +170,8 @@ func TestCOWSnapshotsObserveOnlyOwnState(t *testing.T) {
 	}
 }
 
-// Engines restored from an image inherit its hash, so their own
-// snapshots stay consistent without a pool rescan.
+// An engine restored from an image starts from the image's contents, so
+// its own snapshot and its first fold hash as the image does.
 func TestEngineFromImageInheritsHash(t *testing.T) {
 	e := NewEngine(Options{PoolSize: 1 << 14})
 	rng := rand.New(rand.NewSource(3))
@@ -116,6 +179,9 @@ func TestEngineFromImageInheritsHash(t *testing.T) {
 	img := e.PrefixImage()
 
 	e2 := NewEngineFromImage(Options{}, img)
+	if got, want := e2.PrefixImageHash(), img.Hash(); got != want {
+		t.Fatalf("restored engine folds %#x, want image hash %#x", got, want)
+	}
 	snap := e2.PrefixImage()
 	if got, want := snap.Hash(), img.Hash(); got != want {
 		t.Fatalf("restored engine snapshot hash %#x, want image hash %#x", got, want)

@@ -318,21 +318,23 @@ func step(e *Engine, m *refModel, op refOp) error {
 // compare checks everything the engine derives from its view and its
 // page tables against the model: the dirty lines, loads, and the bytes
 // and hash of the prefix image. The engine keeps only the set of dirty
-// lines, so it must hold exactly the model's lines with a non-empty
-// dirty mask; the model's clean cached lines must be invisible
+// lines, a bitmap, so it must mark exactly the model's lines with a
+// non-empty dirty mask, and LineDirty must answer from it for every
+// byte of a line; the model's clean cached lines must be invisible
 // everywhere else.
 func compare(e *Engine, m *refModel, rng *rand.Rand) error {
 	dirtyLines := 0
 	for base, ln := range m.lines {
-		if ln.dirty == 0 {
-			continue
+		if ln.dirty != 0 {
+			dirtyLines++
 		}
-		dirtyLines++
-		if _, ok := e.dirty[base]; !ok {
-			return fmt.Errorf("line %#x is clean, model dirty mask %#x", base, ln.dirty)
+		// Any byte of the line answers for it.
+		addr := base + base/CacheLineSize%CacheLineSize
+		if got := e.LineDirty(addr); got != (ln.dirty != 0) {
+			return fmt.Errorf("LineDirty(%#x) = %v, model dirty mask %#x", addr, got, ln.dirty)
 		}
 	}
-	if got := len(e.dirty); got != dirtyLines {
+	if got := len(e.dirty.lines()); got != dirtyLines {
 		return fmt.Errorf("%d dirty lines, model %d", got, dirtyLines)
 	}
 	prefix := m.prefixImage()

@@ -67,8 +67,9 @@ type Options struct {
 	// Deprecated: the campaign records no checkpoints; only the
 	// benchmark's traced pipeline (bench/trace.go) still sets it.
 	CheckpointEvery uint64
-	// TrackPrefixHash is ignored: every engine keeps the coherent view
-	// and its rolling hash, so PrefixImage and PrefixImageHash are O(1).
+	// TrackPrefixHash is ignored: every engine keeps the coherent view,
+	// so PrefixImage is O(1), and PrefixImageHash folds on demand the
+	// pages written since its last call.
 	//
 	// Deprecated: kept only because the benchmark's traced pipeline
 	// (bench/trace.go) still sets it.

@@ -3,6 +3,7 @@ package pmem
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -11,8 +12,8 @@ import (
 // assertRolling checks the engine's view at a quiescent point against
 // want, the reference model's graceful-crash image at the same point:
 // PrefixImage, the frozen view, must hold its bytes, and the view's
-// rolling hash, both as the image's hash and as PrefixImageHash, must be
-// its content hash.
+// hash, both as the image's and as PrefixImageHash, must be its content
+// hash.
 func assertRolling(t *testing.T, e *Engine, want []byte, label string) {
 	t.Helper()
 	img := e.PrefixImage()
@@ -87,8 +88,43 @@ func exercise(t *testing.T, e *Engine, m *refModel, eadr bool, check func(label 
 
 // TestRollingPrefixHashMatchesGroundTruth runs exercise on a fresh
 // engine: plain as written, eadr without its flushes. Each step must
-// also leave the engine with exactly the model's dirty lines.
+// also leave the engine with exactly the model's dirty lines. The
+// interleaved case steps the engine and the model through random
+// instructions mixed with freezes, folds and restarts from the engine's
+// image, taken with or without a fold just before; a restart restarts
+// the model from its prefix image too, every line clean.
 func TestRollingPrefixHashMatchesGroundTruth(t *testing.T) {
+	t.Run("interleaved", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(3))
+		e := NewEngine(Options{PoolSize: 1 << 16})
+		m := newRefModel(make([]byte, e.Size()))
+		for i := 0; i < 300; i++ {
+			for k := rng.Intn(4); k >= 0; k-- {
+				switch rng.Intn(6) {
+				case 0:
+					e.PrefixImage()
+				case 1:
+					e.PrefixImageHash()
+				case 2:
+					if rng.Intn(2) == 0 {
+						e.PrefixImageHash()
+					}
+					e, m = NewEngineFromImage(Options{}, e.PrefixImage()), newRefModel(m.prefixImage())
+				default:
+					for _, op := range genRefOps(rng, e.Size(), 1+rng.Intn(6)) {
+						if err := step(e, m, op); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			label := fmt.Sprintf("step %d", i)
+			assertRolling(t, e, m.prefixImage(), label)
+			if err := compare(e, m, rng); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+		}
+	})
 	for _, tc := range []struct {
 		name string
 		eadr bool

@@ -281,6 +281,64 @@ func TestCursorImagesAreSnapshots(t *testing.T) {
 	}
 }
 
+// The cursor freezes its certain engine without a fold, and so does
+// Materialize's engine. Each image hashes its pages when asked, and an
+// engine restarted from one hashes from scratch at its first fold; both
+// must give the content hash of the bytes. The cursor's prefix image
+// must also hash like the recording engine's view after the same
+// record.
+func TestCursorImageHashesMatchContent(t *testing.T) {
+	const size = 1 << 15
+	rng := rand.New(rand.NewSource(23))
+	e := pmem.NewEngine(pmem.Options{PoolSize: size})
+	base := e.PrefixImage()
+	rec := NewRecorder()
+	e.AttachHook(rec)
+	viewHash := []uint64{e.PrefixImageHash()}
+	for i := 0; i < 200; i++ {
+		addr := (rng.Uint64() % (size / 8)) * 8
+		switch rng.Intn(6) {
+		case 0, 1:
+			e.Store64(addr, rng.Uint64())
+		case 2:
+			e.NTStore64(addr, rng.Uint64())
+		case 3:
+			e.CLWB(addr)
+		case 4:
+			e.FAA64(addr, rng.Uint64())
+		case 5:
+			e.SFence()
+		}
+		viewHash = append(viewHash, e.PrefixImageHash())
+	}
+	check := func(img *pmem.Image, what string, pos int) {
+		t.Helper()
+		want := pmem.ContentHash(img.Bytes())
+		if got := img.Hash(); got != want {
+			t.Fatalf("record %d: %s image hash %#x, content hash %#x", pos, what, got, want)
+		}
+		eng := pmem.NewEngineFromImage(pmem.Options{}, img)
+		if got := eng.PrefixImageHash(); got != want {
+			t.Fatalf("record %d: an engine restarted from the %s image folds %#x, content hash %#x", pos, what, got, want)
+		}
+		eng.Store64((rng.Uint64()%(size/8))*8, rng.Uint64())
+		if got, want := eng.PrefixImageHash(), pmem.ContentHash(eng.PrefixImage().Bytes()); got != want {
+			t.Fatalf("record %d: after a store, an engine restarted from the %s image folds %#x, content hash %#x", pos, what, got, want)
+		}
+	}
+	c := NewCursor(&rec.T, base)
+	for c.Step() {
+		check(c.Certain(), "certain", c.Pos())
+		uncertain := c.Uncertain()
+		check(c.Materialize(uncertain, func(i int) bool { return i%2 == 0 }), "materialised", c.Pos())
+		prefix := c.PrefixImage()
+		check(prefix, "prefix", c.Pos())
+		if got, want := prefix.Hash(), viewHash[c.Pos()]; got != want {
+			t.Fatalf("record %d: the cursor's prefix image hashes %#x, the engine's view %#x", c.Pos(), got, want)
+		}
+	}
+}
+
 func le64(b []byte) uint64 {
 	var v uint64
 	for i := 0; i < 8; i++ {
