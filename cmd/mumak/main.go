@@ -87,7 +87,7 @@ func main() {
 	}
 	if err := validateFlags(flagValues{
 		ops: *ops, workers: *workers, poolMB: *poolMB, budget: *budget,
-		verdictCache: *vcFile, classing: *classing,
+		recTimeout: *recTimeout, verdictCache: *vcFile, classing: *classing,
 		cpuProfile: *cpuProfile, memProfile: *memProfile, execTrace: *execTrace,
 	}); err != nil {
 		fatal(err)
@@ -221,7 +221,7 @@ func main() {
 	fmt.Printf("\nfailure points: %d (tree nodes %d) | injections: %d | trace records: %d\n",
 		res.Tree.Len(), res.Tree.Nodes(), res.Injections, res.TraceLen)
 	if res.AnalyzerPeakLines > 0 {
-		fmt.Printf("analyzer state: peak %d live cache lines, ~%d bytes (streamed, trace not materialised)\n",
+		fmt.Printf("analyzer state: %d cache lines touched, peak ~%d bytes (streamed, trace not materialised)\n",
 			res.AnalyzerPeakLines, res.AnalyzerPeakStateBytes)
 	}
 	if res.SkippedFailurePoints > 0 {

@@ -18,6 +18,7 @@ type flagValues struct {
 	workers      int
 	poolMB       int
 	budget       time.Duration
+	recTimeout   time.Duration
 	verdictCache string
 	classing     bool
 	cpuProfile   string
@@ -37,6 +38,8 @@ func validateFlags(v flagValues) error {
 		return fmt.Errorf("-pool-mb %d: the simulated PM pool needs at least 1 MiB", v.poolMB)
 	case v.budget < 0:
 		return fmt.Errorf("-budget %s: the analysis budget cannot be negative", v.budget)
+	case v.recTimeout < 0:
+		return fmt.Errorf("-recovery-timeout %s: the recovery watchdog cannot be negative (0 = default)", v.recTimeout)
 	case v.verdictCache != "" && !v.classing:
 		return fmt.Errorf("-verdict-cache-file needs -classing: verdicts are only reused, and saved, with it on")
 	}

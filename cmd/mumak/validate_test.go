@@ -38,6 +38,7 @@ func TestValidateFlagsRejections(t *testing.T) {
 		{"workers-negative", func(v *flagValues) { v.workers = -3 }, "-workers"},
 		{"pool", func(v *flagValues) { v.poolMB = 0 }, "-pool-mb"},
 		{"budget", func(v *flagValues) { v.budget = -time.Second }, "-budget"},
+		{"recovery-timeout", func(v *flagValues) { v.recTimeout = -time.Second }, "-recovery-timeout"},
 		{"verdict-cache-without-classing", func(v *flagValues) {
 			v.verdictCache = "verdicts.bin"
 			v.classing = false

@@ -41,8 +41,12 @@ func Apply(e *pmem.Engine, set bugs.Set, id bugs.ID, clean, scratch uint64) {
 }
 
 // ApplyN plants knobs "<app>/pf-<from>" through "<app>/pf-<to>"
-// (inclusive) at this site.
+// (inclusive) at this site. Targets call it on every operation, so
+// without a seeded bug it returns before building any knob's ID.
 func ApplyN(e *pmem.Engine, set bugs.Set, app string, from, to int, clean, scratch uint64) {
+	if len(set) == 0 {
+		return
+	}
 	for i := from; i <= to; i++ {
 		Apply(e, set, NumberedID(app, i), clean, scratch)
 	}

@@ -49,8 +49,11 @@ import (
 
 // Version is the journal format version, written into the header of
 // the sealed meta file. Load refuses any other version: records of
-// another format cannot be folded safely.
-const Version = 4
+// another format cannot be folded safely. Version 5 records carry panic
+// traces that list only the target's frames; a version 4 record's trace
+// also lists Mumak's own, and folding it would print a report no run
+// of this build prints.
+const Version = 5
 
 // Meta identifies the campaign a journal or verdict-cache file belongs
 // to: every setting that changes the failure point tree or the verdict

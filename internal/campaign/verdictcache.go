@@ -21,8 +21,10 @@ import (
 
 var verdictMagic = [8]byte{'M', 'U', 'M', 'A', 'K', 'V', 'D', 'C'}
 
-// VerdictCacheVersion is the cache-file format version.
-const VerdictCacheVersion = 2
+// VerdictCacheVersion is the cache-file format version. Version 3
+// entries carry recovery traces that list only the target's frames, as
+// version 5 journal records do (Version).
+const VerdictCacheVersion = 3
 
 // verdictCacheFile is the serialised payload: the campaign identity the
 // verdicts were recorded under plus the exported entries, in the order

@@ -1,8 +1,10 @@
 package campaign
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mumak/internal/oracle"
@@ -95,4 +97,20 @@ func TestVerdictCacheRejectsCorruption(t *testing.T) {
 	corrupt("bad-version", func(b []byte) []byte { b[8] = 99; return b })
 	corrupt("torn-tail", func(b []byte) []byte { return b[:len(b)-5] })
 	corrupt("torn-header", func(b []byte) []byte { return b[:10] })
+}
+
+// TestVerdictCacheRefusesOtherVersion: a cache file of the previous
+// format, whose recovery traces list other frames, is refused naming
+// both versions rather than folded into a new report.
+func TestVerdictCacheRefusesOtherVersion(t *testing.T) {
+	meta, entries := verdictFixture()
+	path := filepath.Join(t.TempDir(), "verdicts.bin")
+	if err := writeSealed(path, verdictMagic, VerdictCacheVersion-1, &verdictCacheFile{Meta: meta, Entries: entries}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadVerdictCache(path, meta)
+	want := fmt.Sprintf("format version %d, this build reads only version %d", VerdictCacheVersion-1, VerdictCacheVersion)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want a refusal naming %q", err, want)
+	}
 }

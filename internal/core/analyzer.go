@@ -20,26 +20,26 @@ type evRef struct {
 
 // lineState tracks one cache line across the analysis. Its memory is the
 // analyzer's working set: a fixed-size core plus the pending refs that a
-// write-back clears, so resident state is proportional to live (not yet
-// persisted) cache lines rather than to trace length.
+// write-back clears, so resident state is proportional to the cache
+// lines the execution touches and the stores not yet persisted, rather
+// than to trace length.
 type lineState struct {
-	// dirty marks bytes stored (through the cache) since the line's
-	// last write-back. A non-temporal store does NOT clear it — the
-	// cached bytes remain dirty and a later flush still writes them
-	// back.
-	dirty uint64
 	// unpersisted marks cached-store bytes whose data is not yet on its
-	// way to the medium by any route. It starts out equal to dirty but a
-	// non-temporal store clears the bytes it covers: the NT write
-	// bypasses the cache and sends the same addresses towards memory, so
-	// the earlier cached stores no longer need an explicit flush to
-	// become durable. This is the mask the durability patterns consult.
+	// way to the medium by any route. A store sets its bytes and a
+	// write-back clears them all; a non-temporal store clears the bytes
+	// it covers too: the NT write bypasses the cache and sends the same
+	// addresses towards memory, so the earlier cached stores no longer
+	// need an explicit flush to become durable. This is the mask the
+	// durability patterns consult.
 	unpersisted uint64
 	// unflushed holds the store events contributing unpersisted bytes
 	// not yet covered by any flush or non-temporal overwrite.
 	unflushed []evRef
 	// storesSinceFlush counts contributing store events since the last
-	// write-back, for the multi-store-flush warning.
+	// write-back: the line holds cached data to write back exactly when
+	// it is positive (a non-temporal store does not count, and does not
+	// clean the cache). The redundant-flush patterns and the
+	// multi-store-flush warning read it.
 	storesSinceFlush int
 	// everFlushed records whether the line was flushed at any point of
 	// the execution (distinguishing durability bugs from transient
@@ -56,9 +56,6 @@ type lineState struct {
 	// has been flushed they can never be reported, so they are dropped
 	// and no longer collected.
 	overwrites []evRef
-	// flushedSinceStore is true when the line is clean and already
-	// written back: a further flush is redundant.
-	flushedSinceStore bool
 }
 
 // Approximate per-unit resident costs of the analyzer state, used for the
@@ -83,8 +80,8 @@ const (
 // consumes the persistency-instruction stream while the workload executes
 // and emits findings at Finalize. Because it keeps only per-cache-line
 // state, analysing a workload needs memory proportional to the number of
-// live cache lines, not to the trace length — the property that lets
-// cmd/mumak default to the paper's 150 000-op workloads.
+// cache lines it touches, not to the trace length — the property that
+// lets cmd/mumak default to the paper's 150 000-op workloads.
 type Analyzer struct {
 	cfg   Config
 	lines map[uint64]*lineState
@@ -102,10 +99,9 @@ type Analyzer struct {
 	// spare holds emptied ref lists for reuse (see spareCap).
 	spare [][]evRef
 
-	// State-size gauges: live refs across all lines plus ntPending, and
-	// the peaks Result.AnalyzerPeakLines/AnalyzerPeakStateBytes report.
+	// State-size gauges: pending refs across all lines plus ntPending,
+	// and the peak Result.AnalyzerPeakStateBytes reports.
 	liveRefs       int
-	peakLines      int
 	peakStateBytes uint64
 }
 
@@ -124,9 +120,6 @@ func (a *Analyzer) lineOf(addr uint64) *lineState {
 	if st == nil {
 		st = &lineState{}
 		a.lines[base] = st
-		if n := len(a.lines); n > a.peakLines {
-			a.peakLines = n
-		}
 	}
 	return st
 }
@@ -198,7 +191,7 @@ func (a *Analyzer) OnEvent(ev *pmem.Event) {
 }
 
 // applyStore marks the bytes of a cached store (or the store half of an
-// RMW) dirty on every line it touches.
+// RMW) unpersisted on every line it touches.
 func (a *Analyzer) applyStore(ev *pmem.Event, ref evRef) {
 	addr, size := ev.Addr, uint64(ev.Size)
 	for size > 0 {
@@ -218,13 +211,11 @@ func (a *Analyzer) applyStore(ev *pmem.Event, ref evRef) {
 			// a non-temporal overwrite are not dirty in this sense.
 			st.overwrites = a.pushRef(st.overwrites, ref)
 		}
-		st.dirty |= mask
 		st.unpersisted |= mask
 		if !a.cfg.EADR {
 			st.unflushed = a.pushRef(st.unflushed, ref)
 		}
 		st.storesSinceFlush++
-		st.flushedSinceStore = false
 		addr += n
 		size -= n
 	}
@@ -234,8 +225,8 @@ func (a *Analyzer) applyStore(ev *pmem.Event, ref evRef) {
 // covered bytes bypass the cache on their way to memory, so overlapping
 // unpersisted cached bytes no longer need an explicit flush to become
 // durable (their addresses are persisted by the NT write once fenced).
-// The line's dirty mask is untouched — an NT store to a cached line does
-// not clean the cache, and a later flush still performs a real
+// The line's store count is untouched — an NT store to a cached line
+// does not clean the cache, and a later flush still performs a real
 // write-back — but a line whose only writes were non-temporal is marked
 // so a flush of it can be recognised as having nothing cached to
 // persist.
@@ -269,12 +260,10 @@ func (a *Analyzer) applyFlush(ev *pmem.Event, ref evRef) {
 		// The persistence domain includes the caches: every cache
 		// flush is wasted work (§4.3).
 		a.add(report.RedundantFlush, ref, "cache flushes are unnecessary on an eADR system")
-	} else if st.flushedSinceStore {
+	} else if st.everFlushed && st.storesSinceFlush == 0 {
 		a.add(report.RedundantFlush, ref,
 			"the line was not written since its previous write-back")
-	} else if st.dirty == 0 && st.everFlushed {
-		a.add(report.RedundantFlush, ref, "the line holds no unpersisted data")
-	} else if st.dirty == 0 && st.ntWritten {
+	} else if st.storesSinceFlush == 0 && st.ntWritten {
 		// First flush of a line whose only writes were non-temporal:
 		// nothing is cached, so the flush persists nothing the NT
 		// stores' fence would not. Advisory only — persisting a range
@@ -287,7 +276,6 @@ func (a *Analyzer) applyFlush(ev *pmem.Event, ref evRef) {
 			"one flush covers %d separate stores; the layout may differ on other platforms",
 			st.storesSinceFlush))
 	}
-	st.dirty = 0
 	st.unpersisted = 0
 	a.liveRefs -= len(st.unflushed) + len(st.overwrites)
 	a.release(st.unflushed)
@@ -296,7 +284,6 @@ func (a *Analyzer) applyFlush(ev *pmem.Event, ref evRef) {
 	st.overwrites = nil
 	st.storesSinceFlush = 0
 	st.everFlushed = true
-	st.flushedSinceStore = true
 	if ev.Op != pmem.OpCLFlush {
 		a.flushesSinceFence++
 	}
@@ -388,9 +375,10 @@ func (a *Analyzer) Finalize() []*report.Finding {
 // the streaming equivalent of the recorded-trace length.
 func (a *Analyzer) Events() int { return a.events }
 
-// PeakLiveLines returns the maximum number of simultaneously tracked
-// cache lines.
-func (a *Analyzer) PeakLiveLines() int { return a.peakLines }
+// PeakLiveLines returns the number of cache lines the analyzer tracks:
+// every line the execution touched, since a line's state outlives its
+// write-backs (everFlushed, ntWritten).
+func (a *Analyzer) PeakLiveLines() int { return len(a.lines) }
 
 // PeakStateBytes returns the peak approximate resident analyzer state:
 // line structures plus pending event refs. It deliberately excludes the

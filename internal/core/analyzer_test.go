@@ -126,9 +126,9 @@ func TestStreamingDetectsRedundantFlushAndFence(t *testing.T) {
 	}
 }
 
-// The analyzer's working set must be proportional to live cache lines,
-// not trace length: hammering one line for many persist cycles keeps the
-// peak state constant.
+// The analyzer's working set must be proportional to the cache lines
+// touched, not trace length: hammering one line for many persist cycles
+// keeps the peak state constant.
 func TestAnalyzerStateStaysFlat(t *testing.T) {
 	a := core.NewAnalyzer(core.Config{})
 	ic := uint64(0)
@@ -144,7 +144,7 @@ func TestAnalyzerStateStaysFlat(t *testing.T) {
 		}
 	}
 	if a.PeakLiveLines() != 1 {
-		t.Fatalf("peak live lines = %d, want 1", a.PeakLiveLines())
+		t.Fatalf("%d cache lines tracked, want 1", a.PeakLiveLines())
 	}
 	if a.PeakStateBytes() > 1024 {
 		t.Fatalf("peak state = %d bytes for a single-line workload", a.PeakStateBytes())

@@ -96,8 +96,9 @@ type Config struct {
 	// hang (0 = default).
 	HangBudget uint64
 	// RecoveryTimeout overrides DefaultRecoveryTimeout: the wall-clock
-	// watchdog on each recovery-oracle invocation (0 = default). The
-	// campaign deadline caps it further when less budget remains.
+	// watchdog on each recovery-oracle invocation (zero or negative =
+	// default). The campaign deadline caps it further when less budget
+	// remains.
 	RecoveryTimeout time.Duration
 	// ImageCacheSize is ignored.
 	//
@@ -155,10 +156,10 @@ type Config struct {
 	// hands each failure point and record no checkpoints; the field is
 	// kept only for callers that still set it.
 	CheckpointInterval int
-	// unsandboxed restores the pre-sandbox execution path — target
-	// panics propagate and no watchdogs run. It exists only so
-	// package-internal differential tests can prove the sandbox leaves
-	// clean-target reports byte-identical.
+	// unsandboxed restores the pre-sandbox execution path — a panic of
+	// the target's workload propagates, and no watchdogs run. It exists
+	// only so package-internal differential tests can prove the sandbox
+	// leaves reports byte-identical.
 	unsandboxed bool
 }
 
@@ -235,13 +236,13 @@ type Result struct {
 	// filled only when Config.PersistVerdicts asked for it; pass it to
 	// campaign.SaveVerdictCache to warm the next run.
 	VerdictCache []campaign.CacheEntry
-	// AnalyzerPeakLines is the online analyzer's peak number of
-	// simultaneously tracked cache lines (zero when trace analysis was
-	// disabled).
+	// AnalyzerPeakLines is the number of cache lines the online analyzer
+	// tracked: every line the execution touched, since it never drops
+	// one (zero when trace analysis was disabled).
 	AnalyzerPeakLines int
 	// AnalyzerPeakStateBytes is the online analyzer's peak approximate
-	// resident state; it stays proportional to live cache lines rather
-	// than trace length.
+	// resident state; it stays proportional to the cache lines touched
+	// rather than trace length.
 	AnalyzerPeakStateBytes uint64
 	// Elapsed is the total analysis wall time; the phase fields break
 	// it down.
@@ -283,9 +284,10 @@ func Analyze(app harness.Application, w workload.Workload, cfg Config) (*Result,
 	// Phase 1: instrumented run -> failure point tree + online trace
 	// analysis. The §4.2 analyzer consumes the instruction stream as the
 	// workload executes, so the trace is never materialised: resident
-	// state is proportional to live cache lines, not trace length. Stacks
-	// are walked only where the builder asks (failure-point candidates);
-	// the analyzer's findings get theirs in phase 3.
+	// state is proportional to the cache lines touched, not trace
+	// length. Stacks are walked only where the builder asks
+	// (failure-point candidates); the analyzer's findings get theirs in
+	// phase 3.
 	tree := fpt.New(stacks)
 	builder := fpt.NewBuilder(tree, cfg.Granularity)
 	hooks := []pmem.Hook{builder}
@@ -300,10 +302,6 @@ func Analyze(app harness.Application, w workload.Workload, cfg Config) (*Result,
 	sb := cfg.sandbox(deadline)
 	t0 := time.Now()
 	opts := pmem.Options{Capture: cfg.capture(), Stacks: stacks}
-	if !sb.disabled {
-		opts.MaxEvents = sb.budget
-		opts.Deadline = sb.deadline
-	}
 	// A counter-mode campaign judges each failure point's graceful-crash
 	// image, which the builder freezes from the engine's coherent view
 	// as the leaf is created: hooks see an event before its mutation

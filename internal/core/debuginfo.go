@@ -30,12 +30,7 @@ func resolveStacks(app harness.Application, w workload.Workload,
 	// as every other execution: a panicking or hanging target must not
 	// take the finished analysis down with it. Failures here only
 	// degrade debug info; findings stay valid.
-	opts := pmem.Options{}
-	if !sb.disabled {
-		opts.MaxEvents = sb.budget
-		opts.Deadline = sb.deadline
-	}
-	_, _ = execute(app, w, opts, sb, hook)
+	_, _ = execute(app, w, pmem.Options{}, sb, hook)
 }
 
 type stackResolver struct {

@@ -52,9 +52,10 @@ type sandboxCfg struct {
 	// leaf's outcome — and its journal record — is exactly what an
 	// uninterrupted run would have produced.
 	interrupt func() bool
-	// disabled restores the pre-sandbox execution path (panics
-	// propagate, no watchdogs); reachable only from package-internal
-	// differential tests proving the sandbox does not perturb reports.
+	// disabled restores the pre-sandbox execution path (workload
+	// panics propagate, no watchdogs); reachable only from
+	// package-internal differential tests proving the sandbox does not
+	// perturb reports.
 	disabled bool
 }
 
@@ -85,7 +86,7 @@ func (cfg Config) sandbox(deadline time.Time) sandboxCfg {
 	if sb.budget == 0 {
 		sb.budget = DefaultHangBudget
 	}
-	if sb.timeout == 0 {
+	if sb.timeout <= 0 {
 		sb.timeout = DefaultRecoveryTimeout
 	}
 	return sb
@@ -102,9 +103,12 @@ func (cfg Config) capture() pmem.StackCapture {
 	return pmem.CapturePersistency
 }
 
-// execute runs one target execution under the campaign sandbox, or the
-// strict pre-sandbox path when differential testing disabled it. The
-// caller fills the watchdog fields of opts.
+// execute runs one target execution under the campaign sandbox, with
+// the campaign's fuel budget and deadline as the engine's watchdogs, or
+// the strict pre-sandbox path without them when differential testing
+// disabled it. Every execution gets the full fuel budget: neither phase
+// 1, a stack-mode replay nor the debug-information pass has a
+// deterministic crash counter to bound it by.
 func execute(app harness.Application, w workload.Workload, opts pmem.Options,
 	sb sandboxCfg, hooks ...pmem.Hook) (*pmem.Engine, harness.Outcome) {
 
@@ -112,6 +116,7 @@ func execute(app harness.Application, w workload.Workload, opts pmem.Options,
 		eng, sig, err := harness.Execute(app, w, opts, hooks...)
 		return eng, harness.Outcome{Sig: sig, Err: err}
 	}
+	opts.MaxEvents, opts.Deadline = sb.budget, sb.deadline
 	return harness.ExecuteSandboxed(app, w, opts, hooks...)
 }
 
@@ -285,12 +290,6 @@ func replayLeaf(app harness.Application, w workload.Workload, leaf *fpt.Leaf,
 		return out
 	}
 	opts := pmem.Options{Capture: cfg.capture(), Stacks: stacks}
-	if !sb.disabled {
-		// A stack-mode replay has no deterministic crash counter to
-		// bound it by, so it gets the full campaign fuel budget.
-		opts.MaxEvents = sb.budget
-		opts.Deadline = sb.deadline
-	}
 	eng, sres := execute(app, w, opts, sb, &fpt.Injector{Target: leaf, Granularity: cfg.Granularity})
 	out.Events = eng.Events()
 	switch {

@@ -19,36 +19,50 @@ import (
 )
 
 // TestSandboxDifferentialCleanTarget proves the sandbox is transparent:
-// a clean target analysed with the watchdogs armed produces a report
-// byte-identical to the pre-sandbox execution path, with equal counters.
+// a target whose workload runs clean, analysed with the watchdogs armed,
+// produces a report byte-identical to the pre-sandbox execution path,
+// with equal counters. That holds for a recovery that panics too: both
+// paths recover its panic through the sandbox's classifier and print the
+// same target-only trace, although only the sandboxed one runs recovery
+// on a goroutine of its own.
 func TestSandboxDifferentialCleanTarget(t *testing.T) {
-	mk := func() harness.Application { return btree.New(cfgSeeded(btree.BugCountOutsideTx)) }
-	w := testWorkload()
-	plain, err := Analyze(mk(), w, Config{KeepWarnings: true, unsandboxed: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain.Report.Bugs()) == 0 {
-		t.Fatal("fixture produced no findings; the comparison is vacuous")
-	}
-	sandboxed, err := Analyze(mk(), w, Config{KeepWarnings: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := sandboxed.Report.Format(true), plain.Report.Format(true); got != want {
-		t.Errorf("sandbox perturbed a clean-target report:\n--- unsandboxed ---\n%s\n--- sandboxed ---\n%s", want, got)
-	}
-	if sandboxed.Injections != plain.Injections || sandboxed.Recoveries != plain.Recoveries ||
-		sandboxed.SkippedFailurePoints != plain.SkippedFailurePoints ||
-		sandboxed.EngineEvents != plain.EngineEvents {
-		t.Errorf("sandbox perturbed counters: injections %d/%d recoveries %d/%d skipped %d/%d events %d/%d",
-			sandboxed.Injections, plain.Injections, sandboxed.Recoveries, plain.Recoveries,
-			sandboxed.SkippedFailurePoints, plain.SkippedFailurePoints,
-			sandboxed.EngineEvents, plain.EngineEvents)
-	}
-	if sandboxed.TargetPanics != 0 || sandboxed.TargetHangs != 0 || sandboxed.RecoveryHangs != 0 {
-		t.Errorf("sandbox intervened on a clean target: %d/%d/%d",
-			sandboxed.TargetPanics, sandboxed.TargetHangs, sandboxed.RecoveryHangs)
+	for _, tc := range []struct {
+		name string
+		mk   func() harness.Application
+		w    workload.Workload
+	}{
+		{"btree", func() harness.Application { return btree.New(cfgSeeded(btree.BugCountOutsideTx)) }, testWorkload()},
+		{"recovery panic", func() harness.Application { return misbehave.NewMode(misbehave.RecoveryPanic) },
+			workload.Generate(workload.Config{N: 10, Seed: 1})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plain, err := Analyze(tc.mk(), tc.w, Config{KeepWarnings: true, unsandboxed: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(plain.Report.Bugs()) == 0 {
+				t.Fatal("fixture produced no findings; the comparison is vacuous")
+			}
+			sandboxed, err := Analyze(tc.mk(), tc.w, Config{KeepWarnings: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := sandboxed.Report.Format(true), plain.Report.Format(true); got != want {
+				t.Errorf("sandbox perturbed the report:\n--- unsandboxed ---\n%s\n--- sandboxed ---\n%s", want, got)
+			}
+			if sandboxed.Injections != plain.Injections || sandboxed.Recoveries != plain.Recoveries ||
+				sandboxed.SkippedFailurePoints != plain.SkippedFailurePoints ||
+				sandboxed.EngineEvents != plain.EngineEvents {
+				t.Errorf("sandbox perturbed counters: injections %d/%d recoveries %d/%d skipped %d/%d events %d/%d",
+					sandboxed.Injections, plain.Injections, sandboxed.Recoveries, plain.Recoveries,
+					sandboxed.SkippedFailurePoints, plain.SkippedFailurePoints,
+					sandboxed.EngineEvents, plain.EngineEvents)
+			}
+			if sandboxed.TargetPanics != 0 || sandboxed.TargetHangs != 0 || sandboxed.RecoveryHangs != 0 {
+				t.Errorf("sandbox intervened on a clean run: %d/%d/%d",
+					sandboxed.TargetPanics, sandboxed.TargetHangs, sandboxed.RecoveryHangs)
+			}
+		})
 	}
 }
 
@@ -264,4 +278,15 @@ func TestAnalyzeRecordsCampaignMetrics(t *testing.T) {
 // the given seeded bugs.
 func cfgSeeded(ids ...bugs.ID) apps.Config {
 	return apps.Config{SPT: true, PoolSize: 1 << 20, Bugs: bugs.Enable(ids...)}
+}
+
+// TestSandboxDefaultsNonPositiveRecoveryTimeout: a zero or negative
+// recovery timeout is the default watchdog, never a recovery run without
+// one, which would also escape the campaign budget.
+func TestSandboxDefaultsNonPositiveRecoveryTimeout(t *testing.T) {
+	for _, d := range []time.Duration{0, -time.Second} {
+		if got := (Config{RecoveryTimeout: d}).sandbox(time.Time{}).timeout; got != DefaultRecoveryTimeout {
+			t.Errorf("RecoveryTimeout %s gives a %s watchdog, want %s", d, got, DefaultRecoveryTimeout)
+		}
+	}
 }

@@ -5,9 +5,12 @@ import (
 	"testing"
 	"time"
 
+	"mumak/internal/apps"
 	"mumak/internal/apps/apptest/misbehave"
+	"mumak/internal/apps/btree"
 	"mumak/internal/core"
 	"mumak/internal/harness"
+	"mumak/internal/pmdk"
 	"mumak/internal/report"
 	"mumak/internal/workload"
 )
@@ -155,5 +158,59 @@ func TestPanicReportsAreDeterministic(t *testing.T) {
 	}
 	if reports[0] != reports[1] {
 		t.Errorf("identical campaigns rendered different reports\n--- first ---\n%s\n--- second ---\n%s", reports[0], reports[1])
+	}
+}
+
+// TestPanicTracesNameOnlyTargetFrames: the trace of a target panic and
+// of a crashed recovery lists the target's frames and nothing else. The
+// runtime's panic machinery, the sandbox, the oracle, the campaign and
+// the goroutine it ran on all drop out, so the trace reads the same
+// whatever Mumak's own line numbers, Go release or architecture. PMDK
+// 1.12's undo log overflow window (§6.4) makes btree's recovery panic
+// inside the library.
+func TestPanicTracesNameOnlyTargetFrames(t *testing.T) {
+	for _, tc := range []struct {
+		name, block string
+		app         harness.Application
+		w           workload.Workload
+		cfg         core.Config
+		// target lists the function-name prefixes of the target's code.
+		target []string
+	}{
+		{"run panic", "target trace:", fixture(t, "misbehave-run-panic"), fixtureWorkload(), sandboxConfig(1),
+			[]string{"mumak/internal/apps/apptest/misbehave."}},
+		{"recovery panic", "recovery trace:", fixture(t, "misbehave-recovery-panic"), fixtureWorkload(), sandboxConfig(4),
+			[]string{"mumak/internal/apps/apptest/misbehave."}},
+		{"btree PMDK 1.12", "recovery trace:", btree.New(apps.Config{Ver: pmdk.V112, WithRecovery: true}),
+			workload.Generate(workload.Config{N: 500, Seed: 42}), core.Config{Workers: 2},
+			[]string{"mumak/internal/apps/btree.", "mumak/internal/pmdk."}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := core.Analyze(tc.app, tc.w, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			traces := 0
+			for _, f := range res.Report.Bugs() {
+				_, trace, ok := strings.Cut(f.Detail, "\n"+tc.block+"\n")
+				if !ok {
+					continue
+				}
+				traces++
+				for _, line := range strings.Split(trace, "\n") {
+					fn, _, _ := strings.Cut(strings.TrimSpace(line), " at ")
+					inTarget := false
+					for _, p := range tc.target {
+						inTarget = inTarget || strings.HasPrefix(fn, p)
+					}
+					if !inTarget {
+						t.Fatalf("%s names %q, a frame outside the target:\n%s", tc.block, line, f.Detail)
+					}
+				}
+			}
+			if traces == 0 {
+				t.Fatalf("no finding carries a %s block:\n%s", tc.block, res.Report.Format(true))
+			}
+		})
 	}
 }

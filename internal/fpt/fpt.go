@@ -75,7 +75,7 @@ type Tree struct {
 	// each PC sequence to one ID, so this is the path walk's answer, and
 	// a repeat occurrence finds its leaf without the walk.
 	byStack map[stack.ID]*Leaf
-	// stacks resolves interned IDs to PCs for insertion and rendering.
+	// stacks resolves interned IDs to PCs for insertion.
 	stacks *stack.Table
 	// nodes counts tree nodes, a proxy for the pre-allocated memory of
 	// the Pin implementation.
@@ -174,7 +174,7 @@ func (t *Tree) String() string {
 		}
 		sort.Slice(kids, func(i, j int) bool { return kids[i].pc < kids[j].pc })
 		for _, c := range kids {
-			fmt.Fprintf(&sb, "%s%s\n", strings.Repeat("  ", depth), t.frameLabel(c.pc))
+			fmt.Fprintf(&sb, "%s%s\n", strings.Repeat("  ", depth), frameLabel(c.pc))
 			if c.leaf != nil {
 				fmt.Fprintf(&sb, "%s* failure point #%d (first at instruction %d)\n",
 					strings.Repeat("  ", depth+1), c.leaf.ID, c.leaf.FirstICount)
@@ -186,8 +186,8 @@ func (t *Tree) String() string {
 	return sb.String()
 }
 
-func (t *Tree) frameLabel(pc uintptr) string {
-	frames := t.stacks.Frames(t.stacks.Intern([]uintptr{pc}))
+func frameLabel(pc uintptr) string {
+	frames := stack.Symbolise([]uintptr{pc})
 	if len(frames) == 0 || frames[0].Function == "" {
 		return fmt.Sprintf("0x%x", pc)
 	}

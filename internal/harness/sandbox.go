@@ -8,13 +8,15 @@ import (
 	"mumak/internal/workload"
 )
 
-// PanicInfo describes a foreign target panic captured by the sandboxed
-// executor: the panic value and the goroutine trace at the point of
-// failure, the raw material of a target-crash finding.
+// PanicInfo describes a foreign target panic captured by the sandbox:
+// the panic value and the goroutine trace at the point of failure, the
+// raw material of a target-crash finding or a crashed recovery's
+// verdict.
 type PanicInfo struct {
 	// Value is the recovered panic value.
 	Value any
-	// Trace is the goroutine stack at the panic (stack.PanicTrace).
+	// Trace is the target's part of the goroutine stack at the panic
+	// (stack.PanicTrace).
 	Trace string
 }
 
@@ -28,8 +30,9 @@ type Outcome struct {
 	// deadline) preempted the execution.
 	Hang *pmem.HangSignal
 	// Panic captures a foreign panic of the target itself — a crash of
-	// the application outside fault injection, which the sandbox turns
-	// into data instead of propagating into the tool.
+	// the application outside fault injection, or of its recovery
+	// procedure — which the sandbox turns into data instead of
+	// propagating into the tool.
 	Panic *PanicInfo
 	// Err is the error returned by Setup or Run.
 	Err error
@@ -50,7 +53,7 @@ func ExecuteSandboxed(app Application, w workload.Workload, opts pmem.Options, h
 	for _, h := range hooks {
 		eng.AttachHook(h)
 	}
-	out = runSandboxed(func() error {
+	out = RunSandboxed(func() error {
 		if err := app.Setup(eng); err != nil {
 			return fmt.Errorf("setup: %w", err)
 		}
@@ -59,8 +62,12 @@ func ExecuteSandboxed(app Application, w workload.Workload, opts pmem.Options, h
 	return eng, out
 }
 
-// runSandboxed invokes f, classifying every way it can stop.
-func runSandboxed(f func() error) (out Outcome) {
+// RunSandboxed invokes f, classifying every way it can stop: an
+// injected crash, a watchdog preemption, a foreign panic with its trace,
+// or a returned error. It is the one place a target's panic is
+// recovered, whether the target was running its workload
+// (ExecuteSandboxed) or its recovery procedure (oracle.CheckEngine).
+func RunSandboxed(f func() error) (out Outcome) {
 	defer func() {
 		r := recover()
 		if r == nil {

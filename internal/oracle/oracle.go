@@ -23,7 +23,6 @@ import (
 
 	"mumak/internal/harness"
 	"mumak/internal/pmem"
-	"mumak/internal/stack"
 )
 
 // Verdict classifies a recovery attempt.
@@ -80,8 +79,9 @@ type Outcome struct {
 	// Err is the recovery error for Unrecoverable outcomes.
 	Err error
 	// PanicValue and PanicTrace describe a Crashed outcome, giving the
-	// developer the recovery call trace that led to the failure
-	// (stack.PanicTrace: deterministic across runs).
+	// developer the recovery's call trace that led to the failure: the
+	// target's frames only (stack.PanicTrace), deterministic across runs
+	// and builds.
 	PanicValue any
 	PanicTrace string
 	// Hang describes a Hung outcome stopped inside the engine (fuel
@@ -167,30 +167,25 @@ func CheckBounded(app harness.Application, img *pmem.Image, wd Watchdog) Outcome
 
 // CheckEngine runs the recovery procedure on eng, on the caller's
 // goroutine and under whatever bounds and hooks eng already has, and
-// classifies the attempt: a returned error is Unrecoverable, a panic is
+// classifies the attempt through the sandbox's classifier
+// (harness.RunSandboxed): a returned error is Unrecoverable, a panic is
 // Crashed with its trace, and an engine hang signal is Hung. Tools that
 // instrument the post-failure execution build the engine themselves and
 // judge it here.
-func CheckEngine(app harness.Application, eng *pmem.Engine) (out Outcome) {
-	out.Engine = eng
-	defer func() {
-		if r := recover(); r != nil {
-			if hs, ok := r.(*pmem.HangSignal); ok {
-				out.Verdict = Hung
-				out.Hang = hs
-				out.Engine = nil
-				return
-			}
-			out.Verdict = Crashed
-			out.PanicValue = r
-			out.PanicTrace = stack.PanicTrace()
-		}
-	}()
-	if err := app.Recover(eng); err != nil {
-		out.Verdict = Unrecoverable
-		out.Err = err
-		return out
+func CheckEngine(app harness.Application, eng *pmem.Engine) Outcome {
+	out := Outcome{Engine: eng}
+	run := harness.RunSandboxed(func() error { return app.Recover(eng) })
+	switch {
+	case run.Hang != nil:
+		out.Verdict, out.Hang, out.Engine = Hung, run.Hang, nil
+	case run.Panic != nil:
+		out.Verdict, out.PanicValue, out.PanicTrace = Crashed, run.Panic.Value, run.Panic.Trace
+	case run.Sig != nil:
+		// No injector of this check raised the crash signal: recovery
+		// failed as abruptly as with any other panic.
+		out.Verdict, out.PanicValue = Crashed, run.Sig
+	case run.Err != nil:
+		out.Verdict, out.Err = Unrecoverable, run.Err
 	}
-	out.Verdict = Consistent
 	return out
 }

@@ -3,7 +3,9 @@
 // It is the analogue of PIN_Backtrace in the original Mumak: stacks
 // identify unique code paths leading to failure points, and the package
 // filters out instrumentation frames so that reports show only the
-// application's own calls (§5 of the paper).
+// application's own calls (§5 of the paper). One rule decides which
+// frames belong to the application, for bug paths and panic traces
+// alike (see nonApplication).
 //
 // An interned stack is the list of logical return PCs that
 // runtime.Callers reports, trimmed. Walking it is the expensive part of
@@ -19,7 +21,6 @@ package stack
 
 import (
 	"fmt"
-	"hash/maphash"
 	"path"
 	"runtime"
 	"slices"
@@ -44,25 +45,59 @@ const maxDepth = 64
 // depend on frames the walk never saw.
 const walkBound = 256
 
-// instrumentationPrefixes are function-name prefixes dropped from the top
-// of captured stacks, mirroring Pin's filtering of instrumentation
-// routines. Frames below the first application frame are kept verbatim.
-var instrumentationPrefixes = []string{
-	"mumak/internal/pmem.",
-	"mumak/internal/stack.",
-	"mumak/internal/trace.",
-	"mumak/internal/fpt.",
-	"mumak/internal/core.",
-	"mumak/internal/tools",
-	"mumak/internal/oracle.",
-}
-
-// boundaryPrefixes mark the harness frames at which capture stops: frames
-// at or below these functions belong to the runner, not the application.
-var boundaryPrefixes = []string{
+// nonApplication lists the function-name prefixes of the frames that
+// are not the application's: the Go runtime, the test runner and Mumak's
+// own packages, mirroring Pin's filtering of instrumentation routines.
+// Every other frame, the standard library's included, belongs to the
+// application. A captured stack starts in the instrumentation and a
+// panic trace in the runtime's panic machinery; below the application's
+// frames come the harness that ran it and the campaign around that.
+var nonApplication = []string{
 	"runtime.",
 	"testing.",
+	"mumak/internal/core.",
+	"mumak/internal/fpt.",
 	"mumak/internal/harness.",
+	"mumak/internal/oracle.",
+	"mumak/internal/pmem.",
+	"mumak/internal/stack.",
+	"mumak/internal/tools",
+	"mumak/internal/trace.",
+}
+
+// inApplication reports whether the call site at return PC pc belongs
+// to the application.
+func inApplication(pc uintptr) bool {
+	// pc is a return PC; the call's own inline context is at pc-1, where
+	// runtime.CallersFrames symbolises it. At pc itself an inlined
+	// instrumentation call can already belong to the application frame
+	// it was inlined into.
+	fn := runtime.FuncForPC(pc - 1)
+	if fn == nil {
+		return true
+	}
+	name := fn.Name()
+	for _, p := range nonApplication {
+		if strings.HasPrefix(name, p) {
+			return false
+		}
+	}
+	return true
+}
+
+// trim returns the application's part of a call path, innermost frame
+// first: it drops the leading frames that are not the application's and
+// stops at the first such frame after them.
+func trim(pcs []uintptr, isApp func(uintptr) bool) []uintptr {
+	start := 0
+	for start < len(pcs) && !isApp(pcs[start]) {
+		start++
+	}
+	end := start
+	for end < len(pcs) && isApp(pcs[end]) {
+		end++
+	}
+	return pcs[start:end]
 }
 
 // Frame is one symbolised stack frame.
@@ -121,9 +156,10 @@ func trimFile(file string) string {
 // Table interns call stacks and assigns them stable IDs. It is safe for
 // concurrent use.
 type Table struct {
-	mu     sync.RWMutex
-	seed   maphash.Seed
-	byHash map[uint64][]ID
+	mu sync.RWMutex
+	// ids maps each interned stack, its PCs' bytes read as a string, to
+	// its ID.
+	ids    map[string]ID
 	stacks [][]uintptr
 	// captures counts Capture calls.
 	captures atomic.Uint64
@@ -135,20 +171,17 @@ type Table struct {
 	// *chain. A hit takes no lock and allocates nothing.
 	chains sync.Map
 
-	classMu sync.RWMutex
-	// pcClass caches, per call-site PC, whether the frame belongs to the
-	// instrumentation layer (1), the harness boundary (2) or the
-	// application (0).
-	pcClass map[uintptr]uint8
+	appMu sync.RWMutex
+	// app caches inApplication per call-site PC.
+	app map[uintptr]bool
 }
 
 // NewTable returns an empty stack table.
 func NewTable() *Table {
 	return &Table{
-		seed:    maphash.MakeSeed(),
-		byHash:  make(map[uint64][]ID),
-		pcClass: make(map[uintptr]uint8),
-		walk:    walkAgrees(),
+		ids:  make(map[string]ID),
+		app:  make(map[uintptr]bool),
+		walk: walkAgrees(),
 	}
 }
 
@@ -160,58 +193,25 @@ type chain struct {
 	id   ID
 }
 
-const (
-	classApp = iota
-	classInstrumentation
-	classBoundary
-)
-
-func (t *Table) classify(pc uintptr) uint8 {
-	t.classMu.RLock()
-	c, ok := t.pcClass[pc]
-	t.classMu.RUnlock()
-	if ok {
-		return c
+// inApplication is the package's inApplication, cached per PC: the
+// runtime.Callers path classifies every frame of every capture.
+func (t *Table) inApplication(pc uintptr) bool {
+	t.appMu.RLock()
+	app, ok := t.app[pc]
+	t.appMu.RUnlock()
+	if !ok {
+		app = inApplication(pc)
+		t.appMu.Lock()
+		t.app[pc] = app
+		t.appMu.Unlock()
 	}
-	c = classApp
-	// pc is a return PC; the call's own inline context is at pc-1, where
-	// runtime.CallersFrames symbolises it. At pc itself an inlined
-	// instrumentation call can already belong to the application frame
-	// it was inlined into.
-	if fn := runtime.FuncForPC(pc - 1); fn != nil {
-		name := fn.Name()
-		for _, p := range instrumentationPrefixes {
-			if strings.HasPrefix(name, p) {
-				c = classInstrumentation
-				break
-			}
-		}
-		if c == classApp {
-			for _, p := range boundaryPrefixes {
-				if strings.HasPrefix(name, p) {
-					c = classBoundary
-					break
-				}
-			}
-		}
-	}
-	t.classMu.Lock()
-	t.pcClass[pc] = c
-	t.classMu.Unlock()
-	return c
+	return app
 }
 
-// pcBufPool recycles the runtime.Callers buffers. The buffer escapes
-// through trim/Intern, so a stack array would be heap-allocated on every
-// slow-path capture: once per new call chain, and on every Capture where
-// the frame-pointer walk is unavailable. Intern copies before storing,
-// so returning the buffer is safe.
-var pcBufPool = sync.Pool{New: func() any { return new([maxDepth]uintptr) }}
-
-// Capture records the calling goroutine's stack, trims instrumentation
-// frames from the top and harness frames from the bottom, and returns the
-// interned ID. skip has the meaning of runtime.Callers' skip relative to
-// Capture's caller (0 includes the caller itself).
+// Capture records the calling goroutine's stack, keeps the application's
+// frames (trim), and returns the interned ID. skip has the meaning of
+// runtime.Callers' skip relative to Capture's caller (0 includes the
+// caller itself).
 //
 // Capture must not be inlined: the frame-pointer chain starts at its own
 // frame, so its caller's call site is the first return PC of the chain.
@@ -294,71 +294,36 @@ func probeInner() bool {
 // capture is Capture's runtime.Callers path, with skip relative to
 // capture's caller.
 func (t *Table) capture(skip int) ID {
-	buf := pcBufPool.Get().(*[maxDepth]uintptr)
+	// buf stays on the stack: neither trim nor Intern keeps it.
+	var buf [maxDepth]uintptr
 	n := runtime.Callers(skip+2, buf[:])
-	if n == 0 {
-		pcBufPool.Put(buf)
-		return NoID
-	}
-	trimmed := t.trim(buf[:n])
+	trimmed := trim(buf[:n], t.inApplication)
 	if len(trimmed) == 0 {
-		pcBufPool.Put(buf)
 		return NoID
 	}
-	id := t.Intern(trimmed)
-	pcBufPool.Put(buf)
-	return id
-}
-
-// trim removes leading instrumentation frames and trailing harness
-// frames.
-func (t *Table) trim(pcs []uintptr) []uintptr {
-	start := 0
-	for start < len(pcs) && t.classify(pcs[start]) == classInstrumentation {
-		start++
-	}
-	end := start
-	for end < len(pcs) && t.classify(pcs[end]) != classBoundary {
-		end++
-	}
-	return pcs[start:end]
+	return t.Intern(trimmed)
 }
 
 // Intern stores the PC slice (copying it) and returns its stable ID. Two
 // equal slices always intern to the same ID.
 func (t *Table) Intern(pcs []uintptr) ID {
-	var h maphash.Hash
-	h.SetSeed(t.seed)
-	for _, pc := range pcs {
-		var b [8]byte
-		for i := 0; i < 8; i++ {
-			b[i] = byte(pc >> (8 * i))
-		}
-		h.Write(b[:])
-	}
-	sum := h.Sum64()
-
+	// The map is keyed by the PCs' bytes; a lookup converts them to a
+	// string without copying.
+	key := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(pcs))), len(pcs)*int(unsafe.Sizeof(uintptr(0))))
 	t.mu.RLock()
-	for _, id := range t.byHash[sum] {
-		if slices.Equal(t.stacks[id], pcs) {
-			t.mu.RUnlock()
-			return id
-		}
-	}
+	id, ok := t.ids[string(key)]
 	t.mu.RUnlock()
-
+	if ok {
+		return id
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, id := range t.byHash[sum] {
-		if slices.Equal(t.stacks[id], pcs) {
-			return id
-		}
+	if id, ok := t.ids[string(key)]; ok {
+		return id
 	}
-	id := ID(len(t.stacks))
-	cp := make([]uintptr, len(pcs))
-	copy(cp, pcs)
-	t.stacks = append(t.stacks, cp)
-	t.byHash[sum] = append(t.byHash[sum], id)
+	id = ID(len(t.stacks))
+	t.stacks = append(t.stacks, slices.Clone(pcs))
+	t.ids[string(key)] = id
 	return id
 }
 
@@ -387,10 +352,11 @@ func (t *Table) PCs(id ID) []uintptr {
 	return t.stacks[id]
 }
 
-// Frames symbolises the identified stack, outermost frame last (the same
-// order runtime produces).
-func (t *Table) Frames(id ID) []Frame {
-	pcs := t.PCs(id)
+// Symbolise turns call-site PCs into frames, innermost first, one per
+// logical call as runtime.CallersFrames expands inlined calls. Interned
+// stacks, panic traces and the failure point tree's labels all print
+// through it.
+func Symbolise(pcs []uintptr) []Frame {
 	if len(pcs) == 0 {
 		return nil
 	}
@@ -400,16 +366,20 @@ func (t *Table) Frames(id ID) []Frame {
 		fr, more := it.Next()
 		frames = append(frames, Frame{PC: fr.PC, Function: fr.Function, File: trimFile(fr.File), Line: fr.Line})
 		if !more {
-			break
+			return frames
 		}
 	}
-	return frames
 }
+
+// Frames symbolises the identified stack, outermost frame last (the same
+// order runtime produces).
+func (t *Table) Frames(id ID) []Frame { return Symbolise(t.PCs(id)) }
 
 // Format renders the identified stack as an indented multi-line trace,
 // innermost frame first, suitable for bug reports.
-func (t *Table) Format(id ID) string {
-	frames := t.Frames(id)
+func (t *Table) Format(id ID) string { return format(t.Frames(id)) }
+
+func format(frames []Frame) string {
 	if len(frames) == 0 {
 		return "  <no stack>"
 	}
@@ -423,27 +393,15 @@ func (t *Table) Format(id ID) string {
 	return sb.String()
 }
 
-// PanicTrace renders the stack of a panicking goroutine, called from
-// the deferred function that recovered the panic, in the Format layout:
-// one Frame per line, innermost first, starting at the frame that
-// panicked (the runtime's panic machinery is skipped). Unlike
-// runtime/debug.Stack it carries no goroutine ID and no argument words,
-// so the same panic renders identically on every run.
+// PanicTrace renders the application's frames of a panicking goroutine's
+// stack, called from the deferred function that recovered the panic, in
+// the Format layout. The frames are the ones a capture at the panic
+// would keep: the panic machinery above the application and the harness
+// below it drop out. Unlike runtime/debug.Stack the trace carries no
+// goroutine ID, argument words or line numbers of Mumak itself, so the
+// same panic renders identically on every run and every build.
 func PanicTrace() string {
-	pcs := make([]uintptr, maxDepth)
+	var buf [maxDepth]uintptr
 	// Skip runtime.Callers, PanicTrace and the recovering function.
-	pcs = pcs[:runtime.Callers(3, pcs)]
-	var lines []string
-	it := runtime.CallersFrames(pcs)
-	for {
-		fr, more := it.Next()
-		if len(lines) > 0 || !strings.HasPrefix(fr.Function, "runtime.") {
-			f := Frame{PC: fr.PC, Function: fr.Function, File: trimFile(fr.File), Line: fr.Line}
-			lines = append(lines, "  "+f.String())
-		}
-		if !more {
-			break
-		}
-	}
-	return strings.Join(lines, "\n")
+	return format(Symbolise(trim(buf[:runtime.Callers(3, buf[:])], inApplication)))
 }

@@ -5,6 +5,7 @@ import . "mumak/internal/stack"
 import (
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -90,43 +91,67 @@ func panicTrace() (trace string) {
 	return ""
 }
 
+// captureInSort captures from a sort.Slice comparison, so the standard
+// library's sort code lies inside the captured application path.
+//
+//go:noinline
+func captureInSort(t *Table) (id ID) {
+	s := []int{2, 1}
+	sort.Slice(s, func(i, j int) bool {
+		id = t.Capture(0)
+		return s[i] < s[j]
+	})
+	return id
+}
+
 // TestFramesPrintBuildIndependentPaths: frames print the paths a
 // -trimpath build prints, whatever directory the code was built in. A
 // frame of this module reads mumak/internal/..., never the checkout
-// directory, and a panic trace's runtime frames read runtime/...,
-// never GOROOT.
+// directory, and a standard-library frame inside an application path
+// reads its GOROOT-relative path (sort/...). A panic trace keeps the
+// same frames a capture keeps: none of the runtime's, above the
+// application or below it.
 func TestFramesPrintBuildIndependentPaths(t *testing.T) {
 	_, self, _, _ := runtime.Caller(0)
 	checkout := strings.TrimSuffix(filepath.ToSlash(self), "internal/stack/stack_test.go")
+	inCheckout := func(file string) bool { return checkout != "mumak/" && strings.Contains(file, checkout) }
 
 	tbl := NewTable()
-	f := tbl.Frames(captureLeaf(tbl))[0]
-	if f.File != "mumak/internal/stack/stack_test.go" {
+	frames := tbl.Frames(captureInSort(tbl))
+	if f := frames[0]; f.File != "mumak/internal/stack/stack_test.go" {
 		t.Fatalf("captured frame in %q, want mumak/internal/stack/stack_test.go (built in %q)", f.File, checkout)
+	}
+	sortFrames := 0
+	for _, f := range frames {
+		if inCheckout(f.File) {
+			t.Fatalf("frame %s names the checkout directory: %s", f.Function, f.File)
+		}
+		if strings.HasPrefix(f.Function, "sort.") {
+			sortFrames++
+			if !strings.HasPrefix(f.File, "sort/") {
+				t.Fatalf("standard-library frame %s in %s, want sort/...", f.Function, f.File)
+			}
+		}
+	}
+	if sortFrames == 0 {
+		t.Fatalf("the capture through sort.Slice kept no sort frame: %v", frames)
 	}
 
 	trace := panicTrace()
-	if !strings.Contains(trace, "stack_test.panicker at mumak/internal/stack/stack_test.go:") {
+	if !strings.HasPrefix(trace, "  mumak/internal/stack_test.panicker at mumak/internal/stack/stack_test.go:") {
 		t.Fatalf("panic trace does not start at panicker in this module:\n%s", trace)
 	}
-	runtimeFrames := 0
 	for _, line := range strings.Split(trace, "\n") {
 		fn, file, ok := strings.Cut(strings.TrimSpace(line), " at ")
 		if !ok {
 			t.Fatalf("malformed trace line %q", line)
 		}
-		if checkout != "mumak/" && strings.Contains(file, checkout) {
+		if inCheckout(file) {
 			t.Fatalf("frame %s names the checkout directory: %s", fn, file)
 		}
-		if strings.HasPrefix(fn, "runtime.") {
-			runtimeFrames++
-			if !strings.HasPrefix(file, "runtime/") {
-				t.Fatalf("runtime frame %s in %s, want runtime/...", fn, file)
-			}
+		if strings.HasPrefix(fn, "runtime.") || strings.HasPrefix(fn, "testing.") {
+			t.Fatalf("panic trace keeps %s, a frame outside the application:\n%s", fn, trace)
 		}
-	}
-	if runtimeFrames == 0 {
-		t.Fatalf("panic trace has no runtime frame below the test:\n%s", trace)
 	}
 }
 
@@ -254,7 +279,7 @@ func TestTableConcurrentUse(t *testing.T) {
 
 // Steady-state Capture of an already-interned stack must not allocate,
 // on either path: a memo hit only reads, and the runtime.Callers path
-// pools its PC buffer and Intern's fast path only reads.
+// keeps its PC buffer on the stack and Intern's fast path only reads.
 func TestCaptureSteadyStateDoesNotAllocate(t *testing.T) {
 	for _, tbl := range []*Table{NewTable(), slowTable()} {
 		var allocs float64
