@@ -6,7 +6,6 @@ import (
 
 	"mumak/internal/pmem"
 	"mumak/internal/report"
-	"mumak/internal/stack"
 )
 
 // evRef compactly identifies one analysed instruction: its engine
@@ -135,7 +134,6 @@ func (a *Analyzer) add(kind report.Kind, ref evRef, detail string) {
 		Kind:   kind,
 		ICount: ref.icount,
 		Addr:   ref.addr,
-		Stack:  stack.NoID,
 		Detail: detail,
 	})
 }

@@ -326,7 +326,6 @@ func Analyze(app harness.Application, w workload.Workload, cfg Config) (*Result,
 		rep.Add(report.Finding{
 			Kind:   report.TargetCrash,
 			ICount: eng.ICount(),
-			Stack:  stack.NoID,
 			Detail: panicDetail("the instrumented run", sout.Panic),
 		})
 	case sout.Hang != nil:
@@ -338,7 +337,6 @@ func Analyze(app harness.Application, w workload.Workload, cfg Config) (*Result,
 			rep.Add(report.Finding{
 				Kind:   report.TargetCrash,
 				ICount: eng.ICount(),
-				Stack:  stack.NoID,
 				Detail: hangDetail("the instrumented run", sout.Hang),
 			})
 		}

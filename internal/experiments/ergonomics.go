@@ -6,8 +6,6 @@ import (
 
 	"mumak/internal/apps"
 	"mumak/internal/bugs"
-	"mumak/internal/core"
-	"mumak/internal/harness"
 	"mumak/internal/report"
 	"mumak/internal/stack"
 	"mumak/internal/tools"
@@ -38,23 +36,10 @@ func Ergonomics(sc Scale) ([]ErgRow, error) {
 		n = 500
 	}
 	w := workload.Generate(workload.Config{N: n, Seed: sc.Seed, Keyspace: uint64(n / 3)})
-	mk := func() (harness.Application, error) { return apps.New("hashmap", cfg) }
 
 	var rows []ErgRow
-
-	// Mumak via the core pipeline.
-	app, err := mk()
-	if err != nil {
-		return nil, err
-	}
-	mres, err := core.Analyze(app, w, core.Config{Budget: sc.Budget, Classing: true})
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, measure("Mumak", mres.Report))
-
-	for _, tool := range []tools.Tool{xfdetector.New(), pmdebugger.New(), agamotto.New(), witcher.New()} {
-		app, err := mk()
+	for _, tool := range []tools.Tool{mumak{}, xfdetector.New(), pmdebugger.New(), agamotto.New(), witcher.New()} {
+		app, err := apps.New("hashmap", cfg)
 		if err != nil {
 			return nil, err
 		}

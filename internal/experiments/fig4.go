@@ -51,16 +51,39 @@ func fig4Targets(ver pmdk.Version) []fig4Target {
 	}
 }
 
+// fig4Tools lists the tools of one PMDK version's figure: Mumak, then
+// the version's baselines.
 func fig4Tools(ver pmdk.Version) []tools.Tool {
 	if ver == pmdk.V18 {
-		return []tools.Tool{pmdebugger.New(), witcher.New()}
+		return []tools.Tool{mumak{}, pmdebugger.New(), witcher.New()}
 	}
-	return []tools.Tool{agamotto.New(), xfdetector.New()}
+	return []tools.Tool{mumak{}, agamotto.New(), xfdetector.New()}
+}
+
+// mumak is Mumak behind the tools.Tool contract, so the evaluation runs
+// and measures it exactly as it does every baseline.
+type mumak struct{}
+
+// Name implements tools.Tool.
+func (mumak) Name() string { return "Mumak" }
+
+// Analyze implements tools.Tool. Mumak keeps no state in PM.
+func (mumak) Analyze(app harness.Application, w workload.Workload, cfg tools.Config) (*tools.Result, error) {
+	res, err := core.Analyze(app, w, core.Config{Budget: cfg.Budget, Classing: true})
+	if err != nil {
+		return nil, err
+	}
+	return &tools.Result{
+		Report:       res.Report,
+		TimedOut:     res.TimedOut,
+		Explored:     res.Injections,
+		EngineEvents: res.EngineEvents,
+	}, nil
 }
 
 // Fig4 runs the §6.1 performance comparison for one PMDK version: Mumak
-// plus the version's baseline tools over the libpmemobj data stores,
-// original and SPT variants (E2 / claim C2).
+// and the version's baseline tools over the libpmemobj data stores,
+// original and SPT variants (E2 / claim C2), each measured by runTool.
 func Fig4(ver pmdk.Version, sc Scale) ([]ToolRun, error) {
 	var out []ToolRun
 	for _, tgt := range fig4Targets(ver) {
@@ -76,12 +99,9 @@ func Fig4(ver pmdk.Version, sc Scale) ([]ToolRun, error) {
 			return nil, err
 		}
 
-		// Mumak.
-		out = append(out, runMumak(tgt.name, label, cfg, w, sc, vanillaPeak))
-
-		// Baselines. XFDetector and Witcher are only evaluated on the
-		// SPT variants, whose semantics their analyses depend on
-		// (§6.1); the others run on both.
+		// XFDetector and Witcher are only evaluated on the SPT
+		// variants, whose semantics their analyses depend on (§6.1);
+		// the other tools run on both.
 		for _, tool := range fig4Tools(ver) {
 			sptOnly := tool.Name() == "XFDetector" || tool.Name() == "Witcher"
 			if sptOnly && !tgt.spt {
@@ -91,29 +111,6 @@ func Fig4(ver pmdk.Version, sc Scale) ([]ToolRun, error) {
 		}
 	}
 	return out, nil
-}
-
-func runMumak(target, label string, cfg apps.Config, w workload.Workload, sc Scale, vanillaPeak uint64) ToolRun {
-	app, err := apps.New(target, cfg)
-	if err != nil {
-		return ToolRun{Tool: "Mumak", Target: label, Err: err.Error()}
-	}
-	run := metrics.Start()
-	res, err := core.Analyze(app, w, core.Config{Budget: sc.Budget, Classing: true})
-	run.Stop()
-	tr := ToolRun{Tool: "Mumak", Target: label}
-	if err != nil {
-		tr.Err = err.Error()
-		return tr
-	}
-	u := run.Usage()
-	tr.Elapsed = res.Elapsed
-	tr.Censored = res.TimedOut
-	tr.Bugs = len(res.Report.Bugs())
-	tr.CPU = u.CPULoad
-	tr.RAMx = u.RAMOverhead(vanillaPeak)
-	tr.PMx = 1 // Mumak keeps no state in PM
-	return tr
 }
 
 func runTool(tool tools.Tool, target, label string, cfg apps.Config, w workload.Workload, sc Scale, vanillaPeak, appPM uint64) ToolRun {
@@ -134,7 +131,7 @@ func runTool(tool tools.Tool, target, label string, cfg apps.Config, w workload.
 	tr.Elapsed = u.Wall
 	tr.Censored = res.TimedOut || res.OOM
 	tr.OOM = res.OOM
-	tr.Bugs = len(res.Report.Unique())
+	tr.Bugs = len(res.Report.Bugs())
 	tr.CPU = u.CPULoad
 	tr.RAMx = u.RAMOverhead(vanillaPeak)
 	tr.PMx = pmOverhead(appPM, res.PMExtraBytes)

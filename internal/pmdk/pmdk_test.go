@@ -25,9 +25,10 @@ func newPool(t *testing.T, ver pmdk.Version, size int, hooks ...pmem.Hook) (*pme
 }
 
 // durable returns the strictly durable image of everything rec
-// recorded: trace.Cursor's certain image over the zeroed pool.
-func durable(e *pmem.Engine, rec *trace.Recorder) *pmem.Image {
-	c := trace.NewCursor(&rec.T, pmem.NewEngine(pmem.Options{PoolSize: e.Size()}).PrefixImage())
+// recorded: trace.Cursor's certain image over the zeroed pool the
+// recording started from.
+func durable(rec *trace.Recorder) *pmem.Image {
+	c := trace.NewCursor(&rec.T)
 	c.SeekTo(rec.T.Len())
 	return c.Certain()
 }
@@ -37,7 +38,7 @@ func TestCreateOpenRoundTrip(t *testing.T) {
 	e, p := newPool(t, pmdk.V16, 1<<20, rec)
 	e.Store64(p.Root(), 77)
 	p.Persist(p.Root(), 8)
-	img := durable(e, rec)
+	img := durable(rec)
 
 	e2 := pmem.NewEngineFromImage(pmem.Options{}, img)
 	p2, err := pmdk.Open(e2, pmdk.V16)
@@ -107,7 +108,7 @@ func TestAllocOutOfMemory(t *testing.T) {
 
 func TestTxCommitDurable(t *testing.T) {
 	rec := trace.NewRecorder()
-	e, p := newPool(t, pmdk.V16, 1<<20, rec)
+	_, p := newPool(t, pmdk.V16, 1<<20, rec)
 	tx, err := p.Begin()
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +120,7 @@ func TestTxCommitDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Committed data must be durable in the strictly durable image.
-	img := durable(e, rec)
+	img := durable(rec)
 	e2 := pmem.NewEngineFromImage(pmem.Options{}, img)
 	p2, err := pmdk.Open(e2, pmdk.V16)
 	if err != nil {

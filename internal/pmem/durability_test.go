@@ -33,9 +33,9 @@ func newStrictRun(size int) strictRun {
 
 // durable returns the strictly durable pool contents after everything
 // the engine has executed: the certain image of a cursor that replays
-// the whole recorded trace over the zeroed pool.
+// the whole recorded trace over the zeroed pool it started from.
 func (r strictRun) durable() []byte {
-	c := trace.NewCursor(&r.rec.T, pmem.NewEngine(pmem.Options{PoolSize: r.Size()}).PrefixImage())
+	c := trace.NewCursor(&r.rec.T)
 	c.SeekTo(r.rec.T.Len())
 	return c.Certain().Bytes()
 }
@@ -286,7 +286,7 @@ func TestPropertyCertainConservative(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		r := newStrictRun(size)
 		m := pmem.NewRefModel(size)
-		c := trace.NewCursor(&r.rec.T, pmem.NewEngine(pmem.Options{PoolSize: size}).PrefixImage())
+		c := trace.NewCursor(&r.rec.T)
 		for i, op := range pmem.GenRefOps(rand.New(rand.NewSource(seed)), size, int(n)+3) {
 			if err := pmem.Step(r.Engine, m, op); err != nil {
 				t.Fatalf("op %d: %v", i, err)

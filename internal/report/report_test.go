@@ -60,6 +60,39 @@ func TestUniqueFallsBackToAddress(t *testing.T) {
 	}
 }
 
+// TestFindingsWithoutStackDedupeByAddress: a finding whose Stack is
+// never set, as no baseline sets it, carries no stack. Unique tells such
+// findings apart by address, and neither Format nor WriteJSON renders a
+// stack for them, whatever the report's stack table holds.
+func TestFindingsWithoutStackDedupeByAddress(t *testing.T) {
+	interned := stack.NewTable()
+	interned.Intern([]uintptr{1, 2, 3})
+	var plain string
+	for _, stacks := range []*stack.Table{nil, stack.NewTable(), interned} {
+		r := &Report{Target: "t", Tool: "baseline", Stacks: stacks}
+		r.Add(Finding{Kind: CrashConsistency, ICount: 10, Addr: 0x40})
+		r.Add(Finding{Kind: CrashConsistency, ICount: 11, Addr: 0x80})
+		r.Add(Finding{Kind: CrashConsistency, ICount: 12, Addr: 0x40})
+		if got := len(r.Unique()); got != 2 {
+			t.Fatalf("unique = %d, want 2 (one per address)", got)
+		}
+		text := r.Format(true)
+		if stacks == nil {
+			plain = text
+		}
+		if strings.Contains(text, "no stack") || text != plain {
+			t.Fatalf("report renders a stack for findings without one:\n%s", text)
+		}
+		var js strings.Builder
+		if err := r.WriteJSON(&js, true); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(js.String(), "bug_path") {
+			t.Fatalf("JSON report carries a bug path for findings without a stack:\n%s", js.String())
+		}
+	}
+}
+
 func TestBugsExcludeWarnings(t *testing.T) {
 	r := &Report{}
 	r.Add(Finding{Kind: CrashConsistency, Addr: 1})

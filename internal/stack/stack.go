@@ -33,8 +33,9 @@ import (
 // ID names an interned call stack within a Table.
 type ID int32
 
-// NoID is the ID of the absent stack.
-const NoID ID = -1
+// NoID, the zero ID, is the ID of the absent stack, so a value whose
+// stack is never set carries none. Interned stacks get IDs from 1.
+const NoID ID = 0
 
 // maxDepth bounds captured stacks; deeper frames are truncated. 64 frames
 // comfortably covers the recursive data structures under test.
@@ -321,8 +322,8 @@ func (t *Table) Intern(pcs []uintptr) ID {
 	if id, ok := t.ids[string(key)]; ok {
 		return id
 	}
-	id = ID(len(t.stacks))
 	t.stacks = append(t.stacks, slices.Clone(pcs))
+	id = ID(len(t.stacks))
 	t.ids[string(key)] = id
 	return id
 }
@@ -341,15 +342,15 @@ func (t *Table) Len() int {
 // PCs returns the program counters of the identified stack, or nil for
 // NoID or an unknown ID. The returned slice must not be modified.
 func (t *Table) PCs(id ID) []uintptr {
-	if id == NoID {
+	if id <= NoID {
 		return nil
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if int(id) >= len(t.stacks) {
+	if int(id) > len(t.stacks) {
 		return nil
 	}
-	return t.stacks[id]
+	return t.stacks[id-1]
 }
 
 // Symbolise turns call-site PCs into frames, innermost first, one per

@@ -168,6 +168,29 @@ func TestNoIDHandling(t *testing.T) {
 	}
 }
 
+// TestZeroIDIsNoStack: the zero ID is the absent stack, so a value whose
+// stack is never set carries none, and interning never hands it out.
+func TestZeroIDIsNoStack(t *testing.T) {
+	var unset ID
+	if unset != NoID {
+		t.Fatalf("the zero ID is %d, NoID is %d", unset, NoID)
+	}
+	tbl := NewTable()
+	id := tbl.Intern([]uintptr{1, 2, 3})
+	if id == unset {
+		t.Fatal("the first interned stack got the zero ID")
+	}
+	if pcs := tbl.PCs(unset); pcs != nil {
+		t.Errorf("PCs of the zero ID = %v, want none", pcs)
+	}
+	if frames := tbl.Frames(unset); frames != nil {
+		t.Errorf("Frames of the zero ID = %v, want none", frames)
+	}
+	if pcs := tbl.PCs(id); len(pcs) != 3 || pcs[0] != 1 || pcs[2] != 3 {
+		t.Errorf("PCs(%d) = %v, want [1 2 3]", id, pcs)
+	}
+}
+
 func TestPropertyInternRoundTrip(t *testing.T) {
 	tbl := NewTable()
 	f := func(raw []uint16) bool {

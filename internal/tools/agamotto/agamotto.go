@@ -20,12 +20,10 @@ import (
 	"container/heap"
 	"errors"
 	"maps"
-	"time"
 
 	"mumak/internal/harness"
 	"mumak/internal/pmem"
 	"mumak/internal/report"
-	"mumak/internal/stack"
 	"mumak/internal/tools"
 	"mumak/internal/workload"
 )
@@ -87,12 +85,7 @@ func (t *Tool) Analyze(app harness.Application, _ workload.Workload, cfg tools.C
 	if !ok {
 		return nil, ErrNeedsKV
 	}
-	deadline := time.Time{}
-	if cfg.Budget > 0 {
-		deadline = time.Now().Add(cfg.Budget)
-	}
-	stacks := stack.NewTable()
-	res := &tools.Result{Report: &report.Report{Target: app.Name(), Tool: t.Name(), Stacks: stacks}}
+	res, expired := tools.Begin(t.Name(), app, cfg)
 
 	// Root state: the freshly set-up pool.
 	rootEng := pmem.NewEngine(pmem.Options{PoolSize: app.PoolSize()})
@@ -112,7 +105,7 @@ func (t *Tool) Analyze(app harness.Application, _ workload.Workload, cfg tools.C
 		}
 	}
 	for queue.Len() > 0 {
-		if !deadline.IsZero() && time.Now().After(deadline) {
+		if expired() {
 			res.TimedOut = true
 			break
 		}

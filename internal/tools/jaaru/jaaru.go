@@ -11,13 +11,11 @@ package jaaru
 
 import (
 	"fmt"
-	"time"
 
 	"mumak/internal/harness"
 	"mumak/internal/oracle"
 	"mumak/internal/pmem"
 	"mumak/internal/report"
-	"mumak/internal/stack"
 	"mumak/internal/tools"
 	"mumak/internal/trace"
 	"mumak/internal/workload"
@@ -38,30 +36,16 @@ func (t *Tool) Name() string { return "Jaaru" }
 
 // Analyze implements tools.Tool.
 func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.Config) (*tools.Result, error) {
-	deadline := time.Time{}
-	if cfg.Budget > 0 {
-		deadline = time.Now().Add(cfg.Budget)
-	}
-	stacks := stack.NewTable()
-	res := &tools.Result{Report: &report.Report{Target: app.Name(), Tool: t.Name(), Stacks: stacks}}
-
-	rec := trace.NewRecorder()
-	eng, sig, err := harness.Execute(app, w, pmem.Options{}, rec)
+	res, expired := tools.Begin(t.Name(), app, cfg)
+	tr, err := tools.Record(app, w, res, false)
 	if err != nil {
 		return nil, err
 	}
-	if sig != nil {
-		return nil, sig
-	}
-	res.EngineEvents += eng.Events()
-	base := pmem.NewEngine(pmem.Options{PoolSize: app.PoolSize()}).PrefixImage()
-
-	tr := &rec.T
-	cursor := trace.NewCursor(tr, base)
+	cursor := trace.NewCursor(tr)
 	for i := range tr.Records {
 		r := &tr.Records[i]
 		if r.Op.Kind() == pmem.KindFence {
-			if !deadline.IsZero() && time.Now().After(deadline) {
+			if expired() {
 				res.TimedOut = true
 				break
 			}

@@ -14,12 +14,11 @@ package pmdebugger
 
 import (
 	"errors"
-	"time"
+	"slices"
 
 	"mumak/internal/harness"
 	"mumak/internal/pmem"
 	"mumak/internal/report"
-	"mumak/internal/stack"
 	"mumak/internal/tools"
 	"mumak/internal/workload"
 )
@@ -39,35 +38,22 @@ func (t *Tool) Name() string { return "PMDebugger" }
 
 // Analyze implements tools.Tool.
 func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.Config) (*tools.Result, error) {
-	stacks := stack.NewTable()
-	res := &tools.Result{Report: &report.Report{Target: app.Name(), Tool: t.Name(), Stacks: stacks}}
+	res, expired := tools.Begin(t.Name(), app, cfg)
 	hook := &tracker{
-		rep:      res.Report,
-		deadline: deadlineFor(cfg),
-		lines:    map[uint64]*lineInfo{},
+		rep:     res.Report,
+		expired: expired,
+		lines:   map[uint64]*lineInfo{},
 	}
-	eng, sig, err := harness.Execute(app, w, pmem.Options{}, hook)
-	if err != nil {
+	if err := tools.Run(app, w, res, hook); err != nil {
 		return nil, err
 	}
-	if sig != nil {
-		return nil, sig
-	}
 	res.TimedOut = hook.timedOut
-	res.EngineEvents = eng.Events()
 	res.Explored = hook.processed
 	hook.finish()
 	if hook.annotations == 0 {
 		return res, ErrNoAnnotations
 	}
 	return res, nil
-}
-
-func deadlineFor(cfg tools.Config) time.Time {
-	if cfg.Budget <= 0 {
-		return time.Time{}
-	}
-	return time.Now().Add(cfg.Budget)
 }
 
 // entry is one tracked unpersisted store.
@@ -94,7 +80,7 @@ type txRange struct {
 // tracker is the online analysis hook.
 type tracker struct {
 	rep         *report.Report
-	deadline    time.Time
+	expired     func() bool // the run's budget check (tools.Begin)
 	lines       map[uint64]*lineInfo
 	flushesSF   int // flush instructions since the last fence
 	ntSF        int
@@ -126,7 +112,7 @@ func (tk *tracker) OnEvent(ev *pmem.Event) {
 		return
 	}
 	tk.checkTick++
-	if tk.checkTick%1024 == 0 && !tk.deadline.IsZero() && time.Now().After(tk.deadline) {
+	if tk.checkTick%1024 == 0 && tk.expired() {
 		tk.timedOut = true
 		return
 	}
@@ -274,7 +260,8 @@ func (tk *tracker) isInternal(addr uint64, size int) bool {
 }
 
 // finish reports every store that never became durable (all occurrences,
-// without duplicate filtering — Table 3).
+// without duplicate filtering — Table 3). It walks the lines in address
+// order, so the report never depends on map order.
 func (tk *tracker) finish() {
 	for _, e := range tk.ntPending {
 		tk.rep.Add(report.Finding{
@@ -284,7 +271,8 @@ func (tk *tracker) finish() {
 			Detail: "non-temporal store never fenced",
 		})
 	}
-	for _, li := range tk.lines {
+	for _, base := range sortedBases(tk.lines) {
+		li := tk.lines[base]
 		for _, e := range append(append([]entry{}, li.longTerm...), li.shortTerm...) {
 			tk.rep.Add(report.Finding{
 				Kind:   report.Durability,
@@ -298,3 +286,13 @@ func (tk *tracker) finish() {
 
 var _ tools.Tool = (*Tool)(nil)
 var _ pmem.AnnotationObserver = (*tracker)(nil)
+
+// sortedBases returns the line bases of lines in ascending order.
+func sortedBases(lines map[uint64]*lineInfo) []uint64 {
+	bases := make([]uint64, 0, len(lines))
+	for base := range lines {
+		bases = append(bases, base)
+	}
+	slices.Sort(bases)
+	return bases
+}

@@ -11,11 +11,11 @@ package pmemcheck
 
 import (
 	"errors"
+	"slices"
 
 	"mumak/internal/harness"
 	"mumak/internal/pmem"
 	"mumak/internal/report"
-	"mumak/internal/stack"
 	"mumak/internal/tools"
 	"mumak/internal/workload"
 )
@@ -34,18 +34,12 @@ func (t *Tool) Name() string { return "pmemcheck" }
 
 // Analyze implements tools.Tool.
 func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.Config) (*tools.Result, error) {
-	stacks := stack.NewTable()
-	res := &tools.Result{Report: &report.Report{Target: app.Name(), Tool: t.Name(), Stacks: stacks}}
+	res, _ := tools.Begin(t.Name(), app, cfg)
 	hook := &checker{rep: res.Report, lines: map[uint64]*lineState{}}
-	eng, sig, err := harness.Execute(app, w, pmem.Options{}, hook)
-	if err != nil {
+	if err := tools.Run(app, w, res, hook); err != nil {
 		return nil, err
 	}
-	if sig != nil {
-		return nil, sig
-	}
-	res.EngineEvents = eng.Events()
-	res.Explored = int(eng.Events())
+	res.Explored = int(res.EngineEvents)
 	hook.finish()
 	if hook.annotations == 0 {
 		return res, ErrNoAnnotations
@@ -133,10 +127,11 @@ func (c *checker) OnAnnotation(a *pmem.Annotation) {
 
 // finish reports leftover stores. pmemcheck does not distinguish
 // transient data from forgotten persists (✓† in Table 1) and reports
-// every occurrence.
+// every occurrence, in address order, so the report never depends on
+// map order.
 func (c *checker) finish() {
-	for base, st := range c.lines {
-		if st.dirty != 0 {
+	for _, base := range sortedBases(c.lines) {
+		if st := c.lines[base]; st.dirty != 0 {
 			c.rep.Add(report.Finding{
 				Kind:   report.Durability,
 				ICount: st.icount,
@@ -149,3 +144,13 @@ func (c *checker) finish() {
 
 var _ tools.Tool = (*Tool)(nil)
 var _ pmem.AnnotationObserver = (*checker)(nil)
+
+// sortedBases returns the line bases of lines in ascending order.
+func sortedBases(lines map[uint64]*lineState) []uint64 {
+	bases := make([]uint64, 0, len(lines))
+	for base := range lines {
+		bases = append(bases, base)
+	}
+	slices.Sort(bases)
+	return bases
+}

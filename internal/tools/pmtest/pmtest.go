@@ -17,7 +17,6 @@ import (
 	"mumak/internal/harness"
 	"mumak/internal/pmem"
 	"mumak/internal/report"
-	"mumak/internal/stack"
 	"mumak/internal/tools"
 	"mumak/internal/workload"
 )
@@ -36,18 +35,12 @@ func (t *Tool) Name() string { return "PMTest" }
 
 // Analyze implements tools.Tool.
 func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.Config) (*tools.Result, error) {
-	stacks := stack.NewTable()
-	res := &tools.Result{Report: &report.Report{Target: app.Name(), Tool: t.Name(), Stacks: stacks}}
+	res, _ := tools.Begin(t.Name(), app, cfg)
 	// Record phase (decoupled from checking, as in the original).
 	hook := &recorder{}
-	eng, sig, err := harness.Execute(app, w, pmem.Options{}, hook)
-	if err != nil {
+	if err := tools.Run(app, w, res, hook); err != nil {
 		return nil, err
 	}
-	if sig != nil {
-		return nil, sig
-	}
-	res.EngineEvents = eng.Events()
 	// Replay-check phase.
 	checkAssertions(hook, res.Report)
 	res.Explored = len(hook.asserts)

@@ -31,13 +31,31 @@
 // its caller (package experiments), never inside a tool. A tool reports
 // only the persistent memory it keeps for its own analysis state
 // (Result.PMExtraBytes).
+//
+// # The harness
+//
+// Three helpers are the harness the baselines start from. Begin returns
+// the run's Result, with an empty report under the tool's name, and its
+// budget check. Run is the pre-failure run: Setup and the workload on a
+// fresh engine with the tool's hooks attached. Record is Run with a
+// trace.Recorder, for the tools that explore crash states of a recorded
+// trace (Yat, Jaaru, XFDetector). Witcher and Agamotto drive the
+// key-value interface themselves and use only Begin. So what part of
+// the execution a baseline observes and explores is decided here, in
+// Run, for every tool that has a pre-failure run.
+//
+// Baseline findings carry no stack (stack.NoID): none of the tools
+// reports a bug path (Table 3), so their reports have no stack table,
+// and Report.Unique tells their findings apart by address.
 package tools
 
 import (
 	"time"
 
 	"mumak/internal/harness"
+	"mumak/internal/pmem"
 	"mumak/internal/report"
+	"mumak/internal/trace"
 	"mumak/internal/workload"
 )
 
@@ -78,4 +96,45 @@ type Tool interface {
 	Name() string
 	// Analyze runs the tool against the target.
 	Analyze(app harness.Application, w workload.Workload, cfg Config) (*Result, error)
+}
+
+// Begin starts a run of the tool called name on app. It returns the
+// run's Result, holding an empty report, and the run's budget check,
+// which reports whether cfg.Budget has run out since Begin; a zero
+// budget never runs out.
+func Begin(name string, app harness.Application, cfg Config) (*Result, func() bool) {
+	res := &Result{Report: &report.Report{Target: app.Name(), Tool: name}}
+	if cfg.Budget <= 0 {
+		return res, func() bool { return false }
+	}
+	deadline := time.Now().Add(cfg.Budget)
+	return res, func() bool { return time.Now().After(deadline) }
+}
+
+// Run is a baseline's pre-failure run: Setup and the workload on a fresh
+// engine with the hooks attached, through harness.Execute, so a panic of
+// the target itself propagates. It adds the run's events to
+// res.EngineEvents and returns an injected crash as its error.
+func Run(app harness.Application, w workload.Workload, res *Result, hooks ...pmem.Hook) error {
+	eng, sig, err := harness.Execute(app, w, pmem.Options{}, hooks...)
+	if err != nil {
+		return err
+	}
+	if sig != nil {
+		return sig
+	}
+	res.EngineEvents += eng.Events()
+	return nil
+}
+
+// Record is Run with a trace.Recorder attached, and returns the
+// recorded trace; loads selects whether it records load events. The
+// trace starts from the fresh engine's all-zero pool.
+func Record(app harness.Application, w workload.Workload, res *Result, loads bool) (*trace.Trace, error) {
+	rec := trace.NewRecorder()
+	rec.RecordLoads = loads
+	if err := Run(app, w, res, rec); err != nil {
+		return nil, err
+	}
+	return &rec.T, nil
 }

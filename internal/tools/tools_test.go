@@ -16,6 +16,7 @@ import (
 	"mumak/internal/tools"
 	"mumak/internal/tools/agamotto"
 	"mumak/internal/tools/pmdebugger"
+	"mumak/internal/tools/pmemcheck"
 	"mumak/internal/tools/witcher"
 	"mumak/internal/tools/xfdetector"
 	"mumak/internal/tools/yat"
@@ -134,6 +135,51 @@ func TestAgamottoIsDeterministic(t *testing.T) {
 			t.Fatalf("run %d reported %d raw findings that differ from the first run's %d",
 				run, len(res.Report.Findings), len(first))
 		}
+	}
+}
+
+// TestBaselineReportsDependOnlyOnInput: pmemcheck and PMDebugger report
+// their leftover stores in address order, and Witcher adds its checkers'
+// findings in candidate order, so repeated runs on one input give one
+// raw findings list and one rendered report, whatever the map order or
+// which checker goroutine finishes first.
+func TestBaselineReportsDependOnlyOnInput(t *testing.T) {
+	bug := bugs.Enable(rbtree.BugRotateMissingAddRange)
+	long := workload.Generate(workload.Config{N: 300, Seed: 1})
+	for _, c := range []struct {
+		tool tools.Tool
+		cfg  apps.Config
+		w    workload.Workload
+	}{
+		{pmemcheck.New(), apps.Config{SPT: true, PoolSize: 4 << 20, Bugs: bug}, long},
+		{pmdebugger.New(), apps.Config{SPT: true, PoolSize: 4 << 20, Bugs: bug}, long},
+		{witcher.New(), apps.Config{SPT: true, PoolSize: 1 << 20, Bugs: bug},
+			workload.Generate(workload.Config{N: 60, Seed: 1, Keyspace: 12})},
+	} {
+		t.Run(c.tool.Name(), func(t *testing.T) {
+			var first []report.Finding
+			var firstText string
+			for run := range 10 {
+				res, err := c.tool.Analyze(rbtree.New(c.cfg), c.w, tools.Config{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				text := res.Report.Format(true)
+				if run == 0 {
+					first, firstText = res.Report.Findings, text
+					if len(first) == 0 {
+						t.Fatal("no findings: the input does not exercise the report order")
+					}
+					continue
+				}
+				if !reflect.DeepEqual(res.Report.Findings, first) {
+					t.Fatalf("run %d: the raw findings differ from the first run's", run)
+				}
+				if text != firstText {
+					t.Fatalf("run %d: the rendered report differs from the first run's", run)
+				}
+			}
+		})
 	}
 }
 

@@ -24,13 +24,11 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mumak/internal/harness"
 	"mumak/internal/oracle"
 	"mumak/internal/pmem"
 	"mumak/internal/report"
-	"mumak/internal/stack"
 	"mumak/internal/tools"
 	"mumak/internal/trace"
 	"mumak/internal/workload"
@@ -63,13 +61,7 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 	if !ok {
 		return nil, ErrNeedsKV
 	}
-	deadline := time.Time{}
-	if cfg.Budget > 0 {
-		deadline = time.Now().Add(cfg.Budget)
-	}
-	stacks := stack.NewTable()
-	res := &tools.Result{Report: &report.Report{Target: app.Name(), Tool: t.Name(), Stacks: stacks}}
-	rep := res.Report
+	res, expired := tools.Begin(t.Name(), app, cfg)
 
 	// Phase 1: drive the workload through the KV driver, tracing PM
 	// accesses and the record range of every operation.
@@ -79,7 +71,6 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 	if err := app.Setup(eng); err != nil {
 		return nil, err
 	}
-	base := pmem.NewEngine(pmem.Options{PoolSize: app.PoolSize()}).PrefixImage()
 	kv, err := kvApp.Open(eng)
 	if err != nil {
 		return nil, err
@@ -112,7 +103,7 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 	// persist point within the operation, racing unit index) triple
 	// yields one candidate crash image violating it.
 	tr := &rec.T
-	cursor := trace.NewCursor(tr, base)
+	cursor := trace.NewCursor(tr)
 	seen := map[[3]int]bool{}
 	var candidates []candidate
 	opIdx := 0
@@ -151,15 +142,15 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 	// in parallel with output equivalence — the memory-hungry fan-out.
 	var imgBytes atomic.Uint64
 	batch := make([]*pmem.Image, len(candidates))
-	genCursor := trace.NewCursor(tr, base)
+	genCursor := trace.NewCursor(tr)
 	lastPos := 0
 	for ci, c := range candidates {
-		if !deadline.IsZero() && time.Now().After(deadline) {
+		if expired() {
 			res.TimedOut = true
 			break
 		}
 		if c.fenceRec < lastPos {
-			genCursor = trace.NewCursor(tr, base)
+			genCursor = trace.NewCursor(tr)
 			lastPos = 0
 		}
 		genCursor.SeekTo(c.fenceRec)
@@ -183,6 +174,10 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 	}
 
 	if !res.OOM && !res.TimedOut {
+		// Each checker stores its finding at its candidate's index, and
+		// the findings are added in candidate order once all are done,
+		// so the report does not depend on which checker finishes first.
+		findings := make([]*report.Finding, len(batch))
 		var wg sync.WaitGroup
 		sem := make(chan struct{}, runtime.NumCPU())
 		for ci := range batch {
@@ -198,11 +193,16 @@ func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.C
 				defer func() { <-sem }()
 				finding, bad := t.check(kvApp, img, models[c.opIdx], models[c.opIdx+1], tr.Records[c.fenceRec].ICount)
 				if bad {
-					rep.Add(finding)
+					findings[ci] = &finding
 				}
 			}()
 		}
 		wg.Wait()
+		for _, f := range findings {
+			if f != nil {
+				res.Report.Add(*f)
+			}
+		}
 	}
 	res.Explored = len(candidates)
 	return res, nil

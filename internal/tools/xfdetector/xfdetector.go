@@ -18,13 +18,10 @@
 package xfdetector
 
 import (
-	"time"
-
 	"mumak/internal/harness"
 	"mumak/internal/oracle"
 	"mumak/internal/pmem"
 	"mumak/internal/report"
-	"mumak/internal/stack"
 	"mumak/internal/tools"
 	"mumak/internal/trace"
 	"mumak/internal/workload"
@@ -41,48 +38,34 @@ func (t *Tool) Name() string { return "XFDetector" }
 
 // Analyze implements tools.Tool.
 func (t *Tool) Analyze(app harness.Application, w workload.Workload, cfg tools.Config) (*tools.Result, error) {
-	deadline := time.Time{}
-	if cfg.Budget > 0 {
-		deadline = time.Now().Add(cfg.Budget)
-	}
-	stacks := stack.NewTable()
-	res := &tools.Result{Report: &report.Report{Target: app.Name(), Tool: t.Name(), Stacks: stacks}}
-
+	res, expired := tools.Begin(t.Name(), app, cfg)
 	// Pre-pass: one instrumented execution collecting the trace (with
 	// loads, needed for shadow-memory checking) and every store event
 	// as a failure point.
-	rec := trace.NewRecorder()
-	rec.RecordLoads = true
-	eng, sig, err := harness.Execute(app, w, pmem.Options{}, rec)
+	tr, err := tools.Record(app, w, res, true)
 	if err != nil {
 		return nil, err
 	}
-	if sig != nil {
-		return nil, sig
-	}
-	res.EngineEvents += eng.Events()
-	base := pmem.NewEngine(pmem.Options{PoolSize: app.PoolSize()}).PrefixImage()
 	// XFDetector keeps its shadow memory in PM: one shadow byte per
 	// byte of PM the target actually touches (the ~2x PM overhead of
 	// Table 2).
 	shadowLines := map[uint64]struct{}{}
-	for i := range rec.T.Records {
-		r := &rec.T.Records[i]
+	for i := range tr.Records {
+		r := &tr.Records[i]
 		if r.Op.Kind() == pmem.KindStore {
 			shadowLines[r.Addr&^(pmem.CacheLineSize-1)] = struct{}{}
 		}
 	}
 	res.PMExtraBytes = uint64(len(shadowLines)) * pmem.CacheLineSize
 
-	tr := &rec.T
-	cursor := trace.NewCursor(tr, base)
+	cursor := trace.NewCursor(tr)
 	for i := range tr.Records {
 		r := &tr.Records[i]
 		if r.Op.Kind() != pmem.KindStore {
 			cursor.Step()
 			continue
 		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
+		if expired() {
 			res.TimedOut = true
 			break
 		}

@@ -37,15 +37,15 @@ func splitUnits(t *Trace, rec int) []Unit {
 	return out
 }
 
-// Cursor incrementally replays a trace over a base image, maintaining the
-// certain-durable state and the set of maybe-durable units at every
-// point. It is the one model of strict durability: the engine models
-// only coherence and dirtiness (see package pmem), and every crash state
-// other than the program-order prefix is built here from recorded
-// writes. It is the machinery with which the exhaustive-exploration
-// baselines (Yat, Witcher) and the ablation benches enumerate
-// post-failure states that do not respect program order — the space
-// Mumak deliberately skips (§4.1).
+// Cursor incrementally replays a trace over the image it starts from,
+// maintaining the certain-durable state and the set of maybe-durable
+// units at every point. It is the one model of strict durability: the
+// engine models only coherence and dirtiness (see package pmem), and
+// every crash state other than the program-order prefix is built here
+// from recorded writes. It is the machinery with which the
+// exhaustive-exploration baselines (Yat, Witcher) and the ablation
+// benches enumerate post-failure states that do not respect program
+// order — the space Mumak deliberately skips (§4.1).
 //
 // The certain state lives in an engine of its own, and every image the
 // cursor returns is a frozen snapshot of an engine's view, as the
@@ -65,12 +65,14 @@ type Cursor struct {
 	inflight []Unit
 }
 
-// NewCursor returns a cursor positioned before the first record. The
-// cursor shares the base image's pages and never writes them.
-func NewCursor(t *Trace, base *pmem.Image) *Cursor {
+// NewCursor returns a cursor positioned before the first record, whose
+// certain state is the image the trace starts from. The cursor shares
+// that image's pages and never writes them. t must have been recorded
+// by a Recorder attached to an engine.
+func NewCursor(t *Trace) *Cursor {
 	return &Cursor{
 		t:       t,
-		certain: pmem.NewEngineFromImage(pmem.Options{}, base),
+		certain: pmem.NewEngineFromImage(pmem.Options{}, t.start),
 		dirty:   make(map[uint64][]Unit),
 	}
 }
@@ -157,11 +159,11 @@ func (c *Cursor) SeekTo(n int) {
 }
 
 // Certain returns the guaranteed-durable image at the current position:
-// the base overlaid with every store that was clflushed, or written back
-// or non-temporally stored and then fenced — the state a power cut
-// under ADR leaves when no dirty line happens to be evicted. It is a
-// read-only snapshot taken in O(1); stepping the cursor on does not
-// change it.
+// the start image overlaid with every store that was clflushed, or
+// written back or non-temporally stored and then fenced — the state a
+// power cut under ADR leaves when no dirty line happens to be evicted.
+// It is a read-only snapshot taken in O(1); stepping the cursor on does
+// not change it.
 func (c *Cursor) Certain() *pmem.Image { return c.certain.PrefixImage() }
 
 // Uncertain returns the maybe-durable units at the current position in

@@ -2,12 +2,13 @@
 //
 // A Trace is the by-product 6 of the Mumak pipeline (Fig 1): the ordered
 // list of stores, flushes and fences observed during the workload run,
-// identified by instruction counter. Mumak itself streams its trace
-// analysis and never materialises one; the baseline tools record traces
-// in memory and use the replay machinery here to build crash images
-// under weaker persistency assumptions (arbitrary subsets of unfenced
-// write-backs), which is the search space Yat and Witcher explore.
-// Traces have no file format.
+// identified by instruction counter, together with the pool image the
+// run started from. Mumak itself streams its trace analysis and never
+// materialises one; the baseline tools record traces in memory and use
+// the replay machinery here to build crash images under weaker
+// persistency assumptions (arbitrary subsets of unfenced write-backs),
+// which is the search space Yat and Witcher explore. Traces have no
+// file format.
 package trace
 
 import "mumak/internal/pmem"
@@ -34,6 +35,9 @@ type Trace struct {
 	Records []Record
 
 	payload []byte
+	// start is the pool image the first record applies to: the
+	// recording engine's image when the Recorder was attached.
+	start *pmem.Image
 }
 
 // Payload returns the stored bytes of a store record, or nil.
@@ -48,6 +52,9 @@ func (t *Trace) Payload(r *Record) []byte {
 func (t *Trace) Len() int { return len(t.Records) }
 
 // Recorder is a pmem.Hook that appends every observed event to a Trace.
+// Attached to an engine, it freezes the engine's image as the trace's
+// start (pmem.EngineObserver), so a recorder attached after Setup
+// records a trace that starts from the pool Setup left.
 type Recorder struct {
 	// T is the trace under construction.
 	T Trace
@@ -60,6 +67,10 @@ type Recorder struct {
 func NewRecorder() *Recorder {
 	return &Recorder{T: Trace{payload: make([]byte, 0, 1<<16)}}
 }
+
+// ObserveEngine implements pmem.EngineObserver: the trace starts from
+// e's image at attachment, frozen in O(1).
+func (rec *Recorder) ObserveEngine(e *pmem.Engine) { rec.T.start = e.PrefixImage() }
 
 // OnEvent implements pmem.Hook.
 func (rec *Recorder) OnEvent(ev *pmem.Event) {

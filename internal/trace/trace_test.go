@@ -10,17 +10,16 @@ import (
 	"mumak/internal/pmem"
 )
 
-func recordedRun(f func(e *pmem.Engine)) (*Trace, *pmem.Engine, *pmem.Image) {
+func recordedRun(f func(e *pmem.Engine)) *Trace {
 	e := pmem.NewEngine(pmem.Options{PoolSize: 1 << 14})
-	base := e.PrefixImage()
 	rec := NewRecorder()
 	e.AttachHook(rec)
 	f(e)
-	return &rec.T, e, base
+	return &rec.T
 }
 
 func TestRecorderCapturesStream(t *testing.T) {
-	tr, _, _ := recordedRun(func(e *pmem.Engine) {
+	tr := recordedRun(func(e *pmem.Engine) {
 		e.Store64(0, 1)
 		e.CLWB(0)
 		e.SFence()
@@ -55,7 +54,7 @@ func TestRecorderLoadsOptIn(t *testing.T) {
 }
 
 func TestSplitUnitsRespectsAtomicSlots(t *testing.T) {
-	tr, _, _ := recordedRun(func(e *pmem.Engine) {
+	tr := recordedRun(func(e *pmem.Engine) {
 		data := make([]byte, 20)
 		for i := range data {
 			data[i] = byte(i + 1)
@@ -76,13 +75,13 @@ func TestSplitUnitsRespectsAtomicSlots(t *testing.T) {
 }
 
 func TestCursorCertainTracksFencedData(t *testing.T) {
-	tr, _, base := recordedRun(func(e *pmem.Engine) {
+	tr := recordedRun(func(e *pmem.Engine) {
 		e.Store64(0, 1)
 		e.CLWB(0)
 		e.Store64(64, 2) // never flushed
 		e.SFence()
 	})
-	c := NewCursor(tr, base)
+	c := NewCursor(tr)
 	c.SeekTo(tr.Len())
 	img := c.Certain()
 	if got := le64(img.Bytes()[0:]); got != 1 {
@@ -98,11 +97,11 @@ func TestCursorCertainTracksFencedData(t *testing.T) {
 }
 
 func TestCursorCLFlushIsSynchronous(t *testing.T) {
-	tr, _, base := recordedRun(func(e *pmem.Engine) {
+	tr := recordedRun(func(e *pmem.Engine) {
 		e.Store64(0, 7)
 		e.CLFlush(0)
 	})
-	c := NewCursor(tr, base)
+	c := NewCursor(tr)
 	c.SeekTo(tr.Len())
 	if got := le64(c.Certain().Bytes()[0:]); got != 7 {
 		t.Errorf("clflush not certain: %d", got)
@@ -113,14 +112,14 @@ func TestCursorCLFlushIsSynchronous(t *testing.T) {
 }
 
 func TestCursorMaterializeSubset(t *testing.T) {
-	tr, _, base := recordedRun(func(e *pmem.Engine) {
+	tr := recordedRun(func(e *pmem.Engine) {
 		e.Store64(0, 1)
 		e.CLWB(0)
 		e.Store64(64, 2)
 		e.CLWB(64)
 		// no fence: both in flight
 	})
-	c := NewCursor(tr, base)
+	c := NewCursor(tr)
 	c.SeekTo(tr.Len())
 	unc := c.Uncertain()
 	if len(unc) != 2 {
@@ -133,11 +132,11 @@ func TestCursorMaterializeSubset(t *testing.T) {
 }
 
 func TestCursorOverwriteOrder(t *testing.T) {
-	tr, _, base := recordedRun(func(e *pmem.Engine) {
+	tr := recordedRun(func(e *pmem.Engine) {
 		e.Store64(0, 1)
 		e.Store64(0, 2) // dirty overwrite
 	})
-	c := NewCursor(tr, base)
+	c := NewCursor(tr)
 	c.SeekTo(tr.Len())
 	unc := c.Uncertain()
 	if len(unc) != 2 {
@@ -149,13 +148,45 @@ func TestCursorOverwriteOrder(t *testing.T) {
 	}
 }
 
+// TestCursorStartsFromAttachment: a recorder attached to an engine that
+// already holds data records a trace that starts from the engine's image
+// at attachment, cached stores included. A cursor's certain state before
+// the first record is that image, whatever the engine wrote since, and
+// its prefix image at the end is the engine's.
+func TestCursorStartsFromAttachment(t *testing.T) {
+	e := pmem.NewEngine(pmem.Options{PoolSize: 1 << 14})
+	e.Store64(0, 7)
+	e.CLFlush(0)
+	e.Store64(64, 9) // cached, never flushed
+	at := e.PrefixImage().Bytes()
+	rec := NewRecorder()
+	e.AttachHook(rec)
+	e.Store64(0, 8) // cached, never flushed
+	e.Store64(128, 3)
+	e.CLWB(128)
+	e.SFence()
+
+	c := NewCursor(&rec.T)
+	if !bytes.Equal(c.Certain().Bytes(), at) {
+		t.Fatal("the cursor does not start from the image at attachment")
+	}
+	c.SeekTo(rec.T.Len())
+	certain := c.Certain().Bytes()
+	if le64(certain[0:]) != 7 || le64(certain[64:]) != 9 || le64(certain[128:]) != 3 {
+		t.Errorf("certain words %d %d %d, want 7 9 3",
+			le64(certain[0:]), le64(certain[64:]), le64(certain[128:]))
+	}
+	if !bytes.Equal(c.PrefixImage().Bytes(), e.PrefixImage().Bytes()) {
+		t.Error("the cursor's prefix image differs from the engine's")
+	}
+}
+
 // Property: for a random instruction mix, the cursor's prefix image at
 // the end of the trace equals the engine's own PrefixImage.
 func TestPropertyCursorPrefixMatchesEngine(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e := pmem.NewEngine(pmem.Options{PoolSize: 1 << 13})
-		base := e.PrefixImage()
 		rec := NewRecorder()
 		e.AttachHook(rec)
 		slots := uint64(e.Size() / 8)
@@ -176,7 +207,7 @@ func TestPropertyCursorPrefixMatchesEngine(t *testing.T) {
 				e.SFence()
 			}
 		}
-		c := NewCursor(&rec.T, base)
+		c := NewCursor(&rec.T)
 		c.SeekTo(rec.T.Len())
 		return bytes.Equal(c.PrefixImage().Bytes(), e.PrefixImage().Bytes())
 	}
@@ -196,7 +227,6 @@ func TestCursorImagesAreSnapshots(t *testing.T) {
 	const size = 1 << 15
 	rng := rand.New(rand.NewSource(17))
 	e := pmem.NewEngine(pmem.Options{PoolSize: size})
-	base := e.PrefixImage()
 	rec := NewRecorder()
 	e.AttachHook(rec)
 	for i := 0; i < 200; i++ {
@@ -224,7 +254,7 @@ func TestCursorImagesAreSnapshots(t *testing.T) {
 	keep := func(img *pmem.Image, want []byte) {
 		snaps = append(snaps, snapshot{img, want, img.Hash()})
 	}
-	c, twin := NewCursor(&rec.T, base), NewCursor(&rec.T, base)
+	c, twin := NewCursor(&rec.T), NewCursor(&rec.T)
 	for c.Step() {
 		twin.Step()
 		certain := c.Certain()
@@ -291,7 +321,6 @@ func TestCursorImageHashesMatchContent(t *testing.T) {
 	const size = 1 << 15
 	rng := rand.New(rand.NewSource(23))
 	e := pmem.NewEngine(pmem.Options{PoolSize: size})
-	base := e.PrefixImage()
 	rec := NewRecorder()
 	e.AttachHook(rec)
 	viewHash := []uint64{e.PrefixImageHash()}
@@ -326,7 +355,7 @@ func TestCursorImageHashesMatchContent(t *testing.T) {
 			t.Fatalf("record %d: after a store, an engine restarted from the %s image folds %#x, content hash %#x", pos, what, got, want)
 		}
 	}
-	c := NewCursor(&rec.T, base)
+	c := NewCursor(&rec.T)
 	for c.Step() {
 		check(c.Certain(), "certain", c.Pos())
 		uncertain := c.Uncertain()
