@@ -281,14 +281,15 @@ func BenchmarkParallelInjection(b *testing.B) {
 }
 
 // BenchmarkStackInjectionParallel measures the injection-phase wall
-// clock of the stack-mode campaign as the worker pool widens. Since the
-// immutable-FPT refactor, stack mode fans its per-leaf targeted replays
-// across the same bounded worker pool counter mode uses; each replay is
-// independent (private engine, targeted injector, deterministic
-// workload), so the phase should scale with available cores. Alongside
-// inject_sec the bench reports utilization — worker busy time over
-// phase wall time — which shows the fan-out working even on hosts whose
-// core count caps the wall-clock speedup.
+// clock of the stack-mode campaign as the worker pool widens. The
+// campaign re-executes the workload once, in one pass that freezes
+// every failure point's crash image as it reaches it; that pass is
+// serial, and only the recovery checks of the images it hands over fan
+// out across the workers. So the phase scales with the workers only as
+// far as recovery, not the re-execution, dominates it. Alongside
+// inject_sec the bench reports utilization — busy time of the pass and
+// the workers over phase wall time — which counts the pass as one more
+// busy goroutine beside the workers.
 func BenchmarkStackInjectionParallel(b *testing.B) {
 	targets := []struct {
 		name string

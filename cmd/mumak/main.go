@@ -58,7 +58,7 @@ func main() {
 		eadr       = flag.Bool("eadr", false, "analyse under an eADR persistence domain (§4.3)")
 		storeGran  = flag.Bool("store-granularity", false, "inject at every store instead of persistency instructions (ablation)")
 		stackMode  = flag.Bool("stack-mode", false, "match failure points by call stack instead of instruction counter")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent fault injections, in counter and stack mode (1 = serial)")
+		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent recovery checks, in counter and stack mode (1 = serial); stack mode's one re-execution runs beside them")
 		budget     = flag.Duration("budget", 10*time.Minute, "analysis wall-clock budget (the paper uses 12h)")
 		seedBugs   = flag.String("seed-bugs", "", "comma-separated seeded bug IDs to plant (see internal/bugs)")
 		montageBug = flag.Bool("montage-buggy", false, "enable the two historical Montage bugs")

@@ -144,9 +144,14 @@ type Record struct {
 	// first-occurrence counter), LeafID is diagnostic.
 	LeafID     int
 	LeafICount uint64
-	// Events is the number of engine instruction events the replay
-	// spent (all attempts); Retries the extra attempts after transient
-	// skips.
+	// Events is the leaf's execution prefix in engine instruction
+	// events: zero in counter mode; in stack mode the crash counter at
+	// which its image froze, or at which the execution heading for it
+	// stopped, plus the events of its failed attempts. One pass shares
+	// its prefix among every leaf it serves, so the sum over records is
+	// what replaying each leaf on its own would execute, not what the
+	// campaign executed. Retries counts the extra attempts after
+	// transient skips.
 	Events  uint64
 	Retries int
 	// Source is how the verdict was obtained.

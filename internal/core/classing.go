@@ -98,12 +98,13 @@ func (p *classPlan) deferred(leaf *fpt.Leaf) bool {
 }
 
 // resolve settles a deferred leaf from the memo without touching an
-// engine: no replay (zero events) and no recovery run. Members still
+// engine: no execution (zero events) and no recovery run. Members still
 // count as injected — an earlier leaf of their class proved the crash
 // image reachable and judged it. A leaf whose class has no verdict yet
-// (its representative was quarantined or crashed the target) replays
-// live instead, exactly as a campaign without reuse would, and its
-// judgement then fills the memo for the rest of the class.
+// (its representative was quarantined or crashed the target) is
+// injected live instead, in stack mode by a one-target pass, exactly as
+// a campaign without reuse would, and its judgement then fills the memo
+// for the rest of the class.
 func (m *mergeState) resolve(leaf *fpt.Leaf) replayOutcome {
 	k := stampOf(leaf)
 	j, ok := m.memo[k]

@@ -74,13 +74,14 @@ type Config struct {
 	// StackMode makes the injector match call stacks instead of
 	// instruction counters, for non-deterministic targets (§5).
 	StackMode bool
-	// Workers bounds the number of concurrent injections in the
-	// fault-injection campaign — recovery checks of phase-1 images in
-	// counter mode, replays in stack mode; 0 or 1 runs one worker.
-	// Injections are independent (the failure point tree is frozen
-	// before the campaign and shared read-only), and findings are merged
-	// in leaf first-occurrence order, so the report is byte-identical
-	// for any worker count.
+	// Workers bounds the number of concurrent recovery checks in the
+	// fault-injection campaign, of the images phase 1 froze in counter
+	// mode and of those the stack-mode pass freezes, which runs as one
+	// more goroutine beside the workers; 0 or 1 runs one worker. Checks
+	// are independent (the failure point tree is frozen before the
+	// campaign and shared read-only), and findings are merged in leaf
+	// first-occurrence order, so the report is byte-identical for any
+	// worker count.
 	Workers int
 	// KeepWarnings makes the analyzer build §4.2 warnings and the
 	// report keep them (they are always excluded from bug counts).
@@ -131,10 +132,11 @@ type Config struct {
 	// there is no memo and nothing is exported.
 	PersistVerdicts bool
 	// Interrupt, when non-nil, requests graceful interruption once
-	// closed: campaign workers stop taking failure points, in-flight
-	// replays drain (and are consumed and journaled), and the analysis
-	// returns a partial report marked Interrupted. The channel is
-	// polled between leaves, so every consumed outcome is exactly what
+	// closed: campaign workers stop taking failure points, a stack-mode
+	// pass halts at its next failure-point candidate, in-flight recovery
+	// checks drain (and are consumed and journaled), and the analysis
+	// returns a partial report marked Interrupted. No leaf is consumed
+	// from a cut execution, so every consumed outcome is exactly what
 	// an uninterrupted run would have produced — which is what makes a
 	// resumed campaign's final report byte-identical.
 	Interrupt <-chan struct{}
@@ -178,9 +180,12 @@ type Result struct {
 	// than the failure points left to inject (zero when fault injection
 	// was disabled or the campaign stopped before it started).
 	CampaignWorkers int
-	// WorkerBusy sums the wall time campaign workers spent replaying;
-	// WorkerBusy/InjectTime is the campaign's average worker
-	// utilisation.
+	// WorkerBusy sums the wall time the campaign spent executing: the
+	// workers' recovery checks and, in stack mode, the pass's
+	// re-execution of the target, but not a worker's wait for the pass
+	// to freeze its image. WorkerBusy/InjectTime is the campaign's
+	// average utilisation, so in stack mode it can exceed the worker
+	// count by up to one.
 	WorkerBusy time.Duration
 	// TraceLen is the number of trace records analysed (none under
 	// DisableTraceAnalysis).
@@ -192,21 +197,21 @@ type Result struct {
 	// without one.
 	Recoveries int
 	// SkippedFailurePoints counts failure points consumed without an
-	// injection: a stack-mode replay errored or never re-encountered the
-	// target call stack, or the sandbox stopped it. A non-zero value
-	// means campaign coverage is below one fault per unique failure
-	// point. The errored and unmatched replays are quarantined into
-	// Report.Quarantined once their bounded retries are exhausted; the
-	// stopped ones are findings (TargetPanics, TargetHangs).
+	// injection: the stack-mode pass heading for one errored, ended
+	// without re-encountering its call stack, or was stopped by the
+	// sandbox. A non-zero value means campaign coverage is below one
+	// fault per unique failure point. The errored and unmatched ones are
+	// quarantined into Report.Quarantined once their bounded retries are
+	// exhausted; the stopped ones are findings (TargetPanics,
+	// TargetHangs).
 	SkippedFailurePoints int
 	// InjectionAborted reports that the stack-mode campaign gave up
 	// after too many consecutive failure points were consumed without
 	// an injection.
 	InjectionAborted bool
-	// RetriedFailurePoints counts the extra replay attempts spent on
-	// leaves whose first replay was consumed by a transient skip
-	// (errored replay, counter never reached, stack never
-	// re-encountered).
+	// RetriedFailurePoints counts the extra stack-mode passes started
+	// from leaves a pass failed to reach with a transient skip (an
+	// errored execution, a call stack never re-encountered).
 	RetriedFailurePoints int
 	// TargetPanics counts executions the sandbox stopped because the
 	// target's own code panicked; each produced a TargetCrash finding.
@@ -265,7 +270,13 @@ type Result struct {
 	// off.
 	JournalAppends int
 	JournalError   string
-	// EngineEvents counts simulated PM instructions across all runs.
+	// EngineEvents sums the PM instruction events of phase 1 and of
+	// each consumed leaf's execution prefix: none in counter mode, and
+	// in stack mode the crash counter at which its image froze plus the
+	// events of its failed attempts (campaign.Record.Events).
+	// One pass shares one prefix among all the leaves it serves, so in
+	// stack mode this is not the count of instructions executed; it is
+	// the count a campaign replaying each leaf on its own would execute.
 	EngineEvents uint64
 }
 
@@ -307,7 +318,8 @@ func Analyze(app harness.Application, w workload.Workload, cfg Config) (*Result,
 	// as the leaf is created: hooks see an event before its mutation
 	// applies, so that image is exactly the state a replay crashed at the
 	// leaf's counter would reach, and no replay runs at all. Stack mode
-	// keeps no images, since its replays re-execute the target.
+	// keeps no phase-1 images: its pass re-executes the target and
+	// freezes them there.
 	if !cfg.DisableFaultInjection {
 		builder.KeepImages = !cfg.StackMode
 	}

@@ -11,46 +11,48 @@ import (
 	"mumak/internal/oracle"
 	"mumak/internal/pmem"
 	"mumak/internal/report"
-	"mumak/internal/stack"
 	"mumak/internal/workload"
 )
 
 // maxNoProgress bounds consecutive stack-mode leaves consumed without an
-// injection (the replay errors, panics, hangs, or never re-encounters
-// the target call stack). With a deterministic target one such failure
-// usually implies every remaining replay fails the same way — stack mode
-// re-runs the whole workload per leaf, so grinding through thousands of
-// doomed replays would waste the entire budget. A small bound aborts the
-// campaign instead while still tolerating the occasional
-// non-deterministic hiccup stack mode exists to serve. Counter mode
-// re-executes nothing, so it has nothing to abort.
+// injection (the pass heading for the leaf errored, panicked, hung, or
+// never re-encountered its call stack). With a deterministic target one
+// such failure usually implies every later leaf fails the same way, and
+// each of them costs a new pass that re-runs the workload from the
+// start, so grinding through thousands of doomed passes would waste the
+// entire budget. A small bound aborts the campaign instead while still
+// tolerating the occasional non-deterministic hiccup stack mode exists
+// to serve. Counter mode re-executes nothing, so it has nothing to
+// abort.
 const maxNoProgress = 3
 
-// maxLeafRetries bounds the re-replays of a leaf consumed with a
-// transient skip (an errored replay, a call stack never
+// maxLeafRetries bounds the new passes started from a leaf consumed with
+// a transient skip (an errored execution, a call stack never
 // re-encountered), instead of giving up on the first hiccup.
 // Deterministic targets converge to the same skip, so the bound costs at
-// most two extra replays per genuinely dead leaf.
+// most two extra passes per genuinely dead leaf.
 const maxLeafRetries = 2
 
-// retryBackoff is the base pause between leaf retries; attempt k waits
+// retryBackoff is the base pause between a leaf's passes; retry k waits
 // k×retryBackoff, giving a transient condition a moment to clear without
 // slowing a deterministic failure down meaningfully.
 const retryBackoff = time.Millisecond
 
 // sandboxCfg carries the per-execution watchdog bounds of one campaign:
 // the deterministic fuel budget, the recovery wall-clock timeout, and
-// the campaign deadline (honoured mid-replay through the engine's
-// wall-clock watchdog, not just between replays).
+// the campaign deadline (honoured mid-pass through the engine's
+// wall-clock watchdog, not just between leaves).
 type sandboxCfg struct {
 	budget   uint64
 	timeout  time.Duration
 	deadline time.Time
 	// interrupt polls the graceful-interruption request (nil when none
-	// was configured). Checked only between leaves, never mid-replay:
-	// an in-flight replay drains to completion, so every consumed
-	// leaf's outcome — and its journal record — is exactly what an
-	// uninterrupted run would have produced.
+	// was configured). Workers poll it before judging a leaf and a
+	// stack-mode pass at every failure-point candidate; an in-flight
+	// recovery check drains to completion, and a halted pass hands its
+	// unserved leaves back unexecuted, so every consumed leaf's outcome
+	// — and its journal record — is exactly what an uninterrupted run
+	// would have produced.
 	interrupt func() bool
 	// disabled restores the pre-sandbox execution path (workload
 	// panics propagate, no watchdogs); reachable only from
@@ -62,6 +64,11 @@ type sandboxCfg struct {
 // interrupted polls the graceful-interruption request.
 func (sb sandboxCfg) interrupted() bool {
 	return sb.interrupt != nil && sb.interrupt()
+}
+
+// expired reports whether the campaign deadline has passed.
+func (sb sandboxCfg) expired() bool {
+	return !sb.deadline.IsZero() && !time.Now().Before(sb.deadline)
 }
 
 // sandbox derives the campaign watchdog bounds from the configuration.
@@ -95,7 +102,7 @@ func (cfg Config) sandbox(deadline time.Time) sandboxCfg {
 // capture is the stack-capture class of the configured granularity:
 // the call stacks of persistency instructions, or of every store at
 // store granularity. Phase 1 captures them for the failure point tree;
-// a stack-mode replay captures them to match its leaf.
+// a stack-mode pass captures them to match its leaves.
 func (cfg Config) capture() pmem.StackCapture {
 	if cfg.Granularity == fpt.GranStore {
 		return pmem.CaptureStores
@@ -107,7 +114,7 @@ func (cfg Config) capture() pmem.StackCapture {
 // the campaign's fuel budget and deadline as the engine's watchdogs, or
 // the strict pre-sandbox path without them when differential testing
 // disabled it. Every execution gets the full fuel budget: neither phase
-// 1, a stack-mode replay nor the debug-information pass has a
+// 1, a stack-mode pass nor the debug-information pass has a
 // deterministic crash counter to bound it by.
 func execute(app harness.Application, w workload.Workload, opts pmem.Options,
 	sb sandboxCfg, hooks ...pmem.Hook) (*pmem.Engine, harness.Outcome) {
@@ -178,14 +185,14 @@ const replayDuring = "a fault-injection replay"
 // phase 1 froze at its recorded first-occurrence instruction counter —
 // the §5 optimisation that works because the target is deterministic —
 // so an injection is one recovery check and no re-execution. In stack
-// mode each replay targets one leaf and crashes at the first
-// failure-point event whose call stack matches it, which needs a stack
-// walk at every failure-point candidate of every replay but tolerates
-// non-determinism. Either way injections are independent (each builds a
-// private recovery engine, and a stack-mode replay a private engine and
-// injector, over the immutable tree), so every campaign runs on the one
-// worker pool of injectParallel, with max(cfg.Workers, 1) workers but
-// never more than there are pending leaves.
+// mode one pass re-executes the target and freezes each leaf's image at
+// the first failure-point event whose call stack matches it (pass.go),
+// which needs a stack walk at every failure-point candidate but
+// tolerates non-determinism. Either way the recovery checks are
+// independent (each builds a private recovery engine over a frozen
+// image), so every campaign judges on the one worker pool of
+// injectParallel, with max(cfg.Workers, 1) workers but never more than
+// there are pending leaves, and a stack-mode pass runs beside them.
 // With cfg.Classing only the first leaf of each crash-image class
 // without a verdict is judged; the rest resolve from the campaign's
 // verdict memo at merge (classing.go).
@@ -196,12 +203,12 @@ const replayDuring = "a fault-injection replay"
 // Injections + SkippedFailurePoints. That length is the only progress
 // state: the work list is the order past any folded journal prefix.
 //
-// Every replay and recovery runs inside the sandbox: a foreign panic or
+// Every pass and recovery runs inside the sandbox: a foreign panic or
 // a watchdog kill becomes a TargetCrash or RecoveryHang finding instead
 // of crashing or stalling the tool.
 //
 // With a journal configured (cfg.Journal) the records it already holds
-// are folded through the merge step first — no replay re-executes —
+// are folded through the merge step first — nothing re-executes —
 // and the campaign continues from the first unexplored leaf, durably
 // recording every consumed leaf before the next is folded. The only
 // returned error is a resume mismatch: a journal recorded under a
@@ -212,10 +219,8 @@ func injectAll(app harness.Application, w workload.Workload, tree *fpt.Tree,
 	sb := cfg.sandbox(deadline)
 	tree.Freeze()
 	order := tree.LeavesByICount()
-	m := &mergeState{cfg: cfg, rep: rep, res: res, journal: cfg.Journal}
-	m.replayer = func(leaf *fpt.Leaf) replayOutcome {
-		return replayLeafWithRetry(app, w, leaf, tree.Stacks(), cfg, sb)
-	}
+	in := &injector{app: app, w: w, stacks: tree.Stacks(), cfg: cfg, sb: sb}
+	m := &mergeState{cfg: cfg, rep: rep, res: res, journal: cfg.Journal, replayer: in.inject}
 	if cfg.Classing {
 		// One memo per campaign: application, workload and recovery
 		// configuration are fixed here (and pinned by the verdict-cache
@@ -251,7 +256,7 @@ func injectAll(app harness.Application, w workload.Workload, tree *fpt.Tree,
 		return false, nil
 	}
 	res.CampaignWorkers = min(max(cfg.Workers, 1), max(len(pending), 1))
-	return injectParallel(pending, m, sb, res.CampaignWorkers), nil
+	return injectParallel(in, pending, m, res.CampaignWorkers), nil
 }
 
 // replayOutcome is the result of injecting one leaf: the leaf's journal
@@ -262,95 +267,12 @@ type replayOutcome struct {
 	// executed is false when the injection never ran (deadline
 	// expired or interruption requested).
 	executed bool
-	// deadlineHit reports that the campaign deadline cut the replay or
-	// its recovery mid-flight; the leaf stays unconsumed and the
+	// deadlineHit reports that the campaign deadline cut the pass or
+	// the recovery mid-flight; the leaf stays unconsumed and the
 	// campaign stops, exactly as if the deadline had expired between
-	// replays.
+	// leaves.
 	deadlineHit bool
 	campaign.Record
-}
-
-// replayLeaf runs one fault injection (§4.1): the recovery oracle over
-// the graceful-crash image at the leaf's failure point. In counter mode
-// that image is the one phase 1 froze at the leaf's first occurrence
-// (fpt.Builder.KeepImages) — exactly the state a replay crashed at
-// FirstICount would reach — so no application code runs before the
-// check. In stack mode a fresh execution with a private targeted
-// injector crashes at the first event whose call stack matches the
-// leaf's. It is safe to call concurrently for different leaves: the
-// engine, the injector, the crash image and the oracle's recovery
-// engine are all private to the call, and the tree and its images are
-// frozen.
-func replayLeaf(app harness.Application, w workload.Workload, leaf *fpt.Leaf,
-	stacks *stack.Table, cfg Config, sb sandboxCfg) replayOutcome {
-
-	out := replayOutcome{executed: true, Record: campaign.Record{LeafID: leaf.ID, LeafICount: leaf.FirstICount}}
-	if !cfg.StackMode {
-		finishInjected(app, leaf.Image, leaf.FirstICount, sb, &out)
-		return out
-	}
-	opts := pmem.Options{Capture: cfg.capture(), Stacks: stacks}
-	eng, sres := execute(app, w, opts, sb, &fpt.Injector{Target: leaf, Granularity: cfg.Granularity})
-	out.Events = eng.Events()
-	switch {
-	case sres.Err != nil:
-		// The workload failed before the failure point — the run
-		// diverged (should not happen with deterministic targets).
-		out.SkipReason = fmt.Sprintf("replay failed before the failure point: %v", sres.Err)
-	case sres.Panic != nil:
-		out.TargetPanic = true
-		out.FindingICount, out.CrashDetail = eng.ICount(), panicDetail(replayDuring, sres.Panic)
-	case sres.Hang != nil && sres.Hang.Deadline:
-		out.deadlineHit = true
-	case sres.Hang != nil:
-		out.TargetHang = true
-		out.FindingICount, out.CrashDetail = eng.ICount(), hangDetail(replayDuring, sres.Hang)
-	case sres.Sig == nil:
-		out.SkipReason = "failure-point call stack never re-encountered on replay"
-	default:
-		finishInjected(app, eng.PrefixImage(), sres.Sig.ICount, sb, &out)
-	}
-	return out
-}
-
-// finishInjected runs the oracle tail shared by every injection: the
-// vanilla, uninstrumented recovery procedure over the graceful-crash
-// image (§4.1), bounded by the hang watchdog, judged at instruction
-// icount. A check the campaign deadline cut short reflects the
-// remaining budget, not the image: the outcome is marked and never
-// consumed.
-func finishInjected(app harness.Application, img *pmem.Image, icount uint64, sb sandboxCfg, out *replayOutcome) {
-	check, ddl := boundedCheck(app, img, sb)
-	if ddl {
-		out.deadlineHit = true
-		return
-	}
-	out.Injected = true
-	out.Judgement = judge(check)
-	out.FindingICount = icount
-}
-
-// replayLeafWithRetry replays a leaf, retrying a bounded number of times
-// (with a small backoff) when the replay is consumed by a transient
-// skip. Panics, hangs and deadline cuts are never retried: the first is
-// already a finding, the others would only burn the remaining budget.
-// Only stack-mode replays can skip: a counter-mode injection judges its
-// phase-1 image and never retries.
-func replayLeafWithRetry(app harness.Application, w workload.Workload, leaf *fpt.Leaf,
-	stacks *stack.Table, cfg Config, sb sandboxCfg) replayOutcome {
-
-	out := replayLeaf(app, w, leaf, stacks, cfg, sb)
-	for attempt := 1; attempt <= maxLeafRetries && out.SkipReason != ""; attempt++ {
-		if !sb.deadline.IsZero() && !time.Now().Before(sb.deadline) {
-			break
-		}
-		time.Sleep(time.Duration(attempt) * retryBackoff)
-		next := replayLeaf(app, w, leaf, stacks, cfg, sb)
-		next.Events += out.Events
-		next.Retries = out.Retries + 1
-		out = next
-	}
-	return out
 }
 
 // leafFinding renders a consumed leaf's finding from its record, keyed
@@ -397,8 +319,8 @@ type mergeState struct {
 
 	// memo is the campaign's verdict memo and plan its class schedule
 	// (classing.go); both nil when classing is off. Only the merge
-	// goroutine touches memo. replayer runs one live replay (the
-	// campaign's replayLeafWithRetry closed over its shared state).
+	// goroutine touches memo. replayer runs one live injection on the
+	// merge goroutine (the campaign's injector.inject).
 	memo     map[imageKey]campaign.Judgement
 	plan     *classPlan
 	replayer func(*fpt.Leaf) replayOutcome
@@ -421,8 +343,8 @@ func (m *mergeState) consume(leaf *fpt.Leaf, rec campaign.Record) (abort bool) {
 	res.RetriedFailurePoints += rec.Retries
 	switch {
 	case rec.SkipReason != "":
-		// Every retry was spent (replayLeafWithRetry consumed them
-		// before this record surfaced): the leaf is quarantined — set
+		// Every retry was spent (the pass consumed them before this
+		// record surfaced): the leaf is quarantined — set
 		// aside with its reason in the report's Quarantined section —
 		// rather than aborting the campaign or vanishing into a bare
 		// counter. SkippedFailurePoints stays the superset coverage

@@ -83,7 +83,8 @@ func TestReplayHonoursDeadlineMidReplay(t *testing.T) {
 		deadline: time.Now().Add(100 * time.Millisecond),
 	}
 	start := time.Now()
-	out := replayLeaf(app, w, leaf, stacks, Config{StackMode: true}, sb)
+	in := injector{app: app, w: w, stacks: stacks, cfg: Config{StackMode: true}, sb: sb}
+	out := in.inject(leaf)
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("replay ran %s past a 100ms deadline", elapsed)
 	}
@@ -143,7 +144,8 @@ func TestLeafRetryRecoversTransientFailure(t *testing.T) {
 	leaf := leaves[len(leaves)-1]
 	flaky := &flakyApp{Application: testTarget(), failures: 1}
 	cfg := Config{StackMode: true}
-	out := replayLeafWithRetry(flaky, w, leaf, stacks, cfg, cfg.sandbox(time.Time{}))
+	in := injector{app: flaky, w: w, stacks: stacks, cfg: cfg, sb: cfg.sandbox(time.Time{})}
+	out := in.inject(leaf)
 	if out.Retries != 1 {
 		t.Errorf("retries = %d, want 1", out.Retries)
 	}
@@ -179,7 +181,8 @@ func TestStoppedReplayIsRecordedNotRetried(t *testing.T) {
 	leaf := leaves[len(leaves)-1]
 	cfg := Config{StackMode: true, HangBudget: 1 << 20}
 	for _, hang := range []bool{false, true} {
-		out := replayLeafWithRetry(stuckReplayApp{testTarget(), hang}, w, leaf, stacks, cfg, cfg.sandbox(time.Time{}))
+		in := injector{app: stuckReplayApp{testTarget(), hang}, w: w, stacks: stacks, cfg: cfg, sb: cfg.sandbox(time.Time{})}
+		out := in.inject(leaf)
 		if out.TargetPanic == hang || out.TargetHang != hang || out.Injected || out.SkipReason != "" || out.Retries != 0 {
 			t.Errorf("hang=%v: stopped replay recorded as %+v", hang, out.Record)
 		}

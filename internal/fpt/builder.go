@@ -27,8 +27,9 @@ const (
 // happened since the last flush or fence, since otherwise the
 // post-failure state equals the previous one. An RMW is a fence that
 // also writes, so it re-arms the gate. The Builder and the Injector both
-// step one, and both ask it for their stack demand, so a replay
-// recognises exactly the events the builder turned into leaves.
+// step one, and both ask it for their stack demand, so a stack-mode
+// execution recognises exactly the events the builder turned into
+// leaves.
 type storeGate struct {
 	// armed records a store since the last flush or fence.
 	armed bool
@@ -116,38 +117,85 @@ func (b *Builder) insert(ev *pmem.Event) {
 	leaf.ImageSize = b.eng.Size()
 }
 
-// Injector is a pmem.Hook that crashes a stack-mode replay at a chosen
-// failure point: the first failure-point event whose call stack matches
-// the target leaf's, which requires stack capture but no determinism.
-// (Counter-mode campaigns replay nothing: they judge the image the
-// Builder froze at the leaf's first occurrence.)
+// Injector is a pmem.Hook that crashes a stack-mode execution at chosen
+// failure points, each reached at the first failure-point event whose
+// call stack matches its leaf's, which requires stack capture but no
+// determinism. (Counter-mode campaigns re-execute nothing: they judge
+// the image the Builder froze at the leaf's first occurrence.)
 //
-// The injector carries its own cursor: it never reads or writes shared
-// campaign state, so one replay per worker can run against the same
-// frozen tree with a private Injector each. Which leaf a replay targets
-// is decided up front (the campaign hands out leaves in first-occurrence
-// order), not by the injector mutating visited marks as it fires.
+// A pass (NewPass) serves many target leaves in one execution: at each
+// target's first match it hands the target its graceful-crash image,
+// frozen before the event's mutation applies (exactly the state a crash
+// there leaves), and it crashes the execution once every target is
+// served. An Injector literal with Target set is the pass over that one
+// leaf which serves nothing: it crashes at the target's first match.
+//
+// The injector carries its own state: it never reads or writes shared
+// campaign state, so any number of executions can run against the same
+// frozen tree with a private Injector each. Which leaves an execution
+// targets is decided up front, not by the injector mutating visited
+// marks as it fires.
 type Injector struct {
-	// Target is the leaf the replay crashes at. The leaf is read-only
-	// to the injector.
+	// Target is the leaf a one-target replay crashes at; nil in a
+	// pass. Leaves are read-only to the injector.
 	Target *Leaf
 	// Granularity must match the tree's.
 	Granularity Granularity
 
-	gate storeGate
+	// unserved indexes the targets not yet served by call stack.
+	unserved map[stack.ID]int
+	serve    func(i int, img *pmem.Image, icount uint64)
+	halt     func() bool
+	eng      *pmem.Engine
+	gate     storeGate
 }
 
+// NewPass returns an injector serving targets, distinct leaves of one
+// tree, in one execution: at each target's first call-stack match,
+// serve gets its index in targets, its graceful-crash image and the
+// instruction counter there. halt, polled at every failure-point
+// candidate, ends the execution with a *pmem.CrashSignal when it
+// returns true.
+func NewPass(targets []*Leaf, g Granularity, serve func(i int, img *pmem.Image, icount uint64), halt func() bool) *Injector {
+	in := &Injector{Granularity: g, unserved: make(map[stack.ID]int, len(targets)), serve: serve, halt: halt}
+	for i, leaf := range targets {
+		in.unserved[leaf.Stack] = i
+	}
+	return in
+}
+
+// ObserveEngine implements pmem.EngineObserver: a pass freezes its
+// targets' images from the engine.
+func (in *Injector) ObserveEngine(e *pmem.Engine) { in.eng = e }
+
 // WantsStack implements pmem.StackDemand: only a failure-point
-// candidate's stack can match the target.
+// candidate's stack can match a target.
 func (in *Injector) WantsStack(ev *pmem.Event) bool {
 	return in.gate.candidate(in.Granularity, ev)
 }
 
-// OnEvent implements pmem.Hook; it panics with *pmem.CrashSignal at the
-// target failure point, before the instruction takes effect.
+// OnEvent implements pmem.Hook; it panics with *pmem.CrashSignal once
+// every target is served, before the last one's instruction takes
+// effect, or when halt asks it to.
 func (in *Injector) OnEvent(ev *pmem.Event) {
-	if !in.gate.step(in.Granularity, ev) || ev.Stack == stack.NoID || ev.Stack != in.Target.Stack {
+	if !in.gate.step(in.Granularity, ev) {
 		return
 	}
-	panic(&pmem.CrashSignal{ICount: ev.ICount, Stack: ev.Stack, Reason: "failure point (stack mode)"})
+	if in.halt != nil && in.halt() {
+		panic(&pmem.CrashSignal{ICount: ev.ICount, Reason: "execution halted"})
+	}
+	if in.unserved == nil {
+		in.unserved = map[stack.ID]int{in.Target.Stack: 0}
+	}
+	i, ok := in.unserved[ev.Stack]
+	if !ok || ev.Stack == stack.NoID {
+		return
+	}
+	delete(in.unserved, ev.Stack)
+	if in.serve != nil {
+		in.serve(i, in.eng.PrefixImage(), ev.ICount)
+	}
+	if len(in.unserved) == 0 {
+		panic(&pmem.CrashSignal{ICount: ev.ICount, Stack: ev.Stack, Reason: "failure point (stack mode)"})
+	}
 }

@@ -110,12 +110,12 @@ func TestPMTestVerifiesAssertions(t *testing.T) {
 	}
 }
 
-func TestPMTestCatchesLyingPersist(t *testing.T) {
-	// The level-hash tag-before-kv bug persists the tag while the
-	// key/value annotation covers bytes whose store order violates the
-	// asserted persist... simpler: the fused-fence hashmap bug makes
-	// the library's final persist annotation cover a flush that is not
-	// yet fenced when a later annotation in the same op asserts it.
+// TestPMTestLibraryAssertionsMissTagBeforeKV pins what the ✓* rows of
+// the assertion-based tools mean: levelhash's tag-before-kv bug sets
+// and persists a slot's tag before its key and value are written, and
+// PMTest's library-level persist assertions all hold on it. Catching
+// the class needs application-level asserts, which Mumak does without.
+func TestPMTestLibraryAssertionsMissTagBeforeKV(t *testing.T) {
 	cfg := apps.Config{PoolSize: 2 << 20, WithRecovery: true,
 		Bugs: bugs.Enable(bugs.ID("levelhash/c11-tag-before-kv"))}
 	w := workload.Generate(workload.Config{N: 200, Seed: 15, Keyspace: 80, PutFrac: 1})
@@ -123,8 +123,12 @@ func TestPMTestCatchesLyingPersist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = res // assertion-based tools need app-level asserts for this
-	// class; the library-level assertions hold, mirroring the ✓* rows.
+	if res.Explored == 0 {
+		t.Fatal("no assertions checked")
+	}
+	if len(res.Report.Findings) != 0 {
+		t.Fatalf("library-level assertions flagged the seeded bug:\n%s", res.Report.Format(true))
+	}
 }
 
 func TestPMTestRejectsUnannotatedTargets(t *testing.T) {
