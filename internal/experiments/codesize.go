@@ -7,16 +7,11 @@ import (
 	"strings"
 )
 
-// CodeSize measures a target's codebase size for the Fig 5 x-axis. The
-// paper counts "lines ending in a semicolon for the target and their PM
-// dependencies"; the Go analogue counts non-empty, non-comment source
-// lines of the application package plus the PM substrate packages it is
-// built on.
-func CodeSize(target string) (int, error) {
-	dirs, ok := codeDirs[target]
-	if !ok {
-		return 0, os.ErrNotExist
-	}
+// codeSize measures a codebase for the Fig 5 x-axis. The paper counts
+// "lines ending in a semicolon for the target and their PM
+// dependencies"; the Go analogue counts the non-empty, non-comment,
+// non-test source lines of dirs, relative to the module root.
+func codeSize(dirs []string) (int, error) {
 	root, err := moduleRoot()
 	if err != nil {
 		return 0, err
@@ -30,26 +25,6 @@ func CodeSize(target string) (int, error) {
 		total += n
 	}
 	return total, nil
-}
-
-// codeDirs maps Fig 5 targets to their source directories (application
-// plus PM dependencies), mirroring the paper's "target and their PM
-// dependencies (for example, PMDK)".
-var codeDirs = map[string][]string{
-	"cmap":                {"internal/apps/pmemkv", "internal/pmdk"},
-	"stree":               {"internal/apps/pmemkv", "internal/pmdk"},
-	"montage-hashtable":   {"internal/apps/montageht", "internal/montage"},
-	"montage-lfhashtable": {"internal/apps/montageht", "internal/montage"},
-	"redis":               {"internal/apps/redis", "internal/pmdk"},
-	"rocksdb":             {"internal/apps/rocksdb", "internal/pmdk"},
-	"btree":               {"internal/apps/btree", "internal/pmdk"},
-	"rbtree":              {"internal/apps/rbtree", "internal/pmdk"},
-	"hashmap":             {"internal/apps/hashatomic", "internal/pmdk"},
-	"levelhash":           {"internal/apps/levelhash", "internal/pmdk"},
-	"cceh":                {"internal/apps/cceh", "internal/pmdk"},
-	"fastfair":            {"internal/apps/fastfair", "internal/pmdk"},
-	"wort":                {"internal/apps/wort", "internal/pmdk"},
-	"art":                 {"internal/apps/art", "internal/pmdk"},
 }
 
 // moduleRoot walks up from the working directory to the go.mod.

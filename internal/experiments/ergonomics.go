@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"mumak/internal/apps"
 	"mumak/internal/bugs"
 	"mumak/internal/report"
@@ -31,11 +28,7 @@ type ErgRow struct {
 // Ergonomics runs the §6.5 comparison: one buggy target, every tool.
 func Ergonomics(sc Scale) ([]ErgRow, error) {
 	cfg := apps.Config{PoolSize: 4 << 20, Bugs: bugs.Enable("hashmap/publish-before-init")}
-	n := sc.Ops
-	if n > 500 {
-		n = 500
-	}
-	w := workload.Generate(workload.Config{N: n, Seed: sc.Seed, Keyspace: uint64(n / 3)})
+	w := workload.Generate(workload.Config{N: sc.Ops, Seed: sc.Seed, Keyspace: uint64(sc.Ops / 3)})
 
 	var rows []ErgRow
 	for _, tool := range []tools.Tool{mumak{}, xfdetector.New(), pmdebugger.New(), agamotto.New(), witcher.New()} {
@@ -66,21 +59,4 @@ func measure(tool string, rep *report.Report) ErgRow {
 	}
 	row.OutputBytes = len(rep.Format(false))
 	return row
-}
-
-// RenderErgonomics prints the measured §6.5 table.
-func RenderErgonomics(rows []ErgRow) string {
-	var sb strings.Builder
-	sb.WriteString("# Measured ergonomics on one seeded defect (§6.5 / Table 3)\n")
-	fmt.Fprintf(&sb, "%-12s %10s %10s %12s %12s  %s\n",
-		"tool", "raw", "unique", "with paths", "output (B)", "notes")
-	for _, r := range rows {
-		if r.Err != "" {
-			fmt.Fprintf(&sb, "%-12s %10s %10s %12s %12s  %s\n", r.Tool, "-", "-", "-", "-", r.Err)
-			continue
-		}
-		fmt.Fprintf(&sb, "%-12s %10d %10d %12d %12d\n",
-			r.Tool, r.RawFindings, r.Unique, r.WithPaths, r.OutputBytes)
-	}
-	return sb.String()
 }

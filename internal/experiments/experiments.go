@@ -2,9 +2,10 @@
 // evaluation (§6): workload-size coverage (Fig 3a/3b), the cross-tool
 // performance comparison (Fig 4a/4b) with its resource table (Table 2),
 // the §6.2 bug-coverage study against the seeded registry, the
-// scalability study (Fig 5), and the §6.4 new-bug reproductions. The
-// cmd/ drivers and the benchmark harness are thin wrappers around this
-// package.
+// scalability study (Fig 5), the §6.4 new-bug reproductions, Tables 1
+// and 3 with the measured §6.5 ergonomics, and two design ablations.
+// Files lists the files under results/ that hold them, each at its fixed
+// scale; cmd/evaluate writes them.
 package experiments
 
 import (
@@ -28,9 +29,25 @@ type Scale struct {
 	Seed int64
 }
 
-// Quick is the scale used by the benchmark harness and tests.
+// Quick is the scale of the measured §6.5 rows in tables.txt.
 func Quick() Scale {
-	return Scale{Ops: 2000, Budget: 10 * time.Second, MemBudget: 512 << 20, Seed: 42}
+	return Scale{Ops: 500, Budget: 10 * time.Second, MemBudget: 512 << 20, Seed: 42}
+}
+
+// String lists the scale's set fields, as a results file's header
+// prints them.
+func (sc Scale) String() string {
+	var parts []string
+	if sc.Ops > 0 {
+		parts = append(parts, fmt.Sprintf("%d ops", sc.Ops))
+	}
+	if sc.Budget > 0 {
+		parts = append(parts, fmt.Sprintf("%v budget", sc.Budget))
+	}
+	if sc.MemBudget > 0 {
+		parts = append(parts, fmt.Sprintf("%d MiB memory budget", sc.MemBudget>>20))
+	}
+	return strings.Join(append(parts, fmt.Sprintf("seed %d", sc.Seed)), ", ")
 }
 
 // Series is one plotted line: label plus (x, y) points.

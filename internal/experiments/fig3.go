@@ -9,22 +9,9 @@ import (
 	"mumak/internal/workload"
 )
 
-// Fig3Sizes scales the paper's workload sizes (3 000 … 300 000) down by
-// the given divisor, preserving the non-linear x axis.
-func Fig3Sizes(divisor int) []int {
-	if divisor <= 0 {
-		divisor = 1
-	}
-	base := []int{3000, 6000, 15000, 30000, 75000, 150000, 300000}
-	out := make([]int, len(base))
-	for i, b := range base {
-		out[i] = b / divisor
-		if out[i] < 10 {
-			out[i] = 10
-		}
-	}
-	return out
-}
+// fig3Sizes are the paper's workload sizes (3 000 … 300 000) divided by
+// 10, keeping the non-linear x axis.
+var fig3Sizes = []int{300, 600, 1500, 3000, 7500, 15000, 30000}
 
 // fig3Targets are the three PMDK data stores of Fig 3.
 var fig3Targets = []string{"btree", "rbtree", "hashmap"}
@@ -63,6 +50,16 @@ func Fig3(sizes []int, seed int64) (fig3a, fig3b []Series, err error) {
 		}
 	}
 	return fig3a, fig3b, nil
+}
+
+// renderFig3 writes fig3.txt: both panels at fig3Sizes.
+func renderFig3(sc Scale) (string, error) {
+	fig3a, fig3b, err := Fig3(fig3Sizes, sc.Seed)
+	if err != nil {
+		return "", err
+	}
+	return RenderSeries("Unique execution paths to persistency instructions vs workload size (Fig 3a)", "ops", "paths", fig3a) +
+		"\n" + RenderSeries("Unique execution paths to PM stores vs workload size (Fig 3b)", "ops", "paths", fig3b), nil
 }
 
 // poolFor sizes the simulated pool to the workload.

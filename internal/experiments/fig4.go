@@ -178,6 +178,15 @@ func (f *footprint) OnEvent(ev *pmem.Event) {
 	}
 }
 
+// renderFig4 writes fig4a.txt (PMDK 1.6) or fig4b.txt (PMDK 1.8).
+func renderFig4(ver pmdk.Version, fig string, sc Scale) (string, error) {
+	runs, err := Fig4(ver, sc)
+	if err != nil {
+		return "", err
+	}
+	return RenderToolRuns(fmt.Sprintf("Analysis time and resources, PMDK %s (Fig %s + Table 2)", ver, fig), runs), nil
+}
+
 // RenderToolRuns prints Fig 4 / Table 2 as an aligned text table.
 func RenderToolRuns(title string, runs []ToolRun) string {
 	var sb strings.Builder

@@ -10,9 +10,20 @@ import (
 	"mumak/internal/workload"
 )
 
-// Fig5Targets are the large-codebase targets of §6.3, in paper order.
-var Fig5Targets = []string{
-	"cmap", "stree", "montage-hashtable", "montage-lfhashtable", "redis", "rocksdb",
+// fig5Targets are the large-codebase targets of §6.3, in paper order,
+// each with the source directories of the application and the PM
+// dependencies it is built on, the paper's "target and their PM
+// dependencies (for example, PMDK)".
+var fig5Targets = []struct {
+	name string
+	dirs []string
+}{
+	{"cmap", []string{"internal/apps/pmemkv", "internal/pmdk"}},
+	{"stree", []string{"internal/apps/pmemkv", "internal/pmdk"}},
+	{"montage-hashtable", []string{"internal/apps/montageht", "internal/montage"}},
+	{"montage-lfhashtable", []string{"internal/apps/montageht", "internal/montage"}},
+	{"redis", []string{"internal/apps/redis", "internal/pmdk"}},
+	{"rocksdb", []string{"internal/apps/rocksdb", "internal/pmdk"}},
 }
 
 // Fig5Run is one point of the scalability study.
@@ -28,14 +39,14 @@ type Fig5Run struct {
 // C3: analysis time is not proportional to code size).
 func Fig5(sc Scale) ([]Fig5Run, error) {
 	var out []Fig5Run
-	for _, target := range Fig5Targets {
-		r := Fig5Run{Target: target}
-		size, err := CodeSize(target)
+	for _, target := range fig5Targets {
+		r := Fig5Run{Target: target.name}
+		size, err := codeSize(target.dirs)
 		if err != nil {
-			return nil, fmt.Errorf("fig5 code size for %s: %w", target, err)
+			return nil, fmt.Errorf("fig5 code size for %s: %w", target.name, err)
 		}
 		r.CodeSize = size
-		app, err := apps.New(target, apps.Config{PoolSize: poolFor(sc.Ops)})
+		app, err := apps.New(target.name, apps.Config{PoolSize: poolFor(sc.Ops)})
 		if err != nil {
 			return nil, err
 		}
@@ -53,9 +64,12 @@ func Fig5(sc Scale) ([]Fig5Run, error) {
 	return out, nil
 }
 
-// RenderFig5 prints the scalability table and the paper's claim check:
-// the time/size correlation should be weak.
-func RenderFig5(runs []Fig5Run) string {
+// renderFig5 writes fig5.txt: the scalability table.
+func renderFig5(sc Scale) (string, error) {
+	runs, err := Fig5(sc)
+	if err != nil {
+		return "", err
+	}
 	var sb strings.Builder
 	sb.WriteString("# Mumak analysis time relative to code size (Fig 5)\n")
 	fmt.Fprintf(&sb, "%-22s %12s %12s %6s\n", "target", "code (lines)", "time", "bugs")
@@ -67,5 +81,5 @@ func RenderFig5(runs []Fig5Run) string {
 		fmt.Fprintf(&sb, "%-22s %12d %12s %6d\n",
 			r.Target, r.CodeSize, r.Elapsed.Round(time.Millisecond), r.Bugs)
 	}
-	return sb.String()
+	return sb.String(), nil
 }

@@ -38,11 +38,14 @@
 // the run's Result, with an empty report under the tool's name, and its
 // budget check. Run is the pre-failure run: Setup and the workload on a
 // fresh engine with the tool's hooks attached. Record is Run with a
-// trace.Recorder, for the tools that explore crash states of a recorded
-// trace (Yat, Jaaru, XFDetector). Witcher and Agamotto drive the
-// key-value interface themselves and use only Begin. So what part of
-// the execution a baseline observes and explores is decided here, in
-// Run, for every tool that has a pre-failure run.
+// trace.Recorder attached once Setup returns, for the tools that explore
+// crash states of a recorded trace (Yat, Jaaru, XFDetector): they
+// explore the workload, not pool creation, as the original XFDetector
+// injects failures only inside the region of interest its user marks.
+// Witcher and Agamotto drive the key-value interface themselves and use
+// only Begin. So what part of the execution a baseline observes and
+// explores is decided here, in Run and Record, for every tool that has
+// a pre-failure run.
 //
 // Baseline findings carry no stack (stack.NoID): none of the tools
 // reports a bug path (Table 3), so their reports have no stack table,
@@ -127,14 +130,32 @@ func Run(app harness.Application, w workload.Workload, res *Result, hooks ...pme
 	return nil
 }
 
-// Record is Run with a trace.Recorder attached, and returns the
-// recorded trace; loads selects whether it records load events. The
-// trace starts from the fresh engine's all-zero pool.
+// Record is Run with a trace.Recorder attached once Setup returns, and
+// returns the recorded trace; loads selects whether it records load
+// events. The trace holds the workload only and starts from the pool
+// Setup left, so no crash state explored from it falls inside pool
+// creation.
 func Record(app harness.Application, w workload.Workload, res *Result, loads bool) (*trace.Trace, error) {
 	rec := trace.NewRecorder()
 	rec.RecordLoads = loads
-	if err := Run(app, w, res, rec); err != nil {
+	if err := Run(hookAfterSetup{app, rec}, w, res); err != nil {
 		return nil, err
 	}
 	return &rec.T, nil
+}
+
+// hookAfterSetup is an application that attaches hook to its engine
+// once its Setup returns.
+type hookAfterSetup struct {
+	harness.Application
+	hook pmem.Hook
+}
+
+// Setup implements harness.Application.
+func (a hookAfterSetup) Setup(e *pmem.Engine) error {
+	if err := a.Application.Setup(e); err != nil {
+		return err
+	}
+	e.AttachHook(a.hook)
+	return nil
 }

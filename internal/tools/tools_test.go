@@ -40,7 +40,18 @@ func hasKind(r *report.Report, k report.Kind) bool {
 	return false
 }
 
+// TestXFDetectorFindsCrossFailureBug: XFDetector reports the
+// publish-before-init bug, and the same input without the bug reports
+// nothing.
 func TestXFDetectorFindsCrossFailureBug(t *testing.T) {
+	clean, err := xfdetector.New().Analyze(hashatomic.New(apps.Config{PoolSize: 1 << 20}), tinyWorkload(1), tools.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(clean.Report.Findings) != 0 {
+		t.Fatalf("XFDetector reports %d finding(s) on the clean target, first: %+v",
+			len(clean.Report.Findings), clean.Report.Findings[0])
+	}
 	cfg := apps.Config{PoolSize: 1 << 20, Bugs: bugs.Enable(hashatomic.BugPublishBeforeInit)}
 	res, err := xfdetector.New().Analyze(hashatomic.New(cfg), tinyWorkload(1), tools.Config{})
 	if err != nil {
