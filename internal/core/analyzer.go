@@ -2,7 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"unsafe"
 
 	"mumak/internal/pmem"
 	"mumak/internal/report"
@@ -57,11 +58,34 @@ type lineState struct {
 	overwrites []evRef
 }
 
-// Approximate per-unit resident costs of the analyzer state, used for the
-// state-size gauges: a lineState plus its map slot, and one evRef.
+// The line table is shaped like the engine's page table and dirty-line
+// set (package pmem): one chunk of page pointers per 2 MiB region,
+// allocated at the first line touched in the region, and per touched
+// 4 KiB page its 64 lineStates plus a bitmap of the lines touched. A
+// line's state is two indexings away, with no hashing, the collector
+// sees one object per page rather than one per line, and the lines come
+// out in address order by walking the table.
 const (
-	lineStateCost = 128
-	evRefCost     = 16
+	pageLines  = 4096 / pmem.CacheLineSize
+	chunkPages = 512
+)
+
+// linePage is the state of one page's lines; bit i of touched is set
+// once line i has state.
+type linePage struct {
+	touched uint64
+	lines   [pageLines]lineState
+}
+
+// lineChunk is one 2 MiB region's pages.
+type lineChunk [chunkPages]*linePage
+
+// The state-size gauges count what the analyzer allocates for its
+// state: table pages and chunks, and pending event refs.
+const (
+	pageBytes  = uint64(unsafe.Sizeof(linePage{}))
+	chunkBytes = uint64(unsafe.Sizeof(lineChunk{}))
+	evRefBytes = uint64(unsafe.Sizeof(evRef{}))
 )
 
 // A flush hands its line's emptied ref lists to the next line that
@@ -82,8 +106,11 @@ const (
 // cache lines it touches, not to the trace length — the property that
 // lets cmd/mumak default to the paper's 150 000-op workloads.
 type Analyzer struct {
-	cfg   Config
-	lines map[uint64]*lineState
+	cfg Config
+	// chunks is the line table, indexed by 2 MiB region and grown to the
+	// highest region touched; lines counts the lines it holds.
+	chunks []*lineChunk
+	lines  int
 
 	// Fence bookkeeping: flush instructions and non-temporal stores
 	// since the last fence.
@@ -98,8 +125,10 @@ type Analyzer struct {
 	// spare holds emptied ref lists for reuse (see spareCap).
 	spare [][]evRef
 
-	// State-size gauges: pending refs across all lines plus ntPending,
-	// and the peak Result.AnalyzerPeakStateBytes reports.
+	// State-size gauges: the bytes of table pages and chunks, pending
+	// refs across all lines plus ntPending, and the peak
+	// Result.AnalyzerPeakStateBytes reports.
+	tableBytes     uint64
 	liveRefs       int
 	peakStateBytes uint64
 }
@@ -110,17 +139,35 @@ type Analyzer struct {
 // cfg.KeepWarnings is set, and carry no stack (stack.NoID) until
 // Analyze's debug-information pass resolves them.
 func NewAnalyzer(cfg Config) *Analyzer {
-	return &Analyzer{cfg: cfg, lines: make(map[uint64]*lineState)}
+	return &Analyzer{cfg: cfg}
 }
 
+// lineOf returns the state of the line holding addr, allocating its
+// chunk and page at their first touch.
 func (a *Analyzer) lineOf(addr uint64) *lineState {
-	base := addr &^ (pmem.CacheLineSize - 1)
-	st := a.lines[base]
-	if st == nil {
-		st = &lineState{}
-		a.lines[base] = st
+	li := addr / pmem.CacheLineSize
+	pi := li / pageLines
+	ci := pi / chunkPages
+	if ci >= uint64(len(a.chunks)) {
+		a.chunks = append(a.chunks, make([]*lineChunk, ci+1-uint64(len(a.chunks)))...)
 	}
-	return st
+	c := a.chunks[ci]
+	if c == nil {
+		c = new(lineChunk)
+		a.chunks[ci] = c
+		a.tableBytes += chunkBytes
+	}
+	pg := c[pi%chunkPages]
+	if pg == nil {
+		pg = new(linePage)
+		c[pi%chunkPages] = pg
+		a.tableBytes += pageBytes
+	}
+	if bit := uint64(1) << (li % pageLines); pg.touched&bit == 0 {
+		pg.touched |= bit
+		a.lines++
+	}
+	return &pg.lines[li%pageLines]
 }
 
 // add records a finding. A warning is recorded only under
@@ -143,7 +190,11 @@ func (a *Analyzer) add(kind report.Kind, ref evRef, detail string) {
 // of every finding it reports.
 func (a *Analyzer) WantsStack(*pmem.Event) bool { return false }
 
+// WantsLoads implements pmem.LoadDemand: no §4.2 pattern reads a load.
+func (a *Analyzer) WantsLoads() bool { return false }
+
 // OnEvent implements pmem.Hook: one §4.2 pattern step per instruction.
+// It drops a load itself too, for callers that hand it every event.
 func (a *Analyzer) OnEvent(ev *pmem.Event) {
 	if ev.Op == pmem.OpLoad {
 		return
@@ -328,16 +379,10 @@ func (a *Analyzer) Finalize() []*report.Finding {
 	// Under eADR every store is durable once visible, so the durability
 	// and transient-data patterns do not apply (§4.3).
 	if !a.cfg.EADR {
-		bases := make([]uint64, 0, len(a.lines))
-		for base := range a.lines {
-			bases = append(bases, base)
-		}
-		sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
 		// A store spanning two lines contributes refs to both; report
 		// each instruction once.
 		reported := map[uint64]bool{}
-		for _, base := range bases {
-			st := a.lines[base]
+		a.eachLine(func(st *lineState) {
 			for _, ref := range st.unflushed {
 				if reported[ref.icount] {
 					continue
@@ -357,7 +402,7 @@ func (a *Analyzer) Finalize() []*report.Finding {
 						"address written repeatedly and never persisted; the data belongs in volatile memory")
 				}
 			}
-		}
+		})
 		for _, ref := range a.ntPending {
 			if !reported[ref.icount] {
 				reported[ref.icount] = true
@@ -369,6 +414,24 @@ func (a *Analyzer) Finalize() []*report.Finding {
 	return a.findings
 }
 
+// eachLine calls f with the state of every line the execution touched,
+// in ascending address order.
+func (a *Analyzer) eachLine(f func(*lineState)) {
+	for _, c := range a.chunks {
+		if c == nil {
+			continue
+		}
+		for _, pg := range c {
+			if pg == nil {
+				continue
+			}
+			for w := pg.touched; w != 0; w &= w - 1 {
+				f(&pg.lines[bits.TrailingZeros64(w)])
+			}
+		}
+	}
+}
+
 // Events returns the number of analysed instructions (loads excluded),
 // the streaming equivalent of the recorded-trace length.
 func (a *Analyzer) Events() int { return a.events }
@@ -376,13 +439,13 @@ func (a *Analyzer) Events() int { return a.events }
 // PeakLiveLines returns the number of cache lines the analyzer tracks:
 // every line the execution touched, since a line's state outlives its
 // write-backs (everFlushed, ntWritten).
-func (a *Analyzer) PeakLiveLines() int { return len(a.lines) }
+func (a *Analyzer) PeakLiveLines() int { return a.lines }
 
-// PeakStateBytes returns the peak approximate resident analyzer state:
-// line structures plus pending event refs. It deliberately excludes the
+// PeakStateBytes returns the peak resident analyzer state: the table's
+// pages and chunks plus pending event refs. It deliberately excludes the
 // emitted findings, which are output rather than working state.
 func (a *Analyzer) PeakStateBytes() uint64 { return a.peakStateBytes }
 
 func (a *Analyzer) stateBytes() uint64 {
-	return uint64(len(a.lines))*lineStateCost + uint64(a.liveRefs)*evRefCost
+	return a.tableBytes + uint64(a.liveRefs)*evRefBytes
 }

@@ -128,11 +128,12 @@ func TestStreamingDetectsRedundantFlushAndFence(t *testing.T) {
 
 // The analyzer's working set must be proportional to the cache lines
 // touched, not trace length: hammering one line for many persist cycles
-// keeps the peak state constant.
+// keeps the peak state constant, at what the first cycle allocated.
 func TestAnalyzerStateStaysFlat(t *testing.T) {
 	a := core.NewAnalyzer(core.Config{})
 	ic := uint64(0)
 	next := func() uint64 { ic++; return ic }
+	var first uint64
 	for i := 0; i < 10000; i++ {
 		evs := []pmem.Event{
 			{ICount: next(), Op: pmem.OpStore, Addr: 0x7000, Size: 8},
@@ -142,15 +143,92 @@ func TestAnalyzerStateStaysFlat(t *testing.T) {
 		for j := range evs {
 			a.OnEvent(&evs[j])
 		}
+		if i == 0 {
+			first = a.PeakStateBytes()
+		}
 	}
 	if a.PeakLiveLines() != 1 {
 		t.Fatalf("%d cache lines tracked, want 1", a.PeakLiveLines())
 	}
-	if a.PeakStateBytes() > 1024 {
+	if a.PeakStateBytes() != first {
+		t.Fatalf("peak state grew from %d bytes after one cycle to %d after 10,000", first, a.PeakStateBytes())
+	}
+	// One table page (64 line states and their bitmap, 4,616 bytes),
+	// one chunk of page pointers (4,096 bytes) and the pending ref.
+	if a.PeakStateBytes() > 10<<10 {
 		t.Fatalf("peak state = %d bytes for a single-line workload", a.PeakStateBytes())
 	}
 	if a.Events() != 30000 {
 		t.Fatalf("events = %d, want 30000", a.Events())
+	}
+}
+
+// Finalize reports the stores a line still holds in ascending line
+// order, whatever order the execution touched the lines in: the table
+// is walked chunk by chunk, page by page and line by line. The events
+// run in descending and scattered address order over two 2 MiB regions,
+// and one store straddles two lines, so it is reported once, at the
+// lower line.
+func TestAnalyzerFinalizeWalksLinesInAddressOrder(t *testing.T) {
+	const mib2 = 2 << 20
+	evs := []pmem.Event{
+		{Op: pmem.OpStore, Addr: mib2 + 0x3080, Size: 8}, // 1: transient data
+		{Op: pmem.OpStore, Addr: mib2 + 0x3000, Size: 8},
+		{Op: pmem.OpCLWB, Addr: mib2 + 0x3000, Size: 64},
+		{Op: pmem.OpCLWB, Addr: 0x1ff000, Size: 64}, // a line only flushed
+		{Op: pmem.OpSFence},
+		{Op: pmem.OpStore, Addr: mib2 + 0x3000, Size: 8}, // 6: durability
+		{Op: pmem.OpStore, Addr: 0x2000, Size: 8},        // 7: transient data
+		{Op: pmem.OpStore, Addr: 0x2000, Size: 8},        // 8: transient data, dirty overwrite
+		{Op: pmem.OpStore, Addr: 0x1038, Size: 16},       // 9: straddles two lines
+		{Op: pmem.OpNTStore, Addr: 0x1800, Size: 8},
+		{Op: pmem.OpSFence},
+		{Op: pmem.OpStore, Addr: 0x1880, Size: 8},
+		{Op: pmem.OpNTStore, Addr: 0x1880, Size: 8}, // persists store 12
+		{Op: pmem.OpSFence},
+		{Op: pmem.OpStore, Addr: mib2 + 0x40, Size: 8},
+		{Op: pmem.OpCLFlushOpt, Addr: mib2 + 0x40, Size: 64},
+		{Op: pmem.OpSFence},
+		{Op: pmem.OpNTStore, Addr: 0x100, Size: 8}, // 18: never fenced
+		{Op: pmem.OpStore, Addr: 0x40, Size: 8},    // 19: transient data
+	}
+	for i := range evs {
+		evs[i].ICount = uint64(i + 1)
+	}
+	fs, a := feed(core.Config{KeepWarnings: true}, evs)
+	type want struct {
+		kind   report.Kind
+		icount uint64
+	}
+	var got []want
+	for _, f := range fs {
+		switch f.Kind {
+		case report.Durability, report.WarnTransientData, report.DirtyOverwrite:
+			got = append(got, want{f.Kind, f.ICount})
+		}
+	}
+	exp := []want{
+		{report.WarnTransientData, 19}, // line 0x40
+		{report.WarnTransientData, 9},  // line 0x1000 (and 0x1040)
+		{report.WarnTransientData, 7},  // line 0x2000
+		{report.WarnTransientData, 8},
+		{report.DirtyOverwrite, 8},
+		{report.Durability, 6},        // line 2 MiB + 0x3000
+		{report.WarnTransientData, 1}, // line 2 MiB + 0x3080
+		{report.Durability, 18},       // the unfenced NT store, after every line
+	}
+	if len(got) != len(exp) {
+		t.Fatalf("findings %v, want %v", got, exp)
+	}
+	for i := range exp {
+		if got[i] != exp[i] {
+			t.Fatalf("finding %d is %v, want %v (all: %v)", i, got[i], exp[i], got)
+		}
+	}
+	// 0x40, 0x100, 0x1000, 0x1040, 0x1800, 0x1880, 0x2000, 0x1ff000,
+	// 2 MiB + 0x40, 2 MiB + 0x3000 and 2 MiB + 0x3080.
+	if n := a.PeakLiveLines(); n != 11 {
+		t.Fatalf("%d lines tracked, want the 11 touched", n)
 	}
 }
 

@@ -35,8 +35,10 @@ func BenchmarkTraceAnalysisStateScaling(b *testing.B) {
 	// How the online analyzer's working set grows with the trace: the
 	// larger workload analyses about 4x the events (trace_records). The
 	// analyzer keeps state for every cache line it has seen and drops
-	// none, so peak_state_bytes grows too, by less than the trace, as
-	// the workload touches more lines; it does not stay flat.
+	// none, in one table page per 4 KiB page touched, so
+	// peak_state_bytes grows too (23,088 to 32,272 bytes), by less than
+	// the trace, as the workload touches more pages; it does not stay
+	// flat.
 	for _, n := range []int{2000, 8000} {
 		n := n
 		b.Run(fmt.Sprintf("ops=%d", n), func(b *testing.B) {

@@ -45,6 +45,9 @@ func (sr stackResolver) WantsStack(ev *pmem.Event) bool {
 	return ok
 }
 
+// WantsLoads implements pmem.LoadDemand: findings never sit at loads.
+func (sr stackResolver) WantsLoads() bool { return false }
+
 // OnEvent implements pmem.Hook.
 func (sr stackResolver) OnEvent(ev *pmem.Event) {
 	for _, f := range sr[ev.ICount] {

@@ -95,6 +95,10 @@ func (b *Builder) WantsStack(ev *pmem.Event) bool {
 	return b.gate.candidate(b.Granularity, ev)
 }
 
+// WantsLoads implements pmem.LoadDemand: a load is never a failure
+// point and does not move the gate.
+func (b *Builder) WantsLoads() bool { return false }
+
 // OnEvent implements pmem.Hook.
 func (b *Builder) OnEvent(ev *pmem.Event) {
 	if b.gate.step(b.Granularity, ev) {
@@ -173,6 +177,10 @@ func (in *Injector) ObserveEngine(e *pmem.Engine) { in.eng = e }
 func (in *Injector) WantsStack(ev *pmem.Event) bool {
 	return in.gate.candidate(in.Granularity, ev)
 }
+
+// WantsLoads implements pmem.LoadDemand: the injector steps the
+// builder's gate, which loads do not move.
+func (in *Injector) WantsLoads() bool { return false }
 
 // OnEvent implements pmem.Hook; it panics with *pmem.CrashSignal once
 // every target is served, before the last one's instruction takes

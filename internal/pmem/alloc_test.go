@@ -49,28 +49,31 @@ type fenceStacks struct{ *everyStack }
 
 func (fenceStacks) WantsStack(ev *pmem.Event) bool { return ev.Op.Kind() == pmem.KindFence }
 
+// storeStacks takes every stack, like everyStack, but declines loads.
+type storeStacks struct{ *everyStack }
+
+func (storeStacks) WantsLoads() bool { return false }
+
 // The path from an instruction to its hooks allocates nothing in steady
 // state: emit reuses the engine's one Event and operand buffer, so the
 // operands of Store64, NTStore64, CAS64 and FAA64 stay on the stack, and
-// Load fills the caller's buffer. It holds both with a hook that takes
-// every stack and with a StackDemand hook.
+// Load fills the caller's buffer. It holds with a hook that takes every
+// stack, with a StackDemand hook, and with a hook that declines loads.
 func TestInstructionPathDoesNotAllocate(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
-		demand bool
+		hook   func(*everyStack) pmem.Hook
+		events int // events per step the hook sees
 		stacks int // stacks per step
 	}{
-		{"every-stack", false, stepEvents - 2},
-		{"stack-demand", true, 5},
+		{"every-stack", func(c *everyStack) pmem.Hook { return c }, stepEvents, stepEvents - 2},
+		{"stack-demand", func(c *everyStack) pmem.Hook { return fenceStacks{c} }, stepEvents, 5},
+		{"declines-loads", func(c *everyStack) pmem.Hook { return storeStacks{c} }, stepEvents - 2, stepEvents - 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := pmem.NewEngine(pmem.Options{PoolSize: 1 << 16, Capture: pmem.CaptureStores})
 			c := &everyStack{}
-			if tc.demand {
-				e.AttachHook(fenceStacks{c})
-			} else {
-				e.AttachHook(c)
-			}
+			e.AttachHook(tc.hook(c))
 			src, dst := make([]byte, 24), make([]byte, 16)
 			var allocs float64
 			// The first pass grows the engine's buffers, copies the
@@ -83,9 +86,12 @@ func TestInstructionPathDoesNotAllocate(t *testing.T) {
 				t.Errorf("a %d-instruction step allocates %.1f objects, want 0", stepEvents, allocs)
 			}
 			steps := 2 * 51
-			if c.events != steps*stepEvents || c.stacks != steps*tc.stacks || c.anns != steps {
+			if c.events != steps*tc.events || c.stacks != steps*tc.stacks || c.anns != steps {
 				t.Errorf("hook saw %d events, %d stacks and %d annotations over %d steps; want %d, %d and %d",
-					c.events, c.stacks, c.anns, steps, steps*stepEvents, steps*tc.stacks, steps)
+					c.events, c.stacks, c.anns, steps, steps*tc.events, steps*tc.stacks, steps)
+			}
+			if e.Events() != uint64(steps*stepEvents) {
+				t.Errorf("engine counted %d events over %d steps, want %d", e.Events(), steps, steps*stepEvents)
 			}
 		})
 	}

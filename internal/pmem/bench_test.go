@@ -27,6 +27,41 @@ func BenchmarkEnginePersistCycle(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineLoad64 measures one load from a written pool with one
+// hook attached: one that declines loads (pmem.LoadDemand), as Mumak's
+// hooks do, and one without the interface, which sees every load.
+func BenchmarkEngineLoad64(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		hook pmem.Hook
+	}{
+		{"declines-loads", &noLoads{}},
+		{"reads-loads", &nopHook{}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			e := pmem.NewEngine(pmem.Options{PoolSize: 1 << 20})
+			for addr := uint64(0); addr < 1<<20; addr += 4096 {
+				e.Store64(addr, addr)
+			}
+			e.AttachHook(tc.hook)
+			var sum uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sum += e.Load64(uint64(i%(1<<17)) * 8)
+			}
+			loadSink = sum
+		})
+	}
+}
+
+// loadSink keeps BenchmarkEngineLoad64's loads from being optimised out.
+var loadSink uint64
+
+// nopHook sees every event and does nothing with it.
+type nopHook struct{}
+
+func (*nopHook) OnEvent(*pmem.Event) {}
+
 func BenchmarkEngineWithRecorder(b *testing.B) {
 	e := pmem.NewEngine(pmem.Options{PoolSize: 1 << 20})
 	rec := trace.NewRecorder()

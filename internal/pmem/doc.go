@@ -29,21 +29,25 @@
 // The Engine models coherence and dirtiness only: one coherent view of
 // the pool, which loads read and stores write, and the set of dirty
 // lines, which a cached store marks and any flush clears. Fences change
-// no engine state. Every instruction emits its event all the same, and
-// strict durability — which write-backs a power cut keeps — is modelled
-// once, by package trace's Cursor, over the recorded events.
+// no engine state. Every store, flush and fence emits its event all the
+// same, and strict durability — which write-backs a power cut keeps —
+// is modelled once, by package trace's Cursor, over the recorded events.
 //
 // # Observing instructions
 //
 // The instrumented run and every stack-mode replay observe every
 // instruction, so the path from an instruction to its hooks allocates
-// nothing. Each Engine owns one Event, which it overwrites whole for
-// every instruction, and one operand buffer, into which it copies a
-// store's or RMW's value for Event.Data; Annotate likewise reuses one
-// Annotation. Operands therefore stay on the caller's stack, and Load
-// fills a buffer the caller passes. The price is a rule for hooks: the
-// *Event and its Data are valid only during OnEvent, and a hook issues
-// no instruction on the engine that delivered them (see Hook).
+// nothing. Loads are most of the instructions a target issues and none
+// of Mumak's hooks reads one, so a load is counted for every hook but
+// handed only to those that read loads: a hook declines them through
+// LoadDemand, as it asks for stacks through StackDemand. Each Engine
+// owns one Event, which it overwrites whole for every instruction it
+// delivers, and one operand buffer, into which it copies a store's or
+// RMW's value for Event.Data; Annotate likewise reuses one Annotation.
+// Operands therefore stay on the caller's stack, and Load fills a
+// buffer the caller passes. The price is a rule for hooks: the *Event
+// and its Data are valid only during OnEvent, and a hook issues no
+// instruction on the engine that delivered them (see Hook).
 //
 // # Crash images
 //

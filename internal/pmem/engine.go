@@ -17,9 +17,11 @@ import (
 // set of dirty lines, the instruction counter, the watchdogs and the
 // hooks, plus the table and hash of the view's last hash fold. An
 // instruction does no work for state nobody reads: it hashes nothing
-// (PrefixImageHash folds on demand, hash.go). Every instruction still
-// emits its event, and the state a power cut would leave is built from
-// those events by package trace's Cursor (see the package doc).
+// (PrefixImageHash folds on demand, hash.go), and a load is counted
+// but handed only to the hooks that read loads (LoadDemand). Every
+// other instruction reaches every hook, and the state a power cut would
+// leave is built from those events by package trace's Cursor (see the
+// package doc).
 type Engine struct {
 	opts Options
 	// view is the coherent (load-visible) state: stores, RMWs and NT
@@ -35,10 +37,13 @@ type Engine struct {
 	// of the line last wrote it back. The cache never evicts on its
 	// own, and a clean line behaves exactly like an uncached one, so
 	// nothing else about the cache is kept.
-	dirty  lineSet
-	hooks  []Hook
-	anns   []AnnotationObserver
-	icount uint64
+	dirty lineSet
+	hooks []Hook
+	// loaders are the hooks that read loads: every hook but those whose
+	// LoadDemand declines them.
+	loaders []Hook
+	anns    []AnnotationObserver
+	icount  uint64
 	// demands are the hooks that choose which events' stacks they need;
 	// eager is set once a hook without a StackDemand is attached, which
 	// takes the stack of every event in the Options.Capture classes.
@@ -50,8 +55,8 @@ type Engine struct {
 	// (ReplayTo). See checkpoint.go.
 	ckpt *CheckpointStore
 
-	// ev is the one Event emit overwrites for every instruction and
-	// hands to the hooks, and operand the buffer ev.Data aliases for
+	// ev is the one Event emit overwrites for every instruction it
+	// hands to hooks, and operand the buffer ev.Data aliases for
 	// stores and RMWs; ann is Annotate's Annotation. None outlives the
 	// hook calls of one instruction (see Hook), so the path from an
 	// instruction to its hooks allocates nothing.
@@ -133,10 +138,14 @@ func (e *Engine) Events() uint64 { return e.icount }
 
 // AttachHook registers a hook; it also registers the hook as an
 // annotation observer when it implements AnnotationObserver, consults it
-// before capturing a stack when it implements StackDemand, and hands it
-// the engine when it implements EngineObserver.
+// before capturing a stack when it implements StackDemand, asks it once
+// whether it reads loads when it implements LoadDemand, and hands it the
+// engine when it implements EngineObserver.
 func (e *Engine) AttachHook(h Hook) {
 	e.hooks = append(e.hooks, h)
+	if ld, ok := h.(LoadDemand); !ok || ld.WantsLoads() {
+		e.loaders = append(e.loaders, h)
+	}
 	if sd, ok := h.(StackDemand); ok {
 		e.demands = append(e.demands, sd)
 	} else {
@@ -183,7 +192,14 @@ func (e *Engine) emit(op Opcode, addr uint64, size int, data []byte) {
 	if e.icount%deadlineEvery == 0 && !e.opts.Deadline.IsZero() && time.Now().After(e.opts.Deadline) {
 		panic(&HangSignal{ICount: e.icount, Deadline: true})
 	}
-	if len(e.hooks) == 0 {
+	// A load is counted like any instruction, but only the hooks that
+	// read loads see it. No capture class covers loads, so it never
+	// carries a stack.
+	hooks := e.hooks
+	if op == OpLoad {
+		hooks = e.loaders
+	}
+	if len(hooks) == 0 {
 		return
 	}
 	// The operand is copied, so the caller's buffer does not escape
@@ -209,7 +225,7 @@ func (e *Engine) emit(op Opcode, addr uint64, size int, data []byte) {
 		// table removes any residual instrumentation frames.
 		ev.Stack = e.opts.Stacks.Capture(2)
 	}
-	for _, h := range e.hooks {
+	for _, h := range hooks {
 		h.OnEvent(ev)
 	}
 }
@@ -268,11 +284,10 @@ func (e *Engine) Load(dst []byte, addr uint64) {
 	e.readInto(dst, addr)
 }
 
-// readInto fills out with the view at addr.
+// readInto fills out with the view at addr, a page per table lookup.
 func (e *Engine) readInto(out []byte, addr uint64) {
 	for len(out) > 0 {
-		base := addr &^ (CacheLineSize - 1)
-		n := copy(out, e.view.line(base)[addr-base:])
+		n := copy(out, e.view.span(addr))
 		addr += uint64(n)
 		out = out[n:]
 	}
@@ -280,9 +295,14 @@ func (e *Engine) readInto(out []byte, addr uint64) {
 
 // Load64 reads an aligned 8-byte little-endian value.
 func (e *Engine) Load64(addr uint64) uint64 {
-	var b [8]byte
 	e.check(addr, 8)
 	e.emit(OpLoad, addr, 8, nil)
+	// A value within one page, which every aligned one is, decodes
+	// straight from the page.
+	if s := e.view.span(addr); len(s) >= 8 {
+		return binary.LittleEndian.Uint64(s)
+	}
+	var b [8]byte
 	e.readInto(b[:], addr)
 	return binary.LittleEndian.Uint64(b[:])
 }

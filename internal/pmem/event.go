@@ -15,8 +15,10 @@ import (
 // instruction counter that uniquely identifies the traced instruction.
 //
 // Each Engine owns one Event and overwrites all of it for every
-// instruction, so a delivered *Event, like its Data, is valid only
-// during the hook call (see Hook).
+// instruction it delivers, so a delivered *Event, like its Data, is
+// valid only during the hook call (see Hook). A load is delivered only
+// to the hooks that read loads (LoadDemand); its counter is taken all
+// the same, so a hook that declines loads sees gaps in ICount.
 type Event struct {
 	// ICount is the 1-based instruction counter of this event within
 	// the engine's lifetime.
@@ -143,6 +145,16 @@ type AnnotationObserver interface {
 // this interface takes every stack Options.Capture offers.
 type StackDemand interface {
 	WantsStack(*Event) bool
+}
+
+// LoadDemand is implemented by hooks that choose whether they read
+// loads. The engine asks WantsLoads once, when the hook is attached, and
+// hands a hook that answers false no load event; it counts every load
+// all the same, so instruction counters, the fuel budget and the
+// deadline do not depend on which hooks are attached. A hook without
+// this interface sees every load.
+type LoadDemand interface {
+	WantsLoads() bool
 }
 
 // EngineObserver is implemented by hooks that want a reference to the

@@ -98,6 +98,51 @@ func TestDeadlineTripsHangSignal(t *testing.T) {
 	}
 }
 
+// loadless counts the events it sees and declines loads.
+type loadless struct{ loads, others int }
+
+func (h *loadless) OnEvent(ev *Event) {
+	if ev.Op == OpLoad {
+		h.loads++
+	} else {
+		h.others++
+	}
+}
+
+func (*loadless) WantsLoads() bool { return false }
+
+// The watchdogs count a load that no hook sees: the fuel budget trips
+// on one, and so does the sampled deadline, at the instruction it
+// would trip at with no hook attached.
+func TestLoadDemandKeepsWatchdogs(t *testing.T) {
+	e := NewEngine(Options{PoolSize: 4096, MaxEvents: 3})
+	h := &loadless{}
+	e.AttachHook(h)
+	sig := trapHang(t, func() {
+		e.Store64(0, 1)
+		for i := 0; i < 10; i++ {
+			e.Load64(0)
+		}
+	})
+	if sig == nil || sig.ICount != 4 || sig.Budget != 3 {
+		t.Fatalf("HangSignal = %+v, want budget 3 tripped by the load at instruction 4", sig)
+	}
+	if h.others != 1 || h.loads != 0 {
+		t.Fatalf("declining hook saw %d loads and %d other events, want 0 and 1", h.loads, h.others)
+	}
+
+	e = NewEngine(Options{PoolSize: 4096, Deadline: time.Unix(1, 0)})
+	e.AttachHook(&loadless{})
+	sig = trapHang(t, func() {
+		for i := 0; i < 2*deadlineEvery; i++ {
+			e.Load64(0)
+		}
+	})
+	if sig == nil || !sig.Deadline || sig.ICount != deadlineEvery {
+		t.Fatalf("HangSignal = %+v, want the deadline tripped by the load at instruction %d", sig, deadlineEvery)
+	}
+}
+
 func TestHangSignalError(t *testing.T) {
 	fuel := &HangSignal{ICount: 7, Budget: 6}
 	if fuel.Error() == "" || (&HangSignal{ICount: 7, Deadline: true}).Error() == "" {

@@ -129,7 +129,7 @@ func pageDelta(base uint64, old, cur *page) uint64 {
 // is nil. It must not be written.
 func pageLine(pg *page, off int) *[CacheLineSize]byte {
 	if pg == nil {
-		return &zeroLine
+		pg = &zeroPage
 	}
 	return (*[CacheLineSize]byte)(pg[off : off+CacheLineSize])
 }

@@ -48,8 +48,8 @@ type chunk struct {
 	own [chunkPages / 64]uint64
 }
 
-// zeroLine is the contents of every line of a nil page. It is read-only.
-var zeroLine [CacheLineSize]byte
+// zeroPage is the contents of a nil page. It is read-only.
+var zeroPage page
 
 type medium struct {
 	size   int
@@ -76,20 +76,17 @@ func sharedMedium(size int, chunks []*chunk) medium {
 	return medium{size: size, chunks: chunks, frozen: true}
 }
 
-// line returns the contents of the line at base. The slice may alias a
-// shared page and must not be written.
-func (m *medium) line(base uint64) []byte {
-	pi := base >> pageShift
-	c := m.chunks[pi>>chunkShift]
-	if c == nil {
-		return zeroLine[:]
+// span returns the contents of the page holding addr, from addr to the
+// page's end. The slice may alias a shared page and must not be written.
+func (m *medium) span(addr uint64) []byte {
+	pi := addr >> pageShift
+	pg := &zeroPage
+	if c := m.chunks[pi>>chunkShift]; c != nil {
+		if p := c.pages[pi&(chunkPages-1)]; p != nil {
+			pg = p
+		}
 	}
-	pg := c.pages[pi&(chunkPages-1)]
-	if pg == nil {
-		return zeroLine[:]
-	}
-	off := base & (pageSize - 1)
-	return pg[off : off+CacheLineSize : off+CacheLineSize]
+	return pg[addr&(pageSize-1):]
 }
 
 // writable returns the line at base for writing.

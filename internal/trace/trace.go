@@ -59,7 +59,8 @@ type Recorder struct {
 	// T is the trace under construction.
 	T Trace
 	// RecordLoads includes load events when set; Mumak's analysis does
-	// not need them, so they default to off.
+	// not need them, so they default to off. The engine asks for it once,
+	// at attachment (pmem.LoadDemand), so set it before attaching.
 	RecordLoads bool
 }
 
@@ -71,6 +72,10 @@ func NewRecorder() *Recorder {
 // ObserveEngine implements pmem.EngineObserver: the trace starts from
 // e's image at attachment, frozen in O(1).
 func (rec *Recorder) ObserveEngine(e *pmem.Engine) { rec.T.start = e.PrefixImage() }
+
+// WantsLoads implements pmem.LoadDemand: the recorder reads loads only
+// when it records them.
+func (rec *Recorder) WantsLoads() bool { return rec.RecordLoads }
 
 // OnEvent implements pmem.Hook.
 func (rec *Recorder) OnEvent(ev *pmem.Event) {
