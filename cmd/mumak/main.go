@@ -58,7 +58,7 @@ func main() {
 		eadr       = flag.Bool("eadr", false, "analyse under an eADR persistence domain (§4.3)")
 		storeGran  = flag.Bool("store-granularity", false, "inject at every store instead of persistency instructions (ablation)")
 		stackMode  = flag.Bool("stack-mode", false, "match failure points by call stack instead of instruction counter")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent recovery checks, in counter and stack mode (1 = serial); stack mode's one re-execution runs beside them")
+		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent recovery checks, in counter and stack mode (1 = serial); counter mode runs N-1 of them (at least 1) beside its instrumented run, and stack mode's one re-execution runs beside them")
 		budget     = flag.Duration("budget", 10*time.Minute, "analysis wall-clock budget (the paper uses 12h)")
 		seedBugs   = flag.String("seed-bugs", "", "comma-separated seeded bug IDs to plant (see internal/bugs)")
 		montageBug = flag.Bool("montage-buggy", false, "enable the two historical Montage bugs")
@@ -246,9 +246,13 @@ func main() {
 		fmt.Printf("verdict cache file: %d persistent hit(s), %d verdict(s) saved\n",
 			res.PersistentCacheHits, len(res.VerdictCache))
 	}
-	if res.CampaignWorkers > 1 && res.InjectTime > 0 {
+	if res.CampaignWorkers > 1 && res.PoolTime > 0 {
 		fmt.Printf("campaign workers: %d (avg %.1f busy)\n",
-			res.CampaignWorkers, float64(res.WorkerBusy)/float64(res.InjectTime))
+			res.CampaignWorkers, float64(res.WorkerBusy)/float64(res.PoolTime))
+	}
+	if res.EarlyRecoveries > 0 {
+		fmt.Printf("campaign: %d of %d recovery checks ran beside the instrumented run\n",
+			res.EarlyRecoveries, res.Recoveries)
 	}
 	if res.JournalAppends > 0 || res.ResumedFailurePoints > 0 {
 		fmt.Printf("journal: %d verdict(s) appended, %d verdict(s) restored on resume\n",

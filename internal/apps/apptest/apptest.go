@@ -18,7 +18,24 @@ import (
 // model simultaneously and fails on any divergence of Get results.
 func KVSemantics(t *testing.T, app harness.KVApplication, w workload.Workload) {
 	t.Helper()
-	e := pmem.NewEngine(pmem.Options{PoolSize: app.PoolSize()})
+	KVSemanticsWithin(t, app, w, 0)
+}
+
+// KVSemanticsWithin is KVSemantics under a fuel budget of maxEvents PM
+// events (0 = none): a run that exhausts it fails the test instead of
+// spinning. It returns the engine the workload ran on, so the caller
+// can check the final pool.
+func KVSemanticsWithin(t *testing.T, app harness.KVApplication, w workload.Workload, maxEvents uint64) *pmem.Engine {
+	t.Helper()
+	e := pmem.NewEngine(pmem.Options{PoolSize: app.PoolSize(), MaxEvents: maxEvents})
+	defer func() {
+		r := recover()
+		if h, ok := r.(*pmem.HangSignal); ok {
+			t.Fatalf("the workload did not finish: %v", h)
+		} else if r != nil {
+			panic(r)
+		}
+	}()
 	if err := app.Setup(e); err != nil {
 		t.Fatalf("setup: %v", err)
 	}
@@ -57,6 +74,7 @@ func KVSemantics(t *testing.T, app harness.KVApplication, w workload.Workload) {
 			t.Fatalf("final get(%d) = (%d,%v,%v), want (%d,true)", k, got, ok, err, v)
 		}
 	}
+	return e
 }
 
 // Crash runs setup+workload crashing at instruction counter target and

@@ -297,17 +297,17 @@ func (t *tree) Put(key, val uint64) error {
 			t.p.Persist(cnt, 8)
 			return nil
 		}
-		if err := t.split(leaf, path); err != nil {
+		if err := t.split(leaf, path, 0); err != nil {
 			return err
 		}
 	}
 }
 
-// split divides full node n, B-link style: the new right node is fully
-// built (including its high key), published through the sibling chain,
-// then n's high key and truncation shrink its range, and finally the
-// parent learns the separator.
-func (t *tree) split(n uint64, path []uint64) error {
+// split divides full node n, level levels above the leaves, B-link
+// style: the new right node is fully built (including its high key),
+// published through the sibling chain, then n's high key and truncation
+// shrink its range, and finally the parent learns the separator.
+func (t *tree) split(n uint64, path []uint64, level int) error {
 	perfbug.ApplyN(t.e(), t.cfg.Bugs, "fastfair", 11, 14, 0, t.root()+rootStats)
 	e := t.e()
 	right, err := t.newNode(t.isLeaf(n))
@@ -386,15 +386,18 @@ func (t *tree) split(n uint64, path []uint64) error {
 	parent := path[len(path)-1]
 	if t.occupancy(parent) == maxKeys {
 		// Split the parent first; the sibling chain keeps the tree
-		// navigable, and the fresh descent finds the new parent.
-		if err := t.split(parent, path[:len(path)-1]); err != nil {
+		// navigable, and the fresh descent finds the new parent: the
+		// node it passes one level above n. The descent's path ends at
+		// the leaves' parent, so the levels between n and the leaves
+		// are skipped.
+		if err := t.split(parent, path[:len(path)-1], level+1); err != nil {
 			return err
 		}
 		_, npath := t.descend(sepKey)
-		if len(npath) == 0 {
+		if len(npath) <= level {
 			return fmt.Errorf("fastfair: lost parent during cascading split")
 		}
-		parent = npath[len(npath)-1]
+		parent = npath[len(npath)-1-level]
 	}
 	occ := t.occupancy(parent)
 	pos := 0

@@ -32,6 +32,22 @@ func TestSemanticsManySplits(t *testing.T) {
 	apptest.KVSemantics(t, fastfair.New(cfg), w)
 }
 
+// TestCascadingSplitFindsParentAboveSplitNode regresses a cascading
+// split that put an internal node's separator on that node's own level:
+// at 13,000 operations of the CLI's workload (seed 42) an internal node
+// ended up pointing at itself, and every later descent through it
+// looped until the fuel budget stopped the run. The tree must answer
+// every read like the model and pass its recovery check, well inside
+// a bounded budget.
+func TestCascadingSplitFindsParentAboveSplitNode(t *testing.T) {
+	w := workload.Generate(workload.Config{N: 13000, Seed: 42})
+	app := fastfair.New(apps.Config{PoolSize: 16 << 20})
+	e := apptest.KVSemanticsWithin(t, app, w, 1<<24)
+	if err := app.Recover(e); err != nil {
+		t.Fatalf("recovery check of the final tree: %v", err)
+	}
+}
+
 func TestCrashConsistentWithoutBugs(t *testing.T) {
 	apptest.CrashConsistent(t, mk(cfgBase()), denseWorkload(3), 0)
 }

@@ -12,20 +12,24 @@
 // same verdict for all of them.
 //
 // One map holds every verdict the campaign reuses: the memo, keyed by
-// stamp. It is seeded before any worker starts — from a cross-run
-// verdict-cache file (Config.WarmVerdicts) and from folded journal
-// records — so the class plan can mark each pending leaf up front as
-// either replayed by a worker or resolved at merge. The first leaf of
-// each class without a verdict replays; its judgement fills the memo
-// when the merge loop consumes it, and the class's later members
-// inherit it there. A representative whose key was seeded takes the
-// cached verdict without replaying. Only the merge goroutine touches
-// the memo, in FirstICount order, so its contents — and the exported
-// verdict-cache file — are the same for any worker count. An inherited
-// verdict becomes the member's own record, keyed by its FirstICount,
-// and its finding is rendered with its own call stack, so the merged
-// report stays byte-identical to a campaign that judges every leaf, for
-// any worker count, in counter and stack mode.
+// stamp. It is seeded before phase 1 from a cross-run verdict-cache
+// file (Config.WarmVerdicts), and after it from folded journal records.
+// The class plan is built online: phase 1's builder hands it each new
+// leaf in FirstICount order, which is LeavesByICount order, and the
+// plan decides on the spot whether a worker judges the leaf or the merge
+// goroutine resolves it. A pending leaf goes to a worker only if it is
+// the first leaf of its stamp and the memo does not hold that stamp;
+// the leaves of a folded journal prefix go to no worker, and their
+// stamps count as seen. A judged leaf's verdict fills the memo when the
+// merge loop consumes it, and the class's later members inherit it
+// there. A representative whose key was seeded takes the cached verdict
+// without replaying. Only the merge goroutine writes the memo, in
+// FirstICount order, so its contents — and the exported verdict-cache
+// file — are the same for any worker count. An inherited verdict
+// becomes the member's own record, keyed by its FirstICount, and its
+// finding is rendered with its own call stack, so the merged report
+// stays byte-identical to a campaign that judges every leaf, for any
+// worker count, in counter and stack mode.
 //
 // The reuse is sound exactly when identical persisted prefix images
 // imply identical recovery verdicts, which holds whenever the recovery
@@ -56,45 +60,51 @@ func stampOf(leaf *fpt.Leaf) imageKey {
 	return imageKey{hash: leaf.ImageHash, size: leaf.ImageSize}
 }
 
-// classPlan is the immutable schedule of a classed campaign, built once
-// the memo is seeded and shared read-only across workers.
+// classPlan is a campaign's schedule, built one leaf at a time while
+// phase 1 runs (add) and read-only once it has ended. Phase 1 and the
+// merge loop run on one goroutine, so the plan reads the memo without a
+// lock.
 type classPlan struct {
+	// folded counts the leaves of the folded journal prefix still to
+	// come.
+	folded int
 	// reps maps each class key to the ID of its representative: the
 	// class member with the lowest FirstICount, i.e. the first one the
 	// deterministic merge order consumes.
 	reps map[imageKey]int
 	// atMerge marks the pending leaves resolved from the memo on the
-	// merge goroutine instead of replayed by a worker.
+	// merge goroutine instead of judged by a worker.
 	atMerge map[int]bool
 }
 
-// buildClassPlan groups the frozen tree's leaves, given in
-// LeavesByICount order, by their phase-1 stamps and marks every pending
-// leaf except the first of each class whose key the memo does not hold
-// yet for resolution at merge.
-func buildClassPlan(order, pending []*fpt.Leaf, memo map[imageKey]campaign.Judgement) *classPlan {
-	p := &classPlan{reps: make(map[imageKey]int), atMerge: make(map[int]bool)}
-	for _, leaf := range order {
-		if _, ok := p.reps[stampOf(leaf)]; !ok {
-			p.reps[stampOf(leaf)] = leaf.ID
-		}
+// add applies the class rule to the next leaf in LeavesByICount order
+// and reports whether a worker judges it: a pending leaf that is the
+// first of its stamp, whose stamp the memo does not hold, or, without
+// classing (a nil memo), any pending leaf.
+func (p *classPlan) add(leaf *fpt.Leaf, memo map[imageKey]campaign.Judgement) bool {
+	k := stampOf(leaf)
+	_, seen := p.reps[k]
+	if !seen && memo != nil {
+		p.reps[k] = leaf.ID
 	}
-	replayed := make(map[imageKey]bool)
-	for _, leaf := range pending {
-		k := stampOf(leaf)
-		if _, judged := memo[k]; judged || replayed[k] {
-			p.atMerge[leaf.ID] = true
-		} else {
-			replayed[k] = true
-		}
+	if p.folded > 0 {
+		p.folded--
+		return false
 	}
-	return p
+	if memo == nil {
+		return true
+	}
+	if _, judged := memo[k]; judged || seen {
+		p.atMerge[leaf.ID] = true
+		return false
+	}
+	return true
 }
 
 // deferred reports whether the leaf is resolved at merge; always false
-// without a plan (classing off: every leaf replays).
+// without classing (every leaf is judged).
 func (p *classPlan) deferred(leaf *fpt.Leaf) bool {
-	return p != nil && p.atMerge[leaf.ID]
+	return p.atMerge[leaf.ID]
 }
 
 // resolve settles a deferred leaf from the memo without touching an

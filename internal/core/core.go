@@ -75,13 +75,15 @@ type Config struct {
 	// instruction counters, for non-deterministic targets (§5).
 	StackMode bool
 	// Workers bounds the number of concurrent recovery checks in the
-	// fault-injection campaign, of the images phase 1 froze in counter
-	// mode and of those the stack-mode pass freezes, which runs as one
-	// more goroutine beside the workers; 0 or 1 runs one worker. Checks
-	// are independent (the failure point tree is frozen before the
-	// campaign and shared read-only), and findings are merged in leaf
-	// first-occurrence order, so the report is byte-identical for any
-	// worker count.
+	// fault-injection campaign; 0 or 1 runs one worker. In counter mode
+	// the workers judge the images phase 1 freezes while phase 1 runs
+	// on beside them, and phase 1 holds one of the Workers slots while
+	// it runs (max(Workers-1, 1) checks run beside it); in stack mode
+	// they judge those the pass freezes after phase 1, which runs as
+	// one more goroutine beside them. Checks are independent (a leaf
+	// and its image never change once the builder hands them over), and
+	// findings are merged in leaf first-occurrence order after phase 1,
+	// so the report is byte-identical for any worker count.
 	Workers int
 	// KeepWarnings makes the analyzer build §4.2 warnings and the
 	// report keep them (they are always excluded from bug counts).
@@ -177,16 +179,23 @@ type Result struct {
 	Tree *fpt.Tree
 	// CampaignWorkers is the worker count the injection campaign
 	// actually ran with: Config.Workers, at least 1, but never more
-	// than the failure points left to inject (zero when fault injection
-	// was disabled or the campaign stopped before it started).
+	// than the failure points handed to workers (zero when fault
+	// injection was disabled or no leaf was handed to a worker).
 	CampaignWorkers int
 	// WorkerBusy sums the wall time the campaign spent executing: the
-	// workers' recovery checks and, in stack mode, the pass's
-	// re-execution of the target, but not a worker's wait for the pass
-	// to freeze its image. WorkerBusy/InjectTime is the campaign's
-	// average utilisation, so in stack mode it can exceed the worker
-	// count by up to one.
+	// workers' recovery checks, those that ran during phase 1 included,
+	// and, in stack mode, the pass's re-execution of the target, but not
+	// a worker's wait for the pass to freeze its image. PoolTime is the
+	// worker pool's lifetime, from its first worker's start to the end
+	// of the campaign, so WorkerBusy/PoolTime is the campaign's average
+	// utilisation; in stack mode it can exceed the worker count by up to
+	// one.
 	WorkerBusy time.Duration
+	PoolTime   time.Duration
+	// EarlyRecoveries counts the Recoveries whose recovery check
+	// finished before phase 1 ended, beside it (counter mode only). Like WorkerBusy it depends on scheduling, so
+	// it is kept out of the JSON report.
+	EarlyRecoveries int
 	// TraceLen is the number of trace records analysed (none under
 	// DisableTraceAnalysis).
 	TraceLen int
@@ -250,7 +259,10 @@ type Result struct {
 	// rather than trace length.
 	AnalyzerPeakStateBytes uint64
 	// Elapsed is the total analysis wall time; the phase fields break
-	// it down.
+	// it down. InjectTime is the wall time from the end of phase 1 to
+	// the end of the campaign: in counter mode the recovery checks that
+	// ran beside phase 1 are in InstrumentTime, and InjectTime is the
+	// tail the campaign needs after it.
 	Elapsed        time.Duration
 	InstrumentTime time.Duration
 	InjectTime     time.Duration
@@ -317,11 +329,18 @@ func Analyze(app harness.Application, w workload.Workload, cfg Config) (*Result,
 	// image, which the builder freezes from the engine's coherent view
 	// as the leaf is created: hooks see an event before its mutation
 	// applies, so that image is exactly the state a replay crashed at the
-	// leaf's counter would reach, and no replay runs at all. Stack mode
-	// keeps no phase-1 images: its pass re-executes the target and
+	// leaf's counter would reach, and no replay runs at all. The
+	// builder hands each leaf over as it creates it, so the campaign's
+	// workers judge images while phase 1 runs on. Stack mode keeps no
+	// phase-1 images: its pass re-executes the target after phase 1 and
 	// freezes them there.
+	var camp *mergeState
 	if !cfg.DisableFaultInjection {
 		builder.KeepImages = !cfg.StackMode
+		camp = newCampaign(app, w, stacks, cfg, rep, res, sb)
+		builder.OnLeaf = camp.offer
+		// No worker outlives Analyze, whatever the exit.
+		defer camp.pool.stop()
 	}
 	eng, sout := execute(app, w, opts, sb, hooks...)
 	res.EngineEvents += eng.Events()
@@ -361,10 +380,11 @@ func Analyze(app harness.Application, w workload.Workload, cfg Config) (*Result,
 
 	// Phase 2: fault injection with the recovery oracle, over the tree
 	// and its leaf images, both frozen from here on and shared read-only
-	// across campaign workers.
-	if !cfg.DisableFaultInjection {
+	// across campaign workers, which in counter mode have been judging
+	// since phase 1 handed them their first leaf.
+	if camp != nil {
 		t0 = time.Now()
-		timedOut, err := injectAll(app, w, tree, cfg, rep, res, deadline)
+		timedOut, err := injectAll(tree, camp)
 		if err != nil {
 			return nil, fmt.Errorf("fault injection: %w", err)
 		}

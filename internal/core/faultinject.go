@@ -11,6 +11,7 @@ import (
 	"mumak/internal/oracle"
 	"mumak/internal/pmem"
 	"mumak/internal/report"
+	"mumak/internal/stack"
 	"mumak/internal/workload"
 )
 
@@ -176,26 +177,67 @@ func hangDetail(during string, h *pmem.HangSignal) string {
 // produced the finding.
 const replayDuring = "a fault-injection replay"
 
-// injectAll walks the (frozen) failure point tree's leaves in
-// first-occurrence order, injecting one fault per unique failure point
-// (steps 7-9 of Fig 1), and reports every crash state the recovery
-// oracle rejects. It returns whether the deadline expired first.
+// newCampaign prepares the fault-injection campaign before phase 1
+// runs: the injector, the merge state with its verdict memo seeded from
+// cfg.WarmVerdicts, the class plan phase 1's builder applies to each
+// new leaf (offer), and the worker pool of max(cfg.Workers, 1), which
+// starts a worker with each leaf handed to it up to its limit. The
+// caller stops the pool on every exit path.
+func newCampaign(app harness.Application, w workload.Workload, stacks *stack.Table,
+	cfg Config, rep *report.Report, res *Result, sb sandboxCfg) *mergeState {
+
+	in := &injector{app: app, w: w, stacks: stacks, cfg: cfg, sb: sb}
+	m := &mergeState{cfg: cfg, rep: rep, res: res, journal: cfg.Journal,
+		replayer: in.inject, pool: newPool(in, max(cfg.Workers, 1))}
+	if cfg.Journal != nil {
+		m.plan.folded = len(cfg.Journal.Records)
+	}
+	if cfg.Classing {
+		// One memo per campaign: application, workload and recovery
+		// configuration are fixed here (and pinned by the verdict-cache
+		// file's identity), so entries are keyed by image identity alone.
+		m.memo = make(map[imageKey]campaign.Judgement, len(cfg.WarmVerdicts))
+		for _, e := range cfg.WarmVerdicts {
+			m.memo[imageKey{hash: e.Hash, size: e.Size}] = e.Judgement
+		}
+		m.plan.reps = make(map[imageKey]int)
+		m.plan.atMerge = make(map[int]bool)
+	}
+	return m
+}
+
+// offer is the builder's hand-off (fpt.Builder.OnLeaf): phase 1 calls it
+// with every new leaf, stamped and, in counter mode, carrying its
+// image, in LeavesByICount order. A counter-mode leaf the class plan
+// gives a worker is judged while phase 1 runs on; a stack-mode one
+// waits for the pass after phase 1.
+func (m *mergeState) offer(leaf *fpt.Leaf) {
+	if m.plan.add(leaf, m.memo) && !m.cfg.StackMode {
+		m.pool.add(phase1(leaf), nil)
+	}
+}
+
+// injectAll completes the campaign once phase 1 has ended: it injects
+// one fault per unique failure point of the (now frozen) tree (steps
+// 7-9 of Fig 1) and reports every crash state the recovery oracle
+// rejects. It returns whether the deadline expired first.
 //
 // In the default counter mode each leaf's crash state is the image
 // phase 1 froze at its recorded first-occurrence instruction counter —
 // the §5 optimisation that works because the target is deterministic —
-// so an injection is one recovery check and no re-execution. In stack
-// mode one pass re-executes the target and freezes each leaf's image at
-// the first failure-point event whose call stack matches it (pass.go),
-// which needs a stack walk at every failure-point candidate but
-// tolerates non-determinism. Either way the recovery checks are
+// so an injection is one recovery check and no re-execution, and the
+// pool has been judging those images since phase 1 handed them over.
+// In stack mode one pass re-executes the target and freezes each leaf's
+// image at the first failure-point event whose call stack matches it
+// (pass.go), which needs a stack walk at every failure-point candidate
+// but tolerates non-determinism. Either way the recovery checks are
 // independent (each builds a private recovery engine over a frozen
-// image), so every campaign judges on the one worker pool of
-// injectParallel, with max(cfg.Workers, 1) workers but never more than
-// there are pending leaves, and a stack-mode pass runs beside them.
-// With cfg.Classing only the first leaf of each crash-image class
-// without a verdict is judged; the rest resolve from the campaign's
-// verdict memo at merge (classing.go).
+// image), so every campaign judges on the one worker pool, with
+// max(cfg.Workers, 1) workers but never more than the leaves handed to
+// it, and a stack-mode pass runs beside them. With cfg.Classing only
+// the first leaf of each crash-image class without a verdict is judged;
+// the rest resolve from the campaign's verdict memo at merge
+// (classing.go).
 //
 // Leaves are consumed strictly in tree.LeavesByICount() order, so
 // however the campaign stops — completion, budget, interruption,
@@ -208,29 +250,25 @@ const replayDuring = "a fault-injection replay"
 // of crashing or stalling the tool.
 //
 // With a journal configured (cfg.Journal) the records it already holds
-// are folded through the merge step first — nothing re-executes —
-// and the campaign continues from the first unexplored leaf, durably
-// recording every consumed leaf before the next is folded. The only
-// returned error is a resume mismatch: a journal recorded under a
-// different target, workload or injection mode.
-func injectAll(app harness.Application, w workload.Workload, tree *fpt.Tree,
-	cfg Config, rep *report.Report, res *Result, deadline time.Time) (timedOut bool, err error) {
-
-	sb := cfg.sandbox(deadline)
+// are folded through the merge step first — nothing re-executes, and
+// no worker judged their leaves — and the campaign continues from the
+// first unexplored leaf, durably recording every consumed leaf before
+// the next is folded. The only returned error is a resume mismatch: a
+// journal recorded under a different target, workload or injection
+// mode. injectAll stops the pool before it returns.
+func injectAll(tree *fpt.Tree, m *mergeState) (timedOut bool, err error) {
+	cfg, res, p := m.cfg, m.res, m.pool
+	p.beside.Store(false)
+	late := p.in.sb.expired()
 	tree.Freeze()
 	order := tree.LeavesByICount()
-	in := &injector{app: app, w: w, stacks: tree.Stacks(), cfg: cfg, sb: sb}
-	m := &mergeState{cfg: cfg, rep: rep, res: res, journal: cfg.Journal, replayer: in.inject}
-	if cfg.Classing {
-		// One memo per campaign: application, workload and recovery
-		// configuration are fixed here (and pinned by the verdict-cache
-		// file's identity), so entries are keyed by image identity alone.
-		m.memo = make(map[imageKey]campaign.Judgement, len(cfg.WarmVerdicts))
-		for _, e := range cfg.WarmVerdicts {
-			m.memo[imageKey{hash: e.Hash, size: e.Size}] = e.Judgement
-		}
-	}
 	defer func() {
+		p.stop()
+		res.CampaignWorkers = p.started
+		res.WorkerBusy += time.Duration(p.busy.Load())
+		if p.started > 0 {
+			res.PoolTime = time.Since(p.begin)
+		}
 		if cfg.PersistVerdicts && m.memo != nil {
 			res.VerdictCache = exportMemo(m.memo)
 		}
@@ -243,20 +281,15 @@ func injectAll(app harness.Application, w workload.Workload, tree *fpt.Tree,
 			return false, err
 		}
 	}
-	pending := order[m.consumed:]
-	if m.memo != nil {
-		m.plan = buildClassPlan(order, pending, m.memo)
-		res.EquivClasses = len(m.plan.reps)
-	}
+	res.EquivClasses = len(m.plan.reps)
 	if aborted {
 		return false, nil
 	}
-	if sb.interrupted() {
+	if p.in.sb.interrupted() {
 		res.Interrupted = true
 		return false, nil
 	}
-	res.CampaignWorkers = min(max(cfg.Workers, 1), max(len(pending), 1))
-	return injectParallel(in, pending, m, res.CampaignWorkers), nil
+	return injectParallel(m, order[m.consumed:], late), nil
 }
 
 // replayOutcome is the result of injecting one leaf: the leaf's journal
@@ -317,13 +350,15 @@ type mergeState struct {
 	consumed int
 	folding  bool
 
-	// memo is the campaign's verdict memo and plan its class schedule
-	// (classing.go); both nil when classing is off. Only the merge
-	// goroutine touches memo. replayer runs one live injection on the
-	// merge goroutine (the campaign's injector.inject).
+	// memo is the campaign's verdict memo (nil when classing is off)
+	// and plan its schedule (classing.go). Only the merge goroutine
+	// touches memo. replayer runs one live injection on the merge
+	// goroutine (the campaign's injector.inject). pool judges the
+	// leaves the plan gives workers.
 	memo     map[imageKey]campaign.Judgement
-	plan     *classPlan
+	plan     classPlan
 	replayer func(*fpt.Leaf) replayOutcome
+	pool     *pool
 
 	noProgress int
 }

@@ -44,6 +44,20 @@ func buildTree(t *testing.T, app harness.Application, w workload.Workload) (*fpt
 	return tree, stacks
 }
 
+// injectTree runs a campaign over a tree an earlier instrumented run
+// built: the builder's hand-off offers it each leaf in turn, as phase 1
+// would, before the campaign completes.
+func injectTree(app harness.Application, w workload.Workload, tree *fpt.Tree,
+	cfg Config, rep *report.Report, res *Result, deadline time.Time) (bool, error) {
+
+	m := newCampaign(app, w, tree.Stacks(), cfg, rep, res, cfg.sandbox(deadline))
+	defer m.pool.stop()
+	for _, leaf := range tree.LeavesByICount() {
+		m.offer(leaf)
+	}
+	return injectAll(tree, m)
+}
+
 func testTarget() harness.Application {
 	return btree.New(apps.Config{SPT: true, PoolSize: 1 << 20})
 }
@@ -64,7 +78,7 @@ func TestCounterModeCountsFailedReplays(t *testing.T) {
 		rep := &report.Report{Target: "test", Tool: "test", Stacks: stacks}
 		res := &Result{Report: rep}
 		bad := failingApp{app}
-		timedOut, err := injectAll(bad, w, tree, Config{StackMode: true, Workers: workers}, rep, res, time.Time{})
+		timedOut, err := injectTree(bad, w, tree, Config{StackMode: true, Workers: workers}, rep, res, time.Time{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +121,7 @@ func TestStackModeAbortsAfterNoProgress(t *testing.T) {
 	// A short deadline turns a regressed livelock into a test failure
 	// (timedOut=true) instead of a hang.
 	deadline := time.Now().Add(30 * time.Second)
-	timedOut, err := injectAll(bad, w, tree, Config{StackMode: true}, rep, res, deadline)
+	timedOut, err := injectTree(bad, w, tree, Config{StackMode: true}, rep, res, deadline)
 	if err != nil {
 		t.Fatal(err)
 	}

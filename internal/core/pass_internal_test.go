@@ -50,15 +50,17 @@ func (a *brokenPassApp) Setup(e *pmem.Engine) error {
 }
 
 // campaignGoroutines returns the stacks of the goroutines a campaign
-// started that are still running. A goroutine inside its deferred
-// WaitGroup.Done has ended its work and is returning: the Wait it
-// released may run first.
+// started that are still running: its workers and its pass. A goroutine
+// inside its deferred WaitGroup.Done has ended its work and is
+// returning: the Wait it released may run first.
 func campaignGoroutines() []string {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
 	var out []string
 	for _, g := range strings.Split(string(buf), "\n\n") {
-		if strings.Contains(g, "mumak/internal/core.injectParallel") && !strings.Contains(g, "sync.(*WaitGroup).Done") {
+		ours := strings.Contains(g, "mumak/internal/core.(*pool).work") ||
+			strings.Contains(g, "mumak/internal/core.injectParallel")
+		if ours && !strings.Contains(g, "sync.(*WaitGroup).Done") {
 			out = append(out, g)
 		}
 	}

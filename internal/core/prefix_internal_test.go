@@ -90,7 +90,7 @@ func TestProgressIsFirstOccurrencePrefix(t *testing.T) {
 					rep := &report.Report{Target: "test", Tool: "test", Stacks: stacks}
 					res := &Result{Report: rep, Tree: tree}
 					cfg := Config{StackMode: true, Workers: workers, Journal: j}
-					if _, err := injectAll(failingApp{app}, w, tree, cfg, rep, res, time.Now().Add(30*time.Second)); err != nil {
+					if _, err := injectTree(failingApp{app}, w, tree, cfg, rep, res, time.Now().Add(30*time.Second)); err != nil {
 						t.Fatal(err)
 					}
 					return res

@@ -207,7 +207,7 @@ func TestCampaignCountsRetries(t *testing.T) {
 	rep := &report.Report{Target: "test", Tool: "test", Stacks: stacks}
 	res := &Result{Report: rep}
 	flaky := &flakyApp{Application: testTarget(), failures: 1}
-	timedOut, err := injectAll(flaky, w, tree, Config{StackMode: true}, rep, res, time.Time{})
+	timedOut, err := injectTree(flaky, w, tree, Config{StackMode: true}, rep, res, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,7 +132,7 @@ func TestStackModeWorkersOneMatchesLegacySerial(t *testing.T) {
 		rep := &report.Report{Target: "test", Tool: "test", Stacks: stacks}
 		res := &Result{Report: rep}
 		cfg := Config{StackMode: true, Workers: workers}
-		timedOut, err := injectAll(mk(), w, tree, cfg, rep, res, time.Time{})
+		timedOut, err := injectTree(mk(), w, tree, cfg, rep, res, time.Time{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -54,7 +54,10 @@ func TestImageCacheKeyDiscriminates(t *testing.T) {
 	tree := stampedTree(seeded, sameHash, sameSize, sameHash)
 	leaves := tree.LeavesByICount()
 	memo := map[imageKey]campaign.Judgement{seeded: {Verdict: oracle.Crashed, Detail: "seeded"}}
-	plan := buildClassPlan(leaves, leaves, memo)
+	plan := classPlan{reps: make(map[imageKey]int), atMerge: make(map[int]bool)}
+	for _, leaf := range leaves {
+		plan.add(leaf, memo)
+	}
 
 	// Only the exact (hash, size) key the memo holds resolves at merge;
 	// the first leaf of every other key replays, and later members of

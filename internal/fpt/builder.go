@@ -73,6 +73,12 @@ type Builder struct {
 	// graceful-crash image into Leaf.Image (pmem.Engine.PrefixImage,
 	// O(1)).
 	KeepImages bool
+	// OnLeaf, when set, is handed every new leaf once the builder has
+	// stamped it and, with KeepImages, frozen its image, so a campaign
+	// can start on the leaf while the instrumented run goes on. Leaves
+	// arrive in FirstICount order, on the executing goroutine, and the
+	// builder never writes a leaf it has handed over.
+	OnLeaf func(*Leaf)
 	// eng is the engine this builder is attached to (AttachHook hands it
 	// over via pmem.EngineObserver). Every new leaf is stamped with its
 	// crash-image identity at insertion time.
@@ -111,14 +117,19 @@ func (b *Builder) insert(ev *pmem.Event) {
 		return
 	}
 	leaf, added := b.Tree.Insert(ev.Stack, ev.ICount)
-	if !added || b.eng == nil {
+	if !added {
 		return
 	}
-	if b.KeepImages {
-		leaf.Image = b.eng.PrefixImage()
+	if b.eng != nil {
+		if b.KeepImages {
+			leaf.Image = b.eng.PrefixImage()
+		}
+		leaf.ImageHash = b.eng.PrefixImageHash()
+		leaf.ImageSize = b.eng.Size()
 	}
-	leaf.ImageHash = b.eng.PrefixImageHash()
-	leaf.ImageSize = b.eng.Size()
+	if b.OnLeaf != nil {
+		b.OnLeaf(leaf)
+	}
 }
 
 // Injector is a pmem.Hook that crashes a stack-mode execution at chosen

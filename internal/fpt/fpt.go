@@ -11,7 +11,9 @@
 // The tree is immutable by construction once Freeze is called: the
 // builder inserts leaves during the single instrumented run, the
 // campaign freezes the tree, and from then on structure and leaves never
-// change, so any number of workers can share it without locks. An
+// change, so any number of workers can share it without locks. A leaf
+// never changes once the builder has handed it over (Builder.OnLeaf),
+// so a campaign may read it while the run still builds the tree. An
 // injection campaign consumes leaves strictly in LeavesByICount order,
 // so its progress is one number: the length of the consumed prefix of
 // that order. The tree itself carries no traversal state.
@@ -26,9 +28,10 @@ import (
 	"mumak/internal/stack"
 )
 
-// Leaf is one unique failure point. Leaves are immutable once the tree
-// is frozen; campaign progress is a prefix of LeavesByICount, never a
-// mark on the leaf itself.
+// Leaf is one unique failure point. Leaves are immutable once the
+// builder has handed them over, and all of them once the tree is
+// frozen; campaign progress is a prefix of LeavesByICount, never a mark
+// on the leaf itself.
 type Leaf struct {
 	// ID numbers leaves in insertion order.
 	ID int

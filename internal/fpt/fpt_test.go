@@ -177,6 +177,42 @@ func TestBuilderFindsUniquePaths(t *testing.T) {
 	}
 }
 
+// TestBuilderHandsOverEachLeaf: OnLeaf gets every new leaf exactly
+// once, in FirstICount order, already stamped and, with KeepImages,
+// carrying the image that a later write to the engine leaves unchanged.
+func TestBuilderHandsOverEachLeaf(t *testing.T) {
+	st := stack.NewTable()
+	e := pmem.NewEngine(pmem.Options{PoolSize: 4096, Capture: pmem.CapturePersistency, Stacks: st})
+	tree := New(st)
+	b := NewBuilder(tree, GranPersistency)
+	b.KeepImages = true
+	var got []*Leaf
+	var hashes []uint64
+	b.OnLeaf = func(l *Leaf) {
+		if l.ImageSize == 0 || l.Image == nil {
+			t.Errorf("leaf %d handed over unstamped or without its image", l.ID)
+			return
+		}
+		got = append(got, l)
+		hashes = append(hashes, l.Image.Hash())
+	}
+	e.AttachHook(b)
+	app := &pmApp{e: e}
+	app.mainPath()
+	app.loopPath()
+	if len(got) != tree.Len() || tree.Len() != 2 {
+		t.Fatalf("handed over %d leaves of %d, want 2", len(got), tree.Len())
+	}
+	for i, l := range got {
+		if l != tree.LeavesByICount()[i] {
+			t.Errorf("hand-off %d is leaf %d, want leaf %d in FirstICount order", i, l.ID, tree.LeavesByICount()[i].ID)
+		}
+		if h := l.Image.Hash(); h != hashes[i] || h != l.ImageHash {
+			t.Errorf("leaf %d's image changed after the hand-off: hash %#x, was %#x, stamp %#x", l.ID, h, hashes[i], l.ImageHash)
+		}
+	}
+}
+
 func TestBuilderStoreGranularity(t *testing.T) {
 	ptree, _ := buildTree(t, GranPersistency)
 	stree, _ := buildTree(t, GranStore)
