@@ -57,7 +57,7 @@ func main() {
 		jsonOut    = flag.Bool("json", false, "emit the report as JSON (CI-pipeline friendly)")
 		eadr       = flag.Bool("eadr", false, "analyse under an eADR persistence domain (§4.3)")
 		storeGran  = flag.Bool("store-granularity", false, "inject at every store instead of persistency instructions (ablation)")
-		stackMode  = flag.Bool("stack-mode", false, "match failure points by call stack instead of instruction counter")
+		stackMode  = flag.Bool("stack-mode", false, "match failure points by call stack instead of instruction counter, re-executing the target once; every failure point is judged on the image that re-execution freezes, and no verdict is reused")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent recovery checks, in counter and stack mode (1 = serial); counter mode runs N-1 of them (at least 1) beside its instrumented run, and stack mode's one re-execution runs beside them")
 		budget     = flag.Duration("budget", 10*time.Minute, "analysis wall-clock budget (the paper uses 12h)")
 		seedBugs   = flag.String("seed-bugs", "", "comma-separated seeded bug IDs to plant (see internal/bugs)")
@@ -69,8 +69,7 @@ func main() {
 		recTimeout = flag.Duration("recovery-timeout", 0, "wall-clock watchdog per recovery-oracle invocation (0 = default)")
 		exitZero   = flag.Bool("exit-zero", false, "exit 0 even when bugs were found (smoke tests that assert findings without failing the step)")
 		journalDir = flag.String("journal", "", "directory for a durable campaign journal: every verdict is fsync'd, and rerunning the same command resumes the campaign it holds")
-		classing   = flag.Bool("classing", true, "reuse verdicts: replay one failure point per phase-1 crash-image class and let the rest inherit its verdict (reports are byte-identical); turn off for targets whose execution or recovery is not deterministic")
-		vcFile     = flag.String("verdict-cache-file", "", "persistent cross-run verdict cache file: re-runs of the identical campaign replay only crash images never judged before")
+		vcFile     = flag.String("verdict-cache-file", "", "persistent cross-run verdict cache file (counter mode only): re-runs of the identical campaign judge only crash images never judged before")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to FILE (read it with go tool pprof; the report is unchanged)")
 		memProfile = flag.String("memprofile", "", "write a heap profile taken at the end of the run to FILE")
 		execTrace  = flag.String("trace", "", "write a Go runtime execution trace of the run to FILE (read it with go tool trace)")
@@ -87,7 +86,7 @@ func main() {
 	}
 	if err := validateFlags(flagValues{
 		ops: *ops, workers: *workers, poolMB: *poolMB, budget: *budget,
-		recTimeout: *recTimeout, verdictCache: *vcFile, classing: *classing,
+		recTimeout: *recTimeout, verdictCache: *vcFile, stackMode: *stackMode,
 		cpuProfile: *cpuProfile, memProfile: *memProfile, execTrace: *execTrace,
 	}); err != nil {
 		fatal(err)
@@ -140,7 +139,7 @@ func main() {
 		EADR:            *eadr,
 		HangBudget:      *hangBudget,
 		RecoveryTimeout: *recTimeout,
-		Classing:        *classing,
+		Classing:        true,
 		PersistVerdicts: *vcFile != "",
 	}
 

@@ -209,7 +209,6 @@ var neutralFlags = map[string]string{
 	"exit-zero":          "changes only the exit status",
 	"workers":            "reports are byte-identical for any worker count",
 	"budget":             "cuts a campaign short, and the journal resumes it",
-	"classing":           "classed and unclassed campaigns give byte-identical reports, and journals fold across it",
 	"journal":            "names where verdicts are recorded",
 	"verdict-cache-file": "names where verdicts are cached",
 	"cpuprofile":         "profiles leave the report unchanged",

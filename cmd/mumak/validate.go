@@ -20,7 +20,7 @@ type flagValues struct {
 	budget       time.Duration
 	recTimeout   time.Duration
 	verdictCache string
-	classing     bool
+	stackMode    bool
 	cpuProfile   string
 	memProfile   string
 	execTrace    string
@@ -40,8 +40,8 @@ func validateFlags(v flagValues) error {
 		return fmt.Errorf("-budget %s: the analysis budget cannot be negative", v.budget)
 	case v.recTimeout < 0:
 		return fmt.Errorf("-recovery-timeout %s: the recovery watchdog cannot be negative (0 = default)", v.recTimeout)
-	case v.verdictCache != "" && !v.classing:
-		return fmt.Errorf("-verdict-cache-file needs -classing: verdicts are only reused, and saved, with it on")
+	case v.verdictCache != "" && v.stackMode:
+		return fmt.Errorf("-verdict-cache-file does not work with -stack-mode: stack mode judges every failure point and reuses no verdict")
 	}
 	for _, p := range []struct{ flag, path string }{
 		{"-cpuprofile", v.cpuProfile}, {"-memprofile", v.memProfile}, {"-trace", v.execTrace},

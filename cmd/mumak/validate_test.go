@@ -11,7 +11,7 @@ import (
 func validValues() flagValues {
 	return flagValues{
 		ops: 1000, workers: 4, poolMB: 64,
-		budget: time.Minute, classing: true,
+		budget: time.Minute,
 	}
 }
 
@@ -39,9 +39,9 @@ func TestValidateFlagsRejections(t *testing.T) {
 		{"pool", func(v *flagValues) { v.poolMB = 0 }, "-pool-mb"},
 		{"budget", func(v *flagValues) { v.budget = -time.Second }, "-budget"},
 		{"recovery-timeout", func(v *flagValues) { v.recTimeout = -time.Second }, "-recovery-timeout"},
-		{"verdict-cache-without-classing", func(v *flagValues) {
+		{"verdict-cache-with-stack-mode", func(v *flagValues) {
 			v.verdictCache = "verdicts.bin"
-			v.classing = false
+			v.stackMode = true
 		}, "-verdict-cache-file"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -11,6 +11,13 @@
 // images, and the deterministic recovery oracle necessarily returns the
 // same verdict for all of them.
 //
+// Only counter mode reuses verdicts, because only counter mode judges
+// the very image a stamp names: the one phase 1 froze at the leaf's
+// counter. A stack-mode pass freezes images of its own, which match the
+// stamps only for targets that run the same way twice, so stack mode
+// judges every image its pass freezes; its class plan only counts the
+// classes (Result.EquivClasses).
+//
 // One map holds every verdict the campaign reuses: the memo, keyed by
 // stamp. It is seeded before phase 1 from a cross-run verdict-cache
 // file (Config.WarmVerdicts), and after it from folded journal records.
@@ -23,13 +30,13 @@
 // stamps count as seen. A judged leaf's verdict fills the memo when the
 // merge loop consumes it, and the class's later members inherit it
 // there. A representative whose key was seeded takes the cached verdict
-// without replaying. Only the merge goroutine writes the memo, in
+// without a recovery run. Only the merge goroutine writes the memo, in
 // FirstICount order, so its contents — and the exported verdict-cache
 // file — are the same for any worker count. An inherited verdict
 // becomes the member's own record, keyed by its FirstICount, and its
 // finding is rendered with its own call stack, so the merged report
 // stays byte-identical to a campaign that judges every leaf, for any
-// worker count, in counter and stack mode.
+// worker count.
 //
 // The reuse is sound exactly when identical persisted prefix images
 // imply identical recovery verdicts, which holds whenever the recovery
@@ -39,6 +46,7 @@ package core
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 
 	"mumak/internal/campaign"
@@ -70,7 +78,7 @@ type classPlan struct {
 	folded int
 	// reps maps each class key to the ID of its representative: the
 	// class member with the lowest FirstICount, i.e. the first one the
-	// deterministic merge order consumes.
+	// deterministic merge order consumes. Nil without classing.
 	reps map[imageKey]int
 	// atMerge marks the pending leaves resolved from the memo on the
 	// merge goroutine instead of judged by a worker.
@@ -80,11 +88,11 @@ type classPlan struct {
 // add applies the class rule to the next leaf in LeavesByICount order
 // and reports whether a worker judges it: a pending leaf that is the
 // first of its stamp, whose stamp the memo does not hold, or, without
-// classing (a nil memo), any pending leaf.
+// reuse (a nil memo), any pending leaf.
 func (p *classPlan) add(leaf *fpt.Leaf, memo map[imageKey]campaign.Judgement) bool {
 	k := stampOf(leaf)
 	_, seen := p.reps[k]
-	if !seen && memo != nil {
+	if !seen && p.reps != nil {
 		p.reps[k] = leaf.ID
 	}
 	if p.folded > 0 {
@@ -102,7 +110,7 @@ func (p *classPlan) add(leaf *fpt.Leaf, memo map[imageKey]campaign.Judgement) bo
 }
 
 // deferred reports whether the leaf is resolved at merge; always false
-// without classing (every leaf is judged).
+// without a memo (every leaf is judged).
 func (p *classPlan) deferred(leaf *fpt.Leaf) bool {
 	return p.atMerge[leaf.ID]
 }
@@ -110,16 +118,18 @@ func (p *classPlan) deferred(leaf *fpt.Leaf) bool {
 // resolve settles a deferred leaf from the memo without touching an
 // engine: no execution (zero events) and no recovery run. Members still
 // count as injected — an earlier leaf of their class proved the crash
-// image reachable and judged it. A leaf whose class has no verdict yet
-// (its representative was quarantined or crashed the target) is
-// injected live instead, in stack mode by a one-target pass, exactly as
-// a campaign without reuse would, and its judgement then fills the memo
-// for the rest of the class.
+// image reachable and judged it. The memo always holds a deferred
+// leaf's stamp by the time the merge loop reaches it: the plan defers a
+// leaf only when the memo held its stamp, or when an earlier leaf had
+// it, and an earlier counter-mode leaf is always judged before the
+// merge loop gets past it (a deadline or interruption that cuts its
+// check stops the loop there). A miss is a broken invariant, so it
+// panics.
 func (m *mergeState) resolve(leaf *fpt.Leaf) replayOutcome {
 	k := stampOf(leaf)
 	j, ok := m.memo[k]
 	if !ok {
-		return m.replayer(leaf)
+		panic(fmt.Sprintf("core: deferred failure point #%d (instruction %d) has no verdict for its crash image", leaf.ID, leaf.FirstICount))
 	}
 	out := replayOutcome{executed: true, Record: campaign.Record{
 		LeafID: leaf.ID, LeafICount: leaf.FirstICount, Source: campaign.Inherited,

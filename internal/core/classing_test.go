@@ -106,10 +106,11 @@ func classingCases(stackMode bool) []struct {
 // TestClassingDifferential is the verdict-reuse correctness contract:
 // for every fixture, mode and worker count, a classed campaign's report
 // — text and JSON — is byte-identical to the reference campaign without
-// any reuse (Classing off: every failure point replayed and judged on
-// its own image), the injection coverage is unchanged, and the recovery
-// runs collapse to one per crash-image equivalence class (members
-// inherit, they are never re-judged).
+// any reuse (Classing off: every failure point judged on its own
+// image), and the injection coverage is unchanged. In counter mode the
+// recovery runs collapse to one per crash-image equivalence class
+// (members inherit, they are never re-judged); stack mode reuses no
+// verdict, so it runs one per failure point.
 func TestClassingDifferential(t *testing.T) {
 	for _, stackMode := range []bool{false, true} {
 		mode := "counter"
@@ -160,8 +161,12 @@ func TestClassingDifferential(t *testing.T) {
 						t.Errorf("%s: recoveries %d + inherited %d != reference recoveries %d",
 							label, res.Recoveries, res.InheritedVerdicts, ref.Recoveries)
 					}
-					if res.SkippedFailurePoints == 0 && res.TargetPanics == 0 &&
-						res.Recoveries != res.EquivClasses {
+					switch {
+					case stackMode && res.Recoveries != res.Injections:
+						t.Errorf("%s: %d recoveries for %d injections; stack mode judges every failure point",
+							label, res.Recoveries, res.Injections)
+					case !stackMode && res.SkippedFailurePoints == 0 && res.TargetPanics == 0 &&
+						res.Recoveries != res.EquivClasses:
 						t.Errorf("%s: %d recoveries for %d classes; want exactly one per class",
 							label, res.Recoveries, res.EquivClasses)
 					}
@@ -172,6 +177,64 @@ func TestClassingDifferential(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestStackModeReusesNoVerdict: a stack-mode campaign judges the image
+// its own pass freezes for every failure point, so with classing on it
+// inherits no verdict and takes none from a verdict-cache file, even one
+// written by the counter-mode campaign of the same input, and exports
+// none. Its class plan still counts the counter-mode campaign's
+// classes, and its report is the unclassed campaign's.
+func TestStackModeReusesNoVerdict(t *testing.T) {
+	for _, tc := range differentialCases() {
+		switch tc.name {
+		case "btree-bug", "imagedup", "imagedup-broken":
+		default:
+			continue
+		}
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			counter, err := core.Analyze(tc.mk(), tc.w, core.Config{Classing: true, PersistVerdicts: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(counter.VerdictCache) == 0 {
+				t.Fatal("the counter-mode campaign memoised no verdict; the cache check is vacuous")
+			}
+			base := core.Config{KeepWarnings: true, StackMode: true}
+			ref, err := core.Analyze(tc.mk(), tc.w, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := renderReport(t, ref.Report)
+			for _, workers := range []int{1, 4} {
+				cfg := base
+				cfg.Classing, cfg.Workers = true, workers
+				cfg.WarmVerdicts, cfg.PersistVerdicts = counter.VerdictCache, true
+				res, err := core.Analyze(tc.mk(), tc.w, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("workers=%d", workers)
+				if res.InheritedVerdicts != 0 || res.PersistentCacheHits != 0 || res.Recoveries != res.Injections ||
+					res.Injections == 0 {
+					t.Errorf("%s: %d inherited, %d cached, %d recoveries for %d injections; want every failure point judged",
+						label, res.InheritedVerdicts, res.PersistentCacheHits, res.Recoveries, res.Injections)
+				}
+				if res.EquivClasses != counter.EquivClasses {
+					t.Errorf("%s: %d classes, counter mode %d", label, res.EquivClasses, counter.EquivClasses)
+				}
+				if len(res.VerdictCache) != 0 {
+					t.Errorf("%s: exported %d verdicts", label, len(res.VerdictCache))
+				}
+				if got := renderReport(t, res.Report); got != want {
+					t.Errorf("%s: classed stack-mode report differs from the unclassed one\n--- unclassed ---\n%s\n--- classed ---\n%s",
+						label, want, got)
+				}
+			}
+		})
 	}
 }
 

@@ -111,27 +111,28 @@ type Config struct {
 	// Classing is the one verdict-reuse switch. On, the instrumented run
 	// stamps every failure point with the content hash of its
 	// prospective graceful-crash image (folded on demand from the pages
-	// written since the previous stamp), the campaign groups leaves
-	// whose stamps match into equivalence classes, judges one leaf per
-	// class, and the other members inherit its verdict from the
-	// campaign's verdict memo without a recovery run (or, in stack mode,
-	// a replay); WarmVerdicts seed that memo. Reports are byte-identical
-	// either way (any worker count, counter and stack mode) — only the
-	// redundant replays and recoveries are skipped. Off, nothing is
-	// reused: every failure point is judged on its own image, which is
-	// the reference the differential tests compare against and the mode
-	// for targets whose execution or recovery is not deterministic. The
-	// zero value is off; the CLI enables it by default.
+	// written since the previous stamp), and the campaign groups leaves
+	// whose stamps match into equivalence classes (Result.EquivClasses).
+	// In counter mode it then judges one leaf per class, and the other
+	// members inherit its verdict from the campaign's verdict memo
+	// without a recovery run; WarmVerdicts seed that memo. Stack mode
+	// reuses no verdict: its pass freezes images of its own, which match
+	// the stamps only for targets that run the same way twice, so it
+	// judges every one. Reports are byte-identical either way (any
+	// worker count) — only the redundant recoveries are skipped. Off,
+	// nothing is reused: every failure point is judged on its own image,
+	// which is the reference the differential tests compare against. The
+	// zero value is off; the CLI always turns it on.
 	Classing bool
 	// WarmVerdicts seeds the verdict memo from a persistent cross-run
-	// cache file (campaign.LoadVerdictCache) before any replay runs, so
-	// re-runs of an identical campaign only replay classes whose image
-	// hash was never judged. Ignored without Classing.
+	// cache file (campaign.LoadVerdictCache) before phase 1 runs, so
+	// re-runs of an identical campaign only judge classes whose image
+	// hash was never judged. Ignored without Classing and in stack mode.
 	WarmVerdicts []campaign.CacheEntry
 	// PersistVerdicts exports the final verdict memo, sorted by key,
 	// into Result.VerdictCache so the caller can persist it
-	// (campaign.SaveVerdictCache) for the next run. Without Classing
-	// there is no memo and nothing is exported.
+	// (campaign.SaveVerdictCache) for the next run. Without Classing,
+	// and in stack mode, there is no memo and nothing is exported.
 	PersistVerdicts bool
 	// Interrupt, when non-nil, requests graceful interruption once
 	// closed: campaign workers stop taking failure points, a stack-mode
@@ -235,11 +236,12 @@ type Result struct {
 	RecoveryHangs int
 	// EquivClasses is the number of distinct crash-image equivalence
 	// classes the phase-1 stamps partitioned the failure points into
-	// (zero when classing was off). InheritedVerdicts counts class
-	// members that took their class's verdict without replaying, and
-	// PersistentCacheHits counts class representatives that took the
-	// verdict of a cross-run verdict-cache file (Config.WarmVerdicts)
-	// without replaying. Recoveries + InheritedVerdicts +
+	// (zero when classing was off), in both modes. InheritedVerdicts
+	// counts class members that took their class's verdict without a
+	// recovery run, and PersistentCacheHits counts class representatives
+	// that took the verdict of a cross-run verdict-cache file
+	// (Config.WarmVerdicts) without one; both stay zero in stack mode,
+	// which reuses no verdict. Recoveries + InheritedVerdicts +
 	// PersistentCacheHits is the recovery count of the same campaign
 	// without reuse. These counters are deliberately kept out of the
 	// JSON report so classed and unclassed reports stay byte-identical.

@@ -34,11 +34,6 @@ const maxNoProgress = 3
 // most two extra passes per genuinely dead leaf.
 const maxLeafRetries = 2
 
-// retryBackoff is the base pause between a leaf's passes; retry k waits
-// k×retryBackoff, giving a transient condition a moment to clear without
-// slowing a deterministic failure down meaningfully.
-const retryBackoff = time.Millisecond
-
 // sandboxCfg carries the per-execution watchdog bounds of one campaign:
 // the deterministic fuel budget, the recovery wall-clock timeout, and
 // the campaign deadline (honoured mid-pass through the engine's
@@ -178,29 +173,34 @@ func hangDetail(during string, h *pmem.HangSignal) string {
 const replayDuring = "a fault-injection replay"
 
 // newCampaign prepares the fault-injection campaign before phase 1
-// runs: the injector, the merge state with its verdict memo seeded from
-// cfg.WarmVerdicts, the class plan phase 1's builder applies to each
-// new leaf (offer), and the worker pool of max(cfg.Workers, 1), which
-// starts a worker with each leaf handed to it up to its limit. The
-// caller stops the pool on every exit path.
+// runs: the injector, the merge state, the class plan phase 1's builder
+// applies to each new leaf (offer), and the worker pool of
+// max(cfg.Workers, 1), which starts a worker with each leaf handed to
+// it up to its limit. With cfg.Classing the plan counts classes, and in
+// counter mode the merge state gets the verdict memo, seeded from
+// cfg.WarmVerdicts, and the plan defers leaves to it. The caller stops
+// the pool on every exit path.
 func newCampaign(app harness.Application, w workload.Workload, stacks *stack.Table,
 	cfg Config, rep *report.Report, res *Result, sb sandboxCfg) *mergeState {
 
 	in := &injector{app: app, w: w, stacks: stacks, cfg: cfg, sb: sb}
 	m := &mergeState{cfg: cfg, rep: rep, res: res, journal: cfg.Journal,
-		replayer: in.inject, pool: newPool(in, max(cfg.Workers, 1))}
+		pool: newPool(in, max(cfg.Workers, 1))}
 	if cfg.Journal != nil {
 		m.plan.folded = len(cfg.Journal.Records)
 	}
 	if cfg.Classing {
+		m.plan.reps = make(map[imageKey]int)
+	}
+	if cfg.Classing && !cfg.StackMode {
 		// One memo per campaign: application, workload and recovery
 		// configuration are fixed here (and pinned by the verdict-cache
 		// file's identity), so entries are keyed by image identity alone.
+		// Stack mode gets none (classing.go says why).
 		m.memo = make(map[imageKey]campaign.Judgement, len(cfg.WarmVerdicts))
 		for _, e := range cfg.WarmVerdicts {
 			m.memo[imageKey{hash: e.Hash, size: e.Size}] = e.Judgement
 		}
-		m.plan.reps = make(map[imageKey]int)
 		m.plan.atMerge = make(map[int]bool)
 	}
 	return m
@@ -234,10 +234,10 @@ func (m *mergeState) offer(leaf *fpt.Leaf) {
 // independent (each builds a private recovery engine over a frozen
 // image), so every campaign judges on the one worker pool, with
 // max(cfg.Workers, 1) workers but never more than the leaves handed to
-// it, and a stack-mode pass runs beside them. With cfg.Classing only
-// the first leaf of each crash-image class without a verdict is judged;
-// the rest resolve from the campaign's verdict memo at merge
-// (classing.go).
+// it, and a stack-mode pass runs beside them. In counter mode with
+// cfg.Classing only the first leaf of each crash-image class without a
+// verdict is judged; the rest resolve from the campaign's verdict memo
+// at merge (classing.go). Stack mode judges every pending leaf.
 //
 // Leaves are consumed strictly in tree.LeavesByICount() order, so
 // however the campaign stops — completion, budget, interruption,
@@ -350,15 +350,13 @@ type mergeState struct {
 	consumed int
 	folding  bool
 
-	// memo is the campaign's verdict memo (nil when classing is off)
-	// and plan its schedule (classing.go). Only the merge goroutine
-	// touches memo. replayer runs one live injection on the merge
-	// goroutine (the campaign's injector.inject). pool judges the
-	// leaves the plan gives workers.
-	memo     map[imageKey]campaign.Judgement
-	plan     classPlan
-	replayer func(*fpt.Leaf) replayOutcome
-	pool     *pool
+	// memo is the campaign's verdict memo (nil without classing and in
+	// stack mode) and plan its schedule (classing.go). Only the merge
+	// goroutine touches memo. pool judges the leaves the plan gives
+	// workers.
+	memo map[imageKey]campaign.Judgement
+	plan classPlan
+	pool *pool
 
 	noProgress int
 }

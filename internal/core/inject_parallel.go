@@ -16,9 +16,9 @@
 // goes. Nothing but the read-only workload, the stateless application
 // value, the leaves and their frozen images, and the (concurrency-safe)
 // stack table is shared with the workers; a single worker is simply the
-// smallest pool. Leaves the plan defers to the merge goroutine are not
-// injected by workers at all: the merge loop resolves them from the
-// verdict memo, which only it touches.
+// smallest pool. Counter-mode leaves the plan defers to the merge
+// goroutine are not injected by workers at all: the merge loop resolves
+// them from the verdict memo, which only it touches.
 //
 // Determinism is preserved by separating execution from merging:
 // workers take the pool's jobs in the order they were added, which is
@@ -197,9 +197,9 @@ func (p *pool) work() {
 }
 
 // injectParallel runs the campaign from the end of phase 1: in stack
-// mode it hands the pool the pending leaves the plan gives workers and
-// starts the pass that freezes their images; in counter mode the pool
-// already holds its jobs, some of them judged. Then it merges the
+// mode it hands the pool every pending leaf and starts the pass that
+// freezes their images; in counter mode the pool already holds its
+// jobs, some of them judged. Then it merges the
 // outcomes deterministically and returns whether the deadline expired
 // before every leaf was consumed. late reports that the deadline had
 // expired before phase 1 ended: a job counts as claimed no earlier than
@@ -213,30 +213,24 @@ func (p *pool) work() {
 func injectParallel(m *mergeState, pending []*fpt.Leaf, late bool) (timedOut bool) {
 	p, res := m.pool, m.res
 	in := p.in
-	if in.cfg.StackMode {
-		var targets []*fpt.Leaf
-		var jobs []*job
-		for _, leaf := range pending {
-			if !m.plan.deferred(leaf) {
-				targets = append(targets, leaf)
-				jobs = append(jobs, p.add(slot{}, make(chan struct{})))
-			}
+	if in.cfg.StackMode && len(pending) > 0 {
+		jobs := make([]*job, len(pending))
+		for k := range pending {
+			jobs[k] = p.add(slot{}, make(chan struct{}))
 		}
 		// The pass fills every job it owns before it returns, so no
 		// worker waits on one forever.
-		if len(targets) > 0 {
-			p.wg.Add(1)
-			go func() {
-				defer p.wg.Done()
-				t0 := time.Now()
-				halt := func() bool { return p.stopped.Load() || in.sb.interrupted() }
-				in.passes(targets, halt, func(k int, s slot) {
-					jobs[k].slot = s
-					close(jobs[k].ready)
-				})
-				p.busy.Add(int64(time.Since(t0)))
-			}()
-		}
+		p.wg.Add(1)
+		go func() {
+			defer p.wg.Done()
+			t0 := time.Now()
+			halt := func() bool { return p.stopped.Load() || in.sb.interrupted() }
+			in.passes(pending, halt, func(k int, s slot) {
+				jobs[k].slot = s
+				close(jobs[k].ready)
+			})
+			p.busy.Add(int64(time.Since(t0)))
+		}()
 	}
 	jobs := p.close()
 
@@ -244,14 +238,8 @@ func injectParallel(m *mergeState, pending []*fpt.Leaf, late bool) (timedOut boo
 		var out replayOutcome
 		if m.plan.deferred(leaf) {
 			// By now every earlier leaf — the class's first leaf included
-			// — has been merged, so the memo holds the class verdict, or
-			// the leaf falls back to a live injection on this goroutine
-			// when no earlier leaf produced one. A fallback that trips the
-			// mid-pass deadline watchdog is handled by the deadlineHit
-			// branch below.
-			t0 := time.Now()
+			// — has been merged, so the memo holds the class verdict.
 			out = m.resolve(leaf)
-			res.WorkerBusy += time.Since(t0)
 		} else if !late {
 			jb := jobs[0]
 			jobs = jobs[1:]

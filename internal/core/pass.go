@@ -28,7 +28,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"mumak/internal/campaign"
 	"mumak/internal/fpt"
@@ -89,24 +88,6 @@ func (in *injector) finish(s *slot) {
 	s.out.FindingICount = s.icount
 }
 
-// inject judges one leaf on the calling goroutine: the image phase 1
-// froze for it in counter mode, the image a one-target pass freezes in
-// stack mode. The merge loop uses it for a deferred leaf whose class has
-// no verdict. It is safe to call concurrently for different leaves: the
-// pass's engine and injector, the crash image and the oracle's recovery
-// engine are all private to the call, and the tree and its images are
-// frozen.
-func (in *injector) inject(leaf *fpt.Leaf) replayOutcome {
-	var s slot
-	if in.cfg.StackMode {
-		in.passes([]*fpt.Leaf{leaf}, in.sb.interrupted, func(_ int, got slot) { s = got })
-	} else {
-		s = phase1(leaf)
-	}
-	in.finish(&s)
-	return s.out
-}
-
 // passes serves the leaves of targets, given in LeavesByICount order,
 // with as few passes as their outcomes allow: each pass targets the
 // unserved leaves from the front on. deliver gets every target's slot
@@ -164,12 +145,12 @@ func (in *injector) passes(targets []*fpt.Leaf, halt func() bool, deliver func(i
 		out.Events += failed.Events
 		out.Retries = failed.Retries
 		if out.SkipReason != "" && out.Retries < maxLeafRetries && !in.sb.expired() {
-			// A transient skip: retry from this leaf after a small
-			// backoff. Panics, hangs and deadline cuts are never
+			// A transient skip: retry from this leaf at once. Nothing
+			// a target does depends on wall time, so waiting would
+			// clear nothing. Panics, hangs and deadline cuts are never
 			// retried: the first two are already findings, the last
 			// would only burn the remaining budget.
 			failed.Events, failed.Retries = out.Events, out.Retries+1
-			time.Sleep(time.Duration(failed.Retries) * retryBackoff)
 			continue
 		}
 		served[front] = true

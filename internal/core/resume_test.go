@@ -242,31 +242,38 @@ func TestResumeRejectsForeignJournal(t *testing.T) {
 
 // TestInterruptedCampaign: a pre-closed interrupt channel stops the
 // campaign before the first leaf; the partial report is marked, the
-// journal stays loadable, and a resumed run completes byte-identically.
+// journal stays loadable, and a resumed run completes byte-identically,
+// with verdict reuse off and on.
 func TestInterruptedCampaign(t *testing.T) {
 	mk := func() harness.Application { return btree.New(cfgSPT(btree.BugCountOutsideTx)) }
 	w := smallWorkload(21)
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			ref, err := core.Analyze(mk(), w, core.Config{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
+			for _, classing := range []bool{false, true} {
+				cfg := core.Config{Workers: workers, Classing: classing}
+				label := fmt.Sprintf("classing=%v", classing)
+				ref, err := core.Analyze(mk(), w, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				interrupt := make(chan struct{})
+				close(interrupt)
+				dir := t.TempDir()
+				cut := cfg
+				cut.Interrupt = interrupt
+				res := analyzeJournaled(t, mk, w, cut, dir)
+				if !res.Interrupted {
+					t.Fatalf("%s: pre-closed interrupt channel did not mark the run interrupted", label)
+				}
+				if res.Injections != 0 {
+					t.Fatalf("%s: interrupted-before-start campaign injected %d faults", label, res.Injections)
+				}
+				if !strings.Contains(res.Report.Format(false), "campaign interrupted") {
+					t.Fatalf("%s: partial report lacks the interruption marker:\n%s", label, res.Report.Format(false))
+				}
+				resumed := analyzeJournaled(t, mk, w, cfg, dir)
+				assertResumeMatches(t, label+" resumed-after-interrupt", ref, resumed)
 			}
-			interrupt := make(chan struct{})
-			close(interrupt)
-			dir := t.TempDir()
-			res := analyzeJournaled(t, mk, w, core.Config{Workers: workers, Interrupt: interrupt}, dir)
-			if !res.Interrupted {
-				t.Fatal("pre-closed interrupt channel did not mark the run interrupted")
-			}
-			if res.Injections != 0 {
-				t.Fatalf("interrupted-before-start campaign injected %d faults", res.Injections)
-			}
-			if !strings.Contains(res.Report.Format(false), "campaign interrupted") {
-				t.Fatalf("partial report lacks the interruption marker:\n%s", res.Report.Format(false))
-			}
-			resumed := analyzeJournaled(t, mk, w, core.Config{Workers: workers}, dir)
-			assertResumeMatches(t, "resumed-after-interrupt", ref, resumed)
 		})
 	}
 }
@@ -274,68 +281,83 @@ func TestInterruptedCampaign(t *testing.T) {
 // TestInterruptMidCampaign interrupts a running campaign from another
 // goroutine: the campaign must drain and stop early (strictly fewer
 // injections), journal only consumed leaves, and resume to the full
-// byte-identical report.
+// byte-identical report, with verdict reuse off and on.
 func TestInterruptMidCampaign(t *testing.T) {
 	mk := func() harness.Application { return btree.New(cfgSPT(btree.BugCountOutsideTx)) }
 	w := smallWorkload(21)
-	ref, err := core.Analyze(mk(), w, core.Config{})
-	if err != nil {
-		t.Fatal(err)
+	for _, classing := range []bool{false, true} {
+		t.Run(fmt.Sprintf("classing=%v", classing), func(t *testing.T) {
+			cfg := core.Config{Classing: classing}
+			ref, err := core.Analyze(mk(), w, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Find an interruption point that actually lands
+			// mid-campaign: a fixed sleep is racy, so interrupt after a
+			// bounded delay and accept whatever prefix was consumed — the
+			// identity contract must hold for every prefix anyway.
+			interrupt := make(chan struct{})
+			go func() {
+				time.Sleep(20 * time.Millisecond)
+				close(interrupt)
+			}()
+			dir := t.TempDir()
+			cut := cfg
+			cut.Interrupt = interrupt
+			res := analyzeJournaled(t, mk, w, cut, dir)
+			if !res.Interrupted {
+				// The campaign finished before the timer fired; the
+				// journal then already holds the full run and resume
+				// degenerates to TestResumeCompletedCampaign, still worth
+				// asserting.
+				t.Log("campaign completed before the interrupt fired")
+			}
+			resumed := analyzeJournaled(t, mk, w, cfg, dir)
+			assertResumeMatches(t, "resumed-after-mid-interrupt", ref, resumed)
+		})
 	}
-	// Find an interruption point that actually lands mid-campaign: a
-	// fixed sleep is racy, so interrupt after a bounded delay and accept
-	// whatever prefix was consumed — the identity contract must hold for
-	// every prefix anyway.
-	interrupt := make(chan struct{})
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		close(interrupt)
-	}()
-	dir := t.TempDir()
-	res := analyzeJournaled(t, mk, w, core.Config{Interrupt: interrupt}, dir)
-	if !res.Interrupted {
-		// The campaign finished before the timer fired; the journal then
-		// already holds the full run and resume degenerates to
-		// TestResumeCompletedCampaign, still worth asserting.
-		t.Log("campaign completed before the interrupt fired")
-	}
-	resumed := analyzeJournaled(t, mk, w, core.Config{}, dir)
-	assertResumeMatches(t, "resumed-after-mid-interrupt", ref, resumed)
 }
 
 // TestBudgetExpiryPartialReport: a campaign whose -budget expires
 // mid-flight must leave a well-formed partial report — the
 // budget-exhausted marker rendered, counters consistent with the
 // journaled prefix — and the flushed journal must resume to the full
-// byte-identical report.
+// byte-identical report, with verdict reuse off and on.
 func TestBudgetExpiryPartialReport(t *testing.T) {
 	mk := func() harness.Application { return btree.New(cfgSPT(btree.BugCountOutsideTx)) }
 	w := smallWorkload(21)
-	ref, err := core.Analyze(mk(), w, core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	res := analyzeJournaled(t, mk, w, core.Config{Budget: 30 * time.Millisecond}, dir)
-	if res.TimedOut {
-		if !strings.Contains(res.Report.Format(false), "analysis budget exhausted") {
-			t.Errorf("timed-out report lacks the budget marker:\n%s", res.Report.Format(false))
-		}
-		st, err := campaign.Load(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(st.Records) != res.JournalAppends {
-			t.Errorf("journal holds %d records, campaign reported %d appends",
-				len(st.Records), res.JournalAppends)
-		}
-	} else {
-		t.Log("campaign finished inside the tiny budget; resume degenerates to the completed case")
-	}
-	resumed := analyzeJournaled(t, mk, w, core.Config{}, dir)
-	assertResumeMatches(t, "resumed-after-budget-expiry", ref, resumed)
-	if resumed.TimedOut || strings.Contains(resumed.Report.Format(false), "budget exhausted") {
-		t.Error("resumed run inherited the budget-exhausted marker")
+	for _, classing := range []bool{false, true} {
+		t.Run(fmt.Sprintf("classing=%v", classing), func(t *testing.T) {
+			cfg := core.Config{Classing: classing}
+			ref, err := core.Analyze(mk(), w, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			cut := cfg
+			cut.Budget = 30 * time.Millisecond
+			res := analyzeJournaled(t, mk, w, cut, dir)
+			if res.TimedOut {
+				if !strings.Contains(res.Report.Format(false), "analysis budget exhausted") {
+					t.Errorf("timed-out report lacks the budget marker:\n%s", res.Report.Format(false))
+				}
+				st, err := campaign.Load(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(st.Records) != res.JournalAppends {
+					t.Errorf("journal holds %d records, campaign reported %d appends",
+						len(st.Records), res.JournalAppends)
+				}
+			} else {
+				t.Log("campaign finished inside the tiny budget; resume degenerates to the completed case")
+			}
+			resumed := analyzeJournaled(t, mk, w, cfg, dir)
+			assertResumeMatches(t, "resumed-after-budget-expiry", ref, resumed)
+			if resumed.TimedOut || strings.Contains(resumed.Report.Format(false), "budget exhausted") {
+				t.Error("resumed run inherited the budget-exhausted marker")
+			}
+		})
 	}
 }
 

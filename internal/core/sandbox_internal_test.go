@@ -66,6 +66,16 @@ func TestSandboxDifferentialCleanTarget(t *testing.T) {
 	}
 }
 
+// passOne judges one leaf as a stack-mode campaign does: a pass over
+// that one target freezes its image, or ends on its way there, and the
+// oracle judges whatever image it froze.
+func passOne(in *injector, leaf *fpt.Leaf) replayOutcome {
+	var s slot
+	in.passes([]*fpt.Leaf{leaf}, in.sb.interrupted, func(_ int, got slot) { s = got })
+	in.finish(&s)
+	return s.out
+}
+
 // TestReplayHonoursDeadlineMidReplay regresses the serial campaign's
 // deadline blind spot: the budget used to be checked only between
 // replays, so a single replay that never reached its failure point
@@ -84,7 +94,7 @@ func TestReplayHonoursDeadlineMidReplay(t *testing.T) {
 	}
 	start := time.Now()
 	in := injector{app: app, w: w, stacks: stacks, cfg: Config{StackMode: true}, sb: sb}
-	out := in.inject(leaf)
+	out := passOne(&in, leaf)
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("replay ran %s past a 100ms deadline", elapsed)
 	}
@@ -145,7 +155,7 @@ func TestLeafRetryRecoversTransientFailure(t *testing.T) {
 	flaky := &flakyApp{Application: testTarget(), failures: 1}
 	cfg := Config{StackMode: true}
 	in := injector{app: flaky, w: w, stacks: stacks, cfg: cfg, sb: cfg.sandbox(time.Time{})}
-	out := in.inject(leaf)
+	out := passOne(&in, leaf)
 	if out.Retries != 1 {
 		t.Errorf("retries = %d, want 1", out.Retries)
 	}
@@ -182,7 +192,7 @@ func TestStoppedReplayIsRecordedNotRetried(t *testing.T) {
 	cfg := Config{StackMode: true, HangBudget: 1 << 20}
 	for _, hang := range []bool{false, true} {
 		in := injector{app: stuckReplayApp{testTarget(), hang}, w: w, stacks: stacks, cfg: cfg, sb: cfg.sandbox(time.Time{})}
-		out := in.inject(leaf)
+		out := passOne(&in, leaf)
 		if out.TargetPanic == hang || out.TargetHang != hang || out.Injected || out.SkipReason != "" || out.Retries != 0 {
 			t.Errorf("hang=%v: stopped replay recorded as %+v", hang, out.Record)
 		}

@@ -60,7 +60,7 @@ func TestImageCacheKeyDiscriminates(t *testing.T) {
 	}
 
 	// Only the exact (hash, size) key the memo holds resolves at merge;
-	// the first leaf of every other key replays, and later members of
+	// the first leaf of every other key is judged, and later members of
 	// its class wait for its verdict at merge.
 	for i, want := range []bool{true, false, false, true} {
 		if got := plan.deferred(leaves[i]); got != want {
@@ -68,21 +68,12 @@ func TestImageCacheKeyDiscriminates(t *testing.T) {
 		}
 	}
 
-	replayed := 0
-	m := &mergeState{memo: memo, plan: plan, replayer: func(*fpt.Leaf) replayOutcome {
-		replayed++
-		return replayOutcome{executed: true}
-	}}
+	m := &mergeState{memo: memo, plan: plan}
 	out := m.resolve(leaves[0])
 	if !out.Injected || out.Source != campaign.Cached || out.Judgement != memo[seeded] {
 		t.Errorf("seeded leaf resolved to %+v, want the cached Crashed verdict", out)
 	}
 	if f := leafFinding(leaves[0], out.Record); f == nil || f.ICount != leaves[0].FirstICount || f.Stack != leaves[0].Stack {
 		t.Errorf("seeded leaf's finding = %+v, want one at its own instruction counter and call stack", f)
-	}
-	// The class member of an unjudged key finds no verdict under its
-	// hash alone and replays live.
-	if out := m.resolve(leaves[3]); out.Injected || replayed != 1 {
-		t.Errorf("member of an unjudged key resolved to %+v after %d replays; want a live replay", out, replayed)
 	}
 }

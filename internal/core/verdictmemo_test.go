@@ -257,25 +257,3 @@ func TestImageCacheEADRDifferential(t *testing.T) {
 		checkCachedAgainst(t, fmt.Sprintf("eADR warm workers=%d", workers), ref, warm, mk, w, cfg)
 	}
 }
-
-// TestImageCacheStackModeDifferential covers the memo on the stack-mode
-// campaign: imagedup-broken's recurring Unrecoverable image is judged
-// once and served to every other failure point that crashes into it,
-// and a warm stack-mode run judges nothing.
-func TestImageCacheStackModeDifferential(t *testing.T) {
-	mk := func() harness.Application {
-		app, _ := imagedup.New("imagedup-broken")
-		return app
-	}
-	w := smallWorkload(5)
-	base := core.Config{StackMode: true, DisableTraceAnalysis: true}
-	ref, err := core.Analyze(mk(), w, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold := checkCachedAgainst(t, "stack-mode cold", ref, nil, mk, w, base)
-	if cold.InheritedVerdicts == 0 {
-		t.Error("stack-mode campaign on imagedup-broken served no memoised verdict")
-	}
-	checkCachedAgainst(t, "stack-mode warm", ref, roundTrip(t, cold.VerdictCache), mk, w, base)
-}

@@ -10,6 +10,7 @@
 package metrics
 
 import (
+	"runtime"
 	rtmetrics "runtime/metrics"
 	"sync"
 	"sync/atomic"
@@ -35,8 +36,12 @@ type Run struct {
 	stopOnce  sync.Once
 }
 
-// Start begins measuring; call Stop when the analysis finishes.
+// Start begins measuring; call Stop when the analysis finishes. It first
+// collects the garbage earlier runs left, so that the heap samples count
+// only what this run allocates, and it does so before it reads the
+// clocks, so the collection counts in neither wall nor CPU time.
 func Start() *Run {
+	runtime.GC()
 	sample := []rtmetrics.Sample{{Name: heapMetric}}
 	heap := readHeap(sample)
 	r := &Run{
@@ -77,24 +82,30 @@ func (r *Run) poll(sample []rtmetrics.Sample) {
 		case <-r.stopPoll:
 			return
 		case <-ticker.C:
-			heap := readHeap(sample)
-			for {
-				cur := r.heapPeak.Load()
-				if heap <= cur || r.heapPeak.CompareAndSwap(cur, heap) {
-					break
-				}
-			}
+			r.observe(readHeap(sample))
 		}
 	}
 }
 
-// Stop finishes measurement; extra calls are no-ops.
+// observe raises the peak to heap if heap is above it.
+func (r *Run) observe(heap uint64) {
+	for {
+		cur := r.heapPeak.Load()
+		if heap <= cur || r.heapPeak.CompareAndSwap(cur, heap) {
+			return
+		}
+	}
+}
+
+// Stop finishes measurement with one last heap sample, so that a run
+// shorter than the poll interval is sampled too; extra calls are no-ops.
 func (r *Run) Stop() {
 	r.stopOnce.Do(func() {
 		close(r.stopPoll)
 		<-r.done
 		r.wall = time.Since(r.start)
 		r.cpu = cpuTime() - r.cpuStart
+		r.observe(readHeap([]rtmetrics.Sample{{Name: heapMetric}}))
 	})
 }
 

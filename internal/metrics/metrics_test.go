@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"runtime"
+	rtmetrics "runtime/metrics"
 	"testing"
 	"time"
 )
@@ -70,5 +72,38 @@ func TestRAMOverhead(t *testing.T) {
 	}
 	if got := u.RAMOverhead(0); got != 1 {
 		t.Fatalf("RAMOverhead with zero vanilla peak = %v, want 1", got)
+	}
+}
+
+// sink keeps an allocation reachable until a test drops it.
+var sink []byte
+
+// TestGarbageBeforeStartIsNotCounted: garbage an earlier run left is
+// not this run's memory, so a run that allocates nothing reads about
+// the heap it started with, not the dropped buffer on top of it.
+func TestGarbageBeforeStartIsNotCounted(t *testing.T) {
+	runtime.GC()
+	before := readHeap([]rtmetrics.Sample{{Name: heapMetric}})
+	sink = make([]byte, 32<<20)
+	sink = nil
+	r := Start()
+	r.Stop()
+	if u := r.Usage(); u.PeakHeapBytes >= before+16<<20 {
+		t.Fatalf("peak heap %d MiB after dropping 32 MiB over a %d MiB heap; the garbage was counted",
+			u.PeakHeapBytes>>20, before>>20)
+	}
+}
+
+// TestShortRunIsSampled: a run shorter than the poll interval still
+// gets a sample of its own, so 32 MiB it keeps live until it ends is
+// counted.
+func TestShortRunIsSampled(t *testing.T) {
+	r := Start()
+	buf := make([]byte, 32<<20)
+	r.Stop()
+	runtime.KeepAlive(buf)
+	if u := r.Usage(); u.PeakHeapBytes < u.HeapStartBytes+32<<20 {
+		t.Fatalf("peak heap %d MiB over a start of %d MiB; the 32 MiB the run kept were not counted",
+			u.PeakHeapBytes>>20, u.HeapStartBytes>>20)
 	}
 }
